@@ -52,10 +52,13 @@ type t = {
   sock : Nfsg_net.Socket.t;
   cpu : Resource.t;
   verf : int;
-  send : Svc.transport -> Bytes.t -> unit;  (** the reply funnel, see [make_internal] *)
+  send : Svc.transport -> (Xdr.Enc.t -> unit) -> unit;  (** the reply funnel, see [make_internal] *)
   ops : (Metrics.counter * int) option array;
       (** by procedure number: its [server/ops_<PROC>] counter, resolved on
           first use, with the value it had then (it outlives incarnations) *)
+  vol_ops : Metrics.counter option array array;
+      (** by export-table position, then procedure number: the volume's
+          own [ops_<PROC>] counter, resolved on first use *)
   (* Read-ahead streams are per (client, file): the same boot file read
      concurrently by the whole fleet must not look like one thrashing
      stream. Client addresses map to small dense ids in arrival
@@ -97,11 +100,18 @@ let count_op t proc =
 
 (* Per-volume op accounting, once dispatch has routed the request. The
    legacy single-volume server's namespace IS "server", so only the
-   vol<k> namespaces add a second counter. *)
+   vol<k> namespaces add a second counter. Fsids number the export
+   table from 1. *)
 let count_vol_op t vol proc =
-  let ns = Volume.server_ns vol in
-  if ns <> Names.Ns.server then
-    Metrics.incr (Metrics.counter t.metrics ~ns (Names.ops (Proto.proc_name proc)))
+  if not t.legacy_ns then begin
+    let slots = t.vol_ops.(Volume.fsid vol - 1) in
+    match slots.(proc) with
+    | Some c -> Metrics.incr c
+    | None ->
+        let c = Metrics.counter t.metrics ~ns:(Volume.server_ns vol) (Names.ops (Proto.proc_name proc)) in
+        slots.(proc) <- Some c;
+        Metrics.incr c
+  end
 
 (* Stream id for the read-ahead engine: client identity in the high
    bits, inode number in the low bits. *)
@@ -165,7 +175,7 @@ let v2_write_error = Proto.error_res ~proc:Proto.proc_write
 let v3_write_error = Proto.error_res ~proc:Proto.proc_write3
 
 let answer t tr res =
-  t.send tr (Proto.encode_res res);
+  t.send tr (fun enc -> Proto.put_res enc res);
   Svc.Reply_pending
 
 (* Directory mutations keep the baseline's synchronous metadata
@@ -328,7 +338,7 @@ let dispatch_mount t tr (call : Rpc.call) =
           | Some vol -> Ok (Volume.root_fh vol, Volume.read_only vol)
           | None -> Error Proto.NFSERR_NOENT
         in
-        t.send tr (Proto.encode_mnt_res res);
+        t.send tr (fun enc -> Proto.put_mnt_res enc res);
         Svc.Reply_pending
 
 let dispatch t tr (call : Rpc.call) =
@@ -357,11 +367,11 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
   (* The reply funnel: every result, sent by the nfsd that ran the call
      or by a later one flushing a gathered batch, pays its encode here,
      once. Bare RPC error statuses carry no result and go out free. *)
-  let send tr body =
+  let send tr put_result =
     Resource.use cpu costs.Cpu_model.rpc_encode;
-    Svc.send_reply (Option.get !svc_ref) tr Rpc.Success body
+    Svc.send_reply_with (Option.get !svc_ref) tr Rpc.Success put_result
   in
-  let send_reply tr res = send tr (Proto.encode_res res) in
+  let send_reply tr res = send tr (fun enc -> Proto.put_res enc res) in
   let volumes =
     List.mapi
       (fun i (spec, vgen, mkfs) ->
@@ -386,6 +396,7 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
       verf = !boot_counter;
       send;
       ops = Array.make (Proto.proc_commit + 1) None (* COMMIT has the highest number *);
+      vol_ops = Array.of_list (List.map (fun _ -> Array.make (Proto.proc_commit + 1) None) volumes);
       stream_ids = Hashtbl.create 16;
       trace;
       metrics;

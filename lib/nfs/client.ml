@@ -18,6 +18,9 @@ type t = {
   block_size : int;
   protocol : protocol;
   metrics : Metrics.t;
+  lat : Nfsg_stats.Histogram.t option array;
+      (** by procedure number: its [nfs.client/lat_us_<PROC>] histogram,
+          resolved on first use *)
   mutable wire_writes : int;
   mutable commits : int;
   mutable bytes_written : int;
@@ -41,6 +44,7 @@ let create eng ~rpc ?(biods = 4) ?(block_size = 8192) ?(protocol = V2) ?metrics 
     block_size;
     protocol;
     metrics;
+    lat = Array.make (Proto.proc_commit + 1) None (* COMMIT has the highest number *);
     wire_writes = 0;
     commits = 0;
     bytes_written = 0;
@@ -49,15 +53,22 @@ let create eng ~rpc ?(biods = 4) ?(block_size = 8192) ?(protocol = V2) ?metrics 
 
 (* {1 RPC plumbing} *)
 
+(* Per-procedure completion latency, as the application sees it:
+   includes every retransmission and RTO wait inside the call. *)
+let latency t proc =
+  match t.lat.(proc) with
+  | Some h -> h
+  | None ->
+      let h =
+        Metrics.histogram t.metrics ~ns:Names.Ns.nfs_client (Names.lat_us (Proto.proc_name proc))
+      in
+      t.lat.(proc) <- Some h;
+      h
+
 let do_call t ~klass args =
   let proc = Proto.proc_of_args args in
-  (* Per-procedure completion latency, as the application sees it:
-     includes every retransmission and RTO wait inside the call. *)
-  let h =
-    Metrics.histogram t.metrics ~ns:Names.Ns.nfs_client (Names.lat_us (Proto.proc_name proc))
-  in
-  Metrics.span t.eng h (fun () ->
-      let stat, body = Rpc_client.call t.rpc ~klass ~proc (Proto.encode_args args) in
+  Metrics.span t.eng (latency t proc) (fun () ->
+      let stat, body = Rpc_client.call_with t.rpc ~klass ~proc (fun enc -> Proto.put_args enc args) in
       if stat <> Rpc.Success then raise (Error Proto.NFSERR_IO);
       Proto.decode_res ~proc body)
 
@@ -128,8 +139,8 @@ let null_ping t =
 
 let mount_flags t name =
   let stat, body =
-    Rpc_client.call t.rpc ~klass:Rpc_client.Light ~prog:Rpc.mount_program
-      ~proc:Proto.proc_mnt (Proto.encode_mnt_args name)
+    Rpc_client.call_with t.rpc ~klass:Rpc_client.Light ~prog:Rpc.mount_program
+      ~proc:Proto.proc_mnt (fun enc -> Proto.put_mnt_args enc name)
   in
   if stat <> Rpc.Success then raise (Error Proto.NFSERR_IO);
   match Proto.decode_mnt_res body with
@@ -309,18 +320,17 @@ let close f =
     raise Verifier_changed
   end
 
+(* One READ per block; a request one READ covers returns that reply's
+   bytes as they were decoded. *)
 let read t fh ~off ~len =
-  let out = Buffer.create len in
-  let pos = ref off in
-  let eof = ref false in
-  while (not !eof) && !pos < off + len do
-    let chunk = Stdlib.min t.block_size (off + len - !pos) in
-    match do_call t ~klass:Rpc_client.Middle (Proto.Read { fh; offset = !pos; count = chunk }) with
+  let rec go pos acc =
+    let chunk = Stdlib.min t.block_size (off + len - pos) in
+    match do_call t ~klass:Rpc_client.Middle (Proto.Read { fh; offset = pos; count = chunk }) with
     | Proto.RRead (Ok (_a, data)) ->
-        Buffer.add_bytes out data;
-        pos := !pos + Bytes.length data;
-        if Bytes.length data < chunk then eof := true
+        let pos = pos + Bytes.length data in
+        if Bytes.length data < chunk || pos >= off + len then data :: acc else go pos (data :: acc)
     | Proto.RRead (Error st) -> raise (Error st)
     | _ -> raise (Error Proto.NFSERR_IO)
-  done;
-  Buffer.to_bytes out
+  in
+  if len <= 0 then Bytes.empty
+  else match go off [] with [ data ] -> data | parts -> Bytes.concat Bytes.empty (List.rev parts)

@@ -152,12 +152,11 @@ let proc_name = function
    generation) so dispatch can route and detect staleness at every
    level of the identity. *)
 let put_fh enc (fh : fh) =
-  let b = Bytes.make fh_bytes '\000' in
-  Bytes.set_int32_be b 0 (Int32.of_int fh.fsid);
-  Bytes.set_int32_be b 4 (Int32.of_int fh.vgen);
-  Bytes.set_int32_be b 8 (Int32.of_int fh.inum);
-  Bytes.set_int32_be b 12 (Int32.of_int fh.gen);
-  Xdr.Enc.opaque_fixed enc b
+  Xdr.Enc.word enc fh.fsid;
+  Xdr.Enc.word enc fh.vgen;
+  Xdr.Enc.word enc fh.inum;
+  Xdr.Enc.word enc fh.gen;
+  Xdr.Enc.zeros enc (fh_bytes - 16)
 
 let get_fh dec =
   let b = Xdr.Dec.opaque_fixed dec fh_bytes in
@@ -297,9 +296,7 @@ let proc_of_args = function
   | Write3 _ -> proc_write3
   | Commit _ -> proc_commit
 
-let encode_args args =
-  let enc = Xdr.Enc.create () in
-  (match args with
+let put_args enc = function
   | Null -> ()
   | Getattr fh | Statfs fh | Readlink fh -> put_fh enc fh
   | Symlink { dir; name; target; sattr } ->
@@ -352,8 +349,9 @@ let encode_args args =
   | Commit { fh; offset; count } ->
       put_fh enc fh;
       Xdr.Enc.uint64 enc offset;
-      Xdr.Enc.uint32 enc count);
-  Xdr.Enc.to_bytes enc
+      Xdr.Enc.uint32 enc count
+
+let encode_args args = Xdr.Enc.encode (fun enc -> put_args enc args)
 
 let decode_args ~proc body =
   let dec = Xdr.Dec.of_view body in
@@ -447,9 +445,7 @@ type res =
 let put_status enc st = Xdr.Enc.enum enc (status_to_int st)
 let get_status dec = status_of_int (Xdr.Dec.enum dec)
 
-let encode_res res =
-  let enc = Xdr.Enc.create () in
-  (match res with
+let put_res enc = function
   | RNull -> ()
   | RStatus st -> put_status enc st
   | RAttr (Ok a) ->
@@ -501,8 +497,9 @@ let encode_res res =
       put_status enc NFS_OK;
       put_fattr enc a;
       Xdr.Enc.uint64 enc verf
-  | RCommit (Error st) -> put_status enc st);
-  Xdr.Enc.to_bytes enc
+  | RCommit (Error st) -> put_status enc st
+
+let encode_res res = Xdr.Enc.encode (fun enc -> put_res enc res)
 
 let decode_res ~proc body =
   let dec = Xdr.Dec.of_view body in
@@ -605,25 +602,18 @@ let mutates proc =
 
 let proc_mnt = 1
 
-let encode_mnt_args name =
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.string enc name;
-  Xdr.Enc.to_bytes enc
-
+let put_mnt_args enc name = Xdr.Enc.string enc name
 let decode_mnt_args body = Xdr.Dec.string (Xdr.Dec.of_view body)
 
 (* A successful MNT reply carries the root filehandle plus the
    export's read-only flag — the "exported ro" bit a diskless client
    wants before it tries to write its root. *)
-let encode_mnt_res res =
-  let enc = Xdr.Enc.create () in
-  (match res with
+let put_mnt_res enc = function
   | Ok (fh, read_only) ->
       put_status enc NFS_OK;
       put_fh enc fh;
       Xdr.Enc.bool enc read_only
-  | Error st -> put_status enc st);
-  Xdr.Enc.to_bytes enc
+  | Error st -> put_status enc st
 
 let decode_mnt_res body =
   let dec = Xdr.Dec.of_view body in

@@ -121,7 +121,14 @@ type args =
   | Commit of { fh : fh; offset : int; count : int }
 
 val proc_of_args : args -> int
+
+val put_args : Nfsg_rpc.Xdr.Enc.t -> args -> unit
+(** Write the arguments' XDR in place, e.g. straight into a call
+    datagram ({!Nfsg_rpc.Rpc_client.call_with}). *)
+
 val encode_args : args -> Bytes.t
+(** {!put_args} into a buffer of its own. *)
+
 val decode_args : proc:int -> Nfsg_rpc.Xdr.view -> args
 (** Raises [Nfsg_rpc.Xdr.Decode_error] on garbage, truncation or an
     unknown procedure. *)
@@ -142,7 +149,13 @@ type res =
       (** attributes, how the data was committed, write verifier *)
   | RCommit of (fattr * int, status) result  (** attributes, verifier *)
 
+val put_res : Nfsg_rpc.Xdr.Enc.t -> res -> unit
+(** Write the result's XDR in place, e.g. straight into a reply
+    datagram ({!Nfsg_rpc.Svc.send_reply_with}). *)
+
 val encode_res : res -> Bytes.t
+(** {!put_res} into a buffer of its own. *)
+
 val decode_res : proc:int -> Nfsg_rpc.Xdr.view -> res
 
 val error_res : proc:int -> status -> res
@@ -161,9 +174,10 @@ val mutates : int -> bool
 
 val proc_mnt : int
 
-val encode_mnt_args : string -> Bytes.t
+val put_mnt_args : Nfsg_rpc.Xdr.Enc.t -> string -> unit
 val decode_mnt_args : Nfsg_rpc.Xdr.view -> string
-val encode_mnt_res : (fh * bool, status) result -> Bytes.t
+
+val put_mnt_res : Nfsg_rpc.Xdr.Enc.t -> (fh * bool, status) result -> unit
 (** A successful reply carries the root filehandle and the export's
     read-only flag. *)
 

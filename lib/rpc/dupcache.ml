@@ -4,15 +4,35 @@ module Names = Nfsg_stats.Names
 
 type state = In_flight | Done of Bytes.t * Time.t
 
-type entry = { mutable state : state; mutable last_touch : Time.t }
+type entry = { key : string * int; mutable state : state; mutable last_touch : Time.t }
 
 type verdict = New | In_progress | Replay of Bytes.t
+
+(* Completed entries in eviction order: least recently touched first,
+   ties broken by key, so the victim never depends on hash-table
+   order. An element's touch time is fixed; touching a completed entry
+   re-inserts it. *)
+module Lru = Set.Make (struct
+  type t = Time.t * entry
+
+  let compare (ta, a) (tb, b) =
+    if ta <> tb then Int.compare ta tb
+    else
+      let ca, xa = a.key and cb, xb = b.key in
+      let c = String.compare ca cb in
+      if c <> 0 then c else Int.compare xa xb
+end)
 
 type t = {
   eng : Engine.t;
   capacity : int;
   ttl : Time.t;
   table : (string * int, entry) Hashtbl.t;
+  mutable lru : Lru.t;
+  completions : (Time.t * entry) Queue.t;
+      (** every completion, oldest first; an element whose entry has
+          since been re-armed, completed again or removed (which re-arms
+          it) is stale and skipped *)
   m_drops : Metrics.counter;
   m_replays : Metrics.counter;
   m_evictions : Metrics.counter;
@@ -29,6 +49,8 @@ let create eng ?(capacity = 512) ?(ttl = Time.sec 6) ?metrics () =
     capacity;
     ttl;
     table = Hashtbl.create 256;
+    lru = Lru.empty;
+    completions = Queue.create ();
     m_drops = Metrics.counter m ~ns Names.drops;
     m_replays = Metrics.counter m ~ns Names.replays;
     m_evictions = Metrics.counter m ~ns Names.evictions;
@@ -42,69 +64,83 @@ let replays t = Metrics.value t.m_replays
 let evictions t = Metrics.value t.m_evictions
 let overflows t = Metrics.value t.m_overflows
 
+(* Take a completed entry out of eviction order (before it is touched,
+   re-armed or removed). *)
+let unlist t e =
+  match e.state with Done _ -> t.lru <- Lru.remove (e.last_touch, e) t.lru | In_flight -> ()
+
+(* A removed entry is re-armed so that its stale completion records
+   neither match it nor keep its reply alive. *)
+let remove t e =
+  unlist t e;
+  Hashtbl.remove t.table e.key;
+  e.state <- In_flight
+
 (* Make room for one insertion. First drop every completed entry whose
    TTL has lapsed (it can never be replayed again, only re-executed, so
-   keeping it buys nothing); if the table is still at capacity, evict
-   the least recently touched completed entries until one slot is free.
-   In-flight entries are pinned — with every slot pinned there is no
-   room, and the caller must not insert. *)
+   keeping it buys nothing): completion times only grow, so those are
+   the live head of [completions]. If the table is still at capacity,
+   evict the least recently touched completed entries until one slot
+   is free. In-flight entries are pinned — with every slot pinned there
+   is no room, and the caller must not insert. *)
 let make_room t =
   let now = Engine.now t.eng in
-  let expired =
-    Hashtbl.fold
-      (fun k e acc ->
+  let rec expire () =
+    match Queue.peek_opt t.completions with
+    | Some (at, e) -> (
         match e.state with
-        | Done (_, at) when now - at > t.ttl -> k :: acc
-        | Done _ | In_flight -> acc)
-      t.table []
+        | Done (_, done_at) when done_at = at ->
+            if now - at > t.ttl then begin
+              ignore (Queue.pop t.completions);
+              remove t e;
+              Metrics.incr t.m_expirations;
+              expire ()
+            end
+        | Done _ | In_flight ->
+            ignore (Queue.pop t.completions);
+            expire ())
+    | None -> ()
   in
-  List.iter (Hashtbl.remove t.table) expired;
-  Metrics.add t.m_expirations (List.length expired);
-  if Hashtbl.length t.table < t.capacity then true
-  else begin
-    (* Oldest first; ties broken by key so eviction order never depends
-       on hash-table iteration order. *)
-    let victims =
-      Hashtbl.fold
-        (fun k e acc -> match e.state with Done _ -> (e.last_touch, k) :: acc | In_flight -> acc)
-        t.table []
-      |> List.sort compare
-    in
-    let excess = Hashtbl.length t.table - t.capacity + 1 in
-    let evicted = ref 0 in
-    List.iteri
-      (fun i (_, k) ->
-        if i < excess then begin
-          Hashtbl.remove t.table k;
-          incr evicted
-        end)
-      victims;
-    Metrics.add t.m_evictions !evicted;
-    Hashtbl.length t.table < t.capacity
-  end
+  expire ();
+  let rec evict () =
+    if Hashtbl.length t.table >= t.capacity then
+      match Lru.min_elt_opt t.lru with
+      | Some (_, e) ->
+          remove t e;
+          Metrics.incr t.m_evictions;
+          evict ()
+      | None -> ()
+  in
+  evict ();
+  Hashtbl.length t.table < t.capacity
 
 let admit t ~client ~xid =
   let key = (client, xid) in
   let now = Engine.now t.eng in
   match Hashtbl.find_opt t.table key with
   | Some e -> (
-      e.last_touch <- now;
       match e.state with
       | In_flight ->
+          e.last_touch <- now;
           Metrics.incr t.m_drops;
           In_progress
-      | Done (reply, at) ->
-          if now - at <= t.ttl then begin
-            Metrics.incr t.m_replays;
-            Replay reply
-          end
-          else begin
-            e.state <- In_flight;
-            New
-          end)
+      | Done (reply, at) when now - at <= t.ttl ->
+          (* A replay touches the entry: it moves in eviction order. *)
+          if e.last_touch <> now then begin
+            unlist t e;
+            e.last_touch <- now;
+            t.lru <- Lru.add (now, e) t.lru
+          end;
+          Metrics.incr t.m_replays;
+          Replay reply
+      | Done _ ->
+          unlist t e;
+          e.state <- In_flight;
+          e.last_touch <- now;
+          New)
   | None ->
       if make_room t then
-        Hashtbl.replace t.table key { state = In_flight; last_touch = now }
+        Hashtbl.replace t.table key { key; state = In_flight; last_touch = now }
       else
         (* Every slot holds an in-flight request: execute uncached. A
            retransmission of this request during execution will not be
@@ -115,8 +151,13 @@ let admit t ~client ~xid =
 let complete t ~client ~xid reply =
   match Hashtbl.find_opt t.table (client, xid) with
   | Some e ->
-      e.state <- Done (reply, Engine.now t.eng);
-      e.last_touch <- Engine.now t.eng
+      let now = Engine.now t.eng in
+      unlist t e;
+      e.state <- Done (reply, now);
+      e.last_touch <- now;
+      t.lru <- Lru.add (now, e) t.lru;
+      Queue.add (now, e) t.completions
   | None -> ()
 
-let forget t ~client ~xid = Hashtbl.remove t.table (client, xid)
+let forget t ~client ~xid =
+  match Hashtbl.find_opt t.table (client, xid) with Some e -> remove t e | None -> ()

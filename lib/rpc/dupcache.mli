@@ -24,8 +24,9 @@ val create :
 (** [capacity] is a hard bound on entries; [ttl] is how long a completed
     reply stays replayable (default 6 s). Admitting a new request first
     drops TTL-expired completed entries, then evicts least-recently
-    touched completed entries (oldest first, deterministic tie-break)
-    until the table is under capacity. In-flight entries are never
+    touched completed entries (oldest first, ties broken by client then
+    xid) until the table is under capacity; both in O(log n) per
+    admission, with no scan of the table. In-flight entries are never
     evicted; if every slot is in flight the new request executes
     {e uncached} (an overflow) rather than growing the table. [metrics]
     registers drop/replay/eviction/expiration/overflow counters under

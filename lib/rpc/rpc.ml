@@ -36,20 +36,23 @@ let get_auth dec =
   let body = Xdr.Dec.opaque dec in
   ignore body
 
+let encode_call_with ~xid ~prog ~vers ~proc put_body =
+  Xdr.Enc.encode (fun enc ->
+      Xdr.Enc.uint32 enc xid;
+      Xdr.Enc.enum enc msg_call;
+      Xdr.Enc.uint32 enc rpc_version;
+      Xdr.Enc.uint32 enc prog;
+      Xdr.Enc.uint32 enc vers;
+      Xdr.Enc.uint32 enc proc;
+      put_auth_null enc;
+      (* credentials *)
+      put_auth_null enc;
+      (* verifier *)
+      put_body enc)
+
 let encode_call c =
-  let enc = Xdr.Enc.create ~size_hint:(64 + Xdr.view_length c.body) () in
-  Xdr.Enc.uint32 enc c.xid;
-  Xdr.Enc.enum enc msg_call;
-  Xdr.Enc.uint32 enc rpc_version;
-  Xdr.Enc.uint32 enc c.prog;
-  Xdr.Enc.uint32 enc c.vers;
-  Xdr.Enc.uint32 enc c.proc;
-  put_auth_null enc;
-  (* credentials *)
-  put_auth_null enc;
-  (* verifier *)
-  Xdr.Enc.raw_view enc c.body;
-  Xdr.Enc.to_bytes enc
+  encode_call_with ~xid:c.xid ~prog:c.prog ~vers:c.vers ~proc:c.proc (fun enc ->
+      Xdr.Enc.raw_view enc c.body)
 
 let decode_call bytes =
   let dec = Xdr.Dec.of_bytes bytes in
@@ -65,17 +68,18 @@ let decode_call bytes =
   get_auth dec;
   { xid; prog; vers; proc; body = Xdr.Dec.rest_view dec }
 
-let encode_reply r =
-  let enc = Xdr.Enc.create ~size_hint:(32 + Xdr.view_length r.rbody) () in
-  Xdr.Enc.uint32 enc r.rxid;
-  Xdr.Enc.enum enc msg_reply;
-  (* reply_stat MSG_ACCEPTED *)
-  Xdr.Enc.enum enc 0;
-  put_auth_null enc;
-  (* verifier *)
-  Xdr.Enc.enum enc (accept_stat_to_int r.stat);
-  Xdr.Enc.raw_view enc r.rbody;
-  Xdr.Enc.to_bytes enc
+let encode_reply_with ~xid ~stat put_body =
+  Xdr.Enc.encode (fun enc ->
+      Xdr.Enc.uint32 enc xid;
+      Xdr.Enc.enum enc msg_reply;
+      (* reply_stat MSG_ACCEPTED *)
+      Xdr.Enc.enum enc 0;
+      put_auth_null enc;
+      (* verifier *)
+      Xdr.Enc.enum enc (accept_stat_to_int stat);
+      put_body enc)
+
+let encode_reply r = encode_reply_with ~xid:r.rxid ~stat:r.stat (fun enc -> Xdr.Enc.raw_view enc r.rbody)
 
 let decode_reply bytes =
   let dec = Xdr.Dec.of_bytes bytes in

@@ -16,9 +16,20 @@ type accept_stat = Success | Prog_unavail | Proc_unavail | Garbage_args | System
 
 type reply = { rxid : int; stat : accept_stat; rbody : Xdr.view }
 
+val encode_call_with :
+  xid:int -> prog:int -> vers:int -> proc:int -> (Xdr.Enc.t -> unit) -> Bytes.t
+(** The call header and then whatever [put_body] writes, in one exactly
+    sized buffer: the datagram. *)
+
 val encode_call : call -> Bytes.t
+(** {!encode_call_with} over an already-encoded body. *)
+
 val decode_call : Bytes.t -> call
 (** Raises {!Xdr.Decode_error} on garbage. *)
+
+val encode_reply_with : xid:int -> stat:accept_stat -> (Xdr.Enc.t -> unit) -> Bytes.t
+(** The accepted-reply header and then the result [put_body] writes, in
+    one exactly sized buffer. *)
 
 val encode_reply : reply -> Bytes.t
 val decode_reply : Bytes.t -> reply

@@ -111,12 +111,10 @@ let rto_for t klass =
     Stdlib.min t.params.max_rto (Stdlib.max candidate t.params.min_rto)
   end
 
-let call t ?(klass = Middle) ?(prog = Rpc.nfs_program) ~proc body =
+let call_with t ?(klass = Middle) ?(prog = Rpc.nfs_program) ~proc put_body =
   t.next_xid <- t.next_xid + 1;
   let xid = t.next_xid in
-  let payload =
-    Rpc.encode_call { Rpc.xid; prog; vers = Rpc.nfs_version; proc; body = Xdr.view_of_bytes body }
-  in
+  let payload = Rpc.encode_call_with ~xid ~prog ~vers:Rpc.nfs_version ~proc put_body in
   let rec attempt n rto =
     if n > t.params.max_attempts then begin
       Metrics.incr t.timeouts;
@@ -148,3 +146,5 @@ let call t ?(klass = Middle) ?(prog = Rpc.nfs_program) ~proc body =
     | None -> attempt (n + 1) (Stdlib.min t.params.max_rto (2 * rto))
   in
   attempt 1 (rto_for t klass)
+
+let call t ?klass ?prog ~proc body = call_with t ?klass ?prog ~proc (fun enc -> Xdr.Enc.raw enc body)

@@ -39,12 +39,22 @@ val create :
     the [rtt_us] round-trip histogram under namespace ["rpc.client"]
     (private registry when omitted). *)
 
+val call_with :
+  t ->
+  ?klass:op_class ->
+  ?prog:int ->
+  proc:int ->
+  (Xdr.Enc.t -> unit) ->
+  Rpc.accept_stat * Xdr.view
+(** Blocking remote call whose arguments the writer puts straight into
+    the datagram after the call header; returns the decoded reply body
+    as a view into the reply datagram (copy it if it must outlive the
+    call). [prog] defaults to {!Rpc.nfs_program}; pass
+    {!Rpc.mount_program} to reach the mount service. *)
+
 val call :
   t -> ?klass:op_class -> ?prog:int -> proc:int -> Bytes.t -> Rpc.accept_stat * Xdr.view
-(** Blocking remote call; returns the decoded reply body as a view
-    into the reply datagram (copy it if it must outlive the call). [prog]
-    defaults to {!Rpc.nfs_program}; pass {!Rpc.mount_program} to reach
-    the mount service. *)
+(** {!call_with} over already-encoded arguments. *)
 
 val rtt_estimate : t -> op_class -> Nfsg_sim.Time.t option
 (** Smoothed RTT for the class, once at least one sample exists. *)

@@ -55,7 +55,7 @@ let take_handle t ~client ~xid =
   t.outstanding <- t.outstanding + 1;
   tr
 
-let send_reply t tr stat body =
+let send_reply_with t tr stat put_body =
   if not tr.live then invalid_arg "Svc.send_reply: handle already completed";
   tr.live <- false;
   t.outstanding <- t.outstanding - 1;
@@ -66,12 +66,14 @@ let send_reply t tr stat body =
       tr.journey <- None;
       Journey.finish plane j
   | _ -> tr.journey <- None);
-  let encoded = Rpc.encode_reply { Rpc.rxid = tr.xid; stat; rbody = Xdr.view_of_bytes body } in
+  let encoded = Rpc.encode_reply_with ~xid:tr.xid ~stat put_body in
   (match t.dupcache with
   | Some dc -> Dupcache.complete dc ~client:tr.client ~xid:tr.xid encoded
   | None -> ());
   Nfsg_net.Socket.send t.sock ~dst:tr.client encoded;
   Queue.add tr t.free_handles
+
+let send_reply t tr stat body = send_reply_with t tr stat (fun enc -> Xdr.Enc.raw enc body)
 
 let svc_run t dispatch () =
   let rec loop () =

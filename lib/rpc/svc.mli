@@ -41,11 +41,15 @@ val create :
     and duplicate drop/replay counters under namespace ["rpc.svc"]
     (private registry when omitted). *)
 
+val send_reply_with : t -> transport -> Rpc.accept_stat -> (Xdr.Enc.t -> unit) -> unit
+(** Complete a delayed (or immediate) reply: encode the reply header
+    and the result the writer puts after it into one datagram,
+    transmit, record in the duplicate cache, recycle the handle. Usable
+    from any process. Raises [Invalid_argument] if the handle was
+    already replied to. *)
+
 val send_reply : t -> transport -> Rpc.accept_stat -> Bytes.t -> unit
-(** Complete a delayed (or immediate) reply: encode, transmit, record
-    in the duplicate cache, recycle the handle. Usable from any
-    process. Raises [Invalid_argument] if the handle was already
-    replied to. *)
+(** {!send_reply_with} over an already-encoded result. *)
 
 val client_of : transport -> string
 val xid_of : transport -> int

@@ -53,52 +53,70 @@ let view_equal a b =
   eq 0
 
 module Enc = struct
-  type t = Buffer.t
+  (* Fields are written in place at [pos]. A counting encoder only
+     advances [pos]: running the writer through one first gives the
+     message's exact size, so [encode] allocates the message once and
+     returns that buffer as it is. *)
+  type t = { buf : Bytes.t; mutable pos : int; counting : bool }
 
-  let create ?(size_hint = 256) () = Buffer.create size_hint
+  let write t = not t.counting
+
+  let word t v =
+    if write t then Bytes.set_int32_be t.buf t.pos (Int32.of_int v);
+    t.pos <- t.pos + 4
 
   let uint32 t v =
     if v < 0 || v > 0xFFFFFFFF then invalid_arg (Printf.sprintf "Xdr.uint32: %d" v);
-    let b = Bytes.create 4 in
-    Bytes.set_int32_be b 0 (Int32.of_int v);
-    Buffer.add_bytes t b
+    word t v
 
   let int32 t v =
     if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int then
       invalid_arg (Printf.sprintf "Xdr.int32: %d" v);
-    let b = Bytes.create 4 in
-    Bytes.set_int32_be b 0 (Int32.of_int v);
-    Buffer.add_bytes t b
+    word t v
 
   let uint64 t v =
     if v < 0 then invalid_arg (Printf.sprintf "Xdr.uint64: %d" v);
-    let b = Bytes.create 8 in
-    Bytes.set_int64_be b 0 (Int64.of_int v);
-    Buffer.add_bytes t b
+    if write t then Bytes.set_int64_be t.buf t.pos (Int64.of_int v);
+    t.pos <- t.pos + 8
 
   let bool t v = uint32 t (if v then 1 else 0)
   let enum t v = int32 t v
 
-  let opaque_fixed t data =
-    Buffer.add_bytes t data;
-    Buffer.add_string t (String.make (pad4 (Bytes.length data)) '\000')
+  let zeros t n =
+    if write t then Bytes.fill t.buf t.pos n '\000';
+    t.pos <- t.pos + n
+
+  let raw_sub t src off len =
+    if write t then Bytes.blit src off t.buf t.pos len;
+    t.pos <- t.pos + len
+
+  let raw t data = raw_sub t data 0 (Bytes.length data)
+  let raw_view t v = raw_sub t v.view_buf v.view_pos v.view_len
 
   let opaque t data =
     uint32 t (Bytes.length data);
-    opaque_fixed t data
+    raw t data;
+    zeros t (pad4 (Bytes.length data))
 
-  let string t s = opaque t (Bytes.of_string s)
-  let raw t data = Buffer.add_bytes t data
-
-  let raw_view t v = Buffer.add_subbytes t v.view_buf v.view_pos v.view_len
+  let string t s =
+    let len = String.length s in
+    uint32 t len;
+    if write t then Bytes.blit_string s 0 t.buf t.pos len;
+    t.pos <- t.pos + len;
+    zeros t (pad4 len)
 
   let opaque_view t v =
     uint32 t v.view_len;
     raw_view t v;
-    Buffer.add_string t (String.make (pad4 v.view_len) '\000')
+    zeros t (pad4 v.view_len)
 
-  let to_bytes t = Buffer.to_bytes t
-  let length t = Buffer.length t
+  let encode put =
+    let sizing = { buf = Bytes.empty; pos = 0; counting = true } in
+    put sizing;
+    let t = { buf = Bytes.create sizing.pos; pos = 0; counting = false } in
+    put t;
+    if t.pos <> sizing.pos then invalid_arg "Xdr.Enc.encode: the two passes wrote different sizes";
+    t.buf
 end
 
 module Dec = struct

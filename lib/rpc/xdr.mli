@@ -52,8 +52,13 @@ val view_equal : view -> view -> bool
 
 module Enc : sig
   type t
+  (** Writes each field in place into one buffer. *)
 
-  val create : ?size_hint:int -> unit -> t
+  val encode : (t -> unit) -> Bytes.t
+  (** [encode put] runs [put] once to size the message and once to fill
+      it: one exactly sized buffer, returned without a copy. [put] must
+      write the same fields both times ([Invalid_argument] otherwise). *)
+
   val uint32 : t -> int -> unit
   (** Raises [Invalid_argument] outside [0, 2^32). *)
 
@@ -62,8 +67,12 @@ module Enc : sig
   val bool : t -> bool -> unit
   val enum : t -> int -> unit
 
-  val opaque_fixed : t -> Bytes.t -> unit
-  (** Raw bytes padded to a 4-byte boundary, no length prefix. *)
+  val word : t -> int -> unit
+  (** The low 32 bits of an int, unchecked: for opaque words such as
+      filehandle fields. *)
+
+  val zeros : t -> int -> unit
+  (** [n] zero bytes. *)
 
   val opaque : t -> Bytes.t -> unit
   (** Variable-length opaque: length prefix + padded bytes. *)
@@ -79,9 +88,6 @@ module Enc : sig
 
   val raw_view : t -> view -> unit
   (** {!raw} from a view, copying only into the output buffer. *)
-
-  val to_bytes : t -> Bytes.t
-  val length : t -> int
 end
 
 module Dec : sig

@@ -53,6 +53,10 @@ type t = {
   mutable reply : Time.t;
 }
 
+(* A client station's attribution instruments, resolved on its first
+   finished op. *)
+type station = { ops : Metrics.counter; bytes : Metrics.counter; lat_us : Histogram.t }
+
 type plane = {
   eng : Engine.t;
   metrics : Metrics.t;
@@ -71,6 +75,7 @@ type plane = {
   c_records : Metrics.counter;
   c_long_ops : Metrics.counter;
   c_dropped : Metrics.counter;
+  stations : (string, station) Hashtbl.t;
 }
 
 let create eng ~metrics ?threshold ?(ring_capacity = 512) ?event_trace () =
@@ -94,6 +99,7 @@ let create eng ~metrics ?threshold ?(ring_capacity = 512) ?event_trace () =
     c_records = Metrics.counter metrics ~ns Names.records;
     c_long_ops = Metrics.counter metrics ~ns Names.long_ops;
     c_dropped = Metrics.counter metrics ~ns:Names.Ns.trace Names.dropped;
+    stations = Hashtbl.create 16;
   }
 
 let threshold p = p.threshold
@@ -208,6 +214,21 @@ let dropped p =
   refresh_dropped p;
   Metrics.value p.c_dropped
 
+let station p client =
+  match Hashtbl.find_opt p.stations client with
+  | Some s -> s
+  | None ->
+      let ns = Names.Ns.station client in
+      let s =
+        {
+          ops = Metrics.counter p.metrics ~ns Names.station_ops;
+          bytes = Metrics.counter p.metrics ~ns Names.station_bytes;
+          lat_us = Metrics.histogram p.metrics ~ns Names.station_lat_us;
+        }
+      in
+      Hashtbl.replace p.stations client s;
+      s
+
 let finish p j =
   if j.reply = unset then j.reply <- Engine.now p.eng;
   normalize j;
@@ -236,12 +257,10 @@ let finish p j =
      a station's counters survive server crash/restart exactly like
      every other metric in the shared registry. *)
   if j.proc <> "" then begin
-    let ns = Names.Ns.station j.client in
-    Metrics.incr (Metrics.counter p.metrics ~ns Names.station_ops);
-    Metrics.add (Metrics.counter p.metrics ~ns Names.station_bytes) j.bytes;
-    Histogram.add
-      (Metrics.histogram p.metrics ~ns Names.station_lat_us)
-      (Time.to_us_f ph.total)
+    let s = station p j.client in
+    Metrics.incr s.ops;
+    Metrics.add s.bytes j.bytes;
+    Histogram.add s.lat_us (Time.to_us_f ph.total)
   end;
   (match p.threshold with
   | Some thr when ph.total > thr ->

@@ -4,10 +4,14 @@ open Nfsg_stats
 type kind = Data | Metadata
 
 type entry = {
+  blk : int;
   buf : Bytes.t;
   mutable dirty : kind option;
-  mutable last_use : int;
   mutable prefetched : bool;  (* installed by read-ahead, not yet consumed *)
+  (* Neighbours on the LRU list, least recently used first; the cache's
+     sentinel closes the ring. *)
+  mutable older : entry;
+  mutable newer : entry;
 }
 
 (* Sequential read-ahead policy. The reference point is the LNFS batch
@@ -58,6 +62,7 @@ type t = {
   dev : Device.t;
   bsize : int;
   table : (int, entry) Hashtbl.t;
+  lru : entry;  (* sentinel: [lru.newer] is the least recently used *)
   max_blocks : int;
   meters : meters option;
   mutable ra : ra option;
@@ -88,10 +93,14 @@ let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
           }
     | _ -> None
   in
+  let rec lru =
+    { blk = -1; buf = Bytes.empty; dirty = None; prefetched = false; older = lru; newer = lru }
+  in
   {
     dev;
     bsize;
     table = Hashtbl.create 1024;
+    lru;
     max_blocks;
     meters;
     ra = None;
@@ -128,9 +137,31 @@ let is_prefetched c b =
 
 let meter c f = match c.meters with Some m -> Metrics.incr (f m) | None -> ()
 
+let unlink e =
+  e.older.newer <- e.newer;
+  e.newer.older <- e.older
+
+(* Most recently used: to the tail of the LRU list. *)
 let touch c e =
-  c.tick <- c.tick + 1;
-  e.last_use <- c.tick
+  unlink e;
+  e.older <- c.lru.older;
+  e.newer <- c.lru;
+  c.lru.older.newer <- e;
+  c.lru.older <- e
+
+(* A fresh entry, not yet cached: linked only to itself, so the first
+   [touch] lists it. *)
+let entry b buf ~prefetched =
+  let rec e = { blk = b; buf; dirty = None; prefetched; older = e; newer = e } in
+  e
+
+let insert c e =
+  Hashtbl.replace c.table e.blk e;
+  touch c e
+
+let remove c e =
+  unlink e;
+  Hashtbl.remove c.table e.blk
 
 (* A prefetched block a demand read finally touched: the guess paid. *)
 let consume_prefetch c e =
@@ -157,26 +188,19 @@ let note_gone c e =
     meter c (fun m -> m.m_ra_wasted)
   end
 
-(* Evict the least-recently-used clean block if over capacity. Dirty
-   blocks are pinned until flushed. *)
+(* Evict the least-recently-used clean block if over capacity: the
+   first clean entry from the head of the LRU list. Dirty blocks are
+   pinned until flushed. *)
 let make_room c =
   if Hashtbl.length c.table >= c.max_blocks then begin
-    let victim = ref None in
-    (* nfslint: allow D002 min-selection over unique last_use ticks; exactly one block wins regardless of iteration order *)
-    Hashtbl.iter
-      (fun b e ->
-        if e.dirty = None then
-          match !victim with
-          | Some (_, ve) when ve.last_use <= e.last_use -> ()
-          | _ -> victim := Some (b, e))
-      c.table;
-    match !victim with
-    | Some (b, e) ->
-        note_gone c e;
-        Hashtbl.remove c.table b;
-        c.evictions <- c.evictions + 1;
-        meter c (fun m -> m.m_evictions)
-    | None -> ()
+    let rec clean_from e = if e == c.lru || e.dirty = None then e else clean_from e.newer in
+    let victim = clean_from c.lru.newer in
+    if victim != c.lru then begin
+      note_gone c victim;
+      remove c victim;
+      c.evictions <- c.evictions + 1;
+      meter c (fun m -> m.m_evictions)
+    end
   end
 
 (* The pre-readahead demand miss: one blocking device read. *)
@@ -191,9 +215,7 @@ let demand_read c b =
       e.buf
   | None ->
       make_room c;
-      let e = { buf; dirty = None; last_use = 0; prefetched = false } in
-      touch c e;
-      Hashtbl.replace c.table b e;
+      insert c (entry b buf ~prefetched:false);
       buf
 
 let get c b =
@@ -231,9 +253,7 @@ let get_fresh c b =
   | None ->
       make_room c;
       let buf = Bytes.make c.bsize '\000' in
-      let e = { buf; dirty = None; last_use = 0; prefetched = false } in
-      touch c e;
-      Hashtbl.replace c.table b e;
+      insert c (entry b buf ~prefetched:false);
       buf
 
 (* {1 Read-ahead engine} *)
@@ -270,9 +290,7 @@ let prefetch c ra dbs =
               end
               else begin
                 make_room c;
-                let e = { buf = r.Io.buf; dirty = None; last_use = 0; prefetched = true } in
-                touch c e;
-                Hashtbl.replace c.table db e
+                insert c (entry db r.Io.buf ~prefetched:true)
               end)
         reqs)
 
@@ -458,17 +476,20 @@ let install c b bytes =
   if not (Hashtbl.mem c.table b) then begin
     if Bytes.length bytes <> c.bsize then invalid_arg "buffer_cache: install of odd-sized buffer";
     make_room c;
-    let e = { buf = Bytes.copy bytes; dirty = None; last_use = 0; prefetched = false } in
-    touch c e;
-    Hashtbl.replace c.table b e
+    insert c (entry b (Bytes.copy bytes) ~prefetched:false)
   end
 
 let drop c b =
-  (match Hashtbl.find_opt c.table b with Some e -> note_gone c e | None -> ());
-  Hashtbl.remove c.table b
+  match Hashtbl.find_opt c.table b with
+  | Some e ->
+      note_gone c e;
+      remove c e
+  | None -> ()
 
 let crash c =
   Hashtbl.reset c.table;
+  c.lru.older <- c.lru;
+  c.lru.newer <- c.lru;
   (match c.ra with
   | Some ra ->
       Hashtbl.reset ra.streams;

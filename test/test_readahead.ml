@@ -84,6 +84,34 @@ let test_eviction_spares_dirty () =
       Alcotest.(check int) "clean victims only" 3 (Bc.evictions cache);
       Alcotest.(check int) "capacity respected" 8 (Bc.resident cache))
 
+(* The victim is the least recently used clean block, found past a
+   dirty block at the head of the LRU order. *)
+let test_eviction_victim_is_lru_clean () =
+  with_cache ~max_blocks:8 (fun _eng cache ->
+      let resident b = Bc.peek cache b <> None in
+      let fill blocks = List.iter (fun b -> ignore (Bc.get_fresh cache b)) blocks in
+      fill [ 0; 1; 2; 3; 4; 5; 6; 7 ];
+      Bc.mark_dirty cache 0 Bc.Data;
+      fill [ 1 ] (* a hit: 1 becomes the most recently used *);
+      fill [ 8 ];
+      Alcotest.(check bool) "dirty head kept" true (resident 0);
+      Alcotest.(check bool) "touched block kept" true (resident 1);
+      Alcotest.(check bool) "least recently used clean block evicted" false (resident 2);
+      (* A dropped block leaves the order too: the next victim after the
+         free slot is used is 3, then 5. *)
+      Bc.drop cache 4;
+      fill [ 9; 10 ];
+      Alcotest.(check bool) "next victim" false (resident 3);
+      fill [ 11 ];
+      Alcotest.(check bool) "the dropped block was skipped" false (resident 5);
+      Alcotest.(check bool) "newer blocks kept" true (List.for_all resident [ 0; 1; 6; 7; 8; 9; 10; 11 ]);
+      Alcotest.(check int) "three evictions" 3 (Bc.evictions cache);
+      (* A crash empties the order with the table. *)
+      Bc.crash cache;
+      fill [ 20; 21; 22; 23; 24; 25; 26; 27; 28 ];
+      Alcotest.(check bool) "after a crash, the oldest goes first" false (resident 20);
+      Alcotest.(check int) "capacity respected" 8 (Bc.resident cache))
+
 let test_wasted_accounting () =
   with_cache ~readahead:{ Bc.window = 4; min_run = 1; max_streams = 2 } (fun _eng cache ->
       Bc.note_read cache ~stream:3 ~fbn:0 ~nblocks:1 ~map ~limit:50;
@@ -113,6 +141,7 @@ let suite =
     Alcotest.test_case "sequential run detection" `Quick test_sequential_detection;
     Alcotest.test_case "overlapping re-reads tolerated" `Quick test_overlap_tolerance;
     Alcotest.test_case "eviction never touches dirty blocks" `Quick test_eviction_spares_dirty;
+    Alcotest.test_case "eviction takes the LRU clean block" `Quick test_eviction_victim_is_lru_clean;
     Alcotest.test_case "wasted-prefetch accounting" `Quick test_wasted_accounting;
     Alcotest.test_case "disabled engine is inert" `Quick test_disabled_is_inert;
   ]

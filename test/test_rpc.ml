@@ -137,6 +137,112 @@ let test_dupcache_overflow_all_in_flight () =
   Alcotest.(check int) "completed slot evicted" 1 (Dupcache.evictions dc);
   Alcotest.(check int) "still bounded" 2 (Dupcache.entries dc)
 
+let test_dupcache_tie_broken_by_key () =
+  (* Completed entries last touched at the same instant leave in
+     (client, xid) order, whatever order they completed in. *)
+  let eng = Engine.create () in
+  let dc = Dupcache.create eng ~capacity:3 ~ttl:(Time.sec 60) () in
+  let replays ~client ~xid =
+    match Dupcache.admit dc ~client ~xid with Dupcache.Replay _ -> true | _ -> false
+  in
+  Engine.spawn eng (fun () ->
+      let keys = [ ("b", 1); ("a", 7); ("a", 3) ] in
+      List.iter (fun (client, xid) -> ignore (Dupcache.admit dc ~client ~xid)) keys;
+      List.iter (fun (client, xid) -> Dupcache.complete dc ~client ~xid (Bytes.of_string client)) keys;
+      Engine.delay (Time.ms 1);
+      ignore (Dupcache.admit dc ~client:"c" ~xid:1);
+      Alcotest.(check int) "one eviction" 1 (Dupcache.evictions dc);
+      (* a/3 was the smallest key; touch the other two, again at one
+         instant, b/1 first. *)
+      Alcotest.(check bool) "b/1 survives" true (replays ~client:"b" ~xid:1);
+      Alcotest.(check bool) "a/7 survives" true (replays ~client:"a" ~xid:7);
+      Alcotest.(check bool) "a/3 was the victim" true (Dupcache.admit dc ~client:"a" ~xid:3 = Dupcache.New);
+      (* Making room for a/3 evicted a/7, the smaller of the tied pair. *)
+      Alcotest.(check bool) "b/1 survives again" true (replays ~client:"b" ~xid:1);
+      Alcotest.(check bool) "a/7 evicted" true (Dupcache.admit dc ~client:"a" ~xid:7 = Dupcache.New));
+  Engine.run eng
+
+(* The cache against its reference model (its own former self): random
+   traces of admissions, completions, forgets and clock steps, several
+   per instant, must agree on every verdict, the table size, every
+   counter and the metrics JSON. *)
+type dc_op = Admit of int * int | Complete of int * int | Forget of int * int | Advance of int
+
+let prop_dupcache_matches_reference =
+  let clients = [| "a"; "b"; "c" |] in
+  let show_op = function
+    | Admit (c, x) -> Printf.sprintf "admit %s/%d" clients.(c) x
+    | Complete (c, x) -> Printf.sprintf "complete %s/%d" clients.(c) x
+    | Forget (c, x) -> Printf.sprintf "forget %s/%d" clients.(c) x
+    | Advance ms -> Printf.sprintf "+%dms" ms
+  in
+  let key = QCheck.Gen.(pair (int_bound 2) (int_bound 5)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun (c, x) -> Admit (c, x)) key);
+          (4, map (fun (c, x) -> Complete (c, x)) key);
+          (1, map (fun (c, x) -> Forget (c, x)) key);
+          (3, map (fun ms -> Advance ms) (int_bound 4));
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (capacity, ttl, ops) ->
+        Printf.sprintf "capacity %d, ttl %dms: %s" capacity ttl (String.concat "; " (List.map show_op ops)))
+      QCheck.Gen.(triple (int_range 1 8) (int_range 1 20) (list_size (1 -- 200) op))
+  in
+  QCheck.Test.make ~name:"dupcache matches its reference model" ~count:300 arb (fun (capacity, ttl, ops) ->
+      let eng = Engine.create () in
+      let m = Nfsg_stats.Metrics.create () and m_ref = Nfsg_stats.Metrics.create () in
+      let dc = Dupcache.create eng ~capacity ~ttl:(Time.ms ttl) ~metrics:m () in
+      let rf = Dupcache_ref.create eng ~capacity ~ttl:(Time.ms ttl) ~metrics:m_ref () in
+      let verdict = function
+        | Dupcache.New -> "new"
+        | Dupcache.In_progress -> "in progress"
+        | Dupcache.Replay b -> "replay " ^ Bytes.to_string b
+      and verdict_ref = function
+        | Dupcache_ref.New -> "new"
+        | Dupcache_ref.In_progress -> "in progress"
+        | Dupcache_ref.Replay b -> "replay " ^ Bytes.to_string b
+      in
+      let state () =
+        Printf.sprintf "entries %d drops %d replays %d evictions %d overflows %d %s" (Dupcache.entries dc)
+          (Dupcache.drops dc) (Dupcache.replays dc) (Dupcache.evictions dc) (Dupcache.overflows dc)
+          (Nfsg_stats.Metrics.to_string m)
+      and state_ref () =
+        Printf.sprintf "entries %d drops %d replays %d evictions %d overflows %d %s"
+          (Dupcache_ref.entries rf) (Dupcache_ref.drops rf) (Dupcache_ref.replays rf)
+          (Dupcache_ref.evictions rf) (Dupcache_ref.overflows rf) (Nfsg_stats.Metrics.to_string m_ref)
+      in
+      let mismatch = ref None in
+      let note step what got want =
+        if got <> want && !mismatch = None then
+          mismatch := Some (Printf.sprintf "step %d (%s): %s %S, reference %S" step what what got want)
+      in
+      Engine.spawn eng (fun () ->
+          List.iteri
+            (fun step op ->
+              (match op with
+              | Admit (c, xid) ->
+                  let client = clients.(c) in
+                  note step (show_op op)
+                    (verdict (Dupcache.admit dc ~client ~xid))
+                    (verdict_ref (Dupcache_ref.admit rf ~client ~xid))
+              | Complete (c, xid) ->
+                  let client = clients.(c) and reply = Bytes.of_string (string_of_int step) in
+                  Dupcache.complete dc ~client ~xid reply;
+                  Dupcache_ref.complete rf ~client ~xid reply
+              | Forget (c, xid) ->
+                  Dupcache.forget dc ~client:clients.(c) ~xid;
+                  Dupcache_ref.forget rf ~client:clients.(c) ~xid
+              | Advance ms -> Engine.delay (Time.ms ms));
+              note step (show_op op) (state ()) (state_ref ()))
+            ops);
+      Engine.run eng;
+      match !mismatch with None -> true | Some why -> QCheck.Test.fail_report why)
+
 (* {1 svc + rpc_client end to end (echo server)} *)
 
 let echo_rig ?(loss = 0.0) ?(with_dupcache = false) () =
@@ -329,6 +435,8 @@ let suite =
     Alcotest.test_case "dupcache evicts the coldest entry" `Quick test_dupcache_evicts_least_recently_touched;
     Alcotest.test_case "dupcache drops expired before evicting" `Quick test_dupcache_ttl_eager_drop;
     Alcotest.test_case "dupcache overflow with all slots in flight" `Quick test_dupcache_overflow_all_in_flight;
+    Alcotest.test_case "dupcache breaks touch ties by key" `Quick test_dupcache_tie_broken_by_key;
+    QCheck_alcotest.to_alcotest prop_dupcache_matches_reference;
     Alcotest.test_case "echo roundtrip" `Quick test_echo_roundtrip;
     Alcotest.test_case "retransmission survives loss" `Quick test_retransmission_on_loss;
     Alcotest.test_case "dupcache stops re-execution" `Quick test_dupcache_suppresses_reexecution;

@@ -1,14 +1,16 @@
 open Nfsg_rpc
 
 let test_int_roundtrips () =
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.uint32 enc 0;
-  Xdr.Enc.uint32 enc 0xFFFFFFFF;
-  Xdr.Enc.int32 enc (-5);
-  Xdr.Enc.uint64 enc 123456789012345;
-  Xdr.Enc.bool enc true;
-  Xdr.Enc.bool enc false;
-  let dec = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes enc) in
+  let buf =
+    Xdr.Enc.encode (fun enc ->
+        Xdr.Enc.uint32 enc 0;
+        Xdr.Enc.uint32 enc 0xFFFFFFFF;
+        Xdr.Enc.int32 enc (-5);
+        Xdr.Enc.uint64 enc 123456789012345;
+        Xdr.Enc.bool enc true;
+        Xdr.Enc.bool enc false)
+  in
+  let dec = Xdr.Dec.of_bytes buf in
   Alcotest.(check int) "u32 min" 0 (Xdr.Dec.uint32 dec);
   Alcotest.(check int) "u32 max" 0xFFFFFFFF (Xdr.Dec.uint32 dec);
   Alcotest.(check int) "i32 negative" (-5) (Xdr.Dec.int32 dec);
@@ -18,19 +20,20 @@ let test_int_roundtrips () =
   Alcotest.(check int) "fully consumed" 0 (Xdr.Dec.remaining dec)
 
 let test_opaque_padding () =
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.opaque enc (Bytes.of_string "abcde");
+  let buf = Xdr.Enc.encode (fun enc -> Xdr.Enc.opaque enc (Bytes.of_string "abcde")) in
   (* 4 length + 5 data + 3 pad *)
-  Alcotest.(check int) "padded length" 12 (Xdr.Enc.length enc);
-  let dec = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes enc) in
+  Alcotest.(check int) "padded length" 12 (Bytes.length buf);
+  let dec = Xdr.Dec.of_bytes buf in
   Alcotest.(check string) "roundtrip" "abcde" (Bytes.to_string (Xdr.Dec.opaque dec));
   Alcotest.(check int) "pad consumed" 0 (Xdr.Dec.remaining dec)
 
 let test_string_roundtrip () =
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.string enc "";
-  Xdr.Enc.string enc "hello world";
-  let dec = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes enc) in
+  let buf =
+    Xdr.Enc.encode (fun enc ->
+        Xdr.Enc.string enc "";
+        Xdr.Enc.string enc "hello world")
+  in
+  let dec = Xdr.Dec.of_bytes buf in
   Alcotest.(check string) "empty" "" (Xdr.Dec.string dec);
   Alcotest.(check string) "text" "hello world" (Xdr.Dec.string dec)
 
@@ -41,23 +44,22 @@ let test_truncation_raises () =
   | exception Xdr.Decode_error (Xdr.Truncated { what = "uint32"; need = 4; pos = 0; have = 2 }) -> ());
   (* A declared opaque length running past the end of the buffer is the
      same typed error, with the cursor past the length word. *)
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.uint32 enc 64;
-  Xdr.Enc.raw enc (Bytes.make 10 'x');
-  let dec = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes enc) in
+  let buf =
+    Xdr.Enc.encode (fun enc ->
+        Xdr.Enc.uint32 enc 64;
+        Xdr.Enc.raw enc (Bytes.make 10 'x'))
+  in
+  let dec = Xdr.Dec.of_bytes buf in
   match Xdr.Dec.opaque dec with
   | _ -> Alcotest.fail "expected Decode_error"
   | exception Xdr.Decode_error (Xdr.Truncated { what = "opaque"; need = 64; pos = 4; have = 14 }) -> ()
 
 let test_uint32_range_checked () =
-  let enc = Xdr.Enc.create () in
   Alcotest.check_raises "negative" (Invalid_argument "Xdr.uint32: -1") (fun () ->
-      Xdr.Enc.uint32 enc (-1))
+      ignore (Xdr.Enc.encode (fun enc -> Xdr.Enc.uint32 enc (-1))))
 
 let test_bad_bool () =
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.uint32 enc 7;
-  let dec = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes enc) in
+  let dec = Xdr.Dec.of_bytes (Xdr.Enc.encode (fun enc -> Xdr.Enc.uint32 enc 7)) in
   match Xdr.Dec.bool dec with
   | _ -> Alcotest.fail "expected Decode_error"
   | exception Xdr.Decode_error (Xdr.Malformed _) -> ()
@@ -66,9 +68,7 @@ let test_bad_bool () =
    so reusing that buffer is visible through the view — bytes survive
    only where the caller explicitly copied them out. *)
 let test_view_aliases_source () =
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.opaque enc (Bytes.of_string "payload!");
-  let buf = Xdr.Enc.to_bytes enc in
+  let buf = Xdr.Enc.encode (fun enc -> Xdr.Enc.opaque enc (Bytes.of_string "payload!")) in
   let dec = Xdr.Dec.of_bytes buf in
   let v = Xdr.Dec.opaque_view dec in
   let copied = Xdr.view_copy v in
@@ -82,10 +82,11 @@ let test_view_aliases_source () =
    when the backing buffer keeps going, and report positions relative
    to the window. *)
 let test_view_decode_bounded () =
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.uint32 enc 7;
-  Xdr.Enc.uint32 enc 9;
-  let buf = Xdr.Enc.to_bytes enc in
+  let buf =
+    Xdr.Enc.encode (fun enc ->
+        Xdr.Enc.uint32 enc 7;
+        Xdr.Enc.uint32 enc 9)
+  in
   let dec = Xdr.Dec.of_view (Xdr.view_of_bytes ~pos:0 ~len:4 buf) in
   Alcotest.(check int) "word inside the window" 7 (Xdr.Dec.uint32 dec);
   (match Xdr.Dec.uint32 dec with
@@ -104,22 +105,22 @@ let test_view_bounds_checked () =
 
 let prop_opaque_roundtrip =
   QCheck.Test.make ~name:"opaque roundtrips arbitrary bytes" ~count:300 QCheck.string (fun s ->
-      let enc = Xdr.Enc.create () in
-      Xdr.Enc.opaque enc (Bytes.of_string s);
-      let dec = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes enc) in
+      let dec = Xdr.Dec.of_bytes (Xdr.Enc.encode (fun enc -> Xdr.Enc.opaque enc (Bytes.of_string s))) in
       Bytes.to_string (Xdr.Dec.opaque dec) = s)
 
 let prop_mixed_roundtrip =
   QCheck.Test.make ~name:"mixed field sequences roundtrip" ~count:200
     QCheck.(list (pair (int_bound 1000000) string))
     (fun items ->
-      let enc = Xdr.Enc.create () in
-      List.iter
-        (fun (n, s) ->
-          Xdr.Enc.uint32 enc n;
-          Xdr.Enc.string enc s)
-        items;
-      let dec = Xdr.Dec.of_bytes (Xdr.Enc.to_bytes enc) in
+      let buf =
+        Xdr.Enc.encode (fun enc ->
+            List.iter
+              (fun (n, s) ->
+                Xdr.Enc.uint32 enc n;
+                Xdr.Enc.string enc s)
+              items)
+      in
+      let dec = Xdr.Dec.of_bytes buf in
       List.for_all (fun (n, s) -> Xdr.Dec.uint32 dec = n && Xdr.Dec.string dec = s) items)
 
 let suite =
