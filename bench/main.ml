@@ -162,13 +162,16 @@ let run_simspeed () =
   let wall = Unix.gettimeofday () -. t0 in
   let words = allocated_words () -. w0 in
   let events = Engine.events_processed rig.Rig.eng in
+  let top_heap_mb =
+    float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1048576.0
+  in
   Printf.printf
     "simspeed: events=%d wall_s=%.3f events_per_sec=%.0f alloc_words_per_event=%.1f \
-     achieved_ops_s=%.1f\n"
+     top_heap_mb=%.1f achieved_ops_s=%.1f\n"
     events wall
     (float_of_int events /. wall)
     (words /. float_of_int events)
-    point.Laddis.achieved
+    top_heap_mb point.Laddis.achieved
 
 (* {1 Bechamel microbenchmarks}
 

@@ -73,11 +73,25 @@ let make_inst metrics ~name =
     m_queue_gauge = M.gauge metrics ~ns Names.queue_depth_peak;
   }
 
-(* A queued request with its submission instant (for queue-wait
-   accounting and deadline promotion) and its submission batch: every
-   item of one [submit] call shares a batch id, and a barrier orders
-   only the items of its own batch. *)
-type pitem = { it : Io.item; enq : Time.t; batch : int }
+(* A queued item on the request ring, with its submission instant (for
+   queue-wait accounting and deadline promotion) and its submission
+   batch: every item of one [submit] call shares a batch id, and a
+   barrier orders only the items of its own batch. The ring is circular
+   through the state's sentinel node and holds items in arrival order;
+   a [submit] appends its whole batch without yielding, so each batch's
+   surviving items sit back to back. *)
+type node = {
+  it : Io.item;
+  enq : Time.t;
+  batch : int;
+  mutable prev : node;
+  mutable next : node;
+}
+
+(* The platter is stored in [chunk_bytes] pieces, each the shared
+   [Bytes.empty] until the first write that touches it: a world pays for
+   the bytes it writes, not for the capacity it models. *)
+let chunk_bytes = 64 * 1024
 
 type state = {
   eng : Engine.t;
@@ -86,8 +100,9 @@ type state = {
   deadline : Time.t;  (** max tolerated queue wait before promotion *)
   merge : bool;
   merge_limit : int;  (** upper bound on a coalesced transaction, bytes *)
-  platter : Bytes.t;
-  mutable pending : pitem list;  (** arrival order (newest last) *)
+  platter : Bytes.t array;
+  ring : node;  (** sentinel: [ring.next] is the oldest queued item *)
+  mutable depth : int;  (** items on the ring *)
   mutable next_batch : int;
   arrived : Condition.t;
   mutable head_cyl : int;
@@ -99,109 +114,153 @@ type state = {
   inst : inst;
 }
 
-(* The serviceable window: every request not ordered behind a barrier
+(* Copy [len] platter bytes from device offset [off] into [dst] at
+   [pos]; a chunk never written reads as zeros. *)
+let rec platter_read st ~off dst ~pos ~len =
+  if len > 0 then begin
+    let within = off mod chunk_bytes in
+    let n = Stdlib.min len (chunk_bytes - within) in
+    let chunk = st.platter.(off / chunk_bytes) in
+    if chunk == Bytes.empty then Bytes.fill dst pos n '\000' else Bytes.blit chunk within dst pos n;
+    platter_read st ~off:(off + n) dst ~pos:(pos + n) ~len:(len - n)
+  end
+
+(* Copy [len] bytes of [src] from [pos] onto the platter at [off],
+   materialising each chunk on its first write. The last chunk is cut
+   to the capacity. *)
+let rec platter_write st ~off src ~pos ~len =
+  if len > 0 then begin
+    let i = off / chunk_bytes and within = off mod chunk_bytes in
+    let n = Stdlib.min len (chunk_bytes - within) in
+    if st.platter.(i) == Bytes.empty then
+      st.platter.(i) <- Bytes.make (Stdlib.min chunk_bytes (st.g.capacity - (i * chunk_bytes))) '\000';
+    Bytes.blit src pos st.platter.(i) within n;
+    platter_write st ~off:(off + n) src ~pos:(pos + n) ~len:(len - n)
+  end
+
+let append st n =
+  n.prev <- st.ring.prev;
+  n.next <- st.ring;
+  st.ring.prev.next <- n;
+  st.ring.prev <- n;
+  st.depth <- st.depth + 1
+
+let unlink st n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev;
+  st.depth <- st.depth - 1
+
+let no_batch = 0
+
+(* The serviceable window is every request not ordered behind a barrier
    of its own submission batch. A barrier promises only that its
    batch's later items stay behind its batch's earlier items — one
    gathered flush's inode behind that flush's data — so requests of
    OTHER batches pass it freely and the scheduler may reorder and
    merge across it. A device-global fence here would lace a busy queue
    with serialization points (one per concurrent file flush) and
-   flatten every scheduling policy back to FIFO at the tail. *)
-let window st =
-  let fenced = Hashtbl.create 4 in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | p :: rest -> (
-        match p.it with
-        | Io.Barrier _ ->
-            Hashtbl.replace fenced p.batch ();
-            go acc rest
-        | Io.Req r ->
-            if Hashtbl.mem fenced p.batch then go acc rest
-            else go ((r, p.enq) :: acc) rest)
-  in
-  go [] st.pending
+   flatten every scheduling policy back to FIFO at the tail.
 
-let req_cyl st (r : Io.req) = r.Io.off / st.g.track_bytes
+   [serviceable st n fence] is the first window request at or after
+   [n], or the sentinel. Batches are contiguous on the ring, so a
+   request is fenced exactly when the last barrier passed belongs to
+   its batch: [fence]. Resuming after a returned request with no fence
+   is exact, since [fence]'s batch ended before that request. *)
+let rec serviceable st n fence =
+  if n == st.ring then n
+  else
+    match n.it with
+    | Io.Barrier _ -> serviceable st n.next n.batch
+    | Io.Req _ -> if n.batch = fence then serviceable st n.next fence else n
+
+let first_in_window st = serviceable st st.ring.next no_batch
+let next_in_window st n = serviceable st n.next no_batch
+
+let req n = match n.it with Io.Req r -> r | Io.Barrier _ -> assert false
+
+let cyl st n = (req n).Io.off / st.g.track_bytes
 
 (* C-LOOK over the window: nearest cylinder at or beyond the head; if
-   none, wrap to the lowest pending cylinder. *)
-let elevator_pick st win =
-  let ahead = List.filter (fun (r, _) -> req_cyl st r >= st.head_cyl) win in
-  let best_of pool =
-    List.fold_left
-      (fun acc ((r, _) as c) ->
-        match acc with
-        | None -> Some c
-        | Some (b, _) -> if req_cyl st r < req_cyl st b then Some c else acc)
-      None pool
+   none, wrap to the lowest pending cylinder. Ties go to the earliest
+   arrival. *)
+let elevator_pick st =
+  let rec go n ahead lowest =
+    if n == st.ring then if ahead != st.ring then ahead else lowest
+    else begin
+      let c = cyl st n in
+      let ahead = if c >= st.head_cyl && (ahead == st.ring || c < cyl st ahead) then n else ahead in
+      let lowest = if lowest == st.ring || c < cyl st lowest then n else lowest in
+      go (next_in_window st n) ahead lowest
+    end
   in
-  match best_of ahead with Some c -> Some c | None -> best_of win
+  go (first_in_window st) st.ring st.ring
 
-(* Pick the next request per policy. The window is in arrival order, so
-   its head is the oldest request — under [Deadline] a head that has
-   waited past the threshold is served out of elevator order, which
-   bounds the starvation a far-cylinder request can suffer while the
-   elevator feasts on a stream of near-head arrivals. *)
+(* Pick the next request per policy, or the sentinel. The window is in
+   arrival order, so its head is the oldest request — under [Deadline]
+   a head that has waited past the threshold is served out of elevator
+   order, which bounds the starvation a far-cylinder request can suffer
+   while the elevator feasts on a stream of near-head arrivals. *)
 let pick st =
-  match window st with
-  | [] -> None
-  | (((_, first_enq) as first) :: _) as win -> (
-      match st.scheduler with
-      | Fifo -> Some first
-      | Elevator -> elevator_pick st win
-      | Deadline ->
-          if Engine.now st.eng - first_enq > st.deadline then begin
-            Nfsg_stats.Metrics.incr st.inst.m_promotions;
-            Some first
-          end
-          else elevator_pick st win)
-
-let remove st (r : Io.req) =
-  st.pending <-
-    List.filter (fun p -> match p.it with Io.Req x -> x != r | Io.Barrier _ -> true) st.pending
+  let first = first_in_window st in
+  if first == st.ring then first
+  else
+    match st.scheduler with
+    | Fifo -> first
+    | Elevator -> elevator_pick st
+    | Deadline ->
+        if Engine.now st.eng - first.enq > st.deadline then begin
+          Nfsg_stats.Metrics.incr st.inst.m_promotions;
+          first
+        end
+        else elevator_pick st
 
 (* Retire every barrier with no earlier same-batch request still
-   pending: its ordering promise is discharged. Runs only between
-   service rounds in the daemon (the sole consumer), so a batch's
-   requests are either still ahead of their barrier in [pending] or
-   already durable — never invisibly in flight. *)
+   queued: its ordering promise is discharged. Batches are contiguous,
+   so that is a barrier whose batch differs from the last request
+   passed. Runs only between service rounds in the daemon (the sole
+   consumer), so a batch's requests are either still ahead of their
+   barrier on the ring or already durable — never invisibly in
+   flight. *)
 let retire_barriers st =
-  let live = Hashtbl.create 4 in
-  st.pending <-
-    List.filter
-      (fun p ->
-        match p.it with
-        | Io.Req _ ->
-            Hashtbl.replace live p.batch ();
-            true
-        | Io.Barrier b ->
-            Hashtbl.mem live p.batch
-            ||
-            (Nfsg_stats.Metrics.incr st.inst.m_barriers;
-             Ivar.fill b.done_ ();
-             false))
-      st.pending
+  let rec go n live =
+    if n != st.ring then begin
+      let next = n.next in
+      match n.it with
+      | Io.Req _ -> go next n.batch
+      | Io.Barrier b ->
+          if n.batch <> live then begin
+            unlink st n;
+            Nfsg_stats.Metrics.incr st.inst.m_barriers;
+            Ivar.fill b.done_ ()
+          end;
+          go next live
+    end
+  in
+  go st.ring.next no_batch
 
 (* Chain physically adjacent same-direction requests from the window
-   onto [r], bounded by [merge_limit]: one seek, one rotational wait,
-   one transfer for the lot. The chain is returned in ascending offset
-   order, [r] first. *)
-let merge_chain st ((r, _) as leader) =
+   onto [leader], already off the ring, bounded by [merge_limit]: one
+   seek, one rotational wait, one transfer for the lot. The chain is
+   returned in ascending offset order, [leader] first. *)
+let merge_chain st leader =
   if not st.merge then [ leader ]
   else begin
+    let r = req leader in
+    let rec adjacent n ~tail_end ~total =
+      if n == st.ring then n
+      else
+        let x = req n in
+        if x.Io.op = r.Io.op && x.Io.off = tail_end && total + x.Io.len <= st.merge_limit then n
+        else adjacent (next_in_window st n) ~tail_end ~total
+    in
     let rec grow chain tail_end total =
-      let next =
-        List.find_opt
-          (fun (x, _) ->
-            x.Io.op = r.Io.op && x.Io.off = tail_end && total + x.Io.len <= st.merge_limit)
-          (window st)
-      in
-      match next with
-      | Some ((x, _) as c) ->
-          remove st x;
-          grow (c :: chain) (x.Io.off + x.Io.len) (total + x.Io.len)
-      | None -> List.rev chain
+      let n = adjacent (first_in_window st) ~tail_end ~total in
+      if n == st.ring then List.rev chain
+      else begin
+        unlink st n;
+        let x = req n in
+        grow (n :: chain) (x.Io.off + x.Io.len) (total + x.Io.len)
+      end
     in
     grow [ leader ] (r.Io.off + r.Io.len) r.Io.len
   end
@@ -251,12 +310,11 @@ let account st ~len ~busy =
 (* Service one coalesced transaction: the chain is contiguous, so its
    span costs one seek + one rotational wait + one transfer. *)
 let service st chain =
-  let first = match chain with (r, _) :: _ -> r | [] -> assert false in
-  let total = List.fold_left (fun acc (r, _) -> acc + r.Io.len) 0 chain in
+  let first = req (List.hd chain) in
+  let total = List.fold_left (fun acc n -> acc + (req n).Io.len) 0 chain in
   let start = Engine.now st.eng in
   List.iter
-    (fun (_, enq) ->
-      Nfsg_stats.Histogram.add st.inst.m_queue_wait_us (Time.to_us_f (start - enq)))
+    (fun n -> Nfsg_stats.Histogram.add st.inst.m_queue_wait_us (Time.to_us_f (start - n.enq)))
     chain;
   let d = service_time st ~off:first.Io.off ~len:total in
   Engine.delay d;
@@ -265,10 +323,11 @@ let service st chain =
      the issuers never see a completion — like a powered-off drive. *)
   if not st.crashed then begin
     List.iter
-      (fun (r, _) ->
+      (fun n ->
+        let r = req n in
         match r.Io.op with
-        | Io.Write -> Bytes.blit r.Io.buf 0 st.platter r.Io.off r.Io.len
-        | Io.Read -> Bytes.blit st.platter r.Io.off r.Io.buf 0 r.Io.len)
+        | Io.Write -> platter_write st ~off:r.Io.off r.Io.buf ~pos:0 ~len:r.Io.len
+        | Io.Read -> platter_read st ~off:r.Io.off r.Io.buf ~pos:0 ~len:r.Io.len)
       chain;
     account st ~len:total ~busy:d;
     (match first.Io.op with
@@ -279,7 +338,7 @@ let service st chain =
         Nfsg_stats.Metrics.incr st.inst.m_writes;
         Nfsg_stats.Metrics.add st.inst.m_bytes_written total);
     Nfsg_stats.Metrics.add st.inst.m_merged (List.length chain - 1);
-    List.iter (fun (r, _) -> Io.complete r) chain
+    List.iter (fun n -> Io.complete (req n)) chain
   end
 
 let daemon st () =
@@ -288,25 +347,28 @@ let daemon st () =
       (* Power is off: everything queued is lost — barriers included —
          and completions never come. Keep draining arrivals until
          recovery. *)
-      st.pending <- [];
+      st.ring.next <- st.ring;
+      st.ring.prev <- st.ring;
+      st.depth <- 0;
       Condition.wait st.arrived;
       loop ()
     end
     else begin
       retire_barriers st;
-      match pick st with
-      | Some leader ->
-          remove st (fst leader);
-          let chain = merge_chain st leader in
-          service st chain;
-          loop ()
-      | None ->
-          (* After retirement, any non-empty queue leads with a
-             serviceable request — pick finding nothing means the
-             queue is empty. *)
-          assert (st.pending = []);
-          Condition.wait st.arrived;
-          loop ()
+      let leader = pick st in
+      if leader != st.ring then begin
+        unlink st leader;
+        service st (merge_chain st leader);
+        loop ()
+      end
+      else begin
+        (* After retirement, any non-empty queue leads with a
+           serviceable request — pick finding nothing means the queue
+           is empty. *)
+        assert (st.depth = 0);
+        Condition.wait st.arrived;
+        loop ()
+      end
     end
   in
   loop ()
@@ -315,6 +377,10 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
     ?(scheduler = Fifo) ?(deadline = Time.of_ms_f 30.0) ?(merge = true)
     ?(merge_limit = 128 * 1024) g =
   let metrics = match metrics with Some m -> m | None -> Nfsg_stats.Metrics.create () in
+  let rec ring =
+    { it = Io.Barrier { tag = -1; done_ = Ivar.create () }; enq = Time.zero; batch = no_batch;
+      prev = ring; next = ring }
+  in
   let st =
     {
       eng;
@@ -323,9 +389,10 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
       deadline;
       merge;
       merge_limit;
-      platter = Bytes.make g.capacity '\000';
-      pending = [];
-      next_batch = 0;
+      platter = Array.make ((g.capacity + chunk_bytes - 1) / chunk_bytes) Bytes.empty;
+      ring;
+      depth = 0;
+      next_batch = no_batch;
       arrived = Condition.create ();
       head_cyl = 0;
       crashed = false;
@@ -337,23 +404,21 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
     }
   in
   Engine.spawn eng ~name:(name ^ "-daemon") (daemon st);
+  (* A batch is checked whole before any of it is queued: a rejected
+     batch leaves nothing behind. *)
   let submit items =
     match items with
     | [] -> ()
     | _ ->
+        List.iter
+          (function Io.Req r -> check_bounds st ~off:r.Io.off ~len:r.Io.len | Io.Barrier _ -> ())
+          items;
         let enq = Engine.now st.eng in
         st.next_batch <- st.next_batch + 1;
         let batch = st.next_batch in
-        List.iter
-          (fun it ->
-            (match it with
-            | Io.Req r -> check_bounds st ~off:r.Io.off ~len:r.Io.len
-            | Io.Barrier _ -> ());
-            st.pending <- st.pending @ [ { it; enq; batch } ])
-          items;
-        let depth = List.length st.pending in
-        Nfsg_stats.Histogram.add st.inst.m_queue_depth (float_of_int depth);
-        Nfsg_stats.Metrics.set_max st.inst.m_queue_gauge (float_of_int depth);
+        List.iter (fun it -> append st { it; enq; batch; prev = st.ring; next = st.ring }) items;
+        Nfsg_stats.Histogram.add st.inst.m_queue_depth (float_of_int st.depth);
+        Nfsg_stats.Metrics.set_max st.inst.m_queue_gauge (float_of_int st.depth);
         Condition.signal st.arrived
   in
   let read ~off ~len =
@@ -380,9 +445,11 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
     stable_read =
       (fun ~off ~len ->
         check_bounds st ~off ~len;
-        Bytes.sub st.platter off len);
+        let buf = Bytes.create len in
+        platter_read st ~off buf ~pos:0 ~len;
+        buf);
     stable_write =
       (fun ~off data ->
         check_bounds st ~off ~len:(Bytes.length data);
-        Bytes.blit data 0 st.platter off (Bytes.length data));
+        platter_write st ~off data ~pos:0 ~len:(Bytes.length data));
   }

@@ -41,8 +41,9 @@ type geometry = {
 
 val rz26 : ?capacity:int -> unit -> geometry
 (** RZ26-inspired default geometry (5400 RPM, ~2.6 MB/s media rate).
-    Default [capacity] is 96 MiB — big enough for every experiment,
-    small enough to hold in RAM. *)
+    Default [capacity] is 96 MiB — big enough for every experiment. A
+    disk's memory grows with the bytes written to it, not with its
+    capacity. *)
 
 type scheduler = Fifo | Elevator | Deadline
 
@@ -57,7 +58,9 @@ val create :
   ?merge_limit:int ->
   geometry ->
   Device.t
-(** A fresh zero-filled disk served by a spawned daemon process.
+(** A fresh zero-filled disk served by a spawned daemon process. The
+    platter is held in {!chunk_bytes} pieces, each allocated by the
+    first write that touches it; never-written bytes read as zeros.
     [on_transaction] fires at each physical transaction completion
     (once per merged chain), letting the caller account
     driver/interrupt CPU cost. [deadline] (default 30 ms) is the
@@ -69,6 +72,9 @@ val create :
     queue-depth and queue-wait distributions, and
     merge/promotion/barrier counters (private registry when
     omitted). *)
+
+val chunk_bytes : int
+(** Exposed for tests: the platter's allocation unit, in bytes. *)
 
 val seek_time : geometry -> cylinders:int -> distance:int -> Nfsg_sim.Time.t
 (** Exposed for tests: seek duration for a head movement of [distance]

@@ -24,14 +24,14 @@ type t = {
   mutable wire_writes : int;
   mutable commits : int;
   mutable bytes_written : int;
-  mutable mtimes : int list;  (** newest first *)
+  mutable last_mtimes : int list;  (** the most recent [close]'s, oldest first *)
 }
 
 let biod_count t = t.nbiods
 let wire_writes t = t.wire_writes
 let commits_sent t = t.commits
 let bytes_written t = t.bytes_written
-let last_write_mtimes t = List.rev t.mtimes
+let last_write_mtimes t = t.last_mtimes
 
 let create eng ~rpc ?(biods = 4) ?(block_size = 8192) ?(protocol = V2) ?metrics () =
   if biods < 0 then invalid_arg "Client.create: negative biod count";
@@ -48,7 +48,7 @@ let create eng ~rpc ?(biods = 4) ?(block_size = 8192) ?(protocol = V2) ?metrics 
     wire_writes = 0;
     commits = 0;
     bytes_written = 0;
-    mtimes = [];
+    last_mtimes = [];
   }
 
 (* {1 RPC plumbing} *)
@@ -164,6 +164,7 @@ type file = {
   mutable verf_moved : bool;
   mutable dirty_lo : int;  (** v3: uncommitted byte range *)
   mutable dirty_hi : int;
+  mutable mtimes : int list;  (** write replies since the last [close], newest first *)
 }
 
 let open_file t fh =
@@ -180,6 +181,7 @@ let open_file t fh =
     verf_moved = false;
     dirty_lo = max_int;
     dirty_hi = 0;
+    mtimes = [];
   }
 
 (* v3 bookkeeping: if the verifier moves between replies, the server
@@ -200,7 +202,7 @@ let do_write_rpc f ~off data =
       with
       | res -> (
           match res with
-          | Proto.RAttr (Ok a) -> t.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: t.mtimes
+          | Proto.RAttr (Ok a) -> f.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: f.mtimes
           | Proto.RAttr (Error st) -> f.async_error <- Some st
           | _ -> f.async_error <- Some Proto.NFSERR_IO)
       | exception Error st -> f.async_error <- Some st)
@@ -215,7 +217,7 @@ let do_write_rpc f ~off data =
           match res with
           | Proto.RWrite3 (Ok (a, _how, verf)) ->
               note_verf f verf;
-              t.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: t.mtimes
+              f.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: f.mtimes
           | Proto.RWrite3 (Error st) -> f.async_error <- Some st
           | _ -> f.async_error <- Some Proto.NFSERR_IO)
       | exception Error st -> f.async_error <- Some st)
@@ -309,6 +311,8 @@ let close f =
   while f.outstanding > 0 do
     Condition.wait f.done_cond
   done;
+  f.client.last_mtimes <- List.rev f.mtimes;
+  f.mtimes <- [];
   (match f.async_error with
   | Some st ->
       f.async_error <- None;

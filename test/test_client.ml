@@ -114,6 +114,23 @@ let test_read_spans_blocks () =
       let expect = Bytes.sub (expect_pattern ~total ~seed:7) 5000 10_000 in
       Alcotest.(check bytes) "mid-file span" expect back)
 
+(* [last_write_mtimes] covers only the most recent close: writing four
+   blocks and closing, then two and closing, reports two mtimes. *)
+let test_last_write_mtimes_per_close () =
+  let rig = make ~config:cfg ~biods:4 () in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "mtimes" in
+      let write_and_close ~first n =
+        let f = Client.open_file rig.client fh in
+        for i = first to first + n - 1 do
+          Client.write f ~off:(i * 8192) (Bytes.make 8192 'm')
+        done;
+        Client.close f;
+        Client.last_write_mtimes rig.client
+      in
+      Alcotest.(check int) "first close: 4 replies" 4 (List.length (write_and_close ~first:0 4));
+      Alcotest.(check int) "second close: 2 replies" 2 (List.length (write_and_close ~first:4 2)))
+
 let suite =
   [
     Alcotest.test_case "full blocks go to the wire" `Quick test_full_blocks_go_to_wire;
@@ -123,4 +140,5 @@ let suite =
     Alcotest.test_case "ENOSPC surfaces at close" `Quick test_nospc_surfaces_at_close;
     Alcotest.test_case "small app writes coalesce" `Quick test_app_chunks_smaller_than_block;
     Alcotest.test_case "read spans blocks" `Quick test_read_spans_blocks;
+    Alcotest.test_case "last_write_mtimes covers the last close" `Quick test_last_write_mtimes_per_close;
   ]

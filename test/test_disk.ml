@@ -176,6 +176,258 @@ let test_seek_time_monotone () =
   if not (t1 < t50 && t50 < t99) then Alcotest.fail "seek time not monotone";
   if t1 < g.Disk.seek_single then Alcotest.fail "short seek below track-to-track time"
 
+(* A batch is checked whole before any of it is queued: a valid write
+   riding with an out-of-range one must not sit in the queue, to reach
+   the platter when some unrelated write next wakes the daemon. *)
+let test_rejected_batch_queues_nothing () =
+  with_disk (fun _eng dev ->
+      let good = Io.write_req ~class_:`Sync_write ~off:0 (Bytes.make 8192 'v') in
+      let bad = Io.write_req ~class_:`Sync_write ~off:(dev.Device.capacity - 100) (Bytes.make 8192 'x') in
+      (match dev.Device.submit [ Io.Req good; Io.Req bad ] with
+      | () -> Alcotest.fail "expected Invalid_argument"
+      | exception Invalid_argument _ -> ());
+      Engine.delay (Time.ms 100);
+      dev.Device.write ~off:1_000_000 (Bytes.make 8192 'w');
+      Alcotest.(check bool) "rejected write never completed" false (Ivar.is_filled good.Io.done_);
+      Alcotest.(check bytes) "platter untouched" (Bytes.make 8192 '\000')
+        (dev.Device.stable_read ~off:0 ~len:8192))
+
+(* Creating a disk costs memory for its bookkeeping, not its capacity. *)
+let test_platter_is_sparse () =
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let eng = Engine.create () in
+  let dev = Disk.create eng (Disk.rz26 ()) in
+  Gc.full_major ();
+  let grown = ((Gc.stat ()).Gc.live_words - before) * (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity (eng, dev));
+  if grown >= 1024 * 1024 then
+    Alcotest.failf "a %d-byte disk grew the live heap by %d bytes" dev.Device.capacity grown
+
+(* {1 The sparse platter against a flat model} *)
+
+type platter_op =
+  | Stable_write of int * int * char
+  | Stable_read of int * int
+  | Write of int * int * char
+  | Read of int * int
+  | Crash_mid_write of int * int * char
+
+(* Three whole chunks and a partial fourth. *)
+let sparse_capacity = (3 * Disk.chunk_bytes) + 12345
+
+let show_platter_op = function
+  | Stable_write (off, len, c) -> Printf.sprintf "stable_write %d+%d %C" off len c
+  | Stable_read (off, len) -> Printf.sprintf "stable_read %d+%d" off len
+  | Write (off, len, c) -> Printf.sprintf "write %d+%d %C" off len c
+  | Read (off, len) -> Printf.sprintf "read %d+%d" off len
+  | Crash_mid_write (off, len, c) -> Printf.sprintf "crash mid-write %d+%d %C" off len c
+
+let prop_sparse_platter_matches_flat =
+  let range =
+    QCheck.Gen.(
+      let* off =
+        oneof
+          [
+            (* Near a chunk boundary, the capacity included. *)
+            map2
+              (fun k d -> Stdlib.max 0 (Stdlib.min sparse_capacity ((k * Disk.chunk_bytes) + d)))
+              (int_bound 4) (int_range (-300) 300);
+            int_bound sparse_capacity;
+          ]
+      in
+      let+ len = int_bound (Stdlib.min ((2 * Disk.chunk_bytes) + 100) (sparse_capacity - off)) in
+      (off, len))
+  in
+  let fill = QCheck.Gen.map Char.chr (QCheck.Gen.int_range 97 122) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun (o, l) c -> Stable_write (o, l, c)) range fill);
+          (3, map (fun (o, l) -> Stable_read (o, l)) range);
+          (3, map2 (fun (o, l) c -> Write (o, l, c)) range fill);
+          (3, map (fun (o, l) -> Read (o, l)) range);
+          (1, map2 (fun (o, l) c -> Crash_mid_write (o, l, c)) range fill);
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show_platter_op ops))
+      QCheck.Gen.(list_size (1 -- 30) op)
+  in
+  QCheck.Test.make ~name:"sparse platter matches a flat one" ~count:200 arb (fun ops ->
+      let eng = Engine.create () in
+      let dev = Disk.create eng { small_geometry with Disk.capacity = sparse_capacity } in
+      let model = Bytes.make sparse_capacity '\000' in
+      let mismatch = ref None in
+      let check step what got ~off ~len =
+        if !mismatch = None && not (Bytes.equal got (Bytes.sub model off len)) then
+          mismatch := Some (Printf.sprintf "step %d (%s): bytes differ from the model" step what)
+      in
+      Engine.spawn eng (fun () ->
+          List.iteri
+            (fun step op ->
+              let what = show_platter_op op in
+              match op with
+              | Stable_write (off, len, c) ->
+                  dev.Device.stable_write ~off (Bytes.make len c);
+                  Bytes.fill model off len c
+              | Stable_read (off, len) -> check step what (dev.Device.stable_read ~off ~len) ~off ~len
+              | Write (off, len, c) ->
+                  let r = Io.write_req ~class_:`Sync_write ~off (Bytes.make len c) in
+                  dev.Device.submit [ Io.Req r ];
+                  Io.await r;
+                  Bytes.fill model off len c
+              | Read (off, len) ->
+                  let r = Io.read_req ~off ~len () in
+                  dev.Device.submit [ Io.Req r ];
+                  Io.await r;
+                  check step what r.Io.buf ~off ~len
+              | Crash_mid_write (off, len, c) ->
+                  (* Power fails inside the transfer and stays off past
+                     its end: nothing of it may land. *)
+                  dev.Device.submit [ Io.Req (Io.write_req ~class_:`Sync_write ~off (Bytes.make len c)) ];
+                  Engine.delay (Time.us 100);
+                  dev.Device.crash ();
+                  Engine.delay (Time.ms 200);
+                  dev.Device.recover ();
+                  check step what (dev.Device.stable_read ~off ~len) ~off ~len)
+            ops;
+          check (List.length ops) "whole platter" (dev.Device.stable_read ~off:0 ~len:sparse_capacity)
+            ~off:0 ~len:sparse_capacity);
+      Engine.run eng;
+      match !mismatch with None -> true | Some why -> QCheck.Test.fail_report why)
+
+(* {1 The request queue against its reference model} *)
+
+type qitem = Q_read of int * int | Q_write of int * int | Q_barrier
+
+(* One step: wait [gap] µs, then submit a batch (or, rarely, crash the
+   disk and recover it 50 ms later). *)
+type qstep = Submit of int * qitem list | Power_cycle of int
+
+let queue_block = 4096
+
+(* 128 blocks over 16 cylinders, with a partial last chunk. *)
+let queue_geometry =
+  { small_geometry with Disk.capacity = (128 * queue_block) + 1000; track_bytes = 8 * queue_block }
+
+let show_qstep = function
+  | Submit (gap, items) ->
+      Printf.sprintf "+%dus [%s]" gap
+        (String.concat ", "
+           (List.map
+              (function
+                | Q_read (b, n) -> Printf.sprintf "R%d+%d" b n
+                | Q_write (b, n) -> Printf.sprintf "W%d+%d" b n
+                | Q_barrier -> "|")
+              items))
+  | Power_cycle gap -> Printf.sprintf "+%dus crash" gap
+
+let scheduler_name = function Disk.Fifo -> "fifo" | Disk.Elevator -> "elevator" | Disk.Deadline -> "deadline"
+
+(* Run a schedule on the disk or its reference model; return the
+   completions — tag, instant and, for reads, the bytes — the platter and
+   the metrics JSON. *)
+let run_queue ~reference (scheduler, merge, merge_limit, deadline_ms, steps) =
+  let eng = Engine.create () in
+  let metrics = Nfsg_stats.Metrics.create () in
+  let create = if reference then Disk_ref.create else Disk.create in
+  let dev =
+    create eng ~metrics ~scheduler ~deadline:(Time.ms deadline_ms) ~merge ~merge_limit queue_geometry
+  in
+  let log = ref [] in
+  let tag = ref 0 in
+  let note t extra = log := Printf.sprintf "%d@%d%s" t (Engine.now eng) extra :: !log in
+  Engine.spawn eng (fun () ->
+      List.iter
+        (function
+          | Power_cycle gap ->
+              Engine.delay (Time.us gap);
+              dev.Device.crash ();
+              Engine.delay (Time.ms 50);
+              dev.Device.recover ()
+          | Submit (gap, items) ->
+              Engine.delay (Time.us gap);
+              let item q =
+                incr tag;
+                let tag = !tag in
+                match q with
+                | Q_barrier ->
+                    let b = Io.barrier ~tag () in
+                    Ivar.upon (Io.item_done b) (fun () -> note tag " barrier");
+                    b
+                | Q_write (blk, n) ->
+                    let data = Bytes.make (n * queue_block) (Char.chr (33 + (tag mod 90))) in
+                    let r = Io.write_req ~tag ~class_:`Gather_flush ~off:(blk * queue_block) data in
+                    Ivar.upon r.Io.done_ (fun () -> note tag "");
+                    Io.Req r
+                | Q_read (blk, n) ->
+                    let r = Io.read_req ~tag ~off:(blk * queue_block) ~len:(n * queue_block) () in
+                    Ivar.upon r.Io.done_ (fun () -> note tag (" " ^ Digest.to_hex (Digest.bytes r.Io.buf)));
+                    Io.Req r
+              in
+              dev.Device.submit (List.map item items))
+        steps);
+  Engine.run eng;
+  ( List.rev !log,
+    Digest.to_hex (Digest.bytes (dev.Device.stable_read ~off:0 ~len:dev.Device.capacity)),
+    Nfsg_stats.Metrics.to_string metrics )
+
+let prop_queue_matches_reference =
+  let qitem =
+    QCheck.Gen.(
+      (* Blocks cluster in a 48-block band so that neighbours merge. *)
+      let range = pair (int_bound 47) (int_range 1 3) in
+      frequency
+        [
+          (4, map (fun (b, n) -> Q_write (b, n)) range);
+          (3, map (fun (b, n) -> Q_read (b, n)) range);
+          (2, map (fun (b, n) -> Q_write (b + 72, n)) range);
+          (2, return Q_barrier);
+        ])
+  in
+  let gap = QCheck.Gen.(frequency [ (3, return 0); (2, int_bound 2000); (1, int_bound 40_000) ]) in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (20, map2 (fun g items -> Submit (g, items)) gap (list_size (1 -- 6) qitem));
+          (1, map (fun g -> Power_cycle g) (int_bound 20_000));
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (scheduler, merge, merge_limit, deadline_ms, steps) ->
+        Printf.sprintf "%s merge=%b limit=%d deadline=%dms: %s" (scheduler_name scheduler) merge merge_limit
+          deadline_ms
+          (String.concat "; " (List.map show_qstep steps)))
+      QCheck.Gen.(
+        let* scheduler = oneofl [ Disk.Fifo; Disk.Elevator; Disk.Deadline ] in
+        let* merge = bool in
+        let* merge_limit = oneofl [ 2 * queue_block; 5 * queue_block; 128 * 1024 ] in
+        let* deadline_ms = int_range 2 40 in
+        let+ steps = list_size (1 -- 40) step in
+        (scheduler, merge, merge_limit, deadline_ms, steps))
+  in
+  QCheck.Test.make ~name:"request queue matches its reference model" ~count:300 arb (fun case ->
+      let log, platter, metrics = run_queue ~reference:false case in
+      let log_ref, platter_ref, metrics_ref = run_queue ~reference:true case in
+      let rec first_diff i = function
+        | x :: xs, y :: ys -> if x = y then first_diff (i + 1) (xs, ys) else Some (i, x, y)
+        | x :: _, [] -> Some (i, x, "(none)")
+        | [], y :: _ -> Some (i, "(none)", y)
+        | [], [] -> None
+      in
+      match first_diff 0 (log, log_ref) with
+      | Some (i, got, want) -> QCheck.Test.fail_reportf "completion %d: %s, reference %s" i got want
+      | None ->
+          if platter <> platter_ref then QCheck.Test.fail_report "platters differ"
+          else if metrics <> metrics_ref then
+            QCheck.Test.fail_reportf "metrics differ:\n%s\nreference:\n%s" metrics metrics_ref
+          else true)
+
 let suite =
   [
     Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
@@ -190,4 +442,8 @@ let suite =
     Alcotest.test_case "seek time monotone in distance" `Quick test_seek_time_monotone;
     Alcotest.test_case "elevator beats FIFO on random load" `Quick test_elevator_beats_fifo_on_random_load;
     Alcotest.test_case "elevator preserves data" `Quick test_elevator_preserves_data;
+    Alcotest.test_case "rejected batch queues nothing" `Quick test_rejected_batch_queues_nothing;
+    Alcotest.test_case "platter costs no memory until written" `Quick test_platter_is_sparse;
+    QCheck_alcotest.to_alcotest prop_sparse_platter_matches_flat;
+    QCheck_alcotest.to_alcotest prop_queue_matches_reference;
   ]
