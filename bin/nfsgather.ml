@@ -3,6 +3,9 @@
 
 open Cmdliner
 module E = Nfsg_experiments.Experiments
+module Rig = Nfsg_experiments.Rig
+module Lc = Nfsg_experiments.Laddis_curve
+module Bs = Nfsg_experiments.Bootstorm
 module Metrics = Nfsg_stats.Metrics
 
 let print_report r = print_string (Nfsg_stats.Report.to_string r)
@@ -103,126 +106,132 @@ let metrics_json_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE" ~doc)
 
-let run_experiment ?metrics ?raid_level quick = function
-  | "table1" -> print_report (E.table1 ~quick ())
-  | "table2" -> print_report (E.table2 ~quick ())
-  | "table3" -> print_report (E.table3 ~quick ())
-  | "table4" -> print_report (E.table4 ~quick ())
-  | "table5" -> print_report (E.table5 ~quick ())
-  | "table6" -> print_report (E.table6 ~quick ())
-  | "figure1" -> print_string (E.figure1 ())
-  | "figure2" ->
-      print_string
-        (E.render_laddis ~title:"Figure 2. SPEC SFS 1.0-style baseline (FDDI)" (E.figure2 ~quick ()))
-  | "figure3" ->
-      print_string
-        (E.render_laddis ~title:"Figure 3. SPEC SFS 1.0-style baseline (FDDI, Prestoserve)"
-           (E.figure3 ~quick ()))
-  | "ablations" ->
-      print_report (E.ablation_procrastination ~quick ());
-      print_newline ();
-      print_report (E.ablation_reply_order ~quick ());
-      print_newline ();
-      print_report (E.ablation_latency_device ~quick ());
-      print_newline ();
-      print_report (E.ablation_mbuf_hunter ~quick ());
-      print_newline ();
-      print_report (E.ablation_dumb_pc ~quick ());
-      print_newline ();
-      print_report (E.ablation_disk_scheduler ~quick ())
-  | "extensions" ->
-      print_report (E.extension_learned_clients ~quick ());
-      print_newline ();
-      print_report (E.extension_v3 ~quick ());
-      print_newline ();
-      print_report (E.extension_write_modes ~quick ())
-  | "writegather" ->
-      print_string (Nfsg_stats.Json.to_string ~pretty:true (E.bench_writegather ~quick ()))
-  | "multivolume" -> print_report (Nfsg_experiments.Multivolume.report ~quick ())
-  | "laddis-curve" ->
-      let module Lc = Nfsg_experiments.Laddis_curve in
-      (* Quick mode shortens the ladder (unless --sweep-points already
-         did) rather than shrinking the workload: the rungs that do run
-         stay comparable with the committed artifact. *)
-      let sweep =
-        if quick then { Lc.default_sweep with Lc.max_points = 3 } else Lc.default_sweep
-      in
-      print_report (Lc.report ~sweep ())
-  | "bootstorm" ->
-      let module Bs = Nfsg_experiments.Bootstorm in
-      (* Quick mode shortens the fleet ladder (unless --clients-max
-         already did): the rungs that do run stay comparable with the
-         committed artifact. *)
-      let sweep =
-        if quick then { Bs.default_sweep with Bs.clients_max = 4 } else Bs.default_sweep
-      in
-      print_report (Bs.report ~sweep ())
-  | "iosched-probe" ->
-      (* The tail investigation behind the deadline-p99 fix: rerun the
-         bench world with journey tracing armed and dump the evidence
-         for the two ends of the comparison. *)
-      print_string (Nfsg_experiments.Iosched.investigate "deadline+merge");
-      print_newline ();
-      print_string (Nfsg_experiments.Iosched.investigate "fifo")
-  | "raid" -> print_report (Nfsg_experiments.Raid.report ~quick ())
-  | "chaos" ->
-      let module Chaos = Nfsg_experiments.Chaos in
-      let cfg =
-        if quick then { Chaos.default with Chaos.cycles = 2; blocks_per_writer = 60 }
-        else Chaos.default
-      in
-      let cfg = { cfg with Chaos.array_level = raid_level } in
-      let r = Chaos.run ?metrics cfg in
-      Fmt.pr "%a@." Chaos.pp_result r;
-      List.iter print_endline r.Chaos.timeline
-  | other -> Printf.eprintf "unknown experiment %S\n" other
+(* What every experiment is run with, built once from the flags. *)
+type ctx = {
+  quick : bool;
+  env : Rig.env;
+  curve : Lc.sweep;  (** laddis-curve *)
+  storm : Bs.sweep;  (** bootstorm *)
+}
 
-let names =
+let experiments =
   [
-    "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "figure1"; "figure2"; "figure3";
-    "ablations"; "extensions"; "writegather"; "multivolume"; "laddis-curve"; "bootstorm"; "raid";
-    "chaos";
+    ("table1", fun c -> print_report (E.table1 ~quick:c.quick ~env:c.env ()));
+    ("table2", fun c -> print_report (E.table2 ~quick:c.quick ~env:c.env ()));
+    ("table3", fun c -> print_report (E.table3 ~quick:c.quick ~env:c.env ()));
+    ("table4", fun c -> print_report (E.table4 ~quick:c.quick ~env:c.env ()));
+    ("table5", fun c -> print_report (E.table5 ~quick:c.quick ~env:c.env ()));
+    ("table6", fun c -> print_report (E.table6 ~quick:c.quick ~env:c.env ()));
+    ("figure1", fun c -> print_string (E.figure1 ~env:c.env ()));
+    ( "figure2",
+      fun c ->
+        print_string
+          (E.render_laddis ~title:"Figure 2. SPEC SFS 1.0-style baseline (FDDI)"
+             (E.figure2 ~quick:c.quick ~env:c.env ())) );
+    ( "figure3",
+      fun c ->
+        print_string
+          (E.render_laddis ~title:"Figure 3. SPEC SFS 1.0-style baseline (FDDI, Prestoserve)"
+             (E.figure3 ~quick:c.quick ~env:c.env ())) );
+    ( "ablations",
+      fun c ->
+        let quick = c.quick and env = c.env in
+        print_report (E.ablation_procrastination ~quick ~env ());
+        print_newline ();
+        print_report (E.ablation_reply_order ~quick ~env ());
+        print_newline ();
+        print_report (E.ablation_latency_device ~quick ~env ());
+        print_newline ();
+        print_report (E.ablation_mbuf_hunter ~quick ~env ());
+        print_newline ();
+        print_report (E.ablation_dumb_pc ~quick ~env ());
+        print_newline ();
+        print_report (E.ablation_disk_scheduler ~quick ~env ()) );
+    ( "extensions",
+      fun c ->
+        let quick = c.quick and env = c.env in
+        print_report (E.extension_learned_clients ~quick ~env ());
+        print_newline ();
+        print_report (E.extension_v3 ~quick ~env ());
+        print_newline ();
+        print_report (E.extension_write_modes ~quick ~env ()) );
+    ( "writegather",
+      fun c ->
+        print_string
+          (Nfsg_stats.Json.to_string ~pretty:true (E.bench_writegather ~quick:c.quick ~env:c.env ()))
+    );
+    ("multivolume", fun c -> print_report (Nfsg_experiments.Multivolume.report ~quick:c.quick ()));
+    ("laddis-curve", fun c -> print_report (Lc.report ~env:c.env ~sweep:c.curve ()));
+    ("bootstorm", fun c -> print_report (Bs.report ~env:c.env ~sweep:c.storm ()));
+    ("raid", fun c -> print_report (Nfsg_experiments.Raid.report ~quick:c.quick ()));
+    ( "chaos",
+      fun c ->
+        let module Chaos = Nfsg_experiments.Chaos in
+        let cfg =
+          if c.quick then { Chaos.default with Chaos.cycles = 2; blocks_per_writer = 60 }
+          else Chaos.default
+        in
+        let cfg = { cfg with Chaos.array_level = c.env.Rig.raid_level } in
+        let r = Chaos.run ?metrics:c.env.Rig.metrics cfg in
+        Fmt.pr "%a@." Chaos.pp_result r;
+        List.iter print_endline r.Chaos.timeline );
   ]
+
 (* iosched-probe is runnable by name but not part of "all": it reruns
    the saturating bench world twice and exists for investigations, not
-   for the paper-reproduction sweep. *)
+   for the paper-reproduction sweep. It is the tail investigation
+   behind the deadline-p99 fix: the bench world with journey tracing
+   armed, evidence dumped for the two ends of the comparison. *)
+let iosched_probe _ =
+  print_string (Nfsg_experiments.Iosched.investigate "deadline+merge");
+  print_newline ();
+  print_string (Nfsg_experiments.Iosched.investigate "fifo")
 
 let run quick scheduler raid_level sweep_points procs_max curve_configs clients_max readahead
     monitor_interval long_op_threshold metrics_json targets =
-  let targets = if targets = [] || List.mem "all" targets then names else targets in
+  let targets =
+    if targets = [] || List.mem "all" targets then List.map fst experiments else targets
+  in
   let metrics = Option.map (fun _ -> Metrics.create ()) metrics_json in
-  (* Rig-built worlds report into the shared sink; chaos (which builds
-     its own world) takes the registry as a parameter. *)
-  Nfsg_experiments.Rig.set_metrics_sink metrics;
-  Nfsg_experiments.Rig.set_scheduler_override scheduler;
-  Nfsg_experiments.Rig.set_raid_level_override raid_level;
-  Nfsg_experiments.Laddis_curve.set_sweep_points_override sweep_points;
-  Nfsg_experiments.Laddis_curve.set_procs_max_override procs_max;
-  Nfsg_experiments.Laddis_curve.set_grid_override curve_configs;
-  Nfsg_experiments.Bootstorm.set_clients_max_override clients_max;
-  Nfsg_experiments.Bootstorm.set_readahead_override readahead;
-  Nfsg_experiments.Rig.set_monitor_interval
-    (Option.map Nfsg_sim.Time.of_ms_f monitor_interval);
-  Nfsg_experiments.Rig.set_long_op_threshold
-    (Option.map Nfsg_sim.Time.of_ms_f long_op_threshold);
-  if monitor_interval <> None || long_op_threshold <> None then
-    Nfsg_experiments.Rig.set_monitor_emit (Some print_string);
+  let env =
+    {
+      Rig.metrics;
+      scheduler;
+      raid_level;
+      monitor_interval = Option.map Nfsg_sim.Time.of_ms_f monitor_interval;
+      emit =
+        (if monitor_interval <> None || long_op_threshold <> None then Some print_string
+         else None);
+      long_op_threshold = Option.map Nfsg_sim.Time.of_ms_f long_op_threshold;
+    }
+  in
+  (* Quick mode shortens the ladders rather than shrinking the
+     workload, so the rungs that do run stay comparable with the
+     committed artifacts; an explicit cap flag wins over it. *)
+  let curve =
+    let d = if quick then { Lc.default_sweep with Lc.max_points = 3 } else Lc.default_sweep in
+    {
+      d with
+      Lc.max_points = Option.value sweep_points ~default:d.Lc.max_points;
+      procs_max = Option.value procs_max ~default:d.Lc.procs_max;
+      configs = curve_configs;
+    }
+  in
+  let storm =
+    let d = if quick then { Bs.default_sweep with Bs.clients_max = 4 } else Bs.default_sweep in
+    {
+      d with
+      Bs.clients_max = Option.value clients_max ~default:d.Bs.clients_max;
+      readahead_side = readahead;
+    }
+  in
+  let ctx = { quick; env; curve; storm } in
+  let runners = ("iosched-probe", iosched_probe) :: experiments in
   List.iteri
     (fun i name ->
       if i > 0 then print_newline ();
-      run_experiment ?metrics ?raid_level quick name)
+      (List.assoc name runners) ctx)
     targets;
-  Nfsg_experiments.Rig.set_monitor_emit None;
-  Nfsg_experiments.Rig.set_long_op_threshold None;
-  Nfsg_experiments.Rig.set_monitor_interval None;
-  Nfsg_experiments.Bootstorm.set_readahead_override None;
-  Nfsg_experiments.Bootstorm.set_clients_max_override None;
-  Nfsg_experiments.Laddis_curve.set_grid_override None;
-  Nfsg_experiments.Laddis_curve.set_procs_max_override None;
-  Nfsg_experiments.Laddis_curve.set_sweep_points_override None;
-  Nfsg_experiments.Rig.set_raid_level_override None;
-  Nfsg_experiments.Rig.set_scheduler_override None;
-  Nfsg_experiments.Rig.set_metrics_sink None;
   match (metrics_json, metrics) with
   | Some file, Some m ->
       let oc = open_out file in
@@ -237,7 +246,8 @@ let targets_arg =
      multivolume, laddis-curve, bootstorm, raid, chaos, iosched-probe, or all (default; \
      excludes iosched-probe)."
   in
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+  let names = "all" :: "iosched-probe" :: List.map fst experiments in
+  Arg.(value & pos_all (enum (List.map (fun n -> (n, n)) names)) [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let cmd =
   let doc = "reproduce 'Improving the Write Performance of an NFS Server' (USENIX 1994)" in

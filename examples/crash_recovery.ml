@@ -22,7 +22,7 @@ let scenario ~accel =
   let eng = Engine.create () in
   let segment = Segment.create eng Segment.fddi in
   let disk = Disk.create eng (Disk.rz26 ()) in
-  let device = if accel then Nvram.create eng disk else disk in
+  let device = if accel then snd (Nvram.create eng disk) else disk in
   let server = Server.make eng ~segment ~addr:"server" ~device Server.default_config in
   let sock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock ~server:"server" () in

@@ -34,14 +34,6 @@ let default_config =
     long_op_threshold = None;
   }
 
-(* Write verifier (NFSv3): changes across server incarnations so a
-   client holding unstable data can detect that a reboot may have lost
-   it and must rewrite. One bump covers every volume of the
-   incarnation — it identifies the server boot, not a disk. A plain
-   boot counter keeps runs deterministic. *)
-let boot_counter = ref 0
-let () = Reset.register ~name:"server.boot_counter" (fun () -> boot_counter := 0)
-
 type t = {
   eng : Engine.t;
   segment : Nfsg_net.Segment.t;
@@ -52,6 +44,11 @@ type t = {
   sock : Nfsg_net.Socket.t;
   cpu : Resource.t;
   verf : int;
+      (** NFSv3 write verifier: the incarnation number, 1 for a freshly
+          made server and one more per restart. A client holding
+          unstable data sees it change across a reboot that may have
+          lost that data, and rewrites. One number covers every volume:
+          it identifies the server boot, not a disk. *)
   send : Svc.transport -> (Xdr.Enc.t -> unit) -> unit;  (** the reply funnel, see [make_internal] *)
   ops : (Metrics.counter * int) option array;
       (** by procedure number: its [server/ops_<PROC>] counter, resolved on
@@ -354,7 +351,7 @@ let dispatch t tr (call : Rpc.call) =
 (* The assembly shared by the fresh-format and recovery paths.
    [vols] carries, per export, its spec, the vgen to preserve (or
    [None] for a fresh one) and whether to format. *)
-let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
+let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation config vols =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let cpu = Resource.create eng "server-cpu" in
   let costs = config.costs in
@@ -379,7 +376,6 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
           ~metrics ~mkfs ~wl_config:config.write_layer spec)
       vols
   in
-  incr boot_counter;
   let journeys =
     Journey.create eng ~metrics ?threshold:config.long_op_threshold ?event_trace:trace ()
   in
@@ -393,7 +389,7 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
       legacy_ns;
       sock;
       cpu;
-      verf = !boot_counter;
+      verf = incarnation;
       send;
       ops = Array.make (Proto.proc_commit + 1) None (* COMMIT has the highest number *);
       vol_ops = Array.of_list (List.map (fun _ -> Array.make (Proto.proc_commit + 1) None) volumes);
@@ -422,13 +418,13 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns config vols =
 
 let make_exports eng ~segment ~addr ?trace ?metrics ?(mkfs = true) config specs =
   if specs = [] then invalid_arg "Server.make_exports: need at least one volume";
-  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false config
+  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false ~incarnation:1 config
     (List.map (fun spec -> (spec, None, mkfs)) specs)
 
 (* The historical single-volume constructor, kept as the 1-volume
    special case with its historical metrics namespaces. *)
 let make eng ~segment ~addr ~device ?trace ?metrics ?(mkfs = true) config =
-  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:true config
+  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:true ~incarnation:1 config
     [
       ( Volume.spec ?cache_blocks:config.cache_blocks ?readahead:config.readahead "/export" device,
         None,
@@ -444,12 +440,12 @@ let recover t =
   (* Every device recovers (NVRAM replay where fitted), every volume
      remounts fsck-style from stable storage; the volume generations
      are preserved — a reboot does not invalidate client handles — and
-     the shared write verifier bumps exactly once for the incarnation. *)
+     the shared write verifier moves to the next incarnation number. *)
   List.iter (fun v -> (Volume.device v).Nfsg_disk.Device.recover ()) t.volumes;
   (* Same registry across incarnations: find-or-create registration
      means the restarted server keeps counting where this one stopped. *)
   make_internal t.eng ~segment:t.segment ~addr:t.addr ?trace:t.trace ~metrics:t.metrics
-    ~legacy_ns:t.legacy_ns t.config
+    ~legacy_ns:t.legacy_ns ~incarnation:(t.verf + 1) t.config
     (List.map (fun v -> (Volume.spec_of v, Some (Volume.vgen v), false)) t.volumes)
 
 let restart = recover

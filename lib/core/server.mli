@@ -90,9 +90,10 @@ val write_layer : t -> Write_layer.t
 val socket : t -> Nfsg_net.Socket.t
 
 val write_verifier : t -> int
-(** The NFSv3 write verifier of this server incarnation; {!recover}
-    yields a different one, which is how v3 clients learn that
-    uncommitted data may have been lost. *)
+(** The NFSv3 write verifier: this server's incarnation number, 1 from
+    {!make} or {!make_exports}; {!recover} yields the next one, which
+    is how v3 clients learn that uncommitted data may have been
+    lost. *)
 
 val op_count : t -> int -> int
 (** Requests this incarnation dispatched for an NFS procedure number:
@@ -115,7 +116,8 @@ val crash : t -> unit
 val recover : t -> t
 (** Reboot after {!crash}: per-volume device recovery (NVRAM replay)
     and fsck-style remount, fresh daemons, same network address (the
-    crashed incarnation left the wire), one shared write-verifier bump.
+    crashed incarnation left the wire), and the next incarnation number
+    as the shared write verifier.
     Volume generations are preserved, so handles minted before the
     crash stay valid; clients that keep retransmitting ride through
     the outage: their RPCs go unanswered while the server is down and

@@ -378,8 +378,7 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
     ?(merge_limit = 128 * 1024) g =
   let metrics = match metrics with Some m -> m | None -> Nfsg_stats.Metrics.create () in
   let rec ring =
-    { it = Io.Barrier { tag = -1; done_ = Ivar.create () }; enq = Time.zero; batch = no_batch;
-      prev = ring; next = ring }
+    { it = Io.barrier (); enq = Time.zero; batch = no_batch; prev = ring; next = ring }
   in
   let st =
     {

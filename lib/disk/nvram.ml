@@ -65,7 +65,7 @@ let make_inst metrics ~name =
   M.set i.m_battery_gauge 1.0;
   i
 
-type state = {
+type t = {
   eng : Engine.t;
   p : params;
   backing : Device.t;
@@ -180,23 +180,9 @@ let overlay st ~off buf =
   | None -> ());
   Extent_map.apply st.dirty ~off buf
 
-(* Weak registry: lets {!dirty_bytes} find the internal state of a
-   device without pinning retired simulation worlds (and their 96 MB
-   platters) in memory forever. *)
-(* nfslint: allow S001 weak ephemeron registry whose entries die with their devices; emptying it would orphan NVRAM devices that are still live *)
-let registry : (Device.t, state) Ephemeron.K1.t list ref = ref []
-
-let state_of dev =
-  let rec find = function
-    | [] -> invalid_arg "Nvram: not an NVRAM device"
-    | e :: rest -> (
-        match Ephemeron.K1.query e dev with Some st -> st | None -> find rest)
-  in
-  find !registry
-
-let dirty_bytes dev = used (state_of dev)
-let flush_retries dev = (state_of dev).flush_retries
-let battery_ok dev = (state_of dev).battery_ok
+let dirty_bytes st = used st
+let flush_retries st = st.flush_retries
+let battery_ok st = st.battery_ok
 
 (* A detected battery fault, as a real Prestoserve driver handles it:
    the board stops accepting new dirty data (writes degrade to
@@ -204,8 +190,7 @@ let battery_ok dev = (state_of dev).battery_ok
    drains what it holds to the platter as fast as it can. Until that
    drain completes the board's contents are volatile — a power crash in
    the window loses them (see {!recover}). *)
-let fail_battery dev =
-  let st = state_of dev in
+let fail_battery st =
   if st.battery_ok then begin
     st.battery_ok <- false;
     st.draining <- true;
@@ -214,8 +199,7 @@ let fail_battery dev =
     Condition.signal st.more
   end
 
-let repair_battery dev =
-  let st = state_of dev in
+let repair_battery st =
   st.battery_ok <- true;
   Nfsg_stats.Metrics.set st.inst.m_battery_gauge 1.0
 
@@ -391,5 +375,4 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
       stable_write = backing.Device.stable_write;
     }
   in
-  registry := Ephemeron.K1.make dev st :: !registry;
-  dev
+  (st, dev)

@@ -25,6 +25,9 @@ type params = {
 
 val default_params : params
 
+type t
+(** One board: the handle its fault hooks and gauges take. *)
+
 val create :
   Nfsg_sim.Engine.t ->
   ?name:string ->
@@ -32,8 +35,8 @@ val create :
   ?metrics:Nfsg_stats.Metrics.t ->
   ?cpu_charge:(Nfsg_sim.Time.t -> unit) ->
   Device.t ->
-  Device.t
-(** [create eng backing] — the returned device reports
+  t * Device.t
+(** [create eng backing] is [(board, device)]; the device reports
     [accelerated = true]. [cpu_charge] is called with the duration of
     every NVRAM copy so the server CPU account sees the cost the paper
     attributes to Presto ("copy data to NVRAM"). [metrics] registers
@@ -43,29 +46,25 @@ val create :
     histogram, and [dirty_bytes] / [battery_ok] gauges (private
     registry when omitted). *)
 
-val dirty_bytes : Device.t -> int
-(** Dirty bytes currently in NVRAM of a device made by {!create}.
-    Raises [Invalid_argument] for other devices. *)
+val dirty_bytes : t -> int
+(** Dirty bytes currently in the board's RAM. *)
 
-(** {1 Fault hooks}
+(** {1 Fault hooks} *)
 
-    All take a device made by {!create} and raise [Invalid_argument]
-    for any other device. *)
-
-val fail_battery : Device.t -> unit
+val fail_battery : t -> unit
 (** Detected battery fault: the board stops accepting new dirty data
     (writes become synchronous pass-through and [accelerated] reports
     false) and starts draining its contents to the backing device. Until
     the drain completes the board's RAM is volatile: a {!Device.t.crash}
     in that window loses it ({!Device.t.recover} replays nothing). *)
 
-val repair_battery : Device.t -> unit
+val repair_battery : t -> unit
 (** Battery replaced: the board accepts and acknowledges writes from
     RAM again. *)
 
-val battery_ok : Device.t -> bool
+val battery_ok : t -> bool
 
-val flush_retries : Device.t -> int
+val flush_retries : t -> int
 (** Backing-store {!Device.Io_error}s the background flusher absorbed
     (each is retried after a pause; battery-backed data is never lost
     to a transient spindle error). *)

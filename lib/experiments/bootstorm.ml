@@ -25,6 +25,7 @@ type sweep = {
   clients_max : int;  (** ladder cap *)
   stagger : Time.t;  (** power-on spacing between fleet members *)
   knee_frac : float;  (** saturated when achieved < frac * offered *)
+  readahead_side : bool option;  (** run one side of the pair only; [None] = both *)
 }
 
 let default_sweep =
@@ -40,6 +41,7 @@ let default_sweep =
        the laddis-curve default: a rung counts as kept-up while the
        fleet still collects a majority of its perfectly-scaled rate. *)
     knee_frac = 0.55;
+    readahead_side = None;
   }
 
 (* Fleet sizes double to the cap: 1, 2, 4, ... clients_max. *)
@@ -60,28 +62,6 @@ let variants =
     { label = "readahead"; readahead = Some Buffer_cache.default_readahead };
   ]
 
-(* {1 Global overrides}
-
-   Same Reset-registered shape as the laddis-curve overrides: the
-   nfsgather flags install them before the target runs and clear them
-   after. *)
-
-let clients_max_override : int option ref = ref None
-let () = Reset.register ~name:"bootstorm.clients_max" (fun () -> clients_max_override := None)
-let set_clients_max_override n = clients_max_override := n
-
-let readahead_override : bool option ref = ref None
-let () = Reset.register ~name:"bootstorm.readahead" (fun () -> readahead_override := None)
-let set_readahead_override b = readahead_override := b
-
-let effective_sweep sweep =
-  match !clients_max_override with Some n -> { sweep with clients_max = n } | None -> sweep
-
-let effective_variants () =
-  match !readahead_override with
-  | None -> variants
-  | Some on -> List.filter (fun v -> (v.readahead <> None) = on) variants
-
 (* {1 One rung: a fleet of [clients] in a fresh world} *)
 
 type point = {
@@ -97,7 +77,7 @@ type point = {
   readahead_wasted : int;
 }
 
-let run_rung sweep ~readahead ~clients =
+let run_rung ?env sweep ~readahead ~clients =
   let spec =
     {
       Rig.default_spec with
@@ -106,7 +86,7 @@ let run_rung sweep ~readahead ~clients =
       readahead;
     }
   in
-  let rig = Rig.make spec in
+  let rig = Rig.make ?env spec in
   let eng = rig.Rig.eng in
   Rig.run rig (fun () ->
       (* Build the boot file set read-write, then protect the export
@@ -176,13 +156,15 @@ type curve = {
   capacity_clients : int;  (** biggest fleet the export kept up with *)
 }
 
-let run_variant sweep (v : variant) =
+let run_variant ?env sweep (v : variant) =
   (* The one-client rung calibrates the offered scale: a fleet of k
      that scaled perfectly would achieve k x that rate. Walk the whole
      ladder (fleets are finite tasks, not paced loops, so every rung
      terminates) and let knee detection read the curve afterwards. *)
   let points =
-    List.map (fun k -> run_rung sweep ~readahead:v.readahead ~clients:k) (ladder sweep.clients_max)
+    List.map
+      (fun k -> run_rung ?env sweep ~readahead:v.readahead ~clients:k)
+      (ladder sweep.clients_max)
   in
   let per_client = match points with p :: _ -> p.achieved | [] -> 0.0 in
   let points =
@@ -202,14 +184,18 @@ let run_variant sweep (v : variant) =
     capacity_clients = List.fold_left (fun a p -> Stdlib.max a p.clients) 0 kept_up;
   }
 
-let run ?(sweep = default_sweep) () =
-  let sweep = effective_sweep sweep in
-  List.map (run_variant sweep) (effective_variants ())
+let run ?env ?(sweep = default_sweep) () =
+  let variants =
+    match sweep.readahead_side with
+    | None -> variants
+    | Some on -> List.filter (fun (v : variant) -> (v.readahead <> None) = on) variants
+  in
+  List.map (run_variant ?env sweep) variants
 
 (* {1 Rendering} *)
 
-let report ?(sweep = default_sweep) () =
-  let curves = run ~sweep () in
+let report ?env ?(sweep = default_sweep) () =
+  let curves = run ?env ~sweep () in
   let report =
     Report.create ~title:"Boot storm: diskless fleet vs shared read-only export"
       ~columns:(List.map (fun c -> c.label) curves)
@@ -232,8 +218,8 @@ let report ?(sweep = default_sweep) () =
 
    The committed artifact CI regenerates and byte-diffs, same contract
    as the other five: one fixed modest sweep regardless of quick/full
-   mode, overrides honoured (the determinism test runs a tiny ladder
-   through them). *)
+   mode; a caller's sweep applies here too (the determinism test runs
+   a tiny ladder). *)
 
 let json_of_curves sweep curves =
   let json_point p =
@@ -293,6 +279,4 @@ let json_of_curves sweep curves =
       ("configs", Json.List (List.map json_curve curves));
     ]
 
-let bench_bootstorm ?(sweep = default_sweep) () =
-  let sweep = effective_sweep sweep in
-  json_of_curves sweep (List.map (run_variant sweep) (effective_variants ()))
+let bench_bootstorm ?env ?(sweep = default_sweep) () = json_of_curves sweep (run ?env ~sweep ())

@@ -14,6 +14,9 @@ type sweep = {
   clients_max : int;  (** ladder cap *)
   stagger : Nfsg_sim.Time.t;  (** power-on spacing between fleet members *)
   knee_frac : float;  (** saturated when achieved < frac * offered *)
+  readahead_side : bool option;
+      (** run one side of the pair only ([Some true] = read-ahead on,
+          [Some false] = off); [None] = both *)
 }
 
 val default_sweep : sweep
@@ -25,17 +28,6 @@ type variant = { label : string; readahead : Nfsg_ufs.Buffer_cache.readahead opt
 
 val variants : variant list
 (** The configuration pair: ["no-readahead"] and ["readahead"]. *)
-
-(** {1 Global overrides} (Reset-registered, installed by nfsgather) *)
-
-val set_clients_max_override : int option -> unit
-(** Cap (or restore) the fleet ladder of every subsequent sweep — the
-    nfsgather [--clients-max] flag. *)
-
-val set_readahead_override : bool option -> unit
-(** Restrict every subsequent sweep to one side of the pair
-    ([Some true] = read-ahead on only, [Some false] = off only) — the
-    nfsgather [--readahead] flag. [None] restores both. *)
 
 (** {1 Running} *)
 
@@ -61,10 +53,13 @@ type curve = {
   capacity_clients : int;  (** biggest fleet the export kept up with *)
 }
 
-val run : ?sweep:sweep -> unit -> curve list
-val report : ?sweep:sweep -> unit -> Nfsg_stats.Report.t
+val run : ?env:Rig.env -> ?sweep:sweep -> unit -> curve list
+(** Walk [sweep] (default {!default_sweep}); every rung is a fresh
+    world built under [env]. *)
 
-val bench_bootstorm : ?sweep:sweep -> unit -> Nfsg_stats.Json.t
+val report : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Report.t
+
+val bench_bootstorm : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Json.t
 (** The committed BENCH_bootstorm.json artifact: one fixed modest
-    ladder (same bytes regardless of quick/full), honouring the
-    overrides above. *)
+    ladder (same bytes regardless of quick/full); a caller's [sweep]
+    replaces it. *)

@@ -127,8 +127,11 @@ let run ?metrics cfg =
         (Stripe.device arr, Array.map fst wrapped, Some arr)
   in
   let injector, faulty = Fault_disk.wrap eng ~seed:(cfg.seed lxor 0xfa01) base in
-  let device =
-    if cfg.accel then Nvram.create eng ~params:Calib.nvram_params ~metrics faulty else faulty
+  let board, device =
+    if cfg.accel then
+      let board, device = Nvram.create eng ~params:Calib.nvram_params ~metrics faulty in
+      (Some board, device)
+    else (None, faulty)
   in
   let sconfig = { Server.default_config with Server.nfsds = cfg.nfsds; dupcache = cfg.dupcache } in
   let server = ref (Server.make eng ~segment ~addr:"server" ~device ~metrics sconfig) in
@@ -326,16 +329,16 @@ let run ?metrics cfg =
       let cycle_start = Engine.now eng in
       (* Quiet phase: battery episode, then one non-idempotent burst,
          completed before any crash is armed. *)
-      if cfg.accel && k = 2 then begin
-        note "nvram battery failure (orderly drain begins)";
-        Nvram.fail_battery device;
-        wait_for (fun () -> Nvram.dirty_bytes device = 0);
-        note "nvram drained, accelerated=%b" (device.Device.accelerated ())
-      end;
-      if cfg.accel && k = 3 then begin
-        Nvram.repair_battery device;
-        note "nvram battery replaced, accelerated=%b" (device.Device.accelerated ())
-      end;
+      (match board with
+      | Some board when k = 2 ->
+          note "nvram battery failure (orderly drain begins)";
+          Nvram.fail_battery board;
+          wait_for (fun () -> Nvram.dirty_bytes board = 0);
+          note "nvram drained, accelerated=%b" (device.Device.accelerated ())
+      | Some board when k = 3 ->
+          Nvram.repair_battery board;
+          note "nvram battery replaced, accelerated=%b" (device.Device.accelerated ())
+      | _ -> ());
       incr burst_req;
       wait_for (fun () -> !bursts_done >= !burst_req);
       (* Fault windows: disk errors always; degraded spindle and hung

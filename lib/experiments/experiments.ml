@@ -11,35 +11,35 @@ let size quick = if quick then 2 * 1024 * 1024 + 512 * 1024 else Calib.file_size
 let paper_biods = [ 0; 3; 7; 11; 15 ]
 let stripe_biods = [ 0; 3; 7; 11; 15; 19; 23 ]
 
-let table1 ?(quick = false) () =
-  Filecopy.table ~title:"Table 1. NFS 10MB file copy: Ethernet" ~net:Calib.Ethernet ~accel:false
+let table1 ?(quick = false) ?env () =
+  Filecopy.table ?env ~title:"Table 1. NFS 10MB file copy: Ethernet" ~net:Calib.Ethernet ~accel:false
     ~spindles:1 ~biods:paper_biods ~total:(size quick) ()
 
-let table2 ?(quick = false) () =
-  Filecopy.table ~title:"Table 2. NFS 10MB file copy: Ethernet, Presto" ~net:Calib.Ethernet
+let table2 ?(quick = false) ?env () =
+  Filecopy.table ?env ~title:"Table 2. NFS 10MB file copy: Ethernet, Presto" ~net:Calib.Ethernet
     ~accel:true ~spindles:1 ~biods:paper_biods ~total:(size quick) ()
 
-let table3 ?(quick = false) () =
-  Filecopy.table ~title:"Table 3. NFS 10MB file copy: FDDI" ~net:Calib.Fddi ~accel:false
+let table3 ?(quick = false) ?env () =
+  Filecopy.table ?env ~title:"Table 3. NFS 10MB file copy: FDDI" ~net:Calib.Fddi ~accel:false
     ~spindles:1 ~biods:paper_biods ~total:(size quick) ()
 
-let table4 ?(quick = false) () =
-  Filecopy.table ~title:"Table 4. NFS 10MB file copy: FDDI, Presto" ~net:Calib.Fddi ~accel:true
+let table4 ?(quick = false) ?env () =
+  Filecopy.table ?env ~title:"Table 4. NFS 10MB file copy: FDDI, Presto" ~net:Calib.Fddi ~accel:true
     ~spindles:1 ~biods:paper_biods ~total:(size quick) ()
 
-let table5 ?(quick = false) () =
-  Filecopy.table ~title:"Table 5. NFS 10MB file copy: FDDI, 3 striped drives" ~net:Calib.Fddi
+let table5 ?(quick = false) ?env () =
+  Filecopy.table ?env ~title:"Table 5. NFS 10MB file copy: FDDI, 3 striped drives" ~net:Calib.Fddi
     ~accel:false ~spindles:3 ~biods:stripe_biods ~total:(size quick) ()
 
-let table6 ?(quick = false) () =
-  Filecopy.table ~title:"Table 6. NFS 10MB file copy: FDDI, Presto, 3 striped drives"
+let table6 ?(quick = false) ?env () =
+  Filecopy.table ?env ~title:"Table 6. NFS 10MB file copy: FDDI, Presto, 3 striped drives"
     ~net:Calib.Fddi ~accel:true ~spindles:3 ~biods:stripe_biods ~total:(size quick) ()
 
 (* {1 Figure 1: event timelines} *)
 
-let figure1_trace ~gathering =
+let figure1_trace ?env ~gathering () =
   let spec = { Rig.default_spec with Rig.net = Calib.Fddi; gathering; trace = true } in
-  let rig = Rig.make spec in
+  let rig = Rig.make ?env spec in
   Rig.run rig (fun () ->
       let client = Rig.new_client rig ~biods:4 "client" in
       (* Write 200K; the interesting steady-state is >100K into the
@@ -60,9 +60,9 @@ let figure1_trace ~gathering =
              Printf.sprintf "  t=+%7.3fms  %-8s %s\n" (Time.to_ms_f (t - t0)) actor ev)
            mid)
 
-let figure1 () =
-  let std = figure1_trace ~gathering:false in
-  let gat = figure1_trace ~gathering:true in
+let figure1 ?env () =
+  let std = figure1_trace ?env ~gathering:false () in
+  let gat = figure1_trace ?env ~gathering:true () in
   "Figure 1. Write Gathering NFS Server Comparison\n"
   ^ "(sequential file writer, 4 biods, FDDI, rz26 disk; window >100K into the file)\n\n"
   ^ "--- Standard server ---\n" ^ std ^ "\n--- Gathering server ---\n" ^ gat
@@ -80,7 +80,7 @@ type laddis_curve = {
 
 (* The paper's Figure 2/3 server: DEC 3800, FDDI, 20 disks on 5 SCSI
    buses, 32 nfsds. *)
-let laddis_point ~accel ~gathering ~offered ~cfg =
+let laddis_point ?env ~accel ~gathering ~offered ~cfg () =
   let spec =
     {
       Rig.default_spec with
@@ -99,17 +99,17 @@ let laddis_point ~accel ~gathering ~offered ~cfg =
       cache_blocks = Some 1024;
     }
   in
-  let rig = Rig.make spec in
+  let rig = Rig.make ?env spec in
   Rig.run rig (fun () ->
       let make_client i = Rig.new_client rig ~biods:cfg.Laddis.biods_per_proc (Printf.sprintf "lc%d" i) in
       let p = Laddis.run rig.Rig.eng ~make_client ~root:(Rig.root rig) ~offered cfg in
       { offered = p.Laddis.offered; achieved = p.Laddis.achieved; avg_latency_ms = p.Laddis.avg_latency_ms })
 
-let laddis_curve ~accel ~gathering ~label ~loads ~cfg =
+let laddis_curve ?env ~accel ~gathering ~label ~loads ~cfg () =
   let points =
     List.map
       (fun offered ->
-        let p = laddis_point ~accel ~gathering ~offered ~cfg in
+        let p = laddis_point ?env ~accel ~gathering ~offered ~cfg () in
         (* Each point retires a whole simulated world (~200 MB of
            platters); reclaim it before building the next. *)
         Gc.full_major ();
@@ -137,15 +137,15 @@ let laddis_cfg quick =
   in
   if quick then { base with Laddis.warmup = Time.sec 1; measure = Time.sec 4 } else base
 
-let figure2 ?(quick = false) () =
+let figure2 ?(quick = false) ?env () =
   let cfg = laddis_cfg quick and loads = laddis_loads quick in
-  ( laddis_curve ~accel:false ~gathering:false ~label:"WITHOUT WRITE GATHERING" ~loads ~cfg,
-    laddis_curve ~accel:false ~gathering:true ~label:"WITH WRITE GATHERING" ~loads ~cfg )
+  ( laddis_curve ?env ~accel:false ~gathering:false ~label:"WITHOUT WRITE GATHERING" ~loads ~cfg (),
+    laddis_curve ?env ~accel:false ~gathering:true ~label:"WITH WRITE GATHERING" ~loads ~cfg () )
 
-let figure3 ?(quick = false) () =
+let figure3 ?(quick = false) ?env () =
   let cfg = laddis_cfg quick and loads = laddis_loads quick in
-  ( laddis_curve ~accel:true ~gathering:false ~label:"WITHOUT WRITE GATHERING" ~loads ~cfg,
-    laddis_curve ~accel:true ~gathering:true ~label:"WITH WRITE GATHERING" ~loads ~cfg )
+  ( laddis_curve ?env ~accel:true ~gathering:false ~label:"WITHOUT WRITE GATHERING" ~loads ~cfg (),
+    laddis_curve ?env ~accel:true ~gathering:true ~label:"WITH WRITE GATHERING" ~loads ~cfg () )
 
 let render_laddis ~title (without, with_) =
   let buf = Buffer.create 1024 in
@@ -170,13 +170,13 @@ let render_laddis ~title (without, with_) =
 
 (* {1 Ablations} *)
 
-let copy_with_config ?(net = Calib.Fddi) ?(accel = false) ~biods ~total overrides =
+let copy_with_config ?env ?(net = Calib.Fddi) ?(accel = false) ~biods ~total overrides =
   let spec =
     { Rig.default_spec with Rig.net; accel; gathering = true; write_layer_overrides = overrides }
   in
-  Filecopy.run_cell ~spec ~biods ~total ()
+  Filecopy.run_cell ?env ~spec ~biods ~total ()
 
-let ablation_procrastination ?(quick = false) () =
+let ablation_procrastination ?(quick = false) ?env () =
   let total = size quick in
   let intervals_ms = [ 0.0; 1.0; 2.0; 4.0; 5.0; 8.0; 12.0; 16.0 ] in
   let report =
@@ -186,7 +186,7 @@ let ablation_procrastination ?(quick = false) () =
   let cells =
     List.map
       (fun ms ->
-        copy_with_config ~biods:7 ~total (fun c ->
+        copy_with_config ?env ~biods:7 ~total (fun c ->
             { c with Write_layer.procrastinate = Time.of_ms_f ms }))
       intervals_ms
   in
@@ -195,7 +195,7 @@ let ablation_procrastination ?(quick = false) () =
   Report.add_row report "server cpu util. (%)" (List.map (fun c -> c.Filecopy.cpu_pct) cells);
   report
 
-let ablation_reply_order ?(quick = false) () =
+let ablation_reply_order ?(quick = false) ?env () =
   let total = size quick in
   let biods_list = [ 1; 2; 4 ] in
   let report =
@@ -206,7 +206,7 @@ let ablation_reply_order ?(quick = false) () =
     let cells =
       List.map
         (fun biods ->
-          copy_with_config ~biods ~total (fun c -> { c with Write_layer.reply_order = order }))
+          copy_with_config ?env ~biods ~total (fun c -> { c with Write_layer.reply_order = order }))
         biods_list
     in
     Report.add_row report label (List.map (fun c -> c.Filecopy.client_kb_s) cells)
@@ -215,7 +215,7 @@ let ablation_reply_order ?(quick = false) () =
   row `Lifo "LIFO client write speed (KB/sec)";
   report
 
-let ablation_latency_device ?(quick = false) () =
+let ablation_latency_device ?(quick = false) ?env () =
   let total = size quick in
   let report =
     Report.create ~title:"Ablation: procrastination vs SIVA93 first-write latency device (7 biods)"
@@ -225,7 +225,7 @@ let ablation_latency_device ?(quick = false) () =
     let cells =
       List.map
         (fun accel ->
-          copy_with_config ~accel ~biods:7 ~total (fun c ->
+          copy_with_config ?env ~accel ~biods:7 ~total (fun c ->
               { c with Write_layer.latency_device = device }))
         [ false; true ]
     in
@@ -236,7 +236,7 @@ let ablation_latency_device ?(quick = false) () =
   row `First_write "first-write (SIVA93)";
   report
 
-let ablation_mbuf_hunter ?(quick = false) () =
+let ablation_mbuf_hunter ?(quick = false) ?env () =
   let total = size quick in
   let report =
     Report.create ~title:"Ablation: mbuf hunter under Prestoserve (8 biods)"
@@ -254,7 +254,7 @@ let ablation_mbuf_hunter ?(quick = false) () =
               write_layer_overrides = (fun c -> { c with Write_layer.use_mbuf_hunter = hunter });
             }
           in
-          Filecopy.run_cell ~spec ~biods:8 ~total ())
+          Filecopy.run_cell ?env ~spec ~biods:8 ~total ())
         [ 1; 8 ]
     in
     Report.add_row report (label ^ " writes/metadata update")
@@ -265,7 +265,7 @@ let ablation_mbuf_hunter ?(quick = false) () =
   row false "hunter off";
   report
 
-let ablation_disk_scheduler ?(quick = false) () =
+let ablation_disk_scheduler ?(quick = false) ?env () =
   (* A deep random READ queue is where the elevator earns its keep:
      eight client hosts issue uncached 8K reads concurrently. *)
   let reads_per_client = if quick then 40 else 160 in
@@ -281,7 +281,7 @@ let ablation_disk_scheduler ?(quick = false) () =
         let spec =
           { Rig.default_spec with Rig.gathering = false; disk_scheduler; cache_blocks = Some 64 }
         in
-        let rig = Rig.make spec in
+        let rig = Rig.make ?env spec in
         let elapsed =
           Rig.run rig (fun () ->
               (* One client seeds a large file... *)
@@ -325,7 +325,7 @@ let copy_elapsed rig ~client ~total =
   Rig.run rig (fun () ->
       File_writer.run rig.Rig.eng client ~dir:(Rig.root rig) ~name:"x.dat" ~total ())
 
-let extension_learned_clients ?(quick = false) () =
+let extension_learned_clients ?(quick = false) ?env () =
   let total = size quick in
   let report =
     Report.create ~title:"Extension: Mogul's learned-client database (Ethernet)"
@@ -338,7 +338,7 @@ let extension_learned_clients ?(quick = false) () =
           let spec =
             { Rig.default_spec with Rig.net = Calib.Ethernet; write_layer_overrides = overrides }
           in
-          let rig = Rig.make spec in
+          let rig = Rig.make ?env spec in
           let client = Rig.new_client rig ~biods "client" in
           (* Warm the learned database with a first copy, then measure
              a second one: the dumb PC's writes stop procrastinating. *)
@@ -356,7 +356,7 @@ let extension_learned_clients ?(quick = false) () =
     List.map
       (fun biods ->
         let spec = { Rig.default_spec with Rig.net = Calib.Ethernet; gathering = false } in
-        (Filecopy.run_cell ~spec ~biods ~total ()).Filecopy.client_kb_s)
+        (Filecopy.run_cell ?env ~spec ~biods ~total ()).Filecopy.client_kb_s)
       [ 0; 7 ]
   in
   Report.add_row report "standard server (KB/sec)" std_cells;
@@ -366,7 +366,7 @@ let extension_learned_clients ?(quick = false) () =
     "gathering + learned clients (KB/sec)";
   report
 
-let extension_v3 ?(quick = false) () =
+let extension_v3 ?(quick = false) ?env () =
   let total = size quick in
   let report =
     Report.create ~title:"Extension: NFS v2 vs v3 async writes + COMMIT (FDDI, 8 biods)"
@@ -377,7 +377,7 @@ let extension_v3 ?(quick = false) () =
       List.map
         (fun gathering ->
           let spec = { Rig.default_spec with Rig.gathering } in
-          let rig = Rig.make spec in
+          let rig = Rig.make ?env spec in
           let client = Rig.new_client rig ~biods:8 ~protocol "client" in
           let r = copy_elapsed rig ~client ~total in
           let d = Rig.spindle_stats rig in
@@ -392,7 +392,7 @@ let extension_v3 ?(quick = false) () =
   row Client.V3 "v3 (unstable+COMMIT)";
   report
 
-let extension_write_modes ?(quick = false) () =
+let extension_write_modes ?(quick = false) ?env () =
   let total = size quick in
   let report =
     Report.create ~title:"Extension: write-layer modes (FDDI, 7 biods)"
@@ -404,7 +404,7 @@ let extension_write_modes ?(quick = false) () =
         let spec =
           { Rig.default_spec with Rig.gathering = true; write_layer_overrides = (fun _ -> wl) }
         in
-        Filecopy.run_cell ~spec ~biods:7 ~total ())
+        Filecopy.run_cell ?env ~spec ~biods:7 ~total ())
       [ Write_layer.standard; Write_layer.default_gathering; Write_layer.unsafe_async ]
   in
   Report.add_row report "client write speed (KB/sec)" (List.map (fun c -> c.Filecopy.client_kb_s) cells);
@@ -412,7 +412,7 @@ let extension_write_modes ?(quick = false) () =
   Report.add_text_row report "acknowledged data survives a crash" [ "yes"; "yes"; "NO" ];
   report
 
-let ablation_dumb_pc ?(quick = false) () =
+let ablation_dumb_pc ?(quick = false) ?env () =
   let total = size quick in
   let report =
     Report.create ~title:"Ablation: single-threaded (0-biod) client penalty"
@@ -422,7 +422,7 @@ let ablation_dumb_pc ?(quick = false) () =
     List.map
       (fun net ->
         let spec = { Rig.default_spec with Rig.net; gathering } in
-        Filecopy.run_cell ~spec ~biods:0 ~total ())
+        Filecopy.run_cell ?env ~spec ~biods:0 ~total ())
       [ Calib.Ethernet; Calib.Fddi ]
   in
   let std = cells false and gat = cells true in
@@ -450,19 +450,17 @@ module Names = Nfsg_stats.Names
 
 let bench_biods = 7
 
-let bench_writegather ?(quick = false) ?total () =
+let bench_writegather ?(quick = false) ?(env = Rig.default_env) ?total () =
   let total = match total with Some t -> t | None -> size quick in
   let writes = (total + 8191) / 8192 in
   (* Each mode row must read its own registry — a shared --metrics-json
      sink would accumulate one row's latency and batch histograms into
-     the next. Park the sink for the duration. *)
-  let saved_sink = Rig.metrics_sink () in
-  Rig.set_metrics_sink None;
-  Fun.protect ~finally:(fun () -> Rig.set_metrics_sink saved_sink) @@ fun () ->
+     the next. *)
+  let env = { env with Rig.metrics = None } in
   let row ~mode ~gathering ~accel =
     Gc.full_major ();
     let spec = { Rig.default_spec with Rig.net = Calib.Fddi; gathering; accel } in
-    let rig = Rig.make spec in
+    let rig = Rig.make ~env spec in
     let m = Rig.metrics rig in
     Rig.run rig (fun () ->
         let client = Rig.new_client rig ~biods:bench_biods "client" in

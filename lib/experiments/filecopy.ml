@@ -11,11 +11,11 @@ type cell = {
   mean_batch : float;
 }
 
-let run_cell ~spec ~biods ?(total = Calib.file_size) () =
+let run_cell ?env ~spec ~biods ?(total = Calib.file_size) () =
   (* Reclaim the previous cell's simulated world before allocating
      another set of 96 MB platters. *)
   Gc.full_major ();
-  let rig = Rig.make spec in
+  let rig = Rig.make ?env spec in
   Rig.run rig (fun () ->
       let client = Rig.new_client rig ~biods "client" in
       let result, window =
@@ -35,7 +35,7 @@ let run_cell ~spec ~biods ?(total = Calib.file_size) () =
         mean_batch = Write_layer.mean_batch_size (Server.write_layer rig.Rig.server);
       })
 
-let table ~title ~net ~accel ~spindles ~biods ?total () =
+let table ?env ~title ~net ~accel ~spindles ~biods ?total () =
   let columns = List.map string_of_int biods in
   let report = Report.create ~title ~columns in
   let section gathering label =
@@ -44,7 +44,7 @@ let table ~title ~net ~accel ~spindles ~biods ?total () =
       List.map
         (fun b ->
           let spec = { Rig.default_spec with Rig.net; accel; spindles; gathering } in
-          run_cell ~spec ~biods:b ?total ())
+          run_cell ?env ~spec ~biods:b ?total ())
         biods
     in
     Report.add_row report "client write speed (KB/sec)" (List.map (fun c -> c.client_kb_s) cells);

@@ -10,12 +10,13 @@ type cell = {
   mean_batch : float;  (** gathered writes per metadata update *)
 }
 
-val run_cell : spec:Rig.spec -> biods:int -> ?total:int -> unit -> cell
-(** A fresh world, one client with [biods] biods, one 10 MB (default)
+val run_cell : ?env:Rig.env -> spec:Rig.spec -> biods:int -> ?total:int -> unit -> cell
+(** A fresh world (built under [env]), one client with [biods] biods, one 10 MB (default)
     file copy, measured around the copy. Verifies byte fidelity and
     raises [Failure] if the file reads back wrong. *)
 
 val table :
+  ?env:Rig.env ->
   title:string ->
   net:Calib.net ->
   accel:bool ->

@@ -17,6 +17,10 @@ type sweep = {
   max_points : int;  (** ladder cap if the knee never appears *)
   procs_max : int;  (** load-generator pool ceiling *)
   knee_frac : float;  (** saturated when achieved < frac * offered *)
+  configs : string list option;
+      (** run only the {!grid} configurations with these labels, in
+          grid order; [None] = the whole grid. An unknown label makes
+          the sweep raise [Invalid_argument] before it builds a world. *)
 }
 
 val default_sweep : sweep
@@ -42,21 +46,6 @@ val capacity_rating : ?frac:float -> (float * float) list -> float
     (achieved >= frac * offered); falls back to the best achieved
     anywhere when every rung sagged, and 0 for an empty ladder. *)
 
-(** {1 Global overrides} (Reset-registered, installed by nfsgather) *)
-
-val set_sweep_points_override : int option -> unit
-(** Cap (or restore) the ladder length of every subsequent sweep — the
-    nfsgather [--sweep-points] flag. *)
-
-val set_procs_max_override : int option -> unit
-(** Cap (or restore) the load-generator pool of every subsequent sweep
-    — the nfsgather [--procs-max] flag. *)
-
-val set_grid_override : string list option -> unit
-(** Restrict every subsequent sweep to the named grid configurations —
-    the nfsgather [--curve-configs] flag. Raises [Invalid_argument] on
-    an unknown label. *)
-
 (** {1 Running} *)
 
 type curve = {
@@ -67,10 +56,13 @@ type curve = {
   capacity : float;  (** ops/s rating per {!capacity_rating} *)
 }
 
-val run : ?sweep:sweep -> unit -> curve list
-val report : ?sweep:sweep -> unit -> Nfsg_stats.Report.t
+val run : ?env:Rig.env -> ?sweep:sweep -> unit -> curve list
+(** Walk [sweep] (default {!default_sweep}); every rung is a fresh
+    world built under [env]. *)
 
-val bench_laddis_curve : ?sweep:sweep -> unit -> Nfsg_stats.Json.t
+val report : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Report.t
+
+val bench_laddis_curve : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Json.t
 (** The committed BENCH_laddis_curve.json artifact: one fixed modest
-    sweep (same bytes regardless of quick/full), honouring the
-    overrides above. *)
+    sweep (same bytes regardless of quick/full); a caller's [sweep]
+    replaces it. *)

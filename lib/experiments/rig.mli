@@ -30,6 +30,41 @@ val default_spec : spec
 (** FDDI, no accel, 1 spindle, 1 volume, 8 nfsds, gathering, no
     trace. *)
 
+(** How a caller configures every world it builds, beyond the
+    experiment's own {!spec}: where the instruments go, and the
+    storage and operability settings the nfsgather flags force. Passed
+    to {!make} as a value and kept in the rig, so {!run} honours it
+    too. *)
+type env = {
+  metrics : Nfsg_stats.Metrics.t option;
+      (** a registry shared by every world built with this env — how
+          [--metrics-json] collects an experiment's instruments across
+          the many worlds it builds (they accumulate by
+          find-or-create); [None] gives each rig a fresh one *)
+  scheduler : Nfsg_disk.Disk.scheduler option;
+      (** the I/O scheduler of every spindle, in place of the spec's
+          [disk_scheduler] ([--scheduler]) *)
+  raid_level : Nfsg_disk.Stripe.level option;
+      (** the array level of every multi-spindle world ([--raid-level]);
+          one-spindle specs are unaffected, and the level must fit the
+          spindle count (RAID-1 needs 2 members, RAID-5 needs 3).
+          [None] is the plain RAID-0 stripe set *)
+  monitor_interval : Nfsg_sim.Time.t option;
+      (** drive a {!Nfsg_stats.Monitor} over the rig's registry for the
+          duration of every {!run} ([--monitor-interval]) *)
+  emit : (string -> unit) option;
+      (** where monitor chunks and long-op dumps go (the owning
+          binary's stdout, typically); the rig itself never prints *)
+  long_op_threshold : Nfsg_sim.Time.t option;
+      (** arm long-op journey tracing in the server: ops slower
+          end-to-end than this leave a journey record, dumped through
+          [emit] when {!run}'s load is over ([--long-op-threshold]) *)
+}
+
+val default_env : env
+(** Everything off: a fresh registry per rig and the spec's own
+    settings. *)
+
 type t = {
   eng : Nfsg_sim.Engine.t;
   segment : Nfsg_net.Segment.t;
@@ -38,54 +73,15 @@ type t = {
   server : Nfsg_core.Server.t;
   trace : Nfsg_stats.Trace.t option;
   metrics : Nfsg_stats.Metrics.t;
+  env : env;  (** what {!make} was given *)
 }
 
-val make : spec -> t
-(** Every layer of the world registers its instruments in [metrics]: a
-    fresh registry per rig, unless {!set_metrics_sink} installed a
-    shared one. *)
+val make : ?env:env -> spec -> t
+(** A fresh world for [spec] under [env] (default {!default_env}).
+    Every layer registers its instruments in [metrics]: [env.metrics]
+    when set, else a fresh registry. *)
 
 val metrics : t -> Nfsg_stats.Metrics.t
-
-val set_metrics_sink : Nfsg_stats.Metrics.t option -> unit
-(** Install (or clear) a process-wide registry that every subsequent
-    {!make} reports into instead of a private one — how [--metrics-json]
-    collects an experiment's instruments across the many worlds it
-    builds. Instruments accumulate across worlds by find-or-create. *)
-
-val metrics_sink : unit -> Nfsg_stats.Metrics.t option
-(** The currently installed shared sink, if any — lets an experiment
-    that needs per-world isolation (e.g. the writegather bench rows)
-    save, clear and restore it. *)
-
-val set_scheduler_override : Nfsg_disk.Disk.scheduler option -> unit
-(** Install (or clear) a process-wide I/O scheduler that every
-    subsequent {!make} uses for its spindles in place of the spec's
-    [disk_scheduler] — how the nfsgather [--scheduler] flag reruns any
-    experiment under Fifo, Elevator or Deadline. *)
-
-val set_raid_level_override : Nfsg_disk.Stripe.level option -> unit
-(** Install (or clear) a process-wide RAID level for every subsequent
-    multi-spindle {!make} — how the nfsgather [--raid-level] flag
-    reruns any striped experiment over a RAID-1 or RAID-5 array
-    instead of the plain RAID-0 stripe set. Specs with one spindle are
-    unaffected; the level must fit the spindle count (RAID-1 needs 2
-    members, RAID-5 needs 3). *)
-
-val set_monitor_interval : Nfsg_sim.Time.t option -> unit
-(** Install (or clear) a process-wide nfsmon interval: every subsequent
-    {!run} drives a {!Nfsg_stats.Monitor} over the rig's registry for
-    the duration of the driven load — how the nfsgather
-    [--monitor-interval] flag watches any experiment live. *)
-
-val set_monitor_emit : (string -> unit) option -> unit
-(** Where each monitor interval's rendered chunk goes (the owning
-    binary's stdout, typically). The rig itself never prints. *)
-
-val set_long_op_threshold : Nfsg_sim.Time.t option -> unit
-(** Install (or clear) a process-wide long-op threshold armed in every
-    subsequent {!make}'s server: ops slower end-to-end than this leave
-    a journey record in the server's long-op ring. *)
 
 val new_client :
   t -> ?biods:int -> ?protocol:Nfsg_nfs.Client.protocol -> string -> Nfsg_nfs.Client.t
@@ -98,7 +94,8 @@ val roots : t -> Nfsg_nfs.Proto.fh list
 (** Per-volume root filehandles, fsid order. *)
 
 val run : t -> (unit -> 'a) -> 'a
-(** Run [f] as the driver process and drain the simulation. *)
+(** Run [f] as the driver process and drain the simulation, with the
+    rig env's monitor and long-op dump around it. *)
 
 val spindle_stats : t -> Nfsg_disk.Device.stats
 (** Aggregate over the raw spindles. *)

@@ -12,7 +12,6 @@ type t = {
   rng : Rng.t;
   name : string;
   mutable fail_next : int;
-  mutable fail_tags : int list;
   mutable fail_classes : (Io.class_ * int) list;
   mutable error_windows : (window * float) list;
   mutable slowdown_windows : (window * float) list;
@@ -46,8 +45,6 @@ let fail_next ?(n = 1) t =
   if n < 0 then invalid_arg "Fault_disk.fail_next: need n >= 0";
   t.fail_next <- t.fail_next + n
 
-let fail_tag t tag = t.fail_tags <- tag :: t.fail_tags
-
 let fail_class ?(n = 1) t cls =
   if n < 0 then invalid_arg "Fault_disk.fail_class: need n >= 0";
   t.fail_classes <- (cls, n) :: t.fail_classes
@@ -71,7 +68,6 @@ let hang_window t ~from_ ~until =
 
 let clear t =
   t.fail_next <- 0;
-  t.fail_tags <- [];
   t.fail_classes <- [];
   t.error_windows <- [];
   t.slowdown_windows <- [];
@@ -84,29 +80,24 @@ let prune t now =
   t.slowdown_windows <- List.filter (fun (w, _) -> live w now) t.slowdown_windows;
   t.hang_windows <- List.filter (fun w -> live w now) t.hang_windows
 
-(* Should this particular request fail? Targeted arms (tag, class)
-   take precedence, then the deterministic fail_next count, then the
+(* Should this particular request fail? The targeted class arm takes
+   precedence, then the deterministic fail_next count, then the
    probabilistic error windows. *)
 let should_fail t now (r : Io.req) =
-  if List.mem r.Io.tag t.fail_tags then begin
-    t.fail_tags <- List.filter (fun g -> g <> r.Io.tag) t.fail_tags;
-    true
-  end
-  else
-    match List.assoc_opt r.Io.class_ t.fail_classes with
-    | Some n when n > 0 ->
-        t.fail_classes <-
-          List.map (fun (c, k) -> if c = r.Io.class_ then (c, k - 1) else (c, k)) t.fail_classes;
+  match List.assoc_opt r.Io.class_ t.fail_classes with
+  | Some n when n > 0 ->
+      t.fail_classes <-
+        List.map (fun (c, k) -> if c = r.Io.class_ then (c, k - 1) else (c, k)) t.fail_classes;
+      true
+  | _ -> (
+      if t.fail_next > 0 then begin
+        t.fail_next <- t.fail_next - 1;
         true
-    | _ ->
-        if t.fail_next > 0 then begin
-          t.fail_next <- t.fail_next - 1;
-          true
-        end
-        else
-          match List.find_opt (fun (w, _) -> in_window w now) t.error_windows with
-          | Some (_, prob) -> Rng.bool t.rng prob
-          | None -> false
+      end
+      else
+        match List.find_opt (fun (w, _) -> in_window w now) t.error_windows with
+        | Some (_, prob) -> Rng.bool t.rng prob
+        | None -> false)
 
 let op_name (r : Io.req) = match r.Io.op with Io.Read -> "read" | Io.Write -> "write"
 
@@ -195,7 +186,6 @@ let wrap eng ?(seed = 0xd15c) (dev : Device.t) =
       rng = Rng.create seed;
       name = dev.Device.name ^ "+fault";
       fail_next = 0;
-      fail_tags = [];
       fail_classes = [];
       error_windows = [];
       slowdown_windows = [];

@@ -345,7 +345,7 @@ let m001 ctx structure =
     it.Ast_iterator.structure it structure;
     List.rev !diags
 
-(* {1 S001 — unreset global mutable state} *)
+(* {1 S001 — top-level mutable state} *)
 
 let mutable_makers = function
   | [ "ref" ] -> true
@@ -354,43 +354,13 @@ let mutable_makers = function
   | [ "Bytes"; ("create" | "make") ] -> true
   | _ -> false
 
-(* Process-global mutables outlive Server.crash/restart and every
-   simulated world in the process. That is sometimes the point (vgen
-   identity, boot verifiers) — then the binding carries a suppression
-   saying so — and otherwise it is restart-corrupting state that must
-   register a Nfsg_sim.Reset hook naming it. *)
+(* Process-global mutables outlive Server.crash/restart and are shared
+   by every simulated world in the process. State belongs to a world
+   and configuration is passed as a value; the rare global that must
+   persist (vgen identity) carries a suppression saying why. *)
 let s001 ctx structure =
   if not (in_lib ctx) then []
   else
-    (* Names mentioned anywhere inside a Reset.register call: the hook
-       closure resets the binding, so the mention proves coverage. *)
-    let reset_covered = ref [] in
-    let collect =
-      let open Ast_iterator in
-      {
-        default_iterator with
-        expr =
-          (fun self e ->
-            (match e.pexp_desc with
-            | Pexp_apply (fn, args) -> (
-                match List.rev (ident_path fn) with
-                | "register" :: "Reset" :: _ ->
-                    List.iter
-                      (fun (_, arg) ->
-                        let it =
-                          iter_idents (fun _ path ->
-                              match path with
-                              | [ n ] -> reset_covered := n :: !reset_covered
-                              | _ -> ())
-                        in
-                        it.Ast_iterator.expr it arg)
-                      args
-                | _ -> ())
-            | _ -> ());
-            default_iterator.expr self e);
-      }
-    in
-    collect.Ast_iterator.structure collect structure;
     let diags = ref [] in
     let rec binding_name pat =
       match pat.ppat_desc with
@@ -408,15 +378,14 @@ let s001 ctx structure =
           let rhs = strip_expr vb.pvb_expr in
           match rhs.pexp_desc with
           | Pexp_apply (fn, _) when mutable_makers (ident_path fn) ->
-              if not (List.mem name !reset_covered) then
-                diags :=
-                  diag ctx ~rule:"S001" vb.pvb_pat.ppat_loc
-                    (Printf.sprintf
-                       "top-level mutable '%s' survives Server.crash/restart: register a reset \
-                        hook (Nfsg_sim.Reset.register mentioning '%s') or suppress with the \
-                        reason it must persist"
-                       name name)
-                  :: !diags
+              diags :=
+                diag ctx ~rule:"S001" vb.pvb_pat.ppat_loc
+                  (Printf.sprintf
+                     "top-level mutable '%s' is shared by every simulated world in the process: \
+                      keep it in a world or pass it as a value, or suppress with the reason it \
+                      must persist"
+                     name)
+                :: !diags
           | _ -> ())
     in
     let rec structure_items items =
@@ -485,6 +454,6 @@ let all : rule list =
     { id = "E001"; synopsis = "catch-all exception handler drops the exception"; run = e001 };
     { id = "O001"; synopsis = "direct stdout/stderr output from lib/"; run = o001 };
     { id = "M001"; synopsis = "metric/namespace string literal outside Nfsg_stats.Names"; run = m001 };
-    { id = "S001"; synopsis = "top-level mutable state without a Reset hook"; run = s001 };
+    { id = "S001"; synopsis = "top-level mutable state in lib/"; run = s001 };
     { id = "I001"; synopsis = "blocking Device.read/write call outside lib/disk and lib/ufs"; run = i001 };
   ]

@@ -33,9 +33,9 @@ type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Yield : unit Effect.t
 
+(* nfslint: allow S001 only the running process's name: every resume sets it and every exit from run clears it, so no world sees another's *)
 let current_name = ref "?"
 let self_name () = !current_name
-let () = Reset.register ~name:"engine.current_name" (fun () -> current_name := "?")
 
 let create () =
   { clock = Time.zero; seq = 0; events = Heap.create (); suspended = 0; processed = 0 }
@@ -116,18 +116,21 @@ let run ?until t =
     &&
     match until with Some u -> Heap.min_key t.events <= u | None -> true
   in
-  while continue_run () do
-    let key = Heap.min_key t.events in
-    let ev = Heap.pop_min t.events in
-    t.clock <- key;
-    t.processed <- t.processed + 1;
-    match ev with
-    | Thunk f -> f ()
-    | Resume { name; k; v; parked } ->
-        if parked then t.suspended <- t.suspended - 1;
-        current_name := name;
-        continue k v
-  done;
+  (* Whether the queue drains or a process raises, the caller is back
+     outside every process. *)
+  Fun.protect ~finally:(fun () -> current_name := "?") (fun () ->
+      while continue_run () do
+        let key = Heap.min_key t.events in
+        let ev = Heap.pop_min t.events in
+        t.clock <- key;
+        t.processed <- t.processed + 1;
+        match ev with
+        | Thunk f -> f ()
+        | Resume { name; k; v; parked } ->
+            if parked then t.suspended <- t.suspended - 1;
+            current_name := name;
+            continue k v
+      done);
   match until with Some u when t.clock < u -> t.clock <- u | Some _ | None -> ()
 
 let not_in_process_guard (f : unit -> 'a) : 'a =

@@ -46,7 +46,8 @@ val run : ?until:Time.t -> t -> unit
 (** [run t] executes events until the queue is empty, or until the
     clock would pass [until] (events at exactly [until] are executed,
     and the clock is left at [until]). Can be called repeatedly to
-    resume a paused simulation. *)
+    resume a paused simulation. However it returns, normally or by an
+    exception escaping a process, {!self_name} is ["?"] afterwards. *)
 
 val suspended_count : t -> int
 (** Number of processes currently parked in {!suspend} or {!delay};

@@ -1,28 +1,5 @@
-(* Process-global mutable state is invisible to [Server.crash] and
-   [restart]: it survives every simulated world built in the process.
-   Each such global either registers a hook here (so tests and
-   multi-world drivers can return the process to a pristine state
-   between independent worlds) or carries an nfslint suppression
-   explaining why it must persist. The S001 lint rule enforces the
-   choice.
+(* Simulated worlds own their state and take their configuration as
+   values, so there is nothing to reset between them. See reset.mli
+   for why the function exists. *)
 
-   [run_all] must only be called BETWEEN independent simulated worlds:
-   hooks reset identity counters whose uniqueness live worlds rely
-   on. *)
-
-type hook = { name : string; run : unit -> unit }
-
-(* nfslint: allow S001 this is the reset registry itself; a hook emptying it would unregister every other hook *)
-let hooks : hook list ref = ref []
-
-let register ~name run =
-  if List.exists (fun h -> h.name = name) !hooks then
-    invalid_arg ("Reset.register: duplicate hook " ^ name);
-  hooks := { name; run } :: !hooks
-
-let names () = List.sort compare (List.map (fun h -> h.name) !hooks)
-
-(* Sorted by name, so the reset order never depends on module
-   initialisation order. *)
-let run_all () =
-  List.iter (fun h -> h.run ()) (List.sort (fun a b -> compare a.name b.name) !hooks)
+let run_all () = ()

@@ -1,20 +1,12 @@
-(** Registry of reset hooks for process-global mutable state.
+(** Nothing to reset between simulated worlds.
 
-    Globals that survive [Server.crash]/[restart] by design register a
-    hook so test drivers can restore a pristine process between
-    independent simulated worlds; the S001 lint rule requires every
-    top-level mutable in lib/ to either register here or carry a
-    justified suppression. *)
-
-val register : name:string -> (unit -> unit) -> unit
-(** [register ~name f] adds hook [f]. Names must be unique
-    ("module.binding" by convention); a duplicate raises
-    [Invalid_argument]. *)
-
-val names : unit -> string list
-(** Registered hook names, sorted. *)
+    A world owns its state (the write verifier is the server's
+    incarnation number; {!Engine.run} clears the running process's
+    name whenever it returns), and experiments take their
+    configuration as values, so no process-global state carries from
+    one world to the next. *)
 
 val run_all : unit -> unit
-(** Run every hook, in name order. Only call between independent
-    simulated worlds: hooks reset identity counters (boot verifiers,
-    volume generations) whose uniqueness live worlds rely on. *)
+(** Does nothing. It exists only because the benchmark harness under
+    [perfbench/] calls it before building each world; it goes when
+    that call does. *)

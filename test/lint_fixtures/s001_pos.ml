@@ -1,2 +1,2 @@
-(* S001 positive: top-level mutable state with no reset hook. *)
+(* S001 positive: top-level mutable state with no reasoned allow. *)
 let cache : (int, string) Hashtbl.t = Hashtbl.create 16

@@ -1,10 +1,9 @@
-(* Boot-storm bench plumbing: the fleet ladder, the override hooks the
-   nfsgather flags use, and double-run byte-determinism of the
-   committed artifact through those overrides. *)
+(* Boot-storm bench plumbing: the fleet ladder, the sweep restrictions
+   the nfsgather flags use, and double-run byte-determinism of the
+   committed artifact under those restrictions. *)
 
 module Bs = Nfsg_experiments.Bootstorm
 module Json = Nfsg_stats.Json
-module Reset = Nfsg_sim.Reset
 
 let test_ladder () =
   Alcotest.(check (list int)) "cap of one" [ 1 ] (Bs.ladder 1);
@@ -12,22 +11,18 @@ let test_ladder () =
   Alcotest.(check (list int)) "off-power cap is still walked" [ 1; 2; 4; 6 ] (Bs.ladder 6)
 
 (* The real bench, shrunk to a two-rung ladder on the read-ahead side
-   only. Both overrides are installed after each Reset (which clears
-   them), exercising the same path the nfsgather flags use. *)
+   only, restricted through the sweep the way the nfsgather flags do
+   it. *)
 let run_once () =
-  Reset.run_all ();
-  Bs.set_clients_max_override (Some 2);
-  Bs.set_readahead_override (Some true);
-  let json = Bs.bench_bootstorm () in
-  Bs.set_readahead_override None;
-  Bs.set_clients_max_override None;
-  json
+  Bs.bench_bootstorm
+    ~sweep:{ Bs.default_sweep with Bs.clients_max = 2; readahead_side = Some true }
+    ()
 
 let test_double_run () =
   let first = run_once () and second = run_once () in
-  Alcotest.(check bool) "byte-identical across Reset.run_all" true
+  Alcotest.(check bool) "byte-identical across runs" true
     (String.equal (Json.to_string ~pretty:true first) (Json.to_string ~pretty:true second));
-  (* And the overrides really took: one config, two rungs. *)
+  (* And the restrictions really took: one config, two rungs. *)
   let configs = Option.bind (Json.member "configs" first) Json.to_list in
   let labels =
     match configs with

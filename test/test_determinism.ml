@@ -1,10 +1,10 @@
 (* Double-run determinism: the writegather bench, run twice inside one
-   process with the Reset registry fired in between, must render byte
-   for byte the same JSON. This is the property the @lint rules exist
-   to protect — any wall-clock read, unseeded RNG, hash-order leak or
-   stale process-global between runs shows up here as a byte diff. *)
+   process with nothing in between, must render byte for byte the same
+   JSON. This is the property the @lint rules exist to protect — any
+   wall-clock read, unseeded RNG, hash-order leak or process-global
+   state carried from one world to the next shows up here as a byte
+   diff. *)
 
-open Nfsg_sim
 module Json = Nfsg_stats.Json
 
 (* Small enough to stay sub-second, large enough that gathering,
@@ -12,7 +12,6 @@ module Json = Nfsg_stats.Json
 let bench_total = 512 * 1024
 
 let run_once () =
-  Reset.run_all ();
   Json.to_string ~pretty:true
     (Nfsg_experiments.Experiments.bench_writegather ~total:bench_total ())
 
@@ -35,7 +34,6 @@ let test_double_run () = check_same_bytes (run_once ()) (run_once ())
 (* Same property for the committed scheduler-comparison artifact: three
    whole worlds per run (one per policy), byte for byte. *)
 let run_iosched_once () =
-  Reset.run_all ();
   Json.to_string ~pretty:true (Nfsg_experiments.Iosched.bench_iosched ())
 
 let test_double_run_iosched () =
@@ -44,38 +42,13 @@ let test_double_run_iosched () =
 (* And for the committed redundancy artifact: six worlds per run (level
    x gathering), each with a member failure and an online rebuild. *)
 let run_raid_once () =
-  Reset.run_all ();
   Json.to_string ~pretty:true (Nfsg_experiments.Raid.bench_raid ())
 
 let test_double_run_raid () = check_same_bytes (run_raid_once ()) (run_raid_once ())
-
-(* The registry itself: hooks the lint S001 dispositions rely on must
-   actually be registered. *)
-let test_reset_hooks_present () =
-  let names = Reset.names () in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "engine.current_name"; "rig.metrics_sink"; "server.boot_counter" ]
-
-let test_reset_duplicate_rejected () =
-  Reset.register ~name:"test.determinism.dup" (fun () -> ());
-  Alcotest.check_raises "duplicate hook name"
-    (Invalid_argument "Reset.register: duplicate hook test.determinism.dup") (fun () ->
-      Reset.register ~name:"test.determinism.dup" (fun () -> ()))
-
-let test_reset_runs_hooks () =
-  let hit = ref false in
-  Reset.register ~name:"test.determinism.probe" (fun () -> hit := true);
-  Reset.run_all ();
-  Alcotest.(check bool) "hook ran" true !hit
 
 let suite =
   [
     Alcotest.test_case "writegather bench twice, same bytes" `Quick test_double_run;
     Alcotest.test_case "iosched bench twice, same bytes" `Quick test_double_run_iosched;
     Alcotest.test_case "raid bench twice, same bytes" `Quick test_double_run_raid;
-    Alcotest.test_case "expected reset hooks registered" `Quick test_reset_hooks_present;
-    Alcotest.test_case "duplicate reset hook rejected" `Quick test_reset_duplicate_rejected;
-    Alcotest.test_case "run_all fires hooks" `Quick test_reset_runs_hooks;
   ]

@@ -328,8 +328,8 @@ let show_qstep = function
 let scheduler_name = function Disk.Fifo -> "fifo" | Disk.Elevator -> "elevator" | Disk.Deadline -> "deadline"
 
 (* Run a schedule on the disk or its reference model; return the
-   completions — tag, instant and, for reads, the bytes — the platter and
-   the metrics JSON. *)
+   completions — the item's number in the schedule, instant and, for
+   reads, the bytes — the platter and the metrics JSON. *)
 let run_queue ~reference (scheduler, merge, merge_limit, deadline_ms, steps) =
   let eng = Engine.create () in
   let metrics = Nfsg_stats.Metrics.create () in
@@ -355,16 +355,16 @@ let run_queue ~reference (scheduler, merge, merge_limit, deadline_ms, steps) =
                 let tag = !tag in
                 match q with
                 | Q_barrier ->
-                    let b = Io.barrier ~tag () in
+                    let b = Io.barrier () in
                     Ivar.upon (Io.item_done b) (fun () -> note tag " barrier");
                     b
                 | Q_write (blk, n) ->
                     let data = Bytes.make (n * queue_block) (Char.chr (33 + (tag mod 90))) in
-                    let r = Io.write_req ~tag ~class_:`Gather_flush ~off:(blk * queue_block) data in
+                    let r = Io.write_req ~class_:`Gather_flush ~off:(blk * queue_block) data in
                     Ivar.upon r.Io.done_ (fun () -> note tag "");
                     Io.Req r
                 | Q_read (blk, n) ->
-                    let r = Io.read_req ~tag ~off:(blk * queue_block) ~len:(n * queue_block) () in
+                    let r = Io.read_req ~off:(blk * queue_block) ~len:(n * queue_block) () in
                     Ivar.upon r.Io.done_ (fun () -> note tag (" " ^ Digest.to_hex (Digest.bytes r.Io.buf)));
                     Io.Req r
               in

@@ -128,6 +128,19 @@ let test_exception_propagates () =
   Engine.spawn eng (fun () -> failwith "boom");
   Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Engine.run eng)
 
+(* Once run returns, normally or by a process raising, the caller is
+   outside every process again. *)
+let test_self_name_after_run () =
+  let eng = Engine.create () in
+  let inside = ref "" in
+  Engine.spawn eng ~name:"p" (fun () -> inside := Engine.self_name ());
+  Engine.run eng;
+  Alcotest.(check string) "named inside" "p" !inside;
+  Alcotest.(check string) "cleared after a drained run" "?" (Engine.self_name ());
+  Engine.spawn eng ~name:"q" (fun () -> failwith "boom");
+  (try Engine.run eng with Failure _ -> ());
+  Alcotest.(check string) "cleared after a raising run" "?" (Engine.self_name ())
+
 let test_suspended_count () =
   let eng = Engine.create () in
   Engine.spawn eng (fun () -> Engine.delay (Time.ms 10));
@@ -177,6 +190,7 @@ let suite =
     Alcotest.test_case "waking twice is rejected" `Quick test_double_wake_rejected;
     Alcotest.test_case "blocking outside a process raises" `Quick test_not_in_process;
     Alcotest.test_case "process exception aborts run" `Quick test_exception_propagates;
+    Alcotest.test_case "self_name cleared after run" `Quick test_self_name_after_run;
     Alcotest.test_case "suspended_count tracks parked procs" `Quick test_suspended_count;
     Alcotest.test_case "yield requeues behind peers" `Quick test_yield_requeues;
     Alcotest.test_case "spawn from inside a process" `Quick test_nested_spawn;

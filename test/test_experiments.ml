@@ -10,6 +10,11 @@ module Report = Nfsg_stats.Report
 
 let small = 1024 * 1024
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let cell ?(net = Calib.Fddi) ?(accel = false) ?(spindles = 1) ~gathering ~biods () =
   let spec = { Rig.default_spec with Rig.net; accel; spindles; gathering } in
   Filecopy.run_cell ~spec ~biods ~total:small ()
@@ -51,11 +56,6 @@ let test_ethernet_slower_than_fddi () =
     (fddi.Filecopy.client_kb_s > eth.Filecopy.client_kb_s)
 
 let test_figure1_has_the_story () =
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   let fig = E.figure1 () in
   Alcotest.(check bool) "standard section" true (contains fig "Standard server");
   Alcotest.(check bool) "gathering section" true (contains fig "Gathering server");
@@ -69,13 +69,8 @@ let test_table_report_shape () =
       ~total:small ()
   in
   let s = Report.to_string report in
-  let contains needle =
-    let nh = String.length s and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
-    (fun row -> Alcotest.(check bool) row true (contains row))
+    (fun row -> Alcotest.(check bool) row true (contains s row))
     [
       "Without Write Gathering";
       "With Write Gathering";
@@ -142,13 +137,71 @@ let test_bench_writegather_deterministic () =
   let s2 = Json.to_string ~pretty:true (E.bench_writegather ~total:bench_total ()) in
   Alcotest.(check string) "byte-identical across runs" s1 s2;
   (* A shared --metrics-json sink must not leak into the rows. *)
-  let m = Nfsg_stats.Metrics.create () in
-  Rig.set_metrics_sink (Some m);
-  let s3 =
-    Fun.protect ~finally:(fun () -> Rig.set_metrics_sink None) (fun () ->
-        Json.to_string ~pretty:true (E.bench_writegather ~total:bench_total ()))
-  in
+  let env = { Rig.default_env with Rig.metrics = Some (Nfsg_stats.Metrics.create ()) } in
+  let s3 = Json.to_string ~pretty:true (E.bench_writegather ~env ~total:bench_total ()) in
   Alcotest.(check string) "sink does not perturb the bench" s1 s3
+
+(* {1 Rig.env: every field reaches the world}
+
+   One small world per row: a short LADDIS mix from eight stations
+   against a standard server over three spindles, whose cache is small
+   enough that reads miss and meet the writes in the disk queues. Each
+   row sets one env field and checks the world shows it — a field the
+   rig ignored would fail its row. *)
+
+let env_world env =
+  let module Laddis = Nfsg_workload.Laddis in
+  let spec =
+    { Rig.default_spec with Rig.spindles = 3; gathering = false; cache_blocks = Some 64 }
+  in
+  let rig = Rig.make ~env spec in
+  let cfg =
+    {
+      Laddis.default_config with
+      Laddis.procs = 8;
+      warmup = Nfsg_sim.Time.ms 100;
+      measure = Nfsg_sim.Time.ms 400;
+    }
+  in
+  Rig.run rig (fun () ->
+      ignore
+        (Laddis.run rig.Rig.eng
+           ~make_client:(fun i -> Rig.new_client rig (Printf.sprintf "client%d" i))
+           ~root:(Rig.root rig) ~offered:200.0 cfg));
+  rig
+
+let registry rig = Nfsg_stats.Metrics.to_string (Rig.metrics rig)
+let baseline = lazy (registry (env_world Rig.default_env))
+let changes_registry env () = registry (env_world env) <> Lazy.force baseline
+
+let emits env ~expect () =
+  let out = Buffer.create 1024 in
+  ignore (env_world { env with Rig.emit = Some (Buffer.add_string out) });
+  contains (Buffer.contents out) expect
+
+let env_rows =
+  let d = Rig.default_env in
+  [
+    ( "metrics",
+      fun () ->
+        let sink = Nfsg_stats.Metrics.create () in
+        let rig = env_world { d with Rig.metrics = Some sink } in
+        Rig.metrics rig == sink && Nfsg_stats.Metrics.to_string sink = Lazy.force baseline );
+    ("scheduler", changes_registry { d with Rig.scheduler = Some Nfsg_disk.Disk.Deadline });
+    ("raid_level", changes_registry { d with Rig.raid_level = Some Nfsg_disk.Stripe.Raid5 });
+    ( "monitor_interval",
+      emits { d with Rig.monitor_interval = Some (Nfsg_sim.Time.ms 100) } ~expect:"nfsmon t=" );
+    ( "emit",
+      emits { d with Rig.long_op_threshold = Some (Nfsg_sim.Time.us 1) } ~expect:"long-op records:"
+    );
+    ( "long_op_threshold",
+      fun () ->
+        let rig = env_world { d with Rig.long_op_threshold = Some (Nfsg_sim.Time.us 1) } in
+        Nfsg_stats.Journey.long_op_count (Nfsg_core.Server.journeys rig.Rig.server) > 0 );
+  ]
+
+let test_env_fields_honoured () =
+  List.iter (fun (field, honoured) -> Alcotest.(check bool) field true (honoured ())) env_rows
 
 let suite =
   [
@@ -162,4 +215,5 @@ let suite =
     Alcotest.test_case "procrastination ablation runs" `Slow test_procrastination_ablation_zero_interval;
     Alcotest.test_case "writegather bench JSON shape" `Quick test_bench_writegather_shape;
     Alcotest.test_case "writegather bench JSON determinism" `Quick test_bench_writegather_deterministic;
+    Alcotest.test_case "rig env fields reach the world" `Quick test_env_fields_honoured;
   ]

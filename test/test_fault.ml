@@ -112,41 +112,41 @@ let test_fail_stop_revive () =
 let test_nvram_battery () =
   let eng = Engine.create () in
   let disk = Disk.create eng disk_geometry in
-  let dev = Nvram.create eng disk in
+  let board, dev = Nvram.create eng disk in
   let data = Bytes.make 8192 'p' in
   Engine.spawn eng ~name:"driver" (fun () ->
       Alcotest.(check bool) "starts accelerated" true (dev.Device.accelerated ());
       dev.Device.write ~off:0 data;
       (* Battery fault: orderly degrade — accelerated flips off, dirty
          contents drain, new writes pass through synchronously. *)
-      Nvram.fail_battery dev;
+      Nvram.fail_battery board;
       Alcotest.(check bool) "degraded" false (dev.Device.accelerated ());
       let rec wait_drain () =
-        if Nvram.dirty_bytes dev > 0 then begin
+        if Nvram.dirty_bytes board > 0 then begin
           Engine.delay (ms 20.0);
           wait_drain ()
         end
       in
       wait_drain ();
       dev.Device.write ~off:8192 data;
-      Alcotest.(check int) "pass-through leaves nothing dirty" 0 (Nvram.dirty_bytes dev);
+      Alcotest.(check int) "pass-through leaves nothing dirty" 0 (Nvram.dirty_bytes board);
       (* Crash with a dead battery: drained + pass-through data is on
          the platter, so everything survives without a replay. *)
       dev.Device.crash ();
       dev.Device.recover ();
       Alcotest.(check bytes) "block 0 survived" data (dev.Device.stable_read ~off:0 ~len:8192);
       Alcotest.(check bytes) "block 1 survived" data (dev.Device.stable_read ~off:8192 ~len:8192);
-      Nvram.repair_battery dev;
+      Nvram.repair_battery board;
       Alcotest.(check bool) "repaired" true (dev.Device.accelerated ());
       dev.Device.write ~off:16384 data;
-      Alcotest.(check bool) "accepting dirty data again" true (Nvram.dirty_bytes dev > 0));
+      Alcotest.(check bool) "accepting dirty data again" true (Nvram.dirty_bytes board > 0));
   Engine.run eng
 
 let test_nvram_flusher_rides_through () =
   let eng = Engine.create () in
   let disk = Disk.create eng disk_geometry in
   let inj, faulty = Fault_disk.wrap eng disk in
-  let dev = Nvram.create eng faulty in
+  let board, dev = Nvram.create eng faulty in
   Engine.spawn eng ~name:"driver" (fun () ->
       (* Make the backing store fail for a while, then stuff the NVRAM:
          the background flusher must absorb the errors, retry, and
@@ -158,13 +158,13 @@ let test_nvram_flusher_rides_through () =
         dev.Device.write ~off:(i * 8192) (Bytes.make 8192 (Char.chr (Char.code 'a' + i)))
       done;
       let rec wait_drain () =
-        if Nvram.dirty_bytes dev > 0 then begin
+        if Nvram.dirty_bytes board > 0 then begin
           Engine.delay (ms 50.0);
           wait_drain ()
         end
       in
       wait_drain ();
-      Alcotest.(check bool) "flusher retried through errors" true (Nvram.flush_retries dev > 0);
+      Alcotest.(check bool) "flusher retried through errors" true (Nvram.flush_retries board > 0);
       for i = 0 to blocks - 1 do
         let expect = Bytes.make 8192 (Char.chr (Char.code 'a' + i)) in
         Alcotest.(check bytes)

@@ -32,19 +32,13 @@ let test_procs_for () =
   Alcotest.(check int) "one station per ~10 ops/s" 24 (Lc.procs_for ~procs_max:48 240.0);
   Alcotest.(check int) "clamped to the pool ceiling" 48 (Lc.procs_for ~procs_max:48 600.0)
 
-let test_grid_override_validates () =
-  Alcotest.check_raises "unknown label rejected"
-    (Invalid_argument "Laddis_curve: unknown configuration \"warp9\"") (fun () ->
-      Lc.set_grid_override (Some [ "warp9" ]))
-
 (* {1 Double-run byte-determinism}
 
    The real sweep, shrunk: two configurations, two rungs, short
    windows. Same property as the other committed artifacts — two runs
-   inside one process with Reset fired in between must render byte for
-   byte the same JSON. The grid/ladder overrides are installed after
-   each Reset (which clears them), exercising the same path the
-   nfsgather flags use. *)
+   inside one process must render byte for byte the same JSON. The
+   restrictions travel in the sweep, the way the nfsgather flags pass
+   them. *)
 
 let tiny_sweep =
   {
@@ -54,20 +48,20 @@ let tiny_sweep =
     warmup = Time.ms 100;
     measure = Time.ms 400;
     nfsds = 8;
+    configs = Some [ "baseline"; "gather" ];
   }
 
-let run_once () =
-  Reset.run_all ();
-  Lc.set_grid_override (Some [ "baseline"; "gather" ]);
-  let json = Lc.bench_laddis_curve ~sweep:tiny_sweep () in
-  Lc.set_grid_override None;
-  json
+let test_grid_override_validates () =
+  Alcotest.check_raises "unknown label rejected"
+    (Invalid_argument "Laddis_curve: unknown configuration \"warp9\"") (fun () ->
+      ignore (Lc.run ~sweep:{ tiny_sweep with Lc.configs = Some [ "gather"; "warp9" ] } ()))
 
 let test_double_run () =
+  let run_once () = Lc.bench_laddis_curve ~sweep:tiny_sweep () in
   let first = run_once () and second = run_once () in
-  Alcotest.(check bool) "byte-identical across Reset.run_all" true
+  Alcotest.(check bool) "byte-identical across runs" true
     (String.equal (Json.to_string ~pretty:true first) (Json.to_string ~pretty:true second));
-  (* And the override really restricted the grid. *)
+  (* And the sweep really restricted the grid. *)
   let labels =
     match Option.bind (Json.member "configs" first) Json.to_list with
     | Some configs -> List.filter_map (fun c -> Option.bind (Json.member "config" c) Json.to_str) configs

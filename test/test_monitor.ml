@@ -1,8 +1,7 @@
 (* The live operability plane: journey phase accounting, long-op
    threshold triggering, per-station attribution across restart, and
    byte-determinism of the nfsmon transcript (interval reports plus
-   long-op records) under double-run with the Reset registry fired in
-   between. *)
+   long-op records) across two runs in one process. *)
 
 open Nfsg_sim
 module Journey = Nfsg_stats.Journey
@@ -20,7 +19,6 @@ let contains hay needle =
 (* Drive one journey through every stamp with a known dwell in each
    phase; the phases must read back exactly and partition the total. *)
 let test_phases_partition () =
-  Reset.run_all ();
   let eng = Engine.create () in
   let metrics = Metrics.create () in
   let plane = Journey.create eng ~metrics () in
@@ -65,7 +63,6 @@ let test_phases_partition () =
    journey) collapse onto their predecessor: every phase non-negative,
    the partition still exact. *)
 let test_unset_stamps_collapse () =
-  Reset.run_all ();
   let eng = Engine.create () in
   let metrics = Metrics.create () in
   let plane = Journey.create eng ~metrics () in
@@ -100,7 +97,6 @@ let test_unset_stamps_collapse () =
 (* The threshold gate: an op under the threshold leaves no record, one
    over it leaves exactly one rendered record in the ring. *)
 let test_long_op_threshold () =
-  Reset.run_all ();
   let eng = Engine.create () in
   let metrics = Metrics.create () in
   let plane = Journey.create eng ~metrics ~threshold:(ms 10.0) () in
@@ -125,7 +121,6 @@ let test_long_op_threshold () =
    Fault_disk window, and the ops caught inside it must cross the
    threshold and leave records with a dominant disk phase. *)
 let test_slowdown_triggers_long_ops () =
-  Reset.run_all ();
   let out = Demo.run () in
   Alcotest.(check bool) "interval reports present" true
     (contains out "nfsmon t=");
@@ -138,7 +133,6 @@ let test_slowdown_triggers_long_ops () =
    crash/restart (a fresh plane over the same registry, exactly what
    Server.restart builds) accumulates instead of resetting. *)
 let test_station_survives_restart () =
-  Reset.run_all ();
   let eng = Engine.create () in
   let metrics = Metrics.create () in
   let op plane xid =
@@ -161,13 +155,9 @@ let test_station_survives_restart () =
   Alcotest.(check int) "station ops accumulate across restart" 3 ops
 
 (* The transcript — interval tables, journey summary, long-op records —
-   byte for byte across a double run with Reset fired in between. *)
+   byte for byte across two runs with nothing in between. *)
 let test_demo_double_run () =
-  let once () =
-    Reset.run_all ();
-    Demo.run ()
-  in
-  let first = once () and second = once () in
+  let first = Demo.run () and second = Demo.run () in
   Alcotest.(check string) "nfsmon transcript identical" first second
 
 let suite =

@@ -6,8 +6,8 @@ let geometry = { (Disk.rz26 ~capacity:(16 * 1024 * 1024) ()) with Disk.track_byt
 let make ?(params = Nvram.default_params) () =
   let eng = Engine.create () in
   let disk = Disk.create eng geometry in
-  let dev = Nvram.create eng ~params disk in
-  (eng, disk, dev)
+  let board, dev = Nvram.create eng ~params disk in
+  (eng, disk, board, dev)
 
 let in_proc eng f =
   let r = ref None in
@@ -16,12 +16,12 @@ let in_proc eng f =
   match !r with Some v -> v | None -> Alcotest.fail "driver blocked"
 
 let test_accelerated_flag () =
-  let _, disk, dev = make () in
+  let _, disk, _, dev = make () in
   Alcotest.(check bool) "disk raw" false (disk.Device.accelerated ());
   Alcotest.(check bool) "presto" true (dev.Device.accelerated ())
 
 let test_accepted_write_is_fast_and_stable () =
-  let eng, disk, dev = make () in
+  let eng, disk, _, dev = make () in
   in_proc eng (fun () ->
       let t0 = Engine.now eng in
       dev.Device.write ~off:0 (Bytes.make 8192 'p');
@@ -33,7 +33,7 @@ let test_accepted_write_is_fast_and_stable () =
       ignore disk)
 
 let test_declined_write_goes_to_disk () =
-  let eng, disk, dev = make () in
+  let eng, disk, _, dev = make () in
   in_proc eng (fun () ->
       let t0 = Engine.now eng in
       dev.Device.write ~off:0 (Bytes.make 65536 'q');
@@ -43,7 +43,7 @@ let test_declined_write_goes_to_disk () =
       Alcotest.(check int) "one spindle transaction" 1 (disk.Device.spindle_stats ()).Device.transactions)
 
 let test_flusher_clusters () =
-  let eng, disk, dev = make () in
+  let eng, disk, _, dev = make () in
   in_proc eng (fun () ->
       (* 32 sequential 8K writes: the flusher must push them in far
          fewer spindle transactions than 32. *)
@@ -65,7 +65,7 @@ let test_capacity_backpressure () =
   (* A tiny NVRAM forces writers to wait for the flusher: throughput
      degrades toward the spindle drain rate but never loses data. *)
   let params = { Nvram.default_params with Nvram.capacity = 64 * 1024 } in
-  let eng, _disk, dev = make ~params () in
+  let eng, _disk, _, dev = make ~params () in
   in_proc eng (fun () ->
       let t0 = Engine.now eng in
       for i = 0 to 63 do
@@ -79,7 +79,7 @@ let test_capacity_backpressure () =
         (dev.Device.stable_read ~off:(63 * 8192) ~len:8192))
 
 let test_crash_preserves_nvram_contents () =
-  let eng, disk, dev = make () in
+  let eng, disk, board, dev = make () in
   (* Write into NVRAM, crash before the flusher drains, recover, and
      expect the platter to hold the data. *)
   Engine.spawn eng (fun () -> dev.Device.write ~off:8192 (Bytes.make 8192 'N'));
@@ -92,10 +92,10 @@ let test_crash_preserves_nvram_contents () =
   dev.Device.recover ();
   Alcotest.(check bytes) "replayed to platter" (Bytes.make 8192 'N')
     (disk.Device.stable_read ~off:8192 ~len:8192);
-  Alcotest.(check int) "nothing left dirty" 0 (Nvram.dirty_bytes dev)
+  Alcotest.(check int) "nothing left dirty" 0 (Nvram.dirty_bytes board)
 
 let test_read_merges_overlay () =
-  let eng, disk, dev = make () in
+  let eng, disk, _, dev = make () in
   in_proc eng (fun () ->
       (* Seed the platter, then overwrite a slice via NVRAM; a read
          must see the merge before any flush. *)
@@ -109,7 +109,7 @@ let test_read_merges_overlay () =
       Alcotest.(check char) "old after" 'o' (Bytes.get back 3072))
 
 let test_cached_read_is_fast () =
-  let eng, _disk, dev = make () in
+  let eng, _disk, _, dev = make () in
   in_proc eng (fun () ->
       dev.Device.write ~off:0 (Bytes.make 8192 'c');
       let t0 = Engine.now eng in
@@ -117,12 +117,12 @@ let test_cached_read_is_fast () =
       if Engine.now eng - t0 > Time.ms 1 then Alcotest.fail "covered read hit the disk")
 
 let test_dirty_bytes_visibility () =
-  let eng, _disk, dev = make () in
+  let eng, _disk, board, dev = make () in
   in_proc eng (fun () ->
       dev.Device.write ~off:0 (Bytes.make 8192 'd');
-      if Nvram.dirty_bytes dev = 0 then Alcotest.fail "write not visible as dirty";
+      if Nvram.dirty_bytes board = 0 then Alcotest.fail "write not visible as dirty";
       dev.Device.flush ();
-      Alcotest.(check int) "clean after flush" 0 (Nvram.dirty_bytes dev))
+      Alcotest.(check int) "clean after flush" 0 (Nvram.dirty_bytes board))
 
 let suite =
   [

@@ -36,7 +36,7 @@ let make ?(net = Segment.fddi) ?(accel = false) ?(spindles = 1) ?(biods = 4)
   let base =
     if spindles = 1 then disks.(0) else Stripe.create eng ~chunk:8192 disks
   in
-  let device = if accel then Nvram.create eng base else base in
+  let device = if accel then snd (Nvram.create eng base) else base in
   let server = Server.make eng ~segment ~addr:"server" ~device ?trace config in
   let csock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock:csock ~server:"server" () in
