@@ -184,9 +184,9 @@ let micro_tests () =
   let heap_churn =
     Test.make ~name:"heap: 1k add+pop"
       (Staged.stage (fun () ->
-           let h = Heap.create () in
+           let h = Heap.create ~dummy:0 in
            for i = 0 to 999 do
-             Heap.add h ~key:(i * 37 mod 1000) ~seq:i i
+             ignore (Heap.add h ~key:(i * 37 mod 1000) ~seq:i i : Heap.handle)
            done;
            let rec drain () = match Heap.pop h with Some _ -> drain () | None -> () in
            drain ()))

@@ -162,6 +162,13 @@ let learned_solo_clients t =
 
 let emit t event = match t.trace with Some tr -> Trace.emit tr ~actor:(Engine.self_name ()) event | None -> ()
 
+(* A formatted event is built only when a trace will record it, so an
+   untraced WRITE formats no strings. *)
+let emitf t fmt =
+  match t.trace with
+  | Some tr when Trace.enabled tr -> Printf.ksprintf (Trace.emit tr ~actor:(Engine.self_name ())) fmt
+  | Some _ | None -> Printf.ifprintf () fmt
+
 let gstate_of t vnode =
   let id = Vfs.vnode_id vnode in
   match Hashtbl.find_opt t.states id with
@@ -236,7 +243,7 @@ let flush_as_metadata_writer t g =
                 inode from becoming stable ahead of its data. One trip
                 into UFS instead of the syncdata-then-fsync convoy. *)
              charge_trip t;
-             emit t (Printf.sprintf "%dK data to disk (clustered)" ((hi - lo) / 1024));
+             emitf t "%dK data to disk (clustered)" ((hi - lo) / 1024);
              emit t "Metadata to disk";
              (* nfsrace: allow Y001 the inode encode reads its blocks through the cache and must run under the vnode lock; only the post-submit wait is moved outside *)
              Vfs.vop_commit_begin g.vnode ~off:lo ~len:(hi - lo)
@@ -263,7 +270,7 @@ let flush_as_metadata_writer t g =
     | () ->
         List.iter (fun (d : descriptor) -> jstamp t d.tr Journey.stamp_disk_complete) ordered;
         let attr = Fattr.of_vnode ~fsid:t.fsid g.vnode in
-        if n > 0 then emit t (Printf.sprintf "%d Write Repl%s" n (if n = 1 then "y" else "ies"));
+        if n > 0 then emitf t "%d Write Repl%s" n (if n = 1 then "y" else "ies");
         List.iter (fun d -> reply_ok t d attr) ordered;
         if t.cfg.learn_clients then
           List.iter (fun (d : descriptor) -> learn t d.client ~gathered:(n > 1)) ordered;
@@ -280,8 +287,7 @@ let flush_as_metadata_writer t g =
         g.lo <- Stdlib.min g.lo lo;
         g.hi <- Stdlib.max g.hi hi;
         Metrics.incr t.flush_failures;
-        emit t
-          (Printf.sprintf "Flush failed: %d NFSERR_IO Repl%s" n (if n = 1 then "y" else "ies"));
+        emitf t "Flush failed: %d NFSERR_IO Repl%s" n (if n = 1 then "y" else "ies");
         List.iter (fun d -> t.send_reply d.tr (d.fail Proto.NFSERR_IO)) ordered);
     (* Writes that arrived while we were flushing: if no OTHER nfsd is
        active to pick them up (we ourselves still count in g.active
@@ -312,7 +318,7 @@ let handle_standard t tr ~respond ~fail vnode ~off ~data =
          jstamp t tr Journey.stamp_queued;
          jstamp t tr Journey.stamp_disk_submit;
          charge_trip t;
-         emit t (Printf.sprintf "%dK data to disk" (Xdr.view_length data / 1024));
+         emitf t "%dK data to disk" (Xdr.view_length data / 1024);
          (* nfsrace: allow Y001 the paper's synchronous path: the reference port holds the vnode lock across its disk write by design *)
          Vfs.vop_write vnode ~off data ~flags:[ Vfs.IO_SYNC ];
          if Fs.meta_dirty (Vfs.inode_of vnode) = `Clean then emit t "Metadata to disk")
@@ -334,7 +340,7 @@ let handle_standard t tr ~respond ~fail vnode ~off ~data =
 
 (* Gathering path, one nfsd D (paper section 6.8). *)
 let handle_gathering t tr ~respond ~fail vnode ~off ~data =
-  emit t (Printf.sprintf "%dK Write recv (off=%dK)" (Xdr.view_length data / 1024) (off / 1024));
+  emitf t "%dK Write recv (off=%dK)" (Xdr.view_length data / 1024) (off / 1024);
   let g = gstate_of t vnode in
   g.active <- g.active + 1;
   let accel = Vfs.accelerated vnode in
@@ -343,7 +349,7 @@ let handle_gathering t tr ~respond ~fail vnode ~off ~data =
      Vfs.with_lock vnode (fun () ->
          charge_trip t;
          if accel then begin
-           emit t (Printf.sprintf "%dK data to Presto" (Xdr.view_length data / 1024));
+           emitf t "%dK data to Presto" (Xdr.view_length data / 1024);
            (* nfsrace: allow Y001 the Presto front absorbs the write at memory speed; the vnode lock only orders the cache fill *)
            Vfs.vop_write vnode ~off data ~flags:[ Vfs.IO_SYNC; Vfs.IO_DATAONLY ]
          end

@@ -38,7 +38,13 @@ let current_name = ref "?"
 let self_name () = !current_name
 
 let create () =
-  { clock = Time.zero; seq = 0; events = Heap.create (); suspended = 0; processed = 0 }
+  {
+    clock = Time.zero;
+    seq = 0;
+    events = Heap.create ~dummy:(Thunk ignore);
+    suspended = 0;
+    processed = 0;
+  }
 
 let now t = t.clock
 let suspended_count t = t.suspended
@@ -48,29 +54,22 @@ let push_at t time ev =
   t.seq <- t.seq + 1;
   Heap.add t.events ~key:time ~seq:t.seq ev
 
-let push t ev = push_at t t.clock ev
+let push t ev = ignore (push_at t t.clock ev : Heap.handle)
 
-let schedule t ~after f =
+let schedule_entry t ~after f =
   if after < 0 then invalid_arg "Engine.schedule: negative delay";
   push_at t (t.clock + after) (Thunk f)
 
-type timer = { mutable cancelled : bool; mutable fired : bool }
+let schedule t ~after f = ignore (schedule_entry t ~after f : Heap.handle)
 
-let timer t ~after f =
-  let tm = { cancelled = false; fired = false } in
-  schedule t ~after (fun () ->
-      if not tm.cancelled then begin
-        tm.fired <- true;
-        f ()
-      end);
-  tm
+(* A timer is its queue entry: cancelling removes the entry, so a
+   cancelled timer neither runs nor lingers in the queue until its
+   instant. Once the entry has been popped the handle is stale and
+   [Heap.remove] refuses it. *)
+type timer = { queue : ev Heap.t; entry : Heap.handle }
 
-let cancel tm =
-  if tm.fired || tm.cancelled then false
-  else begin
-    tm.cancelled <- true;
-    true
-  end
+let timer t ~after f = { queue = t.events; entry = schedule_entry t ~after f }
+let cancel tm = Heap.remove tm.queue tm.entry
 
 let spawn t ?(name = "proc") f =
   let handler =
@@ -85,7 +84,9 @@ let spawn t ?(name = "proc") f =
                 (fun (k : (a, unit) continuation) ->
                   if d < 0 then invalid_arg "Engine.delay: negative delay";
                   t.suspended <- t.suspended + 1;
-                  push_at t (t.clock + d) (Resume { name; k; v = (); parked = true }))
+                  ignore
+                    (push_at t (t.clock + d) (Resume { name; k; v = (); parked = true })
+                      : Heap.handle))
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->

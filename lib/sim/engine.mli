@@ -39,25 +39,31 @@ val timer : t -> after:Time.t -> (unit -> unit) -> timer
 (** Like {!schedule} but cancellable. *)
 
 val cancel : timer -> bool
-(** [cancel tm] prevents the timer from firing. Returns [false] if it
-    already fired (or was already cancelled). *)
+(** [cancel tm] takes the timer out of the event queue at once
+    (O(log n) in queued events) and returns [true]: its callback never
+    runs, and it is neither counted by {!events_processed} nor able to
+    move the clock. Returns [false], and changes nothing, if the timer
+    already fired or was already cancelled. *)
 
 val run : ?until:Time.t -> t -> unit
 (** [run t] executes events until the queue is empty, or until the
     clock would pass [until] (events at exactly [until] are executed,
-    and the clock is left at [until]). Can be called repeatedly to
-    resume a paused simulation. However it returns, normally or by an
-    exception escaping a process, {!self_name} is ["?"] afterwards. *)
+    and the clock is left at [until]). Without [until] the clock is
+    left at the instant of the last event executed; a timer cancelled
+    before its instant is not an event, so it cannot carry the clock
+    past that. Can be called repeatedly to resume a paused simulation.
+    However it returns, normally or by an exception escaping a
+    process, {!self_name} is ["?"] afterwards. *)
 
 val suspended_count : t -> int
 (** Number of processes currently parked in {!suspend} or {!delay};
     useful to detect deadlocks in tests. *)
 
 val events_processed : t -> int
-(** Total events executed by {!run} over this world's lifetime.
-    Divided by wall-clock elapsed time it yields the events/sec
-    figure the bench suite tracks; it never affects simulation
-    behaviour. *)
+(** Total events executed by {!run} over this world's lifetime; a
+    cancelled timer is never executed, so it is not counted. Divided
+    by wall-clock elapsed time it yields the events/sec figure the
+    bench suite tracks; it never affects simulation behaviour. *)
 
 (** {1 Inside a process} *)
 

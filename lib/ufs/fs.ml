@@ -398,7 +398,9 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
 let read t (ino : inode) ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Fs.read: negative offset or length";
   let len = Stdlib.max 0 (Stdlib.min len (ino.size - off)) in
-  let out = Bytes.make len '\000' in
+  (* Every chunk is either copied from its block or zero-filled as a
+     hole, so the buffer needs no clearing first. *)
+  let out = Bytes.create len in
   let bs = bsize t in
   let pos = ref off in
   while !pos < off + len do
@@ -406,11 +408,8 @@ let read t (ino : inode) ~off ~len =
     let within = !pos mod bs in
     let chunk = Stdlib.min (bs - within) (off + len - !pos) in
     let b = bmap t ino fbn ~alloc_missing:false ~near:None in
-    if b <> 0 then begin
-      let buf = Buffer_cache.get t.bcache b in
-      Bytes.blit buf within out (!pos - off) chunk
-    end;
-    (* holes stay zero *)
+    if b <> 0 then Bytes.blit (Buffer_cache.get t.bcache b) within out (!pos - off) chunk
+    else Bytes.fill out (!pos - off) chunk '\000';
     pos := !pos + chunk
   done;
   ino.atime <- Engine.now t.eng;

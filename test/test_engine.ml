@@ -76,6 +76,9 @@ let test_schedule_callback () =
   Engine.run eng;
   Alcotest.(check int) "at 7ms" (Time.ms 7) !fired
 
+(* Cancelling takes the timer out of the queue: it is not an event, so
+   it is not counted, and the run ends at the last event it did run
+   rather than at the cancelled timer's instant. *)
 let test_timer_cancel () =
   let eng = Engine.create () in
   let fired = ref false in
@@ -84,6 +87,8 @@ let test_timer_cancel () =
       Alcotest.(check bool) "cancel succeeds" true (Engine.cancel tm));
   Engine.run eng;
   Alcotest.(check bool) "never fired" false !fired;
+  Alcotest.(check int) "only the canceller counted" 1 (Engine.events_processed eng);
+  Alcotest.(check int) "clock at the last live event" (Time.ms 1) (Engine.now eng);
   Alcotest.(check bool) "second cancel fails" false (Engine.cancel tm)
 
 let test_timer_fires_then_cancel_fails () =

@@ -98,6 +98,29 @@ let test_sparse_holes_read_zero () =
       let mid = Fs.read fs f ~off:(50 * 8192) ~len:10 in
       Alcotest.(check bytes) "zeros" (Bytes.make 10 '\000') mid)
 
+(* Reads that start, end and pass through holes return exactly the
+   bytes of a flat copy of the file: written ranges as written,
+   everything else zero. Pattern bytes are never zero at offsets where
+   [pattern] runs, so a hole left unfilled would show. *)
+let test_reads_across_holes () =
+  let eng, _, fs = fresh_fs ~bsize:512 ~ninodes:64 () in
+  in_proc eng (fun () ->
+      let f = Fs.create fs (Fs.root fs) "holes" Layout.Regular in
+      let size = 512 * 40 in
+      let flat = Bytes.make size '\000' in
+      List.iter
+        (fun (off, len) ->
+          let data = Bytes.map (fun c -> if c = '\000' then '\001' else c) (pattern len off) in
+          Fs.write fs f ~off data ~mode:Fs.Sync;
+          Bytes.blit data 0 flat off len)
+        [ (700, 300); (512 * 9, 512 * 3); (512 * 20 + 17, 900); (size - 5, 5) ];
+      List.iter
+        (fun (off, len) ->
+          Alcotest.(check bytes)
+            (Printf.sprintf "read %d+%d" off len)
+            (Bytes.sub flat off len) (Fs.read fs f ~off ~len))
+        [ (0, size); (0, 700); (650, 512 * 10); (512 * 12, 512 * 8 + 40); (512 * 25, 512 * 15) ])
+
 let test_indirect_boundaries () =
   (* With bsize=512: 12 direct blocks, then 128 single-indirect, then
      double-indirect. Write a file crossing all three regions. *)
@@ -428,6 +451,7 @@ let suite =
     Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
     Alcotest.test_case "unaligned and spanning writes" `Quick test_unaligned_writes;
     Alcotest.test_case "sparse holes read zero" `Quick test_sparse_holes_read_zero;
+    Alcotest.test_case "reads across holes match a flat copy" `Quick test_reads_across_holes;
     Alcotest.test_case "direct/single/double indirect" `Quick test_indirect_boundaries;
     Alcotest.test_case "short read at EOF" `Quick test_short_read_at_eof;
     Alcotest.test_case "Delay_data stays volatile" `Quick test_delay_data_stays_volatile;
