@@ -313,7 +313,6 @@ let suite =
     Alcotest.test_case "MOUNT by name; distinct fsids on the wire" `Quick
       test_mount_and_distinct_fsids;
     Alcotest.test_case "unknown fsid or generation earns STALE" `Quick test_unknown_fsid_is_stale;
-    Alcotest.test_case "every procedure routes alike" `Quick test_every_procedure_routes_alike;
     Alcotest.test_case "reboot keeps handles; reformat stales them" `Quick
       test_reboot_keeps_handles_reformat_stales_them;
     Alcotest.test_case "cross-volume rename earns XDEV" `Quick test_cross_volume_rename_is_xdev;
@@ -324,4 +323,5 @@ let suite =
       test_export_assignment_distribution;
     Alcotest.test_case "3 volumes: independent gathering, isolated faults" `Slow
       test_multivolume_experiment;
+    Alcotest.test_case "every procedure routes alike" `Quick test_every_procedure_routes_alike;
   ]
