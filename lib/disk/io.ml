@@ -48,15 +48,28 @@ let await r =
   Ivar.read r.done_;
   match r.error with Some exn -> raise exn | None -> ()
 
-let await_all reqs =
-  (* Wait for every completion before surfacing the first error, so no
-     request is abandoned mid-flight with its issuer gone. *)
-  List.iter (fun r -> Ivar.read r.done_) reqs;
-  List.iter (fun r -> match r.error with Some exn -> raise exn | None -> ()) reqs
+(* {1 Epochs} *)
 
-let await_barrier = function
-  | Barrier b -> Ivar.read b.done_
-  | Req _ -> invalid_arg "Io.await_barrier: not a barrier"
+let epochs items ~run =
+  let rec cut acc = function
+    | Req r :: rest -> cut (r :: acc) rest
+    | Barrier b :: tail -> (List.rev acc, Some b.done_, tail)
+    | [] -> (List.rev acc, None, [])
+  in
+  let rec go = function
+    | [] -> ()
+    | items -> (
+        let reqs, barrier, tail = cut [] items in
+        run reqs (fun err ->
+            match barrier with
+            | None -> ()
+            | Some done_ -> (
+                Ivar.fill done_ ();
+                match err with
+                | Some e -> List.iter (fun item -> fail_item item e) tail
+                | None -> go tail)))
+  in
+  go items
 
 (* {1 Blocking shims} *)
 

@@ -88,11 +88,26 @@ val item_done : item -> unit Ivar.t
 val await : req -> unit
 (** Block until complete; re-raise the recorded error if any. *)
 
-val await_all : req list -> unit
-(** Wait for {e every} request, then raise the first recorded error
-    (in list order) if any — no request is abandoned in flight. *)
+(** {1 Epochs}
 
-val await_barrier : item -> unit
+    The barrier rule for a device that services a batch itself rather
+    than queueing it: {!Stripe} at every level and {!Nvram}. {!Disk}
+    keeps the rule as a fence in its request queue, and
+    {!Nfsg_fault.Fault_disk} hands whole batches down without waiting
+    on them. *)
+
+val epochs : item list -> run:(req list -> (exn option -> unit) -> unit) -> unit
+(** [epochs items ~run] cuts the batch at its barriers and services it
+    one epoch (the requests between two barriers) at a time. It hands
+    each epoch's requests, possibly none, to [run] with a continuation;
+    [run] completes every request and then calls the continuation
+    exactly once, with the epoch's first error if any. The continuation
+    completes the barrier that closes the epoch, then starts the next
+    epoch or, after an error, fails every item behind that barrier.
+    [epochs] spawns nothing and never blocks by itself: [run] may call
+    the continuation at once, in the submitting process (NVRAM, the
+    redundant arrays), or later, from a member's completion callback
+    (RAID-0). *)
 
 (** {1 Blocking shims}
 

@@ -75,7 +75,6 @@ type t = {
   mutable crashed : bool;
   mutable draining : bool;
   mutable battery_ok : bool;
-  mutable flush_retries : int;  (** backing-store Io_errors survived by the flusher *)
   mutable gen : int;  (** flusher generation; bumped on recovery *)
   more : Condition.t;  (** new dirty data *)
   space : Condition.t;  (** NVRAM space freed *)
@@ -162,7 +161,6 @@ and flush_one st =
           Extent_map.apply st.dirty ~off data;
           Extent_map.insert st.dirty ~off data;
           st.in_flight <- None;
-          st.flush_retries <- st.flush_retries + 1;
           Nfsg_stats.Metrics.incr st.inst.m_flush_retries;
           Engine.delay (Time.of_ms_f 50.0))
 
@@ -181,7 +179,7 @@ let overlay st ~off buf =
   Extent_map.apply st.dirty ~off buf
 
 let dirty_bytes st = used st
-let flush_retries st = st.flush_retries
+let flush_retries st = Nfsg_stats.Metrics.value st.inst.m_flush_retries
 let battery_ok st = st.battery_ok
 
 (* A detected battery fault, as a real Prestoserve driver handles it:
@@ -217,7 +215,6 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
       crashed = false;
       draining = false;
       battery_ok = true;
-      flush_retries = 0;
       gen = 0;
       more = Condition.create ();
       space = Condition.create ();
@@ -326,38 +323,29 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
   in
   (* The board has no queue of its own: requests are serviced in the
      submitter's process, at copy (or pass-through) speed, and are
-     stable the moment they complete — so a batch's barriers are
-     trivially in order. A failure ahead of a barrier poisons
-     everything behind it in the same batch (the post-barrier items
-     depend on the failed ones being stable). *)
+     stable the moment they complete, so each epoch of a batch is done
+     when the loop over it returns. *)
+  let serve (r : Io.req) =
+    match r.Io.op with
+    | Io.Write -> write ~off:r.Io.off r.Io.buf
+    | Io.Read -> Bytes.blit (read ~off:r.Io.off ~len:r.Io.len) 0 r.Io.buf 0 r.Io.len
+  in
+  let run reqs k =
+    k
+      (List.fold_left
+         (fun err r ->
+           match serve r with
+           | () ->
+               Io.complete r;
+               err
+           | exception e ->
+               Io.fail r e;
+               if err = None then Some e else err)
+         None reqs)
+  in
   let submit items =
     check_power ();
-    let failed = ref None in
-    let poisoned = ref None in
-    List.iter
-      (fun item ->
-        match (!poisoned, item) with
-        | Some e, it -> Io.fail_item it e
-        | None, Io.Barrier b ->
-            (match !failed with Some e -> poisoned := Some e | None -> ());
-            Ivar.fill b.done_ ()
-        | None, Io.Req r -> (
-            match r.Io.op with
-            | Io.Write -> (
-                match write ~off:r.Io.off r.Io.buf with
-                | () -> Io.complete r
-                | exception e ->
-                    if !failed = None then failed := Some e;
-                    Io.fail r e)
-            | Io.Read -> (
-                match read ~off:r.Io.off ~len:r.Io.len with
-                | b ->
-                    Bytes.blit b 0 r.Io.buf 0 r.Io.len;
-                    Io.complete r
-                | exception e ->
-                    if !failed = None then failed := Some e;
-                    Io.fail r e)))
-      items
+    Io.epochs items ~run
   in
   let dev =
     {

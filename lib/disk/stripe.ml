@@ -9,126 +9,6 @@ type member_state = Active | Failed | Rebuilding
 
 let level_name = function Raid0 -> "raid0" | Raid1 -> "raid1" | Raid5 -> "raid5"
 
-let level_of_name = function
-  | "raid0" -> Some Raid0
-  | "raid1" -> Some Raid1
-  | "raid5" -> Some Raid5
-  | _ -> None
-
-(* {1 RAID-0 core}
-
-   The original striping driver, kept verbatim as the [Raid0] path: the
-   committed BENCH artifacts were produced through it and its behaviour
-   is part of their byte contract. *)
-
-type r0 = { chunk : int; members : Device.t array; capacity : int }
-
-(* Map a logical byte offset to (member index, member-local offset). *)
-let locate st off =
-  let chunk_idx = off / st.chunk in
-  let member = chunk_idx mod Array.length st.members in
-  let member_chunk = chunk_idx / Array.length st.members in
-  (member, (member_chunk * st.chunk) + (off mod st.chunk))
-
-(* Split [off, off+len) at chunk boundaries into per-member pieces:
-   (member, member_off, logical_off, piece_len) list. *)
-let split st ~off ~len =
-  let rec go acc off remaining =
-    if remaining = 0 then List.rev acc
-    else begin
-      let within = off mod st.chunk in
-      let piece = Stdlib.min remaining (st.chunk - within) in
-      let member, moff = locate st off in
-      go ((member, moff, off, piece) :: acc) (off + piece) (remaining - piece)
-    end
-  in
-  go [] off len
-
-(* One epoch = the requests between two barriers. Each request is cut
-   into per-member pieces and the pieces go out as one batch per member
-   (no process per piece: completions chain through [Ivar.upon]). [k]
-   runs when every request of the epoch has completed, carrying the
-   first piece error if any — the gate that keeps an epoch behind a
-   barrier from starting before the previous one is stable on every
-   spindle, not just its own. *)
-let launch_epoch st reqs k =
-  let outstanding = ref (List.length reqs) in
-  let epoch_err = ref None in
-  if !outstanding = 0 then k None
-  else begin
-    let per_member = Array.make (Array.length st.members) [] in
-    let finish_req r err =
-      (match err with
-      | Some e ->
-          if !epoch_err = None then epoch_err := Some e;
-          Io.fail r e
-      | None -> Io.complete r);
-      decr outstanding;
-      if !outstanding = 0 then k !epoch_err
-    in
-    List.iter
-      (fun (r : Io.req) ->
-        match split st ~off:r.Io.off ~len:r.Io.len with
-        | [] -> finish_req r None
-        | pieces ->
-            let remaining = ref (List.length pieces) in
-            let perr = ref None in
-            List.iter
-              (fun (m, moff, loff, plen) ->
-                let pr =
-                  match r.Io.op with
-                  | Io.Write ->
-                      Io.write_req ~class_:r.Io.class_ ~off:moff
-                        (Bytes.sub r.Io.buf (loff - r.Io.off) plen)
-                  | Io.Read -> Io.read_req ~off:moff ~len:plen ()
-                in
-                Ivar.upon pr.Io.done_ (fun () ->
-                    (match pr.Io.error with
-                    | Some e -> if !perr = None then perr := Some e
-                    | None ->
-                        if r.Io.op = Io.Read then
-                          Bytes.blit pr.Io.buf 0 r.Io.buf (loff - r.Io.off) plen);
-                    decr remaining;
-                    if !remaining = 0 then finish_req r !perr);
-                per_member.(m) <- Io.Req pr :: per_member.(m))
-              pieces)
-      reqs;
-    Array.iteri
-      (fun m batch -> if batch <> [] then st.members.(m).Device.submit (List.rev batch))
-      per_member
-  end
-
-(* A failed epoch poisons everything behind its barrier in the same
-   submission: the later items were ordered because they depend on the
-   earlier ones being stable, so they must not reach the spindles. *)
-let abort_tail exn items =
-  List.iter
-    (fun item ->
-      match item with Io.Req r -> Io.fail r exn | Io.Barrier b -> Ivar.fill b.done_ ())
-    items
-
-let rec cut_epoch acc = function
-  | Io.Req r :: rest -> cut_epoch (r :: acc) rest
-  | (Io.Barrier _ :: _ | []) as rest -> (List.rev acc, rest)
-
-let rec submit_epochs st items =
-  match items with
-  | [] -> ()
-  | _ ->
-      let reqs, rest = cut_epoch [] items in
-      launch_epoch st reqs (fun err ->
-          match rest with
-          | [] -> ()
-          | Io.Barrier b :: tail -> (
-              match err with
-              | Some e ->
-                  Ivar.fill b.done_ ();
-                  abort_tail e tail
-              | None ->
-                  Ivar.fill b.done_ ();
-                  submit_epochs st tail)
-          | Io.Req _ :: _ -> assert false)
-
 (* {1 Instrumentation} *)
 
 type inst = {
@@ -189,7 +69,7 @@ type t = {
           never stay divergent for a commit that was in flight. *)
   mutable rebuild_cursor : (int * int) option;
       (** (member, first row not yet resilvered) *)
-  mutable dev : Device.t option;
+  dev : Device.t Lazy.t;
 }
 
 let parity_member t row = t.n - 1 - (row mod t.n)
@@ -331,20 +211,93 @@ let xor_into dst src =
       (Char.unsafe_chr (Char.code (Bytes.unsafe_get dst i) lxor Char.code (Bytes.unsafe_get src i)))
   done
 
-(* Submit [rs] as one batch per member (keeps the member schedulers
-   merging) and block until every request has completed, successfully
-   or not. *)
+(* Hand each member its share of an array batch as one batch of its
+   own, in order, so the member schedulers can sort and merge it. *)
+let submit_per_member t per_member =
+  Array.iteri
+    (fun m batch -> if batch <> [] then t.members.(m).Device.submit (List.rev batch))
+    per_member
+
+(* Submit [rs] as one batch per member and block until every request
+   has completed, successfully or not. *)
 let batch_await t rs =
   let per_member = Array.make t.n [] in
   List.iter (fun (m, r) -> per_member.(m) <- Io.Req r :: per_member.(m)) rs;
-  Array.iteri
-    (fun m batch -> if batch <> [] then t.members.(m).Device.submit (List.rev batch))
-    per_member;
+  submit_per_member t per_member;
   List.iter
     (fun (m, (r : Io.req)) ->
       Ivar.read r.Io.done_;
       if r.Io.error <> None then note_failure t m)
     rs
+
+(* {1 RAID-0} *)
+
+(* Split [off, off+len) at chunk boundaries into per-member pieces:
+   (member, member_off, logical_off, piece_len) list. Chunks are dealt
+   round-robin across the members. *)
+let split t ~off ~len =
+  let rec go acc off remaining =
+    if remaining = 0 then List.rev acc
+    else begin
+      let within = off mod t.chunk in
+      let piece = Stdlib.min remaining (t.chunk - within) in
+      let chunk_idx = off / t.chunk in
+      let moff = (chunk_idx / t.n * t.chunk) + within in
+      go ((chunk_idx mod t.n, moff, off, piece) :: acc) (off + piece) (remaining - piece)
+    end
+  in
+  go [] off len
+
+(* One epoch: each request is cut into per-member pieces and the pieces
+   go out as one batch per member. No process serves the epoch:
+   completions chain through [Ivar.upon], and [k] runs from the last
+   one, carrying the first piece error if any. That is the gate that
+   keeps an epoch behind a barrier from starting before the previous
+   one is stable on every spindle, not just its own. *)
+let epoch0 t reqs k =
+  let outstanding = ref (List.length reqs) in
+  let epoch_err = ref None in
+  if !outstanding = 0 then k None
+  else begin
+    let per_member = Array.make t.n [] in
+    let finish_req r err =
+      (match err with
+      | Some e ->
+          if !epoch_err = None then epoch_err := Some e;
+          Io.fail r e
+      | None -> Io.complete r);
+      decr outstanding;
+      if !outstanding = 0 then k !epoch_err
+    in
+    List.iter
+      (fun (r : Io.req) ->
+        match split t ~off:r.Io.off ~len:r.Io.len with
+        | [] -> finish_req r None
+        | pieces ->
+            let remaining = ref (List.length pieces) in
+            let perr = ref None in
+            List.iter
+              (fun (m, moff, loff, plen) ->
+                let pr =
+                  match r.Io.op with
+                  | Io.Write ->
+                      Io.write_req ~class_:r.Io.class_ ~off:moff
+                        (Bytes.sub r.Io.buf (loff - r.Io.off) plen)
+                  | Io.Read -> Io.read_req ~off:moff ~len:plen ()
+                in
+                Ivar.upon pr.Io.done_ (fun () ->
+                    (match pr.Io.error with
+                    | Some e -> if !perr = None then perr := Some e
+                    | None ->
+                        if r.Io.op = Io.Read then
+                          Bytes.blit pr.Io.buf 0 r.Io.buf (loff - r.Io.off) plen);
+                    decr remaining;
+                    if !remaining = 0 then finish_req r !perr);
+                per_member.(m) <- Io.Req pr :: per_member.(m))
+              pieces)
+      reqs;
+    submit_per_member t per_member
+  end
 
 (* {1 RAID-1} *)
 
@@ -459,9 +412,7 @@ let epoch1 t ~gen reqs =
               `R (r, m, tw))
         reqs
     in
-    Array.iteri
-      (fun m batch -> if batch <> [] then t.members.(m).Device.submit (List.rev batch))
-      per_member;
+    submit_per_member t per_member;
     List.iter
       (function
         | `W (_, _, twins) -> List.iter (fun (_, (tw : Io.req)) -> Ivar.read tw.Io.done_) twins
@@ -585,23 +536,33 @@ let commit_row5_locked t ~gen ~row patches =
           if covered j && not (live t (data_member t row j) ~row) then covered_live := false
         done;
         let apply base j = List.iter (fun (coff, plen, src, soff) -> Bytes.blit src soff base coff plen) cov.(j) in
+        (* A member error retries the commit; after a crash it parks. *)
+        let retry () =
+          if t.gen <> gen then begin
+            crashed_park ();
+            None
+          end
+          else attempt (tries + 1)
+        in
+        let failed rs = List.exists (fun (_, (r : Io.req)) -> r.Io.error <> None) rs in
         let finish writes =
           let seq = journal_add t writes in
           let rs = List.map (fun (m, o, b) -> (m, Io.write_req ~class_:`Sync_write ~off:o b)) writes in
           batch_await t rs;
-          let werr = ref None in
-          List.iter
-            (fun (_, (r : Io.req)) -> if !werr = None && r.Io.error <> None then werr := r.Io.error)
-            rs;
           journal_del t ~gen seq;
-          match !werr with
-          | None -> None
-          | Some _ ->
-              if t.gen <> gen then begin
-                crashed_park ();
-                None
-              end
-              else attempt (tries + 1)
+          if failed rs then retry () else None
+        in
+        (* The read phase: the row's chunk on the parity member and on
+           every data position [want] selects, in one batch; [k] gets
+           the bytes read, by member. *)
+        let read_row want k =
+          let targets = ref [ (p, Io.read_req ~off:moff ~len:t.chunk ()) ] in
+          for j = nd - 1 downto 0 do
+            if want j then
+              targets := (data_member t row j, Io.read_req ~off:moff ~len:t.chunk ()) :: !targets
+          done;
+          batch_await t !targets;
+          if failed !targets then retry () else k (fun m -> (List.assoc m !targets).Io.buf)
         in
         if all_full then begin
           (* Full-stripe write: parity from the new data alone, no
@@ -638,43 +599,22 @@ let commit_row5_locked t ~gen ~row patches =
         else if !covered_live && p_live && !deads = [] then begin
           (* Healthy partial stripe: read-modify-write at chunk
              granularity. parity' = parity ⊕ old ⊕ new. *)
-          let targets = ref [ (p, Io.read_req ~off:moff ~len:t.chunk ()) ] in
-          for j = nd - 1 downto 0 do
-            if covered j then
-              targets := (data_member t row j, Io.read_req ~off:moff ~len:t.chunk ()) :: !targets
-          done;
-          batch_await t !targets;
-          let rerr = ref None in
-          List.iter
-            (fun (_, (r : Io.req)) -> if !rerr = None && r.Io.error <> None then rerr := r.Io.error)
-            !targets;
-          if !rerr <> None then
-            if t.gen <> gen then begin
-              crashed_park ();
-              None
-            end
-            else attempt (tries + 1)
-          else begin
-            let chunk_of m =
-              let _, r = List.find (fun (m', _) -> m' = m) !targets in
-              r.Io.buf
-            in
-            let parity = Bytes.copy (chunk_of p) in
-            let writes = ref [ (p, moff, parity) ] in
-            for j = nd - 1 downto 0 do
-              if covered j then begin
-                let m = data_member t row j in
-                let old = chunk_of m in
-                xor_into parity old;
-                let nw = Bytes.copy old in
-                apply nw j;
-                xor_into parity nw;
-                writes := (m, moff, nw) :: !writes
-              end
-            done;
-            Metrics.incr t.inst.m_rmw;
-            finish !writes
-          end
+          read_row covered (fun chunk_of ->
+              let parity = Bytes.copy (chunk_of p) in
+              let writes = ref [ (p, moff, parity) ] in
+              for j = nd - 1 downto 0 do
+                if covered j then begin
+                  let m = data_member t row j in
+                  let old = chunk_of m in
+                  xor_into parity old;
+                  let nw = Bytes.copy old in
+                  apply nw j;
+                  xor_into parity nw;
+                  writes := (m, moff, nw) :: !writes
+                end
+              done;
+              Metrics.incr t.inst.m_rmw;
+              finish !writes)
         end
         else begin
           (* A written data chunk lives on the dead member (or died
@@ -693,51 +633,29 @@ let commit_row5_locked t ~gen ~row patches =
             (* parity and a data member both unreadable for this row *)
             Some (Device.Io_error (t.name ^ ": multiple members lost"))
           else begin
-            let targets = ref [ (p, Io.read_req ~off:moff ~len:t.chunk ()) ] in
-            for j = nd - 1 downto 0 do
-              if j <> !dead_j then
-                targets := (data_member t row j, Io.read_req ~off:moff ~len:t.chunk ()) :: !targets
-            done;
-            batch_await t !targets;
-            let rerr = ref None in
-            List.iter
-              (fun (_, (r : Io.req)) ->
-                if !rerr = None && r.Io.error <> None then rerr := r.Io.error)
-              !targets;
-            if !rerr <> None then
-              if t.gen <> gen then begin
-                crashed_park ();
-                None
-              end
-              else attempt (tries + 1)
-            else begin
-              let chunk_of m =
-                let _, r = List.find (fun (m', _) -> m' = m) !targets in
-                r.Io.buf
-              in
-              let old =
-                Array.init nd (fun j ->
-                    if j = !dead_j then begin
-                      let b = Bytes.copy (chunk_of p) in
-                      for j' = 0 to nd - 1 do
-                        if j' <> !dead_j then xor_into b (chunk_of (data_member t row j'))
-                      done;
-                      b
-                    end
-                    else Bytes.copy (chunk_of (data_member t row j)))
-              in
-              let parity = Bytes.make t.chunk '\000' in
-              let writes = ref [] in
-              for j = nd - 1 downto 0 do
-                let nw = old.(j) in
-                apply nw j;
-                xor_into parity nw;
-                if covered j && j <> !dead_j then writes := (data_member t row j, moff, nw) :: !writes
-              done;
-              writes := (p, moff, parity) :: !writes;
-              Metrics.incr t.inst.m_degraded_writes;
-              finish !writes
-            end
+            read_row (fun j -> j <> !dead_j) (fun chunk_of ->
+                let old =
+                  Array.init nd (fun j ->
+                      if j = !dead_j then begin
+                        let b = Bytes.copy (chunk_of p) in
+                        for j' = 0 to nd - 1 do
+                          if j' <> !dead_j then xor_into b (chunk_of (data_member t row j'))
+                        done;
+                        b
+                      end
+                      else Bytes.copy (chunk_of (data_member t row j)))
+                in
+                let parity = Bytes.make t.chunk '\000' in
+                let writes = ref [] in
+                for j = nd - 1 downto 0 do
+                  let nw = old.(j) in
+                  apply nw j;
+                  xor_into parity nw;
+                  if covered j && j <> !dead_j then writes := (data_member t row j, moff, nw) :: !writes
+                done;
+                writes := (p, moff, parity) :: !writes;
+                Metrics.incr t.inst.m_degraded_writes;
+                finish !writes)
           end
         end
       end
@@ -849,9 +767,7 @@ let epoch5 t ~gen reqs =
             Some (r, prepared))
       reads
   in
-  Array.iteri
-    (fun m batch -> if batch <> [] then t.members.(m).Device.submit (List.rev batch))
-    per_member;
+  submit_per_member t per_member;
   List.iter
     (fun (r, prepared) ->
       let rerr = ref None in
@@ -885,33 +801,26 @@ let epoch5 t ~gen reqs =
   done;
   !epoch_err
 
-(* {1 Epoch driver for the redundant levels} *)
-
-let run_items t epoch_fn items =
-  let gen = t.gen in
-  let rec go items =
-    if t.crashed || t.gen <> gen then crashed_park ()
-    else begin
-      match items with
-      | [] -> ()
-      | _ ->
-          let reqs, rest = cut_epoch [] items in
-          let err = epoch_fn t ~gen reqs in
-          (match rest with
-          | [] -> ()
-          | Io.Barrier b :: tail -> (
-              Ivar.fill b.done_ ();
-              match err with Some e -> abort_tail e tail | None -> go tail)
-          | Io.Req _ :: _ -> assert false)
-    end
-  in
-  go items
-
 (* {1 Stable paths}
 
    The filesystem's mkfs/superblock/inode paths run on these; they must
    keep working degraded (reconstructing through parity) and must keep
    the redundancy invariants intact (updating parity, mirroring). *)
+
+let stable_read0 t ~off ~len =
+  let buf = Bytes.create len in
+  List.iter
+    (fun (m, moff, loff, plen) ->
+      let piece = t.members.(m).Device.stable_read ~off:moff ~len:plen in
+      Bytes.blit piece 0 buf (loff - off) plen)
+    (split t ~off ~len);
+  buf
+
+let stable_write0 t ~off data =
+  List.iter
+    (fun (m, moff, loff, plen) ->
+      t.members.(m).Device.stable_write ~off:moff (Bytes.sub data (loff - off) plen))
+    (split t ~off ~len:(Bytes.length data))
 
 let stable_read1 t ~off ~len =
   let rec pick m =
@@ -941,29 +850,31 @@ let stable_write1 t ~off data =
       | Failed -> ())
     t.members
 
+(* A data chunk's stable bytes: from its own member while that is
+   live for the row, else the XOR of parity and the other data members. *)
+let stable_chunk5 t ~row ~j ~moff ~plen =
+  let m = data_member t row j in
+  if live t m ~row then t.members.(m).Device.stable_read ~off:moff ~len:plen
+  else begin
+    let lost () = Device.Io_error (t.name ^ ": multiple members lost") in
+    let p = parity_member t row in
+    if not (live t p ~row) then raise (lost ());
+    let acc = t.members.(p).Device.stable_read ~off:moff ~len:plen in
+    for j' = 0 to t.n - 2 do
+      if j' <> j then begin
+        let m' = data_member t row j' in
+        if not (live t m' ~row) then raise (lost ());
+        xor_into acc (t.members.(m').Device.stable_read ~off:moff ~len:plen)
+      end
+    done;
+    acc
+  end
+
 let stable_read5 t ~off ~len =
   let buf = Bytes.create len in
   List.iter
     (fun (row, j, coff, plen, loff) ->
-      let m = data_member t row j in
-      let moff = (row * t.chunk) + coff in
-      let piece =
-        if live t m ~row then t.members.(m).Device.stable_read ~off:moff ~len:plen
-        else begin
-          let p = parity_member t row in
-          if not (live t p ~row) then raise (Device.Io_error (t.name ^ ": multiple members lost"));
-          let acc = t.members.(p).Device.stable_read ~off:moff ~len:plen in
-          for j' = 0 to t.n - 2 do
-            if j' <> j then begin
-              let m' = data_member t row j' in
-              if not (live t m' ~row) then
-                raise (Device.Io_error (t.name ^ ": multiple members lost"));
-              xor_into acc (t.members.(m').Device.stable_read ~off:moff ~len:plen)
-            end
-          done;
-          acc
-        end
-      in
+      let piece = stable_chunk5 t ~row ~j ~moff:((row * t.chunk) + coff) ~plen in
       Bytes.blit piece 0 buf (loff - off) plen)
     (split5 t ~off ~len);
   buf
@@ -974,29 +885,14 @@ let stable_write5 t ~off data =
       let m = data_member t row j and p = parity_member t row in
       let moff = (row * t.chunk) + coff in
       let piece = Bytes.sub data (loff - off) plen in
-      let m_live = live t m ~row and p_live = live t p ~row in
-      if p_live then begin
-        let old =
-          if m_live then t.members.(m).Device.stable_read ~off:moff ~len:plen
-          else begin
-            let acc = t.members.(p).Device.stable_read ~off:moff ~len:plen in
-            for j' = 0 to t.n - 2 do
-              if j' <> j then begin
-                let m' = data_member t row j' in
-                if not (live t m' ~row) then
-                  raise (Device.Io_error (t.name ^ ": multiple members lost"));
-                xor_into acc (t.members.(m').Device.stable_read ~off:moff ~len:plen)
-              end
-            done;
-            acc
-          end
-        in
+      if live t p ~row then begin
+        let old = stable_chunk5 t ~row ~j ~moff ~plen in
         let parity = t.members.(p).Device.stable_read ~off:moff ~len:plen in
         xor_into parity old;
         xor_into parity piece;
         t.members.(p).Device.stable_write ~off:moff parity
       end;
-      if m_live then t.members.(m).Device.stable_write ~off:moff piece)
+      if live t m ~row then t.members.(m).Device.stable_write ~off:moff piece)
     (split5 t ~off ~len:(Bytes.length data))
 
 (* {1 Crash / recover} *)
@@ -1045,13 +941,12 @@ let validate ~level ~chunk members =
   | Raid5 ->
       if Array.length members < 3 then invalid_arg "Stripe.create: raid5 needs at least 3 members"
 
-let all_stats members () =
-  Array.fold_left
-    (fun acc m -> Device.add_stats acc (m.Device.spindle_stats ()))
-    Device.zero_stats members
-
-let build_raid0 t =
-  let st = { chunk = t.chunk; members = t.members; capacity = t.capacity } in
+(* The array's one Device. RAID-0 services a batch in the submitter's
+   context and from member completions, adding no process; the
+   redundant levels block on member I/O and row locks, so each batch
+   gets one process that parks for good once the array crashes under
+   it. *)
+let build t =
   let check ~off ~len =
     if off < 0 || len < 0 || off + len > t.capacity then
       invalid_arg
@@ -1065,66 +960,14 @@ let build_raid0 t =
         | Io.Req r -> check ~off:r.Io.off ~len:r.Io.len
         | Io.Barrier _ -> ())
       items;
-    submit_epochs st items
-  in
-  let read ~off ~len =
-    check ~off ~len;
-    Io.blocking_read ~submit ~off ~len
-  in
-  let write ~off data =
-    check ~off ~len:(Bytes.length data);
-    Io.blocking_write ~submit ~class_:`Sync_write ~off data
-  in
-  let on_all f = Array.iter f st.members in
-  let stable_read ~off ~len =
-    check ~off ~len;
-    let buf = Bytes.create len in
-    List.iter
-      (fun (m, moff, loff, plen) ->
-        let piece = st.members.(m).Device.stable_read ~off:moff ~len:plen in
-        Bytes.blit piece 0 buf (loff - off) plen)
-      (split st ~off ~len);
-    buf
-  in
-  let stable_write ~off data =
-    let len = Bytes.length data in
-    check ~off ~len;
-    List.iter
-      (fun (m, moff, loff, plen) ->
-        st.members.(m).Device.stable_write ~off:moff (Bytes.sub data (loff - off) plen))
-      (split st ~off ~len)
-  in
-  {
-    Device.name = t.name;
-    capacity = t.capacity;
-    accelerated = (fun () -> Array.for_all (fun m -> m.Device.accelerated ()) t.members);
-    submit;
-    read;
-    write;
-    flush = (fun () -> on_all (fun m -> m.Device.flush ()));
-    crash = (fun () -> on_all (fun m -> m.Device.crash ()));
-    recover = (fun () -> on_all (fun m -> m.Device.recover ()));
-    spindle_stats = all_stats t.members;
-    stable_read;
-    stable_write;
-  }
-
-let build_redundant t =
-  let epoch_fn = match t.lvl with Raid1 -> epoch1 | Raid5 -> epoch5 | Raid0 -> assert false in
-  let check ~off ~len =
-    if off < 0 || len < 0 || off + len > t.capacity then
-      invalid_arg
-        (Printf.sprintf "%s: request [%d, %d) outside capacity %d" t.name off (off + len)
-           t.capacity)
-  in
-  let submit items =
-    List.iter
-      (fun item ->
-        match item with
-        | Io.Req r -> check ~off:r.Io.off ~len:r.Io.len
-        | Io.Barrier _ -> ())
-      items;
-    Engine.spawn t.eng ~name:(t.name ^ "-submit") (fun () -> run_items t epoch_fn items)
+    match t.lvl with
+    | Raid0 -> Io.epochs items ~run:(epoch0 t)
+    | Raid1 | Raid5 ->
+        let epoch = if t.lvl = Raid1 then epoch1 else epoch5 in
+        Engine.spawn t.eng ~name:(t.name ^ "-submit") (fun () ->
+            let gen = t.gen in
+            Io.epochs items ~run:(fun reqs k ->
+                if t.crashed || t.gen <> gen then crashed_park () else k (epoch t ~gen reqs)))
   in
   let read ~off ~len =
     check ~off ~len;
@@ -1136,11 +979,17 @@ let build_redundant t =
   in
   let stable_read ~off ~len =
     check ~off ~len;
-    match t.lvl with Raid1 -> stable_read1 t ~off ~len | _ -> stable_read5 t ~off ~len
+    match t.lvl with
+    | Raid0 -> stable_read0 t ~off ~len
+    | Raid1 -> stable_read1 t ~off ~len
+    | Raid5 -> stable_read5 t ~off ~len
   in
   let stable_write ~off data =
     check ~off ~len:(Bytes.length data);
-    match t.lvl with Raid1 -> stable_write1 t ~off data | _ -> stable_write5 t ~off data
+    match t.lvl with
+    | Raid0 -> stable_write0 t ~off data
+    | Raid1 -> stable_write1 t ~off data
+    | Raid5 -> stable_write5 t ~off data
   in
   {
     Device.name = t.name;
@@ -1152,12 +1001,16 @@ let build_redundant t =
     flush = (fun () -> Array.iter (fun m -> m.Device.flush ()) t.members);
     crash = (fun () -> do_crash t);
     recover = (fun () -> do_recover t);
-    spindle_stats = all_stats t.members;
+    spindle_stats =
+      (fun () ->
+        Array.fold_left
+          (fun acc m -> Device.add_stats acc (m.Device.spindle_stats ()))
+          Device.zero_stats t.members);
     stable_read;
     stable_write;
   }
 
-let create_array eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members =
+let create eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members =
   validate ~level ~chunk members;
   (* Raid0 keeps its historical zero-instrument footprint: its counters
      go to a throwaway registry so existing metric dumps are unchanged. *)
@@ -1174,7 +1027,7 @@ let create_array eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members
     | Raid1 -> member_cap
     | Raid5 -> member_cap * (n - 1)
   in
-  let t =
+  let rec t =
     {
       eng;
       name;
@@ -1195,20 +1048,14 @@ let create_array eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members
       jseq = 0;
       journal = Hashtbl.create 61;
       rebuild_cursor = None;
-      dev = None;
+      dev = lazy (build t);
     }
   in
-  let dev = match level with Raid0 -> build_raid0 t | Raid1 | Raid5 -> build_redundant t in
-  t.dev <- Some dev;
   t
-
-let create eng ?name ?metrics ?level ~chunk members =
-  let t = create_array eng ?name ?metrics ?level ~chunk members in
-  match t.dev with Some d -> d | None -> assert false
 
 (* {1 Management} *)
 
-let device t = match t.dev with Some d -> d | None -> assert false
+let device t = Lazy.force t.dev
 let level t = t.lvl
 let member_state t m =
   if m < 0 || m >= t.n then invalid_arg "Stripe.member_state: no such member";
@@ -1220,9 +1067,6 @@ let fail_member t m =
   note_failure t m
 
 let rebuild_active t = t.rebuild_cursor <> None
-
-let rebuild_progress t =
-  match t.rebuild_cursor with Some (_, cur) -> Some (cur, t.rows) | None -> None
 
 let rebuild ?(pace = Time.of_ms_f 1.0) t ~member =
   if member < 0 || member >= t.n then invalid_arg "Stripe.rebuild: no such member";

@@ -2,12 +2,20 @@
     striping (the paper's "3 drive stripe set"), RAID-1 mirroring and
     RAID-5 rotating parity, on the tagged-request/barrier core.
 
+    Every level shares one code path. A batch runs epoch by epoch through
+    {!Io.epochs}, so at every level a barrier is strict across
+    spindles: requests behind it are not released to {e any} member
+    until everything ahead of it is stable on {e every} member, and a
+    failure ahead of it fails everything behind it. RAID-0 adds no
+    process: it issues a batch from the submitter and each later epoch
+    from the completion of the one before. The redundant levels wait
+    on member reads and row locks, so each of their batches runs in one
+    process of its own.
+
     {b RAID-0} cuts the logical byte space into fixed-size chunks dealt
     round-robin across members; a request spanning several chunks is
     cut into per-member pieces, issued as one batch per member, and
-    completes when every piece has. A barrier is strict across
-    spindles: requests behind it are not released to {e any} member
-    until everything ahead of it is stable on {e every} member.
+    completes when every piece has.
 
     {b RAID-1} mirrors every write to all members and deals reads
     round-robin. With a member failed, reads fall over to the
@@ -42,12 +50,11 @@ type level = Raid0 | Raid1 | Raid5
 type member_state = Active | Failed | Rebuilding
 
 val level_name : level -> string
-val level_of_name : string -> level option
 
 type t
-(** Management handle for an array. *)
+(** One array: its {!device} and its management handle. *)
 
-val create_array :
+val create :
   Nfsg_sim.Engine.t ->
   ?name:string ->
   ?metrics:Nfsg_stats.Metrics.t ->
@@ -55,7 +62,7 @@ val create_array :
   chunk:int ->
   Device.t array ->
   t
-(** [create_array eng ~chunk members] — [level] defaults to [Raid0].
+(** [create eng ~chunk members] — [level] defaults to [Raid0].
     Logical capacity is the member capacity rounded down to whole
     chunks, times the member count (RAID-0), times one (RAID-1) or
     times [n-1] (RAID-5). Counters register under the
@@ -65,16 +72,6 @@ val create_array :
     is not a positive multiple of the 512-byte sector, members with
     differing capacities, or too few members for the level (RAID-1
     needs 2, RAID-5 needs 3). *)
-
-val create :
-  Nfsg_sim.Engine.t ->
-  ?name:string ->
-  ?metrics:Nfsg_stats.Metrics.t ->
-  ?level:level ->
-  chunk:int ->
-  Device.t array ->
-  Device.t
-(** [create_array] for callers that only want the device. *)
 
 val device : t -> Device.t
 val level : t -> level
@@ -93,13 +90,11 @@ val rebuild : ?pace:Nfsg_sim.Time.t -> t -> member:int -> unit
 (** Start resilvering a [Failed] member from the survivors (mirror
     copy for RAID-1, XOR of the other members for RAID-5), one chunk
     row at a time, [pace] apart (default 1ms), as [`Bg_drain]-class
-    traffic. Returns immediately; progress via {!rebuild_progress}.
+    traffic. Returns immediately; {!rebuild_active} is true until the
+    copy ends.
     The member becomes [Active] when the copy completes; a crash or a
     survivor failure aborts the copy and leaves it [Failed]. Raises
     [Invalid_argument] if the member is not [Failed], the array is
     crashed, or the survivors cannot source the copy. *)
 
 val rebuild_active : t -> bool
-
-val rebuild_progress : t -> (int * int) option
-(** [(rows done, rows total)] while a rebuild is running. *)

@@ -121,7 +121,7 @@ let run ?metrics cfg =
               Fault_disk.wrap eng ~seed:(cfg.seed lxor (0xfa10 + i)) m)
         in
         let arr =
-          Stripe.create_array eng ~name:"array" ~metrics ~level ~chunk:32768
+          Stripe.create eng ~name:"array" ~metrics ~level ~chunk:32768
             (Array.map snd wrapped)
         in
         (Stripe.device arr, Array.map fst wrapped, Some arr)

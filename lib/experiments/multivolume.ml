@@ -84,7 +84,10 @@ let run_world ?fault cfg =
   in
   let injector, dev0 = Fault_disk.wrap eng ~seed:(cfg.seed lxor 0xfa01) (mk_disk "vol1-rz26") in
   let dev1 = mk_disk "vol2-rz26" in
-  let dev2 = Stripe.create eng ~chunk:32768 (Array.init 3 (fun i -> mk_disk (Printf.sprintf "vol3-rz26-%d" i))) in
+  let dev2 =
+    Stripe.device
+      (Stripe.create eng ~chunk:32768 (Array.init 3 (fun i -> mk_disk (Printf.sprintf "vol3-rz26-%d" i))))
+  in
   let wl_config =
     { Write_layer.default_gathering with Write_layer.procrastinate = Calib.procrastinate Calib.Fddi }
   in

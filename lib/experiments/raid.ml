@@ -105,7 +105,7 @@ let run_variant cfg v =
           (Disk.rz26 ~capacity:cfg.member_capacity ()))
   in
   let arr =
-    Stripe.create_array eng ~name:"array" ~metrics ~level:v.level ~chunk:cfg.chunk members
+    Stripe.create eng ~name:"array" ~metrics ~level:v.level ~chunk:cfg.chunk members
   in
   let device = Stripe.device arr in
   let write_layer =

@@ -99,10 +99,7 @@ let make ?(env = default_env) spec =
     in
     let base =
       if spec.spindles = 1 then disks.(0)
-      else
-        match env.raid_level with
-        | None -> Stripe.create eng ~chunk:32768 disks
-        | Some level -> Stripe.create eng ~metrics ~level ~chunk:32768 disks
+      else Stripe.device (Stripe.create eng ~metrics ?level:env.raid_level ~chunk:32768 disks)
     in
     let device =
       if spec.accel then

@@ -12,7 +12,6 @@ type t = {
   rng : Rng.t;
   name : string;
   mutable fail_next : int;
-  mutable fail_classes : (Io.class_ * int) list;
   mutable error_windows : (window * float) list;
   mutable slowdown_windows : (window * float) list;
   mutable hang_windows : window list;
@@ -45,10 +44,6 @@ let fail_next ?(n = 1) t =
   if n < 0 then invalid_arg "Fault_disk.fail_next: need n >= 0";
   t.fail_next <- t.fail_next + n
 
-let fail_class ?(n = 1) t cls =
-  if n < 0 then invalid_arg "Fault_disk.fail_class: need n >= 0";
-  t.fail_classes <- (cls, n) :: t.fail_classes
-
 let check_window ~from_ ~until =
   if until <= from_ then invalid_arg "Fault_disk: empty fault window"
 
@@ -68,7 +63,6 @@ let hang_window t ~from_ ~until =
 
 let clear t =
   t.fail_next <- 0;
-  t.fail_classes <- [];
   t.error_windows <- [];
   t.slowdown_windows <- [];
   t.hang_windows <- []
@@ -80,24 +74,17 @@ let prune t now =
   t.slowdown_windows <- List.filter (fun (w, _) -> live w now) t.slowdown_windows;
   t.hang_windows <- List.filter (fun w -> live w now) t.hang_windows
 
-(* Should this particular request fail? The targeted class arm takes
-   precedence, then the deterministic fail_next count, then the
-   probabilistic error windows. *)
-let should_fail t now (r : Io.req) =
-  match List.assoc_opt r.Io.class_ t.fail_classes with
-  | Some n when n > 0 ->
-      t.fail_classes <-
-        List.map (fun (c, k) -> if c = r.Io.class_ then (c, k - 1) else (c, k)) t.fail_classes;
-      true
-  | _ -> (
-      if t.fail_next > 0 then begin
-        t.fail_next <- t.fail_next - 1;
-        true
-      end
-      else
-        match List.find_opt (fun (w, _) -> in_window w now) t.error_windows with
-        | Some (_, prob) -> Rng.bool t.rng prob
-        | None -> false)
+(* Should the next request fail? The deterministic fail_next count
+   takes precedence over the probabilistic error windows. *)
+let should_fail t now =
+  if t.fail_next > 0 then begin
+    t.fail_next <- t.fail_next - 1;
+    true
+  end
+  else
+    match List.find_opt (fun (w, _) -> in_window w now) t.error_windows with
+    | Some (_, prob) -> Rng.bool t.rng prob
+    | None -> false
 
 let op_name (r : Io.req) = match r.Io.op with Io.Read -> "read" | Io.Write -> "write"
 
@@ -129,9 +116,7 @@ let slow_twin t ~start ~factor (r : Io.req) =
 let rec deliver t (dev : Device.t) items =
   if t.failed_stop then begin
     let e = Device.Io_error (t.name ^ ": fail-stopped") in
-    List.iter
-      (fun item -> match item with Io.Req _ -> Io.fail_item item e | Io.Barrier b -> Ivar.fill b.done_ ())
-      items
+    List.iter (fun item -> Io.fail_item item e) items
   end
   else deliver_live t dev items
 
@@ -161,7 +146,7 @@ and deliver_live t (dev : Device.t) items =
                   Ivar.fill b.done_ ()
               | None -> forward := item :: !forward)
           | None, Io.Req r ->
-              if should_fail t now r then begin
+              if should_fail t now then begin
                 t.errors_injected <- t.errors_injected + 1;
                 let e =
                   Device.Io_error (Printf.sprintf "%s: injected %s error" t.name (op_name r))
@@ -186,7 +171,6 @@ let wrap eng ?(seed = 0xd15c) (dev : Device.t) =
       rng = Rng.create seed;
       name = dev.Device.name ^ "+fault";
       fail_next = 0;
-      fail_classes = [];
       error_windows = [];
       slowdown_windows = [];
       hang_windows = [];

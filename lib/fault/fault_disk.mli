@@ -45,11 +45,6 @@ val fail_next : ?n:int -> t -> unit
 (** Fail the next [n] (default 1) read/write transactions with
     [Io_error]. Cumulative with pending arms. *)
 
-val fail_class : ?n:int -> t -> Nfsg_disk.Io.class_ -> unit
-(** Fail the next [n] (default 1) requests of the given class — e.g.
-    hit only the NVRAM drain ([`Bg_drain]) or only gathered cluster
-    flushes ([`Gather_flush]) while synchronous writes sail through. *)
-
 val error_window : t -> from_:Nfsg_sim.Time.t -> until:Nfsg_sim.Time.t -> prob:float -> unit
 (** During [\[from_, until)], each transaction fails independently with
     probability [prob]. Windows may overlap; the first (most recently

@@ -62,13 +62,6 @@ let free a b =
   if not (get_bit a b) then invalid_arg (Printf.sprintf "alloc: double free of block %d" b);
   set_bit a b false
 
-let allocated_in_data_area a =
-  let n = ref 0 in
-  for b = a.sb.Layout.data_start to a.sb.Layout.nblocks - 1 do
-    if get_bit a b then incr n
-  done;
-  !n
-
 let set_allocated a b = set_bit a b true
 
 let clear_all_data_area a =

@@ -23,8 +23,6 @@ val free : t -> int -> unit
     or is below the data area. *)
 
 val is_allocated : t -> int -> bool
-val allocated_in_data_area : t -> int
-
 val set_allocated : t -> int -> unit
 (** Unconditionally mark a block allocated (mkfs and fsck only). *)
 

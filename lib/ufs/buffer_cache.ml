@@ -45,9 +45,8 @@ type ra = {
   inflight : (int, unit Nfsg_sim.Ivar.t) Hashtbl.t;
 }
 
-(* Registered mirrors of the plain counters below, present when the
-   cache was created with a metrics registry (the per-export read
-   plane). *)
+(* The cache's counters. Each is counted once, in a registry: the
+   caller's per-export read plane, or a private one. *)
 type meters = {
   m_hits : Metrics.counter;
   m_misses : Metrics.counter;
@@ -64,34 +63,28 @@ type t = {
   table : (int, entry) Hashtbl.t;
   lru : entry;  (* sentinel: [lru.newer] is the least recently used *)
   max_blocks : int;
-  meters : meters option;
+  meters : meters;
   mutable ra : ra option;
   mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable ra_batches : int;
-  mutable ra_blocks : int;
-  mutable ra_hits : int;
-  mutable ra_wasted : int;
 }
 
 let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
   if max_blocks < 8 then invalid_arg "buffer_cache: max_blocks too small";
-  let meters =
+  let metrics, ns =
     match (metrics, ns) with
-    | Some metrics, Some ns ->
-        Some
-          {
-            m_hits = Metrics.counter metrics ~ns Names.cache_hits;
-            m_misses = Metrics.counter metrics ~ns Names.cache_misses;
-            m_evictions = Metrics.counter metrics ~ns Names.cache_evictions;
-            m_ra_batches = Metrics.counter metrics ~ns Names.readahead_batches;
-            m_ra_blocks = Metrics.counter metrics ~ns Names.readahead_blocks;
-            m_ra_hits = Metrics.counter metrics ~ns Names.readahead_hits;
-            m_ra_wasted = Metrics.counter metrics ~ns Names.readahead_wasted;
-          }
-    | _ -> None
+    | Some metrics, Some ns -> (metrics, ns)
+    | _ -> (Metrics.create (), Names.Ns.read_plane)
+  in
+  let meters =
+    {
+      m_hits = Metrics.counter metrics ~ns Names.cache_hits;
+      m_misses = Metrics.counter metrics ~ns Names.cache_misses;
+      m_evictions = Metrics.counter metrics ~ns Names.cache_evictions;
+      m_ra_batches = Metrics.counter metrics ~ns Names.readahead_batches;
+      m_ra_blocks = Metrics.counter metrics ~ns Names.readahead_blocks;
+      m_ra_hits = Metrics.counter metrics ~ns Names.readahead_hits;
+      m_ra_wasted = Metrics.counter metrics ~ns Names.readahead_wasted;
+    }
   in
   let rec lru =
     { blk = -1; buf = Bytes.empty; dirty = None; prefetched = false; older = lru; newer = lru }
@@ -105,13 +98,6 @@ let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
     meters;
     ra = None;
     tick = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    ra_batches = 0;
-    ra_blocks = 0;
-    ra_hits = 0;
-    ra_wasted = 0;
   }
 
 let enable_readahead c eng ?(config = default_readahead) () =
@@ -123,19 +109,17 @@ let readahead_active c = c.ra <> None
 
 let bsize c = c.bsize
 let device c = c.dev
-let hits c = c.hits
-let misses c = c.misses
+let hits c = Metrics.value c.meters.m_hits
+let misses c = Metrics.value c.meters.m_misses
 let resident c = Hashtbl.length c.table
-let evictions c = c.evictions
-let readahead_batches c = c.ra_batches
-let readahead_blocks c = c.ra_blocks
-let readahead_hits c = c.ra_hits
-let readahead_wasted c = c.ra_wasted
+let evictions c = Metrics.value c.meters.m_evictions
+let readahead_batches c = Metrics.value c.meters.m_ra_batches
+let readahead_blocks c = Metrics.value c.meters.m_ra_blocks
+let readahead_hits c = Metrics.value c.meters.m_ra_hits
+let readahead_wasted c = Metrics.value c.meters.m_ra_wasted
 
 let is_prefetched c b =
   match Hashtbl.find_opt c.table b with Some e -> e.prefetched | None -> false
-
-let meter c f = match c.meters with Some m -> Metrics.incr (f m) | None -> ()
 
 let unlink e =
   e.older.newer <- e.newer;
@@ -167,26 +151,18 @@ let remove c e =
 let consume_prefetch c e =
   if e.prefetched then begin
     e.prefetched <- false;
-    c.ra_hits <- c.ra_hits + 1;
-    meter c (fun m -> m.m_ra_hits)
+    Metrics.incr c.meters.m_ra_hits
   end
 
 let note_hit c e =
-  c.hits <- c.hits + 1;
-  meter c (fun m -> m.m_hits);
+  Metrics.incr c.meters.m_hits;
   consume_prefetch c e
 
-let note_miss c =
-  c.misses <- c.misses + 1;
-  meter c (fun m -> m.m_misses)
+let note_miss c = Metrics.incr c.meters.m_misses
 
 (* A prefetched block leaving the cache unconsumed: the guess cost a
    device read for nothing. *)
-let note_gone c e =
-  if e.prefetched then begin
-    c.ra_wasted <- c.ra_wasted + 1;
-    meter c (fun m -> m.m_ra_wasted)
-  end
+let note_gone c e = if e.prefetched then Metrics.incr c.meters.m_ra_wasted
 
 (* Evict the least-recently-used clean block if over capacity: the
    first clean entry from the head of the LRU list. Dirty blocks are
@@ -198,8 +174,7 @@ let make_room c =
     if victim != c.lru then begin
       note_gone c victim;
       remove c victim;
-      c.evictions <- c.evictions + 1;
-      meter c (fun m -> m.m_evictions)
+      Metrics.incr c.meters.m_evictions
     end
   end
 
@@ -267,11 +242,8 @@ let prefetch c ra dbs =
     List.map (fun db -> (db, Io.read_req ~class_:`Read ~off:(db * c.bsize) ~len:c.bsize ())) dbs
   in
   List.iter (fun (db, r) -> Hashtbl.replace ra.inflight db r.Io.done_) reqs;
-  c.ra_batches <- c.ra_batches + 1;
-  meter c (fun m -> m.m_ra_batches);
-  let n = List.length reqs in
-  c.ra_blocks <- c.ra_blocks + n;
-  (match c.meters with Some m -> Metrics.add m.m_ra_blocks n | None -> ());
+  Metrics.incr c.meters.m_ra_batches;
+  Metrics.add c.meters.m_ra_blocks (List.length reqs);
   c.dev.Device.submit (List.map (fun (_, r) -> Io.Req r) reqs);
   Nfsg_sim.Engine.spawn ra.eng ~name:"readahead" (fun () ->
       List.iter
@@ -285,8 +257,7 @@ let prefetch c ra dbs =
                 (* A demand read landed first; this copy goes unused.
                    Keeping the first copy preserves coherence with any
                    in-core mutation since. *)
-                c.ra_wasted <- c.ra_wasted + 1;
-                meter c (fun m -> m.m_ra_wasted)
+                Metrics.incr c.meters.m_ra_wasted
               end
               else begin
                 make_room c;
@@ -494,6 +465,4 @@ let crash c =
   | Some ra ->
       Hashtbl.reset ra.streams;
       Hashtbl.reset ra.inflight
-  | None -> ());
-  c.hits <- 0;
-  c.misses <- 0
+  | None -> ())

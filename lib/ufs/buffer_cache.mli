@@ -37,9 +37,9 @@ val create :
 (** [max_blocks] bounds the cache (default: unbounded); on overflow the
     least-recently-used clean block is evicted. Dirty blocks are
     pinned, exactly like real buffer-cache buffers awaiting write.
-    When [metrics] and [ns] are both given, the cache registers and
-    mirrors its counters into that namespace (the per-export read
-    plane, e.g. ["read_plane.vol2"]). *)
+    When [metrics] and [ns] are both given, the cache counts in that
+    namespace (the per-export read plane, e.g. ["read_plane.vol2"]);
+    otherwise in a private registry. The accessors below read it. *)
 
 val enable_readahead : t -> Nfsg_sim.Engine.t -> ?config:readahead -> unit -> unit
 (** Arm the sequential-detecting read-ahead engine. Prefetch batches
@@ -129,7 +129,8 @@ val drop : t -> int -> unit
 (** Forget one block (e.g. after freeing it). *)
 
 val crash : t -> unit
-(** Volatile: lose every buffer and all dirty state. *)
+(** Volatile: lose every buffer and all dirty state. The counters
+    keep their totals. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -29,8 +29,11 @@ type t = {
   gens : int array;  (** current generation per inode slot *)
   used : bool array;  (** slot in use *)
   mutable free_blocks : int;
-  mutable cluster_max : int;
 }
+
+(* Largest clustered write the filesystem issues (64 KiB, as in
+   [MCVO91]). *)
+let cluster_max = 64 * 1024
 
 type attr = {
   ftype : Layout.ftype;
@@ -58,12 +61,6 @@ let device t = t.dev
 let cache t = t.bcache
 let superblock t = t.sb
 let bsize t = t.sb.Layout.bsize
-let cluster_max t = t.cluster_max
-
-let set_cluster_max t n =
-  if n < bsize t then invalid_arg "Fs.set_cluster_max: below block size";
-  t.cluster_max <- n
-
 let inum (i : inode) = i.inum
 let generation (i : inode) = i.gen
 let lock_of (i : inode) = i.lock
@@ -276,7 +273,7 @@ let meta_commit t (ino : inode) =
   ino.dirty_indirects <- [];
   let iblk = encode_inode t ino in
   let p_ind =
-    Buffer_cache.prepare t.bcache ~class_:`Sync_write ~max_cluster:t.cluster_max indirects
+    Buffer_cache.prepare t.bcache ~class_:`Sync_write ~max_cluster:cluster_max indirects
   in
   let p_ino = Buffer_cache.prepare t.bcache ~class_:`Sync_write ~max_cluster:(bsize t) [ iblk ] in
   let ind_items = Buffer_cache.prepared_items p_ind in
@@ -348,7 +345,6 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
       gens;
       used;
       free_blocks = 0;
-      cluster_max = 64 * 1024;
     }
   in
   (* fsck-style pass: learn inode usage and rebuild the block bitmap
@@ -515,9 +511,9 @@ let write_view t (ino : inode) ~off (data : Nfsg_rpc.Xdr.view) ~mode =
     | Sync_data_only ->
         (* IO_SYNC|IO_DATAONLY: push the data through, leave metadata
            dirty in core for a later gathered VOP_FSYNC. *)
-        Buffer_cache.sync_clustered t.bcache (List.rev !touched) ~max_cluster:t.cluster_max
+        Buffer_cache.sync_clustered t.bcache (List.rev !touched) ~max_cluster:cluster_max
     | Sync ->
-        Buffer_cache.sync_clustered t.bcache (List.rev !touched) ~max_cluster:t.cluster_max;
+        Buffer_cache.sync_clustered t.bcache (List.rev !touched) ~max_cluster:cluster_max;
         (* Reference-port special case: a write that only moved the
            modify time keeps its inode update asynchronous. *)
         (match ino.meta_dirty with
@@ -539,7 +535,7 @@ let syncdata t (ino : inode) ~off ~len =
         collect (fbn + 1) (if b = 0 then acc else b :: acc)
       end
     in
-    Buffer_cache.sync_clustered t.bcache (collect first []) ~max_cluster:t.cluster_max
+    Buffer_cache.sync_clustered t.bcache (collect first []) ~max_cluster:cluster_max
   end
 
 (* One gathered commit for a byte range: the range's delayed data
@@ -577,7 +573,7 @@ let commit_range_begin t (ino : inode) ~off ~len =
     end
   in
   let p_data =
-    Buffer_cache.prepare t.bcache ~class_:`Gather_flush ~max_cluster:t.cluster_max data_blocks
+    Buffer_cache.prepare t.bcache ~class_:`Gather_flush ~max_cluster:cluster_max data_blocks
   in
   let data_items = Buffer_cache.prepared_items p_data in
   if ino.meta_dirty = `Clean && ino.dirty_indirects = [] then begin
@@ -825,25 +821,6 @@ let statfs t =
   { total_blocks = t.sb.Layout.nblocks - t.sb.Layout.data_start;
     free_blocks = t.free_blocks;
     bsize = bsize t }
-
-let sync_all t =
-  (* Flush in inode-number order: each sync issues disk writes, so the
-     schedule (and simulated timing) must not depend on hash layout. *)
-  let inos =
-    Hashtbl.fold (fun inum ino acc -> (inum, ino) :: acc) t.incore []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (_, ino) ->
-      syncdata t ino ~off:0 ~len:ino.size;
-      fsync_metadata t ino)
-    inos;
-  (* Bitmap and any other dirty metadata blocks. *)
-  let dirty = Buffer_cache.dirty_blocks t.bcache Buffer_cache.Metadata in
-  List.iter (fun b -> Buffer_cache.write_sync t.bcache b) dirty;
-  let dirty_data = Buffer_cache.dirty_blocks t.bcache Buffer_cache.Data in
-  Buffer_cache.sync_clustered t.bcache dirty_data ~max_cluster:t.cluster_max;
-  t.dev.Device.flush ()
 
 let crash t =
   Buffer_cache.crash t.bcache;

@@ -76,11 +76,6 @@ val device : t -> Nfsg_disk.Device.t
 val cache : t -> Buffer_cache.t
 val superblock : t -> Layout.superblock
 val bsize : t -> int
-val cluster_max : t -> int
-(** Largest clustered write the filesystem will issue (64 KiB, as in
-    [MCVO91]). *)
-
-val set_cluster_max : t -> int -> unit
 
 (** {1 Inodes and handles} *)
 
@@ -110,11 +105,6 @@ val read_ahead : t -> inode -> stream:int -> off:int -> len:int -> Bytes.t
     is not held across any device wait; the demand read runs after
     release. With read-ahead disabled this is exactly {!read}. *)
 
-val bmap_cached : t -> inode -> int -> int
-(** Device block of file block [fbn], consulting only resident
-    indirect blocks; 0 for holes, out-of-range blocks or non-resident
-    mappings. Never performs I/O. *)
-
 type write_mode =
   | Sync  (** data and metadata to stable storage before returning *)
   | Sync_data_only  (** IO_SYNC|IO_DATAONLY: data written through,
@@ -136,7 +126,7 @@ val write_view : t -> inode -> off:int -> Nfsg_rpc.Xdr.view -> mode:write_mode -
 
 val syncdata : t -> inode -> off:int -> len:int -> unit
 (** VOP_SYNCDATA: flush delayed data blocks overlapping the byte
-    range, clustering device-contiguous runs up to {!cluster_max}. *)
+    range, clustering device-contiguous runs up to 64 KiB. *)
 
 val fsync_metadata : t -> inode -> unit
 (** VOP_FSYNC(FWRITE_METADATA): commit the inode and any dirty
@@ -205,9 +195,6 @@ val readlink : t -> inode -> string
 type fsstat = { total_blocks : int; free_blocks : int; bsize : int }
 
 val statfs : t -> fsstat
-val sync_all : t -> unit
-(** Flush every dirty buffer and inode (clean unmount). *)
-
 val crash : t -> unit
 (** Drop all volatile state (buffer cache, in-core inodes) and crash
     the device. Mount a fresh [t] over the recovered device to model

@@ -33,8 +33,6 @@ type superblock = {
   root_inum : int;
 }
 
-val magic : string
-
 val make_superblock : bsize:int -> capacity:int -> ninodes:int -> superblock
 (** Compute a layout for a device of [capacity] bytes. Raises
     [Invalid_argument] if the device is too small. *)
@@ -89,5 +87,3 @@ val set_pointer : Bytes.t -> int -> int -> unit
 
 val encode_dirents : (string * int) list -> Bytes.t
 val decode_dirents : Bytes.t -> (string * int) list
-
-val max_name_len : int

@@ -14,7 +14,6 @@ let locked v = Nfsg_sim.Mutex.locked (Fs.lock_of v.ino)
 let contenders v = Nfsg_sim.Mutex.contenders (Fs.lock_of v.ino)
 let accelerated v = (Fs.device v.fs).Nfsg_disk.Device.accelerated ()
 let vop_getattr v = Fs.getattr v.ino
-let vop_read v ~off ~len = Fs.read v.fs v.ino ~off ~len
 let vop_read_ahead v ~stream ~off ~len = Fs.read_ahead v.fs v.ino ~stream ~off ~len
 
 let mode_of_flags flags =
@@ -32,7 +31,6 @@ let vop_fsync v ~flags =
   else Fs.fsync v.fs v.ino
 
 let vop_syncdata v ~off ~len = Fs.syncdata v.fs v.ino ~off ~len
-let vop_commit v ~off ~len = Fs.commit_range v.fs v.ino ~off ~len
 let vop_commit_begin v ~off ~len = Fs.commit_range_begin v.fs v.ino ~off ~len
 let vop_lookup v name = { fs = v.fs; ino = Fs.lookup v.fs v.ino name }
 let vop_create v name ftype = { fs = v.fs; ino = Fs.create v.fs v.ino name ftype }

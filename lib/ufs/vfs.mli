@@ -41,9 +41,8 @@ val accelerated : vnode -> bool
     write layer "queries Presto as to acceleration state"). *)
 
 val vop_getattr : vnode -> Fs.attr
-val vop_read : vnode -> off:int -> len:int -> Bytes.t
 
-(** [vop_read_ahead] is {!vop_read} via {!Fs.read_ahead}: feeds the
+(** [vop_read_ahead] is VOP_READ via {!Fs.read_ahead}: feeds the
     sequential prefetch engine (no-op when read-ahead is off).
     [stream] identifies the reader for run detection. *)
 val vop_read_ahead : vnode -> stream:int -> off:int -> len:int -> Bytes.t
@@ -51,17 +50,15 @@ val vop_write : vnode -> off:int -> Nfsg_rpc.Xdr.view -> flags:io_flag list -> u
 val vop_fsync : vnode -> flags:fsync_flag list -> unit
 val vop_syncdata : vnode -> off:int -> len:int -> unit
 
-val vop_commit : vnode -> off:int -> len:int -> unit
+val vop_commit_begin : vnode -> off:int -> len:int -> unit -> unit
 (** Gathered flush of data plus metadata as one device submission
     ({!Fs.commit_range}): data clusters overlap and merge, barriers
-    keep the inode and indirect blocks ordered behind the data. *)
-
-val vop_commit_begin : vnode -> off:int -> len:int -> unit -> unit
-(** {!vop_commit} split for lock hygiene ({!Fs.commit_range_begin}):
-    call under {!lock}; the submission is down when it returns, and
-    the returned await thunk may park on the device with the vnode
-    lock released. With [len = 0] it commits metadata only, the
-    unlocked twin of [vop_fsync ~flags:[FWRITE; FWRITE_METADATA]]. *)
+    keep the inode and indirect blocks ordered behind the data. It is
+    split for lock hygiene ({!Fs.commit_range_begin}): call it under
+    {!lock}; the submission is down when it returns, and the returned
+    await thunk may park on the device with the vnode lock released.
+    With [len = 0] it commits metadata only, the unlocked twin of
+    [vop_fsync ~flags:[FWRITE; FWRITE_METADATA]]. *)
 
 val vop_lookup : vnode -> string -> vnode
 val vop_create : vnode -> string -> Layout.ftype -> vnode

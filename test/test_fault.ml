@@ -109,6 +109,102 @@ let test_fail_stop_revive () =
       Alcotest.(check bytes) "contents survive" data (dev.Device.read ~off:0 ~len:8192));
   Engine.run eng
 
+(* {1 Barrier contract}
+
+   A device that services a batch itself (an array at every level, the
+   NVRAM board) owes the Io contract: a barrier completes only after
+   everything ahead of it in its batch, and once a request ahead of it
+   has failed, everything behind it fails too. Each case runs the batch
+   [w1; w2; barrier; w3; barrier; r4] twice on a fresh device: with
+   faults under w1 that the device cannot absorb, and with none. *)
+
+module Io = Nfsg_disk.Io
+module Ivar = Nfsg_sim.Ivar
+
+let chunk = 8192
+
+let bytes_of len seed = Bytes.init len (fun i -> Char.chr (((i * 31) + seed) mod 251))
+
+(* [build eng] is the device and the injectors of the members under
+   w1. w1 covers three chunks and exceeds the 8 KB NVRAM accept limit,
+   so it reaches every RAID-0 member and the spindle under a board. *)
+let barrier_case build ~faulty =
+  let eng = Engine.create () in
+  let dev, under_w1 = build eng in
+  if faulty then List.iter (fun inj -> Fault_disk.fail_next inj) under_w1;
+  let write off len seed = Io.write_req ~class_:`Sync_write ~off (bytes_of len seed) in
+  let w1 = write (chunk / 2) (2 * chunk) 1 in
+  let w2 = write (4 * chunk) chunk 2 in
+  let w3 = write (5 * chunk) chunk 3 in
+  let r4 = Io.read_req ~off:w1.Io.off ~len:w1.Io.len () in
+  let b1 = Io.barrier () and b2 = Io.barrier () in
+  let items = [ Io.Req w1; Io.Req w2; b1; Io.Req w3; b2; Io.Req r4 ] in
+  let fills = Array.make (List.length items) 0 in
+  List.iteri
+    (fun i item -> Ivar.upon (Io.item_done item) (fun () -> fills.(i) <- fills.(i) + 1))
+    items;
+  let is_done item = Ivar.is_filled (Io.item_done item) in
+  let stable (r : Io.req) =
+    Bytes.equal (dev.Device.stable_read ~off:r.Io.off ~len:r.Io.len) r.Io.buf
+  in
+  (* A barrier must find its epoch done and, without faults, stable. *)
+  let gate name b ahead =
+    Ivar.upon (Io.item_done b) (fun () ->
+        if not (List.for_all (fun r -> is_done (Io.Req r)) ahead) then
+          Alcotest.failf "%s completed ahead of its epoch" name;
+        if (not faulty) && not (List.for_all stable ahead) then
+          Alcotest.failf "%s completed before its epoch was stable" name)
+  in
+  gate "first barrier" b1 [ w1; w2 ];
+  gate "second barrier" b2 [ w1; w2; w3 ];
+  let behind name (r : Io.req) b =
+    Ivar.upon r.Io.done_ (fun () ->
+        if not (is_done b) then Alcotest.failf "%s completed ahead of its barrier" name)
+  in
+  behind "w3" w3 b1;
+  behind "r4" r4 b2;
+  Engine.spawn eng ~name:"submitter" (fun () -> dev.Device.submit items);
+  Engine.run eng;
+  Array.iteri (fun i n -> if n <> 1 then Alcotest.failf "item %d completed %d times" i n) fills;
+  let failed (r : Io.req) = r.Io.error <> None in
+  if faulty then begin
+    Alcotest.(check bool) "w1 failed" true (failed w1);
+    Alcotest.(check bool) "w3 failed behind it" true (failed w3);
+    Alcotest.(check bool) "r4 failed behind it" true (failed r4)
+  end
+  else begin
+    List.iter
+      (fun (name, r) -> Alcotest.(check bool) (name ^ " succeeded") false (failed r))
+      [ ("w1", w1); ("w2", w2); ("w3", w3); ("r4", r4) ];
+    Alcotest.(check bytes) "r4 reads w1 back" w1.Io.buf r4.Io.buf;
+    let read_back = ref 0 in
+    Engine.spawn eng ~name:"reader" (fun () ->
+        List.iter
+          (fun (r : Io.req) ->
+            Alcotest.(check bytes) "read back" r.Io.buf (dev.Device.read ~off:r.Io.off ~len:r.Io.len);
+            incr read_back)
+          [ w1; w2; w3 ]);
+    Engine.run eng;
+    Alcotest.(check int) "every write read back" 3 !read_back
+  end
+
+(* Members wrapped by injectors; [under_w1] picks the ones to fault. *)
+let array_under level ~members ~under_w1 eng =
+  let wrapped =
+    Array.init members (fun i ->
+        Fault_disk.wrap eng (Disk.create eng ~name:(Printf.sprintf "m%d" i) disk_geometry))
+  in
+  let arr = Stripe.create eng ~level ~chunk (Array.map snd wrapped) in
+  (Stripe.device arr, List.map (fun i -> fst wrapped.(i)) under_w1)
+
+let board_over_spindle eng =
+  let inj, spindle = Fault_disk.wrap eng (Disk.create eng disk_geometry) in
+  (snd (Nvram.create eng spindle), [ inj ])
+
+let barrier_contract build () =
+  barrier_case build ~faulty:true;
+  barrier_case build ~faulty:false
+
 let test_nvram_battery () =
   let eng = Engine.create () in
   let disk = Disk.create eng disk_geometry in
@@ -438,4 +534,12 @@ let suite =
     Alcotest.test_case "chaos acceptance." `Quick test_chaos_acceptance;
     Alcotest.test_case "chaos under all three schedulers." `Quick test_chaos_all_schedulers;
     Alcotest.test_case "chaos with Presto + battery failure." `Quick test_chaos_accelerated;
+    (* faults under w1: one member, both mirrors, two members, the spindle *)
+    Alcotest.test_case "raid0 barrier contract." `Quick
+      (barrier_contract (array_under Stripe.Raid0 ~members:3 ~under_w1:[ 0 ]));
+    Alcotest.test_case "raid1 barrier contract." `Quick
+      (barrier_contract (array_under Stripe.Raid1 ~members:2 ~under_w1:[ 0; 1 ]));
+    Alcotest.test_case "raid5 barrier contract." `Quick
+      (barrier_contract (array_under Stripe.Raid5 ~members:3 ~under_w1:[ 0; 1 ]));
+    Alcotest.test_case "nvram barrier contract." `Quick (barrier_contract board_over_spindle);
   ]

@@ -17,19 +17,34 @@ let pattern n seed = Bytes.init n (fun i -> Char.chr ((i + (seed * 7)) mod 251))
    leave the platter in one of two states: old inode (the commit never
    happened, data blocks unreachable, fsck reclaims them) or new inode
    with every data block it points to intact. New metadata over missing
-   data is the corruption the barriers exist to prevent. *)
+   data is the corruption the barriers exist to prevent.
+
+   The sweep runs over one spindle under Elevator and under Deadline,
+   and over 3-member RAID-0, RAID-1 and RAID-5 arrays of Elevator
+   spindles, where what holds a barrier is the array's epoch gate
+   across members. The array points are 12 ms apart instead of 8 ms:
+   a RAID-5 commit reads before it writes and lands at about 190 ms,
+   so the wider span puts several points past it. *)
 
 let bsize = 8192
 let nblocks = 24
 
+let geometry = { (Disk.rz26 ~capacity:(32 * 1024 * 1024) ()) with Disk.track_bytes = 256 * 1024 }
+
+let spindle scheduler eng = Disk.create eng ~scheduler geometry
+
+let array level eng =
+  let members =
+    Array.init 3 (fun i ->
+        Disk.create eng ~name:(Printf.sprintf "m%d" i) ~scheduler:Disk.Elevator geometry)
+  in
+  Stripe.device (Stripe.create eng ~level ~chunk:32768 members)
+
 (* Run one crash experiment; returns [true] if the new inode reached
    the platter (and then its data was verified complete). *)
-let crash_case scheduler crash_at =
+let crash_case make_dev crash_at =
   let eng = Engine.create () in
-  let geometry =
-    { (Disk.rz26 ~capacity:(32 * 1024 * 1024) ()) with Disk.track_bytes = 256 * 1024 }
-  in
-  let dev = Disk.create eng ~scheduler geometry in
+  let dev = make_dev eng in
   Fs.mkfs dev ~bsize ~ninodes:128 ();
   let fs = Fs.mount eng dev in
   Engine.spawn eng ~name:"writer" (fun () ->
@@ -79,9 +94,9 @@ let crash_case scheduler crash_at =
 
 let test_barrier_ordering_under_crash () =
   List.iter
-    (fun (name, scheduler) ->
+    (fun (name, make_dev, step_ms) ->
       let outcomes =
-        List.init 25 (fun k -> crash_case scheduler (Time.of_ms_f (float_of_int k *. 8.0)))
+        List.init 25 (fun k -> crash_case make_dev (Time.of_ms_f (float_of_int k *. step_ms)))
       in
       (* The sweep must actually straddle the commit point: early cuts
          leave the old inode, late cuts land after the barrier. *)
@@ -90,7 +105,13 @@ let test_barrier_ordering_under_crash () =
         true
         (List.exists not outcomes);
       Alcotest.(check bool) (name ^ ": some crash follows the commit") true (List.exists Fun.id outcomes))
-    [ ("elevator", Disk.Elevator); ("deadline", Disk.Deadline) ]
+    [
+      ("elevator", spindle Disk.Elevator, 8.0);
+      ("deadline", spindle Disk.Deadline, 8.0);
+      ("raid0", array Stripe.Raid0, 12.0);
+      ("raid1", array Stripe.Raid1, 12.0);
+      ("raid5", array Stripe.Raid5, 12.0);
+    ]
 
 (* {1 Deadline bounds queue wait}
 

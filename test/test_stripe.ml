@@ -6,7 +6,7 @@ let geometry = { (Disk.rz26 ~capacity:(8 * 1024 * 1024) ()) with Disk.track_byte
 let make n chunk =
   let eng = Engine.create () in
   let members = Array.init n (fun i -> Disk.create eng ~name:(Printf.sprintf "rz26-%d" i) geometry) in
-  let dev = Stripe.create eng ~chunk members in
+  let dev = Stripe.device (Stripe.create eng ~chunk members) in
   (eng, members, dev)
 
 let in_proc eng f =
@@ -105,7 +105,7 @@ let make_lvl ?(n = 3) ?(cap = 2 * 1024 * 1024) level chunk =
   let g = { (Disk.rz26 ~capacity:cap ()) with Disk.track_bytes = 256 * 1024 } in
   let members = Array.init n (fun i -> Disk.create eng ~name:(Printf.sprintf "rz26-%d" i) g) in
   let metrics = Nfsg_stats.Metrics.create () in
-  let arr = Stripe.create_array eng ~metrics ~level ~chunk members in
+  let arr = Stripe.create eng ~metrics ~level ~chunk members in
   (eng, members, arr, metrics)
 
 let cval metrics name =

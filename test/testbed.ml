@@ -34,7 +34,7 @@ let make ?(net = Segment.fddi) ?(accel = false) ?(spindles = 1) ?(biods = 4)
     Array.init spindles (fun i -> Disk.create eng ~name:(Printf.sprintf "rz26-%d" i) disk_geometry)
   in
   let base =
-    if spindles = 1 then disks.(0) else Stripe.create eng ~chunk:8192 disks
+    if spindles = 1 then disks.(0) else Stripe.device (Stripe.create eng ~chunk:8192 disks)
   in
   let device = if accel then snd (Nvram.create eng base) else base in
   let server = Server.make eng ~segment ~addr:"server" ~device ?trace config in
