@@ -104,9 +104,9 @@ let run_extensions quick =
 let artifacts quick =
   [
     ("writegather", "BENCH_writegather.json", fun () -> E.bench_writegather ~quick ());
-    ("multivolume", "BENCH_multivolume.json", X.Multivolume.bench_multivolume);
-    ("iosched", "BENCH_iosched.json", X.Iosched.bench_iosched);
-    ("raid", "BENCH_raid.json", X.Raid.bench_raid);
+    ("multivolume", "BENCH_multivolume.json", fun () -> X.Multivolume.bench_multivolume ());
+    ("iosched", "BENCH_iosched.json", fun () -> X.Iosched.bench_iosched ());
+    ("raid", "BENCH_raid.json", fun () -> X.Raid.bench_raid ());
     ("laddis-curve", "BENCH_laddis_curve.json", fun () -> X.Laddis_curve.bench_laddis_curve ());
     ("bootstorm", "BENCH_bootstorm.json", fun () -> X.Bootstorm.bench_bootstorm ());
   ]

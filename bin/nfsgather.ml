@@ -40,8 +40,9 @@ let raid_level_arg =
   in
   let doc =
     "Serve every multi-spindle experiment from a redundant array at the given RAID level \
-     ($(docv) is one of raid0, raid1 or raid5) instead of the plain stripe set; the chaos rig \
-     additionally fail-stops and rebuilds one member per fault cycle."
+     ($(docv) is one of raid0, raid1 or raid5) instead of the plain stripe set (the raid \
+     bench keeps sweeping its own levels); the chaos rig additionally fail-stops and rebuilds \
+     one member per fault cycle."
   in
   Arg.(value & opt (some level) None & info [ "raid-level" ] ~docv:"LEVEL" ~doc)
 
@@ -160,10 +161,11 @@ let experiments =
         print_string
           (Nfsg_stats.Json.to_string ~pretty:true (E.bench_writegather ~quick:c.quick ~env:c.env ()))
     );
-    ("multivolume", fun c -> print_report (Nfsg_experiments.Multivolume.report ~quick:c.quick ()));
+    ( "multivolume",
+      fun c -> print_report (Nfsg_experiments.Multivolume.report ~quick:c.quick ~env:c.env ()) );
     ("laddis-curve", fun c -> print_report (Lc.report ~env:c.env ~sweep:c.curve ()));
     ("bootstorm", fun c -> print_report (Bs.report ~env:c.env ~sweep:c.storm ()));
-    ("raid", fun c -> print_report (Nfsg_experiments.Raid.report ~quick:c.quick ()));
+    ("raid", fun c -> print_report (Nfsg_experiments.Raid.report ~quick:c.quick ~env:c.env ()));
     ( "chaos",
       fun c ->
         let module Chaos = Nfsg_experiments.Chaos in
@@ -171,8 +173,7 @@ let experiments =
           if c.quick then { Chaos.default with Chaos.cycles = 2; blocks_per_writer = 60 }
           else Chaos.default
         in
-        let cfg = { cfg with Chaos.array_level = c.env.Rig.raid_level } in
-        let r = Chaos.run ?metrics:c.env.Rig.metrics cfg in
+        let r = Chaos.run ~env:c.env cfg in
         Fmt.pr "%a@." Chaos.pp_result r;
         List.iter print_endline r.Chaos.timeline );
   ]
@@ -182,10 +183,10 @@ let experiments =
    for the paper-reproduction sweep. It is the tail investigation
    behind the deadline-p99 fix: the bench world with journey tracing
    armed, evidence dumped for the two ends of the comparison. *)
-let iosched_probe _ =
-  print_string (Nfsg_experiments.Iosched.investigate "deadline+merge");
+let iosched_probe c =
+  print_string (Nfsg_experiments.Iosched.investigate ~env:c.env "deadline+merge");
   print_newline ();
-  print_string (Nfsg_experiments.Iosched.investigate "fifo")
+  print_string (Nfsg_experiments.Iosched.investigate ~env:c.env "fifo")
 
 let run quick scheduler raid_level sweep_points procs_max curve_configs clients_max readahead
     monitor_interval long_op_threshold metrics_json targets =

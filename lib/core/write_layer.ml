@@ -15,7 +15,6 @@ type mode = Standard | Gathering | Unsafe_async
 type config = {
   mode : mode;
   procrastinate : Time.t;
-  max_procrastinations : int;
   use_mbuf_hunter : bool;
   reply_order : [ `Fifo | `Lifo ];
   latency_device : [ `Procrastinate | `First_write ];
@@ -26,7 +25,6 @@ let default_gathering =
   {
     mode = Gathering;
     procrastinate = Time.of_ms_f 8.0;
-    max_procrastinations = 1;
     use_mbuf_hunter = true;
     reply_order = `Fifo;
     latency_device = `Procrastinate;
@@ -389,11 +387,13 @@ let handle_gathering t tr ~respond ~fail vnode ~off ~data =
          which the queue grew earns another procrastination, up to a
          chain cap. A quiet interval ends the chain. *)
       let max_chain = 16 in
+      (* The paper procrastinates at most once. *)
+      let max_procrastinations = 1 in
       (* A client learned to be single-threaded gets no procrastination:
          the free checks (active nfsds, socket scan) still apply, so a
          reformed client earns its way back via the score. *)
       let initial_budget =
-        if known_solo t (Svc.client_of tr) then 0 else t.cfg.max_procrastinations
+        if known_solo t (Svc.client_of tr) then 0 else max_procrastinations
       in
       let rec decide ~budget ~chain ~slept =
         if g.active > 1 then
@@ -415,7 +415,7 @@ let handle_gathering t tr ~respond ~fail vnode ~off ~data =
           Engine.delay t.cfg.procrastinate;
           let grew = List.length g.queue > qlen in
           decide
-            ~budget:(if grew then t.cfg.max_procrastinations else budget - 1)
+            ~budget:(if grew then max_procrastinations else budget - 1)
             ~chain:(chain + 1) ~slept:true
         end
         else begin

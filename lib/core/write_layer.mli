@@ -41,7 +41,6 @@ type config = {
   mode : mode;
   procrastinate : Nfsg_sim.Time.t;
       (** 8 ms for Ethernet, 5 ms for FDDI in the paper *)
-  max_procrastinations : int;  (** the paper procrastinates at most once *)
   use_mbuf_hunter : bool;
   reply_order : [ `Fifo | `Lifo ];  (** paper kept FIFO; LIFO is the rejected variant *)
   latency_device : [ `Procrastinate | `First_write ];

@@ -98,10 +98,8 @@ let run_rung ?env sweep ~readahead ~clients =
          too, so the fleet arrives at a genuinely cold cache. Recovery
          preserves the read-only flip and the read-ahead policy
          (Volume.spec_of). *)
-      Server.crash rig.Rig.server;
-      Engine.delay (Time.ms 50);
-      let server = Server.restart rig.Rig.server in
-      let cache = Fs.cache (Server.fs server) in
+      Rig.restart rig ~downtime:(Time.ms 50);
+      let cache = Fs.cache (Server.fs rig.Rig.server) in
       let h0 = Buffer_cache.hits cache and m0 = Buffer_cache.misses cache in
       let rb0 = Buffer_cache.readahead_blocks cache in
       let rh0 = Buffer_cache.readahead_hits cache in

@@ -27,11 +27,6 @@ type config = {
   storm_loss_prob : float;
   dup_prob : float;
   nfsds : int;
-  scheduler : Disk.scheduler;  (** spindle I/O scheduling policy *)
-  array_level : Stripe.level option;
-      (** serve from a redundant array instead of one spindle, adding
-          whole-member fail-stop, degraded service and online rebuild
-          to every fault cycle *)
 }
 
 let default =
@@ -47,8 +42,6 @@ let default =
     storm_loss_prob = 0.08;
     dup_prob = 0.02;
     nfsds = 8;
-    scheduler = Disk.Fifo;
-    array_level = None;
   }
 
 type result = {
@@ -83,48 +76,63 @@ let bs = 8192
 let block_fill blk = (blk * 131) + 7
 let block_data blk = Bytes.init bs (fun j -> Char.chr ((j + block_fill blk) mod 251))
 
-(* The whole scenario is a function of [cfg] alone: the engine, every
-   RNG (segment, injector, fault plan, writer think times) and every
-   fault instant derive from [cfg.seed], so two runs with equal configs
-   produce identical timelines, identical final statistics and equal
-   digests — the reproducibility invariant the test suite asserts. *)
-let run ?metrics cfg =
-  let metrics =
-    match metrics with Some m -> m | None -> Nfsg_stats.Metrics.create ()
+(* The whole scenario is a function of [cfg] and [env] alone: the
+   engine, every RNG (segment, injector, fault plan, writer think times)
+   and every fault instant derive from [cfg.seed], so two runs with
+   equal configs produce identical timelines, identical final
+   statistics and equal digests — the reproducibility invariant the
+   test suite asserts. *)
+let run ?(env = Rig.default_env) cfg =
+  (* The server keeps the uncalibrated defaults: Cpu_model.default
+     costs and the 8 ms procrastination. *)
+  let spec =
+    {
+      Rig.default_spec with
+      Rig.seed = cfg.seed lxor 0x5e11;
+      nfsds = cfg.nfsds;
+      server_overrides =
+        (fun c ->
+          {
+            c with
+            Server.costs = Server.default_config.Server.costs;
+            write_layer = Server.default_config.Server.write_layer;
+            dupcache = cfg.dupcache;
+          });
+    }
   in
-  let eng = Engine.create () in
-  let segment = Segment.create eng ~seed:(cfg.seed lxor 0x5e11) ~metrics Segment.fddi in
+  (* The digest reads the world's own registry back (Rig.publish). *)
+  let world = Rig.world ~env:{ env with Rig.metrics = None } spec in
+  let eng = world.Rig.eng and segment = world.Rig.segment and metrics = world.Rig.metrics in
   Segment.set_loss_prob segment cfg.loss_prob;
   Segment.set_dup_prob segment cfg.dup_prob;
-  (* The device stack under test. [array_level = None] keeps the
-     classic single-spindle rig, byte-identical to earlier revisions;
-     a level builds a redundant array whose members each carry their
-     own injector (whole-spindle fail-stop), with the classic
-     top-level injector wrapping the array itself. *)
-  let base, member_injectors, array =
-    match cfg.array_level with
+  (* The device stack under test. Without [env.raid_level] it is the
+     classic single spindle, byte-identical to earlier revisions; a
+     level builds a redundant array whose members each carry their own
+     injector (whole-spindle fail-stop), with the classic top-level
+     injector wrapping the array itself. *)
+  let base, disks, member_injectors, array =
+    match env.Rig.raid_level with
     | None ->
         let disk =
-          Disk.create eng ~name:"rz26" ~metrics ~scheduler:cfg.scheduler Calib.disk_geometry
+          Disk.create eng ~name:"rz26" ~metrics ?scheduler:env.Rig.scheduler Calib.disk_geometry
         in
-        (disk, [||], None)
+        (disk, [| disk |], [||], None)
     | Some level ->
         let n = match level with Stripe.Raid1 -> 2 | _ -> 3 in
-        let wrapped =
+        let members =
           Array.init n (fun i ->
-              let m =
-                Disk.create eng
-                  ~name:(Printf.sprintf "rz26-m%d" i)
-                  ~metrics ~scheduler:cfg.scheduler
-                  (Disk.rz26 ~capacity:(16 * 1024 * 1024) ())
-              in
-              Fault_disk.wrap eng ~seed:(cfg.seed lxor (0xfa10 + i)) m)
+              Disk.create eng
+                ~name:(Printf.sprintf "rz26-m%d" i)
+                ~metrics ?scheduler:env.Rig.scheduler
+                (Disk.rz26 ~capacity:(16 * 1024 * 1024) ()))
+        in
+        let wrapped =
+          Array.mapi (fun i m -> Fault_disk.wrap eng ~seed:(cfg.seed lxor (0xfa10 + i)) m) members
         in
         let arr =
-          Stripe.create eng ~name:"array" ~metrics ~level ~chunk:32768
-            (Array.map snd wrapped)
+          Stripe.create eng ~name:"array" ~metrics ~level ~chunk:32768 (Array.map snd wrapped)
         in
-        (Stripe.device arr, Array.map fst wrapped, Some arr)
+        (Stripe.device arr, members, Array.map fst wrapped, Some arr)
   in
   let injector, faulty = Fault_disk.wrap eng ~seed:(cfg.seed lxor 0xfa01) base in
   let board, device =
@@ -133,8 +141,7 @@ let run ?metrics cfg =
       (Some board, device)
     else (None, faulty)
   in
-  let sconfig = { Server.default_config with Server.nfsds = cfg.nfsds; dupcache = cfg.dupcache } in
-  let server = ref (Server.make eng ~segment ~addr:"server" ~device ~metrics sconfig) in
+  let rig = Rig.serve world ~disks [ device ] in
 
   (* Observations (all plain counters: no wall clock, no global RNG). *)
   let timeline = ref [] in
@@ -161,7 +168,6 @@ let run ?metrics cfg =
   let writers_done = ref 0 in
   let burst_req = ref 0 and bursts_done = ref 0 in
   let mutator_gone = ref false in
-  let result = ref None in
 
   let root_fh = ref { Proto.fsid = 0; vgen = 0; inum = 0; gen = 0 } in
   let victim_fh = ref { Proto.fsid = 0; vgen = 0; inum = 0; gen = 0 } in
@@ -173,7 +179,7 @@ let run ?metrics cfg =
   (* Every per-incarnation statistic must be read before the
      incarnation is crashed away. *)
   let harvest () =
-    let srv = !server in
+    let srv = rig.Rig.server in
     executed_creates := !executed_creates + Server.op_count srv Proto.proc_create;
     executed_removes := !executed_removes + Server.op_count srv Proto.proc_remove;
     flush_failures := !flush_failures + Write_layer.flush_failures (Server.write_layer srv)
@@ -277,7 +283,7 @@ let run ?metrics cfg =
      whole ledger. *)
   let verify label ~all =
     if all then Hashtbl.reset verified;
-    let fs = Server.fs !server in
+    let fs = Server.fs rig.Rig.server in
     let inode = Fs.lookup fs (Fs.root fs) "victim" in
     let pending =
       Hashtbl.fold (fun blk () l -> if Hashtbl.mem verified blk then l else blk :: l) acked []
@@ -303,7 +309,7 @@ let run ?metrics cfg =
     (* Bootstrap: create the shared ledger file, then unleash load. *)
     let boot_sock = Socket.create segment ~addr:"mut" () in
     let boot_rpc = Rpc_client.create eng ~sock:boot_sock ~server:"server" ~metrics () in
-    root_fh := Server.root_fh !server;
+    root_fh := Rig.root rig;
     (match
        Rpc_client.call boot_rpc ~klass:Rpc_client.Middle ~proc:Proto.proc_create
          (Proto.encode_args
@@ -381,10 +387,8 @@ let run ?metrics cfg =
       harvest ();
       incr crashes;
       note "server crash #%d" !crashes;
-      Server.crash !server;
       let outage = Time.of_ms_f (Rng.uniform plan 250.0 550.0) in
-      Engine.delay outage;
-      server := Server.restart !server;
+      Rig.restart rig ~downtime:outage;
       incr restarts;
       note "server restart #%d after %.0fms outage" !restarts (Time.to_sec_f outage *. 1e3);
       Segment.set_loss_prob segment cfg.loss_prob;
@@ -407,9 +411,7 @@ let run ?metrics cfg =
                 harvest ();
                 incr crashes;
                 note "server crash #%d (mid-rebuild)" !crashes;
-                Server.crash !server;
-                Engine.delay (Time.of_ms_f 300.0);
-                server := Server.restart !server;
+                Rig.restart rig ~downtime:(Time.of_ms_f 300.0);
                 incr restarts;
                 note "server restart #%d (mid-rebuild)" !restarts;
                 verify (Printf.sprintf "cycle %d mid-rebuild" (k + 1)) ~all:false;
@@ -437,7 +439,7 @@ let run ?metrics cfg =
     Engine.delay (Time.of_ms_f 500.0);
     harvest ();
     verify "final" ~all:true;
-    (match Fs.check (Server.fs !server) with
+    (match Fs.check (Server.fs rig.Rig.server) with
     | Ok () -> note "fsck clean"
     | Error es ->
         fsck_errors := es;
@@ -463,13 +465,9 @@ let run ?metrics cfg =
        identity. The counter is monotone across the crash/restart
        cycles above (a restarted server's fresh rings never rewind
        it), so two equal-config runs must agree on it exactly. *)
-    let trace_dropped = Nfsg_stats.Journey.dropped (Server.journeys !server) in
+    let trace_dropped = Nfsg_stats.Journey.dropped (Server.journeys rig.Rig.server) in
     Buffer.add_string buf (Printf.sprintf " td=%d" trace_dropped);
-    let raid_counter name =
-      if Option.is_some array then
-        Option.value ~default:0 (Metrics.find_counter metrics ~ns:(Names.Ns.raid "array") name)
-      else 0
-    in
+    let raid_counter = Metrics.count metrics ~ns:(Names.Ns.raid "array") in
     (* Only array runs carry the raid line, so classic digests are
        byte-identical to earlier revisions. *)
     if Option.is_some array then
@@ -479,9 +477,7 @@ let run ?metrics cfg =
            (raid_counter Names.rebuilds_completed)
            (raid_counter Names.degraded_reads)
            (raid_counter Names.degraded_writes));
-    result :=
-      Some
-        {
+    {
           acked = Hashtbl.length acked;
           lost = List.sort compare !lost;
           issued_creates = !issued_creates;
@@ -506,11 +502,9 @@ let run ?metrics cfg =
           digest = Digest.to_hex (Digest.string (Buffer.contents buf));
         }
   in
-  Engine.spawn eng ~name:"chaos" driver;
-  Engine.run eng;
-  match !result with
-  | Some r -> r
-  | None -> failwith "Chaos.run: driver never finished"
+  let result = Rig.run rig driver in
+  Rig.publish env metrics;
+  result
 
 let pp_result ppf r =
   Fmt.pf ppf

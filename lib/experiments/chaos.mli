@@ -42,19 +42,6 @@ type config = {
   storm_loss_prob : float;  (** loss during fault windows *)
   dup_prob : float;  (** datagram duplication, the whole run *)
   nfsds : int;
-  scheduler : Nfsg_disk.Disk.scheduler;
-      (** spindle I/O scheduling policy; the crash promises must hold
-          under all of Fifo, Elevator and Deadline *)
-  array_level : Nfsg_disk.Stripe.level option;
-      (** [None] (the default) is the classic single-spindle rig.
-          [Some Raid1]/[Some Raid5] serve from a redundant array (2 or
-          3 members, each behind its own fault injector) and extend
-          every cycle's fault plan: one member fail-stops during the
-          storm, the crash and restart happen degraded, and after
-          verification the member is replaced and resilvered online —
-          with the server crashed {e mid-rebuild} on odd cycles. The
-          no-acked-write-lost ledger, the duplicate-cache invariant and
-          the digest reproducibility are asserted across all of it. *)
 }
 
 val default : config
@@ -87,10 +74,25 @@ type result = {
   digest : string;  (** hex digest of timeline + ledger + counters *)
 }
 
-val run : ?metrics:Nfsg_stats.Metrics.t -> config -> result
-(** Deterministic in [config] alone. [metrics] collects the instruments
-    of every layer the scenario builds (and both server incarnations
-    share it across restarts); a run's metrics JSON is as reproducible
-    as its digest. *)
+val run : ?env:Rig.env -> config -> result
+(** Deterministic in [config] and [env] ({!Rig.default_env} by
+    default). The world is built by {!Rig}, so the env reaches it:
+
+    - [env.scheduler] is every spindle's I/O scheduling policy; the
+      crash promises must hold under all of Fifo, Elevator and
+      Deadline;
+    - [env.raid_level] serves from an array instead of the classic
+      single spindle: 2 members for RAID-1, 3 otherwise, each behind
+      its own fault injector. On the redundant levels every cycle's
+      fault plan grows: one member fail-stops during the storm, the
+      crash and restart happen degraded, and after verification the
+      member is replaced and resilvered online — with the server
+      crashed {e mid-rebuild} on odd cycles. The no-acked-write-lost
+      ledger, the duplicate-cache invariant and the digest
+      reproducibility are asserted across all of it;
+    - [env.metrics] receives a copy of the run's registry once the run
+      is over (both server incarnations share it across restarts), so
+      a run's metrics JSON is as reproducible as its digest;
+    - the monitor and long-op settings apply as in {!Rig.run}. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -170,9 +170,12 @@ let render_laddis ~title (without, with_) =
 
 (* {1 Ablations} *)
 
+(* A spec's server overrides that change only the write layer. *)
+let write_layer f c = { c with Server.write_layer = f c.Server.write_layer }
+
 let copy_with_config ?env ?(net = Calib.Fddi) ?(accel = false) ~biods ~total overrides =
   let spec =
-    { Rig.default_spec with Rig.net; accel; gathering = true; write_layer_overrides = overrides }
+    { Rig.default_spec with Rig.net; accel; gathering = true; server_overrides = write_layer overrides }
   in
   Filecopy.run_cell ?env ~spec ~biods ~total ()
 
@@ -251,7 +254,8 @@ let ablation_mbuf_hunter ?(quick = false) ?env () =
               Rig.default_spec with
               Rig.accel = true;
               nfsds;
-              write_layer_overrides = (fun c -> { c with Write_layer.use_mbuf_hunter = hunter });
+              server_overrides =
+                write_layer (fun c -> { c with Write_layer.use_mbuf_hunter = hunter });
             }
           in
           Filecopy.run_cell ?env ~spec ~biods:8 ~total ())
@@ -336,7 +340,7 @@ let extension_learned_clients ?(quick = false) ?env () =
       List.map
         (fun biods ->
           let spec =
-            { Rig.default_spec with Rig.net = Calib.Ethernet; write_layer_overrides = overrides }
+            { Rig.default_spec with Rig.net = Calib.Ethernet; server_overrides = write_layer overrides }
           in
           let rig = Rig.make ?env spec in
           let client = Rig.new_client rig ~biods "client" in
@@ -402,7 +406,7 @@ let extension_write_modes ?(quick = false) ?env () =
     List.map
       (fun wl ->
         let spec =
-          { Rig.default_spec with Rig.gathering = true; write_layer_overrides = (fun _ -> wl) }
+          { Rig.default_spec with Rig.gathering = true; server_overrides = write_layer (fun _ -> wl) }
         in
         Filecopy.run_cell ?env ~spec ~biods:7 ~total ())
       [ Write_layer.standard; Write_layer.default_gathering; Write_layer.unsafe_async ]
@@ -453,16 +457,15 @@ let bench_biods = 7
 let bench_writegather ?(quick = false) ?(env = Rig.default_env) ?total () =
   let total = match total with Some t -> t | None -> size quick in
   let writes = (total + 8191) / 8192 in
-  (* Each mode row must read its own registry — a shared --metrics-json
-     sink would accumulate one row's latency and batch histograms into
-     the next. *)
-  let env = { env with Rig.metrics = None } in
+  (* Each mode row reads its own registry back (Rig.publish). *)
+  let own = { env with Rig.metrics = None } in
   let row ~mode ~gathering ~accel =
     Gc.full_major ();
     let spec = { Rig.default_spec with Rig.net = Calib.Fddi; gathering; accel } in
-    let rig = Rig.make ~env spec in
-    let m = Rig.metrics rig in
-    Rig.run rig (fun () ->
+    let rig = Rig.make ~env:own spec in
+    let m = rig.Rig.metrics in
+    let json =
+      Rig.run rig (fun () ->
         let client = Rig.new_client rig ~biods:bench_biods "client" in
         let d0 = Rig.spindle_stats rig in
         let result, window =
@@ -502,10 +505,7 @@ let bench_writegather ?(quick = false) ?(env = Rig.default_env) ?total () =
                 ]
           | None -> Json.Null
         in
-        let saved =
-          Option.value ~default:0
-            (Metrics.find_counter m ~ns:Names.Ns.write_layer Names.metadata_flushes_saved)
-        in
+        let saved = Metrics.count m ~ns:Names.Ns.write_layer Names.metadata_flushes_saved in
         Json.Obj
           [
             ("mode", Json.String mode);
@@ -523,6 +523,9 @@ let bench_writegather ?(quick = false) ?(env = Rig.default_env) ?total () =
             ("metadata_flushes_saved", Json.Int saved);
             ("batch_size", batch);
           ])
+    in
+    Rig.publish env m;
+    json
   in
   Json.Obj
     [

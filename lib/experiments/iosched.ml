@@ -1,11 +1,6 @@
 open Nfsg_sim
-module Segment = Nfsg_net.Segment
-module Socket = Nfsg_net.Socket
 module Disk = Nfsg_disk.Disk
 module Server = Nfsg_core.Server
-module Write_layer = Nfsg_core.Write_layer
-module Client = Nfsg_nfs.Client
-module Rpc_client = Nfsg_rpc.Rpc_client
 module Laddis = Nfsg_workload.Laddis
 module Metrics = Nfsg_stats.Metrics
 module Histogram = Nfsg_stats.Histogram
@@ -19,45 +14,38 @@ module Report = Nfsg_stats.Report
    C-LOOK sweep plus adjacent-request coalescing; [`Deadline] keeps
    both and bounds queue wait by promoting starved requests. *)
 
-type config = {
-  seed : int;
-  procs : int;
-  files_per_proc : int;
-  file_size : int;
-  offered : float;
-  warmup : Time.t;
-  measure : Time.t;
-  nfsds : int;
-}
+type config = { load : Laddis.config; offered : float; nfsds : int }
 
 let default =
   {
-    seed = 1994;
-    procs = 6;
-    files_per_proc = 4;
-    file_size = 64 * 1024;
+    load =
+      {
+        Laddis.default_config with
+        Laddis.seed = 1994;
+        procs = 6;
+        files_per_proc = 4;
+        file_size = 64 * 1024;
+        warmup = Time.sec 1;
+        measure = Time.sec 5;
+      };
     offered = 160.0;
-    warmup = Time.sec 1;
-    measure = Time.sec 5;
     nfsds = 12;
   }
 
-type variant = {
-  label : string;
-  scheduler : Disk.scheduler;
-  merge : bool;
-  deadline : Time.t;  (* promotion threshold; only [`Deadline] reads it *)
-}
+type variant = { label : string; scheduler : Disk.scheduler; merge : bool }
 
-(* The promotion threshold sits above the typical queue wait of the
-   saturating bench load: the point of Deadline is to promote only the
-   starved tail, not to degrade the sweep into arrival order. *)
 let variants =
   [
-    { label = "fifo"; scheduler = Disk.Fifo; merge = false; deadline = Time.ms 300 };
-    { label = "elevator"; scheduler = Disk.Elevator; merge = true; deadline = Time.ms 300 };
-    { label = "deadline+merge"; scheduler = Disk.Deadline; merge = true; deadline = Time.ms 300 };
+    { label = "fifo"; scheduler = Disk.Fifo; merge = false };
+    { label = "elevator"; scheduler = Disk.Elevator; merge = true };
+    { label = "deadline+merge"; scheduler = Disk.Deadline; merge = true };
   ]
+
+(* The Deadline scheduler's promotion threshold sits above the typical
+   queue wait of the saturating bench load: the point of Deadline is to
+   promote only the starved tail, not to degrade the sweep into arrival
+   order. *)
+let deadline = Time.ms 300
 
 type row = {
   variant : variant;
@@ -74,108 +62,56 @@ type row = {
 
 let disk_name = "rz26"
 
-(* One world per variant: segment, one scheduled spindle, a gathering
+(* One world per variant: one scheduled spindle under a gathering
    server, [procs] independent client stacks under LADDIS load. Same
    seed across variants — the offered traffic is identical; only the
-   order the spindle services it in differs. *)
-type world = {
-  eng : Engine.t;
-  metrics : Metrics.t;  (** server-side registry *)
-  cm : Metrics.t;  (** client-side registry *)
-  disk : Nfsg_disk.Device.t;
-  server : Server.t;
-}
-
-let build_world ?long_op_threshold cfg v =
-  let eng = Engine.create () in
-  let metrics = Metrics.create () in
-  let segment =
-    Segment.create eng ~seed:(cfg.seed lxor 0x3a7) ~metrics (Calib.segment_params Calib.Fddi)
-  in
-  let cpu_hook = ref (fun (_ : Time.t) -> ()) in
-  let costs = Calib.cpu_costs Calib.Fddi in
-  let driver_cost = costs.Nfsg_core.Cpu_model.driver_transaction in
-  let disk =
-    Disk.create eng ~name:disk_name ~metrics ~scheduler:v.scheduler ~merge:v.merge
-      ~deadline:v.deadline
-      ~on_transaction:(fun ~bytes:_ -> !cpu_hook driver_cost)
-      Calib.disk_geometry
-  in
-  let wl_config =
-    { Write_layer.default_gathering with Write_layer.procrastinate = Calib.procrastinate Calib.Fddi }
-  in
-  let config =
+   order the spindle services it in differs. The rows read the world's
+   own registry back (Rig.publish). *)
+let run_world ?(env = Rig.default_env) ?(overrides = Fun.id) cfg v =
+  let spec =
     {
-      Server.default_config with
-      Server.nfsds = cfg.nfsds;
-      write_layer = wl_config;
-      costs;
-      long_op_threshold;
+      Rig.default_spec with
+      Rig.seed = cfg.load.Laddis.seed lxor 0x3a7;
+      nfsds = cfg.nfsds;
+      disk_scheduler = v.scheduler;
+      server_overrides = overrides;
     }
   in
-  let server = Server.make eng ~segment ~addr:"server" ~device:disk ~metrics config in
-  (cpu_hook := fun d -> Resource.charge (Server.cpu server) d);
-  let cm = Metrics.create () in
-  let make_client i =
-    let sock = Socket.create segment ~addr:(Printf.sprintf "client%d" i) () in
-    let rpc = Rpc_client.create eng ~sock ~server:"server" ~metrics:cm () in
-    Client.create eng ~rpc ~biods:4 ~metrics:cm ()
+  let w = Rig.world ~env:{ env with Rig.metrics = None } spec in
+  let disk = Rig.spindle w ~merge:v.merge ~deadline disk_name in
+  let rig = Rig.serve w ~disks:[| disk |] [ disk ] in
+  let point =
+    Rig.run rig (fun () ->
+        let biods = cfg.load.Laddis.biods_per_proc in
+        Laddis.run rig.Rig.eng
+          ~make_client:(fun i -> Rig.new_client rig ~biods (Printf.sprintf "client%d" i))
+          ~root:(Rig.root rig) ~offered:cfg.offered cfg.load)
   in
-  (segment, make_client, { eng; metrics; cm; disk; server })
+  Rig.publish env rig.Rig.metrics;
+  (rig, point)
 
-let drive (segment, make_client, w) cfg =
-  ignore (segment : Segment.t);
-  let lcfg =
-    {
-      Laddis.default_config with
-      Laddis.procs = cfg.procs;
-      files_per_proc = cfg.files_per_proc;
-      file_size = cfg.file_size;
-      warmup = cfg.warmup;
-      measure = cfg.measure;
-      seed = cfg.seed;
-    }
-  in
-  let out = ref None in
-  Engine.spawn w.eng ~name:"driver" (fun () ->
-      out :=
-        Some
-          (Laddis.run w.eng ~make_client ~root:(Server.root_fh w.server) ~offered:cfg.offered
-             lcfg));
-  Engine.run w.eng;
-  match !out with Some p -> p | None -> failwith "Iosched.drive: load never finished"
-
-let run_variant cfg v =
-  let ((_, _, w) as world) = build_world cfg v in
-  let point = drive world cfg in
+let run_variant ?env cfg v =
+  let rig, point = run_world ?env cfg v in
+  let m = rig.Rig.metrics in
   let ns = Names.Ns.disk disk_name in
-  let counter name = Option.value ~default:0 (Metrics.find_counter w.metrics ~ns name) in
-  let lat f =
-    match Metrics.find_histogram w.cm ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
-    | Some h -> f h
-    | None -> 0.0
-  in
-  let stats = w.disk.Nfsg_disk.Device.spindle_stats () in
+  let lat = Metrics.stat m ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") in
   {
     variant = v;
     point;
     write_mean_us = lat Histogram.mean;
     write_p50_us = lat Histogram.median;
     write_p99_us = lat Histogram.p99;
-    transactions = stats.Nfsg_disk.Device.transactions;
-    merged = counter Names.merged_requests;
-    promotions = counter Names.deadline_promotions;
-    barriers = counter Names.barriers;
-    queue_wait_p99_us =
-      (match Metrics.find_histogram w.metrics ~ns Names.queue_wait_us with
-      | Some h -> Histogram.p99 h
-      | None -> 0.0);
+    transactions = (Rig.spindle_stats rig).Nfsg_disk.Device.transactions;
+    merged = Metrics.count m ~ns Names.merged_requests;
+    promotions = Metrics.count m ~ns Names.deadline_promotions;
+    barriers = Metrics.count m ~ns Names.barriers;
+    queue_wait_p99_us = Metrics.stat m ~ns Names.queue_wait_us Histogram.p99;
   }
 
-let run ?(cfg = default) () = List.map (run_variant cfg) variants
+let run ?env ?(cfg = default) () = List.map (run_variant ?env cfg) variants
 
-let report ?quick:_ () =
-  let rows = run () in
+let report ?env ?quick:_ () =
+  let rows = run ?env () in
   let report =
     Report.create ~title:"I/O scheduling: one spindle under mixed LADDIS-style load"
       ~columns:(List.map (fun r -> r.variant.label) rows)
@@ -201,18 +137,22 @@ let report ?quick:_ () =
    depth ~1 every scheduler is FIFO. *)
 let bench_cfg =
   {
-    seed = 7;
-    procs = 12;
-    files_per_proc = 2;
-    file_size = 1024 * 1024;
+    load =
+      {
+        Laddis.default_config with
+        Laddis.seed = 7;
+        procs = 12;
+        files_per_proc = 2;
+        file_size = 1024 * 1024;
+        warmup = Time.ms 500;
+        measure = Time.sec 3;
+      };
     offered = 170.0;
-    warmup = Time.ms 500;
-    measure = Time.sec 3;
     nfsds = 12;
   }
 
-let bench_iosched () =
-  let rows = run ~cfg:bench_cfg () in
+let bench_iosched ?env () =
+  let rows = run ?env ~cfg:bench_cfg () in
   let json_row r =
     Json.Obj
       [
@@ -246,13 +186,13 @@ let bench_iosched () =
         Json.Obj
           [
             ("net", Json.String "fddi");
-            ("procs", Json.Int bench_cfg.procs);
-            ("files_per_proc", Json.Int bench_cfg.files_per_proc);
-            ("file_bytes", Json.Int bench_cfg.file_size);
+            ("procs", Json.Int bench_cfg.load.Laddis.procs);
+            ("files_per_proc", Json.Int bench_cfg.load.Laddis.files_per_proc);
+            ("file_bytes", Json.Int bench_cfg.load.Laddis.file_size);
             ("offered_ops_s", Json.Float bench_cfg.offered);
-            ("measure_ms", Json.Float (Time.to_ms_f bench_cfg.measure));
+            ("measure_ms", Json.Float (Time.to_ms_f bench_cfg.load.Laddis.measure));
             ("nfsds", Json.Int bench_cfg.nfsds);
-            ("seed", Json.Int bench_cfg.seed);
+            ("seed", Json.Int bench_cfg.load.Laddis.seed);
           ] );
       ("rows", Json.List (List.map json_row rows));
     ]
@@ -266,30 +206,26 @@ let bench_iosched () =
    walkthrough of EXPERIMENTS.md, as a reproducible command
    (nfsgather iosched-probe). *)
 
-let investigate ?(cfg = bench_cfg) ?(threshold = Time.ms 300) label =
+let investigate ?env ?(cfg = bench_cfg) ?(threshold = Time.ms 300) label =
   let v =
     match List.find_opt (fun v -> v.label = label) variants with
     | Some v -> v
     | None -> invalid_arg (Printf.sprintf "Iosched.investigate: unknown variant %S" label)
   in
-  let ((_, _, w) as world) = build_world ~long_op_threshold:threshold cfg v in
-  let point = drive world cfg in
+  let rig, point =
+    run_world ?env
+      ~overrides:(fun c -> { c with Server.long_op_threshold = Some threshold })
+      cfg v
+  in
+  let m = rig.Rig.metrics in
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "iosched probe: variant=%s threshold=%.0fms achieved=%.1f ops/s" v.label
     (Time.to_ms_f threshold) point.Laddis.achieved;
-  let client_h f =
-    match Metrics.find_histogram w.cm ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
-    | Some h -> f h
-    | None -> 0.0
-  in
+  let client_h = Metrics.stat m ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") in
   line "client WRITE latency (us): mean=%.0f p50=%.0f p99=%.0f" (client_h Histogram.mean)
     (client_h Histogram.median) (client_h Histogram.p99);
-  let jh name f =
-    match Metrics.find_histogram w.metrics ~ns:Names.Ns.journey name with
-    | Some h -> f h
-    | None -> 0.0
-  in
+  let jh = Metrics.stat m ~ns:Names.Ns.journey in
   line "server journey total (us): mean=%.0f p50=%.0f p99=%.0f" (jh Names.total_us Histogram.mean)
     (jh Names.total_us Histogram.median)
     (jh Names.total_us Histogram.p99);
@@ -300,15 +236,13 @@ let investigate ?(cfg = bench_cfg) ?(threshold = Time.ms 300) label =
     (jh (Names.phase_us Names.phase_gather_wait) Histogram.p99)
     (jh (Names.phase_us Names.phase_disk) Histogram.p99)
     (jh (Names.phase_us Names.phase_reply) Histogram.p99);
-  let cc name = Option.value ~default:0 (Metrics.find_counter w.cm ~ns:Names.Ns.rpc_client name) in
+  let cc = Metrics.count m ~ns:Names.Ns.rpc_client in
   line "client rpc: timeouts=%d retransmissions=%d stale_replies=%d" (cc Names.timeouts)
     (cc Names.retransmissions) (cc Names.stale_replies);
-  let sc name =
-    Option.value ~default:0 (Metrics.find_counter w.metrics ~ns:Names.Ns.rpc_svc name)
-  in
+  let sc = Metrics.count m ~ns:Names.Ns.rpc_svc in
   line "server dupcache: duplicate_drops=%d duplicate_replays=%d" (sc Names.duplicate_drops)
     (sc Names.duplicate_replays);
-  let plane = Server.journeys w.server in
+  let plane = Server.journeys rig.Rig.server in
   line "long-ops over threshold: %d" (Nfsg_stats.Journey.long_op_count plane);
   Buffer.add_string buf (Nfsg_stats.Journey.render_long_ops plane);
   Buffer.contents buf

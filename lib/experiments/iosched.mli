@@ -6,29 +6,20 @@
     give equal bytes. *)
 
 type config = {
-  seed : int;
-  procs : int;  (** load-generating client processes *)
-  files_per_proc : int;
-  file_size : int;  (** bytes per pre-created file *)
+  load : Nfsg_workload.Laddis.config;
+      (** the LADDIS load, [biods_per_proc] biods per client; its seed
+          also seeds the segment *)
   offered : float;  (** aggregate offered ops/sec *)
-  warmup : Nfsg_sim.Time.t;
-  measure : Nfsg_sim.Time.t;
   nfsds : int;
 }
 
 val default : config
 
-type variant = {
-  label : string;
-  scheduler : Nfsg_disk.Disk.scheduler;
-  merge : bool;
-  deadline : Nfsg_sim.Time.t;
-      (** promotion threshold; only the [`Deadline] row reads it *)
-}
+type variant = { label : string; scheduler : Nfsg_disk.Disk.scheduler; merge : bool }
 
 val variants : variant list
 (** The three compared policies, bench-row order: fifo (merge off),
-    elevator, deadline+merge. *)
+    elevator, deadline+merge (promoting requests that waited 300 ms). *)
 
 type row = {
   variant : variant;
@@ -43,15 +34,18 @@ type row = {
   queue_wait_p99_us : float;
 }
 
-val run : ?cfg:config -> unit -> row list
+val run : ?env:Rig.env -> ?cfg:config -> unit -> row list
 (** One world per variant, same seed: only the spindle's service order
-    differs between rows. *)
+    differs between rows. Each world is built under [env]
+    ({!Rig.default_env} by default), whose [scheduler] replaces every
+    variant's own. A row reads its world's own registry; [env.metrics]
+    receives a copy of it once the world is done. *)
 
-val report : ?quick:bool -> unit -> Nfsg_stats.Report.t
+val report : ?env:Rig.env -> ?quick:bool -> unit -> Nfsg_stats.Report.t
 (** Text table over {!run} with the default config ([quick] accepted
     for harness uniformity; the workload is fixed either way). *)
 
-val bench_iosched : unit -> Nfsg_stats.Json.t
+val bench_iosched : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
 (** The committed BENCH_iosched.json artifact: fixed modest workload,
     byte-deterministic. CI regenerates it and byte-diffs. *)
 
@@ -59,7 +53,8 @@ val bench_cfg : config
 (** The saturating workload behind {!bench_iosched} (and the default
     for {!investigate}). *)
 
-val investigate : ?cfg:config -> ?threshold:Nfsg_sim.Time.t -> string -> string
+val investigate :
+  ?env:Rig.env -> ?cfg:config -> ?threshold:Nfsg_sim.Time.t -> string -> string
 (** [investigate label] reruns the bench world of the named variant
     with journey tracing armed at [threshold] (default 300 ms) and
     renders the evidence side by side: client-visible WRITE latency,

@@ -11,13 +11,7 @@
    against a committed golden copy. *)
 
 open Nfsg_sim
-module Segment = Nfsg_net.Segment
-module Socket = Nfsg_net.Socket
-module Disk = Nfsg_disk.Disk
 module Server = Nfsg_core.Server
-module Write_layer = Nfsg_core.Write_layer
-module Client = Nfsg_nfs.Client
-module Rpc_client = Nfsg_rpc.Rpc_client
 module Fault_disk = Nfsg_fault.Fault_disk
 module File_writer = Nfsg_workload.File_writer
 module Metrics = Nfsg_stats.Metrics
@@ -56,35 +50,20 @@ let stations =
   ]
 
 let run ?(cfg = default) () =
-  let eng = Engine.create () in
-  let metrics = Metrics.create () in
-  let segment =
-    Segment.create eng ~seed:(cfg.seed lxor 0x5c1) ~metrics (Calib.segment_params Calib.Fddi)
-  in
-  let cpu_hook = ref (fun (_ : Time.t) -> ()) in
-  let costs = Calib.cpu_costs Calib.Fddi in
-  let driver_cost = costs.Nfsg_core.Cpu_model.driver_transaction in
-  let disk =
-    Disk.create eng ~name:"rz26" ~metrics
-      ~on_transaction:(fun ~bytes:_ -> !cpu_hook driver_cost)
-      Calib.disk_geometry
-  in
-  let injector, device = Fault_disk.wrap eng ~seed:cfg.seed disk in
-  Fault_disk.slowdown_window injector ~from_:cfg.slow_from ~until:cfg.slow_until
-    ~factor:cfg.slow_factor;
-  let config =
+  let spec =
     {
-      Server.default_config with
-      Server.write_layer =
-        { Write_layer.default_gathering with
-          Write_layer.procrastinate = Calib.procrastinate Calib.Fddi
-        };
-      costs;
-      long_op_threshold = Some cfg.threshold;
+      Rig.default_spec with
+      Rig.seed = cfg.seed lxor 0x5c1;
+      server_overrides = (fun c -> { c with Server.long_op_threshold = Some cfg.threshold });
     }
   in
-  let server = Server.make eng ~segment ~addr:"server" ~device ~metrics config in
-  (cpu_hook := fun d -> Resource.charge (Server.cpu server) d);
+  let world = Rig.world spec in
+  let disk = Rig.spindle world "rz26" in
+  let injector, device = Fault_disk.wrap world.Rig.eng ~seed:cfg.seed disk in
+  Fault_disk.slowdown_window injector ~from_:cfg.slow_from ~until:cfg.slow_until
+    ~factor:cfg.slow_factor;
+  let rig = Rig.serve world ~disks:[| disk |] [ device ] in
+  let eng = rig.Rig.eng and metrics = rig.Rig.metrics in
   let monitor = Monitor.create eng ~metrics ~interval:cfg.interval () in
   Monitor.start monitor;
   let remaining = ref (List.length stations) in
@@ -97,11 +76,9 @@ let run ?(cfg = default) () =
     (fun (addr, biods, start, total) ->
       Engine.spawn eng ~name:addr (fun () ->
           if start > 0 then Engine.delay start;
-          let sock = Socket.create segment ~addr () in
-          let rpc = Rpc_client.create eng ~sock ~server:"server" ~metrics () in
-          let client = Client.create eng ~rpc ~biods ~metrics () in
+          let client = Rig.new_client rig ~biods addr in
           ignore
-            (File_writer.run eng client ~dir:(Server.root_fh server)
+            (File_writer.run eng client ~dir:(Rig.root rig)
                ~name:(addr ^ ".dat") ~total ~seed:cfg.seed ()
               : File_writer.result);
           finished ()))
@@ -113,21 +90,13 @@ let run ?(cfg = default) () =
   (* The plane's own evidence, after the dust settles. *)
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Monitor.output monitor);
-  let plane = Server.journeys server in
-  let jc name =
-    Option.value ~default:0 (Metrics.find_counter metrics ~ns:Names.Ns.journey name)
-  in
-  let dropped =
-    Option.value ~default:0 (Metrics.find_counter metrics ~ns:Names.Ns.trace Names.dropped)
-  in
+  let plane = Server.journeys rig.Rig.server in
+  let jc = Metrics.count metrics ~ns:Names.Ns.journey in
+  let dropped = Metrics.count metrics ~ns:Names.Ns.trace Names.dropped in
   Buffer.add_string buf
     (Printf.sprintf "\njourney: records=%d long_ops=%d dropped=%d\n" (jc Names.records)
        (jc Names.long_ops) dropped);
-  let p99 phase =
-    match Metrics.find_histogram metrics ~ns:Names.Ns.journey (Names.phase_us phase) with
-    | Some h -> Histogram.p99 h
-    | None -> 0.0
-  in
+  let p99 phase = Metrics.stat metrics ~ns:Names.Ns.journey (Names.phase_us phase) Histogram.p99 in
   Buffer.add_string buf
     (Printf.sprintf
        "phase p99 (us): sock_wait=%.0f dupcache=%.0f prep=%.0f gather_wait=%.0f disk=%.0f \

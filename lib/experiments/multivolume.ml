@@ -1,13 +1,6 @@
 open Nfsg_sim
-module Segment = Nfsg_net.Segment
 module Socket = Nfsg_net.Socket
-module Disk = Nfsg_disk.Disk
-module Stripe = Nfsg_disk.Stripe
-module Device = Nfsg_disk.Device
 module Fault_disk = Nfsg_fault.Fault_disk
-module Server = Nfsg_core.Server
-module Volume = Nfsg_core.Volume
-module Write_layer = Nfsg_core.Write_layer
 module Client = Nfsg_nfs.Client
 module Rpc_client = Nfsg_rpc.Rpc_client
 module Laddis = Nfsg_workload.Laddis
@@ -22,27 +15,21 @@ module Report = Nfsg_stats.Report
    fault-wrapped so an error window can be opened on it alone. *)
 let nvols = 3
 
-type config = {
-  seed : int;
-  procs : int;
-  files_per_proc : int;
-  file_size : int;
-  offered : float;
-  warmup : Time.t;
-  measure : Time.t;
-  nfsds : int;
-  fault_prob : float;
-}
+type config = { load : Laddis.config; offered : float; nfsds : int; fault_prob : float }
 
 let default =
   {
-    seed = 1994;
-    procs = 6;
-    files_per_proc = 4;
-    file_size = 64 * 1024;
+    load =
+      {
+        Laddis.default_config with
+        Laddis.seed = 1994;
+        procs = 6;
+        files_per_proc = 4;
+        file_size = 64 * 1024;
+        warmup = Time.sec 1;
+        measure = Time.sec 5;
+      };
     offered = 160.0;
-    warmup = Time.sec 1;
-    measure = Time.sec 5;
     nfsds = 12;
     fault_prob = 0.4;
   }
@@ -62,80 +49,54 @@ type vol_stats = {
 type phase = { point : Laddis.point; vols : vol_stats list }
 type result = { clean : phase; faulted : phase; errors_injected : int }
 
-(* One world: segment, three device stacks, a 3-export server, and a
+(* One world: three device stacks, a 3-export server, and a
    LADDIS-style load spread round-robin over the exports. [fault]
    (absolute sim-time window) arms an error window on volume 0's
    spindle before the load starts. Returns the phase stats plus the
    simulation end time (how the caller learns where the measurement
-   window sits, so the faulted twin can be armed inside it). *)
-let run_world ?fault cfg =
-  let eng = Engine.create () in
-  let metrics = Metrics.create () in
-  let segment =
-    Segment.create eng ~seed:(cfg.seed lxor 0x3a7) ~metrics (Calib.segment_params Calib.Fddi)
+   window sits, so the faulted twin can be armed inside it). The stats
+   read the world's own registries back (Rig.publish). *)
+let run_world ?(env = Rig.default_env) ?fault cfg =
+  let seed = cfg.load.Laddis.seed in
+  let spec = { Rig.default_spec with Rig.seed = seed lxor 0x3a7; nfsds = cfg.nfsds } in
+  let world = Rig.world ~env:{ env with Rig.metrics = None } spec in
+  let disk0 = Rig.spindle world "vol1-rz26" in
+  let injector, dev0 = Fault_disk.wrap world.Rig.eng ~seed:(seed lxor 0xfa01) disk0 in
+  let disk1 = Rig.spindle world "vol2-rz26" in
+  let members = Array.init 3 (fun i -> Rig.spindle world (Printf.sprintf "vol3-rz26-%d" i)) in
+  let rig =
+    Rig.serve world
+      ~disks:(Array.append [| disk0; disk1 |] members)
+      [ dev0; disk1; Rig.stripe world members ]
   in
-  let cpu_hook = ref (fun (_ : Time.t) -> ()) in
-  let costs = Calib.cpu_costs Calib.Fddi in
-  let driver_cost = costs.Nfsg_core.Cpu_model.driver_transaction in
-  let mk_disk name =
-    Disk.create eng ~name ~metrics
-      ~on_transaction:(fun ~bytes:_ -> !cpu_hook driver_cost)
-      Calib.disk_geometry
-  in
-  let injector, dev0 = Fault_disk.wrap eng ~seed:(cfg.seed lxor 0xfa01) (mk_disk "vol1-rz26") in
-  let dev1 = mk_disk "vol2-rz26" in
-  let dev2 =
-    Stripe.device
-      (Stripe.create eng ~chunk:32768 (Array.init 3 (fun i -> mk_disk (Printf.sprintf "vol3-rz26-%d" i))))
-  in
-  let wl_config =
-    { Write_layer.default_gathering with Write_layer.procrastinate = Calib.procrastinate Calib.Fddi }
-  in
-  let config =
-    { Server.default_config with Server.nfsds = cfg.nfsds; write_layer = wl_config; costs }
-  in
-  let server =
-    Server.make_exports eng ~segment ~addr:"server" ~metrics config
-      [ Volume.spec "/export0" dev0; Volume.spec "/export1" dev1; Volume.spec "/export2" dev2 ]
-  in
-  (cpu_hook := fun d -> Resource.charge (Server.cpu server) d);
+  let eng = rig.Rig.eng and metrics = rig.Rig.metrics in
   (* Per-volume client registries: load process [i] works under export
      [i mod 3] (Laddis round-robin), and its client instruments land in
      that volume's registry — the only way WRITE latency can be read
      per volume while the server is shared. *)
-  let assignment = Array.of_list (Laddis.export_assignment ~procs:cfg.procs ~exports:nvols) in
+  let assignment =
+    Array.of_list (Laddis.export_assignment ~procs:cfg.load.Laddis.procs ~exports:nvols)
+  in
   let cms = Array.init nvols (fun _ -> Metrics.create ()) in
   let make_client i =
     let m = cms.(assignment.(i)) in
-    let sock = Socket.create segment ~addr:(Printf.sprintf "client%d" i) () in
+    let sock = Socket.create rig.Rig.segment ~addr:(Printf.sprintf "client%d" i) () in
     let rpc = Rpc_client.create eng ~sock ~server:"server" ~metrics:m () in
-    Client.create eng ~rpc ~biods:4 ~metrics:m ()
+    Client.create eng ~rpc ~biods:cfg.load.Laddis.biods_per_proc ~metrics:m ()
   in
-  let roots = List.map snd (Server.exports server) in
-  let lcfg =
-    {
-      Laddis.default_config with
-      Laddis.procs = cfg.procs;
-      files_per_proc = cfg.files_per_proc;
-      file_size = cfg.file_size;
-      warmup = cfg.warmup;
-      measure = cfg.measure;
-      seed = cfg.seed;
-    }
-  in
-  let out = ref None in
-  Engine.spawn eng ~name:"driver" (fun () ->
-      (match fault with
-      | Some (from_, until) -> Fault_disk.error_window injector ~from_ ~until ~prob:cfg.fault_prob
-      | None -> ());
-      let point =
-        Laddis.run eng ~make_client ~root:(List.hd roots) ~exports:roots ~offered:cfg.offered lcfg
-      in
-      out := Some (point, Engine.now eng));
-  Engine.run eng;
+  let roots = Rig.roots rig in
   let point, end_time =
-    match !out with Some v -> v | None -> failwith "Multivolume.run_world: load never finished"
+    Rig.run rig (fun () ->
+        (match fault with
+        | Some (from_, until) -> Fault_disk.error_window injector ~from_ ~until ~prob:cfg.fault_prob
+        | None -> ());
+        let point =
+          Laddis.run eng ~make_client ~root:(List.hd roots) ~exports:roots ~offered:cfg.offered
+            cfg.load
+        in
+        (point, Engine.now eng))
   in
+  Array.iter (Rig.publish env) (Array.append [| metrics |] cms);
   let vol_stats k =
     let fsid = k + 1 in
     let wl_ns = Names.Ns.write_layer_vol fsid in
@@ -145,19 +106,14 @@ let run_world ?fault cfg =
       | Some h -> (Histogram.count h, Histogram.mean h)
       | None -> (0, 0.0)
     in
-    let lat f =
-      match Metrics.find_histogram cms.(k) ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") with
-      | Some h -> f h
-      | None -> 0.0
-    in
+    let lat = Metrics.stat cms.(k) ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") in
     {
       export = Printf.sprintf "/export%d" k;
       fsid;
-      writes = Option.value ~default:0 (Metrics.find_counter metrics ~ns:sv_ns (Names.ops "WRITE"));
+      writes = Metrics.count metrics ~ns:sv_ns (Names.ops "WRITE");
       batches;
       mean_batch;
-      flushes_saved =
-        Option.value ~default:0 (Metrics.find_counter metrics ~ns:wl_ns Names.metadata_flushes_saved);
+      flushes_saved = Metrics.count metrics ~ns:wl_ns Names.metadata_flushes_saved;
       write_mean_us = lat Histogram.mean;
       write_p50_us = lat Histogram.median;
       write_p99_us = lat Histogram.p99;
@@ -169,28 +125,33 @@ let run_world ?fault cfg =
    places the faulted twin's error window strictly inside the twin's
    measurement interval (same seed => identical timeline up to the
    first injected fault). *)
-let run ?(cfg = default) () =
-  let clean, end_time, _ = run_world cfg in
-  let m_start = end_time - cfg.measure in
-  let from_ = m_start + (cfg.measure / 4) and until = m_start + (3 * cfg.measure / 4) in
-  let faulted, _, errors_injected = run_world ~fault:(from_, until) cfg in
+let run ?env ?(cfg = default) () =
+  let clean, end_time, _ = run_world ?env cfg in
+  let measure = cfg.load.Laddis.measure in
+  let m_start = end_time - measure in
+  let from_ = m_start + (measure / 4) and until = m_start + (3 * measure / 4) in
+  let faulted, _, errors_injected = run_world ?env ~fault:(from_, until) cfg in
   { clean; faulted; errors_injected }
 
 let quick_cfg =
   {
     default with
-    procs = 3;
-    files_per_proc = 2;
-    file_size = 32 * 1024;
+    load =
+      {
+        default.load with
+        Laddis.procs = 3;
+        files_per_proc = 2;
+        file_size = 32 * 1024;
+        warmup = Time.ms 500;
+        measure = Time.sec 2;
+      };
     offered = 100.0;
-    warmup = Time.ms 500;
-    measure = Time.sec 2;
   }
 
 let devices = [ "1 spindle (faultable)"; "1 spindle"; "3-drive stripe" ]
 
-let report ?(quick = false) () =
-  let r = run ~cfg:(if quick then quick_cfg else default) () in
+let report ?env ?(quick = false) () =
+  let r = run ?env ~cfg:(if quick then quick_cfg else default) () in
   let report =
     Report.create ~title:"Multi-volume exports: 3 volumes under simultaneous LADDIS-style load"
       ~columns:(List.map2 (fun v d -> Printf.sprintf "%s (%s)" v.export d) r.clean.vols devices)
@@ -216,19 +177,23 @@ let report ?(quick = false) () =
 
 let bench_cfg =
   {
-    seed = 7;
-    procs = 6;
-    files_per_proc = 2;
-    file_size = 32 * 1024;
+    load =
+      {
+        Laddis.default_config with
+        Laddis.seed = 7;
+        procs = 6;
+        files_per_proc = 2;
+        file_size = 32 * 1024;
+        warmup = Time.ms 500;
+        measure = Time.sec 3;
+      };
     offered = 120.0;
-    warmup = Time.ms 500;
-    measure = Time.sec 3;
     nfsds = 12;
     fault_prob = 0.4;
   }
 
-let bench_multivolume () =
-  let r = run ~cfg:bench_cfg () in
+let bench_multivolume ?env () =
+  let r = run ?env ~cfg:bench_cfg () in
   let vol_row device v =
     Json.Obj
       [
@@ -261,13 +226,13 @@ let bench_multivolume () =
           [
             ("net", Json.String "fddi");
             ("volumes", Json.Int nvols);
-            ("procs", Json.Int bench_cfg.procs);
-            ("files_per_proc", Json.Int bench_cfg.files_per_proc);
-            ("file_bytes", Json.Int bench_cfg.file_size);
+            ("procs", Json.Int bench_cfg.load.Laddis.procs);
+            ("files_per_proc", Json.Int bench_cfg.load.Laddis.files_per_proc);
+            ("file_bytes", Json.Int bench_cfg.load.Laddis.file_size);
             ("offered_ops_s", Json.Float bench_cfg.offered);
-            ("measure_ms", Json.Float (Time.to_ms_f bench_cfg.measure));
+            ("measure_ms", Json.Float (Time.to_ms_f bench_cfg.load.Laddis.measure));
             ("nfsds", Json.Int bench_cfg.nfsds);
-            ("seed", Json.Int bench_cfg.seed);
+            ("seed", Json.Int bench_cfg.load.Laddis.seed);
           ] );
       ( "aggregate",
         Json.Obj

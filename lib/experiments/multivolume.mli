@@ -12,13 +12,11 @@
     plane. *)
 
 type config = {
-  seed : int;
-  procs : int;  (** load processes, round-robin over the 3 exports *)
-  files_per_proc : int;
-  file_size : int;  (** bytes per pre-created file *)
+  load : Nfsg_workload.Laddis.config;
+      (** the LADDIS load, its processes round-robin over the 3
+          exports with [biods_per_proc] biods each; its seed also seeds
+          the segment and the fault injector *)
   offered : float;  (** aggregate offered load, ops/sec *)
-  warmup : Nfsg_sim.Time.t;
-  measure : Nfsg_sim.Time.t;
   nfsds : int;
   fault_prob : float;  (** per-transaction failure probability in the window *)
 }
@@ -46,15 +44,19 @@ type result = {
   errors_injected : int;
 }
 
-val run : ?cfg:config -> unit -> result
+val run : ?env:Rig.env -> ?cfg:config -> unit -> result
 (** Two same-seed worlds: fault-free, then with the error window armed
-    inside the measurement interval. Deterministic in [cfg]. *)
+    inside the measurement interval. Deterministic in [cfg] and [env]
+    ({!Rig.default_env} by default). [env.raid_level] sets the stripe
+    set's level and [env.scheduler] every spindle's. The stats read each
+    world's own registries; [env.metrics] receives a copy of them once
+    the world is done. *)
 
-val report : ?quick:bool -> unit -> Nfsg_stats.Report.t
+val report : ?env:Rig.env -> ?quick:bool -> unit -> Nfsg_stats.Report.t
 (** Human-readable table over {!run} (the [multivolume] experiment of
     the CLI and bench). *)
 
-val bench_multivolume : unit -> Nfsg_stats.Json.t
+val bench_multivolume : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
 (** The committed [BENCH_multivolume.json] artifact: per-volume gather
     and latency rows plus the fault-isolation summary, from one fixed
     modest workload (no quick/full split, so CI reproduces the bytes

@@ -1,14 +1,10 @@
 open Nfsg_sim
-module Segment = Nfsg_net.Segment
-module Socket = Nfsg_net.Socket
 module Disk = Nfsg_disk.Disk
 module Device = Nfsg_disk.Device
 module Io = Nfsg_disk.Io
 module Stripe = Nfsg_disk.Stripe
 module Server = Nfsg_core.Server
-module Write_layer = Nfsg_core.Write_layer
 module Client = Nfsg_nfs.Client
-module Rpc_client = Nfsg_rpc.Rpc_client
 module Metrics = Nfsg_stats.Metrics
 module Names = Nfsg_stats.Names
 module Json = Nfsg_stats.Json
@@ -90,40 +86,40 @@ let bs = 8192
 let block w b = Bytes.init bs (fun j -> Char.chr ((j + (31 * w) + (131 * b)) mod 251))
 
 (* One world per variant: same seed, same offered traffic; only the
-   array level and the server's write layer differ. *)
-let run_variant cfg v =
-  let eng = Engine.create () in
-  let metrics = Metrics.create () in
-  let segment =
-    Segment.create eng ~seed:(cfg.seed lxor 0x3a7) ~metrics (Calib.segment_params Calib.Fddi)
+   array level and the server's write layer differ. The server keeps
+   the uncalibrated default CPU costs. The rows read the world's own
+   registry back (Rig.publish). *)
+let run_variant ?(env = Rig.default_env) cfg v =
+  let spec =
+    {
+      Rig.default_spec with
+      Rig.seed = cfg.seed lxor 0x3a7;
+      nfsds = cfg.nfsds;
+      gathering = v.gather;
+      server_overrides = (fun c -> { c with Server.costs = Server.default_config.Server.costs });
+    }
   in
+  let world = Rig.world ~env:{ env with Rig.metrics = None } spec in
+  let eng = world.Rig.eng and metrics = world.Rig.metrics in
   let members =
     Array.init cfg.members (fun i ->
         Disk.create eng
           ~name:(Printf.sprintf "m%d" i)
-          ~metrics
+          ~metrics ?scheduler:env.Rig.scheduler
           (Disk.rz26 ~capacity:cfg.member_capacity ()))
   in
   let arr =
     Stripe.create eng ~name:"array" ~metrics ~level:v.level ~chunk:cfg.chunk members
   in
   let device = Stripe.device arr in
-  let write_layer =
-    if v.gather then
-      { Write_layer.default_gathering with Write_layer.procrastinate = Calib.procrastinate Calib.Fddi }
-    else Write_layer.standard
-  in
-  let sconfig = { Server.default_config with Server.nfsds = cfg.nfsds; write_layer } in
-  let server = Server.make eng ~segment ~addr:"server" ~device ~metrics sconfig in
+  let rig = Rig.serve world ~disks:members [ device ] in
 
   let writers_done = ref 0 in
   let tick = Time.of_ms_f 5.0 in
   let rec wait_for pred = if not (pred ()) then begin Engine.delay tick; wait_for pred end in
   let writer w () =
-    let sock = Socket.create segment ~addr:(Printf.sprintf "w%d" w) () in
-    let rpc = Rpc_client.create eng ~sock ~server:"server" ~metrics () in
-    let client = Client.create eng ~rpc ~biods:4 ~metrics () in
-    let root = Server.root_fh server in
+    let client = Rig.new_client rig (Printf.sprintf "w%d" w) in
+    let root = Rig.root rig in
     let fh, _ = Client.create_file client root (Printf.sprintf "f%d" w) in
     let f = Client.open_file client fh in
     for b = 0 to cfg.blocks_per_writer - 1 do
@@ -133,99 +129,82 @@ let run_variant cfg v =
     incr writers_done
   in
 
-  let elapsed = ref 0 in
-  let redundancy = ref None in
-  Engine.spawn eng ~name:"driver" (fun () ->
-      let t0 = Engine.now eng in
-      for w = 0 to cfg.writers - 1 do
-        Engine.spawn eng ~name:(Printf.sprintf "writer%d" w) (writer w)
-      done;
-      wait_for (fun () -> !writers_done = cfg.writers);
-      elapsed := Engine.now eng - t0;
-
-      (* Degraded service and online rebuild, straight at the array:
-         read a spread of blocks healthy, fail a member, read them
-         again (reconstructed or failed over), stream some writes into
-         untouched space, then resilver the member and re-verify. *)
-      if v.level <> Stripe.Raid0 then begin
-        let submit = device.Device.submit in
-        (* Stride coprime to the row width so the samples cycle through
-           every member's data chunks, including the failed one. *)
-        let sample i = i * 5 * cfg.chunk in
-        let healthy =
-          Array.init cfg.sample_blocks (fun i ->
-              Io.blocking_read ~submit ~off:(sample i) ~len:bs)
-        in
-        Stripe.fail_member arr 1;
-        let d0 = Engine.now eng in
-        let degraded =
-          Array.init cfg.sample_blocks (fun i ->
-              Io.blocking_read ~submit ~off:(sample i) ~len:bs)
-        in
-        let read_mean_us =
-          Time.to_sec_f (Engine.now eng - d0) *. 1e6 /. float_of_int cfg.sample_blocks
-        in
-        let wbase = device.Device.capacity / 2 in
-        for k = 0 to cfg.degraded_write_blocks - 1 do
-          Io.blocking_write ~submit ~class_:`Sync_write ~off:(wbase + (k * bs)) (block 99 k)
+  let counter = Metrics.count metrics ~ns:(Names.Ns.raid "array") in
+  let elapsed, redundancy =
+    Rig.run rig (fun () ->
+        let t0 = Engine.now eng in
+        for w = 0 to cfg.writers - 1 do
+          Engine.spawn eng ~name:(Printf.sprintf "writer%d" w) (writer w)
         done;
-        Stripe.rebuild ~pace:cfg.rebuild_pace arr ~member:1;
-        let r0 = Engine.now eng in
-        wait_for (fun () -> not (Stripe.rebuild_active arr));
-        let rebuild_ms = Time.to_ms_f (Engine.now eng - r0) in
-        let rebuilt =
-          Array.init cfg.sample_blocks (fun i ->
-              Io.blocking_read ~submit ~off:(sample i) ~len:bs)
-        in
-        let reverified =
-          Stripe.member_state arr 1 = Stripe.Active
-          && Array.for_all2 Bytes.equal healthy degraded
-          && Array.for_all2 Bytes.equal healthy rebuilt
-        in
-        let counter name =
-          Option.value ~default:0 (Metrics.find_counter metrics ~ns:(Names.Ns.raid "array") name)
-        in
-        redundancy :=
-          Some
-            {
-              degraded_read_blocks = cfg.sample_blocks;
-              degraded_read_mean_us = read_mean_us;
-              degraded_reads = counter Names.degraded_reads;
-              degraded_writes = counter Names.degraded_writes;
-              rebuild_ms;
-              rebuild_chunks = counter Names.rebuild_chunks;
-              rebuild_bytes = counter Names.rebuild_bytes;
-              reverified;
-            }
-      end);
-  Engine.run eng;
-  let counter name =
-    Option.value ~default:0 (Metrics.find_counter metrics ~ns:(Names.Ns.raid "array") name)
+        wait_for (fun () -> !writers_done = cfg.writers);
+        let elapsed = Engine.now eng - t0 in
+        (* Degraded service and online rebuild, straight at the array:
+           read a spread of blocks healthy, fail a member, read them
+           again (reconstructed or failed over), stream some writes into
+           untouched space, then resilver the member and re-verify. *)
+        if v.level = Stripe.Raid0 then (elapsed, None)
+        else begin
+          let submit = device.Device.submit in
+          (* Stride coprime to the row width so the samples cycle through
+             every member's data chunks, including the failed one. *)
+          let sample i = i * 5 * cfg.chunk in
+          let read_samples () =
+            Array.init cfg.sample_blocks (fun i -> Io.blocking_read ~submit ~off:(sample i) ~len:bs)
+          in
+          let healthy = read_samples () in
+          Stripe.fail_member arr 1;
+          let d0 = Engine.now eng in
+          let degraded = read_samples () in
+          let read_mean_us =
+            Time.to_sec_f (Engine.now eng - d0) *. 1e6 /. float_of_int cfg.sample_blocks
+          in
+          let wbase = device.Device.capacity / 2 in
+          for k = 0 to cfg.degraded_write_blocks - 1 do
+            Io.blocking_write ~submit ~class_:`Sync_write ~off:(wbase + (k * bs)) (block 99 k)
+          done;
+          Stripe.rebuild ~pace:cfg.rebuild_pace arr ~member:1;
+          let r0 = Engine.now eng in
+          wait_for (fun () -> not (Stripe.rebuild_active arr));
+          let rebuild_ms = Time.to_ms_f (Engine.now eng - r0) in
+          let rebuilt = read_samples () in
+          let reverified =
+            Stripe.member_state arr 1 = Stripe.Active
+            && Array.for_all2 Bytes.equal healthy degraded
+            && Array.for_all2 Bytes.equal healthy rebuilt
+          in
+          ( elapsed,
+            Some
+              {
+                degraded_read_blocks = cfg.sample_blocks;
+                degraded_read_mean_us = read_mean_us;
+                degraded_reads = counter Names.degraded_reads;
+                degraded_writes = counter Names.degraded_writes;
+                rebuild_ms;
+                rebuild_chunks = counter Names.rebuild_chunks;
+                rebuild_bytes = counter Names.rebuild_bytes;
+                reverified;
+              } )
+        end)
   in
-  let stats =
-    Array.fold_left
-      (fun acc d -> Device.add_stats acc (d.Device.spindle_stats ()))
-      Device.zero_stats members
-  in
+  Rig.publish env metrics;
   let fsw = counter Names.full_stripe_writes and rmw = counter Names.rmw_writes in
   let written = cfg.writers * cfg.blocks_per_writer * bs in
   {
     variant = v;
-    elapsed_ms = Time.to_ms_f !elapsed;
-    written_kb_s =
-      float_of_int written /. 1024.0 /. Time.to_sec_f (Stdlib.max 1 !elapsed);
-    member_transactions = stats.Device.transactions;
+    elapsed_ms = Time.to_ms_f elapsed;
+    written_kb_s = float_of_int written /. 1024.0 /. Time.to_sec_f (Stdlib.max 1 elapsed);
+    member_transactions = (Rig.spindle_stats rig).Device.transactions;
     full_stripe_writes = fsw;
     rmw_writes = rmw;
     full_stripe_fraction =
       (if fsw + rmw = 0 then 0.0 else float_of_int fsw /. float_of_int (fsw + rmw));
-    redundancy = !redundancy;
+    redundancy;
   }
 
-let run ?(cfg = default) () = List.map (run_variant cfg) variants
+let run ?env ?(cfg = default) () = List.map (run_variant ?env cfg) variants
 
-let report ?quick:_ () =
-  let rows = run () in
+let report ?env ?quick:_ () =
+  let rows = run ?env () in
   let report =
     Report.create ~title:"Redundant arrays: RAID level x write gathering, 3 spindles"
       ~columns:(List.map (fun r -> label r.variant) rows)
@@ -249,8 +228,8 @@ let report ?quick:_ () =
 
 let bench_cfg = default
 
-let bench_raid () =
-  let rows = run ~cfg:bench_cfg () in
+let bench_raid ?env () =
+  let rows = run ?env ~cfg:bench_cfg () in
   let json_row r =
     Json.Obj
       [

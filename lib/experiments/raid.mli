@@ -57,12 +57,15 @@ type row = {
   redundancy : redundancy option;
 }
 
-val run : ?cfg:config -> unit -> row list
-(** Deterministic in [cfg] alone; one fresh simulated world per
-    variant. *)
+val run : ?env:Rig.env -> ?cfg:config -> unit -> row list
+(** Deterministic in [cfg] and [env]; one fresh simulated world per
+    variant, built under [env] ({!Rig.default_env} by default). The
+    array level is each variant's own; [env.scheduler] reaches the
+    members. A row reads its world's own registry; [env.metrics]
+    receives a copy of it once the world is done. *)
 
-val report : ?quick:bool -> unit -> Nfsg_stats.Report.t
+val report : ?env:Rig.env -> ?quick:bool -> unit -> Nfsg_stats.Report.t
 
-val bench_raid : unit -> Nfsg_stats.Json.t
+val bench_raid : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
 (** The fixed-workload artifact written to [BENCH_raid.json] and
     byte-diffed by CI. *)

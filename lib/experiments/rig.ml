@@ -13,32 +13,32 @@ module Rpc_client = Nfsg_rpc.Rpc_client
 module Metrics = Nfsg_stats.Metrics
 
 type spec = {
+  seed : int;
   net : Calib.net;
   accel : bool;
   spindles : int;
-  volumes : int;
   nfsds : int;
   gathering : bool;
   trace : bool;
   cache_blocks : int option;
   readahead : Nfsg_ufs.Buffer_cache.readahead option;
   disk_scheduler : Disk.scheduler;
-  write_layer_overrides : Write_layer.config -> Write_layer.config;
+  server_overrides : Server.config -> Server.config;
 }
 
 let default_spec =
   {
+    seed = 0x5e9 (* Segment.create's own default *);
     net = Calib.Fddi;
     accel = false;
     spindles = 1;
-    volumes = 1;
     nfsds = 8;
     gathering = true;
     trace = false;
     cache_blocks = None;
     readahead = None;
     disk_scheduler = Disk.Fifo;
-    write_layer_overrides = (fun c -> c);
+    server_overrides = Fun.id;
   }
 
 type env = {
@@ -60,94 +60,92 @@ let default_env =
     long_op_threshold = None;
   }
 
+type world = {
+  eng : Engine.t;
+  segment : Segment.t;
+  metrics : Metrics.t;
+  spec : spec;
+  env : env;
+  cpu : (Time.t -> unit) ref;
+}
+
+let world ?(env = default_env) spec =
+  let eng = Engine.create () in
+  let metrics = match env.metrics with Some m -> m | None -> Metrics.create () in
+  let segment = Segment.create eng ~seed:spec.seed ~metrics (Calib.segment_params spec.net) in
+  { eng; segment; metrics; spec; env; cpu = ref (fun (_ : Time.t) -> ()) }
+
+let spindle w ?merge ?deadline name =
+  let driver_cost = (Calib.cpu_costs w.spec.net).Nfsg_core.Cpu_model.driver_transaction in
+  Disk.create w.eng ~name ~metrics:w.metrics
+    ~on_transaction:(fun ~bytes:_ -> !(w.cpu) driver_cost)
+    ~scheduler:(Option.value w.env.scheduler ~default:w.spec.disk_scheduler)
+    ?deadline ?merge Calib.disk_geometry
+
+let stripe w members =
+  Stripe.device (Stripe.create w.eng ~metrics:w.metrics ?level:w.env.raid_level ~chunk:32768 members)
+
+let publish (env : env) m = Option.iter (fun into -> Metrics.merge_into ~into m) env.metrics
+
 type t = {
   eng : Engine.t;
   segment : Segment.t;
   disks : Device.t array;
-  device : Device.t;
-  server : Server.t;
+  mutable server : Server.t;
   trace : Nfsg_stats.Trace.t option;
   metrics : Metrics.t;
   env : env;
 }
 
-let metrics t = t.metrics
-
-let make ?(env = default_env) spec =
-  if spec.volumes <= 0 then invalid_arg "Rig.make: need at least one volume";
-  let eng = Engine.create () in
-  let metrics = match env.metrics with Some m -> m | None -> Metrics.create () in
-  let segment = Segment.create eng ~metrics (Calib.segment_params spec.net) in
-  (* Forward reference: devices exist before the server CPU does. *)
-  let cpu_hook = ref (fun (_ : Time.t) -> ()) in
-  let costs = Calib.cpu_costs spec.net in
-  let driver_cost = costs.Nfsg_core.Cpu_model.driver_transaction in
-  (* One device stack (spindles, optional stripe, optional Presto) per
-     volume. Single-volume disk names keep their historical form so
-     metric keys stay byte-identical for existing rigs. *)
-  let mk_stack v =
-    let disks =
-      Array.init spec.spindles (fun i ->
-          let name =
-            if spec.volumes = 1 then Printf.sprintf "rz26-%d" i
-            else Printf.sprintf "vol%d-rz26-%d" (v + 1) i
-          in
-          Disk.create eng ~name ~metrics
-            ~on_transaction:(fun ~bytes:_ -> !cpu_hook driver_cost)
-            ~scheduler:(Option.value env.scheduler ~default:spec.disk_scheduler)
-            Calib.disk_geometry)
-    in
-    let base =
-      if spec.spindles = 1 then disks.(0)
-      else Stripe.device (Stripe.create eng ~metrics ?level:env.raid_level ~chunk:32768 disks)
-    in
-    let device =
-      if spec.accel then
-        snd
-          (Nvram.create eng ~params:Calib.nvram_params ~metrics
-             ~cpu_charge:(fun d -> !cpu_hook d) base)
-      else base
-    in
-    (disks, device)
-  in
-  let stacks = Array.init spec.volumes mk_stack in
-  let disks = Array.concat (Array.to_list (Array.map fst stacks)) in
-  let trace = if spec.trace then Some (Nfsg_stats.Trace.create eng) else None in
-  let write_layer =
-    let base_cfg =
-      if spec.gathering then
-        { Write_layer.default_gathering with Write_layer.procrastinate = Calib.procrastinate spec.net }
-      else Write_layer.standard
-    in
-    spec.write_layer_overrides base_cfg
-  in
+let serve w ~disks devices =
+  let spec = w.spec in
+  let trace = if spec.trace then Some (Nfsg_stats.Trace.create w.eng) else None in
   let config =
-    {
-      Server.default_config with
-      Server.nfsds = spec.nfsds;
-      write_layer;
-      costs;
-      cache_blocks = spec.cache_blocks;
-      readahead = spec.readahead;
-      long_op_threshold = env.long_op_threshold;
-    }
+    spec.server_overrides
+      {
+        Server.default_config with
+        Server.nfsds = spec.nfsds;
+        write_layer =
+          (if spec.gathering then
+             {
+               Write_layer.default_gathering with
+               Write_layer.procrastinate = Calib.procrastinate spec.net;
+             }
+           else Write_layer.standard);
+        costs = Calib.cpu_costs spec.net;
+        cache_blocks = spec.cache_blocks;
+        readahead = spec.readahead;
+        long_op_threshold = w.env.long_op_threshold;
+      }
   in
   let server =
-    if spec.volumes = 1 then
-      Server.make eng ~segment ~addr:"server" ~device:(snd stacks.(0)) ?trace ~metrics config
-    else
-      Server.make_exports eng ~segment ~addr:"server" ?trace ~metrics config
-        (List.init spec.volumes (fun v ->
-             {
-               Volume.export = Printf.sprintf "/export%d" v;
-               device = snd stacks.(v);
-               cache_blocks = spec.cache_blocks;
-               read_only = false;
-               readahead = spec.readahead;
-             }))
+    match devices with
+    | [ device ] ->
+        Server.make w.eng ~segment:w.segment ~addr:"server" ~device ?trace ~metrics:w.metrics config
+    | devices ->
+        Server.make_exports w.eng ~segment:w.segment ~addr:"server" ?trace ~metrics:w.metrics config
+          (List.mapi
+             (fun v device ->
+               Volume.spec ?cache_blocks:config.Server.cache_blocks ?readahead:config.Server.readahead
+                 (Printf.sprintf "/export%d" v) device)
+             devices)
   in
-  (cpu_hook := fun d -> Resource.charge (Server.cpu server) d);
-  { eng; segment; disks; device = snd stacks.(0); server; trace; metrics; env }
+  (w.cpu := fun d -> Resource.charge (Server.cpu server) d);
+  { eng = w.eng; segment = w.segment; disks; server; trace; metrics = w.metrics; env = w.env }
+
+let make ?env spec =
+  let w = world ?env spec in
+  let disks = Array.init spec.spindles (fun i -> spindle w (Printf.sprintf "rz26-%d" i)) in
+  let base = if spec.spindles = 1 then disks.(0) else stripe w disks in
+  let device =
+    if spec.accel then
+      snd
+        (Nvram.create w.eng ~params:Calib.nvram_params ~metrics:w.metrics
+           ~cpu_charge:(fun d -> !(w.cpu) d)
+           base)
+    else base
+  in
+  serve w ~disks [ device ]
 
 let new_client t ?(biods = 4) ?(protocol = Client.V2) addr =
   let sock = Socket.create t.segment ~addr () in
@@ -156,6 +154,11 @@ let new_client t ?(biods = 4) ?(protocol = Client.V2) addr =
 
 let root t = Server.root_fh t.server
 let roots t = List.map snd (Server.exports t.server)
+
+let restart t ~downtime =
+  Server.crash t.server;
+  Engine.delay downtime;
+  t.server <- Server.restart t.server
 
 let run t f =
   let monitor =
@@ -172,9 +175,9 @@ let run t f =
       (* The monitor's rearming timer keeps the event queue non-empty;
          stop it with the load or Engine.run never returns. *)
       Option.iter Nfsg_stats.Monitor.stop monitor;
-      (* With long-op tracing armed, dump whatever the ring retained
-         once the driven load is over — through the same emit callback,
-         so the rig itself still never prints. *)
+      (* With long-op tracing armed, dump whatever the live incarnation's
+         ring retained once the driven load is over — through the same
+         emit callback, so the rig itself still never prints. *)
       (match (t.env.long_op_threshold, t.env.emit) with
       | Some _, Some emit ->
           let plane = Server.journeys t.server in

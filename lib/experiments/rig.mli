@@ -1,16 +1,16 @@
-(** Experiment rig: a fresh simulated world per measurement — segment,
-    device stack (raw disk, optional stripe set, optional Prestoserve),
-    server, and any number of client hosts. *)
+(** Experiment rig: the one place a simulated world is built.
+
+    {!world} makes the engine, the metrics registry and the network
+    segment; the experiment puts its own devices on it, and {!serve}
+    puts the calibrated server over them. {!make} does both with the
+    paper's testbed stack (raw disks, an optional stripe set, optional
+    Prestoserve). Client hosts attach with {!new_client}. *)
 
 type spec = {
+  seed : int;  (** the segment's RNG seed (datagram loss and duplication) *)
   net : Calib.net;
   accel : bool;  (** Prestoserve NVRAM in front of the device *)
   spindles : int;  (** 1, or n for an n-drive stripe set *)
-  volumes : int;
-      (** exports served; each volume gets its own device stack
-          ([spindles] disks, optional stripe/Presto). 1 = the classic
-          single-volume rig via [Server.make]; >1 goes through
-          [Server.make_exports] with exports "/export0".."/exportN" *)
   nfsds : int;
   gathering : bool;
   trace : bool;
@@ -21,32 +21,32 @@ type spec = {
       (** sequential prefetch policy armed in every volume's buffer
           cache; [None] = read-ahead off (the historical behaviour) *)
   disk_scheduler : Nfsg_disk.Disk.scheduler;
-  write_layer_overrides : Nfsg_core.Write_layer.config -> Nfsg_core.Write_layer.config;
-      (** applied after the mode/procrastination defaults; identity for
-          most experiments, used by the ablations *)
+  server_overrides : Nfsg_core.Server.config -> Nfsg_core.Server.config;
+      (** applied last to the calibrated config {!serve} builds;
+          identity for most experiments *)
 }
 
 val default_spec : spec
-(** FDDI, no accel, 1 spindle, 1 volume, 8 nfsds, gathering, no
-    trace. *)
+(** FDDI, no accel, 1 spindle, 8 nfsds, gathering, no trace, and the
+    segment's own default seed (0x5e9). *)
 
 (** How a caller configures every world it builds, beyond the
     experiment's own {!spec}: where the instruments go, and the
     storage and operability settings the nfsgather flags force. Passed
-    to {!make} as a value and kept in the rig, so {!run} honours it
+    to {!world} as a value and kept in the rig, so {!run} honours it
     too. *)
 type env = {
   metrics : Nfsg_stats.Metrics.t option;
       (** a registry shared by every world built with this env — how
           [--metrics-json] collects an experiment's instruments across
           the many worlds it builds (they accumulate by
-          find-or-create); [None] gives each rig a fresh one *)
+          find-or-create); [None] gives each world a fresh one *)
   scheduler : Nfsg_disk.Disk.scheduler option;
       (** the I/O scheduler of every spindle, in place of the spec's
-          [disk_scheduler] ([--scheduler]) *)
+          or the experiment's own choice ([--scheduler]) *)
   raid_level : Nfsg_disk.Stripe.level option;
-      (** the array level of every multi-spindle world ([--raid-level]);
-          one-spindle specs are unaffected, and the level must fit the
+      (** the array level of every stripe set ([--raid-level]);
+          one-spindle worlds are unaffected, and the level must fit the
           spindle count (RAID-1 needs 2 members, RAID-5 needs 3).
           [None] is the plain RAID-0 stripe set *)
   monitor_interval : Nfsg_sim.Time.t option;
@@ -62,26 +62,63 @@ type env = {
 }
 
 val default_env : env
-(** Everything off: a fresh registry per rig and the spec's own
+(** Everything off: a fresh registry per world and the spec's own
     settings. *)
+
+(** {1 Building a world} *)
+
+type world = {
+  eng : Nfsg_sim.Engine.t;
+  segment : Nfsg_net.Segment.t;
+  metrics : Nfsg_stats.Metrics.t;
+  spec : spec;
+  env : env;
+  cpu : (Nfsg_sim.Time.t -> unit) ref;
+      (** charges the server CPU; a no-op until {!serve} points it at
+          the server, so devices built first can take it as a hook *)
+}
+
+val world : ?env:env -> spec -> world
+(** A fresh engine, the registry ([env.metrics], else a fresh one) and
+    a segment seeded from [spec.seed], under [env] (default
+    {!default_env}). *)
+
+val spindle : world -> ?merge:bool -> ?deadline:Nfsg_sim.Time.t -> string -> Nfsg_disk.Device.t
+(** A calibrated RZ26 of the given name under [env.scheduler], else
+    [spec.disk_scheduler], charging the calibrated driver cost to the
+    server CPU per transaction. *)
+
+val stripe : world -> Nfsg_disk.Device.t array -> Nfsg_disk.Device.t
+(** The testbed's stripe set: 32 KB chunks at [env.raid_level]. *)
+
+val publish : env -> Nfsg_stats.Metrics.t -> unit
+(** Fold a registry into [env.metrics], if set. A world whose results
+    read its registry back is built under [{ env with metrics = None }],
+    so that no other world's counts reach it, and publishes its registry
+    once it is done. *)
 
 type t = {
   eng : Nfsg_sim.Engine.t;
   segment : Nfsg_net.Segment.t;
-  disks : Nfsg_disk.Device.t array;
-  device : Nfsg_disk.Device.t;
-  server : Nfsg_core.Server.t;
+  disks : Nfsg_disk.Device.t array;  (** the raw spindles *)
+  mutable server : Nfsg_core.Server.t;  (** the live incarnation *)
   trace : Nfsg_stats.Trace.t option;
   metrics : Nfsg_stats.Metrics.t;
-  env : env;  (** what {!make} was given *)
+  env : env;  (** what {!world} was given *)
 }
 
-val make : ?env:env -> spec -> t
-(** A fresh world for [spec] under [env] (default {!default_env}).
-    Every layer registers its instruments in [metrics]: [env.metrics]
-    when set, else a fresh registry. *)
+val serve : world -> disks:Nfsg_disk.Device.t array -> Nfsg_disk.Device.t list -> t
+(** The server over [devices], with the world's CPU hook wired. Its
+    config is calibrated for [spec.net] (CPU costs, procrastination),
+    takes the spec's nfsds, write mode, cache bound and read-ahead and
+    [env.long_op_threshold], then [spec.server_overrides]. One device
+    gets {!Nfsg_core.Server.make}; several get
+    {!Nfsg_core.Server.make_exports} as "/export0".."/exportN". [disks]
+    are the raw spindles under the devices, for {!spindle_stats}. *)
 
-val metrics : t -> Nfsg_stats.Metrics.t
+val make : ?env:env -> spec -> t
+(** The paper's testbed: [spec.spindles] {!spindle}s named "rz26-<i>",
+    a {!stripe} over several, optional Prestoserve, then {!serve}. *)
 
 val new_client :
   t -> ?biods:int -> ?protocol:Nfsg_nfs.Client.protocol -> string -> Nfsg_nfs.Client.t
@@ -93,9 +130,14 @@ val root : t -> Nfsg_nfs.Proto.fh
 val roots : t -> Nfsg_nfs.Proto.fh list
 (** Per-volume root filehandles, fsid order. *)
 
+val restart : t -> downtime:Nfsg_sim.Time.t -> unit
+(** Crash the server, wait [downtime], restart it and keep the new
+    incarnation in the rig. Runs inside a simulation process. *)
+
 val run : t -> (unit -> 'a) -> 'a
 (** Run [f] as the driver process and drain the simulation, with the
-    rig env's monitor and long-op dump around it. *)
+    rig env's monitor and long-op dump (from the live incarnation)
+    around it. *)
 
 val spindle_stats : t -> Nfsg_disk.Device.stats
 (** Aggregate over the raw spindles. *)

@@ -1,4 +1,4 @@
-(* The seven nfslint rules. Read-only Parsetree analysis over a single
+(* The eight nfslint rules. Read-only Parsetree analysis over a single
    compilation unit: no typing, no ppx, so the whole of lib/ lints in
    milliseconds and the tool cannot alter what it checks.
 
@@ -232,7 +232,9 @@ let o001 ctx structure =
 
 (* {1 M001 — metric names outside the registry} *)
 
-let metric_fns = [ "counter"; "gauge"; "histogram"; "find"; "find_counter"; "find_gauge"; "find_histogram" ]
+let metric_fns =
+  [ "counter"; "gauge"; "histogram"; "find"; "find_counter"; "find_gauge"; "find_histogram";
+    "count"; "stat" ]
 
 (* Modules bound to ...Metrics inside this file count as Metrics. *)
 let metrics_aliases structure =
@@ -445,6 +447,35 @@ let i001 ctx structure =
     it.Ast_iterator.structure it structure;
     List.rev !diags
 
+(* {1 W001 — world builders outside Rig} *)
+
+(* Rig is the one place a simulated world is built: the engine, the
+   segment and the server, calibrated and wired to the env the
+   nfsgather flags set. A world assembled beside it silently misses
+   those flags (--metrics-json, --scheduler, --raid-level, the
+   monitor). Experiments build their own devices on Rig.world and hand
+   them to Rig.serve instead. *)
+let w001 ctx structure =
+  if (not (in_lib ctx)) || ctx.rel = "lib/experiments/rig.ml" then []
+  else
+    let diags = ref [] in
+    let flag loc path =
+      match List.rev path with
+      | (("create" as f) :: (("Engine" | "Segment") as m) :: _)
+      | (("make" | "make_exports") as f) :: ("Server" as m) :: _ ->
+          diags :=
+            diag ctx ~rule:"W001" loc
+              (Printf.sprintf
+                 "%s.%s outside lib/experiments/rig.ml: only Rig builds a world; build the \
+                  experiment's devices on Rig.world and serve them with Rig.serve"
+                 m f)
+            :: !diags
+      | _ -> ()
+    in
+    let it = iter_idents flag in
+    it.Ast_iterator.structure it structure;
+    List.rev !diags
+
 type rule = { id : string; synopsis : string; run : ctx -> Parsetree.structure -> Diagnostic.t list }
 
 let all : rule list =
@@ -456,4 +487,5 @@ let all : rule list =
     { id = "M001"; synopsis = "metric/namespace string literal outside Nfsg_stats.Names"; run = m001 };
     { id = "S001"; synopsis = "top-level mutable state in lib/"; run = s001 };
     { id = "I001"; synopsis = "blocking Device.read/write call outside lib/disk and lib/ufs"; run = i001 };
+    { id = "W001"; synopsis = "engine, segment or server built outside lib/experiments/rig.ml"; run = w001 };
   ]

@@ -64,7 +64,6 @@ let datagrams_sent t = Metrics.value t.sent
 let datagrams_lost t = Metrics.value t.lost
 let datagrams_duplicated t = Metrics.value t.duplicated
 let datagrams_blackholed t = Metrics.value t.blackholed
-let bytes_sent t = Metrics.value t.bytes
 let busy_time t = t.busy
 
 let loss_prob t = t.loss
@@ -84,7 +83,6 @@ let partition t ~a ~b ~until =
      set: at most one entry per pair. *)
   t.partitions <- (a, b, until) :: List.filter (fun e -> not (pair_matches a b e)) t.partitions
 
-let heal t ~a ~b = t.partitions <- List.filter (fun e -> not (pair_matches a b e)) t.partitions
 
 let partitioned t ~a ~b =
   let now = Engine.now t.eng in

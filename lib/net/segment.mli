@@ -18,9 +18,9 @@
     {b Fault injection.} Loss probability is runtime-adjustable
     ({!set_loss_prob}); datagrams can be probabilistically duplicated
     ({!set_dup_prob}); and time-windowed {!partition}s black out all
-    traffic between an address pair until they expire or are
-    {!heal}ed. All draws come from the segment's seeded RNG, so a
-    fault schedule is bit-for-bit reproducible. *)
+    traffic between an address pair until they expire. All draws come
+    from the segment's seeded RNG, so a fault schedule is bit-for-bit
+    reproducible. *)
 
 type params = {
   bandwidth : float;  (** bits per second *)
@@ -71,9 +71,6 @@ val partition : t -> a:string -> b:string -> until:Nfsg_sim.Time.t -> unit
     directions) until the absolute instant [until]. Re-partitioning a
     pair replaces its window. *)
 
-val heal : t -> a:string -> b:string -> unit
-(** End a partition early. No-op if the pair is not partitioned. *)
-
 val partitioned : t -> a:string -> b:string -> bool
 
 (** {1 Statistics} *)
@@ -87,7 +84,6 @@ val datagrams_duplicated : t -> int
 val datagrams_blackholed : t -> int
 (** Swallowed by an active partition window. *)
 
-val bytes_sent : t -> int
 val busy_time : t -> Nfsg_sim.Time.t
 
 val station_drops : t -> (string * int) list

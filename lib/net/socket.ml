@@ -10,7 +10,6 @@ type t = {
 
 let addr s = s.addr
 let pending s = Nfsg_sim.Squeue.length s.queue
-let pending_bytes s = s.buffered_bytes
 let received s = s.received
 let dropped s = s.dropped
 

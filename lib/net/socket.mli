@@ -45,7 +45,6 @@ val detach : t -> unit
 val pending : t -> int
 (** Datagrams queued awaiting {!recv}. *)
 
-val pending_bytes : t -> int
 val received : t -> int
 val dropped : t -> int
 (** Datagrams dropped because the buffer was full. *)

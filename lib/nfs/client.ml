@@ -27,7 +27,6 @@ type t = {
   mutable last_mtimes : int list;  (** the most recent [close]'s, oldest first *)
 }
 
-let biod_count t = t.nbiods
 let wire_writes t = t.wire_writes
 let commits_sent t = t.commits
 let bytes_written t = t.bytes_written

@@ -37,8 +37,6 @@ val create :
     synchronous, "dumb PC" client. [block_size] defaults to 8192.
     [protocol] defaults to {!V2}. *)
 
-val biod_count : t -> int
-
 val mount : t -> string -> Proto.fh
 (** Resolve an export name (e.g. ["/export0"]) to its root filehandle
     via the server's mini MOUNT service. Raises [Error NFSERR_NOENT]

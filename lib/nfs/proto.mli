@@ -10,9 +10,6 @@
 
 type fh = { fsid : int; vgen : int; inum : int; gen : int }
 
-val fh_bytes : int
-(** 32, per RFC 1094. *)
-
 type ftype = NFNON | NFREG | NFDIR | NFLNK
 
 type timeval = { sec : int; usec : int }
@@ -74,17 +71,12 @@ val string_of_status : status -> string
 
 val proc_null : int
 val proc_getattr : int
-val proc_setattr : int
 val proc_lookup : int
 val proc_read : int
 val proc_write : int
 val proc_create : int
 val proc_remove : int
 val proc_rename : int
-val proc_mkdir : int
-val proc_rmdir : int
-val proc_readlink : int
-val proc_symlink : int
 val proc_readdir : int
 val proc_statfs : int
 

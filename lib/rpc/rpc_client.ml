@@ -33,9 +33,7 @@ type t = {
   rtt_us : Nfsg_stats.Histogram.t;
 }
 
-let calls_sent t = Metrics.value t.sent
 let retransmissions t = Metrics.value t.retrans
-let stale_replies t = Metrics.value t.stale
 
 let demux t () =
   let rec loop () =

@@ -59,8 +59,4 @@ val call :
 val rtt_estimate : t -> op_class -> Nfsg_sim.Time.t option
 (** Smoothed RTT for the class, once at least one sample exists. *)
 
-val calls_sent : t -> int
 val retransmissions : t -> int
-val stale_replies : t -> int
-(** Replies that arrived after their call had already been satisfied
-    (or abandoned) — usually the fruit of a retransmission. *)

@@ -32,11 +32,9 @@ type t = {
 }
 
 let client_of tr = tr.client
-let xid_of tr = tr.xid
 let journey_of tr = tr.journey
 let handles_outstanding t = t.outstanding
 let handle_cache_size t = Queue.length t.free_handles
-let requests_received t = Metrics.value t.received
 let garbage_dropped t = Metrics.value t.garbage
 let dispatch_errors t = Metrics.value t.dispatch_errors
 

@@ -52,7 +52,6 @@ val send_reply : t -> transport -> Rpc.accept_stat -> Bytes.t -> unit
 (** {!send_reply_with} over an already-encoded result. *)
 
 val client_of : transport -> string
-val xid_of : transport -> int
 
 val journey_of : transport -> Nfsg_stats.Journey.t option
 (** The journey record attached when the request was admitted ([None]
@@ -63,7 +62,6 @@ val handles_outstanding : t -> int
 (** Handles checked out and not yet replied (pending writes). *)
 
 val handle_cache_size : t -> int
-val requests_received : t -> int
 val garbage_dropped : t -> int
 
 val dispatch_errors : t -> int

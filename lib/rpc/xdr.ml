@@ -34,10 +34,6 @@ let empty_view = { view_buf = Bytes.create 0; view_pos = 0; view_len = 0 }
 let view_length v = v.view_len
 let view_copy v = Bytes.sub v.view_buf v.view_pos v.view_len
 let view_to_string v = Bytes.sub_string v.view_buf v.view_pos v.view_len
-let view_get v i =
-  if i < 0 || i >= v.view_len then invalid_arg "Xdr.view_get: out of window";
-  Bytes.get v.view_buf (v.view_pos + i)
-
 let blit_view v ~src_off ~dst ~dst_off ~len =
   if src_off < 0 || len < 0 || src_off + len > v.view_len then
     invalid_arg "Xdr.blit_view: range outside view";

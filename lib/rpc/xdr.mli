@@ -36,10 +36,6 @@ val view_copy : view -> Bytes.t
 
 val view_to_string : view -> string
 
-val view_get : view -> int -> char
-(** Byte at window-relative index; raises [Invalid_argument] outside
-    the window. *)
-
 val blit_view : view -> src_off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
 (** Copy [len] bytes starting at window-relative [src_off] into [dst].
     The escape hatch for cache fills; bounds-checked against the

@@ -3,8 +3,6 @@ type waiter = { mutable wake : bool -> unit; mutable live : bool }
 type t = { q : waiter Queue.t }
 
 let create () = { q = Queue.create () }
-let waiters c = Queue.fold (fun n w -> if w.live then n + 1 else n) 0 c.q
-
 let wait c =
   Engine.suspend (fun wake ->
       Queue.add { wake = (fun _ -> wake ()); live = true } c.q)

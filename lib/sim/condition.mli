@@ -25,5 +25,3 @@ val signal : t -> unit
 val broadcast : t -> unit
 (** Wake every waiting process. *)
 
-val waiters : t -> int
-(** Number of processes currently parked. *)

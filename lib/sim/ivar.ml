@@ -26,5 +26,4 @@ let upon iv f =
   | Filled v -> f v
   | Empty waiters -> iv.state <- Empty (f :: waiters)
 
-let peek iv = match iv.state with Filled v -> Some v | Empty _ -> None
 let is_filled iv = match iv.state with Filled _ -> true | Empty _ -> false

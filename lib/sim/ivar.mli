@@ -24,7 +24,4 @@ val upon : 'a t -> ('a -> unit) -> unit
     request pipelines ({!Nfsg_disk.Io}) without spawning a process per
     link. *)
 
-val peek : 'a t -> 'a option
-(** Non-blocking view of the value. *)
-
 val is_filled : 'a t -> bool

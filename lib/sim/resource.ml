@@ -16,8 +16,6 @@ let name r = r.name
 let capacity r = r.capacity
 let busy_time r = r.busy
 let jobs r = r.jobs
-let queue_length r = Queue.length r.waiting
-let in_service r = r.in_service
 
 let acquire r =
   if r.in_service < r.capacity then r.in_service <- r.in_service + 1

@@ -35,12 +35,6 @@ val busy_time : t -> Time.t
 val jobs : t -> int
 (** Number of completed {!use} calls. *)
 
-val queue_length : t -> int
-(** Requests currently waiting for a slot. *)
-
-val in_service : t -> int
-(** Slots currently occupied. *)
-
 val utilization : t -> busy0:Time.t -> t0:Time.t -> float
 (** [utilization r ~busy0 ~t0] is the fraction of slot-capacity used
     since the snapshot [(busy0, t0)] taken with {!busy_time} and

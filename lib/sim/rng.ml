@@ -32,10 +32,6 @@ let exponential r mean =
   let u = float r in
   -.mean *. log1p (-.u)
 
-let pick r arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int r (Array.length arr))
-
 let weighted r choices =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 choices in
   if total <= 0.0 then invalid_arg "Rng.weighted: weights must sum to a positive value";

@@ -34,9 +34,6 @@ val exponential : t -> float -> float
 (** [exponential r mean] draws from an exponential distribution with
     the given mean (used for Poisson arrival processes). *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val weighted : t -> (float * 'a) list -> 'a
 (** [weighted r choices] picks an element with probability
     proportional to its weight. Weights must be non-negative with a

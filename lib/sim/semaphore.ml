@@ -4,8 +4,6 @@ let create ?(name = "sem") n =
   if n < 0 then invalid_arg (name ^ ": negative permit count");
   { name; permits = n; waiting = Queue.create () }
 
-let available s = s.permits
-let waiters s = Queue.length s.waiting
 
 let acquire s =
   if s.permits > 0 then s.permits <- s.permits - 1

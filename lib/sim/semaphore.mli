@@ -13,5 +13,3 @@ val try_acquire : t -> bool
 val release : t -> unit
 (** Return one permit, waking the longest-waiting acquirer if any. *)
 
-val available : t -> int
-val waiters : t -> int

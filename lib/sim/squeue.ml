@@ -12,6 +12,5 @@ let get q =
   | Some v -> v
   | None -> Engine.suspend (fun wake -> Queue.add wake q.getters)
 
-let try_get q = Queue.take_opt q.items
 let length q = Queue.length q.items
 let iter f q = Queue.iter f q.items

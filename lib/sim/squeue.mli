@@ -11,7 +11,6 @@ val get : 'a t -> 'a
 (** Dequeue, blocking the calling process while empty. Competing
     getters are served in arrival order. *)
 
-val try_get : 'a t -> 'a option
 val length : 'a t -> int
 val iter : ('a -> unit) -> 'a t -> unit
 (** Iterate over queued (not yet consumed) items, oldest first. *)

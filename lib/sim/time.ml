@@ -11,10 +11,3 @@ let of_ms_f m = int_of_float (Float.round (m *. 1e6))
 let to_sec_f t = float_of_int t /. 1e9
 let to_ms_f t = float_of_int t /. 1e6
 let to_us_f t = float_of_int t /. 1e3
-
-let pp ppf t =
-  let ft = float_of_int t in
-  if t < 1_000 then Format.fprintf ppf "%dns" t
-  else if t < 1_000_000 then Format.fprintf ppf "%.2fus" (ft /. 1e3)
-  else if t < 1_000_000_000 then Format.fprintf ppf "%.2fms" (ft /. 1e6)
-  else Format.fprintf ppf "%.3fs" (ft /. 1e9)

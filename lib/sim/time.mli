@@ -40,6 +40,3 @@ val to_ms_f : t -> float
 
 val to_us_f : t -> float
 (** [to_us_f t] is [t] expressed in microseconds. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)

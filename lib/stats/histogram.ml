@@ -71,6 +71,8 @@ let buckets h =
   done;
   !acc
 
+let copy h = { h with counts = Array.copy h.counts }
+
 let merge_into ~into src =
   if
     into.least <> src.least || into.growth <> src.growth

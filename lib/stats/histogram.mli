@@ -32,6 +32,9 @@ val buckets : t -> (float * float * int) list
 (** Non-empty buckets, ascending, as [(lower_edge, upper_edge, count)].
     The underflow bucket's lower edge is 0. *)
 
+val copy : t -> t
+(** An independent histogram with the same shape and counts. *)
+
 val merge_into : into:t -> t -> unit
 (** Add [src]'s counts into [into]. Raises [Invalid_argument] if the
     two histograms have different shapes. *)

@@ -270,7 +270,6 @@ let finish p j =
   refresh_dropped p
 
 let long_op_count p = Metrics.value p.c_long_ops
-let long_ops p = Trace.events p.ring
 
 let render_long_ops p =
   match Trace.events p.ring with

@@ -94,7 +94,6 @@ val dropped : plane -> int
     crash/restart. *)
 
 val long_op_count : plane -> int
-val long_ops : plane -> (Nfsg_sim.Time.t * string * string) list
 
 val render_long_ops : plane -> string
 (** Every retained long-op record, oldest first, one line each, with a

@@ -49,12 +49,25 @@ let add c n = c := !c + n
 let value c = !c
 let set g v = g := v
 let set_max g v = if v > !g then g := v
-let gauge_value g = !g
 
 let find t ~ns name = Hashtbl.find_opt t.table (ns, name)
 let find_counter t ~ns name = match find t ~ns name with Some (Counter c) -> Some !c | _ -> None
 let find_gauge t ~ns name = match find t ~ns name with Some (Gauge g) -> Some !g | _ -> None
 let find_histogram t ~ns name = match find t ~ns name with Some (Hist h) -> Some h | _ -> None
+let count t ~ns name = Option.value ~default:0 (find_counter t ~ns name)
+let stat t ~ns name f = match find_histogram t ~ns name with Some h -> f h | None -> 0.0
+
+(* Folded in key order, so no hash order can reach [into]. *)
+let merge_into ~into src =
+  Hashtbl.fold (fun key i acc -> (key, i) :: acc) src.table []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun ((ns, name), i) ->
+         match (i, find into ~ns name) with
+         | Counter c, _ -> add (counter into ~ns name) !c
+         | Gauge g, _ -> set (gauge into ~ns name) !g
+         | Hist h, None -> Hashtbl.replace into.table (ns, name) (Hist (Histogram.copy h))
+         | Hist h, Some (Hist dst) -> Histogram.merge_into ~into:dst h
+         | Hist _, Some other -> mismatch ~ns name ~want:"histogram" other)
 
 (* Span timing on the simulation clock: the elapsed virtual time of [f]
    (including everything it blocked on) lands in [h], in microseconds. *)

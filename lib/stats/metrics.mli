@@ -37,8 +37,6 @@ val set : gauge -> float -> unit
 val set_max : gauge -> float -> unit
 (** Keep the high-watermark: [set_max g v] raises [g] to [v] if larger. *)
 
-val gauge_value : gauge -> float
-
 val span : Nfsg_sim.Engine.t -> Histogram.t -> (unit -> 'a) -> 'a
 (** [span eng h f] runs [f] and records its elapsed {e simulated} time
     in [h], in microseconds — including time blocked on resources,
@@ -54,12 +52,23 @@ val find_counter : t -> ns:string -> string -> int option
 val find_gauge : t -> ns:string -> string -> float option
 val find_histogram : t -> ns:string -> string -> Histogram.t option
 
+val count : t -> ns:string -> string -> int
+(** A counter's value; 0 when it was never registered. *)
+
+val stat : t -> ns:string -> string -> (Histogram.t -> float) -> float
+(** [stat t ~ns name f] is [f] of a histogram; 0.0 when it was never
+    registered. *)
+
+val merge_into : into:t -> t -> unit
+(** Fold every instrument of the second registry into [into]: counters
+    add, a gauge takes the second registry's value, histograms add
+    their buckets; an instrument [into] lacks arrives as a copy. Kind
+    mismatches raise [Invalid_argument], as registration does. *)
+
 (** {1 Reporting} *)
 
-val to_json : t -> Json.t
+val to_string : ?pretty:bool -> t -> string
 (** [{"schema": "nfsgather-metrics/1", "namespaces": {ns: {"counters":
     {...}, "gauges": {...}, "histograms": {name: {count, total, mean,
     p50, p99, buckets: [[lo, hi, count], ...]}}}}}] with namespaces and
     names sorted — byte-identical for identical runs. *)
-
-val to_string : ?pretty:bool -> t -> string

@@ -52,15 +52,13 @@ let stations t =
     (Metrics.namespaces t.metrics)
 
 let snap_of t ns =
-  let c name = Option.value ~default:0 (Metrics.find_counter t.metrics ~ns name) in
+  let c name = Metrics.count t.metrics ~ns name in
   let lat_n, lat_total =
     match Metrics.find_histogram t.metrics ~ns Names.station_lat_us with
     | Some h -> (Histogram.count h, Histogram.total h)
     | None -> (0, 0.0)
   in
   { ops = c Names.station_ops; bytes = c Names.station_bytes; lat_n; lat_total }
-
-let plane_counter t ~ns name = Option.value ~default:0 (Metrics.find_counter t.metrics ~ns name)
 
 let render_tick t =
   let now = Engine.now t.eng in
@@ -91,8 +89,8 @@ let render_tick t =
   let total_kb =
     List.fold_left (fun a (_, _, b, _) -> a +. (float_of_int b /. 1024.0)) 0.0 rows
   in
-  let long_ops = plane_counter t ~ns:Names.Ns.journey Names.long_ops in
-  let dropped = plane_counter t ~ns:Names.Ns.trace Names.dropped in
+  let long_ops = Metrics.count t.metrics ~ns:Names.Ns.journey Names.long_ops in
+  let dropped = Metrics.count t.metrics ~ns:Names.Ns.trace Names.dropped in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "nfsmon t=+%.0fms interval=%.0fms ops=%d kb=%.1f long_ops=%d dropped=%d\n"

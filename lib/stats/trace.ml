@@ -16,9 +16,7 @@ type t = {
   mutable dropped : int;
 }
 
-let default_capacity = 4096
-
-let create ?(enabled = true) ?(capacity = default_capacity) eng =
+let create ?(enabled = true) ?(capacity = 4096) eng =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
   {
     eng;

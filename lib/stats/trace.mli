@@ -7,13 +7,10 @@
 
 type t
 
-val default_capacity : int
-(** 4096 events. *)
-
 val create : ?enabled:bool -> ?capacity:int -> Nfsg_sim.Engine.t -> t
 (** Disabled recorders make {!emit} a no-op so traced code can run in
     benchmarks at full speed. [capacity] bounds retained events
-    (default {!default_capacity}); must be positive. *)
+    (default 4096); must be positive. *)
 
 val enabled : t -> bool
 val capacity : t -> int

@@ -3,6 +3,7 @@
    committed artifact under those restrictions. *)
 
 module Bs = Nfsg_experiments.Bootstorm
+module Rig = Nfsg_experiments.Rig
 module Json = Nfsg_stats.Json
 
 let test_ladder () =
@@ -40,8 +41,32 @@ let test_double_run () =
   in
   Alcotest.(check int) "ladder capped at two rungs" 2 rungs
 
+(* The storm crashes and restarts the server after populating the
+   export; the long-op dump must come from the incarnation that served
+   the fleet, not the one that served the populate phase. *)
+let test_long_ops_follow_restart () =
+  let out = Buffer.create 4096 in
+  let env =
+    {
+      Rig.default_env with
+      Rig.long_op_threshold = Some (Nfsg_sim.Time.ms 5);
+      emit = Some (Buffer.add_string out);
+    }
+  in
+  ignore
+    (Bs.run ~env ~sweep:{ Bs.default_sweep with Bs.clients_max = 2; readahead_side = Some false } ());
+  let dump = Buffer.contents out in
+  let has affix =
+    let n = String.length dump and m = String.length affix in
+    let rec at i = i + m <= n && (String.sub dump i m = affix || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "long-op records dumped" true (has "long-op records:");
+  Alcotest.(check bool) "a storm client's record" true (has "client=ws")
+
 let suite =
   [
     Alcotest.test_case "fleet ladder shape" `Quick test_ladder;
     Alcotest.test_case "tiny storm is double-run deterministic" `Quick test_double_run;
+    Alcotest.test_case "long-op dump follows the restarted server" `Quick test_long_ops_follow_restart;
   ]

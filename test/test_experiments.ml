@@ -170,7 +170,7 @@ let env_world env =
            ~root:(Rig.root rig) ~offered:200.0 cfg));
   rig
 
-let registry rig = Nfsg_stats.Metrics.to_string (Rig.metrics rig)
+let registry (rig : Rig.t) = Nfsg_stats.Metrics.to_string rig.Rig.metrics
 let baseline = lazy (registry (env_world Rig.default_env))
 let changes_registry env () = registry (env_world env) <> Lazy.force baseline
 
@@ -179,6 +179,55 @@ let emits env ~expect () =
   ignore (env_world { env with Rig.emit = Some (Buffer.add_string out) });
   contains (Buffer.contents out) expect
 
+(* The experiments that build their own devices take the env too:
+   tiny runs of each, so every row stays well under a second. *)
+module Raid = Nfsg_experiments.Raid
+module Multivolume = Nfsg_experiments.Multivolume
+module Iosched = Nfsg_experiments.Iosched
+module Chaos = Nfsg_experiments.Chaos
+module Laddis = Nfsg_workload.Laddis
+
+let tiny_load (load : Laddis.config) =
+  {
+    load with
+    Laddis.procs = 3;
+    files_per_proc = 1;
+    file_size = 16 * 1024;
+    warmup = Nfsg_sim.Time.ms 100;
+    measure = Nfsg_sim.Time.ms 300;
+  }
+
+let raid env =
+  let cfg =
+    {
+      Raid.default with
+      Raid.writers = 1;
+      blocks_per_writer = 6;
+      sample_blocks = 2;
+      degraded_write_blocks = 1;
+    }
+  in
+  Raid.run ~env ~cfg ()
+
+let multivolume env =
+  let quick = Multivolume.quick_cfg in
+  Multivolume.run ~env ~cfg:{ quick with Multivolume.load = tiny_load quick.Multivolume.load } ()
+
+let iosched env =
+  Iosched.run ~env ~cfg:{ Iosched.default with Iosched.load = tiny_load Iosched.default.Iosched.load } ()
+
+let chaos env =
+  Chaos.run ~env
+    { Chaos.default with Chaos.cycles = 1; writers = 1; blocks_per_writer = 20; burst_ops = 2 }
+
+(* A shared sink collects the experiment's instruments, and the results
+   the experiment reads back from its own registry stay what they are
+   without the sink. *)
+let fills_sink run ~ns () =
+  let sink = Nfsg_stats.Metrics.create () in
+  let shared = run { Rig.default_env with Rig.metrics = Some sink } in
+  List.mem ns (Nfsg_stats.Metrics.namespaces sink) && shared = run Rig.default_env
+
 let env_rows =
   let d = Rig.default_env in
   [
@@ -186,7 +235,7 @@ let env_rows =
       fun () ->
         let sink = Nfsg_stats.Metrics.create () in
         let rig = env_world { d with Rig.metrics = Some sink } in
-        Rig.metrics rig == sink && Nfsg_stats.Metrics.to_string sink = Lazy.force baseline );
+        rig.Rig.metrics == sink && Nfsg_stats.Metrics.to_string sink = Lazy.force baseline );
     ("scheduler", changes_registry { d with Rig.scheduler = Some Nfsg_disk.Disk.Deadline });
     ("raid_level", changes_registry { d with Rig.raid_level = Some Nfsg_disk.Stripe.Raid5 });
     ( "monitor_interval",
@@ -198,6 +247,26 @@ let env_rows =
       fun () ->
         let rig = env_world { d with Rig.long_op_threshold = Some (Nfsg_sim.Time.us 1) } in
         Nfsg_stats.Journey.long_op_count (Nfsg_core.Server.journeys rig.Rig.server) > 0 );
+    ("metrics: raid", fills_sink raid ~ns:"disk.m0");
+    ("metrics: multivolume", fills_sink multivolume ~ns:"disk.vol1-rz26");
+    ("metrics: iosched", fills_sink iosched ~ns:"disk.rz26");
+    ( "metrics: chaos",
+      fills_sink (fun env -> (chaos env).Chaos.digest) ~ns:"disk.rz26" );
+    ( "scheduler: chaos",
+      fun () ->
+        (chaos { d with Rig.scheduler = Some Nfsg_disk.Disk.Elevator }).Chaos.digest
+        <> (chaos d).Chaos.digest );
+    ( "monitor_interval: raid",
+      fun () ->
+        let out = Buffer.create 1024 in
+        ignore
+          (raid
+             {
+               d with
+               Rig.monitor_interval = Some (Nfsg_sim.Time.ms 100);
+               emit = Some (Buffer.add_string out);
+             });
+        contains (Buffer.contents out) "nfsmon t=" );
   ]
 
 let test_env_fields_honoured () =

@@ -9,6 +9,7 @@ module Fault_disk = Nfsg_fault.Fault_disk
 module Fs = Nfsg_ufs.Fs
 module Rpc = Nfsg_rpc.Rpc
 module Chaos = Nfsg_experiments.Chaos
+module Rig = Nfsg_experiments.Rig
 
 let ms = Time.of_ms_f
 
@@ -493,10 +494,9 @@ let test_chaos_all_schedulers () =
           writers = 1;
           blocks_per_writer = 60;
           burst_ops = 4;
-          scheduler;
         }
       in
-      let r = Chaos.run cfg in
+      let r = Chaos.run ~env:{ Rig.default_env with Rig.scheduler = Some scheduler } cfg in
       check_clean name r;
       Alcotest.(check int) (name ^ ": one crash") 1 r.Chaos.crashes;
       Alcotest.(check int) (name ^ ": one restart") 1 r.Chaos.restarts)

@@ -40,7 +40,7 @@ let golden_tests =
     (fun name -> Alcotest.test_case ("fixture " ^ name) `Quick (check_golden name))
     fixture_names
 
-(* Each of the seven rules must appear in at least one golden: a rule
+(* Each of the eight rules must appear in at least one golden: a rule
    whose fixture stopped firing is a rule that silently died. *)
 let test_all_rules_covered () =
   let fired =
@@ -59,7 +59,7 @@ let test_all_rules_covered () =
         find 0
       in
       Alcotest.(check bool) (rule ^ " covered by a fixture") true (List.exists hit fired))
-    [ "D001"; "D002"; "E001"; "I001"; "M001"; "O001"; "S001" ]
+    [ "D001"; "D002"; "E001"; "I001"; "M001"; "O001"; "S001"; "W001" ]
 
 (* A suppression with no justification is itself an error... *)
 let test_reasonless_suppression () =

@@ -5,19 +5,23 @@
 
 module Chaos = Nfsg_experiments.Chaos
 module Raid = Nfsg_experiments.Raid
+module Rig = Nfsg_experiments.Rig
 module Stripe = Nfsg_disk.Stripe
 
 (* Two cycles: cycle 0 rebuilds under load, cycle 1 (odd) crashes the
    server mid-rebuild and restarts the resilver from scratch. *)
-let quick_cfg level =
+let quick_cfg =
   {
     Chaos.default with
     Chaos.cycles = 2;
     writers = 2;
     blocks_per_writer = 40;
     burst_ops = 4;
-    array_level = Some level;
   }
+
+(* The array level reaches chaos through the rig env, as nfsgather's
+   --raid-level does. *)
+let run_chaos level = Chaos.run ~env:{ Rig.default_env with Rig.raid_level = Some level } quick_cfg
 
 let check_promises name (r : Chaos.result) =
   Alcotest.(check (list int)) (name ^ ": no acked write lost") [] r.Chaos.lost;
@@ -40,18 +44,16 @@ let check_promises name (r : Chaos.result) =
     (List.exists (fun l -> contains l "mid-rebuild") r.Chaos.timeline)
 
 let test_raid1_chaos () =
-  let cfg = quick_cfg Stripe.Raid1 in
-  let r = Chaos.run cfg in
+  let r = run_chaos Stripe.Raid1 in
   check_promises "raid1" r;
-  let r2 = Chaos.run cfg in
+  let r2 = run_chaos Stripe.Raid1 in
   Alcotest.(check string) "raid1: digest reproducible" r.Chaos.digest r2.Chaos.digest
 
 let test_raid5_chaos () =
-  let cfg = quick_cfg Stripe.Raid5 in
-  let r = Chaos.run cfg in
+  let r = run_chaos Stripe.Raid5 in
   check_promises "raid5" r;
   Alcotest.(check bool) "raid5: reconstructed reads" true (r.Chaos.degraded_reads > 0);
-  let r2 = Chaos.run cfg in
+  let r2 = run_chaos Stripe.Raid5 in
   Alcotest.(check string) "raid5: digest reproducible" r.Chaos.digest r2.Chaos.digest
 
 (* The bench's reason to exist: gathered flushes turn RAID-5 partial

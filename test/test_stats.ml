@@ -138,6 +138,33 @@ let test_metrics_find_or_create () =
   | exception Invalid_argument _ -> ());
   Alcotest.(check (option int)) "other namespace empty" None (Metrics.find_counter m ~ns:"y" "hits")
 
+(* One world's registry folded into a shared sink: counters add, a
+   gauge takes the folded value, histograms add their buckets, and an
+   instrument the sink lacks arrives as a copy the source no longer
+   reaches. *)
+let test_metrics_merge_into () =
+  let world () =
+    let m = Metrics.create () in
+    Metrics.add (Metrics.counter m ~ns:"x" "hits") 2;
+    Metrics.set (Metrics.gauge m ~ns:"x" "depth") 3.0;
+    Histogram.add (Metrics.histogram m ~ns:"x" "lat") 10.0;
+    m
+  in
+  let sink = Metrics.create () and first = world () in
+  Metrics.merge_into ~into:sink first;
+  Metrics.merge_into ~into:sink (world ());
+  Histogram.add (Option.get (Metrics.find_histogram first ~ns:"x" "lat")) 99.0;
+  Alcotest.(check int) "counters add" 4 (Metrics.count sink ~ns:"x" "hits");
+  Alcotest.(check (option (float 0.0))) "gauge" (Some 3.0) (Metrics.find_gauge sink ~ns:"x" "depth");
+  Alcotest.(check (float 0.0)) "histograms add, copied" 2.0
+    (Metrics.stat sink ~ns:"x" "lat" (fun h -> float_of_int (Histogram.count h)));
+  Alcotest.(check (float 0.0)) "absent histogram" 0.0 (Metrics.stat sink ~ns:"y" "lat" Histogram.p99);
+  let clash = Metrics.create () in
+  ignore (Metrics.gauge clash ~ns:"x" "hits");
+  match Metrics.merge_into ~into:clash first with
+  | () -> Alcotest.fail "kind mismatch accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_metrics_json_deterministic () =
   let build order =
     let m = Metrics.create () in
@@ -185,4 +212,5 @@ let suite =
     Alcotest.test_case "metrics find-or-create" `Quick test_metrics_find_or_create;
     Alcotest.test_case "metrics JSON is deterministic" `Quick test_metrics_json_deterministic;
     Alcotest.test_case "span times on the sim clock" `Quick test_metrics_span;
+    Alcotest.test_case "metrics merge into a sink" `Quick test_metrics_merge_into;
   ]
