@@ -1,11 +1,10 @@
 module Fs = Nfsg_ufs.Fs
-module Vfs = Nfsg_ufs.Vfs
 module Layout = Nfsg_ufs.Layout
 module Proto = Nfsg_nfs.Proto
 
-let of_vnode ~fsid v =
-  let a = Vfs.vop_getattr v in
-  let bsize = Fs.bsize (Vfs.fs_of v) in
+let of_inode fs ~fsid ino =
+  let a = Fs.getattr ino in
+  let bsize = Fs.bsize fs in
   {
     Proto.ftype =
       (match a.Fs.ftype with

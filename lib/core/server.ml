@@ -1,6 +1,5 @@
 open Nfsg_sim
 module Fs = Nfsg_ufs.Fs
-module Vfs = Nfsg_ufs.Vfs
 module Layout = Nfsg_ufs.Layout
 module Proto = Nfsg_nfs.Proto
 module Rpc = Nfsg_rpc.Rpc
@@ -134,11 +133,8 @@ let volume_of_fh t (fh : Proto.fh) =
   | Some v when Volume.vgen v = fh.Proto.vgen -> v
   | Some _ | None -> raise (Fs.Stale fh.Proto.inum)
 
-let vnode_in vol (fh : Proto.fh) =
-  let fs = Volume.fs vol in
-  Vfs.vnode_of_inode fs (Fs.iget fs ~inum:fh.Proto.inum ~gen:fh.Proto.gen)
-
-let fattr_of_vnode vol v = Fattr.of_vnode ~fsid:(Volume.fsid vol) v
+let inode_in vol (fh : Proto.fh) = Fs.iget (Volume.fs vol) ~inum:fh.Proto.inum ~gen:fh.Proto.gen
+let fattr_of vol ino = Fattr.of_inode (Volume.fs vol) ~fsid:(Volume.fsid vol) ino
 
 (* Raised by routing when a mutation reaches a read-only export. *)
 exception Read_only
@@ -178,64 +174,66 @@ let answer t tr res =
 (* Directory mutations keep the baseline's synchronous metadata
    semantics: [d] is the locked parent, [dst_dir] a rename's target. *)
 let mutate_dir vol d ~dst_dir (args : Proto.args) =
-  let made v = Proto.RDirop (Ok (Volume.fh vol (Vfs.inode_of v), fattr_of_vnode vol v)) in
+  let fs = Volume.fs vol in
+  let made ino = Proto.RDirop (Ok (Volume.fh vol ino, fattr_of vol ino)) in
   match args with
-  | Proto.Create { name; _ } -> made (Vfs.vop_create d name Layout.Regular)
-  | Proto.Mkdir { name; _ } -> made (Vfs.vop_mkdir d name)
-  | Proto.Symlink { name; target; _ } -> made (Vfs.vop_symlink d name ~target)
+  | Proto.Create { name; _ } -> made (Fs.create fs d name Layout.Regular)
+  | Proto.Mkdir { name; _ } -> made (Fs.create fs d name Layout.Directory)
+  | Proto.Symlink { name; target; _ } -> made (Fs.symlink fs d name ~target)
   | Proto.Remove { name; _ } ->
-      Vfs.vop_remove d name;
+      Fs.remove fs d name;
       Proto.RStatus Proto.NFS_OK
   | Proto.Rmdir { name; _ } ->
-      Vfs.vop_rmdir d name;
+      Fs.rmdir fs d name;
       Proto.RStatus Proto.NFS_OK
   | Proto.Rename { from_name; to_name; _ } ->
-      Vfs.vop_rename d ~src:from_name ~dst_dir ~dst:to_name;
+      Fs.rename fs ~src_dir:d ~src:from_name ~dst_dir ~dst:to_name;
       Proto.RStatus Proto.NFS_OK
   | _ -> invalid_arg "Server.mutate_dir: not a directory mutation"
 
-(* The per-procedure handler, on the volume and vnode routing resolved.
+(* The per-procedure handler, on the volume and inode routing resolved.
    WRITE and stable WRITE3 go to the volume's write layer, which
    replies itself once the data is stable (v2 and stable v3 writes
    share its gather batches); every other procedure is answered here. *)
-let execute t tr vol v (args : Proto.args) =
+let execute t tr vol ino (args : Proto.args) =
+  let fs = Volume.fs vol in
   match args with
   | Proto.Write { offset; data; _ } ->
       Write_layer.handle_write (Volume.write_layer vol) tr
         ~respond:(fun a -> Proto.RAttr (Ok a))
-        ~fail:v2_write_error v ~off:offset ~data
+        ~fail:v2_write_error ino ~off:offset ~data
   | Proto.Write3 { offset; stable = Proto.Data_sync | Proto.File_sync; data; _ } ->
       Write_layer.handle_write (Volume.write_layer vol) tr
         ~respond:(fun a -> Proto.RWrite3 (Ok (a, Proto.File_sync, t.verf)))
-        ~fail:v3_write_error v ~off:offset ~data
+        ~fail:v3_write_error ino ~off:offset ~data
   | Proto.Write3 { offset; stable = Proto.Unstable; data; _ } ->
       (* The v3 asynchronous promise: data to the cache, reply
          immediately; durability comes at COMMIT. *)
-      Vfs.with_lock v (fun () ->
+      Fs.with_lock ino (fun () ->
           Resource.use t.cpu t.config.costs.Cpu_model.ufs_trip;
           (* nfsrace: allow Y001 delayed write: a cache-miss fill may park, and the fill must happen under the vnode lock *)
-          Vfs.vop_write v ~off:offset data ~flags:[ Vfs.IO_DELAYDATA ]);
+          Fs.write_view fs ino ~off:offset data ~mode:Fs.Delay_data);
       (* The unstable write's journey ends at the cache: no gather
          wait, no disk — COMMIT pays those. *)
       jstamp t tr Journey.stamp_queued;
-      answer t tr (Proto.RWrite3 (Ok (fattr_of_vnode vol v, Proto.Unstable, t.verf)))
+      answer t tr (Proto.RWrite3 (Ok (fattr_of vol ino, Proto.Unstable, t.verf)))
   | Proto.Commit { offset; count; _ } ->
       (* On a disk error the unstable data stays dirty in the cache;
          the client keeps it and re-COMMITs. *)
       jstamp t tr Journey.stamp_queued;
-      Vfs.with_lock v (fun () ->
+      Fs.with_lock ino (fun () ->
           Resource.use t.cpu t.config.costs.Cpu_model.ufs_trip;
-          let len = if count = 0 then (Vfs.vop_getattr v).Fs.size - offset else count in
+          let len = if count = 0 then (Fs.getattr ino).Fs.size - offset else count in
           jstamp t tr Journey.stamp_disk_submit;
           (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
-          if len > 0 then Vfs.vop_syncdata v ~off:offset ~len;
+          if len > 0 then Fs.syncdata fs ino ~off:offset ~len;
           Resource.use t.cpu t.config.costs.Cpu_model.ufs_trip;
           (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
-          Vfs.vop_fsync v ~flags:[ Vfs.FWRITE; Vfs.FWRITE_METADATA ]);
+          Fs.fsync_metadata fs ino);
       jstamp t tr Journey.stamp_disk_complete;
-      answer t tr (Proto.RCommit (Ok (fattr_of_vnode vol v, t.verf)))
+      answer t tr (Proto.RCommit (Ok (fattr_of vol ino, t.verf)))
   | Proto.Read { fh; offset; count } ->
-      let cache = Fs.cache (Volume.fs vol) in
+      let cache = Fs.cache fs in
       let misses0 = Nfsg_ufs.Buffer_cache.misses cache in
       jstamp t tr Journey.stamp_queued;
       jstamp t tr Journey.stamp_disk_submit;
@@ -244,31 +242,31 @@ let execute t tr vol v (args : Proto.args) =
           stream_of t ~client:(Svc.client_of tr) ~inum:fh.Proto.inum
         else 0
       in
-      let data = Vfs.vop_read_ahead v ~stream ~off:offset ~len:count in
+      let data = Fs.read_ahead fs ino ~stream ~off:offset ~len:count in
       jstamp t tr Journey.stamp_disk_complete;
       (* Hit iff no demand read waited: the cache's miss counter did
-         not move while we were in the vop. *)
+         not move while we were in UFS. *)
       (match Svc.journey_of tr with
       | Some j -> Journey.set_cache_phase j ~hit:(Nfsg_ufs.Buffer_cache.misses cache = misses0)
       | None -> ());
-      answer t tr (Proto.RRead (Ok (fattr_of_vnode vol v, data)))
+      answer t tr (Proto.RRead (Ok (fattr_of vol ino, data)))
   | Proto.Null -> answer t tr Proto.RNull
-  | Proto.Getattr _ -> answer t tr (Proto.RAttr (Ok (fattr_of_vnode vol v)))
+  | Proto.Getattr _ -> answer t tr (Proto.RAttr (Ok (fattr_of vol ino)))
   | Proto.Setattr (_, sattr) ->
-      Vfs.with_lock v (fun () ->
+      Fs.with_lock ino (fun () ->
           if sattr.Proto.s_size >= 0 then begin
             (* nfsrace: allow Y001 baseline synchronous semantics: truncate commits under the vnode lock before the reply *)
-            Vfs.vop_truncate v sattr.Proto.s_size;
+            Fs.truncate fs ino sattr.Proto.s_size;
             (* nfsrace: allow Y001 baseline synchronous semantics: truncate commits under the vnode lock before the reply *)
-            Nfsg_ufs.Fs.fsync_metadata (Volume.fs vol) (Vfs.inode_of v)
+            Fs.fsync_metadata fs ino
           end;
           match sattr.Proto.s_mtime with
-          | Some tv -> Vfs.vop_touch v ~mtime:(Proto.ns_of_timeval tv)
+          | Some tv -> Fs.touch fs ino ~mtime:(Proto.ns_of_timeval tv)
           | None -> ());
-      answer t tr (Proto.RAttr (Ok (fattr_of_vnode vol v)))
+      answer t tr (Proto.RAttr (Ok (fattr_of vol ino)))
   | Proto.Lookup (_, name) ->
-      let found = Vfs.vop_lookup v name in
-      answer t tr (Proto.RDirop (Ok (Volume.fh vol (Vfs.inode_of found), fattr_of_vnode vol found)))
+      let found = Fs.lookup fs ino name in
+      answer t tr (Proto.RDirop (Ok (Volume.fh vol found, fattr_of vol found)))
   | Proto.Rename { from_dir; to_dir; _ }
     when to_dir.Proto.fsid <> from_dir.Proto.fsid || to_dir.Proto.vgen <> from_dir.Proto.vgen ->
       (* Rename never crosses volumes: distinct fsids are distinct
@@ -276,13 +274,13 @@ let execute t tr vol v (args : Proto.args) =
       answer t tr (Proto.RStatus Proto.NFSERR_XDEV)
   | Proto.Create _ | Proto.Remove _ | Proto.Mkdir _ | Proto.Rmdir _ | Proto.Symlink _
   | Proto.Rename _ ->
-      let dst_dir = match args with Proto.Rename { to_dir; _ } -> vnode_in vol to_dir | _ -> v in
+      let dst_dir = match args with Proto.Rename { to_dir; _ } -> inode_in vol to_dir | _ -> ino in
       (* nfsrace: allow Y001 baseline synchronous metadata semantics: directory ops commit under the vnode lock before replying *)
-      answer t tr (Vfs.with_lock v (fun () -> mutate_dir vol v ~dst_dir args))
-  | Proto.Readlink _ -> answer t tr (Proto.RReadlink (Ok (Vfs.vop_readlink v)))
-  | Proto.Readdir _ -> answer t tr (Proto.RReaddir (Ok (Vfs.vop_readdir v, true)))
+      answer t tr (Fs.with_lock ino (fun () -> mutate_dir vol ino ~dst_dir args))
+  | Proto.Readlink _ -> answer t tr (Proto.RReadlink (Ok (Fs.readlink fs ino)))
+  | Proto.Readdir _ -> answer t tr (Proto.RReaddir (Ok (Fs.readdir fs ino, true)))
   | Proto.Statfs _ ->
-      let s = Fs.statfs (Volume.fs vol) in
+      let s = Fs.statfs fs in
       let free = s.Fs.free_blocks in
       answer t tr
         (Proto.RStatfs
@@ -291,7 +289,7 @@ let execute t tr vol v (args : Proto.args) =
                 bavail = free }))
 
 (* The one path every decoded NFS call takes: count it, route its
-   handle to a volume and vnode, count it there, bounce a mutation off
+   handle to a volume and inode, count it there, bounce a mutation off
    a read-only export, run its handler — and map a filesystem error
    anywhere along the way to the procedure's own error shape. *)
 let dispatch_nfs t tr ~proc args =
@@ -309,13 +307,13 @@ let dispatch_nfs t tr ~proc args =
   match
     let fh = primary_fh t args in
     let vol = volume_of_fh t fh in
-    let v = vnode_in vol fh in
+    let ino = inode_in vol fh in
     count_vol_op t vol proc;
     if Proto.mutates proc && Volume.read_only vol then begin
       Metrics.incr (Metrics.counter t.metrics ~ns:(Volume.server_ns vol) Names.rofs_rejections);
       raise Read_only
     end;
-    execute t tr vol v args
+    execute t tr vol ino args
   with
   | disposition -> disposition
   | exception e -> (
@@ -436,7 +434,7 @@ let crash t =
   Nfsg_net.Socket.detach t.sock;
   List.iter Volume.crash t.volumes
 
-let recover t =
+let restart t =
   (* Every device recovers (NVRAM replay where fitted), every volume
      remounts fsck-style from stable storage; the volume generations
      are preserved — a reboot does not invalidate client handles — and
@@ -447,5 +445,3 @@ let recover t =
   make_internal t.eng ~segment:t.segment ~addr:t.addr ?trace:t.trace ~metrics:t.metrics
     ~legacy_ns:t.legacy_ns ~incarnation:(t.verf + 1) t.config
     (List.map (fun v -> (Volume.spec_of v, Some (Volume.vgen v), false)) t.volumes)
-
-let restart = recover

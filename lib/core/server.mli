@@ -45,7 +45,7 @@ val make :
 (** Formats the device (unless [mkfs:false]), mounts, attaches the
     socket, spawns the nfsds. [metrics] is the registry every layer of
     this server registers its instruments in (namespaces ["server"],
-    ["write_layer"], ["rpc.svc"], ["rpc.dupcache"]); {!recover} passes
+    ["write_layer"], ["rpc.svc"], ["rpc.dupcache"]); {!restart} passes
     the same registry to the next incarnation so counts accumulate
     across restarts (private registry when omitted).
 
@@ -91,7 +91,7 @@ val socket : t -> Nfsg_net.Socket.t
 
 val write_verifier : t -> int
 (** The NFSv3 write verifier: this server's incarnation number, 1 from
-    {!make} or {!make_exports}; {!recover} yields the next one, which
+    {!make} or {!make_exports}; {!restart} yields the next one, which
     is how v3 clients learn that uncommitted data may have been
     lost. *)
 
@@ -113,7 +113,7 @@ val crash : t -> unit
 (** Power-fail the server: volatile state gone, in-flight requests
     lost. The device survives (platter + NVRAM). *)
 
-val recover : t -> t
+val restart : t -> t
 (** Reboot after {!crash}: per-volume device recovery (NVRAM replay)
     and fsck-style remount, fresh daemons, same network address (the
     crashed incarnation left the wire), and the next incarnation number
@@ -122,7 +122,3 @@ val recover : t -> t
     crash stay valid; clients that keep retransmitting ride through
     the outage: their RPCs go unanswered while the server is down and
     are answered by the new incarnation. *)
-
-val restart : t -> t
-(** Alias for {!recover} — the crash/restart pair used by the fault
-    rig. *)

@@ -1,5 +1,4 @@
 open Nfsg_sim
-module Vfs = Nfsg_ufs.Vfs
 module Fs = Nfsg_ufs.Fs
 module Proto = Nfsg_nfs.Proto
 module Svc = Nfsg_rpc.Svc
@@ -48,7 +47,7 @@ type descriptor = {
 (* Per-file gather state: the paper's "global array of nfsd state"
    plus the active write queue, folded into one record per vnode. *)
 type gstate = {
-  vnode : Vfs.vnode;
+  ino : Fs.inode;
   mutable active : int;  (** nfsds currently inside handle_write for this file *)
   mutable queue : descriptor list;  (** newest first; all unreplied descriptors *)
   mutable lo : int;  (** dirty byte range for VOP_SYNCDATA hints *)
@@ -124,7 +123,6 @@ let gathered_replies t = Metrics.value t.gathered
 let procrastinations t = Metrics.value t.procrastinations
 let procrastinate_failures t = Metrics.value t.procrastinate_failures
 let mbuf_hits t = Metrics.value t.mbuf_hits
-let rescues t = Metrics.value t.rescues
 let flush_failures t = Metrics.value t.flush_failures
 
 let mean_batch_size t =
@@ -167,12 +165,12 @@ let emitf t fmt =
   | Some tr when Trace.enabled tr -> Printf.ksprintf (Trace.emit tr ~actor:(Engine.self_name ())) fmt
   | Some _ | None -> Printf.ifprintf () fmt
 
-let gstate_of t vnode =
-  let id = Vfs.vnode_id vnode in
+let gstate_of t ino =
+  let id = Fs.inum ino in
   match Hashtbl.find_opt t.states id with
   | Some g -> g
   | None ->
-      let g = { vnode; active = 0; queue = []; lo = max_int; hi = 0 } in
+      let g = { ino; active = 0; queue = []; lo = max_int; hi = 0 } in
       Hashtbl.replace t.states id g;
       g
 
@@ -215,10 +213,10 @@ let flush_as_metadata_writer t g =
     let lo = g.lo and hi = g.hi in
     g.lo <- max_int;
     g.hi <- 0;
-    Vfs.lock g.vnode;
+    Fs.lock g.ino;
     let accel, ordered, n =
       try
-        let accel = Vfs.accelerated g.vnode in
+        let accel = Fs.accelerated t.fs in
         let ordered = match t.cfg.reply_order with `Fifo -> batch | `Lifo -> List.rev batch in
         let n = List.length ordered in
         (* Every descriptor in the batch rides this covering flush: its
@@ -228,7 +226,7 @@ let flush_as_metadata_writer t g =
         List.iter (fun (d : descriptor) -> jstamp t d.tr Journey.stamp_disk_submit) ordered;
         (accel, ordered, n)
       with exn ->
-        Vfs.unlock g.vnode;
+        Fs.unlock g.ino;
         raise exn
     in
     (match
@@ -236,7 +234,7 @@ let flush_as_metadata_writer t g =
          try
            if (not accel) && lo < hi then begin
              (* Data clusters and the covering metadata go down as ONE
-                device submission (Fs.commit_range): the scheduler
+                device submission (Fs.commit_range_begin): the scheduler
                 overlaps and merges the clusters, and barriers keep the
                 inode from becoming stable ahead of its data. One trip
                 into UFS instead of the syncdata-then-fsync convoy. *)
@@ -244,16 +242,16 @@ let flush_as_metadata_writer t g =
              emitf t "%dK data to disk (clustered)" ((hi - lo) / 1024);
              emit t "Metadata to disk";
              (* nfsrace: allow Y001 the inode encode reads its blocks through the cache and must run under the vnode lock; only the post-submit wait is moved outside *)
-             Vfs.vop_commit_begin g.vnode ~off:lo ~len:(hi - lo)
+             Fs.commit_range_begin t.fs g.ino ~off:lo ~len:(hi - lo)
            end
            else begin
              charge_trip t;
              emit t "Metadata to disk";
              (* nfsrace: allow Y001 the inode encode reads its blocks through the cache and must run under the vnode lock; only the post-submit wait is moved outside *)
-             Vfs.vop_commit_begin g.vnode ~off:0 ~len:0
+             Fs.commit_range_begin t.fs g.ino ~off:0 ~len:0
            end
          with exn ->
-           Vfs.unlock g.vnode;
+           Fs.unlock g.ino;
            raise exn
        in
        (* The submission is down and the snapshots are private copies:
@@ -262,12 +260,12 @@ let flush_as_metadata_writer t g =
           in microseconds on its own nfsd instead of convoying the
           whole nfsd pool behind this device round-trip — only the
           metadata writer blocks, as section 6.8 intends. *)
-       Vfs.unlock g.vnode;
+       Fs.unlock g.ino;
        await ()
      with
     | () ->
         List.iter (fun (d : descriptor) -> jstamp t d.tr Journey.stamp_disk_complete) ordered;
-        let attr = Fattr.of_vnode ~fsid:t.fsid g.vnode in
+        let attr = Fattr.of_inode t.fs ~fsid:t.fsid g.ino in
         if n > 0 then emitf t "%d Write Repl%s" n (if n = 1 then "y" else "ies");
         List.iter (fun d -> reply_ok t d attr) ordered;
         if t.cfg.learn_clients then
@@ -304,13 +302,13 @@ let flush_as_metadata_writer t g =
   rounds ()
 
 let maybe_gc t g =
-  if g.active = 0 && g.queue = [] then Hashtbl.remove t.states (Vfs.vnode_id g.vnode)
+  if g.active = 0 && g.queue = [] then Hashtbl.remove t.states (Fs.inum g.ino)
 
 (* Standard (reference port) path: everything synchronous under the
    vnode lock, reply sent by the same nfsd that did the work. *)
-let handle_standard t tr ~respond ~fail vnode ~off ~data =
+let handle_standard t tr ~respond ~fail ino ~off ~data =
   (match
-     Vfs.with_lock vnode (fun () ->
+     Fs.with_lock ino (fun () ->
          (* Synchronous path: the write goes straight to disk, so queued
             and disk-submit are the same instant. *)
          jstamp t tr Journey.stamp_queued;
@@ -318,8 +316,8 @@ let handle_standard t tr ~respond ~fail vnode ~off ~data =
          charge_trip t;
          emitf t "%dK data to disk" (Xdr.view_length data / 1024);
          (* nfsrace: allow Y001 the paper's synchronous path: the reference port holds the vnode lock across its disk write by design *)
-         Vfs.vop_write vnode ~off data ~flags:[ Vfs.IO_SYNC ];
-         if Fs.meta_dirty (Vfs.inode_of vnode) = `Clean then emit t "Metadata to disk")
+         Fs.write_view t.fs ino ~off data ~mode:Fs.Sync;
+         if Fs.meta_dirty ino = `Clean then emit t "Metadata to disk")
    with
   | () ->
       jstamp t tr Journey.stamp_disk_complete;
@@ -328,7 +326,7 @@ let handle_standard t tr ~respond ~fail vnode ~off ~data =
       Histogram.add t.batch_size_h 1.0;
       (* The reply's encode is charged as it is sent: stamp the event
          after it, at the instant the reply leaves. *)
-      t.send_reply tr (respond (Fattr.of_vnode ~fsid:t.fsid vnode));
+      t.send_reply tr (respond (Fattr.of_inode t.fs ~fsid:t.fsid ino));
       emit t "Write Reply"
   | exception Fs.No_space -> t.send_reply tr (fail Proto.NFSERR_NOSPC)
   | exception Nfsg_disk.Device.Io_error _ ->
@@ -337,23 +335,23 @@ let handle_standard t tr ~respond ~fail vnode ~off ~data =
   Svc.Reply_pending
 
 (* Gathering path, one nfsd D (paper section 6.8). *)
-let handle_gathering t tr ~respond ~fail vnode ~off ~data =
+let handle_gathering t tr ~respond ~fail ino ~off ~data =
   emitf t "%dK Write recv (off=%dK)" (Xdr.view_length data / 1024) (off / 1024);
-  let g = gstate_of t vnode in
+  let g = gstate_of t ino in
   g.active <- g.active + 1;
-  let accel = Vfs.accelerated vnode in
+  let accel = Fs.accelerated t.fs in
   (* Hand off data to UFS via VOP_WRITE. *)
   (match
-     Vfs.with_lock vnode (fun () ->
+     Fs.with_lock ino (fun () ->
          charge_trip t;
          if accel then begin
            emitf t "%dK data to Presto" (Xdr.view_length data / 1024);
            (* nfsrace: allow Y001 the Presto front absorbs the write at memory speed; the vnode lock only orders the cache fill *)
-           Vfs.vop_write vnode ~off data ~flags:[ Vfs.IO_SYNC; Vfs.IO_DATAONLY ]
+           Fs.write_view t.fs ino ~off data ~mode:Fs.Sync_data_only
          end
          else
            (* nfsrace: allow Y001 delayed write: a cache-miss fill may park, and the fill must happen under the vnode lock *)
-           Vfs.vop_write vnode ~off data ~flags:[ Vfs.IO_DELAYDATA ])
+           Fs.write_view t.fs ino ~off data ~mode:Fs.Delay_data)
    with
   | () ->
       (* Only now — with the data handed to UFS — may our reply be
@@ -371,14 +369,14 @@ let handle_gathering t tr ~respond ~fail vnode ~off ~data =
       (* SIVA93 variant: use the first write's disk time as the latency
          device instead of sleeping. *)
       if t.cfg.latency_device = `First_write && not accel then
-        Vfs.with_lock vnode (fun () ->
+        Fs.with_lock ino (fun () ->
             charge_trip t;
             (* An error here costs only the latency trick: the data stays
                dirty and the metadata writer's flush retries it. *)
             (* nfsrace: allow Y001 SIVA93 latency device: the first write's disk round trip IS the modelled latency, held under the vnode lock like the real first write *)
-            try Vfs.vop_syncdata vnode ~off ~len:(Xdr.view_length data)
+            try Fs.syncdata t.fs ino ~off ~len:(Xdr.view_length data)
             with Nfsg_disk.Device.Io_error _ -> ());
-      let inum = Vfs.vnode_id vnode in
+      let inum = Fs.inum ino in
       (* In the paper, every write of an arriving train procrastinates
          in turn, so the chain of nfsds extends the gathering window
          for as long as the train keeps coming. Our nfsds handle
@@ -449,12 +447,12 @@ let handle_gathering t tr ~respond ~fail vnode ~off ~data =
    promise is one the server cannot recall after a crash (section 4.3);
    kept here so the benchmark can show what the shortcut buys and the
    crash tests can show what it costs. *)
-let handle_unsafe_async t tr ~respond ~fail vnode ~off ~data =
+let handle_unsafe_async t tr ~respond ~fail ino ~off ~data =
   (match
-     Vfs.with_lock vnode (fun () ->
+     Fs.with_lock ino (fun () ->
          charge_trip t;
          (* nfsrace: allow Y001 delayed write: a cache-miss fill may park, and the fill must happen under the vnode lock *)
-         Vfs.vop_write vnode ~off data ~flags:[ Vfs.IO_DELAYDATA ])
+         Fs.write_view t.fs ino ~off data ~mode:Fs.Delay_data)
    with
   | () ->
       (* Volatile acknowledgement: queued into the cache is as far as
@@ -463,18 +461,18 @@ let handle_unsafe_async t tr ~respond ~fail vnode ~off ~data =
       Metrics.incr t.batches;
       Metrics.incr t.gathered;
       Histogram.add t.batch_size_h 1.0;
-      t.send_reply tr (respond (Fattr.of_vnode ~fsid:t.fsid vnode));
+      t.send_reply tr (respond (Fattr.of_inode t.fs ~fsid:t.fsid ino));
       emit t "Write Reply (volatile!)"
   | exception Fs.No_space -> t.send_reply tr (fail Proto.NFSERR_NOSPC)
   | exception Nfsg_disk.Device.Io_error _ -> t.send_reply tr (fail Proto.NFSERR_IO));
   Svc.Reply_pending
 
-let handle_write t tr ~respond ~fail vnode ~off ~data =
+let handle_write t tr ~respond ~fail ino ~off ~data =
   Metrics.incr t.writes;
   match t.cfg.mode with
-  | Standard -> handle_standard t tr ~respond ~fail vnode ~off ~data
-  | Gathering -> handle_gathering t tr ~respond ~fail vnode ~off ~data
-  | Unsafe_async -> handle_unsafe_async t tr ~respond ~fail vnode ~off ~data
+  | Standard -> handle_standard t tr ~respond ~fail ino ~off ~data
+  | Gathering -> handle_gathering t tr ~respond ~fail ino ~off ~data
+  | Unsafe_async -> handle_unsafe_async t tr ~respond ~fail ino ~off ~data
 
 (* Section 6.9: a duplicate WRITE was dropped from the socket buffer.
    If a gatherer had counted on that datagram (mbuf hunter) and nobody

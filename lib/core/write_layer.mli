@@ -3,24 +3,26 @@
     Two modes:
 
     - {b Standard}: the reference-port path. Each WRITE does
-      VOP_WRITE(IO_SYNC) — data then metadata synchronously (with the
-      mtime-only asynchronous special case) — and replies. Up to three
-      disk transactions per 8 KB write.
+      VOP_WRITE(IO_SYNC) ([Fs.write_view ~mode:Sync]) — data then
+      metadata synchronously (with the mtime-only asynchronous special
+      case) — and replies. Up to three disk transactions per 8 KB
+      write.
 
     - {b Gathering} (section 6.8): VOP_WRITE delivers the data
-      (IO_SYNC|IO_DATAONLY when the device is NVRAM-accelerated,
-      IO_DELAYDATA otherwise), then the nfsd tries to leave the
-      metadata update to a {e following} nfsd: if another nfsd is in
-      the write path for the same file, or the socket buffer holds
-      another WRITE for it (the mbuf hunter, section 6.5), it queues
-      its reply descriptor and goes back for more work
-      ([Reply_pending] through a fresh transport handle). Otherwise it
-      procrastinates once (section 6.6) and re-checks. The last nfsd
-      standing becomes the {e metadata writer}: it flushes the
-      gathered data (VOP_SYNCDATA with range hints; clustered 64 KB
-      transactions), does one VOP_FSYNC(FWRITE_METADATA), and sends
-      every pending reply in FIFO order — all carrying the same file
-      modify time. Crash semantics are preserved: no reply leaves
+      (IO_SYNC|IO_DATAONLY, [~mode:Sync_data_only], when the device is
+      NVRAM-accelerated; IO_DELAYDATA, [~mode:Delay_data], otherwise),
+      then the nfsd tries to leave the metadata update to a
+      {e following} nfsd: if another nfsd is in the write path for the
+      same file, or the socket buffer holds another WRITE for it (the
+      mbuf hunter, section 6.5), it queues its reply descriptor and
+      goes back for more work ([Reply_pending] through a fresh
+      transport handle). Otherwise it procrastinates once (section
+      6.6) and re-checks. The last nfsd standing becomes the
+      {e metadata writer}: it flushes the gathered data (VOP_SYNCDATA
+      with range hints; clustered 64 KB transactions) and does one
+      VOP_FSYNC(FWRITE_METADATA), both in the single device submission
+      of [Fs.commit_range_begin], then sends every pending reply in
+      FIFO order, all carrying the same file modify time. Crash semantics are preserved: no reply leaves
       before the covering metadata update is stable.
 
     The [`First_write] latency device reproduces the [SIVA93] variant
@@ -89,7 +91,7 @@ val handle_write :
   Nfsg_rpc.Svc.transport ->
   respond:(Nfsg_nfs.Proto.fattr -> Nfsg_nfs.Proto.res) ->
   fail:(Nfsg_nfs.Proto.status -> Nfsg_nfs.Proto.res) ->
-  Nfsg_ufs.Vfs.vnode ->
+  Nfsg_ufs.Fs.inode ->
   off:int ->
   data:Nfsg_rpc.Xdr.view ->
   Nfsg_rpc.Svc.disposition
@@ -123,7 +125,6 @@ val procrastinate_failures : t -> int
     single write — the dumb-PC worst case. *)
 
 val mbuf_hits : t -> int
-val rescues : t -> int
 
 val flush_failures : t -> int
 (** Gathered batches whose data/metadata flush hit a disk error; every

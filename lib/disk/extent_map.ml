@@ -113,4 +113,3 @@ let take_after m ~off ~max =
       end
 
 let iter f m = IntMap.iter f m.extents
-let fold f m acc = IntMap.fold f m.extents acc

@@ -47,5 +47,3 @@ val remove_range : t -> off:int -> len:int -> unit
 
 val iter : (int -> Bytes.t -> unit) -> t -> unit
 (** Iterate extents in offset order. Do not mutate during iteration. *)
-
-val fold : (int -> Bytes.t -> 'a -> 'a) -> t -> 'a -> 'a

@@ -180,7 +180,6 @@ let overlay st ~off buf =
 
 let dirty_bytes st = used st
 let flush_retries st = Nfsg_stats.Metrics.value st.inst.m_flush_retries
-let battery_ok st = st.battery_ok
 
 (* A detected battery fault, as a real Prestoserve driver handles it:
    the board stops accepting new dirty data (writes degrade to

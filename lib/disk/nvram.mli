@@ -62,8 +62,6 @@ val repair_battery : t -> unit
 (** Battery replaced: the board accepts and acknowledges writes from
     RAM again. *)
 
-val battery_ok : t -> bool
-
 val flush_retries : t -> int
 (** Backing-store {!Device.Io_error}s the background flusher absorbed
     (each is retried after a pause; battery-backed data is never lost

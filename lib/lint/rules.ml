@@ -409,16 +409,16 @@ let s001 ctx structure =
     structure_items structure;
     List.rev !diags
 
-(* {1 I001 — blocking device calls outside the storage layers} *)
+(* {1 I001 — blocking device calls outside the device layer} *)
 
-(* Device.read/write are thin blocking shims kept for the storage
-   layers themselves; everything above lib/disk and lib/ufs goes
+(* Device.read/write are thin blocking shims kept for the device layer
+   itself; everything above lib/disk, the filesystem included, goes
    through the tagged submission queue (Device.submit), where requests
    carry a class and can be scheduled, merged and ordered by barriers.
-   A direct field call above those layers re-introduces the
+   A direct field call above that layer re-introduces the
    one-request-at-a-time convoy the async I/O core removed. *)
 let i001 ctx structure =
-  if (not (in_lib ctx)) || in_dir "lib/disk" ctx.rel || in_dir "lib/ufs" ctx.rel then []
+  if (not (in_lib ctx)) || in_dir "lib/disk" ctx.rel then []
   else
     let diags = ref [] in
     let open Ast_iterator in
@@ -434,9 +434,9 @@ let i001 ctx structure =
                     diags :=
                       diag ctx ~rule:"I001" e.pexp_loc
                         (Printf.sprintf
-                           "direct Device.%s outside lib/disk and lib/ufs: the blocking shims \
-                            belong to the storage layers; submit tagged requests \
-                            (Device.submit with Io.write_req/read_req) instead"
+                           "direct Device.%s outside lib/disk: the blocking shims belong to \
+                            the device layer; submit tagged requests (Device.submit with \
+                            Io.write_req/read_req) instead"
                            f)
                       :: !diags
                 | _ -> ())
@@ -486,6 +486,6 @@ let all : rule list =
     { id = "O001"; synopsis = "direct stdout/stderr output from lib/"; run = o001 };
     { id = "M001"; synopsis = "metric/namespace string literal outside Nfsg_stats.Names"; run = m001 };
     { id = "S001"; synopsis = "top-level mutable state in lib/"; run = s001 };
-    { id = "I001"; synopsis = "blocking Device.read/write call outside lib/disk and lib/ufs"; run = i001 };
+    { id = "I001"; synopsis = "blocking Device.read/write call outside lib/disk"; run = i001 };
     { id = "W001"; synopsis = "engine, segment or server built outside lib/experiments/rig.ml"; run = w001 };
   ]

@@ -58,7 +58,6 @@ type t = {
   mutable busy : Time.t;
 }
 
-let params t = t.p
 let engine t = t.eng
 let datagrams_sent t = Metrics.value t.sent
 let datagrams_lost t = Metrics.value t.lost

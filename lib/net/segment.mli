@@ -44,7 +44,6 @@ val create : Nfsg_sim.Engine.t -> ?seed:int -> ?metrics:Nfsg_stats.Metrics.t -> 
     byte counters under namespace ["net"] (private registry when
     omitted). *)
 
-val params : t -> params
 val engine : t -> Nfsg_sim.Engine.t
 
 val fragments_of : params -> int -> int

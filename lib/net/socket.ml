@@ -4,13 +4,11 @@ type t = {
   rcvbuf : int;
   queue : (string * Bytes.t * Nfsg_sim.Time.t) Nfsg_sim.Squeue.t;
   mutable buffered_bytes : int;
-  mutable received : int;
   mutable dropped : int;
 }
 
 let addr s = s.addr
 let pending s = Nfsg_sim.Squeue.length s.queue
-let received s = s.received
 let dropped s = s.dropped
 
 let create segment ~addr ?(rcvbuf = 256 * 1024) ?(on_rx_fragment = fun ~bytes:_ -> ()) () =
@@ -21,7 +19,6 @@ let create segment ~addr ?(rcvbuf = 256 * 1024) ?(on_rx_fragment = fun ~bytes:_ 
       rcvbuf;
       queue = Nfsg_sim.Squeue.create ();
       buffered_bytes = 0;
-      received = 0;
       dropped = 0;
     }
   in
@@ -29,7 +26,6 @@ let create segment ~addr ?(rcvbuf = 256 * 1024) ?(on_rx_fragment = fun ~bytes:_ 
     if s.buffered_bytes + Bytes.length payload > s.rcvbuf then s.dropped <- s.dropped + 1
     else begin
       s.buffered_bytes <- s.buffered_bytes + Bytes.length payload;
-      s.received <- s.received + 1;
       (* Arrival stamp: the instant the datagram entered the buffer,
          so a consumer can measure how long it waited for service. *)
       Nfsg_sim.Squeue.put s.queue (src, payload, Nfsg_sim.Engine.now (Segment.engine segment))

@@ -45,6 +45,5 @@ val detach : t -> unit
 val pending : t -> int
 (** Datagrams queued awaiting {!recv}. *)
 
-val received : t -> int
 val dropped : t -> int
 (** Datagrams dropped because the buffer was full. *)

@@ -23,13 +23,11 @@ type t = {
           resolved on first use *)
   mutable wire_writes : int;
   mutable commits : int;
-  mutable bytes_written : int;
   mutable last_mtimes : int list;  (** the most recent [close]'s, oldest first *)
 }
 
 let wire_writes t = t.wire_writes
 let commits_sent t = t.commits
-let bytes_written t = t.bytes_written
 let last_write_mtimes t = t.last_mtimes
 
 let create eng ~rpc ?(biods = 4) ?(block_size = 8192) ?(protocol = V2) ?metrics () =
@@ -46,7 +44,6 @@ let create eng ~rpc ?(biods = 4) ?(block_size = 8192) ?(protocol = V2) ?metrics 
     lat = Array.make (Proto.proc_commit + 1) None (* COMMIT has the highest number *);
     wire_writes = 0;
     commits = 0;
-    bytes_written = 0;
     last_mtimes = [];
   }
 
@@ -193,7 +190,6 @@ let note_verf f verf =
 let do_write_rpc f ~off data =
   let t = f.client in
   t.wire_writes <- t.wire_writes + 1;
-  t.bytes_written <- t.bytes_written + Bytes.length data;
   match t.protocol with
   | V2 -> (
       match

@@ -98,7 +98,6 @@ val commits_sent : t -> int
 val wire_writes : t -> int
 (** WRITE RPCs issued (not counting RPC-level retransmissions). *)
 
-val bytes_written : t -> int
 val last_write_mtimes : t -> int list
 (** mtimes (ns) returned by the most recent [close]'s write replies,
     oldest first — lets tests verify that gathered writes share one

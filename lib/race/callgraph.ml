@@ -32,7 +32,7 @@ type config = {
           FIFO capacity queue bounds the wait, so Y001 must not fire on it *)
   park_fields : (string * string) list;  (** record-field calls, e.g. x.Device.read *)
   delay_fields : (string * string) list;  (** e.g. x.Device.submit: copy delay, never blocks *)
-  scoped_locks : ((string * string) * string) list;  (** fn -> lock family, e.g. Vfs.with_lock *)
+  scoped_locks : ((string * string) * string) list;  (** fn -> lock family, e.g. Fs.with_lock *)
   acquire_locks : ((string * string) * string) list;
   release_locks : ((string * string) * string) list;
   cond_acquire_locks : ((string * string) * string) list;
@@ -119,7 +119,7 @@ type t = {
   index2 : (string * string, string) Hashtbl.t;  (** (Module, fn) -> node key *)
 }
 
-(* "Fs.commit_range" -> Some ("Fs", "commit_range"); deeper keys (local
+(* "Fs.syncdata" -> Some ("Fs", "syncdata"); deeper keys (local
    functions, anonymous lambdas) have no canonical pair and never match
    the seed or idiom tables. *)
 let key_pair key =

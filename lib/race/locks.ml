@@ -2,18 +2,18 @@
 
    An abstract interpretation of each function body threading two
    pieces of state: the list of locks held (with the textual
-   fingerprint of the lock expression, so [Vfs.lock v] pairs with
-   [Vfs.unlock v]) and, for Y002, the set of top-level mutables read
+   fingerprint of the lock expression, so [Fs.lock v] pairs with
+   [Fs.unlock v]) and, for Y002, the set of top-level mutables read
    since the last yield. Control flow is joined at if/match/try; a
    branch that ends in raise or a no-return call (crash park) is
    excluded from the join, so deliberate leak-on-crash paths do not
    fire Y003.
 
-   Lock tokens come in two kinds. Scoped tokens ([Vfs.with_lock],
+   Lock tokens come in two kinds. Scoped tokens ([Fs.with_lock],
    [Mutex.with_lock], [Locked.run], [Stripe.with_row]) are pushed
    around the closure argument and popped structurally — the helper
    releases on every path by construction, so they can never leak.
-   Manual tokens ([Vfs.lock]/[Vfs.unlock] pairs and the conditional
+   Manual tokens ([Fs.lock]/[Fs.unlock] pairs and the conditional
    [Stripe.lock_row]) must balance on every live path: an imbalanced
    join, a raise while held, or a fall-through function end is Y003.
 
@@ -67,8 +67,8 @@ let normalize s =
   |> String.concat " "
 
 (* Identity of the lock an idiom call operates on: the printed form of
-   its unlabelled non-function arguments. [Vfs.lock v] and
-   [Vfs.unlock v] both yield "v"; [lock_row t ~gen row] and
+   its unlabelled non-function arguments. [Fs.lock v] and
+   [Fs.unlock v] both yield "v"; [lock_row t ~gen row] and
    [unlock_row t row] both yield "t row". *)
 let fingerprint args =
   args

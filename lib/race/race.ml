@@ -40,15 +40,15 @@ let default_config =
     scoped_locks =
       [
         (("Mutex", "with_lock"), "mutex");
-        (("Vfs", "with_lock"), "vnode");
+        (("Fs", "with_lock"), "vnode");
         (("Locked", "run"), "scoped");
         (("Stripe", "with_row"), "row");
       ];
-    acquire_locks = [ (("Mutex", "lock"), "mutex"); (("Vfs", "lock"), "vnode") ];
+    acquire_locks = [ (("Mutex", "lock"), "mutex"); (("Fs", "lock"), "vnode") ];
     release_locks =
       [
         (("Mutex", "unlock"), "mutex");
-        (("Vfs", "unlock"), "vnode");
+        (("Fs", "unlock"), "vnode");
         (("Stripe", "unlock_row"), "row");
       ];
     cond_acquire_locks = [ (("Stripe", "lock_row"), "row") ];

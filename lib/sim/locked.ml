@@ -2,7 +2,7 @@
    section in the tree funnels through [run], so releasing on the
    value path and on every exception path is implemented (and
    reviewed) exactly once. The nfsrace checker treats the wrappers
-   built on top of this ([Mutex.with_lock], [Vfs.with_lock],
+   built on top of this ([Mutex.with_lock], [Fs.with_lock],
    [Stripe.with_row]) as its scoped-lock idiom. *)
 
 let run ~acquire ~release f =

@@ -23,5 +23,4 @@ val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock m f] runs [f] holding [m], releasing on any exit. *)
 
 val locked : t -> bool
-val holder : t -> string option
 val contenders : t -> int

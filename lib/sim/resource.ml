@@ -1,6 +1,5 @@
 type t = {
   eng : Engine.t;
-  name : string;
   capacity : int;
   mutable in_service : int;
   mutable busy : Time.t;
@@ -10,10 +9,8 @@ type t = {
 
 let create eng ?(capacity = 1) name =
   if capacity <= 0 then invalid_arg (name ^ ": capacity must be positive");
-  { eng; name; capacity; in_service = 0; busy = Time.zero; jobs = 0; waiting = Queue.create () }
+  { eng; capacity; in_service = 0; busy = Time.zero; jobs = 0; waiting = Queue.create () }
 
-let name r = r.name
-let capacity r = r.capacity
 let busy_time r = r.busy
 let jobs r = r.jobs
 

@@ -11,19 +11,9 @@ type t
 val create : Engine.t -> ?capacity:int -> string -> t
 (** [create eng name] has capacity 1 unless overridden. *)
 
-val name : t -> string
-val capacity : t -> int
-
 val use : t -> Time.t -> unit
 (** [use r d] blocks for a free slot (FIFO among waiters), occupies it
     for [d] of virtual time, then releases it. *)
-
-val acquire : t -> unit
-(** Take a slot without timing; pair with {!release}. Busy time between
-    acquire and release is {e not} accounted automatically — use
-    {!charge} for explicit accounting, or prefer {!use}. *)
-
-val release : t -> unit
 
 val charge : t -> Time.t -> unit
 (** Add to the busy-time account without holding a slot (for costs that

@@ -102,8 +102,6 @@ let create eng ~metrics ?threshold ?(ring_capacity = 512) ?event_trace () =
     stations = Hashtbl.create 16;
   }
 
-let threshold p = p.threshold
-
 let start _p ~client ~xid ~arrival =
   {
     client;
@@ -124,8 +122,6 @@ let set_op j ~proc ~bytes =
   j.proc <- proc;
   j.bytes <- bytes
 
-let proc j = j.proc
-let client j = j.client
 let set_cache_phase j ~hit = j.cache <- (if hit then Cache_hit else Cache_miss)
 
 let stamp_pickup j ~now = if j.pickup = unset then j.pickup <- now

@@ -34,17 +34,12 @@ val create :
     long-op ring (default 512). [event_trace], when given, is the
     server's event ring — included in the dropped-record accounting. *)
 
-val threshold : plane -> Nfsg_sim.Time.t option
-
 val start : plane -> client:string -> xid:int -> arrival:Nfsg_sim.Time.t -> t
 (** A fresh journey whose arrival stamp is the datagram's enqueue time
     at the server socket. *)
 
 val set_op : t -> proc:string -> bytes:int -> unit
 (** Fill in the decoded procedure name and payload size. *)
-
-val proc : t -> string
-val client : t -> string
 
 val set_cache_phase : t -> hit:bool -> unit
 (** Attribute this journey's middle phase to the buffer cache (READ
@@ -83,9 +78,6 @@ type phases = {
 
 val phases : t -> phases
 (** Valid after {!finish} (timestamps normalized). *)
-
-val render : t -> string
-(** The deterministic single-line long-op record format. *)
 
 val dropped : plane -> int
 (** Total records lost to ring wrap-around across this plane's rings

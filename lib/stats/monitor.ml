@@ -29,7 +29,6 @@ type t = {
   prev : (string, snap) Hashtbl.t;
   mutable timer : Engine.timer option;
   mutable stopped : bool;
-  mutable ticks : int;
 }
 
 let create eng ~metrics ~interval ?emit () =
@@ -43,7 +42,6 @@ let create eng ~metrics ~interval ?emit () =
     prev = Hashtbl.create 16;
     timer = None;
     stopped = false;
-    ticks = 0;
   }
 
 let stations t =
@@ -112,7 +110,6 @@ let render_tick t =
   Buffer.contents buf
 
 let tick t =
-  t.ticks <- t.ticks + 1;
   let s = render_tick t in
   Buffer.add_string t.buf s;
   match t.emit with Some f -> f s | None -> ()
@@ -134,5 +131,4 @@ let stop t =
   (match t.timer with Some tm -> ignore (Engine.cancel tm : bool) | None -> ());
   t.timer <- None
 
-let ticks t = t.ticks
 let output t = Buffer.contents t.buf

@@ -29,8 +29,5 @@ val start : t -> unit
 val stop : t -> unit
 (** Cancel the timer. Idempotent. *)
 
-val ticks : t -> int
-(** Intervals reported so far. *)
-
 val output : t -> string
 (** Everything rendered so far, in order. *)

@@ -107,8 +107,6 @@ let enable_readahead c eng ?(config = default_readahead) () =
 
 let readahead_active c = c.ra <> None
 
-let bsize c = c.bsize
-let device c = c.dev
 let hits c = Metrics.value c.meters.m_hits
 let misses c = Metrics.value c.meters.m_misses
 let resident c = Hashtbl.length c.table
@@ -178,9 +176,9 @@ let make_room c =
     end
   end
 
-(* The pre-readahead demand miss: one blocking device read. *)
+(* The pre-readahead demand miss: one read request, awaited. *)
 let demand_read c b =
-  let buf = c.dev.Device.read ~off:(b * c.bsize) ~len:c.bsize in
+  let buf = Io.blocking_read ~submit:c.dev.Device.submit ~off:(b * c.bsize) ~len:c.bsize in
   (* A concurrent reader may have populated the block while we were
      waiting on the device; keep the first copy to stay coherent. *)
   match Hashtbl.find_opt c.table b with
@@ -339,30 +337,6 @@ let mark_dirty c b kind =
 let is_dirty c b =
   match Hashtbl.find_opt c.table b with Some { dirty = Some _; _ } -> true | _ -> false
 
-let write_sync c b =
-  match Hashtbl.find_opt c.table b with
-  | None -> ()
-  | Some e -> (
-      (* Snapshot so later in-core mutations don't leak into a write
-         already in flight. *)
-      let snapshot = Bytes.copy e.buf in
-      let was = e.dirty in
-      e.dirty <- None;
-      try c.dev.Device.write ~off:(b * c.bsize) snapshot
-      with exn ->
-        (* The block never reached stable storage: it must stay dirty or
-           a later fsync would skip it. A kind recorded by a concurrent
-           writer during the failed transaction takes precedence. *)
-        (match (e.dirty, was) with
-        | None, Some k -> e.dirty <- Some k
-        | Some Data, Some Metadata -> e.dirty <- Some Metadata
-        | _ -> ());
-        raise exn)
-
-let dirty_blocks c kind =
-  Hashtbl.fold (fun b e acc -> if e.dirty = Some kind then b :: acc else acc) c.table []
-  |> List.sort compare
-
 (* One snapshotted cluster write plus the restore record needed to
    re-dirty its blocks if the request fails. *)
 type prepared = (Io.req * (entry * kind option) list) list
@@ -435,13 +409,6 @@ let await_prepared ps =
             was)
     all;
   match !first_err with Some exn -> raise exn | None -> ()
-
-let sync_clustered c blocks ~max_cluster =
-  match prepare c ~class_:`Gather_flush ~max_cluster blocks with
-  | [] -> ()
-  | p ->
-      c.dev.Device.submit (prepared_items p);
-      await_prepared [ p ]
 
 let install c b bytes =
   if not (Hashtbl.mem c.table b) then begin

@@ -1,14 +1,18 @@
 (** Block buffer cache over a {!Nfsg_disk.Device}.
 
     Caches whole filesystem blocks. Reads miss through to the device
-    (costing simulated time); writes are either synchronous
-    (write-through, timed) or {e delayed} — the dirty-in-core state the
-    paper's IO_DELAYDATA flag creates, which {!sync_clustered} later
-    pushes out in few large transactions ([MCVO91]-style clustering).
+    (costing simulated time); writes are {e delayed} — the dirty-in-core
+    state the paper's IO_DELAYDATA flag creates — until the filesystem
+    snapshots them with {!prepare} and submits the clusters itself,
+    in few large transactions ([MCVO91]-style clustering). That is how
+    every write path of {!Fs} reaches the device: VOP_WRITE's
+    synchronous modes and VOP_SYNCDATA ({!Fs.syncdata}) as gathered
+    clusters, VOP_FSYNC(FWRITE_METADATA) ({!Fs.fsync_metadata}) as
+    the one metadata commit.
 
     Buffers returned by {!get} are the cache's own: mutate them in
-    place, then call {!mark_dirty} or {!write_sync}. The whole cache is
-    volatile: {!crash} drops everything. *)
+    place, then call {!mark_dirty}. The whole cache is volatile:
+    {!crash} drops everything. *)
 
 type kind = Data | Metadata
 
@@ -61,9 +65,6 @@ val note_read : t -> stream:int -> fbn:int -> nblocks:int -> map:(int -> int) ->
     blocks that are mapped, not resident and not already in flight.
     No-op unless {!enable_readahead} was called. Never blocks. *)
 
-val bsize : t -> int
-val device : t -> Nfsg_disk.Device.t
-
 val get : t -> int -> Bytes.t
 (** [get c b] is block [b]'s buffer, reading it from the device
     (blocking, timed) on a miss. A miss on a block with a prefetch in
@@ -83,18 +84,6 @@ val mark_dirty : t -> int -> kind -> unit
     even if re-marked [Data]. *)
 
 val is_dirty : t -> int -> bool
-
-val write_sync : t -> int -> unit
-(** Write the cached buffer of block [b] to the device now (blocking,
-    timed — one transaction) and mark it clean. No-op if the block is
-    not cached. *)
-
-val sync_clustered : t -> int list -> max_cluster:int -> unit
-(** Write the given dirty blocks, coalescing device-contiguous runs
-    into single transactions of at most [max_cluster] bytes. Blocks
-    that are not cached or not dirty are skipped. Clears dirtiness.
-    Equivalent to {!prepare} + submit + {!await_prepared} in one
-    call. *)
 
 type prepared
 (** A set of snapshotted cluster writes whose dirty flags have been
@@ -116,9 +105,6 @@ val await_prepared : prepared list -> unit
     of failed requests are re-dirtied (they never reached stable
     storage, so a later sync must retry them); then the first failure
     is re-raised. *)
-
-val dirty_blocks : t -> kind -> int list
-(** Sorted block numbers currently dirty with the given kind. *)
 
 val install : t -> int -> Bytes.t -> unit
 (** Seed the cache with a clean buffer for block [b] without device

@@ -56,14 +56,16 @@ exception Exists of string
 exception Not_empty of int
 exception No_space
 
-let engine t = t.eng
 let device t = t.dev
 let cache t = t.bcache
-let superblock t = t.sb
 let bsize t = t.sb.Layout.bsize
+let accelerated t = t.dev.Device.accelerated ()
 let inum (i : inode) = i.inum
 let generation (i : inode) = i.gen
 let lock_of (i : inode) = i.lock
+let lock (i : inode) = Mutex.lock i.lock
+let unlock (i : inode) = Mutex.unlock i.lock
+let with_lock (i : inode) f = Mutex.with_lock i.lock f
 let meta_dirty (i : inode) = i.meta_dirty
 
 (* {1 mkfs} *)
@@ -259,9 +261,6 @@ let encode_inode t (ino : inode) =
   Buffer_cache.mark_dirty t.bcache blk Buffer_cache.Metadata;
   blk
 
-let write_inode_sync t (ino : inode) =
-  Buffer_cache.write_sync t.bcache (encode_inode t ino)
-
 (* Build the inode's metadata commit as one submission batch: its dirty
    indirect blocks, then — behind a barrier, because the inode must
    never point to an indirect block whose pointers are not yet on disk —
@@ -287,14 +286,6 @@ let meta_commit t (ino : inode) =
     raise exn
   in
   (items, [ p_ind; p_ino ], restore)
-
-let fsync_metadata t (ino : inode) =
-  if ino.meta_dirty <> `Clean || ino.dirty_indirects <> [] then begin
-    let items, preps, restore = meta_commit t ino in
-    t.dev.Device.submit items;
-    (try Buffer_cache.await_prepared preps with exn -> restore exn);
-    ino.meta_dirty <- `Clean
-  end
 
 let iget t ~inum ~gen =
   if inum < 1 || inum >= t.sb.Layout.ninodes then raise (Stale inum);
@@ -461,6 +452,93 @@ let read_ahead t (ino : inode) ~stream ~off ~len =
         end);
   read t ino ~off ~len
 
+(* {1 Flushing} *)
+
+(* Device blocks behind the file blocks of a byte range, in file order,
+   holes skipped. *)
+let range_blocks t (ino : inode) ~off ~len =
+  if len <= 0 then []
+  else begin
+    let bs = bsize t in
+    let first = off / bs and last = (off + len - 1) / bs in
+    let rec collect fbn acc =
+      if fbn > last then List.rev acc
+      else
+        let b = bmap t ino fbn ~alloc_missing:false ~near:None in
+        collect (fbn + 1) (if b = 0 then acc else b :: acc)
+    in
+    collect first []
+  end
+
+(* Write the dirty subset of [blocks] now: device-contiguous runs
+   coalesced into clusters of at most [cluster_max] bytes, one
+   submission, awaited. *)
+let flush_blocks t blocks =
+  let p = Buffer_cache.prepare t.bcache ~class_:`Gather_flush ~max_cluster:cluster_max blocks in
+  match Buffer_cache.prepared_items p with
+  | [] -> ()
+  | items ->
+      t.dev.Device.submit items;
+      Buffer_cache.await_prepared [ p ]
+
+(* One gathered commit for a byte range: the range's delayed data
+   clusters, then — behind barriers — the inode's indirect blocks and
+   the inode itself, all in a single submission. The device overlaps
+   and merges the data clusters freely while the barriers keep metadata
+   from becoming stable ahead of the data it describes. Semantically
+   [syncdata] followed by [fsync_metadata], without the synchronous
+   convoy of one-at-a-time transactions. With [len = 0] it is the
+   metadata commit alone, which is what [fsync_metadata] runs.
+
+   Split into a begin/await pair so the caller can drop the vnode lock
+   while the device works: everything that reads or mutates in-core
+   state — bmap, the dirty-block snapshot, the metadata commit — runs
+   in [begin] under the caller's lock, and the submission is already
+   down before [begin] returns. The returned thunk only parks on the
+   device. The prepared snapshots are private copies and the inode is
+   marked clean at snapshot time (exactly like [Buffer_cache.prepare]
+   does for blocks), so a write landing mid-flight re-dirties and is
+   simply not considered durable by this commit. On failure the await
+   re-dirties whatever never reached the platter, never downgrading
+   dirtiness a concurrent writer added meanwhile. *)
+let commit_range_begin t (ino : inode) ~off ~len =
+  let p_data =
+    Buffer_cache.prepare t.bcache ~class_:`Gather_flush ~max_cluster:cluster_max
+      (range_blocks t ino ~off ~len)
+  in
+  let data_items = Buffer_cache.prepared_items p_data in
+  if ino.meta_dirty = `Clean && ino.dirty_indirects = [] then begin
+    match data_items with
+    | [] -> fun () -> ()
+    | items ->
+        t.dev.Device.submit items;
+        fun () -> Buffer_cache.await_prepared [ p_data ]
+  end
+  else begin
+    let was_dirty = ino.meta_dirty in
+    let meta_items, preps, restore = meta_commit t ino in
+    let items =
+      data_items @ (if data_items = [] then [] else [ Io.barrier () ]) @ meta_items
+    in
+    ino.meta_dirty <- `Clean;
+    t.dev.Device.submit items;
+    fun () ->
+      try Buffer_cache.await_prepared (p_data :: preps)
+      with exn ->
+        (* The snapshotted inode never became durable: put the
+           dirtiness back unless a concurrent write already raised
+           it. *)
+        (match (ino.meta_dirty, was_dirty) with
+        | `Dirty, _ | _, `Clean -> ()
+        | _, `Dirty -> ino.meta_dirty <- `Dirty
+        | `Clean, `Time_only -> ino.meta_dirty <- `Time_only
+        | `Time_only, `Time_only -> ());
+        restore exn
+  end
+
+let fsync_metadata t (ino : inode) = commit_range_begin t ino ~off:0 ~len:0 ()
+let syncdata t (ino : inode) ~off ~len = flush_blocks t (range_blocks t ino ~off ~len)
+
 type write_mode = Sync | Sync_data_only | Delay_data
 
 (* Disk block of the previous file block, as an allocation locality
@@ -511,9 +589,9 @@ let write_view t (ino : inode) ~off (data : Nfsg_rpc.Xdr.view) ~mode =
     | Sync_data_only ->
         (* IO_SYNC|IO_DATAONLY: push the data through, leave metadata
            dirty in core for a later gathered VOP_FSYNC. *)
-        Buffer_cache.sync_clustered t.bcache (List.rev !touched) ~max_cluster:cluster_max
+        flush_blocks t (List.rev !touched)
     | Sync ->
-        Buffer_cache.sync_clustered t.bcache (List.rev !touched) ~max_cluster:cluster_max;
+        flush_blocks t (List.rev !touched);
         (* Reference-port special case: a write that only moved the
            modify time keeps its inode update asynchronous. *)
         (match ino.meta_dirty with
@@ -523,93 +601,6 @@ let write_view t (ino : inode) ~off (data : Nfsg_rpc.Xdr.view) ~mode =
 
 let write t (ino : inode) ~off data ~mode =
   write_view t ino ~off (Nfsg_rpc.Xdr.view_of_bytes data) ~mode
-
-let syncdata t (ino : inode) ~off ~len =
-  if len > 0 then begin
-    let bs = bsize t in
-    let first = off / bs and last = (off + len - 1) / bs in
-    let rec collect fbn acc =
-      if fbn > last then List.rev acc
-      else begin
-        let b = bmap t ino fbn ~alloc_missing:false ~near:None in
-        collect (fbn + 1) (if b = 0 then acc else b :: acc)
-      end
-    in
-    Buffer_cache.sync_clustered t.bcache (collect first []) ~max_cluster:cluster_max
-  end
-
-(* One gathered commit for a byte range: the range's delayed data
-   clusters, then — behind barriers — the inode's indirect blocks and
-   the inode itself, all in a single submission. The device overlaps
-   and merges the data clusters freely while the barriers keep metadata
-   from becoming stable ahead of the data it describes. Semantically
-   [syncdata] followed by [fsync_metadata], without the synchronous
-   convoy of one-at-a-time transactions.
-
-   Split into a begin/await pair so the caller can drop the vnode lock
-   while the device works: everything that reads or mutates in-core
-   state — bmap, the dirty-block snapshot, the metadata commit — runs
-   in [begin] under the caller's lock, and the submission is already
-   down before [begin] returns. The returned thunk only parks on the
-   device. The prepared snapshots are private copies and the inode is
-   marked clean at snapshot time (exactly like [Buffer_cache.prepare]
-   does for blocks), so a write landing mid-flight re-dirties and is
-   simply not considered durable by this commit. On failure the await
-   re-dirties whatever never reached the platter, never downgrading
-   dirtiness a concurrent writer added meanwhile. *)
-let commit_range_begin t (ino : inode) ~off ~len =
-  let data_blocks =
-    if len <= 0 then []
-    else begin
-      let bs = bsize t in
-      let first = off / bs and last = (off + len - 1) / bs in
-      let rec collect fbn acc =
-        if fbn > last then List.rev acc
-        else
-          let b = bmap t ino fbn ~alloc_missing:false ~near:None in
-          collect (fbn + 1) (if b = 0 then acc else b :: acc)
-      in
-      collect first []
-    end
-  in
-  let p_data =
-    Buffer_cache.prepare t.bcache ~class_:`Gather_flush ~max_cluster:cluster_max data_blocks
-  in
-  let data_items = Buffer_cache.prepared_items p_data in
-  if ino.meta_dirty = `Clean && ino.dirty_indirects = [] then begin
-    match data_items with
-    | [] -> fun () -> ()
-    | items ->
-        t.dev.Device.submit items;
-        fun () -> Buffer_cache.await_prepared [ p_data ]
-  end
-  else begin
-    let was_dirty = ino.meta_dirty in
-    let meta_items, preps, restore = meta_commit t ino in
-    let items =
-      data_items @ (if data_items = [] then [] else [ Io.barrier () ]) @ meta_items
-    in
-    ino.meta_dirty <- `Clean;
-    t.dev.Device.submit items;
-    fun () ->
-      try Buffer_cache.await_prepared (p_data :: preps)
-      with exn ->
-        (* The snapshotted inode never became durable: put the
-           dirtiness back unless a concurrent write already raised
-           it. *)
-        (match (ino.meta_dirty, was_dirty) with
-        | `Dirty, _ | _, `Clean -> ()
-        | _, `Dirty -> ino.meta_dirty <- `Dirty
-        | `Clean, `Time_only -> ino.meta_dirty <- `Time_only
-        | `Time_only, `Time_only -> ());
-        restore exn
-  end
-
-let commit_range t (ino : inode) ~off ~len = (commit_range_begin t ino ~off ~len) ()
-
-let fsync t (ino : inode) =
-  syncdata t ino ~off:0 ~len:ino.size;
-  fsync_metadata t ino
 
 let touch t (ino : inode) ~mtime =
   ignore t;
@@ -718,11 +709,11 @@ let ifree t (ino : inode) =
   truncate t ino 0;
   ino.ftype <- Layout.Free;
   ino.nlink <- 0;
+  ino.meta_dirty <- `Dirty;
   t.used.(ino.inum) <- false;
   Hashtbl.remove t.incore ino.inum;
   (* Commit the freed inode so the handle is durably stale. *)
-  write_inode_sync t ino;
-  ino.meta_dirty <- `Clean
+  fsync_metadata t ino
 
 (* {1 Directories} *)
 

@@ -12,7 +12,15 @@
     write path and is rebuilt fsck-style at {!mount} from reachable
     blocks. The file-modify-time-only inode update may be left dirty
     in core ([`Time_only]) — the one promise the reference port also
-    breaks for performance (section 4.4). *)
+    breaks for performance (section 4.4).
+
+    The server calls this module directly: there is no separate VOP
+    layer. The paper's interface (section 6.4) maps onto it as
+    VOP_WRITE with IO_SYNC, IO_SYNC|IO_DATAONLY or IO_DELAYDATA =
+    {!write_view} with [~mode:Sync], [Sync_data_only] or [Delay_data];
+    VOP_SYNCDATA = {!syncdata}; VOP_FSYNC(FWRITE_METADATA) =
+    {!fsync_metadata}; the vnode sleep lock = {!lock}, {!unlock} and
+    {!with_lock}. *)
 
 type t
 
@@ -71,11 +79,13 @@ val mount :
     [readahead] arms the sequential prefetch engine (off by
     default). *)
 
-val engine : t -> Nfsg_sim.Engine.t
 val device : t -> Nfsg_disk.Device.t
 val cache : t -> Buffer_cache.t
-val superblock : t -> Layout.superblock
 val bsize : t -> int
+
+val accelerated : t -> bool
+(** Whether the device is NVRAM-accelerated right now (the server
+    write layer "queries Presto as to acceleration state"). *)
 
 (** {1 Inodes and handles} *)
 
@@ -86,6 +96,16 @@ val iget : t -> inum:int -> gen:int -> inode
 val inum : inode -> int
 val generation : inode -> int
 val lock_of : inode -> Nfsg_sim.Mutex.t
+
+val lock : inode -> unit
+(** Acquire the inode's sleep lock — the paper's vnode lock (FIFO). *)
+
+val unlock : inode -> unit
+
+val with_lock : inode -> (unit -> 'a) -> 'a
+(** [with_lock ino f] runs [f] holding the lock, releasing it on any
+    exit. *)
+
 val getattr : inode -> attr
 
 val meta_dirty : inode -> [ `Clean | `Time_only | `Dirty ]
@@ -106,7 +126,8 @@ val read_ahead : t -> inode -> stream:int -> off:int -> len:int -> Bytes.t
     release. With read-ahead disabled this is exactly {!read}. *)
 
 type write_mode =
-  | Sync  (** data and metadata to stable storage before returning *)
+  | Sync  (** IO_SYNC: data and metadata to stable storage before
+              returning *)
   | Sync_data_only  (** IO_SYNC|IO_DATAONLY: data written through,
                         metadata left dirty in core *)
   | Delay_data  (** IO_DELAYDATA: data dirty in cache, metadata dirty
@@ -129,31 +150,29 @@ val syncdata : t -> inode -> off:int -> len:int -> unit
     range, clustering device-contiguous runs up to 64 KiB. *)
 
 val fsync_metadata : t -> inode -> unit
-(** VOP_FSYNC(FWRITE_METADATA): commit the inode and any dirty
-    indirect blocks in one device submission, the inode table block
-    ordered behind the indirects by a barrier. No-op when clean. *)
-
-val commit_range : t -> inode -> off:int -> len:int -> unit
-(** Gathered commit of a byte range: delayed data clusters, then —
-    behind barriers — dirty indirect blocks, then the inode, as a
-    single device submission. Semantically {!syncdata} followed by
-    {!fsync_metadata}, but the device may overlap and merge the data
-    clusters while the barriers keep metadata from becoming stable
-    ahead of the data it describes. *)
+(** VOP_FSYNC(FWRITE_METADATA): {!commit_range_begin} with [len = 0],
+    awaited — the inode and any dirty indirect blocks in one device
+    submission, the inode table block ordered behind the indirects by
+    a barrier. No-op when clean. An inode change made while the commit
+    is in flight leaves the inode dirty for the next one. *)
 
 val commit_range_begin : t -> inode -> off:int -> len:int -> unit -> unit
-(** {!commit_range} split for lock hygiene: [commit_range_begin t ino
-    ~off ~len] runs every in-core step — block mapping, the dirty
-    snapshot, the metadata commit — and puts the submission on the
-    device before returning; the returned thunk merely blocks until it
-    is durable (re-dirtying what failed, then re-raising). Call
-    [begin] under the inode's lock; the await may run with the lock
-    released, so writers arriving mid-flush are not convoyed behind
-    the device. *)
+(** The one metadata commit. [commit_range_begin t ino ~off ~len]
+    snapshots the range's delayed data clusters, then — behind
+    barriers — the dirty indirect blocks, then the inode, and puts them
+    on the device as a single submission: semantically {!syncdata}
+    followed by {!fsync_metadata}, but the device may overlap and merge
+    the data clusters while the barriers keep metadata from becoming
+    stable ahead of the data it describes. With [len = 0] it commits
+    metadata only.
 
-val fsync : t -> inode -> unit
-(** Full fsync: {!syncdata} over the whole file then
-    {!fsync_metadata}. *)
+    It is split for lock hygiene: [begin] runs every in-core step —
+    block mapping, the dirty snapshot, marking the inode clean — and
+    the submission is down when it returns; the returned thunk merely
+    blocks until it is durable (re-dirtying what failed, then
+    re-raising). Call [begin] under the inode's lock; the await may
+    run with the lock released, so writers arriving mid-flush are not
+    convoyed behind the device. *)
 
 val truncate : t -> inode -> int -> unit
 (** Grow (sparse) or shrink; shrinking frees blocks. Metadata is left

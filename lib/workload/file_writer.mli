@@ -41,5 +41,3 @@ val verify :
   Nfsg_nfs.Client.t -> fh:Nfsg_nfs.Proto.fh -> total:int -> seed:int -> bool
 (** Read the file back and compare against the deterministic pattern
     {!run} wrote. *)
-
-val pattern : total:int -> seed:int -> Bytes.t

@@ -2,6 +2,6 @@
    point of the marker is the recorded reason. *)
 
 let handle_sync v =
-  Vfs.with_lock v (fun () ->
+  Fs.with_lock v (fun () ->
       (* nfsrace: allow Y001 *)
       Engine.suspend ())

@@ -2,4 +2,4 @@
    job — flag it so it gets deleted. *)
 
 (* nfsrace: allow Y001 there used to be a park under this lock *)
-let quiet v = Vfs.with_lock v (fun () -> ())
+let quiet v = Fs.with_lock v (fun () -> ())

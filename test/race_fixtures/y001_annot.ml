@@ -5,4 +5,4 @@
 (* nfsrace: yields parks the calling fiber until the controller raises its completion interrupt *)
 let controller_wait () = ()
 
-let drain v = Vfs.with_lock v (fun () -> controller_wait ())
+let drain v = Fs.with_lock v (fun () -> controller_wait ())

@@ -4,5 +4,5 @@
 let pace () = Engine.delay 1.0
 
 let handle_write v =
-  Vfs.with_lock v (fun () -> pace ());
+  Fs.with_lock v (fun () -> pace ());
   Engine.suspend ()

@@ -7,6 +7,6 @@
 let await_disk () = Engine.suspend ()
 
 let handle_write v =
-  Vfs.lock v;
+  Fs.lock v;
   await_disk ();
-  Vfs.unlock v
+  Fs.unlock v

@@ -3,6 +3,6 @@
    disk write. *)
 
 let handle_sync v =
-  Vfs.with_lock v (fun () ->
+  Fs.with_lock v (fun () ->
       (* nfsrace: allow Y001 the synchronous baseline holds the vnode lock across the disk write by design *)
       Engine.suspend ())

@@ -11,7 +11,7 @@ let pattern n seed = Bytes.init n (fun i -> Char.chr ((i + (seed * 7)) mod 251))
 
 (* {1 Barrier ordering across a crash}
 
-   A gathered flush (Fs.commit_range) submits data clusters, a barrier,
+   A gathered flush (Fs.commit_range_begin) submits data clusters, a barrier,
    indirect blocks, a barrier, the inode — all in one batch. Whatever
    the scheduler does inside the window, a crash at ANY instant must
    leave the platter in one of two states: old inode (the commit never
@@ -59,7 +59,7 @@ let crash_case make_dev crash_at =
           dev.Device.crash ());
       (* Parks forever if the crash lands mid-flush: completions from a
          powered-off drive never come. *)
-      Fs.commit_range fs f ~off:0 ~len:(nblocks * bsize));
+      Fs.commit_range_begin fs f ~off:0 ~len:(nblocks * bsize) ());
   Engine.run eng;
   dev.Device.recover ();
   let committed = ref false in

@@ -99,6 +99,14 @@ let test_lib_scoping () =
     "non-lib file lints clean" []
     (List.map Diagnostic.to_string (Lint.lint_source ~rel:"bench/main.ml" src))
 
+(* I001 exempts only the device layer: the filesystem above it submits
+   tagged requests like every other layer. *)
+let test_i001_scope () =
+  let src = read_file (Filename.concat fixture_dir "i001_pos.ml") in
+  let rules rel = List.map (fun d -> d.Diagnostic.rule) (Lint.lint_source ~rel src) in
+  Alcotest.(check (list string)) "fires in lib/ufs" [ "I001" ] (rules "lib/ufs/x.ml");
+  Alcotest.(check (list string)) "clean in lib/disk" [] (rules "lib/disk/x.ml")
+
 let suite =
   golden_tests
   @ [
@@ -107,4 +115,5 @@ let suite =
       Alcotest.test_case "unused suppression is a warning" `Quick test_unused_suppression;
       Alcotest.test_case "parse failure becomes a diagnostic" `Quick test_parse_error;
       Alcotest.test_case "rules scope to lib/" `Quick test_lib_scoping;
+      Alcotest.test_case "I001 exempts only lib/disk" `Quick test_i001_scope;
     ]

@@ -170,7 +170,7 @@ let test_reboot_keeps_handles_reformat_stales_them () =
       (* Power-fail + reboot: volume generations are preserved, so the
          client's handle rides through. *)
       Server.crash w.server;
-      let server2 = Server.recover w.server in
+      let server2 = Server.restart w.server in
       let a = Client.getattr w.client fh in
       Alcotest.(check int) "handle survives reboot" (16 * 8192) a.Proto.size;
       (* Reformat: a fresh export table over the same platters draws

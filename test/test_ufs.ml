@@ -131,7 +131,7 @@ let test_indirect_boundaries () =
       let data = pattern total 11 in
       Fs.write fs f ~off:0 data ~mode:Fs.Delay_data;
       Alcotest.(check bytes) "all three mapping regions" data (Fs.read fs f ~off:0 ~len:total);
-      Fs.fsync fs f;
+      Fs.commit_range_begin fs f ~off:0 ~len:total ();
       Alcotest.(check bytes) "after fsync" data (Fs.read fs f ~off:0 ~len:total);
       match Fs.check fs with
       | Ok () -> ()
@@ -396,7 +396,7 @@ let test_remount_rebuilds_bitmap () =
 (* Regression for the write-path lock leak nfsrace's Y003 found: the
    old open-coded lock/unlock pairs only released on the exceptions
    the handler anticipated, so anything else (allocator assert, fault
-   injection) wedged the vnode for every later writer. [Vfs.with_lock]
+   injection) wedged the vnode for every later writer. [Fs.with_lock]
    must release on ANY exception and leave the vnode usable. *)
 exception Unexpected
 
@@ -404,17 +404,43 @@ let test_vnode_lock_released_on_unexpected_exception () =
   let eng, _, fs = fresh_fs () in
   in_proc eng (fun () ->
       let f = Fs.create fs (Fs.root fs) "leak" Layout.Regular in
-      let v = Vfs.vnode_of_inode fs f in
-      (match Vfs.with_lock v (fun () -> raise Unexpected) with
+      (match Fs.with_lock f (fun () -> raise Unexpected) with
       | () -> Alcotest.fail "the exception must propagate"
       | exception Unexpected -> ());
-      Alcotest.(check bool) "vnode unlocked after raise" false (Vfs.locked v);
+      Alcotest.(check bool) "vnode unlocked after raise" false (Mutex.locked (Fs.lock_of f));
       (* The call the leak used to wedge: a later locked write. *)
       let committed = ref false in
-      Vfs.with_lock v (fun () ->
+      Fs.with_lock f (fun () ->
           Fs.write fs f ~off:0 (pattern 100 3) ~mode:Fs.Sync;
           committed := true);
       Alcotest.(check bool) "later locked write proceeds" true !committed)
+
+(* An inode change made while a metadata commit is in flight must
+   survive it: the commit marks the inode clean when it snapshots it,
+   not when the device answers, so the size change below stays dirty
+   for the next commit instead of being dropped. *)
+let test_inode_change_during_commit_kept () =
+  let eng, dev, fs = fresh_fs () in
+  let f =
+    in_proc eng (fun () ->
+        let f = Fs.create fs (Fs.root fs) "grow" Layout.Regular in
+        Fs.write fs f ~off:0 (pattern 8192 5) ~mode:Fs.Sync;
+        f)
+  in
+  Engine.spawn eng ~name:"committer" (fun () ->
+      Fs.touch fs f ~mtime:(Engine.now eng);
+      Fs.fsync_metadata fs f);
+  Engine.spawn eng ~name:"extender" (fun () ->
+      Engine.delay (Time.of_us_f 100.0);
+      Fs.write fs f ~off:8192 (pattern 8192 6) ~mode:Fs.Sync_data_only);
+  Engine.run eng;
+  Alcotest.(check bool) "size change still dirty" true (Fs.meta_dirty f <> `Clean);
+  in_proc eng (fun () -> Fs.fsync_metadata fs f);
+  Fs.crash fs;
+  dev.Device.recover ();
+  let fs2 = Fs.mount eng dev in
+  let size = (Fs.getattr (in_proc eng (fun () -> Fs.lookup fs2 (Fs.root fs2) "grow"))).Fs.size in
+  Alcotest.(check int) "size durable" 16384 size
 
 let prop_random_writes_match_model =
   (* Random (offset, length) writes against an in-memory reference. *)
@@ -473,4 +499,6 @@ let suite =
     Alcotest.test_case "vnode lock survives unexpected exception" `Quick
       test_vnode_lock_released_on_unexpected_exception;
     QCheck_alcotest.to_alcotest prop_random_writes_match_model;
+    Alcotest.test_case "inode change during a metadata commit is kept" `Quick
+      test_inode_change_during_commit_kept;
   ]

@@ -134,7 +134,7 @@ let test_v3_verifier_changes_across_reboot () =
       Client.write f ~off:0 (Bytes.make 8192 'a');
       Client.close f;
       Server.crash rig.server);
-  let revived = Server.recover rig.server in
+  let revived = Server.restart rig.server in
   Alcotest.(check bool) "verifier moved" true (Server.write_verifier revived <> verf1)
 
 let test_v3_client_detects_reboot () =
@@ -154,7 +154,7 @@ let test_v3_client_detects_reboot () =
          verifier. *)
       Server.crash rig.server;
       rig.device.Device.recover ();
-      let _revived = Server.recover rig.server in
+      let _revived = Server.restart rig.server in
       (* Resume writing against the revived server (same fs). *)
       (try
          Client.write f ~off:8192 (Bytes.make 8192 'b');
