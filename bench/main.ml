@@ -78,7 +78,7 @@ let run_ablations quick =
       ("mbuf hunter", fun () -> E.ablation_mbuf_hunter ~quick ());
       ("dumb PC penalty", fun () -> E.ablation_dumb_pc ~quick ());
       ("disk scheduler", fun () -> E.ablation_disk_scheduler ~quick ());
-      ("io scheduler + merge + deadline", fun () -> Nfsg_experiments.Iosched.report ~quick ());
+      ("io scheduler + merge + deadline", fun () -> Nfsg_experiments.Iosched.report ());
     ]
 
 let run_extensions quick =

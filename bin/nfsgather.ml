@@ -165,7 +165,7 @@ let experiments =
       fun c -> print_report (Nfsg_experiments.Multivolume.report ~quick:c.quick ~env:c.env ()) );
     ("laddis-curve", fun c -> print_report (Lc.report ~env:c.env ~sweep:c.curve ()));
     ("bootstorm", fun c -> print_report (Bs.report ~env:c.env ~sweep:c.storm ()));
-    ("raid", fun c -> print_report (Nfsg_experiments.Raid.report ~quick:c.quick ~env:c.env ()));
+    ("raid", fun c -> print_report (Nfsg_experiments.Raid.report ~env:c.env ()));
     ( "chaos",
       fun c ->
         let module Chaos = Nfsg_experiments.Chaos in

@@ -192,9 +192,10 @@ let mutate_dir vol d ~dst_dir (args : Proto.args) =
   | _ -> invalid_arg "Server.mutate_dir: not a directory mutation"
 
 (* The per-procedure handler, on the volume and inode routing resolved.
-   WRITE and stable WRITE3 go to the volume's write layer, which
-   replies itself once the data is stable (v2 and stable v3 writes
-   share its gather batches); every other procedure is answered here. *)
+   Every WRITE and COMMIT takes its trip into UFS through the volume's
+   write layer. WRITE and stable WRITE3 are left to it to answer once
+   the data is stable (v2 and stable v3 writes share its gather
+   batches); every other procedure is answered here. *)
 let execute t tr vol ino (args : Proto.args) =
   let fs = Volume.fs vol in
   match args with
@@ -208,29 +209,11 @@ let execute t tr vol ino (args : Proto.args) =
         ~fail:v3_write_error ino ~off:offset ~data
   | Proto.Write3 { offset; stable = Proto.Unstable; data; _ } ->
       (* The v3 asynchronous promise: data to the cache, reply
-         immediately; durability comes at COMMIT. *)
-      Fs.with_lock ino (fun () ->
-          Resource.use t.cpu t.config.costs.Cpu_model.ufs_trip;
-          (* nfsrace: allow Y001 delayed write: a cache-miss fill may park, and the fill must happen under the vnode lock *)
-          Fs.write_view fs ino ~off:offset data ~mode:Fs.Delay_data);
-      (* The unstable write's journey ends at the cache: no gather
-         wait, no disk — COMMIT pays those. *)
-      jstamp t tr Journey.stamp_queued;
+         immediately; durability, and its disk wait, come at COMMIT. *)
+      Write_layer.delayed_write (Volume.write_layer vol) tr ino ~off:offset ~data;
       answer t tr (Proto.RWrite3 (Ok (fattr_of vol ino, Proto.Unstable, t.verf)))
   | Proto.Commit { offset; count; _ } ->
-      (* On a disk error the unstable data stays dirty in the cache;
-         the client keeps it and re-COMMITs. *)
-      jstamp t tr Journey.stamp_queued;
-      Fs.with_lock ino (fun () ->
-          Resource.use t.cpu t.config.costs.Cpu_model.ufs_trip;
-          let len = if count = 0 then (Fs.getattr ino).Fs.size - offset else count in
-          jstamp t tr Journey.stamp_disk_submit;
-          (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
-          if len > 0 then Fs.syncdata fs ino ~off:offset ~len;
-          Resource.use t.cpu t.config.costs.Cpu_model.ufs_trip;
-          (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
-          Fs.fsync_metadata fs ino);
-      jstamp t tr Journey.stamp_disk_complete;
+      Write_layer.commit (Volume.write_layer vol) tr ino ~off:offset ~count;
       answer t tr (Proto.RCommit (Ok (fattr_of vol ino, t.verf)))
   | Proto.Read { fh; offset; count } ->
       let cache = Fs.cache fs in

@@ -8,7 +8,10 @@
     {!make_exports} a list of {!Volume.spec}s; dispatch routes each
     filehandle to its volume by fsid, unknown or pre-reformat handles
     earn [NFSERR_STALE], and cross-volume renames earn
-    [NFSERR_XDEV]. *)
+    [NFSERR_XDEV]. Every WRITE and COMMIT takes its trip into UFS
+    through the volume's {!Write_layer}, which writes and syncs all
+    file data; the server itself only reads, truncates and runs
+    directory operations. *)
 
 type config = {
   nfsds : int;

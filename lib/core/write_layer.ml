@@ -232,24 +232,19 @@ let flush_as_metadata_writer t g =
     (match
        let await =
          try
-           if (not accel) && lo < hi then begin
-             (* Data clusters and the covering metadata go down as ONE
-                device submission (Fs.commit_range_begin): the scheduler
-                overlaps and merges the clusters, and barriers keep the
-                inode from becoming stable ahead of its data. One trip
-                into UFS instead of the syncdata-then-fsync convoy. *)
-             charge_trip t;
-             emitf t "%dK data to disk (clustered)" ((hi - lo) / 1024);
-             emit t "Metadata to disk";
-             (* nfsrace: allow Y001 the inode encode reads its blocks through the cache and must run under the vnode lock; only the post-submit wait is moved outside *)
-             Fs.commit_range_begin t.fs g.ino ~off:lo ~len:(hi - lo)
-           end
-           else begin
-             charge_trip t;
-             emit t "Metadata to disk";
-             (* nfsrace: allow Y001 the inode encode reads its blocks through the cache and must run under the vnode lock; only the post-submit wait is moved outside *)
-             Fs.commit_range_begin t.fs g.ino ~off:0 ~len:0
-           end
+           (* Data clusters and the covering metadata go down as ONE
+              device submission (Fs.commit_range_begin): the scheduler
+              overlaps and merges the clusters, and barriers keep the
+              inode from becoming stable ahead of its data. One trip
+              into UFS instead of the syncdata-then-fsync convoy. With
+              the data already in NVRAM, or none dirty, the range is
+              empty and only the metadata goes down. *)
+           let off, len = if (not accel) && lo < hi then (lo, hi - lo) else (0, 0) in
+           charge_trip t;
+           if len > 0 then emitf t "%dK data to disk (clustered)" (len / 1024);
+           emit t "Metadata to disk";
+           (* nfsrace: allow Y001 the inode encode reads its blocks through the cache and must run under the vnode lock; only the post-submit wait is moved outside *)
+           Fs.commit_range_begin t.fs g.ino ~off ~len
          with exn ->
            Fs.unlock g.ino;
            raise exn
@@ -340,18 +335,14 @@ let handle_gathering t tr ~respond ~fail ino ~off ~data =
   let g = gstate_of t ino in
   g.active <- g.active + 1;
   let accel = Fs.accelerated t.fs in
-  (* Hand off data to UFS via VOP_WRITE. *)
+  (* Hand off data to UFS via VOP_WRITE: IO_DATAONLY into the Presto
+     front, IO_DELAYDATA into the cache. *)
   (match
      Fs.with_lock ino (fun () ->
          charge_trip t;
-         if accel then begin
-           emitf t "%dK data to Presto" (Xdr.view_length data / 1024);
-           (* nfsrace: allow Y001 the Presto front absorbs the write at memory speed; the vnode lock only orders the cache fill *)
-           Fs.write_view t.fs ino ~off data ~mode:Fs.Sync_data_only
-         end
-         else
-           (* nfsrace: allow Y001 delayed write: a cache-miss fill may park, and the fill must happen under the vnode lock *)
-           Fs.write_view t.fs ino ~off data ~mode:Fs.Delay_data)
+         if accel then emitf t "%dK data to Presto" (Xdr.view_length data / 1024);
+         (* nfsrace: allow Y001 the Presto front absorbs the write at memory speed and a delayed write's cache-miss fill may park; either way the fill must happen under the vnode lock *)
+         Fs.write_view t.fs ino ~off data ~mode:(if accel then Fs.Sync_data_only else Fs.Delay_data))
    with
   | () ->
       (* Only now — with the data handed to UFS — may our reply be
@@ -443,21 +434,23 @@ let handle_gathering t tr ~respond ~fail ino ~off ~data =
       maybe_gc t g);
   Svc.Reply_pending
 
+(* IO_DELAYDATA: the data goes into the cache under the vnode lock and
+   nothing goes to disk, so queued into the cache is as far as the op's
+   journey gets. *)
+let delayed_write t tr ino ~off ~data =
+  Fs.with_lock ino (fun () ->
+      charge_trip t;
+      (* nfsrace: allow Y001 delayed write: a cache-miss fill may park, and the fill must happen under the vnode lock *)
+      Fs.write_view t.fs ino ~off data ~mode:Fs.Delay_data);
+  jstamp t tr Journey.stamp_queued
+
 (* "Dangerous mode": acknowledge from volatile memory. The asynchronous
    promise is one the server cannot recall after a crash (section 4.3);
    kept here so the benchmark can show what the shortcut buys and the
    crash tests can show what it costs. *)
 let handle_unsafe_async t tr ~respond ~fail ino ~off ~data =
-  (match
-     Fs.with_lock ino (fun () ->
-         charge_trip t;
-         (* nfsrace: allow Y001 delayed write: a cache-miss fill may park, and the fill must happen under the vnode lock *)
-         Fs.write_view t.fs ino ~off data ~mode:Fs.Delay_data)
-   with
+  (match delayed_write t tr ino ~off ~data with
   | () ->
-      (* Volatile acknowledgement: queued into the cache is as far as
-         this op's journey ever gets. *)
-      jstamp t tr Journey.stamp_queued;
       Metrics.incr t.batches;
       Metrics.incr t.gathered;
       Histogram.add t.batch_size_h 1.0;
@@ -473,6 +466,23 @@ let handle_write t tr ~respond ~fail ino ~off ~data =
   | Standard -> handle_standard t tr ~respond ~fail ino ~off ~data
   | Gathering -> handle_gathering t tr ~respond ~fail ino ~off ~data
   | Unsafe_async -> handle_unsafe_async t tr ~respond ~fail ino ~off ~data
+
+(* NFSv3 COMMIT: the durability point for earlier UNSTABLE writes. The
+   client pays the disk wait: the range's data, then the metadata, under
+   the vnode lock. On a disk error the unstable data stays dirty in the
+   cache; the client keeps it and re-COMMITs. *)
+let commit t tr ino ~off ~count =
+  jstamp t tr Journey.stamp_queued;
+  Fs.with_lock ino (fun () ->
+      charge_trip t;
+      let len = if count = 0 then (Fs.getattr ino).Fs.size - off else count in
+      jstamp t tr Journey.stamp_disk_submit;
+      (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
+      if len > 0 then Fs.syncdata t.fs ino ~off ~len;
+      charge_trip t;
+      (* nfsrace: allow Y001 COMMIT is the durability point: the client pays the disk wait, and the vnode lock orders it against writers *)
+      Fs.fsync_metadata t.fs ino);
+  jstamp t tr Journey.stamp_disk_complete
 
 (* Section 6.9: a duplicate WRITE was dropped from the socket buffer.
    If a gatherer had counted on that datagram (mbuf hunter) and nobody

@@ -1,4 +1,7 @@
-(** The server write layer: the paper's contribution.
+(** The server write layer: the paper's contribution, and the one
+    place a WRITE or COMMIT takes its trip into UFS. [Server] routes
+    those procedures here; it answers UNSTABLE writes and COMMITs
+    itself, and this layer answers every other write.
 
     Two modes:
 
@@ -104,6 +107,18 @@ val handle_write :
     flush fails every descriptor in the batch with [NFSERR_IO] in FIFO
     order — no reply may claim success after the covering metadata
     update failed — and the simulation keeps running. *)
+
+val delayed_write :
+  t -> Nfsg_rpc.Svc.transport -> Nfsg_ufs.Fs.inode -> off:int -> data:Nfsg_rpc.Xdr.view -> unit
+(** IO_DELAYDATA, for NFSv3 UNSTABLE writes and [Unsafe_async] mode:
+    fill the cache under the vnode lock and stamp the journey queued.
+    Nothing goes to disk. The caller replies; a failed fill raises. *)
+
+val commit : t -> Nfsg_rpc.Svc.transport -> Nfsg_ufs.Fs.inode -> off:int -> count:int -> unit
+(** NFSv3 COMMIT: under the vnode lock, sync the data of
+    [off, off+count) ([count] 0: to end of file), then the metadata.
+    The caller replies; a disk error raises and leaves the data dirty
+    in the cache. *)
 
 val rescue : t -> inum:int -> unit
 (** Orphan protection (section 6.9): called when a duplicate WRITE was

@@ -74,14 +74,22 @@ type t = {
 
 let parity_member t row = t.n - 1 - (row mod t.n)
 
-let data_member t row j =
-  let p = parity_member t row in
-  if j < p then j else j + 1
+(* Data chunks per stripe row: every member holds data at RAID-0, all
+   but the row's parity member at RAID-5. *)
+let data_per_row t = if t.lvl = Raid5 then t.n - 1 else t.n
 
-(* Split a logical RAID-5 range into (row, data_pos, chunk_off, len,
-   logical_off) pieces, cut at chunk boundaries. *)
-let split5 t ~off ~len =
-  let nd = t.n - 1 in
+let data_member t row j =
+  if t.lvl <> Raid5 then j
+  else begin
+    let p = parity_member t row in
+    if j < p then j else j + 1
+  end
+
+(* Split a logical range into (row, data_pos, chunk_off, len,
+   logical_off) pieces, cut at chunk boundaries: chunks are dealt
+   round-robin across a row's data positions. *)
+let split t ~off ~len =
+  let nd = data_per_row t in
   let rec go acc off remaining =
     if remaining = 0 then List.rev acc
     else begin
@@ -125,12 +133,12 @@ let degraded t = Array.exists (fun s -> s <> Active) t.state
 
 (* {2 Row locks}
 
-   Every lock holder takes rows one at a time (row-commit and rebuild
-   processes hold exactly one; RAID-1 range writers acquire ascending),
-   so acquisition cannot deadlock. A crash resets the table and bumps
-   the generation: stale holders from the previous incarnation find
-   their generation mismatched and park instead of touching the new
-   one. *)
+   Every lock holder takes its rows in ascending order (row-commit and
+   rebuild processes hold exactly one; RAID-1 range writers hold every
+   row they cover), so acquisition cannot deadlock. A crash resets the
+   table and bumps the generation: stale holders from the previous
+   incarnation find their generation mismatched and park instead of
+   touching the new one. *)
 
 let lock_row t ~gen row =
   let rec go () =
@@ -152,12 +160,13 @@ let unlock_row t ~gen row =
     Condition.broadcast t.lock_free
   end
 
-(* Run [f] with stripe row [row] locked, releasing on every return and
-   exception path. [lock_row] refuses when the array crashed under us;
-   [crashed] is the caller's answer for that case. *)
-let with_row t ~gen row ~crashed f =
-  if not (lock_row t ~gen row) then crashed ()
-  else Locked.run ~acquire:(fun () -> ()) ~release:(fun () -> unlock_row t ~gen row) f
+(* Run [f] with the stripe rows [rows] (ascending) locked, releasing
+   them all on every return and exception path. [lock_row] refuses
+   when the array crashed under us; [crashed] is the caller's answer
+   for that case. *)
+let with_rows t ~gen rows ~crashed f =
+  if not (List.for_all (lock_row t ~gen) rows) then crashed ()
+  else Locked.run ~acquire:(fun () -> ()) ~release:(fun () -> List.iter (unlock_row t ~gen) rows) f
 
 (* A request caught by a power crash behaves like the powered-off
    device underneath it: it never completes. *)
@@ -187,23 +196,9 @@ let replay_journal t =
 
 (* {2 Member I/O}
 
-   Blocking single-request helpers for the redundant paths; an error
-   marks the member failed (fail-stop model: the first error a member
-   returns is its last useful word). *)
-
-let mread t m ~class_ ~off ~len =
-  let r = Io.read_req ~class_ ~off ~len () in
-  t.members.(m).Device.submit [ Io.Req r ];
-  Ivar.read r.Io.done_;
-  if r.Io.error <> None then note_failure t m;
-  (r.Io.error, r.Io.buf)
-
-let mwrite t m ~class_ ~off data =
-  let r = Io.write_req ~class_ ~off data in
-  t.members.(m).Device.submit [ Io.Req r ];
-  Ivar.read r.Io.done_;
-  if r.Io.error <> None then note_failure t m;
-  r.Io.error
+   Blocking helpers for the redundant paths; an error marks the member
+   failed (fail-stop model: the first error a member returns is its
+   last useful word). *)
 
 let xor_into dst src =
   for i = 0 to Bytes.length src - 1 do
@@ -230,23 +225,17 @@ let batch_await t rs =
       if r.Io.error <> None then note_failure t m)
     rs
 
-(* {1 RAID-0} *)
+let mread t m ~class_ ~off ~len =
+  let r = Io.read_req ~class_ ~off ~len () in
+  batch_await t [ (m, r) ];
+  (r.Io.error, r.Io.buf)
 
-(* Split [off, off+len) at chunk boundaries into per-member pieces:
-   (member, member_off, logical_off, piece_len) list. Chunks are dealt
-   round-robin across the members. *)
-let split t ~off ~len =
-  let rec go acc off remaining =
-    if remaining = 0 then List.rev acc
-    else begin
-      let within = off mod t.chunk in
-      let piece = Stdlib.min remaining (t.chunk - within) in
-      let chunk_idx = off / t.chunk in
-      let moff = (chunk_idx / t.n * t.chunk) + within in
-      go ((chunk_idx mod t.n, moff, off, piece) :: acc) (off + piece) (remaining - piece)
-    end
-  in
-  go [] off len
+let mwrite t m ~class_ ~off data =
+  let r = Io.write_req ~class_ ~off data in
+  batch_await t [ (m, r) ];
+  r.Io.error
+
+(* {1 RAID-0} *)
 
 (* One epoch: each request is cut into per-member pieces and the pieces
    go out as one batch per member. No process serves the epoch:
@@ -277,7 +266,8 @@ let epoch0 t reqs k =
             let remaining = ref (List.length pieces) in
             let perr = ref None in
             List.iter
-              (fun (m, moff, loff, plen) ->
+              (fun (row, j, coff, plen, loff) ->
+                let m = data_member t row j and moff = (row * t.chunk) + coff in
                 let pr =
                   match r.Io.op with
                   | Io.Write ->
@@ -301,6 +291,31 @@ let epoch0 t reqs k =
 
 (* {1 RAID-1} *)
 
+(* The failure reply of a request that found no mirror to serve it. *)
+let no_live_mirror t (r : Io.req) note_err =
+  let e = Device.Io_error (t.name ^ ": no live mirror") in
+  note_err e;
+  Io.fail r e
+
+(* What mirror [m] takes of a write of [data] at [off]: all of it while
+   Active; while Rebuilding only the resilvered rows, since the stale
+   tail belongs to the rebuild copy; nothing once Failed. *)
+let mirror_pieces t m ~off data =
+  match t.state.(m) with
+  | Active -> [ (off, data) ]
+  | Failed -> []
+  | Rebuilding ->
+      let len = Bytes.length data in
+      List.filter_map
+        (fun row ->
+          if not (live t m ~row) then None
+          else begin
+            let rlo = Stdlib.max off (row * t.chunk)
+            and rhi = Stdlib.min (off + len) ((row + 1) * t.chunk) in
+            Some (rlo, Bytes.sub data (rlo - off) (rhi - rlo))
+          end)
+        (rows_of t ~off ~len)
+
 (* Serve a read from any mirror current for every covered row, probing
    from the balance rotor; used both for degraded service and for
    failover when the picked mirror errors mid-read. *)
@@ -309,11 +324,7 @@ let serve_read1 t (r : Io.req) note_err =
   let start = t.rotor in
   t.rotor <- (t.rotor + 1) mod t.n;
   let rec probe k =
-    if k = t.n then begin
-      let e = Device.Io_error (t.name ^ ": no live mirror") in
-      note_err e;
-      Io.fail r e
-    end
+    if k = t.n then no_live_mirror t r note_err
     else begin
       let m = (start + k) mod t.n in
       if List.for_all (fun row -> live t m ~row) rows then begin
@@ -336,53 +347,33 @@ let serve_read1 t (r : Io.req) note_err =
    instead, never half-and-half. *)
 let write1_locked t ~gen (r : Io.req) note_err =
   let off = r.Io.off and data = r.Io.buf in
-  let len = Bytes.length data in
-  let rows = rows_of t ~off ~len in
-  (* nfsrace: allow Y003 multi-row batch: every path below releases the whole [got] set via unlock_row iteration, and the crash path parks forever by design *)
-  let got = List.filter (fun row -> lock_row t ~gen row) rows in
-  if List.length got <> List.length rows then crashed_park ()
-  else begin
-    let jwrites = ref [] and twins = ref [] in
-    Array.iteri
-      (fun m _ ->
-        match t.state.(m) with
-        | Active ->
-            jwrites := (m, off, data) :: !jwrites;
-            twins := (m, Io.write_req ~class_:r.Io.class_ ~off data) :: !twins
-        | Rebuilding ->
+  let mirrored =
+    with_rows t ~gen (rows_of t ~off ~len:(Bytes.length data))
+      ~crashed:(fun () ->
+        crashed_park ();
+        false)
+      (fun () ->
+        let jwrites = ref [] and twins = ref [] in
+        Array.iteri
+          (fun m _ ->
             List.iter
-              (fun row ->
-                if live t m ~row then begin
-                  let rlo = Stdlib.max off (row * t.chunk)
-                  and rhi = Stdlib.min (off + len) ((row + 1) * t.chunk) in
-                  let piece = Bytes.sub data (rlo - off) (rhi - rlo) in
-                  jwrites := (m, rlo, piece) :: !jwrites;
-                  twins := (m, Io.write_req ~class_:r.Io.class_ ~off:rlo piece) :: !twins
-                end)
-              rows
-        | Failed -> ())
-      t.members;
-    Metrics.incr t.inst.m_degraded_writes;
-    match !twins with
-    | [] ->
-        List.iter (fun row -> unlock_row t ~gen row) got;
-        let e = Device.Io_error (t.name ^ ": no live mirror") in
-        note_err e;
-        Io.fail r e
-    | rs ->
-        let seq = journal_add t !jwrites in
-        (* nfsrace: allow Y001 the row locks must span the mirror round trip so the resilver cursor decision stays stable for the whole batch *)
-        batch_await t rs;
-        let ok = List.exists (fun (_, (tw : Io.req)) -> tw.Io.error = None) rs in
-        journal_del t ~gen seq;
-        List.iter (fun row -> unlock_row t ~gen row) got;
-        if ok then Io.complete r
-        else begin
-          let e = Device.Io_error (t.name ^ ": no live mirror") in
-          note_err e;
-          Io.fail r e
-        end
-  end
+              (fun (moff, piece) ->
+                jwrites := (m, moff, piece) :: !jwrites;
+                twins := (m, Io.write_req ~class_:r.Io.class_ ~off:moff piece) :: !twins)
+              (mirror_pieces t m ~off data))
+          t.members;
+        Metrics.incr t.inst.m_degraded_writes;
+        match !twins with
+        | [] -> false
+        | rs ->
+            let seq = journal_add t !jwrites in
+            (* nfsrace: allow Y001 the row locks must span the mirror round trip so the resilver cursor decision stays stable for the whole batch *)
+            batch_await t rs;
+            journal_del t ~gen seq;
+            List.exists (fun (_, (tw : Io.req)) -> tw.Io.error = None) rs)
+  in
+  (* The rows are unlocked before the reply goes out. *)
+  if mirrored then Io.complete r else no_live_mirror t r note_err
 
 let epoch1 t ~gen reqs =
   let epoch_err = ref None in
@@ -427,11 +418,7 @@ let epoch1 t ~gen reqs =
                 match tw.Io.error with Some _ -> note_failure t m | None -> incr ok)
               twins;
             journal_del t ~gen seq;
-            if !ok = 0 then begin
-              let e = Device.Io_error (t.name ^ ": no live mirror") in
-              note_err e;
-              Io.fail r e
-            end
+            if !ok = 0 then no_live_mirror t r note_err
             else begin
               if !ok < t.n then Metrics.incr t.inst.m_degraded_writes;
               Io.complete r
@@ -467,7 +454,7 @@ let epoch1 t ~gen reqs =
    so a parity update cannot interleave. *)
 let reconstruct5 t ~gen ~row ~j ~coff ~plen =
   match
-    with_row t ~gen row
+    with_rows t ~gen [ row ]
       ~crashed:(fun () ->
         crashed_park ();
         None)
@@ -665,7 +652,7 @@ let commit_row5_locked t ~gen ~row patches =
 
 let commit_row5 t ~gen ~row patches note_err =
   match
-    with_row t ~gen row
+    with_rows t ~gen [ row ]
       ~crashed:(fun () ->
         crashed_park ();
         None)
@@ -708,7 +695,7 @@ let epoch5 t ~gen reqs =
   in
   List.iter
     (fun (r : Io.req) ->
-      match split5 t ~off:r.Io.off ~len:r.Io.len with
+      match split t ~off:r.Io.off ~len:r.Io.len with
       | [] -> Io.complete r
       | pieces ->
           let rows = List.sort_uniq compare (List.map (fun (row, _, _, _, _) -> row) pieces) in
@@ -745,7 +732,7 @@ let epoch5 t ~gen reqs =
   let rplan =
     List.filter_map
       (fun (r : Io.req) ->
-        match split5 t ~off:r.Io.off ~len:r.Io.len with
+        match split t ~off:r.Io.off ~len:r.Io.len with
         | [] ->
             Io.complete r;
             None
@@ -807,21 +794,6 @@ let epoch5 t ~gen reqs =
    keep working degraded (reconstructing through parity) and must keep
    the redundancy invariants intact (updating parity, mirroring). *)
 
-let stable_read0 t ~off ~len =
-  let buf = Bytes.create len in
-  List.iter
-    (fun (m, moff, loff, plen) ->
-      let piece = t.members.(m).Device.stable_read ~off:moff ~len:plen in
-      Bytes.blit piece 0 buf (loff - off) plen)
-    (split t ~off ~len);
-  buf
-
-let stable_write0 t ~off data =
-  List.iter
-    (fun (m, moff, loff, plen) ->
-      t.members.(m).Device.stable_write ~off:moff (Bytes.sub data (loff - off) plen))
-    (split t ~off ~len:(Bytes.length data))
-
 let stable_read1 t ~off ~len =
   let rec pick m =
     if m = t.n then raise (Device.Io_error (t.name ^ ": no live mirror"))
@@ -831,28 +803,17 @@ let stable_read1 t ~off ~len =
   t.members.(pick 0).Device.stable_read ~off ~len
 
 let stable_write1 t ~off data =
-  let len = Bytes.length data in
   Array.iteri
-    (fun m _ ->
-      match t.state.(m) with
-      | Active -> t.members.(m).Device.stable_write ~off data
-      | Rebuilding ->
-          (* keep resilvered rows in sync; the stale tail belongs to
-             the rebuild copy *)
-          List.iter
-            (fun row ->
-              if live t m ~row then begin
-                let rlo = Stdlib.max off (row * t.chunk)
-                and rhi = Stdlib.min (off + len) ((row + 1) * t.chunk) in
-                t.members.(m).Device.stable_write ~off:rlo (Bytes.sub data (rlo - off) (rhi - rlo))
-              end)
-            (rows_of t ~off ~len)
-      | Failed -> ())
+    (fun m member ->
+      List.iter
+        (fun (moff, piece) -> member.Device.stable_write ~off:moff piece)
+        (mirror_pieces t m ~off data))
     t.members
 
-(* A data chunk's stable bytes: from its own member while that is
-   live for the row, else the XOR of parity and the other data members. *)
-let stable_chunk5 t ~row ~j ~moff ~plen =
+(* A data chunk's stable bytes: from its own member while that is live
+   for the row (RAID-0 members always are), else the XOR of parity and
+   the other data members. *)
+let stable_chunk t ~row ~j ~moff ~plen =
   let m = data_member t row j in
   if live t m ~row then t.members.(m).Device.stable_read ~off:moff ~len:plen
   else begin
@@ -860,7 +821,7 @@ let stable_chunk5 t ~row ~j ~moff ~plen =
     let p = parity_member t row in
     if not (live t p ~row) then raise (lost ());
     let acc = t.members.(p).Device.stable_read ~off:moff ~len:plen in
-    for j' = 0 to t.n - 2 do
+    for j' = 0 to data_per_row t - 1 do
       if j' <> j then begin
         let m' = data_member t row j' in
         if not (live t m' ~row) then raise (lost ());
@@ -870,30 +831,30 @@ let stable_chunk5 t ~row ~j ~moff ~plen =
     acc
   end
 
-let stable_read5 t ~off ~len =
+let stable_read_striped t ~off ~len =
   let buf = Bytes.create len in
   List.iter
     (fun (row, j, coff, plen, loff) ->
-      let piece = stable_chunk5 t ~row ~j ~moff:((row * t.chunk) + coff) ~plen in
+      let piece = stable_chunk t ~row ~j ~moff:((row * t.chunk) + coff) ~plen in
       Bytes.blit piece 0 buf (loff - off) plen)
-    (split5 t ~off ~len);
+    (split t ~off ~len);
   buf
 
-let stable_write5 t ~off data =
+let stable_write_striped t ~off data =
   List.iter
     (fun (row, j, coff, plen, loff) ->
       let m = data_member t row j and p = parity_member t row in
       let moff = (row * t.chunk) + coff in
       let piece = Bytes.sub data (loff - off) plen in
-      if live t p ~row then begin
-        let old = stable_chunk5 t ~row ~j ~moff ~plen in
+      if t.lvl = Raid5 && live t p ~row then begin
+        let old = stable_chunk t ~row ~j ~moff ~plen in
         let parity = t.members.(p).Device.stable_read ~off:moff ~len:plen in
         xor_into parity old;
         xor_into parity piece;
         t.members.(p).Device.stable_write ~off:moff parity
       end;
       if live t m ~row then t.members.(m).Device.stable_write ~off:moff piece)
-    (split5 t ~off ~len:(Bytes.length data))
+    (split t ~off ~len:(Bytes.length data))
 
 (* {1 Crash / recover} *)
 
@@ -980,16 +941,14 @@ let build t =
   let stable_read ~off ~len =
     check ~off ~len;
     match t.lvl with
-    | Raid0 -> stable_read0 t ~off ~len
     | Raid1 -> stable_read1 t ~off ~len
-    | Raid5 -> stable_read5 t ~off ~len
+    | Raid0 | Raid5 -> stable_read_striped t ~off ~len
   in
   let stable_write ~off data =
     check ~off ~len:(Bytes.length data);
     match t.lvl with
-    | Raid0 -> stable_write0 t ~off data
     | Raid1 -> stable_write1 t ~off data
-    | Raid5 -> stable_write5 t ~off data
+    | Raid0 | Raid5 -> stable_write_striped t ~off data
   in
   {
     Device.name = t.name;
@@ -1068,6 +1027,48 @@ let fail_member t m =
 
 let rebuild_active t = t.rebuild_cursor <> None
 
+(* Copy [row] onto the rebuilding [member]: at RAID-1 the first active
+   mirror's chunk; at RAID-5 the XOR of every other member's chunk,
+   which reconstructs this one whether it held data or parity. The
+   survivors are read one at a time. The caller holds the row lock. *)
+let resilver_chunk t ~gen ~member ~row =
+  let moff = row * t.chunk in
+  let read i =
+    match mread t i ~class_:`Bg_drain ~off:moff ~len:t.chunk with
+    | None, buf -> Some buf
+    | Some _, _ -> None
+  in
+  let others = List.filter (fun i -> i <> member) (List.init t.n Fun.id) in
+  let content =
+    match t.lvl with
+    | Raid1 -> Option.bind (List.find_opt (fun i -> t.state.(i) = Active) others) read
+    | Raid5 | Raid0 ->
+        let acc = Bytes.make t.chunk '\000' in
+        let rec xor_all = function
+          | [] -> Some acc
+          | i :: rest ->
+              Option.bind (read i) (fun buf ->
+                  xor_into acc buf;
+                  xor_all rest)
+        in
+        xor_all others
+  in
+  match content with
+  | None -> `Abandon
+  | Some bytes -> (
+      match mwrite t member ~class_:`Bg_drain ~off:moff bytes with
+      | Some _ ->
+          (* the replacement itself errored; [mwrite] flipped it back
+             to Failed *)
+          `Stop
+      | None ->
+          if t.gen = gen && t.state.(member) = Rebuilding then begin
+            t.rebuild_cursor <- Some (member, row + 1);
+            Metrics.incr t.inst.m_rebuild_chunks;
+            Metrics.add t.inst.m_rebuild_bytes t.chunk
+          end;
+          `Advance)
+
 let rebuild ?(pace = Time.of_ms_f 1.0) t ~member =
   if member < 0 || member >= t.n then invalid_arg "Stripe.rebuild: no such member";
   if t.lvl = Raid0 then invalid_arg "Stripe.rebuild: raid0 has no redundancy";
@@ -1100,53 +1101,11 @@ let rebuild ?(pace = Time.of_ms_f 1.0) t ~member =
         end
         else begin
           match
-            with_row t ~gen row
+            with_rows t ~gen [ row ]
               ~crashed:(fun () -> `Stop)
               (fun () ->
-                let moff = row * t.chunk in
-                let content =
-                  match t.lvl with
-                  | Raid1 ->
-                      let src = ref None in
-                      Array.iteri
-                        (fun i s -> if !src = None && i <> member && s = Active then src := Some i)
-                        t.state;
-                      (match !src with
-                      | None -> None
-                      | Some i ->
-                          (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
-                          let err, buf = mread t i ~class_:`Bg_drain ~off:moff ~len:t.chunk in
-                          (match err with Some _ -> None | None -> Some buf))
-                  | Raid5 | Raid0 ->
-                      (* XOR of every other member's chunk reconstructs this
-                         one whether it held data or parity. *)
-                      let acc = Bytes.make t.chunk '\000' in
-                      let err = ref false in
-                      for i = 0 to t.n - 1 do
-                        if i <> member && not !err then begin
-                          (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
-                          let e, buf = mread t i ~class_:`Bg_drain ~off:moff ~len:t.chunk in
-                          match e with Some _ -> err := true | None -> xor_into acc buf
-                        end
-                      done;
-                      if !err then None else Some acc
-                in
-                match content with
-                | None -> `Abandon
-                | Some bytes -> (
-                    (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
-                    match mwrite t member ~class_:`Bg_drain ~off:moff bytes with
-                    | Some _ ->
-                        (* the replacement itself errored; [mwrite] flipped
-                           it back to Failed *)
-                        `Stop
-                    | None ->
-                        if t.gen = gen && t.state.(member) = Rebuilding then begin
-                          t.rebuild_cursor <- Some (member, row + 1);
-                          Metrics.incr t.inst.m_rebuild_chunks;
-                          Metrics.add t.inst.m_rebuild_bytes t.chunk
-                        end;
-                        `Advance))
+                (* nfsrace: allow Y001 the row lock keeps the resilver copy atomic against foreground writes to the same row *)
+                resilver_chunk t ~gen ~member ~row)
           with
           | `Stop -> ()
           | `Abandon ->

@@ -24,11 +24,6 @@ val default_sweep : sweep
 val ladder : int -> int list
 (** Fleet sizes walked for a cap: 1, 2, 4, ... cap (pure, testable). *)
 
-type variant = { label : string; readahead : Nfsg_ufs.Buffer_cache.readahead option }
-
-val variants : variant list
-(** The configuration pair: ["no-readahead"] and ["readahead"]. *)
-
 (** {1 Running} *)
 
 type point = {
@@ -45,7 +40,7 @@ type point = {
 }
 
 type curve = {
-  label : string;
+  label : string;  (** ["no-readahead"] or ["readahead"] *)
   readahead_on : bool;
   points : point list;  (** ladder order *)
   knee : int option;  (** index of the first sagging rung *)

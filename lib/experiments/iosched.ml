@@ -110,7 +110,7 @@ let run_variant ?env cfg v =
 
 let run ?env ?(cfg = default) () = List.map (run_variant ?env cfg) variants
 
-let report ?env ?quick:_ () =
+let report ?env () =
   let rows = run ?env () in
   let report =
     Report.create ~title:"I/O scheduling: one spindle under mixed LADDIS-style load"

@@ -16,10 +16,9 @@ type config = {
 val default : config
 
 type variant = { label : string; scheduler : Nfsg_disk.Disk.scheduler; merge : bool }
-
-val variants : variant list
-(** The three compared policies, bench-row order: fifo (merge off),
-    elevator, deadline+merge (promoting requests that waited 300 ms). *)
+(** One compared policy. {!run} walks three, in bench-row order: fifo
+    (merge off), elevator, deadline+merge (promoting requests that
+    waited 300 ms). *)
 
 type row = {
   variant : variant;
@@ -41,17 +40,13 @@ val run : ?env:Rig.env -> ?cfg:config -> unit -> row list
     variant's own. A row reads its world's own registry; [env.metrics]
     receives a copy of it once the world is done. *)
 
-val report : ?env:Rig.env -> ?quick:bool -> unit -> Nfsg_stats.Report.t
-(** Text table over {!run} with the default config ([quick] accepted
-    for harness uniformity; the workload is fixed either way). *)
+val report : ?env:Rig.env -> unit -> Nfsg_stats.Report.t
+(** Text table over {!run} with the default config. *)
 
 val bench_iosched : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
 (** The committed BENCH_iosched.json artifact: fixed modest workload,
     byte-deterministic. CI regenerates it and byte-diffs. *)
 
-val bench_cfg : config
-(** The saturating workload behind {!bench_iosched} (and the default
-    for {!investigate}). *)
 
 val investigate :
   ?env:Rig.env -> ?cfg:config -> ?threshold:Nfsg_sim.Time.t -> string -> string

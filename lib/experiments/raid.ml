@@ -203,7 +203,7 @@ let run_variant ?(env = Rig.default_env) cfg v =
 
 let run ?env ?(cfg = default) () = List.map (run_variant ?env cfg) variants
 
-let report ?env ?quick:_ () =
+let report ?env () =
   let rows = run ?env () in
   let report =
     Report.create ~title:"Redundant arrays: RAID level x write gathering, 3 spindles"

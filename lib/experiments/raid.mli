@@ -31,9 +31,7 @@ type config = {
 val default : config
 
 type variant = { level : Nfsg_disk.Stripe.level; gather : bool }
-
-val variants : variant list
-(** The six cells: each level with gathering off and on. *)
+(** One cell. {!run} walks six: each level with gathering off and on. *)
 
 type redundancy = {
   degraded_read_blocks : int;
@@ -64,7 +62,7 @@ val run : ?env:Rig.env -> ?cfg:config -> unit -> row list
     members. A row reads its world's own registry; [env.metrics]
     receives a copy of it once the world is done. *)
 
-val report : ?env:Rig.env -> ?quick:bool -> unit -> Nfsg_stats.Report.t
+val report : ?env:Rig.env -> unit -> Nfsg_stats.Report.t
 
 val bench_raid : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
 (** The fixed-workload artifact written to [BENCH_raid.json] and

@@ -10,7 +10,7 @@
    fire Y003.
 
    Lock tokens come in two kinds. Scoped tokens ([Fs.with_lock],
-   [Mutex.with_lock], [Locked.run], [Stripe.with_row]) are pushed
+   [Mutex.with_lock], [Locked.run], [Stripe.with_rows]) are pushed
    around the closure argument and popped structurally — the helper
    releases on every path by construction, so they can never leak.
    Manual tokens ([Fs.lock]/[Fs.unlock] pairs and the conditional

@@ -42,7 +42,7 @@ let default_config =
         (("Mutex", "with_lock"), "mutex");
         (("Fs", "with_lock"), "vnode");
         (("Locked", "run"), "scoped");
-        (("Stripe", "with_row"), "row");
+        (("Stripe", "with_rows"), "row");
       ];
     acquire_locks = [ (("Mutex", "lock"), "mutex"); (("Fs", "lock"), "vnode") ];
     release_locks =

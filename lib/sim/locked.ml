@@ -3,7 +3,7 @@
    value path and on every exception path is implemented (and
    reviewed) exactly once. The nfsrace checker treats the wrappers
    built on top of this ([Mutex.with_lock], [Fs.with_lock],
-   [Stripe.with_row]) as its scoped-lock idiom. *)
+   [Stripe.with_rows]) as its scoped-lock idiom. *)
 
 let run ~acquire ~release f =
   acquire ();

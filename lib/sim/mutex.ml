@@ -6,7 +6,6 @@ type t = {
 
 let create ?(name = "mutex") () = { name; holder = None; waiting = Queue.create () }
 let locked m = m.holder <> None
-let contenders m = Queue.length m.waiting
 
 let lock m =
   match m.holder with

@@ -23,4 +23,3 @@ val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock m f] runs [f] holding [m], releasing on any exit. *)
 
 val locked : t -> bool
-val contenders : t -> int

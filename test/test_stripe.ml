@@ -163,6 +163,18 @@ let test_raid1_read_balancing () =
           s.Device.transactions)
     members
 
+(* Poll an online rebuild to its end, running [each] between polls. A
+   row lock left held stalls the resilver for good, so the wait is
+   bounded well above the 9-12 s of simulated time these rebuilds
+   take: a stall fails the test instead of spinning forever. *)
+let await_rebuild eng arr each =
+  let deadline = Engine.now eng + Time.of_ms_f 60_000.0 in
+  while Stripe.rebuild_active arr do
+    if Engine.now eng > deadline then Alcotest.fail "rebuild still active after 60 s";
+    each ();
+    Engine.delay (Time.of_ms_f 1.0)
+  done
+
 let test_raid1_degraded_and_rebuild () =
   let eng, members, arr, metrics = make_lvl Stripe.Raid1 8192 ~n:2 in
   let dev = Stripe.device arr in
@@ -177,11 +189,7 @@ let test_raid1_degraded_and_rebuild () =
       Alcotest.(check bytes) "degraded read 2" d2 (dev.Device.read ~off:65_536 ~len:30_000);
       (* replacement arrives: resilver under a live read stream *)
       Stripe.rebuild arr ~member:0 ~pace:(Time.of_us_f 50.0);
-      let tick = Time.of_ms_f 1.0 in
-      while Stripe.rebuild_active arr do
-        ignore (dev.Device.read ~off:65_536 ~len:4096);
-        Engine.delay tick
-      done;
+      await_rebuild eng arr (fun () -> ignore (dev.Device.read ~off:65_536 ~len:4096));
       Alcotest.(check bool) "member active again" true (Stripe.member_state arr 0 = Stripe.Active));
   Alcotest.(check bytes) "resilvered old data" d1 (members.(0).Device.stable_read ~off:0 ~len:30_000);
   Alcotest.(check bytes) "resilvered degraded write" d2
@@ -228,10 +236,7 @@ let test_raid5_degraded_and_rebuild () =
       dev.Device.write ~off:200_000 d2;
       Alcotest.(check bytes) "degraded write readback" d2 (dev.Device.read ~off:200_000 ~len:60_000);
       Stripe.rebuild arr ~member:1 ~pace:(Time.of_us_f 50.0);
-      let tick = Time.of_ms_f 1.0 in
-      while Stripe.rebuild_active arr do
-        Engine.delay tick
-      done;
+      await_rebuild eng arr ignore;
       Alcotest.(check bool) "member active again" true (Stripe.member_state arr 1 = Stripe.Active);
       (* after the resilver the whole array serves directly again *)
       Alcotest.(check bytes) "post-rebuild read" d1 (dev.Device.read ~off:0 ~len:60_000);
