@@ -17,7 +17,6 @@ module Report = Nfsg_stats.Report
    the contrast is the bench's point. *)
 
 type sweep = {
-  seed : int;
   nfsds : int;
   cache_blocks : int;
       (** server buffer-cache bound — deliberately smaller than the
@@ -30,7 +29,6 @@ type sweep = {
 
 let default_sweep =
   {
-    seed = 1994;
     nfsds = 16;
     cache_blocks = 112;
     clients_max = 16;
@@ -272,7 +270,6 @@ let json_of_curves sweep curves =
             ("clients_max", Json.Int sweep.clients_max);
             ("stagger_ms", Json.Float (Time.to_ms_f sweep.stagger));
             ("knee_frac", Json.Float sweep.knee_frac);
-            ("seed", Json.Int sweep.seed);
           ] );
       ("configs", Json.List (List.map json_curve curves));
     ]

@@ -6,7 +6,6 @@
     capacity in {e clients}. *)
 
 type sweep = {
-  seed : int;
   nfsds : int;
   cache_blocks : int;
       (** server buffer-cache bound — deliberately smaller than the
