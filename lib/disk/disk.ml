@@ -250,7 +250,7 @@ let merge_chain st leader =
       if n == st.ring then n
       else
         let x = req n in
-        if x.Io.op = r.Io.op && x.Io.off = tail_end && total + x.Io.len <= st.merge_limit then n
+        if Io.is_write x = Io.is_write r && x.Io.off = tail_end && total + x.Io.len <= st.merge_limit then n
         else adjacent (next_in_window st n) ~tail_end ~total
     in
     let rec grow chain tail_end total =
@@ -326,15 +326,22 @@ let service st chain =
       (fun n ->
         let r = req n in
         match r.Io.op with
-        | Io.Write -> platter_write st ~off:r.Io.off r.Io.buf ~pos:0 ~len:r.Io.len
-        | Io.Read -> platter_read st ~off:r.Io.off r.Io.buf ~pos:0 ~len:r.Io.len)
+        | Io.Write bufs ->
+            ignore
+              (List.fold_left
+                 (fun off b ->
+                   platter_write st ~off b ~pos:0 ~len:(Bytes.length b);
+                   off + Bytes.length b)
+                 r.Io.off bufs
+                : int)
+        | Io.Read buf -> platter_read st ~off:r.Io.off buf ~pos:0 ~len:r.Io.len)
       chain;
     account st ~len:total ~busy:d;
     (match first.Io.op with
-    | Io.Read ->
+    | Io.Read _ ->
         Nfsg_stats.Metrics.incr st.inst.m_reads;
         Nfsg_stats.Metrics.add st.inst.m_bytes_read total
-    | Io.Write ->
+    | Io.Write _ ->
         Nfsg_stats.Metrics.incr st.inst.m_writes;
         Nfsg_stats.Metrics.add st.inst.m_bytes_written total);
     Nfsg_stats.Metrics.add st.inst.m_merged (List.length chain - 1);

@@ -3,7 +3,7 @@
 
 open Nfsg_sim
 
-type op = Read | Write
+type op = Read of Bytes.t | Write of Bytes.t list
 
 type class_ = [ `Sync_write | `Gather_flush | `Bg_drain | `Read ]
 
@@ -11,7 +11,6 @@ type req = {
   op : op;
   off : int;
   len : int;
-  buf : Bytes.t;
   class_ : class_;
   done_ : unit Ivar.t;
   mutable error : exn option;
@@ -25,13 +24,37 @@ let class_name = function
   | `Bg_drain -> "bg_drain"
   | `Read -> "read"
 
-let write_req ~class_ ~off data =
-  { op = Write; off; len = Bytes.length data; buf = data; class_; done_ = Ivar.create (); error = None }
+let write_req ~class_ ~off bufs =
+  let len = List.fold_left (fun n b -> n + Bytes.length b) 0 bufs in
+  { op = Write bufs; off; len; class_; done_ = Ivar.create (); error = None }
 
 let read_req ?(class_ = `Read) ~off ~len () =
-  { op = Read; off; len; buf = Bytes.create len; class_; done_ = Ivar.create (); error = None }
+  { op = Read (Bytes.create len); off; len; class_; done_ = Ivar.create (); error = None }
 
 let barrier () = Barrier { done_ = Ivar.create () }
+
+let is_write r = match r.op with Write _ -> true | Read _ -> false
+
+let read_buf r =
+  match r.op with Read buf -> buf | Write _ -> invalid_arg "Io.read_buf: a write"
+
+let sub r ~pos ~len =
+  match r.op with
+  | Read _ -> invalid_arg "Io.sub: a read"
+  | Write bufs ->
+      if pos < 0 || len < 0 || pos + len > r.len then invalid_arg "Io.sub: range outside the write";
+      let out = Bytes.create len in
+      (* [at] is the request offset of [b]'s first byte. *)
+      let rec go at = function
+        | [] -> ()
+        | b :: rest ->
+            let n = Bytes.length b in
+            let lo = Stdlib.max pos at and hi = Stdlib.min (pos + len) (at + n) in
+            if hi > lo then Bytes.blit b (lo - at) out (lo - pos) (hi - lo);
+            if at + n < pos + len then go (at + n) rest
+      in
+      go 0 bufs;
+      out
 
 let complete r = Ivar.fill r.done_ ()
 
@@ -77,9 +100,9 @@ let blocking_read ~submit ~off ~len =
   let r = read_req ~off ~len () in
   submit [ Req r ];
   await r;
-  r.buf
+  read_buf r
 
 let blocking_write ~submit ?(class_ = `Sync_write) ~off data =
-  let r = write_req ~class_ ~off (Bytes.copy data) in
+  let r = write_req ~class_ ~off [ Bytes.copy data ] in
   submit [ Req r ];
   await r

@@ -40,7 +40,16 @@
 
 open Nfsg_sim
 
-type op = Read | Write
+type op =
+  | Read of Bytes.t  (** the destination buffer, [len] bytes, which the device fills *)
+  | Write of Bytes.t list
+      (** The gather list: buffers whose lengths add up to [len], written
+          to consecutive device offsets in list order. The request does
+          not own them. Its issuer keeps them fixed from submission
+          until [done_]: the buffer cache does so by copy-on-write,
+          copying a busy block before it changes it, so no one
+          snapshots a write. A device that needs the bytes beyond
+          [done_], or in other pieces, copies them out with {!sub}. *)
 
 type class_ = [ `Sync_write | `Gather_flush | `Bg_drain | `Read ]
 (** Who is asking, for scheduler priority and fault addressing:
@@ -51,9 +60,6 @@ type req = {
   op : op;
   off : int;  (** device byte offset *)
   len : int;
-  buf : Bytes.t;
-      (** [Write]: the data, owned by the request (snapshot at build
-          time); [Read]: the destination buffer the device fills. *)
   class_ : class_;
   done_ : unit Ivar.t;  (** filled when stable or failed *)
   mutable error : exn option;  (** set before [done_] on failure *)
@@ -61,15 +67,27 @@ type req = {
 
 type item = Req of req | Barrier of { done_ : unit Ivar.t }
 
-val write_req : class_:class_ -> off:int -> Bytes.t -> req
-(** The bytes become the request's buffer without copying: pass a
-    snapshot the caller will not mutate. *)
+val write_req : class_:class_ -> off:int -> Bytes.t list -> req
+(** A write of the gather list, without copying it: the caller keeps
+    the buffers fixed until the request completes. *)
 
 val read_req : ?class_:class_ -> off:int -> len:int -> unit -> req
 (** [class_] defaults to [`Read]; rebuild resilver reads pass
     [`Bg_drain] so they yield to foreground traffic in the queue. *)
 
 val barrier : unit -> item
+
+val is_write : req -> bool
+
+val read_buf : req -> Bytes.t
+(** A read's destination buffer. Raises [Invalid_argument] on a
+    write. *)
+
+val sub : req -> pos:int -> len:int -> Bytes.t
+(** [sub r ~pos ~len] is a fresh copy of bytes [pos, pos + len) of
+    write [r]'s data, across its gather list: how a device that keeps
+    or splits a write reads its buffers. Raises [Invalid_argument] on
+    a read or outside [0, len]. *)
 
 val class_name : class_ -> string
 
@@ -118,5 +136,6 @@ val blocking_read : submit:(item list -> unit) -> off:int -> len:int -> Bytes.t
 
 val blocking_write :
   submit:(item list -> unit) -> ?class_:class_ -> off:int -> Bytes.t -> unit
-(** Copies [data] before submitting, preserving the historical
-    [Device.write] contract that the caller keeps the buffer. *)
+(** Copies [data] into a write of one buffer before submitting,
+    preserving the historical [Device.write] contract that the caller
+    keeps the buffer. *)

@@ -140,7 +140,7 @@ and flush_one st =
          synchronous write and merge/reorder it accordingly. The data
          buffer is ours (it left the dirty map), so no copy. *)
       let drain () =
-        let r = Io.write_req ~class_:`Bg_drain ~off data in
+        let r = Io.write_req ~class_:`Bg_drain ~off [ data ] in
         st.backing.Device.submit [ Io.Req r ];
         Io.await r
       in
@@ -230,34 +230,36 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
   let check_power () =
     if st.crashed then (Engine.suspend (fun _wake -> ()) : unit)
   in
-  let write ~off data =
+  (* A write the board cannot hold goes to the platter as a synchronous
+     write of the same gather list: the buffers stay fixed until this
+     request completes, and the forwarded one completes first. *)
+  let pass_through counter ~off bufs =
+    Nfsg_stats.Metrics.incr counter;
+    let fwd = Io.write_req ~class_:`Sync_write ~off bufs in
+    st.backing.Device.submit [ Io.Req fwd ];
+    Io.await fwd
+  in
+  let write (r : Io.req) bufs =
     check_power ();
-    let len = Bytes.length data in
-    if not st.battery_ok then begin
+    let off = r.Io.off and len = r.Io.len in
+    if not st.battery_ok then
       (* Battery fault: RAM is no longer stable storage, so the board
          may not acknowledge from it — synchronous pass-through. *)
-      Nfsg_stats.Metrics.incr st.inst.m_passthrough;
-      st.backing.Device.write ~off data
-    end
-    else if len > st.p.accept_limit then begin
+      pass_through st.inst.m_passthrough ~off bufs
+    else if len > st.p.accept_limit then
       (* Declined: degrade to underlying device speed (paper 6.3). *)
-      Nfsg_stats.Metrics.incr st.inst.m_declined;
-      st.backing.Device.write ~off data
-    end
+      pass_through st.inst.m_declined ~off bufs
     else begin
       while used st + len > st.p.capacity do
         Condition.wait st.space
       done;
       (* The battery may have failed while we waited for space. *)
-      if not st.battery_ok then begin
-        Nfsg_stats.Metrics.incr st.inst.m_passthrough;
-        st.backing.Device.write ~off data
-      end
+      if not st.battery_ok then pass_through st.inst.m_passthrough ~off bufs
       else begin
         let d = copy_time len in
         cpu_charge d;
         Engine.delay d;
-        Extent_map.insert st.dirty ~off (Bytes.copy data);
+        Extent_map.insert st.dirty ~off (Io.sub r ~pos:0 ~len);
         Nfsg_stats.Metrics.incr st.inst.m_accepted;
         note_dirty st;
         Condition.signal st.more
@@ -326,8 +328,8 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
      when the loop over it returns. *)
   let serve (r : Io.req) =
     match r.Io.op with
-    | Io.Write -> write ~off:r.Io.off r.Io.buf
-    | Io.Read -> Bytes.blit (read ~off:r.Io.off ~len:r.Io.len) 0 r.Io.buf 0 r.Io.len
+    | Io.Write bufs -> write r bufs
+    | Io.Read buf -> Bytes.blit (read ~off:r.Io.off ~len:r.Io.len) 0 buf 0 r.Io.len
   in
   let run reqs k =
     k
@@ -353,7 +355,7 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
       accelerated = (fun () -> st.battery_ok);
       submit;
       read;
-      write;
+      write = (fun ~off data -> Io.blocking_write ~submit ~off data);
       flush;
       crash;
       recover;

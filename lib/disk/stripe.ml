@@ -228,10 +228,10 @@ let batch_await t rs =
 let mread t m ~class_ ~off ~len =
   let r = Io.read_req ~class_ ~off ~len () in
   batch_await t [ (m, r) ];
-  (r.Io.error, r.Io.buf)
+  (r.Io.error, Io.read_buf r)
 
 let mwrite t m ~class_ ~off data =
-  let r = Io.write_req ~class_ ~off data in
+  let r = Io.write_req ~class_ ~off [ data ] in
   batch_await t [ (m, r) ];
   r.Io.error
 
@@ -270,17 +270,16 @@ let epoch0 t reqs k =
                 let m = data_member t row j and moff = (row * t.chunk) + coff in
                 let pr =
                   match r.Io.op with
-                  | Io.Write ->
+                  | Io.Write _ ->
                       Io.write_req ~class_:r.Io.class_ ~off:moff
-                        (Bytes.sub r.Io.buf (loff - r.Io.off) plen)
-                  | Io.Read -> Io.read_req ~off:moff ~len:plen ()
+                        [ Io.sub r ~pos:(loff - r.Io.off) ~len:plen ]
+                  | Io.Read _ -> Io.read_req ~off:moff ~len:plen ()
                 in
                 Ivar.upon pr.Io.done_ (fun () ->
-                    (match pr.Io.error with
-                    | Some e -> if !perr = None then perr := Some e
-                    | None ->
-                        if r.Io.op = Io.Read then
-                          Bytes.blit pr.Io.buf 0 r.Io.buf (loff - r.Io.off) plen);
+                    (match (pr.Io.error, r.Io.op) with
+                    | Some e, _ -> if !perr = None then perr := Some e
+                    | None, Io.Read buf -> Bytes.blit (Io.read_buf pr) 0 buf (loff - r.Io.off) plen
+                    | None, Io.Write _ -> ());
                     decr remaining;
                     if !remaining = 0 then finish_req r !perr);
                 per_member.(m) <- Io.Req pr :: per_member.(m))
@@ -331,7 +330,7 @@ let serve_read1 t (r : Io.req) note_err =
         let err, buf = mread t m ~class_:r.Io.class_ ~off:r.Io.off ~len:r.Io.len in
         match err with
         | None ->
-            Bytes.blit buf 0 r.Io.buf 0 r.Io.len;
+            Bytes.blit buf 0 (Io.read_buf r) 0 r.Io.len;
             Io.complete r
         | Some _ -> probe (k + 1)
       end
@@ -346,7 +345,7 @@ let serve_read1 t (r : Io.req) note_err =
    above the cursor is skipped here and picked up by the rebuild copy
    instead, never half-and-half. *)
 let write1_locked t ~gen (r : Io.req) note_err =
-  let off = r.Io.off and data = r.Io.buf in
+  let off = r.Io.off and data = Io.sub r ~pos:0 ~len:r.Io.len in
   let mirrored =
     with_rows t ~gen (rows_of t ~off ~len:(Bytes.length data))
       ~crashed:(fun () ->
@@ -359,7 +358,7 @@ let write1_locked t ~gen (r : Io.req) note_err =
             List.iter
               (fun (moff, piece) ->
                 jwrites := (m, moff, piece) :: !jwrites;
-                twins := (m, Io.write_req ~class_:r.Io.class_ ~off:moff piece) :: !twins)
+                twins := (m, Io.write_req ~class_:r.Io.class_ ~off:moff [ piece ]) :: !twins)
               (mirror_pieces t m ~off data))
           t.members;
         Metrics.incr t.inst.m_degraded_writes;
@@ -386,16 +385,19 @@ let epoch1 t ~gen reqs =
       List.map
         (fun (r : Io.req) ->
           match r.Io.op with
-          | Io.Write ->
-              let seq = journal_add t (List.init t.n (fun m -> (m, r.Io.off, r.Io.buf))) in
+          | Io.Write _ ->
+              (* One copy for the journal, which every mirror's write
+                 shares. *)
+              let data = Io.sub r ~pos:0 ~len:r.Io.len in
+              let seq = journal_add t (List.init t.n (fun m -> (m, r.Io.off, data))) in
               let twins =
                 List.init t.n (fun m ->
-                    let tw = Io.write_req ~class_:r.Io.class_ ~off:r.Io.off r.Io.buf in
+                    let tw = Io.write_req ~class_:r.Io.class_ ~off:r.Io.off [ data ] in
                     per_member.(m) <- Io.Req tw :: per_member.(m);
                     (m, tw))
               in
               `W (r, seq, twins)
-          | Io.Read ->
+          | Io.Read _ ->
               let m = t.rotor in
               t.rotor <- (t.rotor + 1) mod t.n;
               let tw = Io.read_req ~class_:r.Io.class_ ~off:r.Io.off ~len:r.Io.len () in
@@ -426,7 +428,7 @@ let epoch1 t ~gen reqs =
         | `R (r, m, tw) -> (
             match tw.Io.error with
             | None ->
-                Bytes.blit tw.Io.buf 0 r.Io.buf 0 r.Io.len;
+                Bytes.blit (Io.read_buf tw) 0 (Io.read_buf r) 0 r.Io.len;
                 Io.complete r
             | Some _ ->
                 note_failure t m;
@@ -439,8 +441,8 @@ let epoch1 t ~gen reqs =
     List.iter
       (fun (r : Io.req) ->
         match r.Io.op with
-        | Io.Write -> write1_locked t ~gen r note_err
-        | Io.Read ->
+        | Io.Write _ -> write1_locked t ~gen r note_err
+        | Io.Read _ ->
             Metrics.incr t.inst.m_degraded_reads;
             serve_read1 t r note_err)
       reqs;
@@ -534,7 +536,7 @@ let commit_row5_locked t ~gen ~row patches =
         let failed rs = List.exists (fun (_, (r : Io.req)) -> r.Io.error <> None) rs in
         let finish writes =
           let seq = journal_add t writes in
-          let rs = List.map (fun (m, o, b) -> (m, Io.write_req ~class_:`Sync_write ~off:o b)) writes in
+          let rs = List.map (fun (m, o, b) -> (m, Io.write_req ~class_:`Sync_write ~off:o [ b ])) writes in
           batch_await t rs;
           journal_del t ~gen seq;
           if failed rs then retry () else None
@@ -549,7 +551,7 @@ let commit_row5_locked t ~gen ~row patches =
               targets := (data_member t row j, Io.read_req ~off:moff ~len:t.chunk ()) :: !targets
           done;
           batch_await t !targets;
-          if failed !targets then retry () else k (fun m -> (List.assoc m !targets).Io.buf)
+          if failed !targets then retry () else k (fun m -> Io.read_buf (List.assoc m !targets))
         in
         if all_full then begin
           (* Full-stripe write: parity from the new data alone, no
@@ -685,8 +687,7 @@ let commit_row5 t ~gen ~row patches note_err =
 let epoch5 t ~gen reqs =
   let epoch_err = ref None in
   let note_err e = if !epoch_err = None then epoch_err := Some e in
-  let writes = List.filter (fun (r : Io.req) -> r.Io.op = Io.Write) reqs in
-  let reads = List.filter (fun (r : Io.req) -> r.Io.op = Io.Read) reqs in
+  let writes, reads = List.partition Io.is_write reqs in
   (* Group write pieces by stripe row; each row commits under its own
      lock in its own process, so the rows of a gathered flush overlap
      in the member queues. *)
@@ -700,6 +701,7 @@ let epoch5 t ~gen reqs =
       | pieces ->
           let rows = List.sort_uniq compare (List.map (fun (row, _, _, _, _) -> row) pieces) in
           let fin = (r, ref (List.length rows), ref None) in
+          let src = Io.sub r ~pos:0 ~len:r.Io.len in
           List.iter
             (fun (row, j, coff, plen, loff) ->
               let cell =
@@ -710,7 +712,7 @@ let epoch5 t ~gen reqs =
                     Hashtbl.replace by_row row l;
                     l
               in
-              cell := (j, coff, plen, r.Io.buf, loff - r.Io.off, fin) :: !cell)
+              cell := (j, coff, plen, src, loff - r.Io.off, fin) :: !cell)
             pieces)
     writes;
   let rows =
@@ -758,7 +760,7 @@ let epoch5 t ~gen reqs =
   List.iter
     (fun (r, prepared) ->
       let rerr = ref None in
-      let fill loff plen (bytes : Bytes.t) = Bytes.blit bytes 0 r.Io.buf (loff - r.Io.off) plen in
+      let fill loff plen (bytes : Bytes.t) = Bytes.blit bytes 0 (Io.read_buf r) (loff - r.Io.off) plen in
       List.iter
         (fun piece ->
           let recon row j coff plen loff =
@@ -771,7 +773,7 @@ let epoch5 t ~gen reqs =
           | `Direct (row, j, coff, plen, loff, m, (tw : Io.req)) -> (
               Ivar.read tw.Io.done_;
               match tw.Io.error with
-              | None -> fill loff plen tw.Io.buf
+              | None -> fill loff plen (Io.read_buf tw)
               | Some _ ->
                   note_failure t m;
                   recon row j coff plen loff)

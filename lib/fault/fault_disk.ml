@@ -86,7 +86,7 @@ let should_fail t now =
     | Some (_, prob) -> Rng.bool t.rng prob
     | None -> false
 
-let op_name (r : Io.req) = match r.Io.op with Io.Read -> "read" | Io.Write -> "write"
+let op_name (r : Io.req) = if Io.is_write r then "write" else "read"
 
 (* Interpose on a request so the degraded-spindle tax lands between the
    real completion and the issuer's: forward a twin, and when the twin

@@ -150,7 +150,8 @@ let mount t name = fst (mount_flags t name)
 type file = {
   client : t;
   fh : Proto.fh;
-  mutable buf : Bytes.t;
+  mutable buf : Bytes.t;  (** the block being staged *)
+  mutable spare : Bytes.t list;  (** staged blocks back from the wire, for reuse *)
   mutable buf_base : int;  (** file offset of the cache block, -1 = empty *)
   mutable buf_len : int;  (** valid bytes from the block start *)
   mutable outstanding : int;
@@ -167,7 +168,8 @@ let open_file t fh =
   {
     client = t;
     fh;
-    buf = Bytes.create t.block_size;
+    buf = Bytes.empty;
+    spare = [];
     buf_base = -1;
     buf_len = 0;
     outstanding = 0;
@@ -187,14 +189,15 @@ let note_verf f verf =
   | None -> f.verf <- Some verf
   | Some v -> if v <> verf then f.verf_moved <- true
 
+(* [data] is a staged block, encoded into the call as it is: the block
+   is the RPC's until the call returns, and then goes back to the
+   file's spares. *)
 let do_write_rpc f ~off data =
   let t = f.client in
   t.wire_writes <- t.wire_writes + 1;
-  match t.protocol with
+  (match t.protocol with
   | V2 -> (
-      match
-        do_call t ~klass:Rpc_client.Heavy (Proto.Write { fh = f.fh; offset = off; data = Xdr.view_of_bytes data })
-      with
+      match do_call t ~klass:Rpc_client.Heavy (Proto.Write { fh = f.fh; offset = off; data }) with
       | res -> (
           match res with
           | Proto.RAttr (Ok a) -> f.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: f.mtimes
@@ -203,10 +206,10 @@ let do_write_rpc f ~off data =
       | exception Error st -> f.async_error <- Some st)
   | V3 -> (
       f.dirty_lo <- Stdlib.min f.dirty_lo off;
-      f.dirty_hi <- Stdlib.max f.dirty_hi (off + Bytes.length data);
+      f.dirty_hi <- Stdlib.max f.dirty_hi (off + Xdr.view_length data);
       match
         do_call t ~klass:Rpc_client.Heavy
-          (Proto.Write3 { fh = f.fh; offset = off; stable = Proto.Unstable; data = Xdr.view_of_bytes data })
+          (Proto.Write3 { fh = f.fh; offset = off; stable = Proto.Unstable; data })
       with
       | res -> (
           match res with
@@ -215,7 +218,8 @@ let do_write_rpc f ~off data =
               f.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: f.mtimes
           | Proto.RWrite3 (Error st) -> f.async_error <- Some st
           | _ -> f.async_error <- Some Proto.NFSERR_IO)
-      | exception Error st -> f.async_error <- Some st)
+      | exception Error st -> f.async_error <- Some st));
+  f.spare <- data.Xdr.view_buf :: f.spare
 
 let commit f =
   let t = f.client in
@@ -259,7 +263,7 @@ let wire_write f ~off data =
 
 let flush f =
   if f.buf_base >= 0 && f.buf_len > 0 then begin
-    let data = Bytes.sub f.buf 0 f.buf_len in
+    let data = Xdr.view_of_bytes ~len:f.buf_len f.buf in
     let off = f.buf_base in
     f.buf_base <- -1;
     f.buf_len <- 0;
@@ -281,6 +285,13 @@ let write f ~off data =
     if f.buf_base >= 0 && (block_base <> f.buf_base || !pos <> f.buf_base + f.buf_len) then
       flush f;
     if f.buf_base < 0 then begin
+      (* A new block is staged in a spare, or in a new buffer while
+         every staged block is still on the wire. *)
+      (match f.spare with
+      | b :: rest ->
+          f.buf <- b;
+          f.spare <- rest
+      | [] -> f.buf <- Bytes.create bs);
       if !pos mod bs <> 0 then begin
         (* Partial block start: model it as starting the cache block at
            the write position (no read-modify-write traffic). *)

@@ -55,7 +55,10 @@ val open_file : t -> Proto.fh -> file
 
 val write : file -> off:int -> Bytes.t -> unit
 (** Buffered write-behind. Sequential writes coalesce into whole
-    blocks; a non-contiguous write flushes the current block first. *)
+    blocks; a non-contiguous write flushes the current block first.
+    [data] is copied once, into the staged block; the WRITE call is
+    encoded straight from that block, which the file reuses once the
+    call returns. *)
 
 val flush : file -> unit
 (** Push the partial current block to the wire (without waiting for

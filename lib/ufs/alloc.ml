@@ -15,11 +15,10 @@ let get_bit a b =
 
 let set_bit a b v =
   let blk, bit = locate a b in
-  let buf = Buffer_cache.get a.cache blk in
-  let byte = Char.code (Bytes.get buf (bit / 8)) in
-  let byte' = if v then byte lor (1 lsl (bit mod 8)) else byte land lnot (1 lsl (bit mod 8)) in
-  Bytes.set buf (bit / 8) (Char.chr byte');
-  Buffer_cache.mark_dirty a.cache blk Buffer_cache.Metadata
+  Buffer_cache.modify a.cache blk Buffer_cache.Metadata Buffer_cache.From_disk (fun buf ->
+      let byte = Char.code (Bytes.get buf (bit / 8)) in
+      let byte' = if v then byte lor (1 lsl (bit mod 8)) else byte land lnot (1 lsl (bit mod 8)) in
+      Bytes.set buf (bit / 8) (Char.chr byte'))
 
 let is_allocated = get_bit
 

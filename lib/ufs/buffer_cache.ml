@@ -3,10 +3,15 @@ open Nfsg_stats
 
 type kind = Data | Metadata
 
+type fill = From_disk | Zeroed | Overwritten
+
 type entry = {
   blk : int;
-  buf : Bytes.t;
+  mutable buf : Bytes.t;
   mutable dirty : kind option;
+  mutable busy : bool;
+      (* [buf] is in a write request that has not completed: [modify]
+         must copy it before changing it *)
   mutable prefetched : bool;  (* installed by read-ahead, not yet consumed *)
   (* Neighbours on the LRU list, least recently used first; the cache's
      sentinel closes the ring. *)
@@ -87,7 +92,7 @@ let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
     }
   in
   let rec lru =
-    { blk = -1; buf = Bytes.empty; dirty = None; prefetched = false; older = lru; newer = lru }
+    { blk = -1; buf = Bytes.empty; dirty = None; busy = false; prefetched = false; older = lru; newer = lru }
   in
   {
     dev;
@@ -134,7 +139,7 @@ let touch c e =
 (* A fresh entry, not yet cached: linked only to itself, so the first
    [touch] lists it. *)
 let entry b buf ~prefetched =
-  let rec e = { blk = b; buf; dirty = None; prefetched; older = e; newer = e } in
+  let rec e = { blk = b; buf; dirty = None; busy = false; prefetched; older = e; newer = e } in
   e
 
 let insert c e =
@@ -185,18 +190,20 @@ let demand_read c b =
   | Some e ->
       consume_prefetch c e;
       touch c e;
-      e.buf
+      e
   | None ->
       make_room c;
-      insert c (entry b buf ~prefetched:false);
-      buf
+      let e = entry b buf ~prefetched:false in
+      insert c e;
+      e
 
-let get c b =
+(* Block [b]'s entry, read from the device on a miss. *)
+let lookup c b =
   match Hashtbl.find_opt c.table b with
   | Some e ->
       note_hit c e;
       touch c e;
-      e.buf
+      e
   | None -> (
       note_miss c;
       let waiting =
@@ -211,23 +218,13 @@ let get c b =
           | Some e ->
               consume_prefetch c e;
               touch c e;
-              e.buf
+              e
           | None ->
               (* The prefetch failed or was evicted before we woke. *)
               demand_read c b)
       | None -> demand_read c b)
 
-let get_fresh c b =
-  match Hashtbl.find_opt c.table b with
-  | Some e ->
-      note_hit c e;
-      touch c e;
-      e.buf
-  | None ->
-      make_room c;
-      let buf = Bytes.make c.bsize '\000' in
-      insert c (entry b buf ~prefetched:false);
-      buf
+let get c b = (lookup c b).buf
 
 (* {1 Read-ahead engine} *)
 
@@ -259,7 +256,7 @@ let prefetch c ra dbs =
               end
               else begin
                 make_room c;
-                insert c (entry db r.Io.buf ~prefetched:true)
+                insert c (entry db (Io.read_buf r) ~prefetched:true)
               end)
         reqs)
 
@@ -326,20 +323,41 @@ let note_read c ~stream ~fbn ~nblocks ~map ~limit =
 
 let peek c b = Option.map (fun e -> e.buf) (Hashtbl.find_opt c.table b)
 
-let mark_dirty c b kind =
-  match Hashtbl.find_opt c.table b with
-  | None -> invalid_arg (Printf.sprintf "buffer_cache: mark_dirty of uncached block %d" b)
-  | Some e -> (
-      match (e.dirty, kind) with
-      | Some Metadata, Data -> ()
-      | _ -> e.dirty <- Some kind)
+let modify c b kind fill change =
+  let e =
+    match (fill, Hashtbl.find_opt c.table b) with
+    | From_disk, _ -> lookup c b
+    | (Zeroed | Overwritten), Some e ->
+        note_hit c e;
+        touch c e;
+        e
+    | (Zeroed | Overwritten), None ->
+        (* A new block, or one the change overwrites whole: nothing to
+           read, and not a miss. *)
+        make_room c;
+        let buf = if fill = Zeroed then Bytes.make c.bsize '\000' else Bytes.create c.bsize in
+        let e = entry b buf ~prefetched:false in
+        insert c e;
+        e
+  in
+  if e.busy then begin
+    (* Copy-on-write: the request in flight keeps the buffer it was
+       submitted with, and the change goes to a private copy. *)
+    e.buf <- (if fill = Overwritten then Bytes.create c.bsize else Bytes.copy e.buf);
+    e.busy <- false
+  end;
+  change e.buf;
+  match (e.dirty, kind) with
+  | Some Metadata, Data -> ()
+  | _ -> e.dirty <- Some kind
 
 let is_dirty c b =
   match Hashtbl.find_opt c.table b with Some { dirty = Some _; _ } -> true | _ -> false
 
-(* One snapshotted cluster write plus the restore record needed to
-   re-dirty its blocks if the request fails. *)
-type prepared = (Io.req * (entry * kind option) list) list
+(* One cluster write plus the restore record needed to re-dirty its
+   blocks if the request fails: each block's entry, the buffer the
+   request carries, and the dirty kind it had. *)
+type prepared = (Io.req * (entry * Bytes.t * kind option) list) list
 
 let prepare c ~class_ ~max_cluster blocks =
   let eligible =
@@ -356,31 +374,34 @@ let prepare c ~class_ ~max_cluster blocks =
         | [] -> runs acc [ b ] rest
         | r -> runs (List.rev r :: acc) [ b ] rest)
   in
-  let snap_run run =
+  let cluster run =
     match run with
     | [] -> None
     | first :: _ ->
-        (* Snapshot into the request buffer so later in-core mutations
-           don't leak into a write already in flight, and mark the
-           blocks clean now: a writer dirtying one mid-flight must not
-           have its new bytes considered durable. *)
-        let n = List.length run in
-        let big = Bytes.create (n * c.bsize) in
+        (* The cluster gathers the blocks' own buffers, which stay busy
+           until the request completes: a change meanwhile goes to a
+           copy ([modify]), so the request writes the bytes it was
+           submitted with. The blocks are marked clean now: a writer
+           dirtying one mid-flight must not have its new bytes
+           considered durable. *)
         let was =
-          List.mapi
-            (fun i b ->
+          List.map
+            (fun b ->
               match Hashtbl.find_opt c.table b with
               | Some e ->
-                  Bytes.blit e.buf 0 big (i * c.bsize) c.bsize;
                   let k = e.dirty in
                   e.dirty <- None;
-                  (e, k)
+                  e.busy <- true;
+                  (e, e.buf, k)
               | None -> assert false)
             run
         in
-        Some (Io.write_req ~class_ ~off:(first * c.bsize) big, was)
+        let r = Io.write_req ~class_ ~off:(first * c.bsize) (List.map (fun (_, buf, _) -> buf) was) in
+        Nfsg_sim.Ivar.upon r.Io.done_ (fun () ->
+            List.iter (fun (e, buf, _) -> if e.buf == buf then e.busy <- false) was);
+        Some (r, was)
   in
-  List.filter_map snap_run (runs [] [] eligible)
+  List.filter_map cluster (runs [] [] eligible)
 
 let prepared_items p = List.map (fun (r, _) -> Io.Req r) p
 
@@ -401,7 +422,7 @@ let await_prepared ps =
              recorded by a concurrent writer while the request was in
              flight takes precedence. *)
           List.iter
-            (fun (e, k) ->
+            (fun (e, _, k) ->
               match (e.dirty, k) with
               | None, Some _ -> e.dirty <- k
               | Some Data, Some Metadata -> e.dirty <- Some Metadata

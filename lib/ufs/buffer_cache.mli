@@ -3,16 +3,20 @@
     Caches whole filesystem blocks. Reads miss through to the device
     (costing simulated time); writes are {e delayed} — the dirty-in-core
     state the paper's IO_DELAYDATA flag creates — until the filesystem
-    snapshots them with {!prepare} and submits the clusters itself,
+    gathers them with {!prepare} and submits the clusters itself,
     in few large transactions ([MCVO91]-style clustering). That is how
     every write path of {!Fs} reaches the device: VOP_WRITE's
     synchronous modes and VOP_SYNCDATA ({!Fs.syncdata}) as gathered
     clusters, VOP_FSYNC(FWRITE_METADATA) ({!Fs.fsync_metadata}) as
     the one metadata commit.
 
-    Buffers returned by {!get} are the cache's own: mutate them in
-    place, then call {!mark_dirty}. The whole cache is volatile:
-    {!crash} drops everything. *)
+    Buffers returned by {!get} and {!peek} are the cache's own, for
+    reading: every change to a block goes through {!modify}, which
+    marks it dirty. A cluster write carries the blocks' own buffers,
+    not copies; a block stays {e busy} until its request completes,
+    and {!modify} changes a busy block in a private copy, so the
+    request writes exactly the bytes it was submitted with. The whole
+    cache is volatile: {!crash} drops everything. *)
 
 type kind = Data | Metadata
 
@@ -71,30 +75,41 @@ val get : t -> int -> Bytes.t
     flight parks on the prefetch's completion instead of duplicating
     the device read. *)
 
-val get_fresh : t -> int -> Bytes.t
-(** Like {!get} but on a miss installs a zero buffer without device
-    I/O — for blocks known to be newly allocated. *)
-
 val peek : t -> int -> Bytes.t option
 (** Cached buffer if present; no I/O. *)
 
-val mark_dirty : t -> int -> kind -> unit
-(** Delayed write: remember that block [b] must reach the device
-    eventually. A block already dirty as [Metadata] stays [Metadata]
-    even if re-marked [Data]. *)
+type fill =
+  | From_disk  (** the change keeps some old bytes: a miss reads the block, like {!get} *)
+  | Zeroed  (** a newly allocated block: a miss installs zeros *)
+  | Overwritten  (** the change rewrites every byte: a miss installs an uninitialised buffer *)
+(** What {!modify} starts from when the block is not cached. Only
+    [From_disk] reads the device or counts a miss. *)
+
+val modify : t -> int -> kind -> fill -> (Bytes.t -> unit) -> unit
+(** [modify c b kind fill change] applies [change] to block [b]'s
+    buffer, then marks the block dirty as a delayed write of [kind]: it
+    must reach the device eventually. The one way to change a cached
+    block. A hit counts and ages like {!get}. If the block is busy in a
+    write request, [change] runs on a copy that replaces it in the
+    cache (a fresh buffer for [Overwritten]), so the request keeps the
+    bytes it was submitted with. [change] must not block. A block
+    already dirty as [Metadata] stays [Metadata] even if re-marked
+    [Data]. *)
 
 val is_dirty : t -> int -> bool
 
 type prepared
-(** A set of snapshotted cluster writes whose dirty flags have been
-    cleared, paired with the restore records needed to re-dirty them
-    if a request fails. *)
+(** A set of cluster writes whose dirty flags have been cleared, paired
+    with the restore records needed to re-dirty them if a request
+    fails. *)
 
 val prepare : t -> class_:Nfsg_disk.Io.class_ -> max_cluster:int -> int list -> prepared
-(** [prepare c ~class_ ~max_cluster blocks] snapshots the dirty subset
-    of [blocks] into device-contiguous {!Nfsg_disk.Io.write_req}s (at
-    most [max_cluster] bytes each) and marks the blocks clean. Nothing
-    is submitted: the caller interleaves the items from
+(** [prepare c ~class_ ~max_cluster blocks] gathers the dirty subset of
+    [blocks] into device-contiguous {!Nfsg_disk.Io.write_req}s (at most
+    [max_cluster] bytes each), whose gather lists are the blocks' own
+    buffers, and marks the blocks clean and busy until their request
+    completes. Nothing is copied and nothing is submitted: the caller
+    interleaves the items from
     {!prepared_items} with barriers and other work in a single
     [Device.submit], then calls {!await_prepared}. *)
 

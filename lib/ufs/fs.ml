@@ -110,9 +110,14 @@ let free_block t b =
   Buffer_cache.drop t.bcache b;
   t.free_blocks <- t.free_blocks + 1
 
-let mark_indirect_dirty t (ino : inode) b =
-  Buffer_cache.mark_dirty t.bcache b Buffer_cache.Metadata;
+(* Change indirect block [b] of [ino] and list it for the inode's next
+   metadata commit. *)
+let modify_indirect t (ino : inode) b fill change =
+  Buffer_cache.modify t.bcache b Buffer_cache.Metadata fill change;
   if not (List.mem b ino.dirty_indirects) then ino.dirty_indirects <- b :: ino.dirty_indirects
+
+let clear_pointer t ino ib idx =
+  modify_indirect t ino ib Buffer_cache.From_disk (fun buf -> Layout.set_pointer buf idx 0)
 
 (* Map file block [fbn] to a disk block. With [alloc_missing], holes
    (and missing indirect blocks) are allocated; [near] seeds locality.
@@ -125,9 +130,7 @@ let bmap t (ino : inode) fbn ~alloc_missing ~near =
     Layout.get_pointer buf idx
   in
   let set_slot ib idx v =
-    let buf = Buffer_cache.get t.bcache ib in
-    Layout.set_pointer buf idx v;
-    mark_indirect_dirty t ino ib
+    modify_indirect t ino ib Buffer_cache.From_disk (fun buf -> Layout.set_pointer buf idx v)
   in
   let alloc_data ib_opt idx_opt =
     let b = alloc_block t ?near () in
@@ -155,8 +158,7 @@ let bmap t (ino : inode) fbn ~alloc_missing ~near =
       if current <> 0 then current
       else begin
         let b = alloc_block t ?near () in
-        ignore (Buffer_cache.get_fresh t.bcache b : Bytes.t);
-        mark_indirect_dirty t ino b;
+        modify_indirect t ino b Buffer_cache.Zeroed ignore;
         set_field b;
         ino.meta_dirty <- `Dirty;
         b
@@ -186,8 +188,7 @@ let bmap t (ino : inode) fbn ~alloc_missing ~near =
             if l2 <> 0 then l2
             else begin
               let b = alloc_block t ?near () in
-              ignore (Buffer_cache.get_fresh t.bcache b : Bytes.t);
-              mark_indirect_dirty t ino b;
+              modify_indirect t ino b Buffer_cache.Zeroed ignore;
               set_slot ib1 d1 b;
               ino.meta_dirty <- `Dirty;
               b
@@ -256,9 +257,8 @@ let dinode_of_incore (i : inode) =
    the caller decides when the block reaches the device. *)
 let encode_inode t (ino : inode) =
   let blk, off = Layout.inode_block t.sb ino.inum in
-  let buf = Buffer_cache.get t.bcache blk in
-  Bytes.blit (Layout.encode_dinode (dinode_of_incore ino)) 0 buf off Layout.inode_size;
-  Buffer_cache.mark_dirty t.bcache blk Buffer_cache.Metadata;
+  Buffer_cache.modify t.bcache blk Buffer_cache.Metadata Buffer_cache.From_disk (fun buf ->
+      Bytes.blit (Layout.encode_dinode (dinode_of_incore ino)) 0 buf off Layout.inode_size);
   blk
 
 (* Build the inode's metadata commit as one submission batch: its dirty
@@ -566,15 +566,16 @@ let write_view t (ino : inode) ~off (data : Nfsg_rpc.Xdr.view) ~mode =
         if existing <> 0 then existing
         else bmap t ino fbn ~alloc_missing:true ~near:(near_hint t ino fbn)
       in
-      let full_block = within = 0 && chunk = bs in
-      let buf =
-        if existing = 0 || full_block then Buffer_cache.get_fresh t.bcache b
-        else Buffer_cache.get t.bcache b
+      let fill =
+        if within = 0 && chunk = bs then Buffer_cache.Overwritten
+        else if existing = 0 then Buffer_cache.Zeroed
+        else Buffer_cache.From_disk
       in
+      let src_off = !pos - off in
       (* The single escape copy of the write path: datagram bytes
          land in the buffer cache, which outlives the datagram. *)
-      Nfsg_rpc.Xdr.blit_view data ~src_off:(!pos - off) ~dst:buf ~dst_off:within ~len:chunk;
-      Buffer_cache.mark_dirty t.bcache b Buffer_cache.Data;
+      Buffer_cache.modify t.bcache b Buffer_cache.Data fill (fun buf ->
+          Nfsg_rpc.Xdr.blit_view data ~src_off ~dst:buf ~dst_off:within ~len:chunk);
       touched := b :: !touched;
       pos := !pos + chunk
     done;
@@ -622,20 +623,11 @@ let truncate t (ino : inode) newsize =
         free_block t b;
         let nd = Layout.nd_direct and p = ppb t in
         if fbn < nd then ino.direct.(fbn) <- 0
-        else if fbn < nd + p then begin
-          let buf = Buffer_cache.get t.bcache ino.single_ind in
-          Layout.set_pointer buf (fbn - nd) 0;
-          mark_indirect_dirty t ino ino.single_ind
-        end
+        else if fbn < nd + p then clear_pointer t ino ino.single_ind (fbn - nd)
         else begin
           let idx = fbn - nd - p in
-          let ib1 = Buffer_cache.get t.bcache ino.double_ind in
-          let l2 = Layout.get_pointer ib1 (idx / p) in
-          if l2 <> 0 then begin
-            let ib2 = Buffer_cache.get t.bcache l2 in
-            Layout.set_pointer ib2 (idx mod p) 0;
-            mark_indirect_dirty t ino l2
-          end
+          let l2 = Layout.get_pointer (Buffer_cache.get t.bcache ino.double_ind) (idx / p) in
+          if l2 <> 0 then clear_pointer t ino l2 (idx mod p)
         end
       end
     done;
@@ -647,17 +639,22 @@ let truncate t (ino : inode) newsize =
       ino.single_ind <- 0
     end;
     if ino.double_ind <> 0 then begin
+      (* Second-level blocks wholly past the new end: free them, then
+         clear their slots in one change. *)
       let ib1 = Buffer_cache.get t.bcache ino.double_ind in
-      for d1 = 0 to p - 1 do
+      let doomed = ref [] in
+      for d1 = p - 1 downto 0 do
         let l2 = Layout.get_pointer ib1 d1 in
-        let first_fbn = nd + p + (d1 * p) in
-        if l2 <> 0 && new_nblocks <= first_fbn then begin
-          ino.dirty_indirects <- List.filter (fun b -> b <> l2) ino.dirty_indirects;
-          free_block t l2;
-          Layout.set_pointer ib1 d1 0;
-          mark_indirect_dirty t ino ino.double_ind
-        end
+        if l2 <> 0 && new_nblocks <= nd + p + (d1 * p) then doomed := (d1, l2) :: !doomed
       done;
+      List.iter
+        (fun (_, l2) ->
+          ino.dirty_indirects <- List.filter (fun b -> b <> l2) ino.dirty_indirects;
+          free_block t l2)
+        !doomed;
+      if !doomed <> [] then
+        modify_indirect t ino ino.double_ind Buffer_cache.From_disk (fun ib1 ->
+            List.iter (fun (d1, _) -> Layout.set_pointer ib1 d1 0) !doomed);
       if new_nblocks <= nd + p then begin
         ino.dirty_indirects <- List.filter (fun b -> b <> ino.double_ind) ino.dirty_indirects;
         free_block t ino.double_ind;

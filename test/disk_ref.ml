@@ -173,7 +173,7 @@ let merge_chain st ((r, _) as leader) =
       let next =
         List.find_opt
           (fun (x, _) ->
-            x.Io.op = r.Io.op && x.Io.off = tail_end && total + x.Io.len <= st.merge_limit)
+            Io.is_write x = Io.is_write r && x.Io.off = tail_end && total + x.Io.len <= st.merge_limit)
           (window st)
       in
       match next with
@@ -246,15 +246,15 @@ let service st chain =
     List.iter
       (fun (r, _) ->
         match r.Io.op with
-        | Io.Write -> Bytes.blit r.Io.buf 0 st.platter r.Io.off r.Io.len
-        | Io.Read -> Bytes.blit st.platter r.Io.off r.Io.buf 0 r.Io.len)
+        | Io.Write _ -> Bytes.blit (Io.sub r ~pos:0 ~len:r.Io.len) 0 st.platter r.Io.off r.Io.len
+        | Io.Read buf -> Bytes.blit st.platter r.Io.off buf 0 r.Io.len)
       chain;
     account st ~len:total ~busy:d;
     (match first.Io.op with
-    | Io.Read ->
+    | Io.Read _ ->
         Nfsg_stats.Metrics.incr st.inst.m_reads;
         Nfsg_stats.Metrics.add st.inst.m_bytes_read total
-    | Io.Write ->
+    | Io.Write _ ->
         Nfsg_stats.Metrics.incr st.inst.m_writes;
         Nfsg_stats.Metrics.add st.inst.m_bytes_written total);
     Nfsg_stats.Metrics.add st.inst.m_merged (List.length chain - 1);

@@ -181,8 +181,8 @@ let test_seek_time_monotone () =
    the platter when some unrelated write next wakes the daemon. *)
 let test_rejected_batch_queues_nothing () =
   with_disk (fun _eng dev ->
-      let good = Io.write_req ~class_:`Sync_write ~off:0 (Bytes.make 8192 'v') in
-      let bad = Io.write_req ~class_:`Sync_write ~off:(dev.Device.capacity - 100) (Bytes.make 8192 'x') in
+      let good = Io.write_req ~class_:`Sync_write ~off:0 [ Bytes.make 8192 'v' ] in
+      let bad = Io.write_req ~class_:`Sync_write ~off:(dev.Device.capacity - 100) [ Bytes.make 8192 'x' ] in
       (match dev.Device.submit [ Io.Req good; Io.Req bad ] with
       | () -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ());
@@ -275,7 +275,12 @@ let prop_sparse_platter_matches_flat =
                   Bytes.fill model off len c
               | Stable_read (off, len) -> check step what (dev.Device.stable_read ~off ~len) ~off ~len
               | Write (off, len, c) ->
-                  let r = Io.write_req ~class_:`Sync_write ~off (Bytes.make len c) in
+                  (* A gather list of three pieces, cut at thirds. *)
+                  let cut = len / 3 in
+                  let r =
+                    Io.write_req ~class_:`Sync_write ~off
+                      [ Bytes.make cut c; Bytes.make cut c; Bytes.make (len - (2 * cut)) c ]
+                  in
                   dev.Device.submit [ Io.Req r ];
                   Io.await r;
                   Bytes.fill model off len c
@@ -283,11 +288,11 @@ let prop_sparse_platter_matches_flat =
                   let r = Io.read_req ~off ~len () in
                   dev.Device.submit [ Io.Req r ];
                   Io.await r;
-                  check step what r.Io.buf ~off ~len
+                  check step what (Io.read_buf r) ~off ~len
               | Crash_mid_write (off, len, c) ->
                   (* Power fails inside the transfer and stays off past
                      its end: nothing of it may land. *)
-                  dev.Device.submit [ Io.Req (Io.write_req ~class_:`Sync_write ~off (Bytes.make len c)) ];
+                  dev.Device.submit [ Io.Req (Io.write_req ~class_:`Sync_write ~off [ Bytes.make len c ]) ];
                   Engine.delay (Time.us 100);
                   dev.Device.crash ();
                   Engine.delay (Time.ms 200);
@@ -359,13 +364,14 @@ let run_queue ~reference (scheduler, merge, merge_limit, deadline_ms, steps) =
                     Ivar.upon (Io.item_done b) (fun () -> note tag " barrier");
                     b
                 | Q_write (blk, n) ->
-                    let data = Bytes.make (n * queue_block) (Char.chr (33 + (tag mod 90))) in
+                    (* One buffer per block, like a buffer-cache cluster. *)
+                    let data = List.init n (fun _ -> Bytes.make queue_block (Char.chr (33 + (tag mod 90)))) in
                     let r = Io.write_req ~class_:`Gather_flush ~off:(blk * queue_block) data in
                     Ivar.upon r.Io.done_ (fun () -> note tag "");
                     Io.Req r
                 | Q_read (blk, n) ->
                     let r = Io.read_req ~off:(blk * queue_block) ~len:(n * queue_block) () in
-                    Ivar.upon r.Io.done_ (fun () -> note tag (" " ^ Digest.to_hex (Digest.bytes r.Io.buf)));
+                    Ivar.upon r.Io.done_ (fun () -> note tag (" " ^ Digest.to_hex (Digest.bytes (Io.read_buf r))));
                     Io.Req r
               in
               dev.Device.submit (List.map item items))

@@ -133,7 +133,14 @@ let barrier_case build ~faulty =
   let eng = Engine.create () in
   let dev, under_w1 = build eng in
   if faulty then List.iter (fun inj -> Fault_disk.fail_next inj) under_w1;
-  let write off len seed = Io.write_req ~class_:`Sync_write ~off (bytes_of len seed) in
+  (* Each write's bytes travel as a gather list of 4 KB pieces. *)
+  let write off len seed =
+    let data = bytes_of len seed in
+    Io.write_req ~class_:`Sync_write ~off
+      (List.init ((len + 4095) / 4096) (fun i ->
+           Bytes.sub data (i * 4096) (Stdlib.min 4096 (len - (i * 4096)))))
+  in
+  let data (r : Io.req) = Io.sub r ~pos:0 ~len:r.Io.len in
   let w1 = write (chunk / 2) (2 * chunk) 1 in
   let w2 = write (4 * chunk) chunk 2 in
   let w3 = write (5 * chunk) chunk 3 in
@@ -146,7 +153,7 @@ let barrier_case build ~faulty =
     items;
   let is_done item = Ivar.is_filled (Io.item_done item) in
   let stable (r : Io.req) =
-    Bytes.equal (dev.Device.stable_read ~off:r.Io.off ~len:r.Io.len) r.Io.buf
+    Bytes.equal (dev.Device.stable_read ~off:r.Io.off ~len:r.Io.len) (data r)
   in
   (* A barrier must find its epoch done and, without faults, stable. *)
   let gate name b ahead =
@@ -177,12 +184,12 @@ let barrier_case build ~faulty =
     List.iter
       (fun (name, r) -> Alcotest.(check bool) (name ^ " succeeded") false (failed r))
       [ ("w1", w1); ("w2", w2); ("w3", w3); ("r4", r4) ];
-    Alcotest.(check bytes) "r4 reads w1 back" w1.Io.buf r4.Io.buf;
+    Alcotest.(check bytes) "r4 reads w1 back" (data w1) (Io.read_buf r4);
     let read_back = ref 0 in
     Engine.spawn eng ~name:"reader" (fun () ->
         List.iter
           (fun (r : Io.req) ->
-            Alcotest.(check bytes) "read back" r.Io.buf (dev.Device.read ~off:r.Io.off ~len:r.Io.len);
+            Alcotest.(check bytes) "read back" (data r) (dev.Device.read ~off:r.Io.off ~len:r.Io.len);
             incr read_back)
           [ w1; w2; w3 ]);
     Engine.run eng;

@@ -64,11 +64,11 @@ let test_overlap_tolerance () =
 
 let test_eviction_spares_dirty () =
   with_cache ~max_blocks:8 (fun _eng cache ->
-      for b = 0 to 7 do
-        ignore (Bc.get_fresh cache b)
-      done;
       for b = 0 to 5 do
-        Bc.mark_dirty cache b Bc.Data
+        Bc.modify cache b Bc.Data Bc.Zeroed ignore
+      done;
+      for b = 6 to 7 do
+        ignore (Bc.get cache b)
       done;
       (* Three more blocks through a full cache: every victim must come
          from the clean minority, never the dirty blocks. *)
@@ -89,9 +89,9 @@ let test_eviction_spares_dirty () =
 let test_eviction_victim_is_lru_clean () =
   with_cache ~max_blocks:8 (fun _eng cache ->
       let resident b = Bc.peek cache b <> None in
-      let fill blocks = List.iter (fun b -> ignore (Bc.get_fresh cache b)) blocks in
-      fill [ 0; 1; 2; 3; 4; 5; 6; 7 ];
-      Bc.mark_dirty cache 0 Bc.Data;
+      let fill blocks = List.iter (fun b -> ignore (Bc.get cache b)) blocks in
+      Bc.modify cache 0 Bc.Data Bc.Zeroed ignore;
+      fill [ 1; 2; 3; 4; 5; 6; 7 ];
       fill [ 1 ] (* a hit: 1 becomes the most recently used *);
       fill [ 8 ];
       Alcotest.(check bool) "dirty head kept" true (resident 0);
