@@ -344,10 +344,14 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation con
   let svc_ref = ref None in
   (* The reply funnel: every result, sent by the nfsd that ran the call
      or by a later one flushing a gathered batch, pays its encode here,
-     once. Bare RPC error statuses carry no result and go out free. *)
+     once. The datagram is encoded before the charge lets other
+     processes run, so a READ result that is a window into a cache
+     block is copied while the block still holds the bytes read. Bare
+     RPC error statuses carry no result and go out free. *)
   let send tr put_result =
+    let reply = Svc.encode_reply tr Rpc.Success put_result in
     Resource.use cpu costs.Cpu_model.rpc_encode;
-    Svc.send_reply_with (Option.get !svc_ref) tr Rpc.Success put_result
+    Svc.send_encoded (Option.get !svc_ref) tr reply
   in
   let send_reply tr res = send tr (fun enc -> Proto.put_res enc res) in
   let volumes =

@@ -330,17 +330,29 @@ let close f =
     raise Verifier_changed
   end
 
-(* One READ per block; a request one READ covers returns that reply's
-   bytes as they were decoded. *)
+(* One READ per block. Each reply's data is a window into its datagram,
+   copied once, into the result. *)
 let read t fh ~off ~len =
   let rec go pos acc =
     let chunk = Stdlib.min t.block_size (off + len - pos) in
     match do_call t ~klass:Rpc_client.Middle (Proto.Read { fh; offset = pos; count = chunk }) with
     | Proto.RRead (Ok (_a, data)) ->
-        let pos = pos + Bytes.length data in
-        if Bytes.length data < chunk || pos >= off + len then data :: acc else go pos (data :: acc)
+        let n = Xdr.view_length data in
+        if n < chunk || pos + n >= off + len then List.rev (data :: acc) else go (pos + n) (data :: acc)
     | Proto.RRead (Error st) -> raise (Error st)
     | _ -> raise (Error Proto.NFSERR_IO)
   in
   if len <= 0 then Bytes.empty
-  else match go off [] with [ data ] -> data | parts -> Bytes.concat Bytes.empty (List.rev parts)
+  else begin
+    let parts = go off [] in
+    let out = Bytes.create (List.fold_left (fun n v -> n + Xdr.view_length v) 0 parts) in
+    ignore
+      (List.fold_left
+         (fun at v ->
+           let n = Xdr.view_length v in
+           Xdr.blit_view v ~src_off:0 ~dst:out ~dst_off:at ~len:n;
+           at + n)
+         0 parts
+        : int);
+    out
+  end

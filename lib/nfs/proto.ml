@@ -434,7 +434,7 @@ type res =
   | RNull
   | RAttr of (fattr, status) result
   | RDirop of (fh * fattr, status) result
-  | RRead of (fattr * Bytes.t, status) result
+  | RRead of (fattr * Xdr.view, status) result
   | RStatus of status
   | RReaddir of ((string * int) list * bool, status) result
   | RStatfs of (statfs_ok, status) result
@@ -460,7 +460,7 @@ let put_res enc = function
   | RRead (Ok (a, data)) ->
       put_status enc NFS_OK;
       put_fattr enc a;
-      Xdr.Enc.opaque enc data
+      Xdr.Enc.opaque_view enc data
   | RRead (Error st) -> put_status enc st
   | RReaddir (Ok (entries, eof)) ->
       put_status enc NFS_OK;
@@ -521,7 +521,7 @@ let decode_res ~proc body =
     match get_status dec with
     | NFS_OK ->
         let a = get_fattr dec in
-        RRead (Ok (a, Xdr.Dec.opaque dec))
+        RRead (Ok (a, Xdr.Dec.opaque_view dec))
     | st -> RRead (Error st)
   end
   else if proc = proc_remove || proc = proc_rename || proc = proc_rmdir then

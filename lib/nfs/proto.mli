@@ -131,7 +131,11 @@ type res =
   | RNull
   | RAttr of (fattr, status) result  (** GETATTR, SETATTR, WRITE *)
   | RDirop of (fh * fattr, status) result  (** LOOKUP, CREATE, MKDIR *)
-  | RRead of (fattr * Bytes.t, status) result
+  | RRead of (fattr * Nfsg_rpc.Xdr.view, status) result
+      (** The data is a view, like a WRITE's. On the server it may be a
+          window into a buffer-cache block, valid only until the server
+          next yields: the reply funnel encodes it into the datagram at
+          once. Decoded, it is a window into the reply datagram. *)
   | RStatus of status  (** REMOVE, RENAME, RMDIR *)
   | RReaddir of ((string * int) list * bool, status) result
       (** entries as (name, fileid), plus EOF flag *)

@@ -53,7 +53,9 @@ let take_handle t ~client ~xid =
   t.outstanding <- t.outstanding + 1;
   tr
 
-let send_reply_with t tr stat put_body =
+let encode_reply tr stat put_body = Rpc.encode_reply_with ~xid:tr.xid ~stat put_body
+
+let send_encoded t tr encoded =
   if not tr.live then invalid_arg "Svc.send_reply: handle already completed";
   tr.live <- false;
   t.outstanding <- t.outstanding - 1;
@@ -64,12 +66,13 @@ let send_reply_with t tr stat put_body =
       tr.journey <- None;
       Journey.finish plane j
   | _ -> tr.journey <- None);
-  let encoded = Rpc.encode_reply_with ~xid:tr.xid ~stat put_body in
   (match t.dupcache with
   | Some dc -> Dupcache.complete dc ~client:tr.client ~xid:tr.xid encoded
   | None -> ());
   Nfsg_net.Socket.send t.sock ~dst:tr.client encoded;
   Queue.add tr t.free_handles
+
+let send_reply_with t tr stat put_body = send_encoded t tr (encode_reply tr stat put_body)
 
 let send_reply t tr stat body = send_reply_with t tr stat (fun enc -> Xdr.Enc.raw enc body)
 

@@ -41,12 +41,20 @@ val create :
     and duplicate drop/replay counters under namespace ["rpc.svc"]
     (private registry when omitted). *)
 
+val encode_reply : transport -> Rpc.accept_stat -> (Xdr.Enc.t -> unit) -> Bytes.t
+(** The reply datagram for the handle's call: the reply header and the
+    result the writer puts after it, in one buffer. Encoding is all it
+    does, so the result's bytes are fixed here even if the caller
+    charges time before {!send_encoded}. *)
+
+val send_encoded : t -> transport -> Bytes.t -> unit
+(** Complete a delayed (or immediate) reply with a datagram from
+    {!encode_reply}: transmit, record in the duplicate cache, recycle
+    the handle. Usable from any process. Raises [Invalid_argument] if
+    the handle was already replied to. *)
+
 val send_reply_with : t -> transport -> Rpc.accept_stat -> (Xdr.Enc.t -> unit) -> unit
-(** Complete a delayed (or immediate) reply: encode the reply header
-    and the result the writer puts after it into one datagram,
-    transmit, record in the duplicate cache, recycle the handle. Usable
-    from any process. Raises [Invalid_argument] if the handle was
-    already replied to. *)
+(** {!encode_reply}, then {!send_encoded}. *)
 
 val send_reply : t -> transport -> Rpc.accept_stat -> Bytes.t -> unit
 (** {!send_reply_with} over an already-encoded result. *)

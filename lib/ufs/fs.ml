@@ -382,25 +382,50 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
 
 (* {1 Reading and writing file data} *)
 
-let read t (ino : inode) ~off ~len =
+(* The readable length of [off, off + len): short at EOF. *)
+let clamp (ino : inode) ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Fs.read: negative offset or length";
-  let len = Stdlib.max 0 (Stdlib.min len (ino.size - off)) in
+  Stdlib.max 0 (Stdlib.min len (ino.size - off))
+
+(* File block [fbn]'s cached buffer, or [None] for a hole. *)
+let data_block t (ino : inode) fbn =
+  match bmap t ino fbn ~alloc_missing:false ~near:None with
+  | 0 -> None
+  | b -> Some (Buffer_cache.get t.bcache b)
+
+let read t (ino : inode) ~off ~len =
+  let len = clamp ino ~off ~len in
   (* Every chunk is either copied from its block or zero-filled as a
      hole, so the buffer needs no clearing first. *)
   let out = Bytes.create len in
   let bs = bsize t in
   let pos = ref off in
   while !pos < off + len do
-    let fbn = !pos / bs in
     let within = !pos mod bs in
     let chunk = Stdlib.min (bs - within) (off + len - !pos) in
-    let b = bmap t ino fbn ~alloc_missing:false ~near:None in
-    if b <> 0 then Bytes.blit (Buffer_cache.get t.bcache b) within out (!pos - off) chunk
-    else Bytes.fill out (!pos - off) chunk '\000';
+    (match data_block t ino (!pos / bs) with
+    | Some buf -> Bytes.blit buf within out (!pos - off) chunk
+    | None -> Bytes.fill out (!pos - off) chunk '\000');
     pos := !pos + chunk
   done;
   ino.atime <- Engine.now t.eng;
   out
+
+(* [read] as a view. A range within one block is a window into the
+   cache block itself, valid until the caller next yields: a later
+   change may land in that buffer in place. *)
+let read_view t (ino : inode) ~off ~len =
+  let len = clamp ino ~off ~len and bs = bsize t in
+  if len > 0 && off / bs = (off + len - 1) / bs then begin
+    let view =
+      match data_block t ino (off / bs) with
+      | Some buf -> Nfsg_rpc.Xdr.view_of_bytes ~pos:(off mod bs) ~len buf
+      | None -> Nfsg_rpc.Xdr.view_of_bytes (Bytes.make len '\000')
+    in
+    ino.atime <- Engine.now t.eng;
+    view
+  end
+  else Nfsg_rpc.Xdr.view_of_bytes (read t ino ~off ~len)
 
 (* Like [bmap ~alloc_missing:false] but consults only resident indirect
    blocks ([Buffer_cache.peek]) — never performs I/O, never parks.
@@ -450,7 +475,7 @@ let read_ahead t (ino : inode) ~stream ~off ~len =
             ~map:(fun fbn -> bmap_cached t ino fbn)
             ~limit:((ino.size + bs - 1) / bs)
         end);
-  read t ino ~off ~len
+  read_view t ino ~off ~len
 
 (* {1 Flushing} *)
 

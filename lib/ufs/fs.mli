@@ -116,14 +116,18 @@ val meta_dirty : inode -> [ `Clean | `Time_only | `Dirty ]
 val read : t -> inode -> off:int -> len:int -> Bytes.t
 (** Short reads at EOF; holes read as zeros. *)
 
-val read_ahead : t -> inode -> stream:int -> off:int -> len:int -> Bytes.t
-(** {!read}, feeding the access to the buffer cache's read-ahead
-    engine first. [stream] identifies the reader (client × file) for
-    sequential-run detection. The stream bookkeeping and async
-    prefetch submission run under the inode lock but never park — the
-    block mapping consults only resident indirect blocks — so the lock
-    is not held across any device wait; the demand read runs after
-    release. With read-ahead disabled this is exactly {!read}. *)
+val read_ahead : t -> inode -> stream:int -> off:int -> len:int -> Nfsg_rpc.Xdr.view
+(** {!read} as a view, feeding the access to the buffer cache's
+    read-ahead engine first. A range that lies in one block is a window
+    into the cache block itself, not a copy: it is valid only until the
+    caller next yields, after which a change may land in that buffer in
+    place. Any other range is a view of a private {!read}. [stream]
+    identifies the reader (client × file) for sequential-run detection.
+    The stream bookkeeping and async prefetch submission run under the
+    inode lock but never park — the block mapping consults only
+    resident indirect blocks — so the lock is not held across any
+    device wait; the demand read runs after release. With read-ahead
+    disabled this is exactly {!read}, as a view. *)
 
 type write_mode =
   | Sync  (** IO_SYNC: data and metadata to stable storage before

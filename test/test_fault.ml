@@ -324,7 +324,8 @@ let test_write_io_error_propagates () =
       | Proto.RAttr (Ok _) -> ()
       | _ -> Alcotest.fail "retry after transient error must succeed");
       match call_res rpc ~proc:Proto.proc_read (Proto.Read { fh; offset = 0; count = 8192 }) with
-      | Proto.RRead (Ok (_, back)) -> Alcotest.(check bytes) "data readable" data back
+      | Proto.RRead (Ok (_, back)) ->
+          Alcotest.(check bytes) "data readable" data (Nfsg_rpc.Xdr.view_copy back)
       | _ -> Alcotest.fail "read after retry failed");
   Engine.run eng;
   Alcotest.(check int) "one error injected" 1 (Fault_disk.errors_injected inj)

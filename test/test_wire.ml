@@ -66,7 +66,7 @@ let results =
     Proto.RAttr (Error Proto.NFSERR_STALE);
     Proto.RDirop (Ok (file, attr));
     Proto.RDirop (Error Proto.NFSERR_NOENT);
-    Proto.RRead (Ok (attr, Bytes.of_string "hello"));
+    Proto.RRead (Ok (attr, Xdr.view_of_bytes (Bytes.of_string "hello")));
     Proto.RRead (Error Proto.NFSERR_IO);
     Proto.RStatus Proto.NFS_OK;
     Proto.RStatus Proto.NFSERR_NOTEMPTY;
@@ -80,7 +80,7 @@ let results =
     Proto.RWrite3 (Error Proto.NFSERR_ROFS);
     Proto.RCommit (Ok (attr, 7));
     Proto.RCommit (Error Proto.NFSERR_NOSPC);
-    Proto.RRead (Ok (attr, block));
+    Proto.RRead (Ok (attr, Xdr.view_of_bytes block));
   ]
 
 let mnt_results = [ Ok (dir, true); Error Proto.NFSERR_NOENT ]
