@@ -131,6 +131,58 @@ let test_last_write_mtimes_per_close () =
       Alcotest.(check int) "first close: 4 replies" 4 (List.length (write_and_close ~first:0 4));
       Alcotest.(check int) "second close: 2 replies" 2 (List.length (write_and_close ~first:4 2)))
 
+(* Steady state, a whole-block write and close copies the block once,
+   into the WRITE call, and allocates no other block-sized buffer: the
+   call is encoded from the staged block itself, which the file reuses
+   once the call returns. A stand-in server answers every call with an
+   OK attribute reply, so what is allocated is the client's work, the
+   wire's and a small reply. *)
+let test_write_allocates_one_datagram () =
+  let eng = Engine.create () in
+  let segment = Segment.create eng Segment.fddi in
+  let server = Socket.create segment ~addr:"server" () in
+  let attr =
+    let tv = { Proto.sec = 0; usec = 0 } in
+    { Proto.ftype = Proto.NFREG; mode = 0o644; nlink = 1; uid = 0; gid = 0; size = 0;
+      blocksize = 8192; rdev = 0; blocks = 0; fsid = 1; fileid = 2; atime = tv; mtime = tv;
+      ctime = tv }
+  in
+  Engine.spawn eng ~name:"stand-in" (fun () ->
+      while true do
+        let src, dgram = Socket.recv server in
+        let xid = (Nfsg_rpc.Rpc.decode_call dgram).Nfsg_rpc.Rpc.xid in
+        Socket.send server ~dst:src
+          (Nfsg_rpc.Rpc.encode_reply_with ~xid ~stat:Nfsg_rpc.Rpc.Success (fun enc ->
+               Proto.put_res enc (Proto.RAttr (Ok attr))))
+      done);
+  let rpc = Rpc_client.create eng ~sock:(Socket.create segment ~addr:"client" ()) ~server:"server" () in
+  let client = Client.create eng ~rpc ~biods:4 () in
+  let block = Bytes.make 8192 'w' and rounds = 16 in
+  let per_round = ref nan in
+  Engine.spawn eng ~name:"writer" (fun () ->
+      let f = Client.open_file client { Proto.fsid = 1; vgen = 1; inum = 2; gen = 1 } in
+      let round i =
+        Client.write f ~off:(i * 8192) block;
+        Client.close f
+      in
+      (* Warm-up: the file's spare block, the RPC tables. *)
+      for i = 0 to 3 do
+        round i
+      done;
+      let (), words =
+        allocated (fun () ->
+            for i = 4 to 3 + rounds do
+              round i
+            done)
+      in
+      per_round := words /. float_of_int rounds);
+  Engine.run eng;
+  Alcotest.(check int) "every round went to the wire" (4 + rounds) (Client.wire_writes client);
+  (* header 40, handle 32, three words, length 4, payload *)
+  let datagram = ((40 + 32 + 12 + 4 + 8192) / (Sys.word_size / 8)) + 1 in
+  if !per_round > float_of_int (datagram + (block_words / 2)) then
+    Alcotest.failf "%.0f words per 8 KB write and close; the datagram alone is %d" !per_round datagram
+
 let suite =
   [
     Alcotest.test_case "full blocks go to the wire" `Quick test_full_blocks_go_to_wire;
@@ -141,4 +193,5 @@ let suite =
     Alcotest.test_case "small app writes coalesce" `Quick test_app_chunks_smaller_than_block;
     Alcotest.test_case "read spans blocks" `Quick test_read_spans_blocks;
     Alcotest.test_case "last_write_mtimes covers the last close" `Quick test_last_write_mtimes_per_close;
+    Alcotest.test_case "a block write allocates one datagram" `Quick test_write_allocates_one_datagram;
   ]

@@ -153,6 +153,153 @@ let prop_write_args_roundtrip =
       | Proto.Write { data; _ } -> Xdr.view_to_string data = s
       | _ -> false)
 
+(* {1 Hostile bytes}
+
+   Datagrams off the wire are untrusted. Random and mutated ones go
+   through every decoder a server or client runs on them: only
+   [Xdr.Decode_error] may escape, and a decoded WRITE or READ payload,
+   a view, must lie inside the datagram it came in. *)
+
+let hostile_seeds =
+  let data = Xdr.view_of_bytes (Bytes.init 601 (fun i -> Char.chr (i land 0xff))) in
+  let sattr = Proto.sattr_truncate 7 in
+  let calls =
+    [
+      Proto.Null;
+      Proto.Getattr (fh 3 1);
+      Proto.Setattr (fh 4 2, sattr);
+      Proto.Lookup (fh 1 1, "etc");
+      Proto.Readlink (fh 5 1);
+      Proto.Read { fh = fh 9 1; offset = 16384; count = 8192 };
+      Proto.Write { fh = fh 9 1; offset = 8192; data };
+      Proto.Create { dir = fh 1 1; name = "new.txt"; sattr };
+      Proto.Rename { from_dir = fh 1 1; from_name = "a"; to_dir = fh 2 1; to_name = "b" };
+      Proto.Readdir { fh = fh 1 1; cookie = 0; count = 4096 };
+      Proto.Symlink { dir = fh 1 1; name = "l"; target = "t"; sattr };
+      Proto.Write3 { fh = fh 9 1; offset = 1 lsl 33; stable = Proto.File_sync; data };
+      Proto.Commit { fh = fh 9 1; offset = 0; count = 0 };
+    ]
+  in
+  let results =
+    [
+      Proto.RAttr (Ok sample_fattr);
+      Proto.RDirop (Ok (fh 7 3, sample_fattr));
+      Proto.RRead (Ok (sample_fattr, data));
+      Proto.RReaddir (Ok ([ ("a", 2); ("bb", 3) ], true));
+      Proto.RStatfs (Ok { Proto.tsize = 8192; bsize = 8192; blocks = 100; bfree = 50; bavail = 50 });
+      Proto.RReadlink (Ok "target");
+      Proto.RWrite3 (Ok (sample_fattr, Proto.Unstable, 7));
+      Proto.RCommit (Ok (sample_fattr, 7));
+    ]
+  in
+  List.map
+    (fun args ->
+      Nfsg_rpc.Rpc.encode_call_with ~xid:7 ~prog:Nfsg_rpc.Rpc.nfs_program ~vers:2
+        ~proc:(Proto.proc_of_args args) (fun enc -> Proto.put_args enc args))
+    calls
+  @ List.map
+      (fun res ->
+        Nfsg_rpc.Rpc.encode_reply_with ~xid:7 ~stat:Nfsg_rpc.Rpc.Success (fun enc -> Proto.put_res enc res))
+      results
+
+type mutation =
+  | Word of int * int  (** at a 4-byte-aligned fraction of the length, this 32-bit value *)
+  | Byte of int * int
+  | Truncate of int  (** keep this fraction (per mille) of the datagram *)
+
+let apply_mutation dgram m =
+  let n = Bytes.length dgram in
+  match m with
+  | Word (at, v) when n >= 4 ->
+      let pos = at * (n - 4) / 1000 / 4 * 4 in
+      let b = Bytes.copy dgram in
+      Bytes.set_int32_be b pos (Int32.of_int v);
+      b
+  | Byte (at, v) when n >= 1 ->
+      let b = Bytes.copy dgram in
+      Bytes.set b (at * (n - 1) / 1000) (Char.chr v);
+      b
+  | Truncate keep -> Bytes.sub dgram 0 (keep * n / 1000)
+  | Word _ | Byte _ -> dgram
+
+let show_mutation = function
+  | Word (at, v) -> Printf.sprintf "word %d/1000 := 0x%x" at v
+  | Byte (at, v) -> Printf.sprintf "byte %d/1000 := %d" at v
+  | Truncate keep -> Printf.sprintf "keep %d/1000" keep
+
+let prop_hostile_datagrams =
+  let open QCheck.Gen in
+  let length_word = oneofl [ 0x7fffffff; 0xfffffff0; 0; 0xffffffff ] in
+  let mutation =
+    frequency
+      [
+        (4, map2 (fun at v -> Word (at, v)) (int_bound 1000) (oneof [ length_word; int_bound 0xffffffff ]));
+        (2, map2 (fun at v -> Byte (at, v)) (int_bound 1000) (int_bound 255));
+        (2, map (fun keep -> Truncate keep) (int_bound 1000));
+      ]
+  in
+  (* A datagram of random bytes, or a seed datagram (by index) with
+     mutations applied in order. *)
+  let case =
+    frequency
+      [
+        (1, map (fun s -> `Random s) (string_size (0 -- 200)));
+        ( 6,
+          map2
+            (fun seed ms -> `Mutated (seed, ms))
+            (int_bound (List.length hostile_seeds - 1))
+            (list_size (1 -- 3) mutation) );
+      ]
+  in
+  let show = function
+    | `Random s -> Printf.sprintf "random %S" s
+    | `Mutated (seed, ms) ->
+        Printf.sprintf "seed %d, %s" seed (String.concat ", " (List.map show_mutation ms))
+  in
+  let datagram = function
+    | `Random s -> Bytes.of_string s
+    | `Mutated (seed, ms) -> List.fold_left apply_mutation (List.nth hostile_seeds seed) ms
+  in
+  let arb = QCheck.make ~print:show case in
+  QCheck.Test.make ~name:"hostile datagrams raise only Decode_error" ~count:1000 arb (fun case ->
+      let dgram = datagram case in
+      let inside what (v : Xdr.view) =
+        if
+          not
+            (v.Xdr.view_buf == dgram && v.Xdr.view_pos >= 0 && v.Xdr.view_len >= 0
+            && v.Xdr.view_pos + v.Xdr.view_len <= Bytes.length dgram)
+        then QCheck.Test.fail_reportf "%s view [%d,+%d) outside the %d-byte datagram" what v.Xdr.view_pos
+            v.Xdr.view_len (Bytes.length dgram)
+      in
+      let guarded f = match f () with () -> () | exception Xdr.Decode_error _ -> () in
+      let procs = List.init 40 Fun.id in
+      guarded (fun () ->
+          let call = Nfsg_rpc.Rpc.decode_call dgram in
+          inside "call body" call.Nfsg_rpc.Rpc.body;
+          List.iter
+            (fun proc ->
+              guarded (fun () ->
+                  match Proto.decode_args ~proc call.Nfsg_rpc.Rpc.body with
+                  | Proto.Write { data; _ } | Proto.Write3 { data; _ } -> inside "WRITE data" data
+                  | _ -> ()))
+            procs);
+      guarded (fun () ->
+          let reply = Nfsg_rpc.Rpc.decode_reply dgram in
+          inside "reply body" reply.Nfsg_rpc.Rpc.rbody;
+          List.iter
+            (fun proc ->
+              guarded (fun () ->
+                  match Proto.decode_res ~proc reply.Nfsg_rpc.Rpc.rbody with
+                  | Proto.RRead (Ok (_, data)) -> inside "READ data" data
+                  | _ -> ()))
+            procs);
+      guarded (fun () ->
+          match Proto.peek_write dgram with
+          | Some (_, _, len) when len > Bytes.length dgram ->
+              QCheck.Test.fail_reportf "peek_write length %d past the datagram" len
+          | Some _ | None -> ());
+      true)
+
 let suite =
   [
     Alcotest.test_case "all argument types roundtrip" `Quick test_args_roundtrip;
@@ -161,4 +308,5 @@ let suite =
     Alcotest.test_case "timeval conversion" `Quick test_timeval_conversion;
     Alcotest.test_case "peek_write classifies datagrams" `Quick test_peek_write;
     QCheck_alcotest.to_alcotest prop_write_args_roundtrip;
+    QCheck_alcotest.to_alcotest prop_hostile_datagrams;
   ]

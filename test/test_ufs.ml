@@ -467,6 +467,276 @@ let prop_random_writes_match_model =
           Fs.read fs f ~off:0 ~len:!model_size = expect
           && (Fs.getattr f).Fs.size = !model_size))
 
+(* {1 Copy-on-write}
+
+   A cluster write carries the cache's own block buffers. These tests
+   change a block while its write is in flight and check, from a device
+   wrapper, that every write still reaches the platter with exactly the
+   bytes it was submitted with. *)
+
+(* Wraps [dev]: copies each write's bytes when it is submitted, and when
+   it completes compares the platter with that copy. *)
+type recorder = {
+  mutable writes : (Io.req * Bytes.t) list;  (** newest first, with the bytes at submission *)
+  mutable mismatches : string list;
+}
+
+let recording (dev : Device.t) =
+  let rc = { writes = []; mismatches = [] } in
+  let note (r : Io.req) =
+    if Io.is_write r then begin
+      let at_submit = Io.sub r ~pos:0 ~len:r.Io.len in
+      rc.writes <- (r, at_submit) :: rc.writes;
+      Ivar.upon r.Io.done_ (fun () ->
+          if
+            r.Io.error = None
+            && not (Bytes.equal (dev.Device.stable_read ~off:r.Io.off ~len:r.Io.len) at_submit)
+          then
+            rc.mismatches <-
+              Printf.sprintf "%d-byte write at %d: the platter differs from its bytes at submission"
+                r.Io.len r.Io.off
+              :: rc.mismatches)
+    end
+  in
+  let submit items =
+    List.iter (function Io.Req r -> note r | Io.Barrier _ -> ()) items;
+    dev.Device.submit items
+  in
+  (rc, { dev with Device.submit })
+
+let recorded_fs () =
+  let eng = Engine.create () in
+  let disk = Disk.create eng geometry in
+  Fs.mkfs disk ~ninodes:512 ();
+  let rc, dev = recording disk in
+  (eng, disk, rc, Fs.mount eng dev)
+
+let no_mismatch rc = Alcotest.(check (list string)) "every write landed as submitted" [] rc.mismatches
+
+(* The newest recorded write of class [class_]. *)
+let last_write rc class_ =
+  match List.find_opt (fun ((r : Io.req), _) -> r.Io.class_ = class_) rc.writes with
+  | Some w -> w
+  | None -> Alcotest.failf "no %s write recorded" (Io.class_name class_)
+
+(* Power fails, stays off while the queue would drain, and returns. *)
+let power_cycle fs (disk : Device.t) =
+  Fs.crash fs;
+  Engine.delay (Time.ms 200);
+  disk.Device.recover ()
+
+let test_data_rewrite_during_flush () =
+  let eng, disk, rc, fs = recorded_fs () in
+  let bs = 8192 in
+  let first = pattern (4 * bs) 1 and rewrite = pattern bs 2 in
+  in_proc eng (fun () ->
+      let f = Fs.create fs (Fs.root fs) "cow" Layout.Regular in
+      Fs.write fs f ~off:0 first ~mode:Fs.Delay_data;
+      let await = Fs.commit_range_begin fs f ~off:0 ~len:(4 * bs) in
+      (* The gathered flush is queued, not yet serviced: rewrite its
+         third block. *)
+      Fs.write fs f ~off:(2 * bs) rewrite ~mode:Fs.Delay_data;
+      await ();
+      let flush, _ = last_write rc `Gather_flush in
+      Alcotest.(check int) "one 4-block cluster" (4 * bs) flush.Io.len;
+      let b2 = flush.Io.off + (2 * bs) in
+      Alcotest.(check bytes) "the platter has the bytes at submission" (Bytes.sub first (2 * bs) bs)
+        (disk.Device.stable_read ~off:b2 ~len:bs);
+      Alcotest.(check bytes) "the cache keeps the rewrite" rewrite (Fs.read fs f ~off:(2 * bs) ~len:bs);
+      Alcotest.(check bool) "the rewritten block is dirty" true
+        (Buffer_cache.is_dirty (Fs.cache fs) (b2 / bs));
+      Fs.syncdata fs f ~off:0 ~len:(4 * bs);
+      Alcotest.(check bytes) "the next commit writes it" rewrite (disk.Device.stable_read ~off:b2 ~len:bs);
+      no_mismatch rc)
+
+let test_crash_during_rewritten_flush () =
+  let eng, disk, rc, fs = recorded_fs () in
+  let bs = 8192 in
+  let durable = pattern (4 * bs) 1 in
+  in_proc eng (fun () ->
+      let f = Fs.create fs (Fs.root fs) "cow" Layout.Regular in
+      Fs.write fs f ~off:0 durable ~mode:Fs.Sync;
+      Fs.write fs f ~off:0 (pattern (4 * bs) 3) ~mode:Fs.Delay_data;
+      let (_ : unit -> unit) = Fs.commit_range_begin fs f ~off:0 ~len:(4 * bs) in
+      Fs.write fs f ~off:(2 * bs) (pattern bs 4) ~mode:Fs.Delay_data;
+      let flush, _ = last_write rc `Gather_flush in
+      power_cycle fs disk;
+      Alcotest.(check bytes) "a crash before completion leaves the platter as it was" durable
+        (disk.Device.stable_read ~off:flush.Io.off ~len:(4 * bs)))
+
+(* The inode-table block holds both files' inodes. *)
+let inode_sizes_in disk buf ~f ~g =
+  let sb = Layout.decode_superblock (disk.Device.stable_read ~off:0 ~len:512) in
+  let size (ino : Fs.inode) =
+    let _, off = Layout.inode_block sb (Fs.inum ino) in
+    (Layout.decode_dinode (Bytes.sub buf off Layout.inode_size)).Layout.size
+  in
+  (size f, size g)
+
+(* Two files whose inodes share a table block, both committed at 100
+   bytes and then grown to 150 in core; [f]'s metadata commit is then
+   submitted, and in flight until the caller yields. Returns the files,
+   that commit's await and its request. *)
+let neighbours_with_commit_in_flight rc fs =
+  let f = Fs.create fs (Fs.root fs) "f" Layout.Regular in
+  let g = Fs.create fs (Fs.root fs) "g" Layout.Regular in
+  Fs.write fs f ~off:0 (pattern 100 1) ~mode:Fs.Sync;
+  Fs.write fs g ~off:0 (pattern 100 2) ~mode:Fs.Sync;
+  Fs.write fs f ~off:100 (pattern 50 3) ~mode:Fs.Delay_data;
+  Fs.write fs g ~off:100 (pattern 50 4) ~mode:Fs.Delay_data;
+  let await_f = Fs.commit_range_begin fs f ~off:0 ~len:0 in
+  let r1, _ = last_write rc `Sync_write in
+  (f, g, await_f, r1)
+
+let test_inode_block_change_during_commit () =
+  let eng, disk, rc, fs = recorded_fs () in
+  let pair = Alcotest.(pair int int) in
+  in_proc eng (fun () ->
+      let f, g, await_f, r1 = neighbours_with_commit_in_flight rc fs in
+      let iblk = r1.Io.off / 8192 in
+      (* [g]'s commit changes the block [f]'s commit is writing. *)
+      let await_g = Fs.commit_range_begin fs g ~off:0 ~len:0 in
+      Alcotest.check pair "the cache keeps the new bytes" (150, 150)
+        (inode_sizes_in disk (Option.get (Buffer_cache.peek (Fs.cache fs) iblk)) ~f ~g);
+      await_f ();
+      Alcotest.check pair "the platter has the first commit's bytes at submission" (150, 100)
+        (inode_sizes_in disk (disk.Device.stable_read ~off:r1.Io.off ~len:8192) ~f ~g);
+      await_g ();
+      Alcotest.check pair "the next commit writes the new bytes" (150, 150)
+        (inode_sizes_in disk (disk.Device.stable_read ~off:r1.Io.off ~len:8192) ~f ~g);
+      no_mismatch rc)
+
+let test_crash_during_inode_block_change () =
+  let eng, disk, rc, fs = recorded_fs () in
+  in_proc eng (fun () ->
+      let f, g, _, r1 = neighbours_with_commit_in_flight rc fs in
+      let (_ : unit -> unit) = Fs.commit_range_begin fs g ~off:0 ~len:0 in
+      power_cycle fs disk;
+      Alcotest.(check (pair int int)) "a crash before completion leaves the platter as it was" (100, 100)
+        (inode_sizes_in disk (disk.Device.stable_read ~off:r1.Io.off ~len:8192) ~f ~g))
+
+type cow_op =
+  | W of int * int * int  (** file, offset, length: a delayed write *)
+  | T of int * int  (** file, new size *)
+  | C of int * int * int  (** file, offset, length: a commit, awaited by a process of its own *)
+  | Y of int  (** let the disk run for this many microseconds *)
+
+let show_cow_op = function
+  | W (k, off, len) -> Printf.sprintf "write f%d %d+%d" k off len
+  | T (k, size) -> Printf.sprintf "truncate f%d %d" k size
+  | C (k, off, len) -> Printf.sprintf "commit f%d %d+%d" k off len
+  | Y us -> Printf.sprintf "yield %dus" us
+
+(* Writes, truncates and commits of two files, interleaved with
+   commits still in flight: every write reaches the platter with the
+   bytes it was submitted with, and the files read back as a model
+   kept alongside. Truncation frees whole blocks past the new end
+   (they read back as zeros) and keeps the tail of the last one. *)
+let prop_cow_writes_land_as_submitted =
+  let bs = 8192 and cap = 160_000 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map3 (fun k off len -> W (k, off, len)) (int_bound 1) (int_bound 120_000) (int_range 1 20_000));
+          (1, map2 (fun k size -> T (k, size)) (int_bound 1) (int_bound 140_000));
+          (3, map3 (fun k off len -> C (k, off, len)) (int_bound 1) (int_bound 120_000) (int_bound 40_000));
+          (2, map (fun us -> Y us) (int_bound 30_000));
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show_cow_op ops))
+      QCheck.Gen.(list_size (1 -- 30) op)
+  in
+  QCheck.Test.make ~name:"writes land as submitted under copy-on-write" ~count:40 arb (fun ops ->
+      let eng, _, rc, fs = recorded_fs () in
+      let models = Array.init 2 (fun _ -> Bytes.make cap '\000') and sizes = Array.make 2 0 in
+      let files =
+        in_proc eng (fun () ->
+            Array.init 2 (fun k -> Fs.create fs (Fs.root fs) (Printf.sprintf "f%d" k) Layout.Regular))
+      in
+      in_proc eng (fun () ->
+          List.iteri
+            (fun i op ->
+              match op with
+              | W (k, off, len) ->
+                  let data = pattern len (i + 1) in
+                  Fs.write fs files.(k) ~off data ~mode:Fs.Delay_data;
+                  Bytes.blit data 0 models.(k) off len;
+                  sizes.(k) <- Stdlib.max sizes.(k) (off + len)
+              | T (k, size) ->
+                  Fs.truncate fs files.(k) size;
+                  let kept = (size + bs - 1) / bs * bs in
+                  if kept < cap then Bytes.fill models.(k) kept (cap - kept) '\000';
+                  sizes.(k) <- size
+              | C (k, off, len) ->
+                  let await = Fs.commit_range_begin fs files.(k) ~off ~len in
+                  Engine.spawn eng ~name:"awaiter" await
+              | Y us -> Engine.delay (Time.us us))
+            ops);
+      let contents =
+        in_proc eng (fun () ->
+            Array.map (fun f -> Fs.read fs f ~off:0 ~len:(Fs.getattr f).Fs.size) files)
+      in
+      (match rc.mismatches with [] -> () | m :: _ -> QCheck.Test.fail_report m);
+      Array.iteri
+        (fun k got ->
+          if not (Bytes.equal got (Bytes.sub models.(k) 0 sizes.(k))) then
+            QCheck.Test.fail_reportf "f%d reads back other bytes than the model" k)
+        contents;
+      true)
+
+(* {1 Allocation} *)
+
+(* A partial write into a new block keeps the block's zero fill: only
+   a whole-block write starts from an uninitialised buffer. *)
+let test_partial_write_into_new_block_zero_filled () =
+  let eng, _, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      let f = Fs.create fs (Fs.root fs) "z" Layout.Regular in
+      (* A whole block first, so the next block's buffer may be reused
+         memory. *)
+      Fs.write fs f ~off:0 (Bytes.make 8192 'x') ~mode:Fs.Delay_data;
+      Fs.write fs f ~off:(8192 + 1000) (Bytes.make 100 'y') ~mode:Fs.Delay_data;
+      let expect = Bytes.make 1100 '\000' in
+      Bytes.fill expect 1000 100 'y';
+      Alcotest.(check bytes) "zeros around the write" expect (Fs.read fs f ~off:8192 ~len:1100))
+
+(* Gathering an 8-block dirty run into a cluster copies no block: the
+   request's gather list is the cache's own buffers. *)
+let test_prepare_copies_no_block () =
+  let eng = Engine.create () in
+  let disk = Disk.create eng geometry in
+  let cache = Buffer_cache.create disk ~bsize:8192 () in
+  let blocks = List.init 8 (fun i -> 100 + i) in
+  List.iter
+    (fun b -> Buffer_cache.modify cache b Buffer_cache.Data Buffer_cache.Overwritten (fun buf -> Bytes.fill buf 0 8192 'd'))
+    blocks;
+  let p, words =
+    Testbed.allocated (fun () ->
+        Buffer_cache.prepare cache ~class_:`Gather_flush ~max_cluster:(64 * 1024) blocks)
+  in
+  (match Buffer_cache.prepared_items p with
+  | [ Io.Req { Io.op = Io.Write bufs; off; _ } ] ->
+      Alcotest.(check int) "at the run's first block" (100 * 8192) off;
+      Alcotest.(check bool) "the cache's own buffers" true
+        (List.for_all2 (fun b buf -> Option.get (Buffer_cache.peek cache b) == buf) blocks bufs)
+  | _ -> Alcotest.fail "expected one cluster write");
+  if words >= float_of_int Testbed.block_words then
+    Alcotest.failf "prepare allocated %.0f words for an 8-block run" words
+
+(* A READ of a cached block replies from the block itself. *)
+let test_read_ahead_of_cached_block_copies_nothing () =
+  let eng, _, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      let f = Fs.create fs (Fs.root fs) "r" Layout.Regular in
+      Fs.write fs f ~off:0 (pattern 8192 9) ~mode:Fs.Sync;
+      let view, words = Testbed.allocated (fun () -> Fs.read_ahead fs f ~stream:0 ~off:0 ~len:8192) in
+      Alcotest.(check bytes) "the block's bytes" (pattern 8192 9) (Nfsg_rpc.Xdr.view_copy view);
+      if words >= float_of_int Testbed.block_words then
+        Alcotest.failf "read_ahead allocated %.0f words for a cached block" words)
+
 let suite =
   [
     Alcotest.test_case "superblock roundtrip" `Quick test_superblock_roundtrip;
@@ -501,4 +771,14 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_writes_match_model;
     Alcotest.test_case "inode change during a metadata commit is kept" `Quick
       test_inode_change_during_commit_kept;
+    Alcotest.test_case "data block rewritten during its flush" `Quick test_data_rewrite_during_flush;
+    Alcotest.test_case "crash during a rewritten flush" `Quick test_crash_during_rewritten_flush;
+    Alcotest.test_case "inode block changed during a commit" `Quick test_inode_block_change_during_commit;
+    Alcotest.test_case "crash during an inode block change" `Quick test_crash_during_inode_block_change;
+    QCheck_alcotest.to_alcotest prop_cow_writes_land_as_submitted;
+    Alcotest.test_case "partial write into a new block is zero-filled" `Quick
+      test_partial_write_into_new_block_zero_filled;
+    Alcotest.test_case "prepare copies no block" `Quick test_prepare_copies_no_block;
+    Alcotest.test_case "read_ahead of a cached block copies nothing" `Quick
+      test_read_ahead_of_cached_block_copies_nothing;
   ]

@@ -230,16 +230,6 @@ let test_replies_match_recorded () =
     (List.filteri (fun k _ -> k < List.length results) recorded_replies)
     (List.map fingerprint two_step)
 
-(* Words the allocator handed out while [f] ran. *)
-let allocated f =
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let w0 = words () in
-  let v = f () in
-  (v, words () -. w0)
-
 (* One buffer: everything the encode allocates fits in the datagram's
    own words plus a little for closures, where copying the payload even
    once more would double it. *)
@@ -252,12 +242,12 @@ let test_8k_messages_one_buffer () =
   let write = List.nth calls (List.length calls - 1) and read = List.nth results (List.length results - 1) in
   (* header 40, handle 32, three words, length 4, payload *)
   check_one_buffer "8 KB WRITE call" ~len:(40 + 32 + 12 + 4 + 8192)
-    (allocated (fun () ->
+    (Testbed.allocated (fun () ->
          Rpc.encode_call_with ~xid:9 ~prog:Rpc.nfs_program ~vers:Rpc.nfs_version ~proc:Proto.proc_write
            (fun enc -> Proto.put_args enc write)));
   (* header 24, status 4, attributes 68, length 4, payload *)
   check_one_buffer "8 KB READ reply" ~len:(24 + 4 + 68 + 4 + 8192)
-    (allocated (fun () ->
+    (Testbed.allocated (fun () ->
          Rpc.encode_reply_with ~xid:9 ~stat:Rpc.Success (fun enc -> Proto.put_res enc read)))
 
 let suite =

@@ -68,3 +68,17 @@ let write_file rig file ~total ?(app_chunk = 8192) ?(seed = 7) () =
   Engine.now rig.eng - t0
 
 let expect_pattern ~total ~seed = Bytes.init total (fun i -> Char.chr ((i + seed) mod 251))
+
+(* [f ()] and the words the allocator handed out while it ran, across
+   every process the simulation ran meanwhile. *)
+let allocated f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let v = f () in
+  (v, words () -. w0)
+
+(* Words in one 8 KB block. *)
+let block_words = 8192 / (Sys.word_size / 8)
