@@ -249,7 +249,7 @@ let flush_as_metadata_writer t g =
            Fs.unlock g.ino;
            raise exn
        in
-       (* The submission is down and the snapshots are private copies:
+       (* The submission is down and its blocks are copy-on-write:
           drop the vnode lock before parking on the device. A WRITE
           arriving mid-flush now enters the cache and the gather queue
           in microseconds on its own nfsd instead of convoying the

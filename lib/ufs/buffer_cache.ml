@@ -325,20 +325,15 @@ let peek c b = Option.map (fun e -> e.buf) (Hashtbl.find_opt c.table b)
 
 let modify c b kind fill change =
   let e =
-    match (fill, Hashtbl.find_opt c.table b) with
-    | From_disk, _ -> lookup c b
-    | (Zeroed | Overwritten), Some e ->
-        note_hit c e;
-        touch c e;
-        e
-    | (Zeroed | Overwritten), None ->
-        (* A new block, or one the change overwrites whole: nothing to
-           read, and not a miss. *)
-        make_room c;
-        let buf = if fill = Zeroed then Bytes.make c.bsize '\000' else Bytes.create c.bsize in
-        let e = entry b buf ~prefetched:false in
-        insert c e;
-        e
+    if fill = From_disk || Hashtbl.mem c.table b then lookup c b
+    else begin
+      (* A new block, or one the change overwrites whole: nothing to
+         read, and not a miss. *)
+      make_room c;
+      let e = entry b (if fill = Zeroed then Bytes.make c.bsize '\000' else Bytes.create c.bsize) ~prefetched:false in
+      insert c e;
+      e
+    end
   in
   if e.busy then begin
     (* Copy-on-write: the request in flight keeps the buffer it was

@@ -517,13 +517,15 @@ let flush_blocks t blocks =
 
    Split into a begin/await pair so the caller can drop the vnode lock
    while the device works: everything that reads or mutates in-core
-   state — bmap, the dirty-block snapshot, the metadata commit — runs
+   state — bmap, gathering the dirty blocks, the metadata commit — runs
    in [begin] under the caller's lock, and the submission is already
    down before [begin] returns. The returned thunk only parks on the
-   device. The prepared snapshots are private copies and the inode is
-   marked clean at snapshot time (exactly like [Buffer_cache.prepare]
-   does for blocks), so a write landing mid-flight re-dirties and is
-   simply not considered durable by this commit. On failure the await
+   device. The prepared blocks stay busy until their requests complete,
+   so a write landing mid-flight goes to a copy ([Buffer_cache.modify])
+   and the requests keep the bytes they were submitted with; the inode
+   is marked clean when it is encoded (exactly like
+   [Buffer_cache.prepare] does for blocks), so such a write re-dirties
+   and is simply not considered durable by this commit. On failure the await
    re-dirties whatever never reached the platter, never downgrading
    dirtiness a concurrent writer added meanwhile. *)
 let commit_range_begin t (ino : inode) ~off ~len =
@@ -550,7 +552,7 @@ let commit_range_begin t (ino : inode) ~off ~len =
     fun () ->
       try Buffer_cache.await_prepared (p_data :: preps)
       with exn ->
-        (* The snapshotted inode never became durable: put the
+        (* The encoded inode never became durable: put the
            dirtiness back unless a concurrent write already raised
            it. *)
         (match (ino.meta_dirty, was_dirty) with

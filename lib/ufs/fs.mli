@@ -162,7 +162,7 @@ val fsync_metadata : t -> inode -> unit
 
 val commit_range_begin : t -> inode -> off:int -> len:int -> unit -> unit
 (** The one metadata commit. [commit_range_begin t ino ~off ~len]
-    snapshots the range's delayed data clusters, then — behind
+    gathers the range's delayed data clusters, then — behind
     barriers — the dirty indirect blocks, then the inode, and puts them
     on the device as a single submission: semantically {!syncdata}
     followed by {!fsync_metadata}, but the device may overlap and merge
@@ -171,7 +171,7 @@ val commit_range_begin : t -> inode -> off:int -> len:int -> unit -> unit
     metadata only.
 
     It is split for lock hygiene: [begin] runs every in-core step —
-    block mapping, the dirty snapshot, marking the inode clean — and
+    block mapping, gathering the dirty blocks, marking the inode clean — and
     the submission is down when it returns; the returned thunk merely
     blocks until it is durable (re-dirtying what failed, then
     re-raising). Call [begin] under the inode's lock; the await may
