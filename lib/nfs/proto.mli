@@ -147,7 +147,7 @@ type res =
 
 val put_res : Nfsg_rpc.Xdr.Enc.t -> res -> unit
 (** Write the result's XDR in place, e.g. straight into a reply
-    datagram ({!Nfsg_rpc.Svc.send_reply_with}). *)
+    datagram ({!Nfsg_rpc.Svc.encode_reply}). *)
 
 val encode_res : res -> Bytes.t
 (** {!put_res} into a buffer of its own. *)

@@ -72,9 +72,7 @@ let send_encoded t tr encoded =
   Nfsg_net.Socket.send t.sock ~dst:tr.client encoded;
   Queue.add tr t.free_handles
 
-let send_reply_with t tr stat put_body = send_encoded t tr (encode_reply tr stat put_body)
-
-let send_reply t tr stat body = send_reply_with t tr stat (fun enc -> Xdr.Enc.raw enc body)
+let send_reply t tr stat body = send_encoded t tr (encode_reply tr stat (fun enc -> Xdr.Enc.raw enc body))
 
 let svc_run t dispatch () =
   let rec loop () =

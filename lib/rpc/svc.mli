@@ -53,11 +53,9 @@ val send_encoded : t -> transport -> Bytes.t -> unit
     the handle. Usable from any process. Raises [Invalid_argument] if
     the handle was already replied to. *)
 
-val send_reply_with : t -> transport -> Rpc.accept_stat -> (Xdr.Enc.t -> unit) -> unit
-(** {!encode_reply}, then {!send_encoded}. *)
-
 val send_reply : t -> transport -> Rpc.accept_stat -> Bytes.t -> unit
-(** {!send_reply_with} over an already-encoded result. *)
+(** {!encode_reply} over an already-encoded result, then
+    {!send_encoded}. *)
 
 val client_of : transport -> string
 

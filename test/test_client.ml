@@ -136,7 +136,8 @@ let test_last_write_mtimes_per_close () =
    call is encoded from the staged block itself, which the file reuses
    once the call returns. A stand-in server answers every call with an
    OK attribute reply, so what is allocated is the client's work, the
-   wire's and a small reply. *)
+   wire's and a small reply. The least of three measured batches is
+   taken (see [Testbed.allocated]). *)
 let test_write_allocates_one_datagram () =
   let eng = Engine.create () in
   let segment = Segment.create eng Segment.fddi in
@@ -157,7 +158,7 @@ let test_write_allocates_one_datagram () =
       done);
   let rpc = Rpc_client.create eng ~sock:(Socket.create segment ~addr:"client" ()) ~server:"server" () in
   let client = Client.create eng ~rpc ~biods:4 () in
-  let block = Bytes.make 8192 'w' and rounds = 16 in
+  let block = Bytes.make 8192 'w' and rounds = 8 in
   let per_round = ref nan in
   Engine.spawn eng ~name:"writer" (fun () ->
       let f = Client.open_file client { Proto.fsid = 1; vgen = 1; inum = 2; gen = 1 } in
@@ -169,15 +170,18 @@ let test_write_allocates_one_datagram () =
       for i = 0 to 3 do
         round i
       done;
-      let (), words =
-        allocated (fun () ->
-            for i = 4 to 3 + rounds do
-              round i
-            done)
+      let batch k =
+        let (), words =
+          allocated (fun () ->
+              for i = 4 + (k * rounds) to 3 + ((k + 1) * rounds) do
+                round i
+              done)
+        in
+        words /. float_of_int rounds
       in
-      per_round := words /. float_of_int rounds);
+      per_round := List.fold_left Float.min infinity (List.init 3 batch));
   Engine.run eng;
-  Alcotest.(check int) "every round went to the wire" (4 + rounds) (Client.wire_writes client);
+  Alcotest.(check int) "every round went to the wire" (4 + (3 * rounds)) (Client.wire_writes client);
   (* header 40, handle 32, three words, length 4, payload *)
   let datagram = ((40 + 32 + 12 + 4 + 8192) / (Sys.word_size / 8)) + 1 in
   if !per_round > float_of_int (datagram + (block_words / 2)) then

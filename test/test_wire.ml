@@ -1,7 +1,7 @@
 (* Wire bytes. Every v2/v3 call shape, MNT, and every result
    constructor is encoded through the entry points the client and server
    use -- Rpc_client.call_with writing the arguments straight into the
-   call datagram, Svc.send_reply_with (the server's reply funnel) writing
+   call datagram, Svc.encode_reply (the server's reply funnel) writing
    the result straight into the reply datagram -- and must match, byte
    for byte, what the two-step encoders produced before the one-buffer
    path existed (digests recorded from them). *)
@@ -188,7 +188,8 @@ let reply_datagrams () =
         Some
           (Svc.create eng ~sock:(Socket.create segment ~addr:"server" ()) ~nfsds:1
              ~dispatch:(fun tr call ->
-               Svc.send_reply_with (Option.get !svc) tr Rpc.Success (put_result (call.Rpc.xid - 100));
+               Svc.send_encoded (Option.get !svc) tr
+                 (Svc.encode_reply tr Rpc.Success (put_result (call.Rpc.xid - 100)));
                Svc.Reply_pending)
              ());
       let client = Socket.create segment ~addr:"client" () in

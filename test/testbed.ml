@@ -70,12 +70,16 @@ let write_file rig file ~total ?(app_chunk = 8192) ?(seed = 7) () =
 let expect_pattern ~total ~seed = Bytes.init total (fun i -> Char.chr ((i + seed) mod 251))
 
 (* [f ()] and the words the allocator handed out while it ran, across
-   every process the simulation ran meanwhile. *)
+   every process the simulation ran meanwhile. The count starts on an
+   empty minor heap. OCaml 5.1's counters can also charge a window with
+   major-heap words allocated before it, when a major slice runs inside
+   it; a gate over a long window takes the least of several. *)
 let allocated f =
   let words () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
+  Gc.minor ();
   let w0 = words () in
   let v = f () in
   (v, words () -. w0)
