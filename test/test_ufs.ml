@@ -336,15 +336,134 @@ let test_truncate_frees_and_check_passes () =
       | Ok () -> ()
       | Error es -> Alcotest.failf "fsck: %s" (String.concat "; " es))
 
-let test_check_catches_corruption () =
+(* A freshly written file leaves nothing to report; the cases below
+   each break one rule. *)
+let test_check_clean_fs () =
   let eng, _, fs = fresh_fs () in
   in_proc eng (fun () ->
       let f = Fs.create fs (Fs.root fs) "c" Layout.Regular in
       Fs.write fs f ~off:0 (pattern 8192 1) ~mode:Fs.Sync;
-      (* Sabotage: free a block that the file still references. *)
       match Fs.check fs with
       | Error es -> Alcotest.failf "clean fs flagged: %s" (String.concat ";" es)
       | Ok () -> ())
+
+(* {1 fsck detection}
+
+   Each case commits a small tree, breaks one rule and expects
+   [Fs.check] to report exactly that fault. Most faults are written to
+   the platter and seen through a remount, as a stray write would leave
+   them; [mount] rebuilds the bitmap from reachable blocks, so the two
+   bitmap faults go into the mounted filesystem's cached bitmap. *)
+
+let superblock (dev : Device.t) = Layout.decode_superblock (dev.Device.stable_read ~off:0 ~len:512)
+
+(* Byte offset of inode [inum]'s slot on the platter. *)
+let dinode_off dev inum =
+  let sb = superblock dev in
+  let blk, off = Layout.inode_block sb inum in
+  (blk * sb.Layout.bsize) + off
+
+let dinode_on_disk dev inum =
+  Layout.decode_dinode (dev.Device.stable_read ~off:(dinode_off dev inum) ~len:Layout.inode_size)
+
+let write_dinode dev inum d = dev.Device.stable_write ~off:(dinode_off dev inum) (Layout.encode_dinode d)
+
+(* Power-cycle [fs], let [corrupt] change the platter, and mount the
+   result. *)
+let remount_after eng dev fs corrupt =
+  Fs.crash fs;
+  dev.Device.recover ();
+  corrupt ();
+  Fs.mount eng dev
+
+(* Set or clear block [b]'s bit in [fs]'s cached bitmap. *)
+let set_bitmap_bit dev fs b v =
+  let sb = superblock dev in
+  let bits = sb.Layout.bsize * 8 in
+  Buffer_cache.modify (Fs.cache fs) (sb.Layout.bitmap_start + (b / bits)) Buffer_cache.Metadata
+    Buffer_cache.From_disk (fun buf ->
+      let i = b mod bits / 8 and m = 1 lsl (b mod 8) in
+      let c = Char.code (Bytes.get buf i) in
+      Bytes.set buf i (Char.chr (if v then c lor m else c land lnot m)))
+
+(* Files [names], one synchronously written block each; returns their
+   inode numbers. *)
+let one_block_files fs names =
+  List.mapi
+    (fun i name ->
+      let f = Fs.create fs (Fs.root fs) name Layout.Regular in
+      Fs.write fs f ~off:0 (pattern 8192 (i + 1)) ~mode:Fs.Sync;
+      Fs.inum f)
+    names
+
+let expect_fsck fs expected =
+  match Fs.check fs with
+  | Ok () -> Alcotest.failf "fsck found nothing, expected: %s" (String.concat "; " expected)
+  | Error es -> Alcotest.(check (list string)) "fsck reports" expected es
+
+let test_check_block_claimed_twice () =
+  let eng, dev, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      let a, b = match one_block_files fs [ "a"; "b" ] with [ a; b ] -> (a, b) | _ -> assert false in
+      let shared = (dinode_on_disk dev a).Layout.direct.(0) in
+      let fs2 =
+        remount_after eng dev fs (fun () ->
+            let d = dinode_on_disk dev b in
+            let direct = Array.copy d.Layout.direct in
+            direct.(0) <- shared;
+            write_dinode dev b { d with Layout.direct })
+      in
+      expect_fsck fs2 [ Printf.sprintf "block %d multiply claimed (again by inode %d)" shared b ])
+
+let test_check_referenced_block_free () =
+  let eng, dev, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      let a = List.hd (one_block_files fs [ "a" ]) in
+      let blk = (dinode_on_disk dev a).Layout.direct.(0) in
+      set_bitmap_bit dev fs blk false;
+      expect_fsck fs [ Printf.sprintf "block %d used by inode %d but free in bitmap" blk a ])
+
+let test_check_unreachable_block () =
+  let eng, dev, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      ignore (one_block_files fs [ "a" ]);
+      let stray = (superblock dev).Layout.nblocks - 1 in
+      set_bitmap_bit dev fs stray true;
+      expect_fsck fs [ Printf.sprintf "block %d allocated in bitmap but unreachable" stray ])
+
+let test_check_size_beyond_mappable () =
+  let eng, dev, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      let a = List.hd (one_block_files fs [ "a" ]) in
+      let size = 1 lsl 50 in
+      let fs2 =
+        remount_after eng dev fs (fun () -> write_dinode dev a { (dinode_on_disk dev a) with Layout.size })
+      in
+      expect_fsck fs2 [ Printf.sprintf "inode %d size %d exceeds mappable bytes" a size ])
+
+let test_check_entry_names_free_inode () =
+  let eng, dev, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      ignore (one_block_files fs [ "a" ]);
+      let root = 1 and ghost = 40 in
+      let entries = Layout.encode_dirents (Fs.readdir fs (Fs.root fs) @ [ ("ghost", ghost) ]) in
+      let fs2 =
+        remount_after eng dev fs (fun () ->
+            let d = dinode_on_disk dev root in
+            dev.Device.stable_write ~off:(d.Layout.direct.(0) * 8192) entries;
+            write_dinode dev root { d with Layout.size = Bytes.length entries })
+      in
+      expect_fsck fs2 [ Printf.sprintf "directory %d entry %S points at dead inode %d" root "ghost" ghost ])
+
+let test_check_nlink_mismatch () =
+  let eng, dev, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      let a = List.hd (one_block_files fs [ "a" ]) in
+      let fs2 =
+        remount_after eng dev fs (fun () ->
+            write_dinode dev a { (dinode_on_disk dev a) with Layout.nlink = 2 })
+      in
+      expect_fsck fs2 [ Printf.sprintf "inode %d nlink 2 but 1 directory references" a ])
 
 (* {1 Crash / recovery} *)
 
@@ -466,6 +585,72 @@ let prop_random_writes_match_model =
           let expect = Bytes.sub model 0 !model_size in
           Fs.read fs f ~off:0 ~len:!model_size = expect
           && (Fs.getattr f).Fs.size = !model_size))
+
+type tree_op = Grow of int * int  (** offset, length *) | Cut of int  (** new size *)
+
+(* One file on a 512-byte-block volume, whose 12 direct, 128
+   single-indirect and double-indirect blocks the writes and truncates
+   cross back and forth, through three level-2 blocks: after a commit,
+   a crash and a remount it reads back as a model, the rebuilt bitmap
+   frees exactly what was free before the crash, and fsck is clean. *)
+let prop_block_tree_survives_remount =
+  let bs = 512 in
+  let cap = bs * (12 + 128 + (3 * 128)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun off len -> Grow (off, len)) (int_bound (cap - 1)) (int_range 1 (16 * bs)));
+          (1, map (fun size -> Cut size) (int_bound cap));
+        ])
+  in
+  let show = function
+    | Grow (off, len) -> Printf.sprintf "write %d+%d" off len
+    | Cut size -> Printf.sprintf "truncate %d" size
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show ops))
+      QCheck.Gen.(list_size (1 -- 20) op)
+  in
+  QCheck.Test.make ~name:"a double-indirect file survives a remount" ~count:30 arb (fun ops ->
+      let eng, dev, fs = fresh_fs ~bsize:bs ~ninodes:64 () in
+      let model = Bytes.make cap '\000' and size = ref 0 in
+      let free_live =
+        in_proc eng (fun () ->
+            let f = Fs.create fs (Fs.root fs) "tree" Layout.Regular in
+            List.iteri
+              (fun i op ->
+                match op with
+                | Grow (off, len) ->
+                    let data = pattern (Stdlib.min len (cap - off)) (i + 1) in
+                    Fs.write fs f ~off data ~mode:(if i mod 3 = 0 then Fs.Sync else Fs.Delay_data);
+                    Bytes.blit data 0 model off (Bytes.length data);
+                    size := Stdlib.max !size (off + Bytes.length data)
+                | Cut s ->
+                    Fs.truncate fs f s;
+                    let kept = (s + bs - 1) / bs * bs in
+                    Bytes.fill model kept (cap - kept) '\000';
+                    size := s)
+              ops;
+            Fs.commit_range_begin fs f ~off:0 ~len:!size ();
+            (Fs.statfs fs).Fs.free_blocks)
+      in
+      Fs.crash fs;
+      dev.Device.recover ();
+      let fs2 = Fs.mount eng dev in
+      in_proc eng (fun () ->
+          let f = Fs.lookup fs2 (Fs.root fs2) "tree" in
+          let got = (Fs.getattr f).Fs.size in
+          if got <> !size then QCheck.Test.fail_reportf "size %d, model %d" got !size;
+          if not (Bytes.equal (Fs.read fs2 f ~off:0 ~len:!size) (Bytes.sub model 0 !size)) then
+            QCheck.Test.fail_report "reads back other bytes than the model";
+          let free = (Fs.statfs fs2).Fs.free_blocks in
+          if free <> free_live then
+            QCheck.Test.fail_reportf "%d blocks free after the remount, %d before the crash" free free_live;
+          match Fs.check fs2 with
+          | Ok () -> true
+          | Error es -> QCheck.Test.fail_reportf "fsck: %s" (String.concat "; " es)))
 
 (* {1 Copy-on-write}
 
@@ -761,12 +946,20 @@ let suite =
     Alcotest.test_case "mkdir / rmdir" `Quick test_mkdir_rmdir;
     Alcotest.test_case "symlink roundtrip + fsck + remount" `Quick test_symlink_roundtrip_and_fsck;
     Alcotest.test_case "truncate frees blocks" `Quick test_truncate_frees_and_check_passes;
-    Alcotest.test_case "fsck passes on clean fs" `Quick test_check_catches_corruption;
+    Alcotest.test_case "fsck passes on clean fs" `Quick test_check_clean_fs;
+    Alcotest.test_case "fsck: a block claimed twice" `Quick test_check_block_claimed_twice;
+    Alcotest.test_case "fsck: a referenced block free in the bitmap" `Quick
+      test_check_referenced_block_free;
+    Alcotest.test_case "fsck: an allocated block nothing reaches" `Quick test_check_unreachable_block;
+    Alcotest.test_case "fsck: a size beyond the mappable bytes" `Quick test_check_size_beyond_mappable;
+    Alcotest.test_case "fsck: an entry naming a free inode" `Quick test_check_entry_names_free_inode;
+    Alcotest.test_case "fsck: nlink against directory references" `Quick test_check_nlink_mismatch;
     Alcotest.test_case "crash: synced survives, delayed lost" `Quick test_crash_loses_delayed_keeps_synced;
     Alcotest.test_case "remount rebuilds bitmap" `Quick test_remount_rebuilds_bitmap;
     Alcotest.test_case "vnode lock survives unexpected exception" `Quick
       test_vnode_lock_released_on_unexpected_exception;
     QCheck_alcotest.to_alcotest prop_random_writes_match_model;
+    QCheck_alcotest.to_alcotest prop_block_tree_survives_remount;
     Alcotest.test_case "inode change during a metadata commit is kept" `Quick
       test_inode_change_during_commit_kept;
     Alcotest.test_case "data block rewritten during its flush" `Quick test_data_rewrite_during_flush;
