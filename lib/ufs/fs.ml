@@ -4,16 +4,7 @@ module Io = Nfsg_disk.Io
 
 type inode = {
   inum : int;
-  mutable ftype : Layout.ftype;
-  mutable nlink : int;
-  mutable size : int;
-  mutable mtime : Time.t;
-  mutable atime : Time.t;
-  mutable ctime : Time.t;
-  mutable direct : int array;
-  mutable single_ind : int;
-  mutable double_ind : int;
-  mutable gen : int;
+  di : Layout.dinode;
   mutable meta_dirty : [ `Clean | `Time_only | `Dirty ];
   mutable dirty_indirects : int list;
   lock : Mutex.t;
@@ -61,7 +52,7 @@ let cache t = t.bcache
 let bsize t = t.sb.Layout.bsize
 let accelerated t = t.dev.Device.accelerated ()
 let inum (i : inode) = i.inum
-let generation (i : inode) = i.gen
+let generation (i : inode) = i.di.gen
 let lock_of (i : inode) = i.lock
 let lock (i : inode) = Mutex.lock i.lock
 let unlock (i : inode) = Mutex.unlock i.lock
@@ -88,11 +79,9 @@ let mkfs dev ?(bsize = 8192) ?(ninodes = 4096) () =
   for b = sb.Layout.itable_start to sb.Layout.itable_start + sb.Layout.itable_blocks - 1 do
     dev.Device.stable_write ~off:(b * bsize) zero
   done;
-  let root =
-    { Layout.zero_dinode with Layout.ftype = Layout.Directory; nlink = 1; gen = 1 }
-  in
   let rblk, roff = Layout.inode_block sb sb.Layout.root_inum in
-  dev.Device.stable_write ~off:((rblk * bsize) + roff) (Layout.encode_dinode root)
+  dev.Device.stable_write ~off:((rblk * bsize) + roff)
+    (Layout.encode_dinode (Layout.new_dinode Layout.Directory ~gen:1 ~now:0))
 
 (* {1 Block mapping} *)
 
@@ -143,12 +132,12 @@ let bmap t (ino : inode) fbn ~alloc_missing ~near =
   in
   let nd = Layout.nd_direct in
   if fbn < nd then begin
-    let b = ino.direct.(fbn) in
+    let b = ino.di.direct.(fbn) in
     if b <> 0 then b
     else if not alloc_missing then 0
     else begin
       let b = alloc_data None None in
-      ino.direct.(fbn) <- b;
+      ino.di.direct.(fbn) <- b;
       b
     end
   end
@@ -166,9 +155,9 @@ let bmap t (ino : inode) fbn ~alloc_missing ~near =
     in
     if fbn < nd + p then begin
       let idx = fbn - nd in
-      if ino.single_ind = 0 && not alloc_missing then 0
+      if ino.di.single_ind = 0 && not alloc_missing then 0
       else begin
-        let ib = ensure_indirect ino.single_ind (fun b -> ino.single_ind <- b) in
+        let ib = ensure_indirect ino.di.single_ind (fun b -> ino.di.single_ind <- b) in
         let b = get_slot ib idx in
         if b <> 0 then b
         else if not alloc_missing then 0
@@ -178,9 +167,9 @@ let bmap t (ino : inode) fbn ~alloc_missing ~near =
     else begin
       let idx = fbn - nd - p in
       let d1 = idx / p and d2 = idx mod p in
-      if ino.double_ind = 0 && not alloc_missing then 0
+      if ino.di.double_ind = 0 && not alloc_missing then 0
       else begin
-        let ib1 = ensure_indirect ino.double_ind (fun b -> ino.double_ind <- b) in
+        let ib1 = ensure_indirect ino.di.double_ind (fun b -> ino.di.double_ind <- b) in
         let l2 = get_slot ib1 d1 in
         if l2 = 0 && not alloc_missing then 0
         else begin
@@ -203,17 +192,8 @@ let bmap t (ino : inode) fbn ~alloc_missing ~near =
     end
   end
 
-let getattr (i : inode) =
-  {
-    ftype = i.ftype;
-    nlink = i.nlink;
-    size = i.size;
-    mtime = i.mtime;
-    atime = i.atime;
-    ctime = i.ctime;
-    inum = i.inum;
-    gen = i.gen;
-  }
+let getattr ({ inum; di = { ftype; nlink; size; mtime; atime; ctime; gen; _ }; _ } : inode) =
+  { ftype; nlink; size; mtime; atime; ctime; inum; gen }
 
 (* {1 Inode I/O} *)
 
@@ -221,44 +201,19 @@ let load_dinode_stable t inum =
   let blk, off = Layout.inode_block t.sb inum in
   Layout.decode_dinode (t.dev.Device.stable_read ~off:((blk * bsize t) + off) ~len:Layout.inode_size)
 
-let incore_of_dinode inum (d : Layout.dinode) =
-  {
-    inum;
-    ftype = d.Layout.ftype;
-    nlink = d.Layout.nlink;
-    size = d.Layout.size;
-    mtime = d.Layout.mtime;
-    atime = d.Layout.atime;
-    ctime = d.Layout.ctime;
-    direct = Array.copy d.Layout.direct;
-    single_ind = d.Layout.single_ind;
-    double_ind = d.Layout.double_ind;
-    gen = d.Layout.gen;
-    meta_dirty = `Clean;
-    dirty_indirects = [];
-    lock = Mutex.create ~name:(Printf.sprintf "vnode-%d" inum) ();
-  }
-
-let dinode_of_incore (i : inode) =
-  {
-    Layout.ftype = i.ftype;
-    nlink = i.nlink;
-    size = i.size;
-    mtime = i.mtime;
-    atime = i.atime;
-    ctime = i.ctime;
-    direct = Array.copy i.direct;
-    single_ind = i.single_ind;
-    double_ind = i.double_ind;
-    gen = i.gen;
-  }
+(* Take [di] in core as inode [inum]. *)
+let add_incore t inum di ~meta_dirty =
+  let lock = Mutex.create ~name:(Printf.sprintf "vnode-%d" inum) () in
+  let ino = { inum; di; meta_dirty; dirty_indirects = []; lock } in
+  Hashtbl.replace t.incore inum ino;
+  ino
 
 (* Serialise the in-core inode into its table block (delayed write);
    the caller decides when the block reaches the device. *)
 let encode_inode t (ino : inode) =
   let blk, off = Layout.inode_block t.sb ino.inum in
   Buffer_cache.modify t.bcache blk Buffer_cache.Metadata Buffer_cache.From_disk (fun buf ->
-      Bytes.blit (Layout.encode_dinode (dinode_of_incore ino)) 0 buf off Layout.inode_size);
+      Bytes.blit (Layout.encode_dinode ino.di) 0 buf off Layout.inode_size);
   blk
 
 (* Build the inode's metadata commit as one submission batch: its dirty
@@ -296,9 +251,7 @@ let iget t ~inum ~gen =
       (* Decode from the (prewarmed) inode-table block. *)
       let blk, off = Layout.inode_block t.sb inum in
       let buf = Buffer_cache.get t.bcache blk in
-      let i = incore_of_dinode inum (Layout.decode_dinode (Bytes.sub buf off Layout.inode_size)) in
-      Hashtbl.replace t.incore inum i;
-      i
+      add_incore t inum (Layout.decode_dinode (Bytes.sub buf off Layout.inode_size)) ~meta_dirty:`Clean
 
 let root t = iget t ~inum:t.sb.Layout.root_inum ~gen:t.gens.(t.sb.Layout.root_inum)
 
@@ -385,7 +338,7 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
 (* The readable length of [off, off + len): short at EOF. *)
 let clamp (ino : inode) ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Fs.read: negative offset or length";
-  Stdlib.max 0 (Stdlib.min len (ino.size - off))
+  Stdlib.max 0 (Stdlib.min len (ino.di.size - off))
 
 (* File block [fbn]'s cached buffer, or [None] for a hole. *)
 let data_block t (ino : inode) fbn =
@@ -408,7 +361,7 @@ let read t (ino : inode) ~off ~len =
     | None -> Bytes.fill out (!pos - off) chunk '\000');
     pos := !pos + chunk
   done;
-  ino.atime <- Engine.now t.eng;
+  ino.di.atime <- Engine.now t.eng;
   out
 
 (* [read] as a view. A range within one block is a window into the
@@ -422,7 +375,7 @@ let read_view t (ino : inode) ~off ~len =
       | Some buf -> Nfsg_rpc.Xdr.view_of_bytes ~pos:(off mod bs) ~len buf
       | None -> Nfsg_rpc.Xdr.view_of_bytes (Bytes.make len '\000')
     in
-    ino.atime <- Engine.now t.eng;
+    ino.di.atime <- Engine.now t.eng;
     view
   end
   else Nfsg_rpc.Xdr.view_of_bytes (read t ino ~off ~len)
@@ -440,17 +393,17 @@ let bmap_cached t (ino : inode) fbn =
       | None -> 0
     in
     let nd = Layout.nd_direct in
-    if fbn < nd then ino.direct.(fbn)
+    if fbn < nd then ino.di.direct.(fbn)
     else begin
       let p = ppb t in
       if fbn < nd + p then
-        if ino.single_ind = 0 then 0 else peek_slot ino.single_ind (fbn - nd)
+        if ino.di.single_ind = 0 then 0 else peek_slot ino.di.single_ind (fbn - nd)
       else begin
         let idx = fbn - nd - p in
         let d1 = idx / p and d2 = idx mod p in
-        if ino.double_ind = 0 then 0
+        if ino.di.double_ind = 0 then 0
         else
-          match peek_slot ino.double_ind d1 with
+          match peek_slot ino.di.double_ind d1 with
           | 0 -> 0
           | l2 -> peek_slot l2 d2
       end
@@ -467,13 +420,13 @@ let bmap_cached t (ino : inode) fbn =
 let read_ahead t (ino : inode) ~stream ~off ~len =
   if Buffer_cache.readahead_active t.bcache then
     Mutex.with_lock ino.lock (fun () ->
-        if off >= 0 && len > 0 && off < ino.size then begin
+        if off >= 0 && len > 0 && off < ino.di.size then begin
           let bs = bsize t in
-          let len' = Stdlib.min len (ino.size - off) in
+          let len' = Stdlib.min len (ino.di.size - off) in
           Buffer_cache.note_read t.bcache ~stream ~fbn:(off / bs)
             ~nblocks:(((off + len' - 1) / bs) - (off / bs) + 1)
             ~map:(fun fbn -> bmap_cached t ino fbn)
-            ~limit:((ino.size + bs - 1) / bs)
+            ~limit:((ino.di.size + bs - 1) / bs)
         end);
   read_view t ino ~off ~len
 
@@ -606,11 +559,11 @@ let write_view t (ino : inode) ~off (data : Nfsg_rpc.Xdr.view) ~mode =
       touched := b :: !touched;
       pos := !pos + chunk
     done;
-    if off + len > ino.size then begin
-      ino.size <- off + len;
+    if off + len > ino.di.size then begin
+      ino.di.size <- off + len;
       ino.meta_dirty <- `Dirty
     end;
-    ino.mtime <- Engine.now t.eng;
+    ino.di.mtime <- Engine.now t.eng;
     if ino.meta_dirty = `Clean then ino.meta_dirty <- `Time_only;
     match mode with
     | Delay_data -> ()
@@ -632,7 +585,7 @@ let write t (ino : inode) ~off data ~mode =
 
 let touch t (ino : inode) ~mtime =
   ignore t;
-  ino.mtime <- mtime;
+  ino.di.mtime <- mtime;
   if ino.meta_dirty = `Clean then ino.meta_dirty <- `Time_only
 
 (* {1 Truncate} *)
@@ -640,7 +593,7 @@ let touch t (ino : inode) ~mtime =
 let truncate t (ino : inode) newsize =
   if newsize < 0 then invalid_arg "Fs.truncate: negative size";
   let bs = bsize t in
-  let old_nblocks = (ino.size + bs - 1) / bs in
+  let old_nblocks = (ino.di.size + bs - 1) / bs in
   let new_nblocks = (newsize + bs - 1) / bs in
   if new_nblocks < old_nblocks then begin
     (* Free data blocks beyond the new end. *)
@@ -649,26 +602,26 @@ let truncate t (ino : inode) newsize =
       if b <> 0 then begin
         free_block t b;
         let nd = Layout.nd_direct and p = ppb t in
-        if fbn < nd then ino.direct.(fbn) <- 0
-        else if fbn < nd + p then clear_pointer t ino ino.single_ind (fbn - nd)
+        if fbn < nd then ino.di.direct.(fbn) <- 0
+        else if fbn < nd + p then clear_pointer t ino ino.di.single_ind (fbn - nd)
         else begin
           let idx = fbn - nd - p in
-          let l2 = Layout.get_pointer (Buffer_cache.get t.bcache ino.double_ind) (idx / p) in
+          let l2 = Layout.get_pointer (Buffer_cache.get t.bcache ino.di.double_ind) (idx / p) in
           if l2 <> 0 then clear_pointer t ino l2 (idx mod p)
         end
       end
     done;
     (* Free indirect blocks that no longer map anything. *)
     let nd = Layout.nd_direct and p = ppb t in
-    if ino.single_ind <> 0 && new_nblocks <= nd then begin
-      ino.dirty_indirects <- List.filter (fun b -> b <> ino.single_ind) ino.dirty_indirects;
-      free_block t ino.single_ind;
-      ino.single_ind <- 0
+    if ino.di.single_ind <> 0 && new_nblocks <= nd then begin
+      ino.dirty_indirects <- List.filter (fun b -> b <> ino.di.single_ind) ino.dirty_indirects;
+      free_block t ino.di.single_ind;
+      ino.di.single_ind <- 0
     end;
-    if ino.double_ind <> 0 then begin
+    if ino.di.double_ind <> 0 then begin
       (* Second-level blocks wholly past the new end: free them, then
          clear their slots in one change. *)
-      let ib1 = Buffer_cache.get t.bcache ino.double_ind in
+      let ib1 = Buffer_cache.get t.bcache ino.di.double_ind in
       let doomed = ref [] in
       for d1 = p - 1 downto 0 do
         let l2 = Layout.get_pointer ib1 d1 in
@@ -680,20 +633,20 @@ let truncate t (ino : inode) newsize =
           free_block t l2)
         !doomed;
       if !doomed <> [] then
-        modify_indirect t ino ino.double_ind Buffer_cache.From_disk (fun ib1 ->
+        modify_indirect t ino ino.di.double_ind Buffer_cache.From_disk (fun ib1 ->
             List.iter (fun (d1, _) -> Layout.set_pointer ib1 d1 0) !doomed);
       if new_nblocks <= nd + p then begin
-        ino.dirty_indirects <- List.filter (fun b -> b <> ino.double_ind) ino.dirty_indirects;
-        free_block t ino.double_ind;
-        ino.double_ind <- 0
+        ino.dirty_indirects <- List.filter (fun b -> b <> ino.di.double_ind) ino.dirty_indirects;
+        free_block t ino.di.double_ind;
+        ino.di.double_ind <- 0
       end
     end
   end;
-  if newsize <> ino.size then begin
-    ino.size <- newsize;
+  if newsize <> ino.di.size then begin
+    ino.di.size <- newsize;
     ino.meta_dirty <- `Dirty;
-    ino.mtime <- Engine.now t.eng;
-    ino.ctime <- Engine.now t.eng
+    ino.di.mtime <- Engine.now t.eng;
+    ino.di.ctime <- Engine.now t.eng
   end
 
 (* {1 Inode allocation} *)
@@ -707,32 +660,12 @@ let ialloc t ftype =
   let inum = find 2 in
   t.used.(inum) <- true;
   t.gens.(inum) <- t.gens.(inum) + 1;
-  let now = Engine.now t.eng in
-  let ino =
-    {
-      inum;
-      ftype;
-      nlink = 1;
-      size = 0;
-      mtime = now;
-      atime = now;
-      ctime = now;
-      direct = Array.make Layout.nd_direct 0;
-      single_ind = 0;
-      double_ind = 0;
-      gen = t.gens.(inum);
-      meta_dirty = `Dirty;
-      dirty_indirects = [];
-      lock = Mutex.create ~name:(Printf.sprintf "vnode-%d" inum) ();
-    }
-  in
-  Hashtbl.replace t.incore inum ino;
-  ino
+  add_incore t inum (Layout.new_dinode ftype ~gen:t.gens.(inum) ~now:(Engine.now t.eng)) ~meta_dirty:`Dirty
 
 let ifree t (ino : inode) =
   truncate t ino 0;
-  ino.ftype <- Layout.Free;
-  ino.nlink <- 0;
+  ino.di.ftype <- Layout.Free;
+  ino.di.nlink <- 0;
   ino.meta_dirty <- `Dirty;
   t.used.(ino.inum) <- false;
   Hashtbl.remove t.incore ino.inum;
@@ -741,16 +674,16 @@ let ifree t (ino : inode) =
 
 (* {1 Directories} *)
 
-let assert_dir (ino : inode) = if ino.ftype <> Layout.Directory then raise (Not_dir ino.inum)
+let assert_dir (ino : inode) = if ino.di.ftype <> Layout.Directory then raise (Not_dir ino.inum)
 
 let read_entries t (dir : inode) =
   assert_dir dir;
-  Layout.decode_dirents (read t dir ~off:0 ~len:dir.size)
+  Layout.decode_dirents (read t dir ~off:0 ~len:dir.di.size)
 
 let write_entries t (dir : inode) entries =
   let data = Layout.encode_dirents entries in
   let newlen = Bytes.length data in
-  if newlen < dir.size then truncate t dir newlen;
+  if newlen < dir.di.size then truncate t dir newlen;
   if newlen > 0 then write t dir ~off:0 data ~mode:Sync;
   fsync_metadata t dir
 
@@ -779,10 +712,10 @@ let remove t (dir : inode) name =
   | None -> raise Not_found
   | Some inum ->
       let victim = iget t ~inum ~gen:t.gens.(inum) in
-      if victim.ftype = Layout.Directory then raise (Is_dir inum);
+      if victim.di.ftype = Layout.Directory then raise (Is_dir inum);
       write_entries t dir (List.remove_assoc name entries);
-      victim.nlink <- victim.nlink - 1;
-      if victim.nlink <= 0 then ifree t victim else fsync_metadata t victim
+      victim.di.nlink <- victim.di.nlink - 1;
+      if victim.di.nlink <= 0 then ifree t victim else fsync_metadata t victim
 
 let rmdir t (dir : inode) name =
   assert_dir dir;
@@ -791,7 +724,7 @@ let rmdir t (dir : inode) name =
   | None -> raise Not_found
   | Some inum ->
       let victim = iget t ~inum ~gen:t.gens.(inum) in
-      if victim.ftype <> Layout.Directory then raise (Not_dir inum);
+      if victim.di.ftype <> Layout.Directory then raise (Not_dir inum);
       if read_entries t victim <> [] then raise (Not_empty inum);
       write_entries t dir (List.remove_assoc name entries);
       ifree t victim
@@ -807,8 +740,8 @@ let symlink t (dir : inode) name ~target =
   ino
 
 let readlink t (ino : inode) =
-  if ino.ftype <> Layout.Symlink then raise (Not_symlink ino.inum);
-  Bytes.to_string (read t ino ~off:0 ~len:ino.size)
+  if ino.di.ftype <> Layout.Symlink then raise (Not_symlink ino.inum);
+  Bytes.to_string (read t ino ~off:0 ~len:ino.di.size)
 
 let rename t ~src_dir ~src ~dst_dir ~dst =
   assert_dir src_dir;
@@ -867,17 +800,17 @@ let check t =
   for inum = 1 to t.sb.Layout.ninodes - 1 do
     if t.used.(inum) then begin
       let ino = iget t ~inum ~gen:t.gens.(inum) in
-      Array.iter (claim inum) ino.direct;
-      if ino.single_ind <> 0 then begin
-        claim inum ino.single_ind;
-        let ib = Buffer_cache.get t.bcache ino.single_ind in
+      Array.iter (claim inum) ino.di.direct;
+      if ino.di.single_ind <> 0 then begin
+        claim inum ino.di.single_ind;
+        let ib = Buffer_cache.get t.bcache ino.di.single_ind in
         for i = 0 to ppb t - 1 do
           claim inum (Layout.get_pointer ib i)
         done
       end;
-      if ino.double_ind <> 0 then begin
-        claim inum ino.double_ind;
-        let ib1 = Buffer_cache.get t.bcache ino.double_ind in
+      if ino.di.double_ind <> 0 then begin
+        claim inum ino.di.double_ind;
+        let ib1 = Buffer_cache.get t.bcache ino.di.double_ind in
         for d1 = 0 to ppb t - 1 do
           let l2 = Layout.get_pointer ib1 d1 in
           if l2 <> 0 then begin
@@ -889,9 +822,9 @@ let check t =
           end
         done
       end;
-      let max_bytes = (Array.length ino.direct + ppb t + (ppb t * ppb t)) * bs in
-      if ino.size > max_bytes then err "inode %d size %d exceeds mappable bytes" inum ino.size;
-      if ino.ftype = Layout.Directory then
+      let max_bytes = (Array.length ino.di.direct + ppb t + (ppb t * ppb t)) * bs in
+      if ino.di.size > max_bytes then err "inode %d size %d exceeds mappable bytes" inum ino.di.size;
+      if ino.di.ftype = Layout.Directory then
         List.iter
           (fun (name, child) ->
             if child < 1 || child >= t.sb.Layout.ninodes || not t.used.(child) then
@@ -912,8 +845,8 @@ let check t =
     if t.used.(inum) then begin
       let ino = iget t ~inum ~gen:t.gens.(inum) in
       let expected = Option.value ~default:0 (Hashtbl.find_opt link_counts inum) in
-      if ino.nlink <> expected then
-        err "inode %d nlink %d but %d directory references" inum ino.nlink expected
+      if ino.di.nlink <> expected then
+        err "inode %d nlink %d but %d directory references" inum ino.di.nlink expected
     end
   done;
   match !errors with [] -> Ok () | es -> Error (List.rev es)

@@ -89,30 +89,30 @@ let decode_superblock b =
   sb
 
 type dinode = {
-  ftype : ftype;
-  nlink : int;
-  size : int;
-  mtime : int;
-  atime : int;
-  ctime : int;
+  mutable ftype : ftype;
+  mutable nlink : int;
+  mutable size : int;
+  mutable mtime : int;
+  mutable atime : int;
+  mutable ctime : int;
   direct : int array;
-  single_ind : int;
-  double_ind : int;
-  gen : int;
+  mutable single_ind : int;
+  mutable double_ind : int;
+  mutable gen : int;
 }
 
-let zero_dinode =
+let new_dinode ftype ~gen ~now =
   {
-    ftype = Free;
-    nlink = 0;
+    ftype;
+    nlink = 1;
     size = 0;
-    mtime = 0;
-    atime = 0;
-    ctime = 0;
+    mtime = now;
+    atime = now;
+    ctime = now;
     direct = Array.make nd_direct 0;
     single_ind = 0;
     double_ind = 0;
-    gen = 0;
+    gen;
   }
 
 let encode_dinode di =

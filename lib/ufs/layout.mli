@@ -43,22 +43,27 @@ val encode_superblock : superblock -> Bytes.t
 val decode_superblock : Bytes.t -> superblock
 (** Raises [Failure] on bad magic or garbage fields. *)
 
+(** An inode, on disk and in core alike: the filesystem's in-core
+    inode carries one of these and changes it in place, so
+    {!encode_dinode} and {!decode_dinode} are the whole of inode I/O. *)
 type dinode = {
-  ftype : ftype;
-  nlink : int;
-  size : int;  (** bytes *)
-  mtime : int;  (** simulated ns *)
-  atime : int;
-  ctime : int;
+  mutable ftype : ftype;
+  mutable nlink : int;
+  mutable size : int;  (** bytes *)
+  mutable mtime : int;  (** simulated ns *)
+  mutable atime : int;
+  mutable ctime : int;
   direct : int array;  (** [nd_direct] block numbers, 0 = hole *)
-  single_ind : int;  (** indirect block number, 0 = none *)
-  double_ind : int;
-  gen : int;
+  mutable single_ind : int;  (** indirect block number, 0 = none *)
+  mutable double_ind : int;
+  mutable gen : int;
       (** generation number, bumped at every reuse of the inode slot so
           stale NFS file handles can be detected *)
 }
 
-val zero_dinode : dinode
+val new_dinode : ftype -> gen:int -> now:int -> dinode
+(** A fresh inode of generation [gen]: one link, no blocks, every time
+    [now]. *)
 
 val encode_dinode : dinode -> Bytes.t
 (** Exactly [inode_size] bytes. *)
