@@ -108,89 +108,53 @@ let modify_indirect t (ino : inode) b fill change =
 let clear_pointer t ino ib idx =
   modify_indirect t ino ib Buffer_cache.From_disk (fun buf -> Layout.set_pointer buf idx 0)
 
+(* Free indirect block [b]: the inode's next commit no longer writes
+   it. *)
+let free_indirect t (ino : inode) b =
+  ino.dirty_indirects <- List.filter (fun x -> x <> b) ino.dirty_indirects;
+  free_block t b
+
+(* A new block for an empty pointer, or 0 when not [alloc_missing]. A
+   new indirect block starts zeroed and is listed for the inode's next
+   metadata commit. *)
+let new_block t (ino : inode) ~alloc_missing ~near ~indirect =
+  if not alloc_missing then 0
+  else begin
+    let b = alloc_block t ?near () in
+    if indirect then modify_indirect t ino b Buffer_cache.Zeroed ignore;
+    ino.meta_dirty <- `Dirty;
+    b
+  end
+
+(* The pointer in slot [i] of indirect block [ib] (0 when [ib] is 0),
+   filled from [new_block] when empty. *)
+let follow t ino ib i ~alloc_missing ~near ~indirect =
+  if ib = 0 then 0
+  else
+    match Layout.get_pointer (Buffer_cache.get t.bcache ib) i with
+    | 0 when alloc_missing ->
+        let b = new_block t ino ~alloc_missing ~near ~indirect in
+        modify_indirect t ino ib Buffer_cache.From_disk (fun buf -> Layout.set_pointer buf i b);
+        b
+    | b -> b
+
 (* Map file block [fbn] to a disk block. With [alloc_missing], holes
    (and missing indirect blocks) are allocated; [near] seeds locality.
    Returns 0 for an unmapped hole when not allocating. *)
 let bmap t (ino : inode) fbn ~alloc_missing ~near =
-  if fbn < 0 || fbn >= Layout.max_file_blocks t.sb then
-    invalid_arg (Printf.sprintf "bmap: file block %d out of range" fbn);
-  let get_slot ib idx =
-    let buf = Buffer_cache.get t.bcache ib in
-    Layout.get_pointer buf idx
-  in
-  let set_slot ib idx v =
-    modify_indirect t ino ib Buffer_cache.From_disk (fun buf -> Layout.set_pointer buf idx v)
-  in
-  let alloc_data ib_opt idx_opt =
-    let b = alloc_block t ?near () in
-    (match (ib_opt, idx_opt) with
-    | Some ib, Some idx -> set_slot ib idx b
-    | None, None -> ()
-    | _ -> assert false);
-    ino.meta_dirty <- `Dirty;
-    b
-  in
-  let nd = Layout.nd_direct in
-  if fbn < nd then begin
-    let b = ino.di.direct.(fbn) in
-    if b <> 0 then b
-    else if not alloc_missing then 0
-    else begin
-      let b = alloc_data None None in
-      ino.di.direct.(fbn) <- b;
-      b
-    end
-  end
-  else begin
-    let p = ppb t in
-    let ensure_indirect current set_field =
-      if current <> 0 then current
-      else begin
-        let b = alloc_block t ?near () in
-        modify_indirect t ino b Buffer_cache.Zeroed ignore;
-        set_field b;
-        ino.meta_dirty <- `Dirty;
-        b
-      end
-    in
-    if fbn < nd + p then begin
-      let idx = fbn - nd in
-      if ino.di.single_ind = 0 && not alloc_missing then 0
-      else begin
-        let ib = ensure_indirect ino.di.single_ind (fun b -> ino.di.single_ind <- b) in
-        let b = get_slot ib idx in
-        if b <> 0 then b
-        else if not alloc_missing then 0
-        else alloc_data (Some ib) (Some idx)
-      end
-    end
-    else begin
-      let idx = fbn - nd - p in
-      let d1 = idx / p and d2 = idx mod p in
-      if ino.di.double_ind = 0 && not alloc_missing then 0
-      else begin
-        let ib1 = ensure_indirect ino.di.double_ind (fun b -> ino.di.double_ind <- b) in
-        let l2 = get_slot ib1 d1 in
-        if l2 = 0 && not alloc_missing then 0
-        else begin
-          let ib2 =
-            if l2 <> 0 then l2
-            else begin
-              let b = alloc_block t ?near () in
-              modify_indirect t ino b Buffer_cache.Zeroed ignore;
-              set_slot ib1 d1 b;
-              ino.meta_dirty <- `Dirty;
-              b
-            end
-          in
-          let b = get_slot ib2 d2 in
-          if b <> 0 then b
-          else if not alloc_missing then 0
-          else alloc_data (Some ib2) (Some d2)
-        end
-      end
-    end
-  end
+  let di = ino.di in
+  match Layout.slot t.sb fbn with
+  | Layout.Direct i ->
+      if di.direct.(i) = 0 then di.direct.(i) <- new_block t ino ~alloc_missing ~near ~indirect:false;
+      di.direct.(i)
+  | Layout.Single i ->
+      if di.single_ind = 0 then di.single_ind <- new_block t ino ~alloc_missing ~near ~indirect:true;
+      follow t ino di.single_ind i ~alloc_missing ~near ~indirect:false
+  | Layout.Double (i, j) ->
+      if di.double_ind = 0 then di.double_ind <- new_block t ino ~alloc_missing ~near ~indirect:true;
+      let l2 = follow t ino di.double_ind i ~alloc_missing ~near ~indirect:true in
+      follow t ino l2 j ~alloc_missing ~near ~indirect:false
+  | Layout.Beyond -> invalid_arg (Printf.sprintf "bmap: file block %d out of range" fbn)
 
 let getattr ({ inum; di = { ftype; nlink; size; mtime; atime; ctime; gen; _ }; _ } : inode) =
   { ftype; nlink; size; mtime; atime; ctime; inum; gen }
@@ -380,35 +344,21 @@ let read_view t (ino : inode) ~off ~len =
   end
   else Nfsg_rpc.Xdr.view_of_bytes (read t ino ~off ~len)
 
+(* Pointer [i] of indirect block [ib] if [ib] is resident, else 0. *)
+let peek_pointer t ib i =
+  if ib = 0 then 0
+  else match Buffer_cache.peek t.bcache ib with Some buf -> Layout.get_pointer buf i | None -> 0
+
 (* Like [bmap ~alloc_missing:false] but consults only resident indirect
    blocks ([Buffer_cache.peek]) — never performs I/O, never parks.
    Returns 0 for a hole or a mapping whose indirect block is not in
    core: read-ahead simply has nothing to prefetch there this round. *)
 let bmap_cached t (ino : inode) fbn =
-  if fbn < 0 || fbn >= Layout.max_file_blocks t.sb then 0
-  else begin
-    let peek_slot ib idx =
-      match Buffer_cache.peek t.bcache ib with
-      | Some buf -> Layout.get_pointer buf idx
-      | None -> 0
-    in
-    let nd = Layout.nd_direct in
-    if fbn < nd then ino.di.direct.(fbn)
-    else begin
-      let p = ppb t in
-      if fbn < nd + p then
-        if ino.di.single_ind = 0 then 0 else peek_slot ino.di.single_ind (fbn - nd)
-      else begin
-        let idx = fbn - nd - p in
-        let d1 = idx / p and d2 = idx mod p in
-        if ino.di.double_ind = 0 then 0
-        else
-          match peek_slot ino.di.double_ind d1 with
-          | 0 -> 0
-          | l2 -> peek_slot l2 d2
-      end
-    end
-  end
+  match Layout.slot t.sb fbn with
+  | Layout.Direct i -> ino.di.direct.(i)
+  | Layout.Single i -> peek_pointer t ino.di.single_ind i
+  | Layout.Double (i, j) -> peek_pointer t (peek_pointer t ino.di.double_ind i) j
+  | Layout.Beyond -> 0
 
 (* The read-path read-ahead hook. The stream bookkeeping and the
    prefetch submission run under the inode lock (a [Locked.run]-scoped
@@ -592,8 +542,8 @@ let touch t (ino : inode) ~mtime =
 
 let truncate t (ino : inode) newsize =
   if newsize < 0 then invalid_arg "Fs.truncate: negative size";
-  let bs = bsize t in
-  let old_nblocks = (ino.di.size + bs - 1) / bs in
+  let di = ino.di and bs = bsize t in
+  let old_nblocks = (di.size + bs - 1) / bs in
   let new_nblocks = (newsize + bs - 1) / bs in
   if new_nblocks < old_nblocks then begin
     (* Free data blocks beyond the new end. *)
@@ -601,44 +551,40 @@ let truncate t (ino : inode) newsize =
       let b = bmap t ino fbn ~alloc_missing:false ~near:None in
       if b <> 0 then begin
         free_block t b;
-        let nd = Layout.nd_direct and p = ppb t in
-        if fbn < nd then ino.di.direct.(fbn) <- 0
-        else if fbn < nd + p then clear_pointer t ino ino.di.single_ind (fbn - nd)
-        else begin
-          let idx = fbn - nd - p in
-          let l2 = Layout.get_pointer (Buffer_cache.get t.bcache ino.di.double_ind) (idx / p) in
-          if l2 <> 0 then clear_pointer t ino l2 (idx mod p)
-        end
+        match Layout.slot t.sb fbn with
+        | Layout.Direct i -> di.direct.(i) <- 0
+        | Layout.Single i -> clear_pointer t ino di.single_ind i
+        | Layout.Double (i, j) ->
+            clear_pointer t ino (Layout.get_pointer (Buffer_cache.get t.bcache di.double_ind) i) j
+        | Layout.Beyond -> ()
       end
     done;
-    (* Free indirect blocks that no longer map anything. *)
-    let nd = Layout.nd_direct and p = ppb t in
-    if ino.di.single_ind <> 0 && new_nblocks <= nd then begin
-      ino.dirty_indirects <- List.filter (fun b -> b <> ino.di.single_ind) ino.dirty_indirects;
-      free_block t ino.di.single_ind;
-      ino.di.single_ind <- 0
-    end;
-    if ino.di.double_ind <> 0 then begin
-      (* Second-level blocks wholly past the new end: free them, then
-         clear their slots in one change. *)
-      let ib1 = Buffer_cache.get t.bcache ino.di.double_ind in
+    (* Free the indirect blocks that no longer map anything: those the
+       new last block's slot does not pass through (an empty file keeps
+       what a one-block file keeps). *)
+    let last = if new_nblocks = 0 then Layout.Direct 0 else Layout.slot t.sb (new_nblocks - 1) in
+    (match last with
+    | Layout.Direct _ when di.single_ind <> 0 ->
+        free_indirect t ino di.single_ind;
+        di.single_ind <- 0
+    | _ -> ());
+    if di.double_ind <> 0 then begin
+      (* Level-2 blocks wholly past the new end: free them, then clear
+         their slots in one change. *)
+      let kept = match last with Layout.Double (i, _) -> i + 1 | _ -> 0 in
+      let ib1 = Buffer_cache.get t.bcache di.double_ind in
       let doomed = ref [] in
-      for d1 = p - 1 downto 0 do
-        let l2 = Layout.get_pointer ib1 d1 in
-        if l2 <> 0 && new_nblocks <= nd + p + (d1 * p) then doomed := (d1, l2) :: !doomed
+      for i = Layout.pointers_per_block t.sb - 1 downto kept do
+        let l2 = Layout.get_pointer ib1 i in
+        if l2 <> 0 then doomed := (i, l2) :: !doomed
       done;
-      List.iter
-        (fun (_, l2) ->
-          ino.dirty_indirects <- List.filter (fun b -> b <> l2) ino.dirty_indirects;
-          free_block t l2)
-        !doomed;
+      List.iter (fun (_, l2) -> free_indirect t ino l2) !doomed;
       if !doomed <> [] then
-        modify_indirect t ino ino.di.double_ind Buffer_cache.From_disk (fun ib1 ->
-            List.iter (fun (d1, _) -> Layout.set_pointer ib1 d1 0) !doomed);
-      if new_nblocks <= nd + p then begin
-        ino.dirty_indirects <- List.filter (fun b -> b <> ino.di.double_ind) ino.dirty_indirects;
-        free_block t ino.di.double_ind;
-        ino.di.double_ind <- 0
+        modify_indirect t ino di.double_ind Buffer_cache.From_disk (fun ib1 ->
+            List.iter (fun (i, _) -> Layout.set_pointer ib1 i 0) !doomed);
+      if kept = 0 then begin
+        free_indirect t ino di.double_ind;
+        di.double_ind <- 0
       end
     end
   end;
@@ -780,7 +726,6 @@ let crash t =
 let check t =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let bs = bsize t in
   let seen = Hashtbl.create 1024 in
   let claim owner b =
     if b <> 0 then begin
@@ -822,8 +767,7 @@ let check t =
           end
         done
       end;
-      let max_bytes = (Array.length ino.di.direct + ppb t + (ppb t * ppb t)) * bs in
-      if ino.di.size > max_bytes then err "inode %d size %d exceeds mappable bytes" inum ino.di.size;
+      if ino.di.size > Layout.max_file_size t.sb then err "inode %d size %d exceeds mappable bytes" inum ino.di.size;
       if ino.di.ftype = Layout.Directory then
         List.iter
           (fun (name, child) ->

@@ -151,9 +151,20 @@ let inode_block sb inum =
 
 let pointers_per_block sb = sb.bsize / 4
 
-let max_file_blocks sb =
-  let ppb = pointers_per_block sb in
-  nd_direct + ppb + (ppb * ppb)
+type slot = Direct of int | Single of int | Double of int * int | Beyond
+
+let slot sb fbn =
+  let p = pointers_per_block sb in
+  if fbn < 0 then invalid_arg (Printf.sprintf "layout: negative file block %d" fbn)
+  else if fbn < nd_direct then Direct fbn
+  else if fbn < nd_direct + p then Single (fbn - nd_direct)
+  else
+    let i = fbn - nd_direct - p in
+    if i < p * p then Double (i / p, i mod p) else Beyond
+
+let max_file_size sb =
+  let p = pointers_per_block sb in
+  (nd_direct + p + (p * p)) * sb.bsize
 
 let get_pointer block i = get32 block (4 * i)
 let set_pointer block i v = set32 block (4 * i) v

@@ -74,10 +74,31 @@ val inode_block : superblock -> int -> int * int
 (** [inode_block sb inum] is [(block number, byte offset within
     block)] of that inode's slot. *)
 
+(** {1 The block tree}
+
+    An inode maps its file blocks through [nd_direct] direct pointers,
+    then a single-indirect block of {!pointers_per_block} pointers,
+    then a double-indirect block whose pointers name level-2 blocks of
+    as many pointers each. A pointer is a block number; 0 is a hole. *)
+
 val pointers_per_block : superblock -> int
 
-val max_file_blocks : superblock -> int
-(** Largest file the direct + single + double indirect scheme can map. *)
+(** Where the pointer to a file block lives: the slot rule. *)
+type slot =
+  | Direct of int  (** [direct.(i)] *)
+  | Single of int  (** slot [i] of the single-indirect block *)
+  | Double of int * int
+      (** slot [j] of the level-2 block named by slot [i] of the
+          double-indirect block *)
+  | Beyond  (** past the largest file the tree can map *)
+
+val slot : superblock -> int -> slot
+(** [slot sb fbn] is where file block [fbn]'s pointer lives, [Beyond]
+    from file block [max_file_size sb / bsize] on. Raises
+    [Invalid_argument] on a negative [fbn]. *)
+
+val max_file_size : superblock -> int
+(** The size limit: bytes in the largest file the tree can map. *)
 
 val get_pointer : Bytes.t -> int -> int
 (** [get_pointer block i] reads the [i]-th 32-bit block pointer of an
