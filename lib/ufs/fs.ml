@@ -85,8 +85,6 @@ let mkfs dev ?(bsize = 8192) ?(ninodes = 4096) () =
 
 (* {1 Block mapping} *)
 
-let ppb t = Layout.pointers_per_block t.sb
-
 let alloc_block t ?near () =
   match Alloc.alloc t.balloc ?near () with
   | b ->
@@ -260,38 +258,18 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
   Alloc.clear_all_data_area balloc;
   let reach = Hashtbl.create 1024 in
   let claim b =
-    if b <> 0 then begin
-      Hashtbl.replace reach b ();
-      Alloc.set_allocated balloc b
-    end
+    Hashtbl.replace reach b ();
+    Alloc.set_allocated balloc b
   in
+  let read b = dev.Device.stable_read ~off:(b * bs) ~len:bs in
   for inum = 1 to sb.Layout.ninodes - 1 do
     let d = load_dinode_stable t inum in
     gens.(inum) <- d.Layout.gen;
     if d.Layout.ftype <> Layout.Free then begin
       used.(inum) <- true;
-      Array.iter claim d.Layout.direct;
-      if d.Layout.single_ind <> 0 then begin
-        claim d.Layout.single_ind;
-        let ib = dev.Device.stable_read ~off:(d.Layout.single_ind * bs) ~len:bs in
-        for idx = 0 to Layout.pointers_per_block sb - 1 do
-          claim (Layout.get_pointer ib idx)
-        done
-      end;
-      if d.Layout.double_ind <> 0 then begin
-        claim d.Layout.double_ind;
-        let ib1 = dev.Device.stable_read ~off:(d.Layout.double_ind * bs) ~len:bs in
-        for d1 = 0 to Layout.pointers_per_block sb - 1 do
-          let l2 = Layout.get_pointer ib1 d1 in
-          if l2 <> 0 then begin
-            claim l2;
-            let ib2 = dev.Device.stable_read ~off:(l2 * bs) ~len:bs in
-            for d2 = 0 to Layout.pointers_per_block sb - 1 do
-              claim (Layout.get_pointer ib2 d2)
-            done
-          end
-        done
-      end
+      (* A pointer outside the data area is neither claimed nor read
+         through; [check] reports it. *)
+      Layout.walk sb d ~read ~stray:ignore claim
     end
   done;
   t.free_blocks <- sb.Layout.nblocks - sb.Layout.data_start - Hashtbl.length reach;
@@ -728,46 +706,21 @@ let check t =
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let seen = Hashtbl.create 1024 in
   let claim owner b =
-    if b <> 0 then begin
-      if b < t.sb.Layout.data_start || b >= t.sb.Layout.nblocks then
-        err "inode %d references out-of-range block %d" owner b
-      else begin
-        if Hashtbl.mem seen b then err "block %d multiply claimed (again by inode %d)" b owner;
-        Hashtbl.replace seen b ();
-        if not (Alloc.is_allocated t.balloc b) then
-          err "block %d used by inode %d but free in bitmap" b owner
-      end
-    end
+    if Hashtbl.mem seen b then err "block %d multiply claimed (again by inode %d)" b owner;
+    Hashtbl.replace seen b ();
+    if not (Alloc.is_allocated t.balloc b) then
+      err "block %d used by inode %d but free in bitmap" b owner
   in
-  (* Walk every live inode's block tree (through the cache: current
-     in-core truth). *)
   let link_counts = Hashtbl.create 64 in
   for inum = 1 to t.sb.Layout.ninodes - 1 do
     if t.used.(inum) then begin
       let ino = iget t ~inum ~gen:t.gens.(inum) in
-      Array.iter (claim inum) ino.di.direct;
-      if ino.di.single_ind <> 0 then begin
-        claim inum ino.di.single_ind;
-        let ib = Buffer_cache.get t.bcache ino.di.single_ind in
-        for i = 0 to ppb t - 1 do
-          claim inum (Layout.get_pointer ib i)
-        done
-      end;
-      if ino.di.double_ind <> 0 then begin
-        claim inum ino.di.double_ind;
-        let ib1 = Buffer_cache.get t.bcache ino.di.double_ind in
-        for d1 = 0 to ppb t - 1 do
-          let l2 = Layout.get_pointer ib1 d1 in
-          if l2 <> 0 then begin
-            claim inum l2;
-            let ib2 = Buffer_cache.get t.bcache l2 in
-            for d2 = 0 to ppb t - 1 do
-              claim inum (Layout.get_pointer ib2 d2)
-            done
-          end
-        done
-      end;
-      if ino.di.size > Layout.max_file_size t.sb then err "inode %d size %d exceeds mappable bytes" inum ino.di.size;
+      (* Walk the block tree through the cache: current in-core truth. *)
+      Layout.walk t.sb ino.di ~read:(Buffer_cache.get t.bcache)
+        ~stray:(err "inode %d references out-of-range block %d" inum)
+        (claim inum);
+      if ino.di.size > Layout.max_file_size t.sb then
+        err "inode %d size %d exceeds mappable bytes" inum ino.di.size;
       if ino.di.ftype = Layout.Directory then
         List.iter
           (fun (name, child) ->

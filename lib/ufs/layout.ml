@@ -169,6 +169,24 @@ let max_file_size sb =
 let get_pointer block i = get32 block (4 * i)
 let set_pointer block i v = set32 block (4 * i) v
 
+let walk sb di ~read ~stray visit =
+  let rec node depth b =
+    if b = 0 then ()
+    else if b < sb.data_start || b >= sb.nblocks then stray b
+    else begin
+      visit b;
+      if depth > 0 then begin
+        let ib = read b in
+        for i = 0 to pointers_per_block sb - 1 do
+          node (depth - 1) (get_pointer ib i)
+        done
+      end
+    end
+  in
+  Array.iter (node 0) di.direct;
+  node 1 di.single_ind;
+  node 2 di.double_ind
+
 let encode_dirents entries =
   let buf = Buffer.create 256 in
   List.iter

@@ -106,6 +106,17 @@ val get_pointer : Bytes.t -> int -> int
 
 val set_pointer : Bytes.t -> int -> int -> unit
 
+val walk :
+  superblock -> dinode -> read:(int -> Bytes.t) -> stray:(int -> unit) -> (int -> unit) -> unit
+(** [walk sb di ~read ~stray visit] calls [visit] on every block of
+    [di]'s tree, in tree order: the direct blocks, then the
+    single-indirect block and the blocks it names, then the
+    double-indirect block and each level-2 block followed by the blocks
+    it names. An indirect block is visited before [read] fetches it and
+    its pointers are followed. The walk follows, and visits, only
+    pointers inside the data area: any other nonzero pointer goes to
+    [stray], and is neither visited nor read through. *)
+
 (** {1 Directory entries}
 
     A directory's data is a packed sequence of entries, rewritten

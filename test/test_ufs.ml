@@ -465,6 +465,37 @@ let test_check_nlink_mismatch () =
       in
       expect_fsck fs2 [ Printf.sprintf "inode %d nlink 2 but 1 directory references" a ])
 
+(* Pointers outside the data area: a direct pointer past the volume
+   whose bitmap bit would lie in the other file's first data block, a
+   single-indirect pointer past the volume and a double-indirect one
+   naming the bitmap. [mount] neither claims nor reads through them,
+   and [check] names each without reading through it. *)
+let test_check_pointers_outside_data_area () =
+  let eng, dev, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      let other, victim =
+        match one_block_files fs [ "other"; "victim" ] with [ o; v ] -> (o, v) | _ -> assert false
+      in
+      let sb = superblock dev in
+      let first = (dinode_on_disk dev other).Layout.direct.(0) in
+      let far = ((first - sb.Layout.bitmap_start) * sb.Layout.bsize * 8) + 5 in
+      let past = sb.Layout.nblocks + 7 and bitmap = sb.Layout.bitmap_start in
+      let fs2 =
+        remount_after eng dev fs (fun () ->
+            let d = dinode_on_disk dev victim in
+            let direct = Array.copy d.Layout.direct in
+            direct.(0) <- far;
+            write_dinode dev victim { d with Layout.direct; single_ind = past; double_ind = bitmap })
+      in
+      let o = Fs.lookup fs2 (Fs.root fs2) "other" in
+      Alcotest.(check bytes) "the other file reads back unchanged" (pattern 8192 1)
+        (Fs.read fs2 o ~off:0 ~len:8192);
+      Alcotest.(check bool) "its block is clean" false (Buffer_cache.is_dirty (Fs.cache fs2) first);
+      expect_fsck fs2
+        (List.map
+           (Printf.sprintf "inode %d references out-of-range block %d" victim)
+           [ far; past; bitmap ]))
+
 (* {1 Crash / recovery} *)
 
 let test_crash_loses_delayed_keeps_synced () =
@@ -954,6 +985,8 @@ let suite =
     Alcotest.test_case "fsck: a size beyond the mappable bytes" `Quick test_check_size_beyond_mappable;
     Alcotest.test_case "fsck: an entry naming a free inode" `Quick test_check_entry_names_free_inode;
     Alcotest.test_case "fsck: nlink against directory references" `Quick test_check_nlink_mismatch;
+    Alcotest.test_case "fsck: pointers outside the data area" `Quick
+      test_check_pointers_outside_data_area;
     Alcotest.test_case "crash: synced survives, delayed lost" `Quick test_crash_loses_delayed_keeps_synced;
     Alcotest.test_case "remount rebuilds bitmap" `Quick test_remount_rebuilds_bitmap;
     Alcotest.test_case "vnode lock survives unexpected exception" `Quick
