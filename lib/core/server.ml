@@ -150,6 +150,7 @@ let status_of_exn = function
   | Fs.Not_symlink _ -> Some Proto.NFSERR_IO
   | Nfsg_disk.Device.Io_error _ -> Some Proto.NFSERR_IO
   | Fs.No_space -> Some Proto.NFSERR_NOSPC
+  | Fs.File_too_big _ -> Some Proto.NFSERR_FBIG
   | Read_only -> Some Proto.NFSERR_ROFS
   | _ -> None
 

@@ -299,6 +299,15 @@ let flush_as_metadata_writer t g =
 let maybe_gc t g =
   if g.active = 0 && g.queue = [] then Hashtbl.remove t.states (Fs.inum g.ino)
 
+(* A gathered write refused before its data reached the cache fails
+   alone: its descriptor was never queued, so queued company is safe. *)
+let fail_alone t g tr ~fail st =
+  g.active <- g.active - 1;
+  t.send_reply tr (fail st);
+  (* If gatherers were counting on us, flush what they queued. *)
+  if g.active = 0 && g.queue <> [] then flush_as_metadata_writer t g;
+  maybe_gc t g
+
 (* Standard (reference port) path: everything synchronous under the
    vnode lock, reply sent by the same nfsd that did the work. *)
 let handle_standard t tr ~respond ~fail ino ~off ~data =
@@ -324,6 +333,7 @@ let handle_standard t tr ~respond ~fail ino ~off ~data =
       t.send_reply tr (respond (Fattr.of_inode t.fs ~fsid:t.fsid ino));
       emit t "Write Reply"
   | exception Fs.No_space -> t.send_reply tr (fail Proto.NFSERR_NOSPC)
+  | exception Fs.File_too_big _ -> t.send_reply tr (fail Proto.NFSERR_FBIG)
   | exception Nfsg_disk.Device.Io_error _ ->
       emit t "Write failed: NFSERR_IO";
       t.send_reply tr (fail Proto.NFSERR_IO));
@@ -417,21 +427,11 @@ let handle_gathering t tr ~respond ~fail ino ~off ~data =
       decide ~budget:initial_budget ~chain:0 ~slept:false;
       g.active <- g.active - 1;
       maybe_gc t g
-  | exception Fs.No_space ->
-      (* This request fails alone; its descriptor was never queued. *)
-      g.active <- g.active - 1;
-      t.send_reply tr (fail Proto.NFSERR_NOSPC);
-      (* If gatherers were counting on us, flush what they queued. *)
-      if g.active = 0 && g.queue <> [] then flush_as_metadata_writer t g;
-      maybe_gc t g
+  | exception Fs.No_space -> fail_alone t g tr ~fail Proto.NFSERR_NOSPC
+  | exception Fs.File_too_big _ -> fail_alone t g tr ~fail Proto.NFSERR_FBIG
   | exception Nfsg_disk.Device.Io_error _ ->
-      (* Same shape as No_space: this write never made it into the
-         cache, so only this request fails; queued company is safe. *)
-      g.active <- g.active - 1;
       emit t "Write failed: NFSERR_IO";
-      t.send_reply tr (fail Proto.NFSERR_IO);
-      if g.active = 0 && g.queue <> [] then flush_as_metadata_writer t g;
-      maybe_gc t g);
+      fail_alone t g tr ~fail Proto.NFSERR_IO);
   Svc.Reply_pending
 
 (* IO_DELAYDATA: the data goes into the cache under the vnode lock and
@@ -457,6 +457,7 @@ let handle_unsafe_async t tr ~respond ~fail ino ~off ~data =
       t.send_reply tr (respond (Fattr.of_inode t.fs ~fsid:t.fsid ino));
       emit t "Write Reply (volatile!)"
   | exception Fs.No_space -> t.send_reply tr (fail Proto.NFSERR_NOSPC)
+  | exception Fs.File_too_big _ -> t.send_reply tr (fail Proto.NFSERR_FBIG)
   | exception Nfsg_disk.Device.Io_error _ -> t.send_reply tr (fail Proto.NFSERR_IO));
   Svc.Reply_pending
 

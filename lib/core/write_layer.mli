@@ -103,20 +103,28 @@ val handle_write :
     [respond] formats the success reply from the post-flush attributes
     (the v2 [RAttr] shape, or the v3 [RWrite3] one for stable v3
     writes, which therefore share gather batches with v2 writes).
-    [fail] formats error replies the same way. A disk error during a gathered
-    flush fails every descriptor in the batch with [NFSERR_IO] in FIFO
-    order — no reply may claim success after the covering metadata
-    update failed — and the simulation keeps running. *)
+    [fail] formats error replies the same way. A write refused before
+    its data reached the cache fails alone, answered [NFSERR_NOSPC]
+    when the volume is full, [NFSERR_FBIG] when it would take the file
+    past {!Nfsg_ufs.Layout.max_file_size}, or [NFSERR_IO] on a disk
+    error: its gathered company is still flushed and answered. A disk
+    error during a gathered flush fails every descriptor in the batch
+    with [NFSERR_IO] in FIFO order — no reply may claim success after
+    the covering metadata update failed — and the simulation keeps
+    running. *)
 
 val delayed_write :
   t -> Nfsg_rpc.Svc.transport -> Nfsg_ufs.Fs.inode -> off:int -> data:Nfsg_rpc.Xdr.view -> unit
 (** IO_DELAYDATA, for NFSv3 UNSTABLE writes and [Unsafe_async] mode:
     fill the cache under the vnode lock and stamp the journey queued.
-    Nothing goes to disk. The caller replies; a failed fill raises. *)
+    Nothing goes to disk. The caller replies; a failed fill raises
+    (a write past the size limit raises {!Nfsg_ufs.Fs.File_too_big}
+    before it changes anything). *)
 
 val commit : t -> Nfsg_rpc.Svc.transport -> Nfsg_ufs.Fs.inode -> off:int -> count:int -> unit
 (** NFSv3 COMMIT: under the vnode lock, sync the data of
-    [off, off+count) ([count] 0: to end of file), then the metadata.
+    [off, off+count) ([count] 0: to end of file) that lies below the
+    size limit, then the metadata.
     The caller replies; a disk error raises and leaves the data dirty
     in the cache. *)
 

@@ -46,6 +46,7 @@ exception Not_symlink of int
 exception Exists of string
 exception Not_empty of int
 exception No_space
+exception File_too_big of int
 
 let device t = t.dev
 let cache t = t.bcache
@@ -366,7 +367,8 @@ let range_blocks t (ino : inode) ~off ~len =
   if len <= 0 then []
   else begin
     let bs = bsize t in
-    let first = off / bs and last = (off + len - 1) / bs in
+    let first = off / bs in
+    let last = Stdlib.min ((off + len - 1) / bs) ((Layout.max_file_size t.sb / bs) - 1) in
     let rec collect fbn acc =
       if fbn > last then List.rev acc
       else
@@ -461,6 +463,7 @@ let near_hint t (ino : inode) fbn =
 let write_view t (ino : inode) ~off (data : Nfsg_rpc.Xdr.view) ~mode =
   let len = Nfsg_rpc.Xdr.view_length data in
   if off < 0 then invalid_arg "Fs.write: negative offset";
+  if off + len > Layout.max_file_size t.sb then raise (File_too_big ino.inum);
   if len > 0 then begin
     let bs = bsize t in
     let touched = ref [] in
@@ -520,6 +523,7 @@ let touch t (ino : inode) ~mtime =
 
 let truncate t (ino : inode) newsize =
   if newsize < 0 then invalid_arg "Fs.truncate: negative size";
+  if newsize > Layout.max_file_size t.sb then raise (File_too_big ino.inum);
   let di = ino.di and bs = bsize t in
   let old_nblocks = (di.size + bs - 1) / bs in
   let new_nblocks = (newsize + bs - 1) / bs in

@@ -54,6 +54,11 @@ exception Not_empty of int
 exception No_space
 (** Re-export of {!Alloc.No_space} at this level. *)
 
+exception File_too_big of int
+(** Inode number of a file that {!write_view} or {!truncate} was asked
+    to take past the size limit, {!Layout.max_file_size}; nothing was
+    changed (maps to [NFSERR_FBIG] on the wire). *)
+
 (** {1 Formatting and mounting} *)
 
 val mkfs : Nfsg_disk.Device.t -> ?bsize:int -> ?ninodes:int -> unit -> unit
@@ -147,11 +152,14 @@ val write_view : t -> inode -> off:int -> Nfsg_rpc.Xdr.view -> mode:write_mode -
     the write path where payload bytes are copied.
     In [Sync] mode, a write that changed nothing but the modify time
     leaves the inode [`Time_only] dirty instead of forcing a
-    synchronous inode write (the reference port's special case). *)
+    synchronous inode write (the reference port's special case).
+    Raises {!File_too_big}, before it changes anything, when the range
+    ends past {!Layout.max_file_size}. *)
 
 val syncdata : t -> inode -> off:int -> len:int -> unit
 (** VOP_SYNCDATA: flush delayed data blocks overlapping the byte
-    range, clustering device-contiguous runs up to 64 KiB. *)
+    range, clustering device-contiguous runs up to 64 KiB. The part of
+    the range past the size limit holds no blocks and is skipped. *)
 
 val fsync_metadata : t -> inode -> unit
 (** VOP_FSYNC(FWRITE_METADATA): {!commit_range_begin} with [len = 0],
@@ -180,7 +188,8 @@ val commit_range_begin : t -> inode -> off:int -> len:int -> unit -> unit
 
 val truncate : t -> inode -> int -> unit
 (** Grow (sparse) or shrink; shrinking frees blocks. Metadata is left
-    dirty; call {!fsync_metadata} to commit. *)
+    dirty; call {!fsync_metadata} to commit. Raises {!File_too_big}
+    past {!Layout.max_file_size}. *)
 
 val touch : t -> inode -> mtime:Nfsg_sim.Time.t -> unit
 

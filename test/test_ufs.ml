@@ -496,6 +496,30 @@ let test_check_pointers_outside_data_area () =
            (Printf.sprintf "inode %d references out-of-range block %d" victim)
            [ far; past; bitmap ]))
 
+(* The size limit: a write or truncate that would take the file past
+   the largest size the tree maps is refused before it changes
+   anything; one that ends exactly there goes through. *)
+let test_size_limit () =
+  let eng, dev, fs = fresh_fs ~bsize:512 ~ninodes:64 () in
+  let limit = Layout.max_file_size (superblock dev) in
+  in_proc eng (fun () ->
+      let f = Fs.create fs (Fs.root fs) "edge" Layout.Regular in
+      Fs.write fs f ~off:0 (pattern 1000 1) ~mode:Fs.Sync;
+      let free = (Fs.statfs fs).Fs.free_blocks in
+      Alcotest.check_raises "write across the limit" (Fs.File_too_big (Fs.inum f)) (fun () ->
+          Fs.write fs f ~off:(limit - 100) (pattern 200 2) ~mode:Fs.Sync);
+      Alcotest.check_raises "truncate past the limit" (Fs.File_too_big (Fs.inum f)) (fun () ->
+          Fs.truncate fs f (limit + 1));
+      Alcotest.(check int) "size unchanged" 1000 (Fs.getattr f).Fs.size;
+      Alcotest.(check int) "nothing allocated" free (Fs.statfs fs).Fs.free_blocks;
+      Alcotest.(check bytes) "bytes unchanged" (pattern 1000 1) (Fs.read fs f ~off:0 ~len:1000);
+      Fs.write fs f ~off:(limit - 100) (pattern 100 3) ~mode:Fs.Sync;
+      Alcotest.(check int) "a write ending at the limit" limit (Fs.getattr f).Fs.size;
+      Alcotest.(check bytes) "reads back" (pattern 100 3) (Fs.read fs f ~off:(limit - 100) ~len:100);
+      match Fs.check fs with
+      | Ok () -> ()
+      | Error es -> Alcotest.failf "fsck: %s" (String.concat "; " es))
+
 (* {1 Crash / recovery} *)
 
 let test_crash_loses_delayed_keeps_synced () =
@@ -987,6 +1011,7 @@ let suite =
     Alcotest.test_case "fsck: nlink against directory references" `Quick test_check_nlink_mismatch;
     Alcotest.test_case "fsck: pointers outside the data area" `Quick
       test_check_pointers_outside_data_area;
+    Alcotest.test_case "the size limit refuses before changing anything" `Quick test_size_limit;
     Alcotest.test_case "crash: synced survives, delayed lost" `Quick test_crash_loses_delayed_keeps_synced;
     Alcotest.test_case "remount rebuilds bitmap" `Quick test_remount_rebuilds_bitmap;
     Alcotest.test_case "vnode lock survives unexpected exception" `Quick

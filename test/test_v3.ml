@@ -124,6 +124,50 @@ let test_v3_commit_durability () =
       Alcotest.(check bytes) "committed data durable" (expect_pattern ~total ~seed:7)
         (Fs.read fs2 f2 ~off:0 ~len:total))
 
+(* Three calls at 2^40, far past the largest file 8 KB blocks can map,
+   on a gathering server: the writes are refused with NFSERR_FBIG in
+   their own reply shape and change nothing, the COMMIT syncs the
+   (empty) part of its range below the limit, and the next write to the
+   file is answered as usual. No call escapes as a dispatch error. *)
+let test_write_past_largest_file_fails_alone () =
+  let rig = make () in
+  let call ~proc args =
+    match Rpc_client.call rig.rpc ~proc (Proto.encode_args args) with
+    | Nfsg_rpc.Rpc.Success, body -> Proto.decode_res ~proc body
+    | _ -> Alcotest.failf "proc %d: call not accepted" proc
+  in
+  let write3 fh ~offset stable data =
+    call ~proc:Proto.proc_write3
+      (Proto.Write3 { fh; offset; stable; data = Xdr.view_of_bytes data })
+  in
+  let far = 1 lsl 40 in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "big" in
+      let first = Bytes.make 4096 'a' in
+      (match write3 fh ~offset:0 Proto.File_sync first with
+      | Proto.RWrite3 (Ok _) -> ()
+      | _ -> Alcotest.fail "first write refused");
+      (match write3 fh ~offset:far Proto.Unstable (Bytes.make 8192 'u') with
+      | Proto.RWrite3 (Error Proto.NFSERR_FBIG) -> ()
+      | _ -> Alcotest.fail "UNSTABLE write past the limit: expected NFSERR_FBIG");
+      (match call ~proc:Proto.proc_commit (Proto.Commit { fh; offset = far; count = 8192 }) with
+      | Proto.RCommit (Ok _) -> ()
+      | _ -> Alcotest.fail "COMMIT past the limit: expected NFS_OK");
+      (match write3 fh ~offset:far Proto.File_sync (Bytes.make 8192 's') with
+      | Proto.RWrite3 (Error Proto.NFSERR_FBIG) -> ()
+      | _ -> Alcotest.fail "FILE_SYNC write past the limit: expected NFSERR_FBIG");
+      (match call ~proc:Proto.proc_read (Proto.Read { fh; offset = 0; count = 8192 }) with
+      | Proto.RRead (Ok (a, data)) ->
+          Alcotest.(check int) "size unchanged" 4096 a.Proto.size;
+          Alcotest.(check bytes) "bytes unchanged" first (Xdr.view_copy data)
+      | _ -> Alcotest.fail "READ failed");
+      match write3 fh ~offset:0 Proto.File_sync (Bytes.make 8192 'b') with
+      | Proto.RWrite3 (Ok (a, _, _)) -> Alcotest.(check int) "next write answered" 8192 a.Proto.size
+      | _ -> Alcotest.fail "write at 0 after the refused ones failed");
+  Alcotest.(check (option int)) "no dispatch errors" (Some 0)
+    (Nfsg_stats.Metrics.find_counter (Server.metrics rig.server) ~ns:Nfsg_stats.Names.Ns.rpc_svc
+       Nfsg_stats.Names.dispatch_errors)
+
 let test_v3_verifier_changes_across_reboot () =
   let rig = make () in
   let verf1 = Server.write_verifier rig.server in
@@ -279,6 +323,8 @@ let suite =
     Alcotest.test_case "v3 write/read roundtrip" `Quick test_v3_write_read_roundtrip;
     Alcotest.test_case "unstable until COMMIT" `Quick test_v3_unstable_is_volatile_until_commit;
     Alcotest.test_case "COMMIT makes data durable" `Quick test_v3_commit_durability;
+    Alcotest.test_case "a write past the largest file fails alone" `Quick
+      test_write_past_largest_file_fails_alone;
     Alcotest.test_case "verifier changes across reboot" `Quick test_v3_verifier_changes_across_reboot;
     Alcotest.test_case "client detects server reboot" `Quick test_v3_client_detects_reboot;
     Alcotest.test_case "v3 File_sync gathers with v2" `Quick test_v3_file_sync_writes_gather_with_v2;
