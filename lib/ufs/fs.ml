@@ -104,8 +104,8 @@ let modify_indirect t (ino : inode) b fill change =
   Buffer_cache.modify t.bcache b Buffer_cache.Metadata fill change;
   if not (List.mem b ino.dirty_indirects) then ino.dirty_indirects <- b :: ino.dirty_indirects
 
-let clear_pointer t ino ib idx =
-  modify_indirect t ino ib Buffer_cache.From_disk (fun buf -> Layout.set_pointer buf idx 0)
+let set_pointer t ino ib i b =
+  modify_indirect t ino ib Buffer_cache.From_disk (fun buf -> Layout.set_pointer buf i b)
 
 (* Free indirect block [b]: the inode's next commit no longer writes
    it. *)
@@ -133,7 +133,7 @@ let follow t ino ib i ~alloc_missing ~near ~indirect =
     match Layout.get_pointer (Buffer_cache.get t.bcache ib) i with
     | 0 when alloc_missing ->
         let b = new_block t ino ~alloc_missing ~near ~indirect in
-        modify_indirect t ino ib Buffer_cache.From_disk (fun buf -> Layout.set_pointer buf i b);
+        set_pointer t ino ib i b;
         b
     | b -> b
 
@@ -144,13 +144,16 @@ let bmap t (ino : inode) fbn ~alloc_missing ~near =
   let di = ino.di in
   match Layout.slot t.sb fbn with
   | Layout.Direct i ->
-      if di.direct.(i) = 0 then di.direct.(i) <- new_block t ino ~alloc_missing ~near ~indirect:false;
+      if di.direct.(i) = 0 then
+        di.direct.(i) <- new_block t ino ~alloc_missing ~near ~indirect:false;
       di.direct.(i)
   | Layout.Single i ->
-      if di.single_ind = 0 then di.single_ind <- new_block t ino ~alloc_missing ~near ~indirect:true;
+      if di.single_ind = 0 then
+        di.single_ind <- new_block t ino ~alloc_missing ~near ~indirect:true;
       follow t ino di.single_ind i ~alloc_missing ~near ~indirect:false
   | Layout.Double (i, j) ->
-      if di.double_ind = 0 then di.double_ind <- new_block t ino ~alloc_missing ~near ~indirect:true;
+      if di.double_ind = 0 then
+        di.double_ind <- new_block t ino ~alloc_missing ~near ~indirect:true;
       let l2 = follow t ino di.double_ind i ~alloc_missing ~near ~indirect:true in
       follow t ino l2 j ~alloc_missing ~near ~indirect:false
   | Layout.Beyond -> invalid_arg (Printf.sprintf "bmap: file block %d out of range" fbn)
@@ -535,9 +538,9 @@ let truncate t (ino : inode) newsize =
         free_block t b;
         match Layout.slot t.sb fbn with
         | Layout.Direct i -> di.direct.(i) <- 0
-        | Layout.Single i -> clear_pointer t ino di.single_ind i
+        | Layout.Single i -> set_pointer t ino di.single_ind i 0
         | Layout.Double (i, j) ->
-            clear_pointer t ino (Layout.get_pointer (Buffer_cache.get t.bcache di.double_ind) i) j
+            set_pointer t ino (Layout.get_pointer (Buffer_cache.get t.bcache di.double_ind) i) j 0
         | Layout.Beyond -> ()
       end
     done;
