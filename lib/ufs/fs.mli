@@ -77,7 +77,12 @@ val mount :
 (** Read the superblock and inode table from stable storage
     (instantaneous, "boot time"), rebuilding the block bitmap from
     reachable blocks — the fsck pass that makes the
-    bitmap-is-never-synced policy safe. [cache_blocks] bounds the
+    bitmap-is-never-synced policy safe. It lists each live inode's
+    blocks with {!Layout.walk}, reading indirect blocks from stable
+    storage; a pointer outside the data area is neither claimed nor
+    read through, so a stray pointer cannot set a bitmap bit that
+    lies in another block or make the mount fail ({!check} reports
+    it). [cache_blocks] bounds the
     buffer cache (default unbounded: plenty of RAM); it is clamped up
     so the metadata area always fits. [metrics]/[ns] give the buffer
     cache a read-plane namespace to mirror its counters into;
@@ -234,5 +239,9 @@ val crash : t -> unit
 
 val check : t -> (unit, string list) result
 (** Offline consistency check: every reachable block allocated exactly
-    once, bitmap matches reachability, directory entries point at live
-    inodes, link counts correct. *)
+    once, bitmap matches reachability, sizes within
+    {!Layout.max_file_size}, directory entries point at live inodes,
+    link counts correct. Block trees are listed with {!Layout.walk}
+    through the buffer cache; a pointer outside the data area is
+    reported as ["inode N references out-of-range block B"] and not
+    read through. *)

@@ -3,7 +3,10 @@
     Everything here is pure byte twiddling: encoding and decoding of
     the superblock, inodes and directory entries, plus the geometry
     arithmetic mapping structures to disk blocks. All multi-byte
-    fields are big-endian.
+    fields are big-endian. This module is the format's one home: the
+    inode record the in-core inode carries, and the block tree — the
+    slot rule, the size limit and the walk — that the filesystem maps,
+    truncates, rebuilds and checks files through.
 
     Layout of a volume with block size [bsize]:
     {v
