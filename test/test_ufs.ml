@@ -409,9 +409,8 @@ let test_check_block_claimed_twice () =
       let fs2 =
         remount_after eng dev fs (fun () ->
             let d = dinode_on_disk dev b in
-            let direct = Array.copy d.Layout.direct in
-            direct.(0) <- shared;
-            write_dinode dev b { d with Layout.direct })
+            d.Layout.direct.(0) <- shared;
+            write_dinode dev b d)
       in
       expect_fsck fs2 [ Printf.sprintf "block %d multiply claimed (again by inode %d)" shared b ])
 
@@ -483,9 +482,8 @@ let test_check_pointers_outside_data_area () =
       let fs2 =
         remount_after eng dev fs (fun () ->
             let d = dinode_on_disk dev victim in
-            let direct = Array.copy d.Layout.direct in
-            direct.(0) <- far;
-            write_dinode dev victim { d with Layout.direct; single_ind = past; double_ind = bitmap })
+            d.Layout.direct.(0) <- far;
+            write_dinode dev victim { d with Layout.single_ind = past; double_ind = bitmap })
       in
       let o = Fs.lookup fs2 (Fs.root fs2) "other" in
       Alcotest.(check bytes) "the other file reads back unchanged" (pattern 8192 1)
