@@ -28,8 +28,8 @@ let write_req ~class_ ~off bufs =
   let len = List.fold_left (fun n b -> n + Bytes.length b) 0 bufs in
   { op = Write bufs; off; len; class_; done_ = Ivar.create (); error = None }
 
-let read_req ?(class_ = `Read) ~off ~len () =
-  { op = Read (Bytes.create len); off; len; class_; done_ = Ivar.create (); error = None }
+let read_req ?(class_ = `Read) ~off buf =
+  { op = Read buf; off; len = Bytes.length buf; class_; done_ = Ivar.create (); error = None }
 
 let barrier () = Barrier { done_ = Ivar.create () }
 
@@ -97,7 +97,7 @@ let epochs items ~run =
 (* {1 Blocking shims} *)
 
 let blocking_read ~submit ~off ~len =
-  let r = read_req ~off ~len () in
+  let r = read_req ~off (Bytes.create len) in
   submit [ Req r ];
   await r;
   read_buf r

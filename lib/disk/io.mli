@@ -71,9 +71,12 @@ val write_req : class_:class_ -> off:int -> Bytes.t list -> req
 (** A write of the gather list, without copying it: the caller keeps
     the buffers fixed until the request completes. *)
 
-val read_req : ?class_:class_ -> off:int -> len:int -> unit -> req
-(** [class_] defaults to [`Read]; rebuild resilver reads pass
-    [`Bg_drain] so they yield to foreground traffic in the queue. *)
+val read_req : ?class_:class_ -> off:int -> Bytes.t -> req
+(** [read_req ~off buf] reads [Bytes.length buf] bytes from [off] into
+    [buf]: a read fills its issuer's buffer, which the issuer leaves
+    alone until [done_]. [class_] defaults to [`Read]; rebuild resilver
+    reads pass [`Bg_drain] so they yield to foreground traffic in the
+    queue. *)
 
 val barrier : unit -> item
 

@@ -226,7 +226,7 @@ let batch_await t rs =
     rs
 
 let mread t m ~class_ ~off ~len =
-  let r = Io.read_req ~class_ ~off ~len () in
+  let r = Io.read_req ~class_ ~off (Bytes.create len) in
   batch_await t [ (m, r) ];
   (r.Io.error, Io.read_buf r)
 
@@ -273,7 +273,7 @@ let epoch0 t reqs k =
                   | Io.Write _ ->
                       Io.write_req ~class_:r.Io.class_ ~off:moff
                         [ Io.sub r ~pos:(loff - r.Io.off) ~len:plen ]
-                  | Io.Read _ -> Io.read_req ~off:moff ~len:plen ()
+                  | Io.Read _ -> Io.read_req ~off:moff (Bytes.create plen)
                 in
                 Ivar.upon pr.Io.done_ (fun () ->
                     (match (pr.Io.error, r.Io.op) with
@@ -400,7 +400,7 @@ let epoch1 t ~gen reqs =
           | Io.Read _ ->
               let m = t.rotor in
               t.rotor <- (t.rotor + 1) mod t.n;
-              let tw = Io.read_req ~class_:r.Io.class_ ~off:r.Io.off ~len:r.Io.len () in
+              let tw = Io.read_req ~class_:r.Io.class_ ~off:r.Io.off (Bytes.create r.Io.len) in
               per_member.(m) <- Io.Req tw :: per_member.(m);
               `R (r, m, tw))
         reqs
@@ -545,10 +545,10 @@ let commit_row5_locked t ~gen ~row patches =
            every data position [want] selects, in one batch; [k] gets
            the bytes read, by member. *)
         let read_row want k =
-          let targets = ref [ (p, Io.read_req ~off:moff ~len:t.chunk ()) ] in
+          let targets = ref [ (p, Io.read_req ~off:moff (Bytes.create t.chunk)) ] in
           for j = nd - 1 downto 0 do
             if want j then
-              targets := (data_member t row j, Io.read_req ~off:moff ~len:t.chunk ()) :: !targets
+              targets := (data_member t row j, Io.read_req ~off:moff (Bytes.create t.chunk)) :: !targets
           done;
           batch_await t !targets;
           if failed !targets then retry () else k (fun m -> Io.read_buf (List.assoc m !targets))
@@ -745,7 +745,7 @@ let epoch5 t ~gen reqs =
                   let m = data_member t row j in
                   if live t m ~row then begin
                     let tw =
-                      Io.read_req ~class_:r.Io.class_ ~off:((row * t.chunk) + coff) ~len:plen ()
+                      Io.read_req ~class_:r.Io.class_ ~off:((row * t.chunk) + coff) (Bytes.create plen)
                     in
                     per_member.(m) <- Io.Req tw :: per_member.(m);
                     `Direct (row, j, coff, plen, loff, m, tw)

@@ -2,37 +2,32 @@ open Nfsg_sim
 module Metrics = Nfsg_stats.Metrics
 module Names = Nfsg_stats.Names
 
-type state = In_flight | Done of Bytes.t * Time.t
-
-type entry = { key : string * int; mutable state : state; mutable last_touch : Time.t }
+(* A completed entry sits on two rings, both closed by the cache's
+   sentinel: the LRU ring in eviction order (least recently touched
+   first, ties broken by key, so the victim never depends on hash-table
+   order) and the completion ring in completion order (oldest first).
+   An in-flight entry is on neither, and links to itself. *)
+type entry = {
+  key : string * int;
+  mutable reply : Bytes.t;  (* meaningful once completed *)
+  mutable done_at : Time.t;
+  mutable touched : Time.t;  (* its place on the LRU ring *)
+  mutable older : entry;
+  mutable newer : entry;
+  mutable done_before : entry;
+  mutable done_after : entry;
+}
 
 type verdict = New | In_progress | Replay of Bytes.t
-
-(* Completed entries in eviction order: least recently touched first,
-   ties broken by key, so the victim never depends on hash-table
-   order. An element's touch time is fixed; touching a completed entry
-   re-inserts it. *)
-module Lru = Set.Make (struct
-  type t = Time.t * entry
-
-  let compare (ta, a) (tb, b) =
-    if ta <> tb then Int.compare ta tb
-    else
-      let ca, xa = a.key and cb, xb = b.key in
-      let c = String.compare ca cb in
-      if c <> 0 then c else Int.compare xa xb
-end)
 
 type t = {
   eng : Engine.t;
   capacity : int;
   ttl : Time.t;
   table : (string * int, entry) Hashtbl.t;
-  mutable lru : Lru.t;
-  completions : (Time.t * entry) Queue.t;
-      (** every completion, oldest first; an element whose entry has
-          since been re-armed, completed again or removed (which re-arms
-          it) is stale and skipped *)
+  ends : entry;
+      (* sentinel of both rings: [ends.newer] is the next to evict,
+         [ends.done_after] the next to expire *)
   m_drops : Metrics.counter;
   m_replays : Metrics.counter;
   m_evictions : Metrics.counter;
@@ -42,6 +37,13 @@ type t = {
 
 let ns = Names.Ns.rpc_dupcache
 
+(* A new entry, in flight: linked only to itself. *)
+let entry key =
+  let rec e =
+    { key; reply = Bytes.empty; done_at = 0; touched = 0; older = e; newer = e; done_before = e; done_after = e }
+  in
+  e
+
 let create eng ?(capacity = 512) ?(ttl = Time.sec 6) ?metrics () =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
   {
@@ -49,8 +51,7 @@ let create eng ?(capacity = 512) ?(ttl = Time.sec 6) ?metrics () =
     capacity;
     ttl;
     table = Hashtbl.create 256;
-    lru = Lru.empty;
-    completions = Queue.create ();
+    ends = entry ("", 0);
     m_drops = Metrics.counter m ~ns Names.drops;
     m_replays = Metrics.counter m ~ns Names.replays;
     m_evictions = Metrics.counter m ~ns Names.evictions;
@@ -64,83 +65,96 @@ let replays t = Metrics.value t.m_replays
 let evictions t = Metrics.value t.m_evictions
 let overflows t = Metrics.value t.m_overflows
 
-(* Take a completed entry out of eviction order (before it is touched,
-   re-armed or removed). *)
-let unlist t e =
-  match e.state with Done _ -> t.lru <- Lru.remove (e.last_touch, e) t.lru | In_flight -> ()
+let completed e = e.newer != e
 
-(* A removed entry is re-armed so that its stale completion records
-   neither match it nor keep its reply alive. *)
+let unlink_lru e =
+  e.older.newer <- e.newer;
+  e.newer.older <- e.older;
+  e.older <- e;
+  e.newer <- e
+
+(* Off both rings: back in flight, or on the way out. *)
+let unlink e =
+  unlink_lru e;
+  e.done_before.done_after <- e.done_after;
+  e.done_after.done_before <- e.done_before;
+  e.done_before <- e;
+  e.done_after <- e
+
+let key_after (ca, xa) (cb, xb) =
+  let c = String.compare ca cb in
+  c > 0 || (c = 0 && xa > xb)
+
+(* Searching back from [p], the first entry that an entry touched at
+   [now] with [key] may follow: the sentinel, an entry touched earlier,
+   or one whose key sorts before [key]. *)
+let rec place t now key p =
+  if p != t.ends && p.touched = now && key_after p.key key then place t now key p.older else p
+
+(* Onto the LRU ring, touched now. Every entry there was touched no
+   later, so [e] goes to the tail, behind any entry touched at the same
+   instant whose key sorts before its own. *)
+let touch t e now =
+  e.touched <- now;
+  let p = place t now e.key t.ends.older in
+  e.older <- p;
+  e.newer <- p.newer;
+  p.newer.older <- e;
+  p.newer <- e
+
 let remove t e =
-  unlist t e;
-  Hashtbl.remove t.table e.key;
-  e.state <- In_flight
+  unlink e;
+  Hashtbl.remove t.table e.key
+
+let rec expire t now =
+  let e = t.ends.done_after in
+  if e != t.ends && now - e.done_at > t.ttl then begin
+    remove t e;
+    Metrics.incr t.m_expirations;
+    expire t now
+  end
+
+let rec evict t =
+  let e = t.ends.newer in
+  if Hashtbl.length t.table >= t.capacity && e != t.ends then begin
+    remove t e;
+    Metrics.incr t.m_evictions;
+    evict t
+  end
 
 (* Make room for one insertion. First drop every completed entry whose
    TTL has lapsed (it can never be replayed again, only re-executed, so
    keeping it buys nothing): completion times only grow, so those are
-   the live head of [completions]. If the table is still at capacity,
+   the head of the completion ring. If the table is still at capacity,
    evict the least recently touched completed entries until one slot
    is free. In-flight entries are pinned — with every slot pinned there
    is no room, and the caller must not insert. *)
 let make_room t =
-  let now = Engine.now t.eng in
-  let rec expire () =
-    match Queue.peek_opt t.completions with
-    | Some (at, e) -> (
-        match e.state with
-        | Done (_, done_at) when done_at = at ->
-            if now - at > t.ttl then begin
-              ignore (Queue.pop t.completions);
-              remove t e;
-              Metrics.incr t.m_expirations;
-              expire ()
-            end
-        | Done _ | In_flight ->
-            ignore (Queue.pop t.completions);
-            expire ())
-    | None -> ()
-  in
-  expire ();
-  let rec evict () =
-    if Hashtbl.length t.table >= t.capacity then
-      match Lru.min_elt_opt t.lru with
-      | Some (_, e) ->
-          remove t e;
-          Metrics.incr t.m_evictions;
-          evict ()
-      | None -> ()
-  in
-  evict ();
+  expire t (Engine.now t.eng);
+  evict t;
   Hashtbl.length t.table < t.capacity
 
 let admit t ~client ~xid =
   let key = (client, xid) in
   let now = Engine.now t.eng in
   match Hashtbl.find_opt t.table key with
-  | Some e -> (
-      match e.state with
-      | In_flight ->
-          e.last_touch <- now;
-          Metrics.incr t.m_drops;
-          In_progress
-      | Done (reply, at) when now - at <= t.ttl ->
-          (* A replay touches the entry: it moves in eviction order. *)
-          if e.last_touch <> now then begin
-            unlist t e;
-            e.last_touch <- now;
-            t.lru <- Lru.add (now, e) t.lru
-          end;
-          Metrics.incr t.m_replays;
-          Replay reply
-      | Done _ ->
-          unlist t e;
-          e.state <- In_flight;
-          e.last_touch <- now;
-          New)
+  | Some e when not (completed e) ->
+      Metrics.incr t.m_drops;
+      In_progress
+  | Some e when now - e.done_at <= t.ttl ->
+      (* A replay touches the entry: it moves in eviction order. *)
+      if e.touched <> now then begin
+        unlink_lru e;
+        touch t e now
+      end;
+      Metrics.incr t.m_replays;
+      Replay e.reply
+  | Some e ->
+      unlink e;
+      e.reply <- Bytes.empty;
+      New
   | None ->
-      if make_room t then
-        Hashtbl.replace t.table key { key; state = In_flight; last_touch = now }
+      if make_room t then Hashtbl.replace t.table key (entry key)
       else
         (* Every slot holds an in-flight request: execute uncached. A
            retransmission of this request during execution will not be
@@ -152,11 +166,14 @@ let complete t ~client ~xid reply =
   match Hashtbl.find_opt t.table (client, xid) with
   | Some e ->
       let now = Engine.now t.eng in
-      unlist t e;
-      e.state <- Done (reply, now);
-      e.last_touch <- now;
-      t.lru <- Lru.add (now, e) t.lru;
-      Queue.add (now, e) t.completions
+      unlink e;
+      e.reply <- reply;
+      e.done_at <- now;
+      touch t e now;
+      e.done_before <- t.ends.done_before;
+      e.done_after <- t.ends;
+      t.ends.done_before.done_after <- e;
+      t.ends.done_before <- e
   | None -> ()
 
 let forget t ~client ~xid =

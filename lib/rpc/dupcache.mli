@@ -25,8 +25,12 @@ val create :
     reply stays replayable (default 6 s). Admitting a new request first
     drops TTL-expired completed entries, then evicts least-recently
     touched completed entries (oldest first, ties broken by client then
-    xid) until the table is under capacity; both in O(log n) per
-    admission, with no scan of the table. In-flight entries are never
+    xid) until the table is under capacity. Completed entries sit on two
+    rings threaded through the entries, one in touch order and one in
+    completion order, so admitting, completing, expiring and evicting
+    are O(1) each (a touch walks only past entries touched at the same
+    instant) and scan nothing. Beyond its lookup key, a call allocates
+    at most a new request's entry. In-flight entries are never
     evicted; if every slot is in flight the new request executes
     {e uncached} (an overflow) rather than growing the table. [metrics]
     registers drop/replay/eviction/expiration/overflow counters under

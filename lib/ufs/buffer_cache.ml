@@ -35,16 +35,21 @@ let default_readahead = { window = 16; min_run = 2; max_streams = 64 }
 (* One detected sequential stream (per open file per client, keyed by
    the caller's stream id). *)
 type stream = {
+  id : int;
   mutable next_fbn : int;  (* expected next file block *)
   mutable run : int;  (* current sequential run length *)
   mutable high : int;  (* first file block not yet prefetched *)
-  mutable s_use : int;  (* LRU tick for slot recycling *)
+  (* Neighbours on the stream ring, least recently used first; [ra]'s
+     sentinel closes it. *)
+  mutable s_older : stream;
+  mutable s_newer : stream;
 }
 
 type ra = {
   eng : Nfsg_sim.Engine.t;
   cfg : readahead;
   streams : (int, stream) Hashtbl.t;
+  ring : stream;  (* sentinel: [ring.s_newer] is the slot to recycle next *)
   (* Device blocks with a prefetch read in flight: demand misses
      rendezvous with the prefetch instead of duplicating the I/O. *)
   inflight : (int, unit Nfsg_sim.Ivar.t) Hashtbl.t;
@@ -70,7 +75,9 @@ type t = {
   max_blocks : int;
   meters : meters;
   mutable ra : ra option;
-  mutable tick : int;
+  mutable spare : Bytes.t list;
+      (* evicted blocks' buffers, which back the next fills before
+         anything new is allocated *)
 }
 
 let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
@@ -102,13 +109,14 @@ let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
     max_blocks;
     meters;
     ra = None;
-    tick = 0;
+    spare = [];
   }
 
 let enable_readahead c eng ?(config = default_readahead) () =
   if config.window < 1 || config.min_run < 1 || config.max_streams < 1 then
     invalid_arg "buffer_cache: degenerate readahead config";
-  c.ra <- Some { eng; cfg = config; streams = Hashtbl.create 64; inflight = Hashtbl.create 64 }
+  let rec ring = { id = -1; next_fbn = 0; run = 0; high = 0; s_older = ring; s_newer = ring } in
+  c.ra <- Some { eng; cfg = config; streams = Hashtbl.create 64; ring; inflight = Hashtbl.create 64 }
 
 let readahead_active c = c.ra <> None
 
@@ -169,7 +177,8 @@ let note_gone c e = if e.prefetched then Metrics.incr c.meters.m_ra_wasted
 
 (* Evict the least-recently-used clean block if over capacity: the
    first clean entry from the head of the LRU list. Dirty blocks are
-   pinned until flushed. *)
+   pinned until flushed. The victim's buffer backs a later fill unless
+   it is busy: then it stays with its write request. *)
 let make_room c =
   if Hashtbl.length c.table >= c.max_blocks then begin
     let rec clean_from e = if e == c.lru || e.dirty = None then e else clean_from e.newer in
@@ -177,13 +186,25 @@ let make_room c =
     if victim != c.lru then begin
       note_gone c victim;
       remove c victim;
+      if not victim.busy then c.spare <- victim.buf :: c.spare;
       Metrics.incr c.meters.m_evictions
     end
   end
 
+(* A buffer for a fill, stale bytes and all: a spare one if there is
+   one, else a new one. *)
+let take_buf c =
+  match c.spare with
+  | buf :: rest ->
+      c.spare <- rest;
+      buf
+  | [] -> Bytes.create c.bsize
+
 (* The pre-readahead demand miss: one read request, awaited. *)
 let demand_read c b =
-  let buf = Io.blocking_read ~submit:c.dev.Device.submit ~off:(b * c.bsize) ~len:c.bsize in
+  let r = Io.read_req ~off:(b * c.bsize) (take_buf c) in
+  c.dev.Device.submit [ Io.Req r ];
+  Io.await r;
   (* A concurrent reader may have populated the block while we were
      waiting on the device; keep the first copy to stay coherent. *)
   match Hashtbl.find_opt c.table b with
@@ -193,7 +214,7 @@ let demand_read c b =
       e
   | None ->
       make_room c;
-      let e = entry b buf ~prefetched:false in
+      let e = entry b (Io.read_buf r) ~prefetched:false in
       insert c e;
       e
 
@@ -233,9 +254,7 @@ let get c b = (lookup c b).buf
    fiber parks only on request ivars and takes no locks, so the engine
    is yield-point clean by construction. *)
 let prefetch c ra dbs =
-  let reqs =
-    List.map (fun db -> (db, Io.read_req ~class_:`Read ~off:(db * c.bsize) ~len:c.bsize ())) dbs
-  in
+  let reqs = List.map (fun db -> (db, Io.read_req ~off:(db * c.bsize) (take_buf c))) dbs in
   List.iter (fun (db, r) -> Hashtbl.replace ra.inflight db r.Io.done_) reqs;
   Metrics.incr c.meters.m_ra_batches;
   Metrics.add c.meters.m_ra_blocks (List.length reqs);
@@ -260,37 +279,43 @@ let prefetch c ra dbs =
               end)
         reqs)
 
+let unlink_stream s =
+  s.s_older.s_newer <- s.s_newer;
+  s.s_newer.s_older <- s.s_older
+
+(* Most recently used: to the tail of the stream ring. *)
+let touch_stream ra s =
+  unlink_stream s;
+  s.s_older <- ra.ring.s_older;
+  s.s_newer <- ra.ring;
+  ra.ring.s_older.s_newer <- s;
+  ra.ring.s_older <- s
+
 (* Find or create the stream slot, recycling the least-recently-used
    slot when the table is full. *)
-let stream_slot c ra id =
-  match Hashtbl.find_opt ra.streams id with
-  | Some s ->
-      c.tick <- c.tick + 1;
-      s.s_use <- c.tick;
-      s
-  | None ->
-      if Hashtbl.length ra.streams >= ra.cfg.max_streams then begin
-        let victim = ref None in
-        (* nfslint: allow D002 min-selection over unique s_use ticks; exactly one stream wins regardless of iteration order *)
-        Hashtbl.iter
-          (fun k s ->
-            match !victim with
-            | Some (_, vs) when vs.s_use <= s.s_use -> ()
-            | _ -> victim := Some (k, s))
-          ra.streams;
-        match !victim with Some (k, _) -> Hashtbl.remove ra.streams k | None -> ()
-      end;
-      c.tick <- c.tick + 1;
-      let s = { next_fbn = 0; run = 0; high = 0; s_use = c.tick } in
-      Hashtbl.replace ra.streams id s;
-      s
+let stream_slot ra id =
+  let s =
+    match Hashtbl.find_opt ra.streams id with
+    | Some s -> s
+    | None ->
+        if Hashtbl.length ra.streams >= ra.cfg.max_streams then begin
+          let victim = ra.ring.s_newer in
+          unlink_stream victim;
+          Hashtbl.remove ra.streams victim.id
+        end;
+        let rec s = { id; next_fbn = 0; run = 0; high = 0; s_older = s; s_newer = s } in
+        Hashtbl.replace ra.streams id s;
+        s
+  in
+  touch_stream ra s;
+  s
 
 let note_read c ~stream ~fbn ~nblocks ~map ~limit =
   match c.ra with
   | None -> ()
   | Some ra ->
       if nblocks > 0 then begin
-        let s = stream_slot c ra stream in
+        let s = stream_slot ra stream in
         let last = fbn + nblocks - 1 in
         if s.run > 0 && fbn = s.next_fbn then s.run <- s.run + nblocks
         else if s.run > 0 && fbn < s.next_fbn && last + 1 >= s.next_fbn then
@@ -330,7 +355,9 @@ let modify c b kind fill change =
       (* A new block, or one the change overwrites whole: nothing to
          read, and not a miss. *)
       make_room c;
-      let e = entry b (if fill = Zeroed then Bytes.make c.bsize '\000' else Bytes.create c.bsize) ~prefetched:false in
+      let buf = take_buf c in
+      if fill = Zeroed then Bytes.fill buf 0 c.bsize '\000';
+      let e = entry b buf ~prefetched:false in
       insert c e;
       e
     end
@@ -430,7 +457,9 @@ let install c b bytes =
   if not (Hashtbl.mem c.table b) then begin
     if Bytes.length bytes <> c.bsize then invalid_arg "buffer_cache: install of odd-sized buffer";
     make_room c;
-    insert c (entry b (Bytes.copy bytes) ~prefetched:false)
+    let buf = take_buf c in
+    Bytes.blit bytes 0 buf 0 c.bsize;
+    insert c (entry b buf ~prefetched:false)
   end
 
 let drop c b =
@@ -444,8 +473,11 @@ let crash c =
   Hashtbl.reset c.table;
   c.lru.older <- c.lru;
   c.lru.newer <- c.lru;
-  (match c.ra with
+  c.spare <- [];
+  match c.ra with
   | Some ra ->
       Hashtbl.reset ra.streams;
+      ra.ring.s_older <- ra.ring;
+      ra.ring.s_newer <- ra.ring;
       Hashtbl.reset ra.inflight
-  | None -> ())
+  | None -> ()

@@ -16,7 +16,16 @@
     not copies; a block stays {e busy} until its request completes,
     and {!modify} changes a busy block in a private copy, so the
     request writes exactly the bytes it was submitted with. The whole
-    cache is volatile: {!crash} drops everything. *)
+    cache is volatile: {!crash} drops everything.
+
+    A bounded cache recycles its buffers, as 4.4BSD's [getnewbuf] hands
+    the LRU victim's buffer to the next block. The buffer of a clean
+    block evicted to make room backs the next fill: a demand read, a
+    prefetch, {!install}, or a block {!modify} starts without reading.
+    A busy victim's buffer stays with its write request, and a dropped
+    block's ({!drop}) is not reused. So a buffer from {!get} or {!peek}
+    is valid only until the caller's next cache fill or yield; copy
+    what must outlive either. *)
 
 type kind = Data | Metadata
 
@@ -43,7 +52,8 @@ val create :
   unit ->
   t
 (** [max_blocks] bounds the cache (default: unbounded); on overflow the
-    least-recently-used clean block is evicted. Dirty blocks are
+    least-recently-used clean block is evicted, and its buffer backs a
+    later fill. Dirty blocks are
     pinned, exactly like real buffer-cache buffers awaiting write.
     When [metrics] and [ns] are both given, the cache counts in that
     namespace (the per-export read plane, e.g. ["read_plane.vol2"]);
@@ -73,10 +83,11 @@ val get : t -> int -> Bytes.t
 (** [get c b] is block [b]'s buffer, reading it from the device
     (blocking, timed) on a miss. A miss on a block with a prefetch in
     flight parks on the prefetch's completion instead of duplicating
-    the device read. *)
+    the device read. The buffer is valid until the caller's next cache
+    fill or yield. *)
 
 val peek : t -> int -> Bytes.t option
-(** Cached buffer if present; no I/O. *)
+(** Cached buffer if present; no I/O. Valid as long as {!get}'s. *)
 
 type fill =
   | From_disk  (** the change keeps some old bytes: a miss reads the block, like {!get} *)
@@ -130,8 +141,8 @@ val drop : t -> int -> unit
 (** Forget one block (e.g. after freeing it). *)
 
 val crash : t -> unit
-(** Volatile: lose every buffer and all dirty state. The counters
-    keep their totals. *)
+(** Volatile: lose every buffer, spare ones included, and all dirty
+    state. The counters keep their totals. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -311,8 +311,9 @@ let read t (ino : inode) ~off ~len =
   out
 
 (* [read] as a view. A range within one block is a window into the
-   cache block itself, valid until the caller next yields: a later
-   change may land in that buffer in place. *)
+   cache block itself, valid until the caller next yields or fills the
+   cache: a later change may land in that buffer in place, and a later
+   fill may reuse it once the block is evicted. *)
 let read_view t (ino : inode) ~off ~len =
   let len = clamp ino ~off ~len and bs = bsize t in
   if len > 0 && off / bs = (off + len - 1) / bs then begin

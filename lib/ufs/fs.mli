@@ -130,8 +130,9 @@ val read_ahead : t -> inode -> stream:int -> off:int -> len:int -> Nfsg_rpc.Xdr.
 (** {!read} as a view, feeding the access to the buffer cache's
     read-ahead engine first. A range that lies in one block is a window
     into the cache block itself, not a copy: it is valid only until the
-    caller next yields, after which a change may land in that buffer in
-    place. Any other range is a view of a private {!read}. [stream]
+    caller next yields or fills the cache, after which a change may land
+    in that buffer in place, or another block may take it over. Any
+    other range is a view of a private {!read}. [stream]
     identifies the reader (client × file) for sequential-run detection.
     The stream bookkeeping and async prefetch submission run under the
     inode lock but never park — the block mapping consults only

@@ -176,10 +176,10 @@ let walk sb di ~read ~stray visit =
     else begin
       visit b;
       if depth > 0 then begin
-        let ib = read b in
-        for i = 0 to pointers_per_block sb - 1 do
-          node (depth - 1) (get_pointer ib i)
-        done
+        (* Copy the pointers out before descending: a read below may
+           refill the buffer [read] returned. *)
+        let ptrs = Array.init (pointers_per_block sb) (get_pointer (read b)) in
+        Array.iter (node (depth - 1)) ptrs
       end
     end
   in

@@ -116,9 +116,11 @@ val walk :
     single-indirect block and the blocks it names, then the
     double-indirect block and each level-2 block followed by the blocks
     it names. An indirect block is visited before [read] fetches it and
-    its pointers are followed. The walk follows, and visits, only
-    pointers inside the data area: any other nonzero pointer goes to
-    [stray], and is neither visited nor read through. *)
+    its pointers are followed. The walk copies an indirect block's
+    pointers before it descends, so [read] may hand out a buffer that a
+    later [read] refills (the buffer cache's). The walk follows, and
+    visits, only pointers inside the data area: any other nonzero
+    pointer goes to [stray], and is neither visited nor read through. *)
 
 (** {1 Directory entries}
 

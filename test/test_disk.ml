@@ -285,7 +285,7 @@ let prop_sparse_platter_matches_flat =
                   Io.await r;
                   Bytes.fill model off len c
               | Read (off, len) ->
-                  let r = Io.read_req ~off ~len () in
+                  let r = Io.read_req ~off (Bytes.create len) in
                   dev.Device.submit [ Io.Req r ];
                   Io.await r;
                   check step what (Io.read_buf r) ~off ~len
@@ -370,7 +370,7 @@ let run_queue ~reference (scheduler, merge, merge_limit, deadline_ms, steps) =
                     Ivar.upon r.Io.done_ (fun () -> note tag "");
                     Io.Req r
                 | Q_read (blk, n) ->
-                    let r = Io.read_req ~off:(blk * queue_block) ~len:(n * queue_block) () in
+                    let r = Io.read_req ~off:(blk * queue_block) (Bytes.create (n * queue_block)) in
                     Ivar.upon r.Io.done_ (fun () -> note tag (" " ^ Digest.to_hex (Digest.bytes (Io.read_buf r))));
                     Io.Req r
               in

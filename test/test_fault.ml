@@ -144,7 +144,7 @@ let barrier_case build ~faulty =
   let w1 = write (chunk / 2) (2 * chunk) 1 in
   let w2 = write (4 * chunk) chunk 2 in
   let w3 = write (5 * chunk) chunk 3 in
-  let r4 = Io.read_req ~off:w1.Io.off ~len:w1.Io.len () in
+  let r4 = Io.read_req ~off:w1.Io.off (Bytes.create w1.Io.len) in
   let b1 = Io.barrier () and b2 = Io.barrier () in
   let items = [ Io.Req w1; Io.Req w2; b1; Io.Req w3; b2; Io.Req r4 ] in
   let fills = Array.make (List.length items) 0 in

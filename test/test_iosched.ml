@@ -136,13 +136,13 @@ let run_starvation scheduler =
   Engine.spawn eng ~name:"far" (fun () ->
       Engine.delay (Time.ms 5);
       let t0 = Engine.now eng in
-      let r = Io.read_req ~off:(64 * 1024 * 1024) ~len:bsize () in
+      let r = Io.read_req ~off:(64 * 1024 * 1024) (Bytes.create bsize) in
       dev.Device.submit [ Io.Req r ];
       Io.await r;
       far_wait := Engine.now eng - t0);
   Engine.spawn eng ~name:"band" (fun () ->
       for i = 0 to 199 do
-        let r = Io.read_req ~off:(i mod 16 * bsize) ~len:bsize () in
+        let r = Io.read_req ~off:(i mod 16 * bsize) (Bytes.create bsize) in
         dev.Device.submit [ Io.Req r ];
         Io.await r
       done);
@@ -150,7 +150,7 @@ let run_starvation scheduler =
      one's request is in service, so the elevator never goes idle. *)
   Engine.spawn eng ~name:"band2" (fun () ->
       for i = 0 to 199 do
-        let r = Io.read_req ~off:(((i mod 16) + 16) * bsize) ~len:bsize () in
+        let r = Io.read_req ~off:(((i mod 16) + 16) * bsize) (Bytes.create bsize) in
         dev.Device.submit [ Io.Req r ];
         Io.await r
       done);

@@ -162,6 +162,41 @@ let test_dupcache_tie_broken_by_key () =
       Alcotest.(check bool) "a/7 evicted" true (Dupcache.admit dc ~client:"a" ~xid:7 = Dupcache.New));
   Engine.run eng
 
+(* A full cache recycles its coldest entry for each new request, so
+   admitting and completing a new key allocates a small constant: the
+   entry, its table slot and the lookup keys. The bound is 64 words per
+   request; this cache allocates 27 as measured here, and the one that
+   kept a balanced set and a completion queue allocated 120. The least
+   of three batches is taken (see [Testbed.allocated]). *)
+let test_dupcache_turnover_allocates_a_constant () =
+  let eng = Engine.create () in
+  let dc = Dupcache.create eng () in
+  let reply = Bytes.create 0 and batch = 10_000 in
+  let serve xid =
+    ignore (Dupcache.admit dc ~client:"c" ~xid : Dupcache.verdict);
+    Dupcache.complete dc ~client:"c" ~xid reply
+  in
+  let per_request = ref nan in
+  Engine.spawn eng (fun () ->
+      for xid = 0 to 511 do
+        serve xid;
+        Engine.delay (Time.ns 1)
+      done;
+      let words k =
+        let (), w =
+          Testbed.allocated (fun () ->
+              for xid = 1000 + (k * batch) to 999 + ((k + 1) * batch) do
+                serve xid
+              done)
+        in
+        w /. float_of_int batch
+      in
+      per_request := List.fold_left Float.min infinity (List.init 3 words));
+  Engine.run eng;
+  Alcotest.(check int) "full throughout" 512 (Dupcache.entries dc);
+  Alcotest.(check int) "one eviction per request" (3 * batch) (Dupcache.evictions dc);
+  if !per_request > 64.0 then Alcotest.failf "%.1f words per new request" !per_request
+
 (* The cache against its reference model (its own former self): random
    traces of admissions, completions, forgets and clock steps, several
    per instant, must agree on every verdict, the table size, every
@@ -446,4 +481,6 @@ let suite =
     Alcotest.test_case "garbage datagrams dropped" `Quick test_garbage_counted;
     Alcotest.test_case "truncated WRITE args get GARBAGE_ARGS" `Quick
       test_truncated_write_garbage_args;
+    Alcotest.test_case "dupcache turnover allocates a constant" `Quick
+      test_dupcache_turnover_allocates_a_constant;
   ]
