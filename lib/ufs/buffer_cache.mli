@@ -53,8 +53,8 @@ val create :
   t
 (** [max_blocks] bounds the cache (default: unbounded); on overflow the
     least-recently-used clean block is evicted, and its buffer backs a
-    later fill. Dirty blocks are
-    pinned, exactly like real buffer-cache buffers awaiting write.
+    later fill. Dirty blocks are pinned, exactly like real buffer-cache
+    buffers awaiting write.
     When [metrics] and [ns] are both given, the cache counts in that
     namespace (the per-export read plane, e.g. ["read_plane.vol2"]);
     otherwise in a private registry. The accessors below read it. *)
