@@ -228,7 +228,7 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
   (* A powered-off board services nothing: park the caller forever,
      like an unplugged drive. *)
   let check_power () =
-    if st.crashed then (Engine.suspend (fun _wake -> ()) : unit)
+    if st.crashed then Engine.park ()
   in
   (* A write the board cannot hold goes to the platter as a synchronous
      write of the same gather list: the buffers stay fixed until this

@@ -170,7 +170,7 @@ let with_rows t ~gen rows ~crashed f =
 
 (* A request caught by a power crash behaves like the powered-off
    device underneath it: it never completes. *)
-let crashed_park () : unit = Engine.suspend (fun _wake -> ())
+let crashed_park () = Engine.park ()
 
 (* {2 Commit journal} *)
 

@@ -84,10 +84,13 @@ let partition t ~a ~b ~until =
 
 
 let partitioned t ~a ~b =
-  let now = Engine.now t.eng in
-  (* Lazily drop expired windows so the list never grows with history. *)
-  t.partitions <- List.filter (fun (_, _, until) -> until > now) t.partitions;
-  List.exists (pair_matches a b) t.partitions
+  match t.partitions with
+  | [] -> false
+  | partitions ->
+      let now = Engine.now t.eng in
+      (* Lazily drop expired windows so the list never grows with history. *)
+      t.partitions <- List.filter (fun (_, _, until) -> until > now) partitions;
+      List.exists (pair_matches a b) t.partitions
 
 let station_drops t =
   Hashtbl.fold (fun addr s acc -> (addr, s.buffer_drops ()) :: acc) t.stations []

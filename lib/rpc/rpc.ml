@@ -33,8 +33,7 @@ let put_auth_null enc =
 
 let get_auth dec =
   let _flavor = Xdr.Dec.uint32 dec in
-  let body = Xdr.Dec.opaque dec in
-  ignore body
+  ignore (Xdr.Dec.opaque_view dec : Xdr.view)
 
 let encode_call_with ~xid ~prog ~vers ~proc put_body =
   Xdr.Enc.encode (fun enc ->

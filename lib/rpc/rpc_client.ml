@@ -18,12 +18,17 @@ exception Timeout of int
 
 type rtt_state = { mutable srtt : Time.t; mutable rttvar : Time.t; mutable samples : int }
 
+(* One transmission awaiting its reply. The demux fills [reply], cancels
+   [rto] and unparks [caller]; if [rto] fires first, the transmission
+   leaves [pending] with no reply and the caller retransmits. *)
+type transmission = { caller : Engine.proc; rto : Engine.timer; mutable reply : Rpc.reply option }
+
 type t = {
   eng : Engine.t;
   sock : Nfsg_net.Socket.t;
   server : string;
   params : params;
-  pending : (int, (Rpc.accept_stat * Xdr.view) option -> unit) Hashtbl.t;
+  pending : (int, transmission) Hashtbl.t;
   rtt : (op_class, rtt_state) Hashtbl.t;
   mutable next_xid : int;
   sent : Metrics.counter;
@@ -42,9 +47,11 @@ let demux t () =
     | exception Xdr.Decode_error _ -> ()
     | reply -> (
         match Hashtbl.find_opt t.pending reply.Rpc.rxid with
-        | Some deliver ->
+        | Some tx ->
             Hashtbl.remove t.pending reply.Rpc.rxid;
-            deliver (Some (reply.Rpc.stat, reply.Rpc.rbody))
+            ignore (Engine.cancel tx.rto : bool);
+            tx.reply <- Some reply;
+            Engine.unpark tx.caller
         | None -> Metrics.incr t.stale));
     loop ()
   in
@@ -122,25 +129,22 @@ let call_with t ?(klass = Middle) ?(prog = Rpc.nfs_program) ~proc put_body =
     Nfsg_net.Socket.send t.sock ~dst:t.server payload;
     Metrics.incr t.sent;
     if n > 1 then Metrics.incr t.retrans;
-    let outcome =
-      Engine.suspend (fun wake ->
-          let tm =
-            Engine.timer t.eng ~after:rto (fun () ->
-                if Hashtbl.mem t.pending xid then begin
-                  Hashtbl.remove t.pending xid;
-                  wake None
-                end)
-          in
-          Hashtbl.replace t.pending xid (fun reply ->
-              ignore (Engine.cancel tm : bool);
-              wake reply))
+    let caller = Engine.self () in
+    let expire () =
+      if Hashtbl.mem t.pending xid then begin
+        Hashtbl.remove t.pending xid;
+        Engine.unpark caller
+      end
     in
-    match outcome with
+    let tx = { caller; rto = Engine.timer t.eng ~after:rto expire; reply = None } in
+    Hashtbl.replace t.pending xid tx;
+    Engine.park ();
+    match tx.reply with
     | Some reply ->
         let rtt = Engine.now t.eng - sent_at in
         note_rtt t klass rtt;
         Nfsg_stats.Histogram.add t.rtt_us (Time.to_us_f rtt);
-        reply
+        (reply.Rpc.stat, reply.Rpc.rbody)
     | None -> attempt (n + 1) (Stdlib.min t.params.max_rto (2 * rto))
   in
   attempt 1 (rto_for t klass)

@@ -50,7 +50,10 @@ val call_with :
     the datagram after the call header; returns the decoded reply body
     as a view into the reply datagram (copy it if it must outlive the
     call). [prog] defaults to {!Rpc.nfs_program}; pass
-    {!Rpc.mount_program} to reach the mount service. *)
+    {!Rpc.mount_program} to reach the mount service. Each transmission
+    parks the caller ({!Nfsg_sim.Engine.park}) on a record that the
+    demultiplexer fills with the reply, or that the retransmission
+    timer expires. *)
 
 val call :
   t -> ?klass:op_class -> ?prog:int -> proc:int -> Bytes.t -> Rpc.accept_stat * Xdr.view

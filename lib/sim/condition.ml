@@ -1,48 +1,48 @@
-type waiter = { mutable wake : bool -> unit; mutable live : bool }
+(* A waiter leaves the queue only when a signal takes it; one that timed
+   out is marked dead and skipped. *)
+type waiter = {
+  proc : Engine.proc;
+  mutable live : bool;
+  mutable signalled : bool;
+  mutable timeout : Engine.timer option;
+}
 
 type t = { q : waiter Queue.t }
 
 let create () = { q = Queue.create () }
+
 let wait c =
-  Engine.suspend (fun wake ->
-      Queue.add { wake = (fun _ -> wake ()); live = true } c.q)
+  Queue.add { proc = Engine.self (); live = true; signalled = false; timeout = None } c.q;
+  Engine.park ()
 
 let wait_timeout eng c d =
-  Engine.suspend (fun wake ->
-      let w = { wake; live = true } in
-      let tm =
-        Engine.timer eng ~after:d (fun () ->
-            if w.live then begin
-              w.live <- false;
-              wake false
-            end)
-      in
-      (* A later signal must also cancel the pending timeout. *)
-      w.wake <-
-        (fun signalled ->
-          ignore (Engine.cancel tm);
-          wake signalled);
-      Queue.add w c.q)
+  let w = { proc = Engine.self (); live = true; signalled = false; timeout = None } in
+  w.timeout <-
+    Some
+      (Engine.timer eng ~after:d (fun () ->
+           if w.live then begin
+             w.live <- false;
+             Engine.unpark w.proc
+           end));
+  Queue.add w c.q;
+  Engine.park ();
+  w.signalled
+
+(* A signal also cancels the waiter's pending timeout. *)
+let wake w =
+  w.live <- false;
+  w.signalled <- true;
+  Option.iter (fun tm -> ignore (Engine.cancel tm : bool)) w.timeout;
+  Engine.unpark w.proc
 
 let rec signal c =
-  match Queue.take_opt c.q with
-  | None -> ()
-  | Some w ->
-      if w.live then begin
-        w.live <- false;
-        w.wake true
-      end
-      else signal c
+  if not (Queue.is_empty c.q) then begin
+    let w = Queue.take c.q in
+    if w.live then wake w else signal c
+  end
 
 let broadcast c =
-  let rec drain () =
-    match Queue.take_opt c.q with
-    | None -> ()
-    | Some w ->
-        if w.live then begin
-          w.live <- false;
-          w.wake true
-        end;
-        drain ()
-  in
-  drain ()
+  while not (Queue.is_empty c.q) do
+    let w = Queue.take c.q in
+    if w.live then wake w
+  done

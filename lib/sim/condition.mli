@@ -11,11 +11,14 @@ type t
 val create : unit -> t
 
 val wait : t -> unit
-(** Park the calling process until {!signal} or {!broadcast}. *)
+(** Park the calling process ({!Engine.park}) until {!signal} or
+    {!broadcast}. *)
 
 val wait_timeout : Engine.t -> t -> Time.t -> bool
-(** [wait_timeout eng c d] waits at most [d]; returns [true] if
-    signalled, [false] on timeout. A signal and a timeout at the same
+(** [wait_timeout eng c d] parks for at most [d]; returns [true] if
+    signalled, [false] on timeout. The waiter's record says which: a
+    signal cancels the timer, a timeout leaves the record dead in the
+    queue for signals to skip. A signal and a timeout at the same
     instant resolves in favour of whichever event was scheduled
     first. *)
 

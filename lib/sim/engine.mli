@@ -3,19 +3,33 @@
     The engine maintains a virtual clock and an event queue. Processes
     are ordinary OCaml functions run on top of effect handlers: inside
     a process, {!delay} suspends it for a span of virtual time and
-    {!suspend} parks it until some other party wakes it. Events
+    {!park} parks it until some other party {!unpark}s it. Events
     scheduled for the same instant run in schedule order, so a whole
     simulation is deterministic.
 
-    {!delay}, {!suspend} and {!yield} may only be called from inside a
-    process started with {!spawn} (directly or transitively); calling
-    them elsewhere raises {!Not_in_process}. *)
+    A process is a record ({!proc}) that {!spawn} allocates once. A
+    wait queues that record's own run event and keeps the process's
+    continuation in it, so a switch ({!delay}, {!yield}, {!park} then
+    {!unpark}) allocates only the continuation the runtime captures:
+    two words on OCaml 5.1. A primitive that needs a value or a reason
+    to go with a wake-up keeps it in its own structures, next to the
+    queued {!proc}.
+
+    {!self}, {!park}, {!delay}, {!suspend} and {!yield} may only be
+    called from inside a process started with {!spawn} (directly or
+    transitively); calling them elsewhere raises {!Not_in_process}.
+    A {!schedule} or {!timer} callback is not a process: inside one
+    {!self} raises and {!self_name} is ["?"]. *)
 
 type t
 (** A simulation world: clock plus pending events. *)
 
 exception Not_in_process
 (** Raised when a blocking primitive is used outside of {!spawn}. *)
+
+type proc
+(** A process: its name, its engine and, while it waits, its
+    continuation and queue state. *)
 
 val create : unit -> t
 (** A fresh world with the clock at {!Time.zero} and no events. *)
@@ -56,8 +70,9 @@ val run : ?until:Time.t -> t -> unit
     process, {!self_name} is ["?"] afterwards. *)
 
 val suspended_count : t -> int
-(** Number of processes currently parked in {!suspend} or {!delay};
-    useful to detect deadlocks in tests. *)
+(** Number of processes currently parked in {!park}, {!suspend} or
+    {!delay}, counted until their run event executes; useful to detect
+    deadlocks in tests. *)
 
 val events_processed : t -> int
 (** Total events executed by {!run} over this world's lifetime; a
@@ -70,22 +85,43 @@ val events_processed : t -> int
 val delay : Time.t -> unit
 (** Suspend the calling process for the given virtual duration. *)
 
+val self : unit -> proc
+(** The calling process, to hand to whoever will {!unpark} it. *)
+
+val park : unit -> unit
+(** Park the calling process until some party calls {!unpark} on it.
+    If it was unparked already (for instance by a wake-up registered
+    just before parking), its run event is queued and [park] returns
+    when that event executes. *)
+
+val unpark : proc -> unit
+(** [unpark p] queues [p]'s run event at the current instant, behind
+    the events already queued for it, exactly where a callback
+    scheduled now would go; [p] resumes from {!park} when it executes.
+    May be called from a process or a callback. Raises
+    [Invalid_argument] if [p]'s run event is already queued (unparked
+    twice, or inside {!delay} or {!yield}). *)
+
 val suspend : (('a -> unit) -> unit) -> 'a
-(** [suspend register] parks the calling process and calls
-    [register wake]. Whoever calls [wake v] (exactly once) resumes the
-    process at the instant of the call, with [suspend] returning [v].
-    Waking the same suspension twice raises [Invalid_argument]. *)
+(** [suspend register] calls [register wake] and parks the calling
+    process. Whoever calls [wake v] (exactly once) resumes the process
+    at the instant of the call, with [suspend] returning [v]; a [wake]
+    from inside [register] queues the process there and then. Waking
+    the same suspension twice raises [Invalid_argument]. Built on
+    {!park} and {!unpark}; it allocates the wake closure and a slot for
+    the value, which the primitives in this library avoid. *)
 
 val yield : unit -> unit
 (** Re-queue the calling process behind other events at this instant. *)
 
 val self_name : unit -> string
-(** Name of the calling process ("?" outside of one). *)
+(** Name of the calling process ("?" outside of one, including inside
+    a callback). *)
 
 val yield_primitives : (string * string * [ `Park | `Delay ]) list
 (** The canonical list of blocking primitives, as (module, function,
     class) triples. [`Park] is an open-ended wait for another party
-    ({!suspend}); [`Delay] completes after a bounded span of virtual
+    ({!park}, {!suspend}); [`Delay] completes after a bounded span of virtual
     time ({!delay}, {!yield}). The nfsrace static analysis seeds its
     transitive may-yield inference from this list, so a new primitive
     added here is picked up by the checker without touching it. *)

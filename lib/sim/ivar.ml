@@ -1,5 +1,5 @@
-type 'a state = Empty of ('a -> unit) list | Filled of 'a
-
+type 'a waiter = Reader of Engine.proc | Callback of ('a -> unit)
+type 'a state = Empty of 'a waiter list | Filled of 'a
 type 'a t = { mutable state : 'a state }
 
 let create () = { state = Empty [] }
@@ -10,20 +10,19 @@ let fill iv v =
   | Empty waiters ->
       iv.state <- Filled v;
       (* Wake in arrival order. *)
-      List.iter (fun wake -> wake v) (List.rev waiters)
+      List.iter (function Reader p -> Engine.unpark p | Callback f -> f v) (List.rev waiters)
 
 let read iv =
   match iv.state with
   | Filled v -> v
-  | Empty _ ->
-      Engine.suspend (fun wake ->
-          match iv.state with
-          | Filled v -> wake v
-          | Empty waiters -> iv.state <- Empty (wake :: waiters))
+  | Empty waiters -> (
+      iv.state <- Empty (Reader (Engine.self ()) :: waiters);
+      Engine.park ();
+      match iv.state with Filled v -> v | Empty _ -> assert false)
 
 let upon iv f =
   match iv.state with
   | Filled v -> f v
-  | Empty waiters -> iv.state <- Empty (f :: waiters)
+  | Empty waiters -> iv.state <- Empty (Callback f :: waiters)
 
 let is_filled iv = match iv.state with Filled _ -> true | Empty _ -> false

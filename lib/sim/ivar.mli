@@ -9,12 +9,14 @@ type 'a t
 val create : unit -> 'a t
 
 val fill : 'a t -> 'a -> unit
-(** [fill iv v] resolves the ivar and wakes all readers. Raises
+(** [fill iv v] resolves the ivar, unparks its readers and runs its
+    {!upon} callbacks, all in the order they arrived: a reader's wake is
+    queued at this instant, a callback runs at once. Raises
     [Invalid_argument] if already filled. *)
 
 val read : 'a t -> 'a
-(** Blocks the calling process until filled; returns immediately if
-    already filled. *)
+(** Parks the calling process ({!Engine.park}) until filled, then reads
+    the value from the ivar; returns immediately if already filled. *)
 
 val upon : 'a t -> ('a -> unit) -> unit
 (** [upon iv f] runs [f v] when the ivar is filled with [v] —

@@ -1,7 +1,7 @@
 type t = {
   name : string;
   mutable holder : string option;
-  waiting : (unit -> unit) Queue.t;
+  waiting : Engine.proc Queue.t;
 }
 
 let create ?(name = "mutex") () = { name; holder = None; waiting = Queue.create () }
@@ -11,7 +11,8 @@ let lock m =
   match m.holder with
   | None -> m.holder <- Some (Engine.self_name ())
   | Some _ ->
-      Engine.suspend (fun wake -> Queue.add (fun () -> wake ()) m.waiting);
+      Queue.add (Engine.self ()) m.waiting;
+      Engine.park ();
       (* The unlocker transferred ownership before waking us. *)
       m.holder <- Some (Engine.self_name ())
 
@@ -29,13 +30,13 @@ let unlock m =
       if h <> Engine.self_name () then
         invalid_arg
           (Printf.sprintf "%s: unlock by %s but held by %s" m.name (Engine.self_name ()) h));
-  match Queue.take_opt m.waiting with
-  | None -> m.holder <- None
-  | Some wake ->
-      (* Keep the mutex formally held across the hand-off so a third
-         process cannot barge in between unlock and wake-up. *)
-      m.holder <- Some "<in transfer>";
-      wake ()
+  if Queue.is_empty m.waiting then m.holder <- None
+  else begin
+    (* Keep the mutex formally held across the hand-off so a third
+       process cannot barge in between unlock and wake-up. *)
+    m.holder <- Some "<in transfer>";
+    Engine.unpark (Queue.take m.waiting)
+  end
 
 let with_lock m f =
   Locked.run ~acquire:(fun () -> lock m) ~release:(fun () -> unlock m) f

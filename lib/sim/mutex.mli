@@ -9,15 +9,17 @@ type t
 val create : ?name:string -> unit -> t
 
 val lock : t -> unit
-(** Block until the lock is acquired. Not reentrant: a process locking
-    a mutex it holds deadlocks, as in a kernel. *)
+(** Park ({!Engine.park}) until the lock is acquired. Not reentrant: a
+    process locking a mutex it holds deadlocks, as in a kernel. *)
 
 val try_lock : t -> bool
 (** Acquire without blocking; [true] on success. *)
 
 val unlock : t -> unit
-(** Release and hand the lock to the longest-waiting contender. Raises
-    [Invalid_argument] if the calling process is not the holder. *)
+(** Release and hand the lock to the longest-waiting contender, which
+    is unparked. Raises [Invalid_argument] if the calling process is not
+    the holder; a callback is no process (its {!Engine.self_name} is
+    ["?"]), so it cannot unlock a mutex a process holds. *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock m f] runs [f] holding [m], releasing on any exit. *)

@@ -4,7 +4,7 @@ type t = {
   mutable in_service : int;
   mutable busy : Time.t;
   mutable jobs : int;
-  waiting : (unit -> unit) Queue.t;
+  waiting : Engine.proc Queue.t;
 }
 
 let create eng ?(capacity = 1) name =
@@ -17,15 +17,14 @@ let jobs r = r.jobs
 let acquire r =
   if r.in_service < r.capacity then r.in_service <- r.in_service + 1
   else begin
-    Engine.suspend (fun wake -> Queue.add (fun () -> wake ()) r.waiting);
-    (* The releaser kept the slot count up across the hand-off. *)
-    ()
+    (* The releaser keeps the slot count up across the hand-off. *)
+    Queue.add (Engine.self ()) r.waiting;
+    Engine.park ()
   end
 
 let release r =
-  match Queue.take_opt r.waiting with
-  | Some wake -> wake () (* slot passes directly to the next waiter *)
-  | None -> r.in_service <- r.in_service - 1
+  if Queue.is_empty r.waiting then r.in_service <- r.in_service - 1
+  else Engine.unpark (Queue.take r.waiting) (* slot passes directly to the next waiter *)
 
 let charge r d = r.busy <- r.busy + d
 

@@ -12,8 +12,9 @@ val create : Engine.t -> ?capacity:int -> string -> t
 (** [create eng name] has capacity 1 unless overridden. *)
 
 val use : t -> Time.t -> unit
-(** [use r d] blocks for a free slot (FIFO among waiters), occupies it
-    for [d] of virtual time, then releases it. *)
+(** [use r d] parks for a free slot (FIFO among waiters), occupies it
+    for [d] of virtual time, then releases it; a release hands its slot
+    straight to the longest-waiting process and unparks it. *)
 
 val charge : t -> Time.t -> unit
 (** Add to the busy-time account without holding a slot (for costs that

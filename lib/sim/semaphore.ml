@@ -1,4 +1,4 @@
-type t = { name : string; mutable permits : int; waiting : (unit -> unit) Queue.t }
+type t = { name : string; mutable permits : int; waiting : Engine.proc Queue.t }
 
 let create ?(name = "sem") n =
   if n < 0 then invalid_arg (name ^ ": negative permit count");
@@ -7,7 +7,10 @@ let create ?(name = "sem") n =
 
 let acquire s =
   if s.permits > 0 then s.permits <- s.permits - 1
-  else Engine.suspend (fun wake -> Queue.add (fun () -> wake ()) s.waiting)
+  else begin
+    Queue.add (Engine.self ()) s.waiting;
+    Engine.park ()
+  end
 
 let try_acquire s =
   if s.permits > 0 then begin
@@ -17,6 +20,5 @@ let try_acquire s =
   else false
 
 let release s =
-  match Queue.take_opt s.waiting with
-  | Some wake -> wake () (* permit passes directly to the waiter *)
-  | None -> s.permits <- s.permits + 1
+  if Queue.is_empty s.waiting then s.permits <- s.permits + 1
+  else Engine.unpark (Queue.take s.waiting) (* permit passes directly to the waiter *)

@@ -5,11 +5,16 @@ type 'a t
 val create : unit -> 'a t
 
 val put : 'a t -> 'a -> unit
-(** Enqueue; never blocks. Wakes one blocked {!get}ter. *)
+(** Enqueue; never blocks. If a {!get}ter is waiting, the value goes to
+    the longest-waiting one instead, which is unparked: the value never
+    shows in {!length} or {!iter}, and a [get] issued later in the same
+    instant cannot take it. *)
 
 val get : 'a t -> 'a
-(** Dequeue, blocking the calling process while empty. Competing
-    getters are served in arrival order. *)
+(** Dequeue, parking the calling process ({!Engine.park}) while empty.
+    Competing getters are served in arrival order. A hand-off
+    allocates the queue cells for the waiting getter and its value and
+    the getter's continuation, and no closure. *)
 
 val length : 'a t -> int
 val iter : ('a -> unit) -> 'a t -> unit

@@ -1,16 +1,15 @@
-type t = {
-  least : float;
-  growth : float;
-  counts : int array;
-  mutable n : int;
-  mutable total : float;
-}
+(* The running total sits in a record of its own: a float field in a
+   record of floats is stored flat, so [add] updates it without boxing
+   a fresh float per sample. *)
+type sum = { mutable total : float }
+
+type t = { least : float; growth : float; counts : int array; mutable n : int; sum : sum }
 
 let create ?(least = 1.0) ?(growth = 1.25) ?(buckets = 128) () =
   if least <= 0.0 then invalid_arg "Histogram.create: least must be positive";
   if growth <= 1.0 then invalid_arg "Histogram.create: growth must exceed 1";
   if buckets < 2 then invalid_arg "Histogram.create: need at least 2 buckets";
-  { least; growth; counts = Array.make buckets 0; n = 0; total = 0.0 }
+  { least; growth; counts = Array.make buckets 0; n = 0; sum = { total = 0.0 } }
 
 let bucket_of h x =
   if x < h.least then 0
@@ -33,11 +32,11 @@ let add h x =
   let i = bucket_of h x in
   h.counts.(i) <- h.counts.(i) + 1;
   h.n <- h.n + 1;
-  h.total <- h.total +. x
+  h.sum.total <- h.sum.total +. x
 
 let count h = h.n
-let total h = h.total
-let mean h = if h.n = 0 then 0.0 else h.total /. float_of_int h.n
+let total h = h.sum.total
+let mean h = if h.n = 0 then 0.0 else h.sum.total /. float_of_int h.n
 
 let quantile h q =
   if h.n = 0 then 0.0
@@ -71,7 +70,7 @@ let buckets h =
   done;
   !acc
 
-let copy h = { h with counts = Array.copy h.counts }
+let copy h = { h with counts = Array.copy h.counts; sum = { total = h.sum.total } }
 
 let merge_into ~into src =
   if
@@ -80,9 +79,9 @@ let merge_into ~into src =
   then invalid_arg "Histogram.merge_into: shape mismatch";
   Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
   into.n <- into.n + src.n;
-  into.total <- into.total +. src.total
+  into.sum.total <- into.sum.total +. src.sum.total
 
 let reset h =
   Array.fill h.counts 0 (Array.length h.counts) 0;
   h.n <- 0;
-  h.total <- 0.0
+  h.sum.total <- 0.0

@@ -138,22 +138,13 @@ let stamp_disk_complete j ~now = j.disk_complete <- now
 (* Fill unset stamps with their predecessor so the timeline is monotone
    and the six phases partition [arrival, reply] exactly. *)
 let normalize j =
-  let prev = ref j.arrival in
-  let norm get set =
-    let v = get () in
-    if v = unset || v < !prev then set !prev else prev := v
-  in
-  norm (fun () -> j.pickup) (fun v -> j.pickup <- v);
-  prev := j.pickup;
-  norm (fun () -> j.admitted) (fun v -> j.admitted <- v);
-  prev := j.admitted;
-  norm (fun () -> j.queued) (fun v -> j.queued <- v);
-  prev := j.queued;
-  norm (fun () -> j.disk_submit) (fun v -> j.disk_submit <- v);
-  prev := j.disk_submit;
-  norm (fun () -> j.disk_complete) (fun v -> j.disk_complete <- v);
-  prev := j.disk_complete;
-  norm (fun () -> j.reply) (fun v -> j.reply <- v)
+  let after prev v = if v = unset || v < prev then prev else v in
+  j.pickup <- after j.arrival j.pickup;
+  j.admitted <- after j.pickup j.admitted;
+  j.queued <- after j.admitted j.queued;
+  j.disk_submit <- after j.queued j.disk_submit;
+  j.disk_complete <- after j.disk_submit j.disk_complete;
+  j.reply <- after j.disk_complete j.reply
 
 type phases = {
   sock_wait : Time.t;
@@ -225,12 +216,15 @@ let station p client =
       Hashtbl.replace p.stations client s;
       s
 
+(* Reads the normalized stamps directly: [phases] would build a record
+   per op. *)
 let finish p j =
   if j.reply = unset then j.reply <- Engine.now p.eng;
   normalize j;
-  let ph = phases j in
+  let us a b = Time.to_us_f (b - a) in
+  let total = j.reply - j.arrival in
   Metrics.incr p.c_records;
-  Histogram.add p.h_total (Time.to_us_f ph.total);
+  Histogram.add p.h_total (Time.to_us_f total);
   (* Phase decomposition only for ops that went through the write
      plane's disk flush — for a GETATTR the middle phases are all
      zero-width and would only dilute the histograms. READs attribute
@@ -238,16 +232,16 @@ let finish p j =
      histogram records the (near-zero) in-core copy, the miss histogram
      the device / prefetch wait. *)
   (match j.cache with
-  | Cache_hit -> Histogram.add p.h_cache_hit (Time.to_us_f ph.disk)
-  | Cache_miss -> Histogram.add p.h_cache_miss (Time.to_us_f ph.disk)
+  | Cache_hit -> Histogram.add p.h_cache_hit (us j.disk_submit j.disk_complete)
+  | Cache_miss -> Histogram.add p.h_cache_miss (us j.disk_submit j.disk_complete)
   | Cache_none ->
       if j.disk_submit > j.queued || j.disk_complete > j.disk_submit then begin
-        Histogram.add p.h_sock (Time.to_us_f ph.sock_wait);
-        Histogram.add p.h_dup (Time.to_us_f ph.dupcache);
-        Histogram.add p.h_prep (Time.to_us_f ph.prep);
-        Histogram.add p.h_gather (Time.to_us_f ph.gather_wait);
-        Histogram.add p.h_disk (Time.to_us_f ph.disk);
-        Histogram.add p.h_reply (Time.to_us_f ph.reply_path)
+        Histogram.add p.h_sock (us j.arrival j.pickup);
+        Histogram.add p.h_dup (us j.pickup j.admitted);
+        Histogram.add p.h_prep (us j.admitted j.queued);
+        Histogram.add p.h_gather (us j.queued j.disk_submit);
+        Histogram.add p.h_disk (us j.disk_submit j.disk_complete);
+        Histogram.add p.h_reply (us j.disk_complete j.reply)
       end);
   (* Per-client station attribution. Find-or-create registration means
      a station's counters survive server crash/restart exactly like
@@ -256,10 +250,10 @@ let finish p j =
     let s = station p j.client in
     Metrics.incr s.ops;
     Metrics.add s.bytes j.bytes;
-    Histogram.add s.lat_us (Time.to_us_f ph.total)
+    Histogram.add s.lat_us (Time.to_us_f total)
   end;
   (match p.threshold with
-  | Some thr when ph.total > thr ->
+  | Some thr when total > thr ->
       Metrics.incr p.c_long_ops;
       Trace.emit p.ring ~actor:j.client (render j)
   | Some _ | None -> ());

@@ -70,19 +70,25 @@ let write_file rig file ~total ?(app_chunk = 8192) ?(seed = 7) () =
 let expect_pattern ~total ~seed = Bytes.init total (fun i -> Char.chr ((i + seed) mod 251))
 
 (* [f ()] and the words the allocator handed out while it ran, across
-   every process the simulation ran meanwhile. The count starts on an
-   empty minor heap. OCaml 5.1's counters can also charge a window with
-   major-heap words allocated before it, when a major slice runs inside
-   it; a gate over a long window takes the least of several. *)
+   every process the simulation ran meanwhile: every minor-heap word,
+   counted by [Gc.minor_words] (on OCaml 5.1 [Gc.counters] misses the
+   words still in the minor heap), plus the blocks allocated straight
+   into the major heap, such as 8 KB buffers. The counters are read so
+   that their own allocation falls outside the window. The count starts
+   on an empty minor heap. OCaml 5.1's counters can also charge a window
+   with major-heap words allocated before it, when a major slice runs
+   inside it; a gate over a long window takes the least of several. *)
 let allocated f =
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
   in
   Gc.minor ();
-  let w0 = words () in
+  let major0 = direct_major () in
+  let minor0 = Gc.minor_words () in
   let v = f () in
-  (v, words () -. w0)
+  let minor1 = Gc.minor_words () in
+  (v, minor1 -. minor0 +. (direct_major () -. major0))
 
 (* Words in one 8 KB block. *)
 let block_words = 8192 / (Sys.word_size / 8)
