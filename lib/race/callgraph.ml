@@ -7,8 +7,8 @@
    Park: a Delay call completes after a bounded span of virtual time
    (Engine.delay, Engine.yield, a bounded-by-contract override such
    as Resource.use), a Park call waits open-endedly for another party
-   (Engine.suspend and everything that reaches it — ivar reads,
-   condition waits, the blocking Device.read/write shims). Y001 fires
+   (Engine.park, Engine.suspend and whatever reaches them — ivar
+   reads, condition waits, the blocking Device.read/write shims). Y001 fires
    on Park only: holding a sleep lock across bounded virtual time is
    the paper's design, holding it across an open-ended wait is the
    PR 7 convoy.
@@ -25,10 +25,10 @@ let eff_rank = function Pure -> 0 | Delay -> 1 | Park -> 2
 let max_eff a b = if eff_rank a >= eff_rank b then a else b
 
 type config = {
-  park_seeds : (string * string) list;  (** open-ended waits, e.g. Engine.suspend *)
+  park_seeds : (string * string) list;  (** open-ended waits, e.g. Engine.park *)
   delay_seeds : (string * string) list;  (** bounded waits, e.g. Engine.delay *)
   overrides : ((string * string) * eff) list;
-      (** bounded-by-contract caps, e.g. Resource.use: reaches suspend but the
+      (** bounded-by-contract caps, e.g. Resource.use: reaches park but the
           FIFO capacity queue bounds the wait, so Y001 must not fire on it *)
   park_fields : (string * string) list;  (** record-field calls, e.g. x.Device.read *)
   delay_fields : (string * string) list;  (** e.g. x.Device.submit: copy delay, never blocks *)
@@ -494,9 +494,9 @@ let resolve t file raw =
           end)
 
 (* Effect of a resolved callee. Seed and override pairs win over the
-   node's inferred effect so e.g. Engine.suspend reports as the
+   node's inferred effect so e.g. Engine.park reports as the
    primitive, and Resource.use stays capped at Delay even though its
-   body reaches suspend. *)
+   body reaches park. *)
 let callee_eff t callee =
   match callee with
   | Cseed (_, e) -> e

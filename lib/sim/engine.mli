@@ -96,9 +96,9 @@ val park : unit -> unit
 
 val unpark : proc -> unit
 (** [unpark p] queues [p]'s run event at the current instant, behind
-    the events already queued for it, exactly where a callback
-    scheduled now would go; [p] resumes from {!park} when it executes.
-    May be called from a process or a callback. Raises
+    the events already queued for this instant, exactly where a
+    callback scheduled now would go; [p] resumes from {!park} when it
+    executes. May be called from a process or a callback. Raises
     [Invalid_argument] if [p]'s run event is already queued (unparked
     twice, or inside {!delay} or {!yield}). *)
 
@@ -121,7 +121,8 @@ val self_name : unit -> string
 val yield_primitives : (string * string * [ `Park | `Delay ]) list
 (** The canonical list of blocking primitives, as (module, function,
     class) triples. [`Park] is an open-ended wait for another party
-    ({!park}, {!suspend}); [`Delay] completes after a bounded span of virtual
-    time ({!delay}, {!yield}). The nfsrace static analysis seeds its
-    transitive may-yield inference from this list, so a new primitive
-    added here is picked up by the checker without touching it. *)
+    ({!park}, {!suspend}); [`Delay] completes after a bounded span of
+    virtual time ({!delay}, {!yield}). The nfsrace static analysis
+    seeds its transitive may-yield inference from this list, so a new
+    primitive added here is picked up by the checker without touching
+    it. *)
