@@ -402,19 +402,19 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation con
   svc_ref := Some svc;
   t
 
-let make_exports eng ~segment ~addr ?trace ?metrics ?(mkfs = true) config specs =
+let make_exports eng ~segment ~addr ?trace ?metrics config specs =
   if specs = [] then invalid_arg "Server.make_exports: need at least one volume";
   make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false ~incarnation:1 config
-    (List.map (fun spec -> (spec, None, mkfs)) specs)
+    (List.map (fun spec -> (spec, None, true)) specs)
 
 (* The historical single-volume constructor, kept as the 1-volume
    special case with its historical metrics namespaces. *)
-let make eng ~segment ~addr ~device ?trace ?metrics ?(mkfs = true) config =
+let make eng ~segment ~addr ~device ?trace ?metrics config =
   make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:true ~incarnation:1 config
     [
       ( Volume.spec ?cache_blocks:config.cache_blocks ?readahead:config.readahead "/export" device,
         None,
-        mkfs );
+        true );
     ]
 
 let crash t =

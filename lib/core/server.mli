@@ -42,12 +42,11 @@ val make :
   device:Nfsg_disk.Device.t ->
   ?trace:Nfsg_stats.Trace.t ->
   ?metrics:Nfsg_stats.Metrics.t ->
-  ?mkfs:bool ->
   config ->
   t
-(** Formats the device (unless [mkfs:false]), mounts, attaches the
-    socket, spawns the nfsds. [metrics] is the registry every layer of
-    this server registers its instruments in (namespaces ["server"],
+(** Formats the device, mounts, attaches the socket, spawns the
+    nfsds. [metrics] is the registry every layer of this server
+    registers its instruments in (namespaces ["server"],
     ["write_layer"], ["rpc.svc"], ["rpc.dupcache"]); {!restart} passes
     the same registry to the next incarnation so counts accumulate
     across restarts (private registry when omitted).
@@ -61,7 +60,6 @@ val make_exports :
   addr:string ->
   ?trace:Nfsg_stats.Trace.t ->
   ?metrics:Nfsg_stats.Metrics.t ->
-  ?mkfs:bool ->
   config ->
   Volume.spec list ->
   t

@@ -158,12 +158,12 @@ let learned_solo_clients t =
 
 let emit t event = match t.trace with Some tr -> Trace.emit tr ~actor:(Engine.self_name ()) event | None -> ()
 
-(* A formatted event is built only when a trace will record it, so an
-   untraced WRITE formats no strings. *)
+(* A formatted event is built only when there is a trace to record it,
+   so an untraced WRITE formats no strings. *)
 let emitf t fmt =
   match t.trace with
-  | Some tr when Trace.enabled tr -> Printf.ksprintf (Trace.emit tr ~actor:(Engine.self_name ())) fmt
-  | Some _ | None -> Printf.ifprintf () fmt
+  | Some tr -> Printf.ksprintf (Trace.emit tr ~actor:(Engine.self_name ())) fmt
+  | None -> Printf.ifprintf () fmt
 
 let gstate_of t ino =
   let id = Fs.inum ino in

@@ -9,7 +9,6 @@ type t = {
   submit : Io.item list -> unit;
   read : off:int -> len:int -> Bytes.t;
   write : off:int -> Bytes.t -> unit;
-  flush : unit -> unit;
   crash : unit -> unit;
   recover : unit -> unit;
   spindle_stats : unit -> stats;

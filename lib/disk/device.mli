@@ -6,7 +6,9 @@
     be tested rather than asserted.
 
     Calls to {!read} and {!write} block the calling simulation process
-    for the device's modelled service time. *)
+    for the device's modelled service time. Draining an NVRAM board to
+    its platter is an operation of the board ({!Nvram.drain}), not of
+    the device. *)
 
 type stats = {
   transactions : int;  (** physical spindle transactions completed *)
@@ -43,8 +45,6 @@ type t = {
           {!submit} ({!Io.blocking_read}/{!Io.blocking_write}); new
           code outside lib/disk and lib/ufs goes through [submit]
           (lint rule I001). *)
-  flush : unit -> unit;
-      (** Drain any buffered (NVRAM) state down to the platter. *)
   crash : unit -> unit;
       (** Power loss: volatile state and queued-but-unserviced requests
           are dropped. Platter and NVRAM survive. *)

@@ -442,7 +442,6 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
     submit;
     read;
     write;
-    flush = (fun () -> ());
     crash = (fun () -> st.crashed <- true);
     recover = (fun () -> st.crashed <- false);
     spindle_stats =

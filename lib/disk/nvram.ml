@@ -200,6 +200,13 @@ let repair_battery st =
   st.battery_ok <- true;
   Nfsg_stats.Metrics.set st.inst.m_battery_gauge 1.0
 
+let drain st =
+  st.draining <- true;
+  Condition.signal st.more;
+  while not (is_clean st) do
+    Condition.wait st.clean
+  done
+
 let create eng ?(name = "presto") ?(params = default_params) ?metrics
     ?(cpu_charge = fun _ -> ()) backing =
   let metrics = match metrics with Some m -> m | None -> Nfsg_stats.Metrics.create () in
@@ -278,18 +285,10 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
     end
     else begin
       Nfsg_stats.Metrics.incr st.inst.m_read_misses;
-      let buf = st.backing.Device.read ~off ~len in
+      let buf = Io.blocking_read ~submit:st.backing.Device.submit ~off ~len in
       overlay st ~off buf;
       buf
     end
-  in
-  let flush () =
-    st.draining <- true;
-    Condition.signal st.more;
-    while not (is_clean st) do
-      Condition.wait st.clean
-    done;
-    st.backing.Device.flush ()
   in
   let crash () =
     st.crashed <- true;
@@ -356,7 +355,6 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
       submit;
       read;
       write = (fun ~off data -> Io.blocking_write ~submit ~off data);
-      flush;
       crash;
       recover;
       spindle_stats = backing.Device.spindle_stats;

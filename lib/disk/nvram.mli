@@ -49,6 +49,10 @@ val create :
 val dirty_bytes : t -> int
 (** Dirty bytes currently in the board's RAM. *)
 
+val drain : t -> unit
+(** Push every dirty byte down to the backing device and return once
+    the board is clean. Blocks the calling simulation process. *)
+
 (** {1 Fault hooks} *)
 
 val fail_battery : t -> unit

@@ -959,7 +959,6 @@ let build t =
     submit;
     read;
     write;
-    flush = (fun () -> Array.iter (fun m -> m.Device.flush ()) t.members);
     crash = (fun () -> do_crash t);
     recover = (fun () -> do_recover t);
     spindle_stats =

@@ -100,8 +100,7 @@ let run ?(env = Rig.default_env) cfg =
           });
     }
   in
-  (* The digest reads the world's own registry back (Rig.publish). *)
-  let world = Rig.world ~env:{ env with Rig.metrics = None } spec in
+  let world = Rig.world ~env spec in
   let eng = world.Rig.eng and segment = world.Rig.segment and metrics = world.Rig.metrics in
   Segment.set_loss_prob segment cfg.loss_prob;
   Segment.set_dup_prob segment cfg.dup_prob;
@@ -502,9 +501,7 @@ let run ?(env = Rig.default_env) cfg =
           digest = Digest.to_hex (Digest.string (Buffer.contents buf));
         }
   in
-  let result = Rig.run rig driver in
-  Rig.publish env metrics;
-  result
+  Rig.run rig driver
 
 let pp_result ppf r =
   Fmt.pf ppf

@@ -106,16 +106,7 @@ let laddis_point ?env ~accel ~gathering ~offered ~cfg () =
       { offered = p.Laddis.offered; achieved = p.Laddis.achieved; avg_latency_ms = p.Laddis.avg_latency_ms })
 
 let laddis_curve ?env ~accel ~gathering ~label ~loads ~cfg () =
-  let points =
-    List.map
-      (fun offered ->
-        let p = laddis_point ?env ~accel ~gathering ~offered ~cfg () in
-        (* Each point retires a whole simulated world (~200 MB of
-           platters); reclaim it before building the next. *)
-        Gc.full_major ();
-        p)
-      loads
-  in
+  let points = List.map (fun offered -> laddis_point ?env ~accel ~gathering ~offered ~cfg ()) loads in
   let peak = List.fold_left (fun acc p -> if p.achieved > acc.achieved then p else acc)
       { offered = 0.; achieved = 0.; avg_latency_ms = 0. } points
   in
@@ -344,14 +335,12 @@ let extension_learned_clients ?(quick = false) ?env () =
           in
           let rig = Rig.make ?env spec in
           let client = Rig.new_client rig ~biods "client" in
+          let copy name total = File_writer.run rig.Rig.eng client ~dir:(Rig.root rig) ~name ~total () in
           (* Warm the learned database with a first copy, then measure
              a second one: the dumb PC's writes stop procrastinating. *)
-          let _ = copy_elapsed rig ~client ~total:(total / 4) in
-          let r =
-            Rig.run rig (fun () ->
-                File_writer.run rig.Rig.eng client ~dir:(Rig.root rig) ~name:"warm.dat" ~total ())
-          in
-          r.File_writer.kb_per_sec)
+          Rig.run rig (fun () ->
+              ignore (copy "x.dat" (total / 4) : File_writer.result);
+              (copy "warm.dat" total).File_writer.kb_per_sec))
         [ 0; 7 ]
     in
     Report.add_row report label cells
@@ -454,18 +443,14 @@ module Names = Nfsg_stats.Names
 
 let bench_biods = 7
 
-let bench_writegather ?(quick = false) ?(env = Rig.default_env) ?total () =
+let bench_writegather ?(quick = false) ?env ?total () =
   let total = match total with Some t -> t | None -> size quick in
   let writes = (total + 8191) / 8192 in
-  (* Each mode row reads its own registry back (Rig.publish). *)
-  let own = { env with Rig.metrics = None } in
   let row ~mode ~gathering ~accel =
-    Gc.full_major ();
     let spec = { Rig.default_spec with Rig.net = Calib.Fddi; gathering; accel } in
-    let rig = Rig.make ~env:own spec in
+    let rig = Rig.make ?env spec in
     let m = rig.Rig.metrics in
-    let json =
-      Rig.run rig (fun () ->
+    Rig.run rig (fun () ->
         let client = Rig.new_client rig ~biods:bench_biods "client" in
         let d0 = Rig.spindle_stats rig in
         let result, window =
@@ -523,9 +508,6 @@ let bench_writegather ?(quick = false) ?(env = Rig.default_env) ?total () =
             ("metadata_flushes_saved", Json.Int saved);
             ("batch_size", batch);
           ])
-    in
-    Rig.publish env m;
-    json
   in
   Json.Obj
     [

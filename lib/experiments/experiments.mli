@@ -102,5 +102,5 @@ val bench_writegather : ?quick:bool -> ?env:Rig.env -> ?total:int -> unit -> Nfs
     metadata flushes saved, and the gather batch-size histogram.
     Deterministic: same [total], same bytes. [total] overrides the
     workload size (default: the [quick]-dependent file-copy size).
-    Each row reads its own registry back; [env.metrics] receives a
-    copy of it ({!Rig.publish}). *)
+    Each row reads its own world's registry back; [env.metrics]
+    receives a copy of it when the row's {!Rig.run} ends. *)

@@ -12,9 +12,6 @@ type cell = {
 }
 
 let run_cell ?env ~spec ~biods ?(total = Calib.file_size) () =
-  (* Reclaim the previous cell's simulated world before allocating
-     another set of 96 MB platters. *)
-  Gc.full_major ();
   let rig = Rig.make ?env spec in
   Rig.run rig (fun () ->
       let client = Rig.new_client rig ~biods "client" in

@@ -65,9 +65,8 @@ let disk_name = "rz26"
 (* One world per variant: one scheduled spindle under a gathering
    server, [procs] independent client stacks under LADDIS load. Same
    seed across variants — the offered traffic is identical; only the
-   order the spindle services it in differs. The rows read the world's
-   own registry back (Rig.publish). *)
-let run_world ?(env = Rig.default_env) ?(overrides = Fun.id) cfg v =
+   order the spindle services it in differs. *)
+let run_world ?env ?(overrides = Fun.id) cfg v =
   let spec =
     {
       Rig.default_spec with
@@ -77,7 +76,7 @@ let run_world ?(env = Rig.default_env) ?(overrides = Fun.id) cfg v =
       server_overrides = overrides;
     }
   in
-  let w = Rig.world ~env:{ env with Rig.metrics = None } spec in
+  let w = Rig.world ?env spec in
   let disk = Rig.spindle w ~merge:v.merge ~deadline disk_name in
   let rig = Rig.serve w ~disks:[| disk |] [ disk ] in
   let point =
@@ -87,7 +86,6 @@ let run_world ?(env = Rig.default_env) ?(overrides = Fun.id) cfg v =
           ~make_client:(fun i -> Rig.new_client rig ~biods (Printf.sprintf "client%d" i))
           ~root:(Rig.root rig) ~offered:cfg.offered cfg.load)
   in
-  Rig.publish env rig.Rig.metrics;
   (rig, point)
 
 let run_variant ?env cfg v =

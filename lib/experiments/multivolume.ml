@@ -54,12 +54,11 @@ type result = { clean : phase; faulted : phase; errors_injected : int }
    (absolute sim-time window) arms an error window on volume 0's
    spindle before the load starts. Returns the phase stats plus the
    simulation end time (how the caller learns where the measurement
-   window sits, so the faulted twin can be armed inside it). The stats
-   read the world's own registries back (Rig.publish). *)
-let run_world ?(env = Rig.default_env) ?fault cfg =
+   window sits, so the faulted twin can be armed inside it). *)
+let run_world ?env ?fault cfg =
   let seed = cfg.load.Laddis.seed in
   let spec = { Rig.default_spec with Rig.seed = seed lxor 0x3a7; nfsds = cfg.nfsds } in
-  let world = Rig.world ~env:{ env with Rig.metrics = None } spec in
+  let world = Rig.world ?env spec in
   let disk0 = Rig.spindle world "vol1-rz26" in
   let injector, dev0 = Fault_disk.wrap world.Rig.eng ~seed:(seed lxor 0xfa01) disk0 in
   let disk1 = Rig.spindle world "vol2-rz26" in
@@ -73,7 +72,9 @@ let run_world ?(env = Rig.default_env) ?fault cfg =
   (* Per-volume client registries: load process [i] works under export
      [i mod 3] (Laddis round-robin), and its client instruments land in
      that volume's registry — the only way WRITE latency can be read
-     per volume while the server is shared. *)
+     per volume while the server is shared. The driver merges them
+     into the world's registry once the load is over, so they reach
+     [env.metrics] with it. *)
   let assignment =
     Array.of_list (Laddis.export_assignment ~procs:cfg.load.Laddis.procs ~exports:nvols)
   in
@@ -94,9 +95,9 @@ let run_world ?(env = Rig.default_env) ?fault cfg =
           Laddis.run eng ~make_client ~root:(List.hd roots) ~exports:roots ~offered:cfg.offered
             cfg.load
         in
+        Array.iter (Metrics.merge_into ~into:metrics) cms;
         (point, Engine.now eng))
   in
-  Array.iter (Rig.publish env) (Array.append [| metrics |] cms);
   let vol_stats k =
     let fsid = k + 1 in
     let wl_ns = Names.Ns.write_layer_vol fsid in

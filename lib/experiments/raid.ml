@@ -87,8 +87,7 @@ let block w b = Bytes.init bs (fun j -> Char.chr ((j + (31 * w) + (131 * b)) mod
 
 (* One world per variant: same seed, same offered traffic; only the
    array level and the server's write layer differ. The server keeps
-   the uncalibrated default CPU costs. The rows read the world's own
-   registry back (Rig.publish). *)
+   the uncalibrated default CPU costs. *)
 let run_variant ?(env = Rig.default_env) cfg v =
   let spec =
     {
@@ -99,7 +98,7 @@ let run_variant ?(env = Rig.default_env) cfg v =
       server_overrides = (fun c -> { c with Server.costs = Server.default_config.Server.costs });
     }
   in
-  let world = Rig.world ~env:{ env with Rig.metrics = None } spec in
+  let world = Rig.world ~env spec in
   let eng = world.Rig.eng and metrics = world.Rig.metrics in
   let members =
     Array.init cfg.members (fun i ->
@@ -186,7 +185,6 @@ let run_variant ?(env = Rig.default_env) cfg v =
               } )
         end)
   in
-  Rig.publish env metrics;
   let fsw = counter Names.full_stripe_writes and rmw = counter Names.rmw_writes in
   let written = cfg.writers * cfg.blocks_per_writer * bs in
   {

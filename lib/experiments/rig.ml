@@ -71,7 +71,7 @@ type world = {
 
 let world ?(env = default_env) spec =
   let eng = Engine.create () in
-  let metrics = match env.metrics with Some m -> m | None -> Metrics.create () in
+  let metrics = Metrics.create () in
   let segment = Segment.create eng ~seed:spec.seed ~metrics (Calib.segment_params spec.net) in
   { eng; segment; metrics; spec; env; cpu = ref (fun (_ : Time.t) -> ()) }
 
@@ -85,8 +85,6 @@ let spindle w ?merge ?deadline name =
 let stripe w members =
   Stripe.device (Stripe.create w.eng ~metrics:w.metrics ?level:w.env.raid_level ~chunk:32768 members)
 
-let publish (env : env) m = Option.iter (fun into -> Metrics.merge_into ~into m) env.metrics
-
 type t = {
   eng : Engine.t;
   segment : Segment.t;
@@ -95,6 +93,7 @@ type t = {
   trace : Nfsg_stats.Trace.t option;
   metrics : Metrics.t;
   env : env;
+  mutable ran : bool;
 }
 
 let serve w ~disks devices =
@@ -131,7 +130,16 @@ let serve w ~disks devices =
              devices)
   in
   (w.cpu := fun d -> Resource.charge (Server.cpu server) d);
-  { eng = w.eng; segment = w.segment; disks; server; trace; metrics = w.metrics; env = w.env }
+  {
+    eng = w.eng;
+    segment = w.segment;
+    disks;
+    server;
+    trace;
+    metrics = w.metrics;
+    env = w.env;
+    ran = false;
+  }
 
 let make ?env spec =
   let w = world ?env spec in
@@ -161,6 +169,8 @@ let restart t ~downtime =
   t.server <- Server.restart t.server
 
 let run t f =
+  if t.ran then invalid_arg "Rig.run: a world runs once";
+  t.ran <- true;
   let monitor =
     match t.env.monitor_interval with
     | Some interval ->
@@ -189,7 +199,9 @@ let run t f =
       result := Some v);
   Engine.run t.eng;
   match !result with
-  | Some v -> v
+  | Some v ->
+      Option.iter (fun into -> Metrics.merge_into ~into t.metrics) t.env.metrics;
+      v
   | None -> failwith "Rig.run: driver process blocked forever"
 
 type window = { elapsed : Time.t; cpu_pct : float; disk_kb_s : float; disk_trans_s : float }

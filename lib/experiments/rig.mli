@@ -37,10 +37,10 @@ val default_spec : spec
     too. *)
 type env = {
   metrics : Nfsg_stats.Metrics.t option;
-      (** a registry shared by every world built with this env — how
-          [--metrics-json] collects an experiment's instruments across
-          the many worlds it builds (they accumulate by
-          find-or-create); [None] gives each world a fresh one *)
+      (** a sink that collects the registry of every world built with
+          this env ([--metrics-json]). Each world still counts into its
+          own registry, which {!run} merges into the sink when the run
+          ends, so no running world can read another world's counts *)
   scheduler : Nfsg_disk.Disk.scheduler option;
       (** the I/O scheduler of every spindle, in place of the spec's
           or the experiment's own choice ([--scheduler]) *)
@@ -62,8 +62,7 @@ type env = {
 }
 
 val default_env : env
-(** Everything off: a fresh registry per world and the spec's own
-    settings. *)
+(** Everything off: no sink and the spec's own settings. *)
 
 (** {1 Building a world} *)
 
@@ -79,9 +78,8 @@ type world = {
 }
 
 val world : ?env:env -> spec -> world
-(** A fresh engine, the registry ([env.metrics], else a fresh one) and
-    a segment seeded from [spec.seed], under [env] (default
-    {!default_env}). *)
+(** A fresh engine, a fresh registry and a segment seeded from
+    [spec.seed], under [env] (default {!default_env}). *)
 
 val spindle : world -> ?merge:bool -> ?deadline:Nfsg_sim.Time.t -> string -> Nfsg_disk.Device.t
 (** A calibrated RZ26 of the given name under [env.scheduler], else
@@ -91,20 +89,15 @@ val spindle : world -> ?merge:bool -> ?deadline:Nfsg_sim.Time.t -> string -> Nfs
 val stripe : world -> Nfsg_disk.Device.t array -> Nfsg_disk.Device.t
 (** The testbed's stripe set: 32 KB chunks at [env.raid_level]. *)
 
-val publish : env -> Nfsg_stats.Metrics.t -> unit
-(** Fold a registry into [env.metrics], if set. A world whose results
-    read its registry back is built under [{ env with metrics = None }],
-    so that no other world's counts reach it, and publishes its registry
-    once it is done. *)
-
-type t = {
+type t = private {
   eng : Nfsg_sim.Engine.t;
   segment : Nfsg_net.Segment.t;
   disks : Nfsg_disk.Device.t array;  (** the raw spindles *)
   mutable server : Nfsg_core.Server.t;  (** the live incarnation *)
   trace : Nfsg_stats.Trace.t option;
-  metrics : Nfsg_stats.Metrics.t;
+  metrics : Nfsg_stats.Metrics.t;  (** the world's own registry *)
   env : env;  (** what {!world} was given *)
+  mutable ran : bool;  (** set by {!run}: a world runs once *)
 }
 
 val serve : world -> disks:Nfsg_disk.Device.t array -> Nfsg_disk.Device.t list -> t
@@ -137,7 +130,9 @@ val restart : t -> downtime:Nfsg_sim.Time.t -> unit
 val run : t -> (unit -> 'a) -> 'a
 (** Run [f] as the driver process and drain the simulation, with the
     rig env's monitor and long-op dump (from the live incarnation)
-    around it. *)
+    around it, then merge the world's registry into [env.metrics], if
+    set. A world runs once: a second [run] raises [Invalid_argument]
+    rather than merge the registry twice. *)
 
 val spindle_stats : t -> Nfsg_disk.Device.stats
 (** Aggregate over the raw spindles. *)

@@ -10,12 +10,15 @@ exception Verifier_changed
 
 type protocol = V2 | V3
 
+(* Every READ and WRITE moves at most one 8 KB block, NFS v2's
+   transfer size. *)
+let block_size = 8192
+
 type t = {
   eng : Engine.t;
   rpc : Rpc_client.t;
   biods : Semaphore.t;
   nbiods : int;
-  block_size : int;
   protocol : protocol;
   metrics : Metrics.t;
   lat : Nfsg_stats.Histogram.t option array;
@@ -30,7 +33,7 @@ let wire_writes t = t.wire_writes
 let commits_sent t = t.commits
 let last_write_mtimes t = t.last_mtimes
 
-let create eng ~rpc ?(biods = 4) ?(block_size = 8192) ?(protocol = V2) ?metrics () =
+let create eng ~rpc ?(biods = 4) ?(protocol = V2) ?metrics () =
   if biods < 0 then invalid_arg "Client.create: negative biod count";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   {
@@ -38,7 +41,6 @@ let create eng ~rpc ?(biods = 4) ?(block_size = 8192) ?(protocol = V2) ?metrics 
     rpc;
     biods = Semaphore.create ~name:"biods" biods;
     nbiods = biods;
-    block_size;
     protocol;
     metrics;
     lat = Array.make (Proto.proc_commit + 1) None (* COMMIT has the highest number *);
@@ -275,7 +277,7 @@ let flush f =
   end
 
 let write f ~off data =
-  let bs = f.client.block_size in
+  let bs = block_size in
   let len = Bytes.length data in
   let pos = ref off in
   while !pos < off + len do
@@ -334,7 +336,7 @@ let close f =
    copied once, into the result. *)
 let read t fh ~off ~len =
   let rec go pos acc =
-    let chunk = Stdlib.min t.block_size (off + len - pos) in
+    let chunk = Stdlib.min block_size (off + len - pos) in
     match do_call t ~klass:Rpc_client.Middle (Proto.Read { fh; offset = pos; count = chunk }) with
     | Proto.RRead (Ok (_a, data)) ->
         let n = Xdr.view_length data in

@@ -28,14 +28,13 @@ val create :
   Nfsg_sim.Engine.t ->
   rpc:Nfsg_rpc.Rpc_client.t ->
   ?biods:int ->
-  ?block_size:int ->
   ?protocol:protocol ->
   ?metrics:Nfsg_stats.Metrics.t ->
   unit ->
   t
 (** [biods] defaults to 4 (a typical workstation); 0 means a fully
-    synchronous, "dumb PC" client. [block_size] defaults to 8192.
-    [protocol] defaults to {!V2}. *)
+    synchronous, "dumb PC" client. Reads and writes go to the wire in
+    8 KB blocks. [protocol] defaults to {!V2}. *)
 
 val mount : t -> string -> Proto.fh
 (** Resolve an export name (e.g. ["/export0"]) to its root filehandle

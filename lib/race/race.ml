@@ -32,7 +32,6 @@ let default_config =
       [
         ("Device", "read");
         ("Device", "write");
-        ("Device", "flush");
         ("Device", "stable_read");
         ("Device", "stable_write");
       ];

@@ -78,14 +78,14 @@ type plane = {
   stations : (string, station) Hashtbl.t;
 }
 
-let create eng ~metrics ?threshold ?(ring_capacity = 512) ?event_trace () =
+let create eng ~metrics ?threshold ?event_trace () =
   let ns = Names.Ns.journey in
   let phase p = Metrics.histogram metrics ~ns (Names.phase_us p) in
   {
     eng;
     metrics;
     threshold;
-    ring = Trace.create ~capacity:ring_capacity eng;
+    ring = Trace.create ~capacity:512 eng;
     event_trace;
     h_total = Metrics.histogram metrics ~ns Names.total_us;
     h_sock = phase Names.phase_sock_wait;

@@ -25,14 +25,13 @@ val create :
   Nfsg_sim.Engine.t ->
   metrics:Metrics.t ->
   ?threshold:Nfsg_sim.Time.t ->
-  ?ring_capacity:int ->
   ?event_trace:Trace.t ->
   unit ->
   plane
 (** [threshold] enables long-op records for ops slower end-to-end than
-    the given span (disabled when omitted). [ring_capacity] bounds the
-    long-op ring (default 512). [event_trace], when given, is the
-    server's event ring — included in the dropped-record accounting. *)
+    the given span (disabled when omitted); the long-op ring keeps the
+    newest 512 of them. [event_trace], when given, is the server's
+    event ring — included in the dropped-record accounting. *)
 
 val start : plane -> client:string -> xid:int -> arrival:Nfsg_sim.Time.t -> t
 (** A fresh journey whose arrival stamp is the datagram's enqueue time

@@ -26,9 +26,9 @@ let mismatch ~ns name ~want got =
        (kind_name got) want)
 
 (* Registration is find-or-create: a server that crashes and restarts
-   re-registers its instruments and keeps counting where it left off,
-   and several simulated worlds can share one registry (the
-   [--metrics-json] sink) with their counts accumulating. *)
+   within its world re-registers its instruments and keeps counting
+   where it left off. Worlds never share a registry; a sink collects
+   them with [merge_into]. *)
 let counter t ~ns name =
   match register t ~ns name (fun () -> Counter (ref 0)) with
   | Counter c -> c

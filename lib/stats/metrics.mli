@@ -3,9 +3,10 @@
     JSON reporter.
 
     Registration is {e find-or-create}: asking for an instrument that
-    already exists returns the existing one (a restarted server keeps
-    counting where its previous incarnation stopped; several simulated
-    worlds can share one registry and accumulate). Asking for a name
+    already exists returns the existing one, so a server restarted
+    within one world keeps counting where its previous incarnation
+    stopped. Each world has its own registry; a sink that collects
+    several worlds does so through {!merge_into}. Asking for a name
     that exists with a different kind raises [Invalid_argument].
 
     Everything here is driven by the simulation, so a registry's JSON
@@ -61,7 +62,8 @@ val stat : t -> ns:string -> string -> (Histogram.t -> float) -> float
 
 val merge_into : into:t -> t -> unit
 (** Fold every instrument of the second registry into [into]: counters
-    add, a gauge takes the second registry's value, histograms add
+    add, a gauge takes the second registry's value (so a sink keeps the
+    last world's gauge, a [set_max] peak included), histograms add
     their buckets; an instrument [into] lacks arrives as a copy. Kind
     mismatches raise [Invalid_argument], as registration does. *)
 

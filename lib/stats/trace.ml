@@ -9,35 +9,30 @@ type event = Time.t * string * string
    oldest events. *)
 type t = {
   eng : Engine.t;
-  enabled : bool;
   ring : event array;
   mutable head : int;
   mutable len : int;
   mutable dropped : int;
 }
 
-let create ?(enabled = true) ?(capacity = 4096) eng =
+let create ?(capacity = 4096) eng =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
   {
     eng;
-    enabled;
     ring = Array.make capacity (Time.zero, "", "");
     head = 0;
     len = 0;
     dropped = 0;
   }
 
-let enabled t = t.enabled
 let capacity t = Array.length t.ring
 let dropped t = t.dropped
 
 let emit t ~actor event =
-  if t.enabled then begin
-    let cap = Array.length t.ring in
-    t.ring.(t.head) <- (Engine.now t.eng, actor, event);
-    t.head <- (t.head + 1) mod cap;
-    if t.len < cap then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
-  end
+  let cap = Array.length t.ring in
+  t.ring.(t.head) <- (Engine.now t.eng, actor, event);
+  t.head <- (t.head + 1) mod cap;
+  if t.len < cap then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
 
 let events t =
   let cap = Array.length t.ring in

@@ -7,12 +7,10 @@
 
 type t
 
-val create : ?enabled:bool -> ?capacity:int -> Nfsg_sim.Engine.t -> t
-(** Disabled recorders make {!emit} a no-op so traced code can run in
-    benchmarks at full speed. [capacity] bounds retained events
-    (default 4096); must be positive. *)
+val create : ?capacity:int -> Nfsg_sim.Engine.t -> t
+(** [capacity] bounds retained events (default 4096); must be
+    positive. Untraced code passes no recorder at all. *)
 
-val enabled : t -> bool
 val capacity : t -> int
 
 val dropped : t -> int

@@ -136,10 +136,49 @@ let test_bench_writegather_deterministic () =
   let s1 = Json.to_string ~pretty:true (E.bench_writegather ~total:bench_total ()) in
   let s2 = Json.to_string ~pretty:true (E.bench_writegather ~total:bench_total ()) in
   Alcotest.(check string) "byte-identical across runs" s1 s2;
-  (* A shared --metrics-json sink must not leak into the rows. *)
+  (* A --metrics-json sink must not leak into the rows. *)
   let env = { Rig.default_env with Rig.metrics = Some (Nfsg_stats.Metrics.create ()) } in
   let s3 = Json.to_string ~pretty:true (E.bench_writegather ~env ~total:bench_total ()) in
   Alcotest.(check string) "sink does not perturb the bench" s1 s3
+
+(* {1 A metrics sink only collects}
+
+   Every world counts into its own registry, and the sink receives a
+   copy when the world's run ends. A table whose worlds read their
+   counters back (the "writes per metadata update" row) and the monitor
+   ticks over each world's registry must then print the same with and
+   without a sink. *)
+
+let sink_table metrics =
+  let out = Buffer.create 4096 in
+  let env =
+    {
+      Rig.default_env with
+      Rig.metrics;
+      monitor_interval = Some (Nfsg_sim.Time.ms 100);
+      emit = Some (Buffer.add_string out);
+    }
+  in
+  let report =
+    Filecopy.table ~env ~title:"t" ~net:Calib.Ethernet ~accel:false ~spindles:1 ~biods:[ 3; 7 ]
+      ~total:(256 * 1024) ()
+  in
+  (Report.to_string report, Buffer.contents out)
+
+let test_sink_changes_no_output () =
+  let plain_report, plain_monitor = sink_table None in
+  let sink = Nfsg_stats.Metrics.create () in
+  let sunk_report, sunk_monitor = sink_table (Some sink) in
+  Alcotest.(check string) "report" plain_report sunk_report;
+  Alcotest.(check string) "monitor" plain_monitor sunk_monitor;
+  Alcotest.(check bool) "the sink collected the worlds" true
+    (Nfsg_stats.Metrics.count sink ~ns:Nfsg_stats.Names.Ns.write_layer Nfsg_stats.Names.batches > 0)
+
+let test_world_runs_once () =
+  let rig = Rig.make Rig.default_spec in
+  Rig.run rig ignore;
+  Alcotest.check_raises "second run" (Invalid_argument "Rig.run: a world runs once") (fun () ->
+      Rig.run rig ignore)
 
 (* {1 Rig.env: every field reaches the world}
 
@@ -220,8 +259,8 @@ let chaos env =
   Chaos.run ~env
     { Chaos.default with Chaos.cycles = 1; writers = 1; blocks_per_writer = 20; burst_ops = 2 }
 
-(* A shared sink collects the experiment's instruments, and the results
-   the experiment reads back from its own registry stay what they are
+(* A sink collects the experiment's instruments, and the results the
+   experiment reads back from its own registries stay what they are
    without the sink. *)
 let fills_sink run ~ns () =
   let sink = Nfsg_stats.Metrics.create () in
@@ -232,10 +271,11 @@ let env_rows =
   let d = Rig.default_env in
   [
     ( "metrics",
+      (* After the run, the sink holds exactly the world's registry. *)
       fun () ->
         let sink = Nfsg_stats.Metrics.create () in
         let rig = env_world { d with Rig.metrics = Some sink } in
-        rig.Rig.metrics == sink && Nfsg_stats.Metrics.to_string sink = Lazy.force baseline );
+        Nfsg_stats.Metrics.to_string sink = registry rig && registry rig = Lazy.force baseline );
     ("scheduler", changes_registry { d with Rig.scheduler = Some Nfsg_disk.Disk.Deadline });
     ("raid_level", changes_registry { d with Rig.raid_level = Some Nfsg_disk.Stripe.Raid5 });
     ( "monitor_interval",
@@ -285,4 +325,6 @@ let suite =
     Alcotest.test_case "writegather bench JSON shape" `Quick test_bench_writegather_shape;
     Alcotest.test_case "writegather bench JSON determinism" `Quick test_bench_writegather_deterministic;
     Alcotest.test_case "rig env fields reach the world" `Quick test_env_fields_honoured;
+    Alcotest.test_case "a metrics sink changes no printed row" `Quick test_sink_changes_no_output;
+    Alcotest.test_case "a world runs once" `Quick test_world_runs_once;
   ]

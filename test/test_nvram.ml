@@ -43,14 +43,14 @@ let test_declined_write_goes_to_disk () =
       Alcotest.(check int) "one spindle transaction" 1 (disk.Device.spindle_stats ()).Device.transactions)
 
 let test_flusher_clusters () =
-  let eng, disk, _, dev = make () in
+  let eng, disk, board, dev = make () in
   in_proc eng (fun () ->
       (* 32 sequential 8K writes: the flusher must push them in far
          fewer spindle transactions than 32. *)
       for i = 0 to 31 do
         dev.Device.write ~off:(i * 8192) (Bytes.make 8192 (Char.chr (65 + (i mod 26))))
       done;
-      dev.Device.flush ();
+      Nvram.drain board;
       let s = disk.Device.spindle_stats () in
       Alcotest.(check int) "all bytes reach the platter" (32 * 8192) s.Device.bytes_moved;
       if s.Device.transactions > 8 then
@@ -65,7 +65,7 @@ let test_capacity_backpressure () =
   (* A tiny NVRAM forces writers to wait for the flusher: throughput
      degrades toward the spindle drain rate but never loses data. *)
   let params = { Nvram.default_params with Nvram.capacity = 64 * 1024 } in
-  let eng, _disk, _, dev = make ~params () in
+  let eng, _disk, board, dev = make ~params () in
   in_proc eng (fun () ->
       let t0 = Engine.now eng in
       for i = 0 to 63 do
@@ -74,7 +74,7 @@ let test_capacity_backpressure () =
       let elapsed = Engine.now eng - t0 in
       (* 512K through a 64K cache must take multiple flush rounds. *)
       if elapsed < Time.ms 20 then Alcotest.failf "no backpressure: %dns" elapsed;
-      dev.Device.flush ();
+      Nvram.drain board;
       Alcotest.(check bytes) "all durable" (Bytes.make 8192 'z')
         (dev.Device.stable_read ~off:(63 * 8192) ~len:8192))
 
@@ -121,7 +121,7 @@ let test_dirty_bytes_visibility () =
   in_proc eng (fun () ->
       dev.Device.write ~off:0 (Bytes.make 8192 'd');
       if Nvram.dirty_bytes board = 0 then Alcotest.fail "write not visible as dirty";
-      dev.Device.flush ();
+      Nvram.drain board;
       Alcotest.(check int) "clean after flush" 0 (Nvram.dirty_bytes board))
 
 let suite =

@@ -91,12 +91,6 @@ let test_trace_records () =
       Alcotest.(check int) "2ms apart" (Nfsg_sim.Time.ms 2) (t1 - t0)
   | evs -> Alcotest.failf "unexpected events (%d)" (List.length evs)
 
-let test_trace_disabled () =
-  let eng = Nfsg_sim.Engine.create () in
-  let tr = Trace.create ~enabled:false eng in
-  Trace.emit tr ~actor:"x" "y";
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.events tr))
-
 let test_trace_render () =
   let eng = Nfsg_sim.Engine.create () in
   let tr = Trace.create eng in
@@ -206,7 +200,6 @@ let suite =
     Alcotest.test_case "report renders aligned table" `Quick test_report_render;
     Alcotest.test_case "report rejects bad row" `Quick test_report_mismatch;
     Alcotest.test_case "trace records timeline" `Quick test_trace_records;
-    Alcotest.test_case "disabled trace records nothing" `Quick test_trace_disabled;
     Alcotest.test_case "trace renders" `Quick test_trace_render;
     Alcotest.test_case "trace ring wraps and counts drops" `Quick test_trace_ring_wraps;
     Alcotest.test_case "metrics find-or-create" `Quick test_metrics_find_or_create;
