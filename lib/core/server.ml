@@ -331,8 +331,8 @@ let dispatch t tr (call : Rpc.call) =
   end
 
 (* The assembly shared by the fresh-format and recovery paths.
-   [vols] carries, per export, its spec, the vgen to preserve (or
-   [None] for a fresh one) and whether to format. *)
+   [vols] carries, per export, its spec and the vgen to preserve, or
+   [None] for a new volume, which is formatted. *)
 let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation config vols =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let cpu = Resource.create eng "server-cpu" in
@@ -357,9 +357,9 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation con
   let send_reply tr res = send tr (fun enc -> Proto.put_res enc res) in
   let volumes =
     List.mapi
-      (fun i (spec, vgen, mkfs) ->
+      (fun i (spec, vgen) ->
         Volume.mount eng ~fsid:(i + 1) ?vgen ~legacy_ns ~sock ~cpu ~costs ~send_reply ?trace
-          ~metrics ~mkfs ~wl_config:config.write_layer spec)
+          ~metrics ~wl_config:config.write_layer spec)
       vols
   in
   let journeys =
@@ -405,17 +405,14 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation con
 let make_exports eng ~segment ~addr ?trace ?metrics config specs =
   if specs = [] then invalid_arg "Server.make_exports: need at least one volume";
   make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false ~incarnation:1 config
-    (List.map (fun spec -> (spec, None, true)) specs)
+    (List.map (fun spec -> (spec, None)) specs)
 
 (* The historical single-volume constructor, kept as the 1-volume
    special case with its historical metrics namespaces. *)
 let make eng ~segment ~addr ~device ?trace ?metrics config =
   make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:true ~incarnation:1 config
-    [
-      ( Volume.spec ?cache_blocks:config.cache_blocks ?readahead:config.readahead "/export" device,
-        None,
-        true );
-    ]
+    [ (Volume.spec ?cache_blocks:config.cache_blocks ?readahead:config.readahead "/export" device,
+       None) ]
 
 let crash t =
   (* Power off: volatile state gone and the host leaves the wire. *)
@@ -432,4 +429,4 @@ let restart t =
      means the restarted server keeps counting where this one stopped. *)
   make_internal t.eng ~segment:t.segment ~addr:t.addr ?trace:t.trace ~metrics:t.metrics
     ~legacy_ns:t.legacy_ns ~incarnation:(t.verf + 1) t.config
-    (List.map (fun v -> (Volume.spec_of v, Some (Volume.vgen v), false)) t.volumes)
+    (List.map (fun v -> (Volume.spec_of v, Some (Volume.vgen v))) t.volumes)

@@ -40,15 +40,16 @@ let read_plane_ns_of ~legacy_ns fsid =
   if legacy_ns then Nfsg_stats.Names.Ns.read_plane else Nfsg_stats.Names.Ns.read_plane_vol fsid
 
 let mount eng ~fsid ?vgen ~legacy_ns ~sock ~cpu ~costs ~send_reply
-    ?trace ?metrics ?(mkfs = true) ~wl_config spec =
+    ?trace ?metrics ~wl_config spec =
   let vgen =
     match vgen with
     | Some g -> g
     | None ->
+        (* A new volume: format it. *)
+        Fs.mkfs spec.device ();
         incr generation_counter;
         !generation_counter
   in
-  if mkfs then Fs.mkfs spec.device ();
   let fs =
     Fs.mount eng ?cache_blocks:spec.cache_blocks ?metrics
       ~ns:(read_plane_ns_of ~legacy_ns fsid)

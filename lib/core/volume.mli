@@ -39,17 +39,18 @@ val mount :
   send_reply:(Nfsg_rpc.Svc.transport -> Nfsg_nfs.Proto.res -> unit) ->
   ?trace:Nfsg_stats.Trace.t ->
   ?metrics:Nfsg_stats.Metrics.t ->
-  ?mkfs:bool ->
   wl_config:Write_layer.config ->
   spec ->
   t
-(** Formats (unless [mkfs:false]) and mounts the device, and builds
-    the volume's write layer on the shared server socket/CPU.
+(** Mounts the device and builds the volume's write layer on the
+    shared server socket/CPU.
 
-    [vgen] is the volume generation: omitted, a fresh one is drawn
-    from a process-global counter (a freshly formatted or replaced
-    volume invalidates all old handles); the recovery path passes the
-    previous incarnation's value so client handles survive a reboot.
+    [vgen] is the volume generation. Omitted, the volume is new: the
+    device is formatted first, and a fresh generation is drawn from a
+    process-global counter (a freshly formatted or replaced volume
+    invalidates all old handles). The recovery path passes the previous
+    incarnation's value: the device is mounted as it stands, so client
+    handles survive a reboot.
 
     Metrics namespaces are [server.vol<fsid>] / [write_layer.vol<fsid>]
     / [read_plane.vol<fsid>] unless [legacy_ns], in which case
@@ -91,5 +92,5 @@ val owns : t -> Nfsg_nfs.Proto.fh -> bool
 
 val crash : t -> unit
 (** Drop volatile filesystem state and crash the device (power fail);
-    the platter and any NVRAM contents survive for {!mount} with
-    [mkfs:false] to recover. *)
+    the platter and any NVRAM contents survive for {!mount} with the
+    volume's [vgen] to recover. *)

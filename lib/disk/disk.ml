@@ -49,7 +49,7 @@ type inst = {
   m_service_us : Nfsg_stats.Histogram.t;
   m_queue_depth : Nfsg_stats.Histogram.t;
   m_queue_wait_us : Nfsg_stats.Histogram.t;
-  m_queue_gauge : Nfsg_stats.Metrics.gauge;
+  m_queue_peak : Nfsg_stats.Metrics.peak;
 }
 
 let make_inst metrics ~name =
@@ -70,7 +70,7 @@ let make_inst metrics ~name =
     m_service_us = M.histogram metrics ~ns Names.service_us;
     m_queue_depth = M.histogram metrics ~ns Names.queue_depth;
     m_queue_wait_us = M.histogram metrics ~ns Names.queue_wait_us;
-    m_queue_gauge = M.gauge metrics ~ns Names.queue_depth_peak;
+    m_queue_peak = M.peak metrics ~ns Names.queue_depth_peak;
   }
 
 (* A queued item on the request ring, with its submission instant (for
@@ -424,7 +424,7 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
         let batch = st.next_batch in
         List.iter (fun it -> append st { it; enq; batch; prev = st.ring; next = st.ring }) items;
         Nfsg_stats.Histogram.add st.inst.m_queue_depth (float_of_int st.depth);
-        Nfsg_stats.Metrics.set_max st.inst.m_queue_gauge (float_of_int st.depth);
+        Nfsg_stats.Metrics.set_max st.inst.m_queue_peak (float_of_int st.depth);
         Condition.signal st.arrived
   in
   let read ~off ~len =

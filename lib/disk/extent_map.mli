@@ -6,7 +6,13 @@
     overwrites any overlapped bytes and coalesces with adjacent
     extents, so a sequential stream of 8 KB writes collapses into one
     big extent — which is exactly what makes the flusher's clustering
-    work. *)
+    work.
+
+    The cost is linear in the bytes written. An extent is a list of
+    slices of the buffers the map copied on {!insert}, never changed
+    afterwards: a merge or a trim slices its neighbours instead of
+    copying them, and only {!take_after} and {!iter} join an extent's
+    slices into one buffer. *)
 
 type t
 
@@ -14,9 +20,7 @@ val create : unit -> t
 val is_empty : t -> bool
 
 val total_bytes : t -> int
-(** Sum of extent lengths. *)
-
-val extent_count : t -> int
+(** Sum of extent lengths, kept as a count. *)
 
 val insert : t -> off:int -> Bytes.t -> unit
 (** [insert m ~off data] writes [data] at byte offset [off],
@@ -31,19 +35,18 @@ val apply : t -> off:int -> Bytes.t -> unit
 val covers : t -> off:int -> len:int -> bool
 (** Whether every byte of [off, off+len) is present in the map. *)
 
-val take_first : t -> max:int -> (int * Bytes.t) option
-(** Remove and return (a prefix of at most [max] bytes of) the
-    lowest-offset extent. This is the flusher's unit of clustering:
-    one contiguous run per call. *)
-
 val take_after : t -> off:int -> max:int -> (int * Bytes.t) option
-(** Like {!take_first} but starts from the first extent at or above
-    [off], wrapping to the lowest — an elevator sweep, so a hot extent
-    at a low offset cannot monopolise the drain. *)
+(** Remove and return (a prefix of at most [max] bytes of) the first
+    extent at or above [off], wrapping to the lowest — an elevator
+    sweep, so a hot extent at a low offset cannot monopolise the drain.
+    This is the flusher's unit of clustering: one contiguous run per
+    call. Only the bytes taken are joined into a new buffer; what is
+    left of the extent stays in the map as slices. *)
 
 val remove_range : t -> off:int -> len:int -> unit
 (** Delete any stored bytes within the range, trimming partial
     overlaps. *)
 
 val iter : (int -> Bytes.t -> unit) -> t -> unit
-(** Iterate extents in offset order. Do not mutate during iteration. *)
+(** Iterate extents in offset order, each joined into a new buffer. Do
+    not mutate the map during iteration. *)

@@ -38,7 +38,7 @@ type inst = {
   m_battery_failures : Nfsg_stats.Metrics.counter;
   m_flush_bytes : Nfsg_stats.Histogram.t;
   m_dirty_gauge : Nfsg_stats.Metrics.gauge;
-  m_dirty_peak : Nfsg_stats.Metrics.gauge;
+  m_dirty_peak : Nfsg_stats.Metrics.peak;
   m_battery_gauge : Nfsg_stats.Metrics.gauge;
 }
 
@@ -58,7 +58,7 @@ let make_inst metrics ~name =
       m_battery_failures = M.counter metrics ~ns Names.battery_failures;
       m_flush_bytes = M.histogram metrics ~ns ~least:512.0 Names.flush_batch_bytes;
       m_dirty_gauge = M.gauge metrics ~ns Names.dirty_bytes;
-      m_dirty_peak = M.gauge metrics ~ns Names.dirty_bytes_peak;
+      m_dirty_peak = M.peak metrics ~ns Names.dirty_bytes_peak;
       m_battery_gauge = M.gauge metrics ~ns Names.battery_ok;
     }
   in
@@ -172,9 +172,9 @@ let spawn_flusher st =
 let overlay st ~off buf =
   (match st.in_flight with
   | Some (ioff, idata) ->
-      let tmp = Extent_map.create () in
-      Extent_map.insert tmp ~off:ioff idata;
-      Extent_map.apply tmp ~off buf
+      let lo = Stdlib.max off ioff in
+      let hi = Stdlib.min (off + Bytes.length buf) (ioff + Bytes.length idata) in
+      if hi > lo then Bytes.blit idata (lo - ioff) buf (lo - off) (hi - lo)
   | None -> ());
   Extent_map.apply st.dirty ~off buf
 

@@ -233,8 +233,8 @@ let o001 ctx structure =
 (* {1 M001 — metric names outside the registry} *)
 
 let metric_fns =
-  [ "counter"; "gauge"; "histogram"; "find"; "find_counter"; "find_gauge"; "find_histogram";
-    "count"; "stat" ]
+  [ "counter"; "gauge"; "peak"; "histogram"; "find"; "find_counter"; "find_gauge";
+    "find_histogram"; "count"; "stat" ]
 
 (* Modules bound to ...Metrics inside this file count as Metrics. *)
 let metrics_aliases structure =

@@ -2,14 +2,19 @@ open Nfsg_sim
 
 type counter = int ref
 type gauge = float ref
+type peak = float ref
 
-type instrument = Counter of counter | Gauge of gauge | Hist of Histogram.t
+type instrument = Counter of counter | Gauge of gauge | Peak of peak | Hist of Histogram.t
 
 type t = { table : (string * string, instrument) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 64 }
 
-let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge" | Hist _ -> "histogram"
+let kind_name = function
+  | Counter _ -> "counter"
+  | Gauge _ -> "gauge"
+  | Peak _ -> "peak"
+  | Hist _ -> "histogram"
 
 let register t ~ns name make =
   let key = (ns, name) in
@@ -39,6 +44,11 @@ let gauge t ~ns name =
   | Gauge g -> g
   | other -> mismatch ~ns name ~want:"gauge" other
 
+let peak t ~ns name =
+  match register t ~ns name (fun () -> Peak (ref 0.0)) with
+  | Peak p -> p
+  | other -> mismatch ~ns name ~want:"peak" other
+
 let histogram t ~ns ?least ?growth ?buckets name =
   match register t ~ns name (fun () -> Hist (Histogram.create ?least ?growth ?buckets ())) with
   | Hist h -> h
@@ -52,7 +62,8 @@ let set_max g v = if v > !g then g := v
 
 let find t ~ns name = Hashtbl.find_opt t.table (ns, name)
 let find_counter t ~ns name = match find t ~ns name with Some (Counter c) -> Some !c | _ -> None
-let find_gauge t ~ns name = match find t ~ns name with Some (Gauge g) -> Some !g | _ -> None
+let find_gauge t ~ns name =
+  match find t ~ns name with Some (Gauge g | Peak g) -> Some !g | _ -> None
 let find_histogram t ~ns name = match find t ~ns name with Some (Hist h) -> Some h | _ -> None
 let count t ~ns name = Option.value ~default:0 (find_counter t ~ns name)
 let stat t ~ns name f = match find_histogram t ~ns name with Some h -> f h | None -> 0.0
@@ -65,6 +76,7 @@ let merge_into ~into src =
          match (i, find into ~ns name) with
          | Counter c, _ -> add (counter into ~ns name) !c
          | Gauge g, _ -> set (gauge into ~ns name) !g
+         | Peak p, _ -> set_max (peak into ~ns name) !p
          | Hist h, None -> Hashtbl.replace into.table (ns, name) (Hist (Histogram.copy h))
          | Hist h, Some (Hist dst) -> Histogram.merge_into ~into:dst h
          | Hist _, Some other -> mismatch ~ns name ~want:"histogram" other)
@@ -112,7 +124,7 @@ let to_json t =
       |> List.sort compare
     in
     let counters = collect (function Counter c -> Some (Json.Int !c) | _ -> None) in
-    let gauges = collect (function Gauge g -> Some (Json.Float !g) | _ -> None) in
+    let gauges = collect (function Gauge g | Peak g -> Some (Json.Float !g) | _ -> None) in
     let hists = collect (function Hist h -> Some (histogram_json h) | _ -> None) in
     let section name fields = if fields = [] then [] else [ (name, Json.Obj fields) ] in
     Json.Obj (section "counters" counters @ section "gauges" gauges @ section "histograms" hists)

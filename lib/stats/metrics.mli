@@ -16,12 +16,18 @@ type t
 type counter
 type gauge
 
+type peak
+(** A high-watermark: a gauge that only {!set_max} raises, and that
+    {!merge_into} merges by maximum. It reads back, and is reported,
+    as a gauge. *)
+
 val create : unit -> t
 
 (** {1 Registration} *)
 
 val counter : t -> ns:string -> string -> counter
 val gauge : t -> ns:string -> string -> gauge
+val peak : t -> ns:string -> string -> peak
 
 val histogram :
   t -> ns:string -> ?least:float -> ?growth:float -> ?buckets:int -> string -> Histogram.t
@@ -35,8 +41,9 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 val set : gauge -> float -> unit
-val set_max : gauge -> float -> unit
-(** Keep the high-watermark: [set_max g v] raises [g] to [v] if larger. *)
+
+val set_max : peak -> float -> unit
+(** Keep the high-watermark: [set_max p v] raises [p] to [v] if larger. *)
 
 val span : Nfsg_sim.Engine.t -> Histogram.t -> (unit -> 'a) -> 'a
 (** [span eng h f] runs [f] and records its elapsed {e simulated} time
@@ -50,7 +57,10 @@ val namespaces : t -> string list
 (** Every namespace with at least one instrument, sorted. *)
 
 val find_counter : t -> ns:string -> string -> int option
+
 val find_gauge : t -> ns:string -> string -> float option
+(** A gauge's or a peak's value. *)
+
 val find_histogram : t -> ns:string -> string -> Histogram.t option
 
 val count : t -> ns:string -> string -> int
@@ -63,9 +73,10 @@ val stat : t -> ns:string -> string -> (Histogram.t -> float) -> float
 val merge_into : into:t -> t -> unit
 (** Fold every instrument of the second registry into [into]: counters
     add, a gauge takes the second registry's value (so a sink keeps the
-    last world's gauge, a [set_max] peak included), histograms add
-    their buckets; an instrument [into] lacks arrives as a copy. Kind
-    mismatches raise [Invalid_argument], as registration does. *)
+    last world's gauge), a peak keeps the larger of the two (so a sink
+    holds the highest peak of any world), histograms add their buckets;
+    an instrument [into] lacks arrives as a copy. Kind mismatches raise
+    [Invalid_argument], as registration does. *)
 
 (** {1 Reporting} *)
 
@@ -73,4 +84,5 @@ val to_string : ?pretty:bool -> t -> string
 (** [{"schema": "nfsgather-metrics/1", "namespaces": {ns: {"counters":
     {...}, "gauges": {...}, "histograms": {name: {count, total, mean,
     p50, p99, buckets: [[lo, hi, count], ...]}}}}}] with namespaces and
-    names sorted — byte-identical for identical runs. *)
+    names sorted — byte-identical for identical runs. Peaks are listed
+    among the gauges. *)

@@ -1,7 +1,7 @@
 (** Central registry of metric namespaces and instrument names.
 
     The M001 lint rule forbids inline string literals at
-    [Metrics.counter]/[gauge]/[histogram]/[find_*] call sites: all
+    [Metrics.counter]/[gauge]/[peak]/[histogram]/[find_*] call sites: all
     names come from here, so a namespace typo is a compile error.
     These strings appear in the metrics JSON and the committed
     BENCH_*.json artifacts — renaming one breaks CI's byte-diffs. *)

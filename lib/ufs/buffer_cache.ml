@@ -76,8 +76,8 @@ type t = {
   meters : meters;
   mutable ra : ra option;
   mutable spare : Bytes.t list;
-      (* evicted blocks' buffers, which back the next fills before
-         anything new is allocated *)
+      (* buffers nothing holds any more, which back the next fills
+         before anything new is allocated *)
 }
 
 let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
@@ -154,9 +154,17 @@ let insert c e =
   Hashtbl.replace c.table e.blk e;
   touch c e
 
+(* A buffer nothing holds any more backs a later fill. *)
+let give_back c buf = c.spare <- buf :: c.spare
+
+(* [e] leaves the cache. Its buffer backs a later fill: now, or once
+   the write request that holds it completes (the request's completion
+   sees that the entry no longer holds the buffer). *)
 let remove c e =
   unlink e;
-  Hashtbl.remove c.table e.blk
+  Hashtbl.remove c.table e.blk;
+  if not e.busy then give_back c e.buf;
+  e.buf <- Bytes.empty
 
 (* A prefetched block a demand read finally touched: the guess paid. *)
 let consume_prefetch c e =
@@ -177,8 +185,7 @@ let note_gone c e = if e.prefetched then Metrics.incr c.meters.m_ra_wasted
 
 (* Evict the least-recently-used clean block if over capacity: the
    first clean entry from the head of the LRU list. Dirty blocks are
-   pinned until flushed. The victim's buffer backs a later fill unless
-   it is busy: then it stays with its write request. *)
+   pinned until flushed. *)
 let make_room c =
   if Hashtbl.length c.table >= c.max_blocks then begin
     let rec clean_from e = if e == c.lru || e.dirty = None then e else clean_from e.newer in
@@ -186,7 +193,6 @@ let make_room c =
     if victim != c.lru then begin
       note_gone c victim;
       remove c victim;
-      if not victim.busy then c.spare <- victim.buf :: c.spare;
       Metrics.incr c.meters.m_evictions
     end
   end
@@ -202,19 +208,25 @@ let take_buf c =
 
 (* The pre-readahead demand miss: one read request, awaited. *)
 let demand_read c b =
-  let r = Io.read_req ~off:(b * c.bsize) (take_buf c) in
+  let buf = take_buf c in
+  let r = Io.read_req ~off:(b * c.bsize) buf in
   c.dev.Device.submit [ Io.Req r ];
-  Io.await r;
+  (match Io.await r with
+  | () -> ()
+  | exception exn ->
+      give_back c buf;
+      raise exn);
   (* A concurrent reader may have populated the block while we were
      waiting on the device; keep the first copy to stay coherent. *)
   match Hashtbl.find_opt c.table b with
   | Some e ->
+      give_back c buf;
       consume_prefetch c e;
       touch c e;
       e
   | None ->
       make_room c;
-      let e = entry b (Io.read_buf r) ~prefetched:false in
+      let e = entry b buf ~prefetched:false in
       insert c e;
       e
 
@@ -265,13 +277,14 @@ let prefetch c ra dbs =
           Nfsg_sim.Ivar.read r.Io.done_;
           Hashtbl.remove ra.inflight db;
           match r.Io.error with
-          | Some _ -> ()  (* failed prefetch: the demand read will retry *)
+          | Some _ -> give_back c (Io.read_buf r)  (* the demand read will retry *)
           | None ->
               if Hashtbl.mem c.table db then begin
                 (* A demand read landed first; this copy goes unused.
                    Keeping the first copy preserves coherence with any
                    in-core mutation since. *)
-                Metrics.incr c.meters.m_ra_wasted
+                Metrics.incr c.meters.m_ra_wasted;
+                give_back c (Io.read_buf r)
               end
               else begin
                 make_room c;
@@ -365,7 +378,9 @@ let modify c b kind fill change =
   if e.busy then begin
     (* Copy-on-write: the request in flight keeps the buffer it was
        submitted with, and the change goes to a private copy. *)
-    e.buf <- (if fill = Overwritten then Bytes.create c.bsize else Bytes.copy e.buf);
+    let copy = take_buf c in
+    if fill <> Overwritten then Bytes.blit e.buf 0 copy 0 c.bsize;
+    e.buf <- copy;
     e.busy <- false
   end;
   change e.buf;
@@ -419,8 +434,13 @@ let prepare c ~class_ ~max_cluster blocks =
             run
         in
         let r = Io.write_req ~class_ ~off:(first * c.bsize) (List.map (fun (_, buf, _) -> buf) was) in
+        (* A buffer its entry no longer holds (copied on write, or the
+           block left the cache) was the request's alone: it backs a
+           later fill. *)
         Nfsg_sim.Ivar.upon r.Io.done_ (fun () ->
-            List.iter (fun (e, buf, _) -> if e.buf == buf then e.busy <- false) was);
+            List.iter
+              (fun (e, buf, _) -> if e.buf == buf then e.busy <- false else give_back c buf)
+              was);
         Some (r, was)
   in
   List.filter_map cluster (runs [] [] eligible)

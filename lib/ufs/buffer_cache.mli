@@ -18,14 +18,24 @@
     request writes exactly the bytes it was submitted with. The whole
     cache is volatile: {!crash} drops everything.
 
-    A bounded cache recycles its buffers, as 4.4BSD's [getnewbuf] hands
-    the LRU victim's buffer to the next block. The buffer of a clean
-    block evicted to make room backs the next fill: a demand read, a
-    prefetch, {!install}, or a block {!modify} starts without reading.
-    A busy victim's buffer stays with its write request, and a dropped
-    block's ({!drop}) is not reused. So a buffer from {!get} or {!peek}
-    is valid only until the caller's next cache fill or yield; copy
-    what must outlive either. *)
+    The cache recycles its buffers, as 4.4BSD's [getnewbuf] hands the
+    LRU victim's buffer to the next block. A buffer the cache lets go
+    joins a spare list, and a spare backs the next fill before anything
+    new is allocated: a demand read, a prefetch, {!install}, a block
+    {!modify} starts without reading, or {!modify}'s copy of a busy
+    block. A buffer joins the list
+    - when its block leaves the cache, evicted to make room or
+      {!drop}ped because the filesystem freed it, unless a write
+      request holds it;
+    - when the write request that holds it completes, if its block has
+      left the cache meanwhile or {!modify} copied it on write;
+    - when a read into it fails, or lands after another reader has
+      already cached the block.
+    A buffer joins the list at most once, and never while a request or
+    a cached block holds it; {!crash} forgets the list. So a buffer
+    from {!get} or {!peek} is valid only until the caller's next cache
+    fill or yield: a yield lets another process free the block and
+    fill the cache. Copy what must outlive either. *)
 
 type kind = Data | Metadata
 
@@ -54,7 +64,8 @@ val create :
 (** [max_blocks] bounds the cache (default: unbounded); on overflow the
     least-recently-used clean block is evicted, and its buffer backs a
     later fill. Dirty blocks are pinned, exactly like real buffer-cache
-    buffers awaiting write.
+    buffers awaiting write. An unbounded cache still reuses what
+    {!drop} and copy-on-write let go.
     When [metrics] and [ns] are both given, the cache counts in that
     namespace (the per-export read plane, e.g. ["read_plane.vol2"]);
     otherwise in a private registry. The accessors below read it. *)
@@ -102,8 +113,10 @@ val modify : t -> int -> kind -> fill -> (Bytes.t -> unit) -> unit
     must reach the device eventually. The one way to change a cached
     block. A hit counts and ages like {!get}. If the block is busy in a
     write request, [change] runs on a copy that replaces it in the
-    cache (a fresh buffer for [Overwritten]), so the request keeps the
-    bytes it was submitted with. [change] must not block. A block
+    cache (a spare buffer, filled with the block's bytes unless
+    [Overwritten]), so the request keeps the bytes it was submitted
+    with, and its buffer backs a later fill once the request
+    completes. [change] must not block. A block
     already dirty as [Metadata] stays [Metadata] even if re-marked
     [Data]. *)
 
@@ -138,7 +151,8 @@ val install : t -> int -> Bytes.t -> unit
     No-op if the block is already cached. *)
 
 val drop : t -> int -> unit
-(** Forget one block (e.g. after freeing it). *)
+(** Forget one block (e.g. after freeing it). Its buffer backs a later
+    fill, once any write request that holds it completes. *)
 
 val crash : t -> unit
 (** Volatile: lose every buffer, spare ones included, and all dirty

@@ -40,4 +40,6 @@ val run_random :
 val verify :
   Nfsg_nfs.Client.t -> fh:Nfsg_nfs.Proto.fh -> total:int -> seed:int -> bool
 (** Read the file back and compare against the deterministic pattern
-    {!run} wrote. *)
+    {!run} wrote: byte [i] is [(i + seed) mod 251]. It issues the same
+    8 KB READs as one [Client.read] of [total] bytes, and compares each
+    reply as it arrives, so it holds one block at a time. *)

@@ -2,3 +2,4 @@
 module Metrics = Nfsg_stats.Metrics
 
 let make m = Metrics.counter m ~ns:"net" "datagrams_sent"
+let peak m = Metrics.peak m ~ns:"disk" "queue_depth_peak"

@@ -159,6 +159,27 @@ let test_metrics_merge_into () =
   | () -> Alcotest.fail "kind mismatch accepted"
   | exception Invalid_argument _ -> ()
 
+(* A peak merges by maximum: a sink holds the highest peak of any
+   world, whichever world came last, and lists it among the gauges. *)
+let test_metrics_merge_keeps_larger_peak () =
+  let world v =
+    let m = Metrics.create () in
+    let p = Metrics.peak m ~ns:"disk" "queue_depth_peak" in
+    Metrics.set_max p v;
+    Metrics.set_max p (v -. 1.0);
+    m
+  in
+  let sink = Metrics.create () in
+  Metrics.merge_into ~into:sink (world 21.0);
+  Metrics.merge_into ~into:sink (world 13.0);
+  Alcotest.(check (option (float 0.0))) "the larger peak" (Some 21.0)
+    (Metrics.find_gauge sink ~ns:"disk" "queue_depth_peak");
+  Metrics.merge_into ~into:sink (world 26.0);
+  Alcotest.(check (option (float 0.0))) "a later, larger peak" (Some 26.0)
+    (Metrics.find_gauge sink ~ns:"disk" "queue_depth_peak");
+  Alcotest.(check bool) "listed among the gauges" true
+    (contains (Metrics.to_string sink) {|"gauges":{"queue_depth_peak":26|})
+
 let test_metrics_json_deterministic () =
   let build order =
     let m = Metrics.create () in
@@ -206,4 +227,5 @@ let suite =
     Alcotest.test_case "metrics JSON is deterministic" `Quick test_metrics_json_deterministic;
     Alcotest.test_case "span times on the sim clock" `Quick test_metrics_span;
     Alcotest.test_case "metrics merge into a sink" `Quick test_metrics_merge_into;
+    Alcotest.test_case "a merged peak is the larger" `Quick test_metrics_merge_keeps_larger_peak;
   ]
