@@ -23,7 +23,8 @@
     joins a spare list, and a spare backs the next fill before anything
     new is allocated: a demand read, a prefetch, {!install}, a block
     {!modify} starts without reading, or {!modify}'s copy of a busy
-    block. A buffer joins the list
+    block. A buffer joins the list:
+
     - when its block leaves the cache, evicted to make room or
       {!drop}ped because the filesystem freed it, unless a write
       request holds it;
@@ -31,6 +32,7 @@
       left the cache meanwhile or {!modify} copied it on write;
     - when a read into it fails, or lands after another reader has
       already cached the block.
+
     A buffer joins the list at most once, and never while a request or
     a cached block holds it; {!crash} forgets the list. So a buffer
     from {!get} or {!peek} is valid only until the caller's next cache
