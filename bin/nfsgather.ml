@@ -60,45 +60,6 @@ let long_op_threshold_arg =
   in
   Arg.(value & opt (some float) None & info [ "long-op-threshold" ] ~docv:"MS" ~doc)
 
-let sweep_points_arg =
-  let doc =
-    "Cap the laddis-curve offered-load ladder at $(docv) rungs per configuration, overriding \
-     the sweep's own ceiling."
-  in
-  Arg.(value & opt (some int) None & info [ "sweep-points" ] ~docv:"N" ~doc)
-
-let procs_max_arg =
-  let doc =
-    "Cap the laddis-curve load-generator pool at $(docv) processes, overriding the sweep's \
-     own ceiling."
-  in
-  Arg.(value & opt (some int) None & info [ "procs-max" ] ~docv:"N" ~doc)
-
-let curve_configs_arg =
-  let doc =
-    "Restrict the laddis-curve sweep to the named grid configurations (comma-separated; \
-     baseline, deadline, gather, nvram, gather+stripe3)."
-  in
-  Arg.(
-    value
-    & opt (some (list ~sep:',' string)) None
-    & info [ "curve-configs" ] ~docv:"CONFIGS" ~doc)
-
-let clients_max_arg =
-  let doc =
-    "Cap the bootstorm fleet ladder at $(docv) diskless clients, overriding the sweep's own \
-     ceiling."
-  in
-  Arg.(value & opt (some int) None & info [ "clients-max" ] ~docv:"N" ~doc)
-
-let readahead_arg =
-  let side = Arg.enum [ ("on", true); ("off", false) ] in
-  let doc =
-    "Restrict the bootstorm comparison to one side ($(docv) is on or off) instead of running \
-     both the read-ahead and no-read-ahead configurations."
-  in
-  Arg.(value & opt (some side) None & info [ "readahead" ] ~docv:"SIDE" ~doc)
-
 let metrics_json_arg =
   let doc =
     "Write the typed-metrics registry of the run (every counter, gauge and histogram \
@@ -108,12 +69,16 @@ let metrics_json_arg =
   Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE" ~doc)
 
 (* What every experiment is run with, built once from the flags. *)
-type ctx = {
-  quick : bool;
-  env : Rig.env;
-  curve : Lc.sweep;  (** laddis-curve *)
-  storm : Bs.sweep;  (** bootstorm *)
-}
+type ctx = { quick : bool; env : Rig.env }
+
+(* Quick mode shortens the two ladders rather than shrinking their
+   workloads, so the rungs that do run stay comparable with the
+   committed artifacts. *)
+let curve_sweep quick =
+  if quick then { Lc.default_sweep with Lc.max_points = 3 } else Lc.default_sweep
+
+let storm_sweep quick =
+  if quick then { Bs.default_sweep with Bs.clients_max = 4 } else Bs.default_sweep
 
 let experiments =
   [
@@ -163,8 +128,8 @@ let experiments =
     );
     ( "multivolume",
       fun c -> print_report (Nfsg_experiments.Multivolume.report ~quick:c.quick ~env:c.env ()) );
-    ("laddis-curve", fun c -> print_report (Lc.report ~env:c.env ~sweep:c.curve ()));
-    ("bootstorm", fun c -> print_report (Bs.report ~env:c.env ~sweep:c.storm ()));
+    ("laddis-curve", fun c -> print_report (Lc.report ~env:c.env ~sweep:(curve_sweep c.quick) ()));
+    ("bootstorm", fun c -> print_report (Bs.report ~env:c.env ~sweep:(storm_sweep c.quick) ()));
     ("raid", fun c -> print_report (Nfsg_experiments.Raid.report ~env:c.env ()));
     ( "chaos",
       fun c ->
@@ -188,8 +153,7 @@ let iosched_probe c =
   print_newline ();
   print_string (Nfsg_experiments.Iosched.investigate ~env:c.env "fifo")
 
-let run quick scheduler raid_level sweep_points procs_max curve_configs clients_max readahead
-    monitor_interval long_op_threshold metrics_json targets =
+let run quick scheduler raid_level monitor_interval long_op_threshold metrics_json targets =
   let targets =
     if targets = [] || List.mem "all" targets then List.map fst experiments else targets
   in
@@ -206,27 +170,7 @@ let run quick scheduler raid_level sweep_points procs_max curve_configs clients_
       long_op_threshold = Option.map Nfsg_sim.Time.of_ms_f long_op_threshold;
     }
   in
-  (* Quick mode shortens the ladders rather than shrinking the
-     workload, so the rungs that do run stay comparable with the
-     committed artifacts; an explicit cap flag wins over it. *)
-  let curve =
-    let d = if quick then { Lc.default_sweep with Lc.max_points = 3 } else Lc.default_sweep in
-    {
-      d with
-      Lc.max_points = Option.value sweep_points ~default:d.Lc.max_points;
-      procs_max = Option.value procs_max ~default:d.Lc.procs_max;
-      configs = curve_configs;
-    }
-  in
-  let storm =
-    let d = if quick then { Bs.default_sweep with Bs.clients_max = 4 } else Bs.default_sweep in
-    {
-      d with
-      Bs.clients_max = Option.value clients_max ~default:d.Bs.clients_max;
-      readahead_side = readahead;
-    }
-  in
-  let ctx = { quick; env; curve; storm } in
+  let ctx = { quick; env } in
   let runners = ("iosched-probe", iosched_probe) :: experiments in
   List.iteri
     (fun i name ->
@@ -255,8 +199,7 @@ let cmd =
   let info = Cmd.info "nfsgather" ~version:"1.0.0" ~doc in
   Cmd.v info
     Term.(
-      const run $ quick_arg $ scheduler_arg $ raid_level_arg $ sweep_points_arg $ procs_max_arg
-      $ curve_configs_arg $ clients_max_arg $ readahead_arg $ monitor_interval_arg
+      const run $ quick_arg $ scheduler_arg $ raid_level_arg $ monitor_interval_arg
       $ long_op_threshold_arg $ metrics_json_arg $ targets_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -24,7 +24,6 @@ type sweep = {
   clients_max : int;  (** ladder cap *)
   stagger : Time.t;  (** power-on spacing between fleet members *)
   knee_frac : float;  (** saturated when achieved < frac * offered *)
-  readahead_side : bool option;  (** run one side of the pair only; [None] = both *)
 }
 
 let default_sweep =
@@ -39,7 +38,6 @@ let default_sweep =
        the laddis-curve default: a rung counts as kept-up while the
        fleet still collects a majority of its perfectly-scaled rate. *)
     knee_frac = 0.55;
-    readahead_side = None;
   }
 
 (* Fleet sizes double to the cap: 1, 2, 4, ... clients_max. *)
@@ -180,13 +178,7 @@ let run_variant ?env sweep (v : variant) =
     capacity_clients = List.fold_left (fun a p -> Stdlib.max a p.clients) 0 kept_up;
   }
 
-let run ?env ?(sweep = default_sweep) () =
-  let variants =
-    match sweep.readahead_side with
-    | None -> variants
-    | Some on -> List.filter (fun (v : variant) -> (v.readahead <> None) = on) variants
-  in
-  List.map (run_variant ?env sweep) variants
+let run ?env ?(sweep = default_sweep) () = List.map (run_variant ?env sweep) variants
 
 (* {1 Rendering} *)
 
@@ -214,8 +206,7 @@ let report ?env ?(sweep = default_sweep) () =
 
    The committed artifact CI regenerates and byte-diffs, same contract
    as the other five: one fixed modest sweep regardless of quick/full
-   mode; a caller's sweep applies here too (the determinism test runs
-   a tiny ladder). *)
+   mode. *)
 
 let json_of_curves sweep curves =
   let json_point p =
@@ -274,4 +265,4 @@ let json_of_curves sweep curves =
       ("configs", Json.List (List.map json_curve curves));
     ]
 
-let bench_bootstorm ?env ?(sweep = default_sweep) () = json_of_curves sweep (run ?env ~sweep ())
+let bench_bootstorm ?env () = json_of_curves default_sweep (run ?env ())

@@ -13,15 +13,18 @@ type sweep = {
   clients_max : int;  (** ladder cap *)
   stagger : Nfsg_sim.Time.t;  (** power-on spacing between fleet members *)
   knee_frac : float;  (** saturated when achieved < frac * offered *)
-  readahead_side : bool option;
-      (** run one side of the pair only ([Some true] = read-ahead on,
-          [Some false] = off); [None] = both *)
 }
 
 val default_sweep : sweep
 
 val ladder : int -> int list
 (** Fleet sizes walked for a cap: 1, 2, 4, ... cap (pure, testable). *)
+
+type variant = { label : string; readahead : Nfsg_ufs.Buffer_cache.readahead option }
+
+val variants : variant list
+(** The pair the bench compares: ["no-readahead"], then ["readahead"]
+    (the default policy). *)
 
 (** {1 Running} *)
 
@@ -47,13 +50,20 @@ type curve = {
   capacity_clients : int;  (** biggest fleet the export kept up with *)
 }
 
-val run : ?env:Rig.env -> ?sweep:sweep -> unit -> curve list
-(** Walk [sweep] (default {!default_sweep}); every rung is a fresh
+val run_variant : ?env:Rig.env -> sweep -> variant -> curve
+(** Walk [sweep]'s fleet ladder for one variant; every rung is a fresh
     world built under [env]. *)
+
+val run : ?env:Rig.env -> ?sweep:sweep -> unit -> curve list
+(** {!run_variant} over {!variants}, under [sweep] (default
+    {!default_sweep}). *)
 
 val report : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Report.t
 
-val bench_bootstorm : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Json.t
-(** The committed BENCH_bootstorm.json artifact: one fixed modest
-    ladder (same bytes regardless of quick/full); a caller's [sweep]
-    replaces it. *)
+val json_of_curves : sweep -> curve list -> Nfsg_stats.Json.t
+(** The artifact's document: [sweep]'s workload header and the
+    curves, in order. *)
+
+val bench_bootstorm : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
+(** The committed BENCH_bootstorm.json artifact: {!run} of
+    {!default_sweep} (same bytes regardless of quick/full). *)

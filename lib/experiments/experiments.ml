@@ -69,48 +69,25 @@ let figure1 ?env () =
 
 (* {1 Figures 2 and 3: LADDIS curves} *)
 
-type laddis_point = { offered : float; achieved : float; avg_latency_ms : float }
-
-type laddis_curve = {
-  label : string;
-  points : laddis_point list;
-  peak_ops : float;
-  latency_at_peak : float;
-}
-
 (* The paper's Figure 2/3 server: DEC 3800, FDDI, 20 disks on 5 SCSI
    buses, 32 nfsds. *)
-let laddis_point ?env ~accel ~gathering ~offered ~cfg () =
-  let spec =
-    {
-      Rig.default_spec with
-      Rig.net = Calib.Fddi;
-      accel;
-      gathering;
-      (* Scaled-down analogue of the paper's 20-disk DEC 3800: the disk
-         array is the saturating resource, so relieving it with fewer
-         write transactions buys capacity. Absolute ops/s are smaller
-         than the paper's; the shapes are the point. *)
-      spindles = 2;
-      nfsds = 32;
-      (* Small enough that the LADDIS working set misses: reads then
-         contend with write transactions at the spindles, which is the
-         queueing the paper's Figure 2 latency curve shows. *)
-      cache_blocks = Some 1024;
-    }
-  in
-  let rig = Rig.make ?env spec in
-  Rig.run rig (fun () ->
-      let make_client i = Rig.new_client rig ~biods:cfg.Laddis.biods_per_proc (Printf.sprintf "lc%d" i) in
-      let p = Laddis.run rig.Rig.eng ~make_client ~root:(Rig.root rig) ~offered cfg in
-      { offered = p.Laddis.offered; achieved = p.Laddis.achieved; avg_latency_ms = p.Laddis.avg_latency_ms })
-
-let laddis_curve ?env ~accel ~gathering ~label ~loads ~cfg () =
-  let points = List.map (fun offered -> laddis_point ?env ~accel ~gathering ~offered ~cfg ()) loads in
-  let peak = List.fold_left (fun acc p -> if p.achieved > acc.achieved then p else acc)
-      { offered = 0.; achieved = 0.; avg_latency_ms = 0. } points
-  in
-  { label; points; peak_ops = peak.achieved; latency_at_peak = peak.avg_latency_ms }
+let laddis_spec ~accel ~gathering =
+  {
+    Rig.default_spec with
+    Rig.net = Calib.Fddi;
+    accel;
+    gathering;
+    (* Scaled-down analogue of the paper's 20-disk DEC 3800: the disk
+       array is the saturating resource, so relieving it with fewer
+       write transactions buys capacity. Absolute ops/s are smaller
+       than the paper's; the shapes are the point. *)
+    spindles = 2;
+    nfsds = 32;
+    (* Small enough that the LADDIS working set misses: reads then
+       contend with write transactions at the spindles, which is the
+       queueing the paper's Figure 2 latency curve shows. *)
+    cache_blocks = Some 1024;
+  }
 
 let laddis_loads quick =
   if quick then [ 100.0; 250.0; 400.0 ]
@@ -128,34 +105,47 @@ let laddis_cfg quick =
   in
   if quick then { base with Laddis.warmup = Time.sec 1; measure = Time.sec 4 } else base
 
-let figure2 ?(quick = false) ?env () =
-  let cfg = laddis_cfg quick and loads = laddis_loads quick in
-  ( laddis_curve ?env ~accel:false ~gathering:false ~label:"WITHOUT WRITE GATHERING" ~loads ~cfg (),
-    laddis_curve ?env ~accel:false ~gathering:true ~label:"WITH WRITE GATHERING" ~loads ~cfg () )
+(* The figures plot every load (a knee fraction of 0 never stops the
+   walk), so each curve's capacity is its best achieved point: the
+   peak throughput. *)
+let laddis_pair ?env ~accel quick =
+  let load = Fun.const (laddis_cfg quick) and loads = laddis_loads quick in
+  let curve ~gathering ~label =
+    Laddis_curve.curve ?env ~knee_frac:0.0 ~label (laddis_spec ~accel ~gathering) ~load loads
+  in
+  ( curve ~gathering:false ~label:"WITHOUT WRITE GATHERING",
+    curve ~gathering:true ~label:"WITH WRITE GATHERING" )
 
-let figure3 ?(quick = false) ?env () =
-  let cfg = laddis_cfg quick and loads = laddis_loads quick in
-  ( laddis_curve ?env ~accel:true ~gathering:false ~label:"WITHOUT WRITE GATHERING" ~loads ~cfg (),
-    laddis_curve ?env ~accel:true ~gathering:true ~label:"WITH WRITE GATHERING" ~loads ~cfg () )
+let figure2 ?(quick = false) ?env () = laddis_pair ?env ~accel:false quick
+let figure3 ?(quick = false) ?env () = laddis_pair ?env ~accel:true quick
 
 let render_laddis ~title (without, with_) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (title ^ "\n");
-  let render c =
+  let render (c : Laddis_curve.curve) =
     Buffer.add_string buf (Printf.sprintf "  %s\n" c.label);
     Buffer.add_string buf "    offered(ops/s)  achieved(ops/s)  avg latency(ms)\n";
     List.iter
       (fun p ->
         Buffer.add_string buf
-          (Printf.sprintf "    %14.0f  %15.1f  %15.2f\n" p.offered p.achieved p.avg_latency_ms))
+          (Printf.sprintf "    %14.0f  %15.1f  %15.2f\n" p.Laddis.offered p.Laddis.achieved
+             p.Laddis.avg_latency_ms))
       c.points;
+    let latency_at_peak =
+      match List.find_opt (fun p -> p.Laddis.achieved = c.capacity) c.points with
+      | Some p -> p.Laddis.avg_latency_ms
+      | None -> 0.0
+    in
     Buffer.add_string buf
-      (Printf.sprintf "    peak throughput: %.1f ops/s at %.2f ms avg latency\n" c.peak_ops
-         c.latency_at_peak)
+      (Printf.sprintf "    peak throughput: %.1f ops/s at %.2f ms avg latency\n" c.capacity
+         latency_at_peak)
   in
   render without;
   render with_;
-  let gain = 100.0 *. (with_.peak_ops -. without.peak_ops) /. without.peak_ops in
+  let gain =
+    100.0 *. (with_.Laddis_curve.capacity -. without.Laddis_curve.capacity)
+    /. without.Laddis_curve.capacity
+  in
   Buffer.add_string buf (Printf.sprintf "  capacity change with gathering: %+.1f%%\n" gain);
   Buffer.contents buf
 

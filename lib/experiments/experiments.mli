@@ -28,27 +28,18 @@ val figure1 : ?env:Rig.env -> unit -> string
 (** Packet/disk timelines of a standard vs a gathering server for the
     4-biod sequential writer, >100K into the file. *)
 
-type laddis_point = {
-  offered : float;
-  achieved : float;
-  avg_latency_ms : float;
-}
-
-type laddis_curve = {
-  label : string;
-  points : laddis_point list;
-  peak_ops : float;  (** highest achieved throughput on the curve *)
-  latency_at_peak : float;
-}
-
-val figure2 : ?quick:bool -> ?env:Rig.env -> unit -> laddis_curve * laddis_curve
+val figure2 : ?quick:bool -> ?env:Rig.env -> unit -> Laddis_curve.curve * Laddis_curve.curve
 (** LADDIS-style throughput/latency curves (without, with gathering),
-    FDDI, no NVRAM. *)
+    FDDI, no NVRAM: {!Laddis_curve.curve} over a fixed load list with
+    a knee fraction of 0, so every load runs and each curve's
+    [capacity] is its peak throughput. *)
 
-val figure3 : ?quick:bool -> ?env:Rig.env -> unit -> laddis_curve * laddis_curve
+val figure3 : ?quick:bool -> ?env:Rig.env -> unit -> Laddis_curve.curve * Laddis_curve.curve
 (** Same with Prestoserve. *)
 
-val render_laddis : title:string -> laddis_curve * laddis_curve -> string
+val render_laddis : title:string -> Laddis_curve.curve * Laddis_curve.curve -> string
+(** Each curve's points, its peak throughput with that point's
+    latency, and the capacity change with gathering. *)
 
 (** {1 Ablations} (design choices the paper discusses) *)
 

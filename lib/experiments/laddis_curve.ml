@@ -9,7 +9,8 @@ module Report = Nfsg_stats.Report
    Each rung is a fresh world (Rig.make) driven at one offered rate;
    the per-config curve of (offered, achieved, latency) points is the
    paper's Figure 2/3 shape, and the knee of each curve is that
-   configuration's capacity rating. *)
+   configuration's capacity rating. [curve] is the one ladder walker:
+   the sweep's grid and the paper's Figures 2 and 3 both climb it. *)
 
 type sweep = {
   seed : int;
@@ -23,7 +24,6 @@ type sweep = {
   max_points : int;  (** ladder cap if the knee never appears *)
   procs_max : int;  (** load-generator pool ceiling *)
   knee_frac : float;  (** saturated when achieved < frac * offered *)
-  configs : string list option;  (** grid labels to run; [None] = the whole grid *)
 }
 
 let default_sweep =
@@ -39,7 +39,6 @@ let default_sweep =
     max_points = 12;
     procs_max = 64;
     knee_frac = 0.9;
-    configs = None;
   }
 
 (* More load stations as the offered rate climbs, the way a LADDIS
@@ -108,20 +107,7 @@ let capacity_rating ?(frac = default_sweep.knee_frac) points =
   | [] -> best achieved_of
   | ok -> best (List.map snd ok)
 
-(* The grid a sweep runs, in grid order; an unknown label is an error,
-   not an empty curve. *)
-let selected sweep =
-  match sweep.configs with
-  | None -> grid
-  | Some labels ->
-      List.iter
-        (fun l ->
-          if not (List.exists (fun v -> v.label = l) grid) then
-            invalid_arg (Printf.sprintf "Laddis_curve: unknown configuration %S" l))
-        labels;
-      List.filter (fun v -> List.mem v.label labels) grid
-
-(* {1 The sweep} *)
+(* {1 The ladder} *)
 
 type curve = {
   label : string;
@@ -131,9 +117,44 @@ type curve = {
   capacity : float;  (** ops/s rating per {!capacity_rating} *)
 }
 
-let run_point ?env sweep (v : variant) ~offered =
-  let rig = Rig.make ?env { v.spec with Rig.nfsds = sweep.nfsds } in
-  let lcfg =
+(* Walk the offered loads in order, one fresh world per rung, until
+   the knee shows (keeping the sagging rung as evidence) or the loads
+   run out. Each rung's stations come from [load offered]. *)
+let curve ?env ~knee_frac ~label spec ~load loads =
+  let point offered =
+    let cfg = load offered in
+    let rig = Rig.make ?env spec in
+    Rig.run rig (fun () ->
+        Laddis.run rig.Rig.eng
+          ~make_client:(fun i ->
+            Rig.new_client rig ~biods:cfg.Laddis.biods_per_proc (Printf.sprintf "client%d" i))
+          ~root:(Rig.root rig) ~offered cfg)
+  in
+  let rec walk acc = function
+    | [] -> List.rev acc
+    | offered :: rest ->
+        let p = point offered in
+        if p.Laddis.achieved < knee_frac *. offered then List.rev (p :: acc)
+        else walk (p :: acc) rest
+  in
+  let points = walk [] loads in
+  let oa = List.map (fun p -> (p.Laddis.offered, p.Laddis.achieved)) points in
+  {
+    label;
+    spec;
+    points;
+    knee = detect_knee ~frac:knee_frac oa;
+    capacity = capacity_rating ~frac:knee_frac oa;
+  }
+
+(* {1 The sweep}
+
+   Every variant climbs the same arithmetic ladder, with more stations
+   as the offered rate climbs: the same traffic shape per seed as the
+   other rig experiments, just more of it. *)
+
+let run_variant ?env sweep (v : variant) =
+  let load offered =
     {
       Laddis.default_config with
       Laddis.procs = procs_for ~procs_max:sweep.procs_max offered;
@@ -144,37 +165,15 @@ let run_point ?env sweep (v : variant) ~offered =
       seed = sweep.seed;
     }
   in
-  Rig.run rig (fun () ->
-      Laddis.run rig.Rig.eng
-        ~make_client:(fun i -> Rig.new_client rig (Printf.sprintf "client%d" i))
-        ~root:(Rig.root rig) ~offered lcfg)
-
-(* Walk the ladder until the knee shows (keeping the sagging rung as
-   evidence) or the cap runs out. Every rung is a fresh world at a
-   higher offered rate — the same traffic-shape-per-seed as the other
-   rig experiments, just more stations. *)
-let run_variant ?env sweep (v : variant) =
-  let rec walk acc i =
-    if i >= sweep.max_points then List.rev acc
-    else begin
-      let offered = sweep.offered_start +. (sweep.offered_step *. float_of_int i) in
-      let p = run_point ?env sweep v ~offered in
-      let acc = p :: acc in
-      if p.Laddis.achieved < sweep.knee_frac *. offered then List.rev acc
-      else walk acc (i + 1)
-    end
+  let loads =
+    List.init sweep.max_points (fun i ->
+        sweep.offered_start +. (sweep.offered_step *. float_of_int i))
   in
-  let points = walk [] 0 in
-  let oa = List.map (fun p -> (p.Laddis.offered, p.Laddis.achieved)) points in
-  {
-    label = v.label;
-    spec = v.spec;
-    points;
-    knee = detect_knee ~frac:sweep.knee_frac oa;
-    capacity = capacity_rating ~frac:sweep.knee_frac oa;
-  }
+  curve ?env ~knee_frac:sweep.knee_frac ~label:v.label
+    { v.spec with Rig.nfsds = sweep.nfsds }
+    ~load loads
 
-let run ?env ?(sweep = default_sweep) () = List.map (run_variant ?env sweep) (selected sweep)
+let run ?env ?(sweep = default_sweep) () = List.map (run_variant ?env sweep) grid
 
 (* {1 Rendering} *)
 
@@ -201,8 +200,7 @@ let report ?env ?(sweep = default_sweep) () =
 
    The committed artifact CI regenerates and byte-diffs. One fixed
    modest sweep regardless of quick/full mode, so every environment
-   produces the same bytes; a caller's sweep applies here too (the
-   determinism test runs a tiny one). *)
+   produces the same bytes. *)
 
 let scheduler_name = function
   | Disk.Fifo -> "fifo"
@@ -264,4 +262,4 @@ let json_of_curves sweep curves =
       ("configs", Json.List (List.map json_curve curves));
     ]
 
-let bench_laddis_curve ?env ?(sweep = default_sweep) () = json_of_curves sweep (run ?env ~sweep ())
+let bench_laddis_curve ?env () = json_of_curves default_sweep (run ?env ())

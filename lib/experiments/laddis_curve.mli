@@ -3,7 +3,8 @@
     (the saturation knee), LADDIS style. Each configuration's curve
     yields a capacity rating — the paper's Figure 2/3 comparison run
     as one deterministic benchmark over the gathering / NVRAM /
-    scheduler / stripe-width grid. *)
+    scheduler / stripe-width grid. {!curve} is the one ladder walker:
+    the grid and {!Experiments.figure2}/[figure3] both climb it. *)
 
 type sweep = {
   seed : int;
@@ -17,10 +18,6 @@ type sweep = {
   max_points : int;  (** ladder cap if the knee never appears *)
   procs_max : int;  (** load-generator pool ceiling *)
   knee_frac : float;  (** saturated when achieved < frac * offered *)
-  configs : string list option;
-      (** run only the {!grid} configurations with these labels, in
-          grid order; [None] = the whole grid. An unknown label makes
-          the sweep raise [Invalid_argument] before it builds a world. *)
 }
 
 val default_sweep : sweep
@@ -56,13 +53,36 @@ type curve = {
   capacity : float;  (** ops/s rating per {!capacity_rating} *)
 }
 
+val curve :
+  ?env:Rig.env ->
+  knee_frac:float ->
+  label:string ->
+  Rig.spec ->
+  load:(float -> Nfsg_workload.Laddis.config) ->
+  float list ->
+  curve
+(** [curve ~knee_frac ~label spec ~load loads] walks the offered rates
+    [loads] in order, each in a fresh world [Rig.make spec] built
+    under [env], driven by the generator [load offered] from clients
+    of its [biods_per_proc] biods. The walk stops after the first rung
+    whose achieved rate is below [knee_frac] x offered, which it keeps
+    as the knee. With [knee_frac = 0.0] every load runs and [capacity]
+    is the best achieved rate. *)
+
+val run_variant : ?env:Rig.env -> sweep -> variant -> curve
+(** One variant's {!curve}: [sweep]'s arithmetic ladder, with
+    {!procs_for} stations per rung and [sweep.nfsds] server daemons. *)
+
 val run : ?env:Rig.env -> ?sweep:sweep -> unit -> curve list
-(** Walk [sweep] (default {!default_sweep}); every rung is a fresh
-    world built under [env]. *)
+(** {!run_variant} over the {!grid}, in grid order, under [sweep]
+    (default {!default_sweep}). *)
 
 val report : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Report.t
 
-val bench_laddis_curve : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Json.t
-(** The committed BENCH_laddis_curve.json artifact: one fixed modest
-    sweep (same bytes regardless of quick/full); a caller's [sweep]
-    replaces it. *)
+val json_of_curves : sweep -> curve list -> Nfsg_stats.Json.t
+(** The artifact's document: [sweep]'s workload header and the
+    curves, in order. *)
+
+val bench_laddis_curve : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
+(** The committed BENCH_laddis_curve.json artifact: {!run} of
+    {!default_sweep} (same bytes regardless of quick/full). *)

@@ -32,13 +32,52 @@ let test_procs_for () =
   Alcotest.(check int) "one station per ~10 ops/s" 24 (Lc.procs_for ~procs_max:48 240.0);
   Alcotest.(check int) "clamped to the pool ceiling" 48 (Lc.procs_for ~procs_max:48 600.0)
 
+(* {1 The ladder walker on a tiny ladder}
+
+   Three stations against a one-spindle standard server, offered a
+   rate they keep up with, then two the server cannot serve. *)
+
+module Laddis = Nfsg_workload.Laddis
+module Rig = Nfsg_experiments.Rig
+
+let tiny_load =
+  Fun.const
+    {
+      Laddis.default_config with
+      Laddis.procs = 3;
+      files_per_proc = 1;
+      file_size = 16 * 1024;
+      warmup = Time.ms 100;
+      measure = Time.ms 300;
+    }
+
+let tiny_curve knee_frac =
+  Lc.curve ~knee_frac ~label:"tiny"
+    { Rig.default_spec with Rig.gathering = false; nfsds = 4 }
+    ~load:tiny_load [ 40.0; 4000.0; 8000.0 ]
+
+let achieved c = List.map (fun p -> p.Laddis.achieved) c.Lc.points
+
+let test_curve_walk () =
+  let all = tiny_curve 0.0 in
+  Alcotest.(check int) "a knee fraction of 0 runs every load" 3 (List.length all.Lc.points);
+  Alcotest.(check (option int)) "and finds no knee" None all.Lc.knee;
+  Alcotest.(check (float 0.0)) "capacity is the best achieved point"
+    (List.fold_left Float.max 0.0 (achieved all))
+    all.Lc.capacity;
+  let kneed = tiny_curve 0.9 in
+  Alcotest.(check (option int)) "the second load sags" (Some 1) kneed.Lc.knee;
+  Alcotest.(check (list (float 0.0))) "the walk stops at the sagging rung"
+    (List.filteri (fun i _ -> i < 2) (achieved all))
+    (achieved kneed);
+  Alcotest.(check (float 0.0)) "rated at the rung it kept up with" (List.hd (achieved all))
+    kneed.Lc.capacity
+
 (* {1 Double-run byte-determinism}
 
    The real sweep, shrunk: two configurations, two rungs, short
    windows. Same property as the other committed artifacts — two runs
-   inside one process must render byte for byte the same JSON. The
-   restrictions travel in the sweep, the way the nfsgather flags pass
-   them. *)
+   inside one process must render byte for byte the same JSON. *)
 
 let tiny_sweep =
   {
@@ -48,32 +87,24 @@ let tiny_sweep =
     warmup = Time.ms 100;
     measure = Time.ms 400;
     nfsds = 8;
-    configs = Some [ "baseline"; "gather" ];
   }
 
-let test_grid_override_validates () =
-  Alcotest.check_raises "unknown label rejected"
-    (Invalid_argument "Laddis_curve: unknown configuration \"warp9\"") (fun () ->
-      ignore (Lc.run ~sweep:{ tiny_sweep with Lc.configs = Some [ "gather"; "warp9" ] } ()))
+let tiny_grid =
+  List.filter (fun (v : Lc.variant) -> List.mem v.Lc.label [ "baseline"; "gather" ]) Lc.grid
 
 let test_double_run () =
-  let run_once () = Lc.bench_laddis_curve ~sweep:tiny_sweep () in
-  let first = run_once () and second = run_once () in
-  Alcotest.(check bool) "byte-identical across runs" true
-    (String.equal (Json.to_string ~pretty:true first) (Json.to_string ~pretty:true second));
-  (* And the sweep really restricted the grid. *)
-  let labels =
-    match Option.bind (Json.member "configs" first) Json.to_list with
-    | Some configs -> List.filter_map (fun c -> Option.bind (Json.member "config" c) Json.to_str) configs
-    | None -> []
+  let run_once () =
+    Json.to_string ~pretty:true
+      (Lc.json_of_curves tiny_sweep (List.map (Lc.run_variant tiny_sweep) tiny_grid))
   in
-  Alcotest.(check (list string)) "grid restricted" [ "baseline"; "gather" ] labels
+  let first = run_once () and second = run_once () in
+  Alcotest.(check bool) "byte-identical across runs" true (String.equal first second)
 
 let suite =
   [
     Alcotest.test_case "knee detection on synthetic curves" `Quick test_detect_knee;
     Alcotest.test_case "capacity rating" `Quick test_capacity_rating;
     Alcotest.test_case "station pool scales with offered load" `Quick test_procs_for;
-    Alcotest.test_case "grid override validates labels" `Quick test_grid_override_validates;
     Alcotest.test_case "tiny sweep is double-run deterministic" `Quick test_double_run;
+    Alcotest.test_case "the walk stops at the knee" `Quick test_curve_walk;
   ]
