@@ -183,12 +183,17 @@ let note_miss c = Metrics.incr c.meters.m_misses
    device read for nothing. *)
 let note_gone c e = if e.prefetched then Metrics.incr c.meters.m_ra_wasted
 
-(* Evict the least-recently-used clean block if over capacity: the
-   first clean entry from the head of the LRU list. Dirty blocks are
-   pinned until flushed. *)
+(* Evict the least-recently-used idle block if over capacity: the
+   first entry from the head of the LRU list that is clean and in no
+   write request, as 4.4BSD's getnewbuf takes victims only from the
+   free lists. Dirty blocks are pinned until flushed, busy ones until
+   their write completes: a failed write re-dirties its blocks, so
+   they must still be cached. *)
 let make_room c =
   if Hashtbl.length c.table >= c.max_blocks then begin
-    let rec clean_from e = if e == c.lru || e.dirty = None then e else clean_from e.newer in
+    let rec clean_from e =
+      if e == c.lru || (e.dirty = None && not e.busy) then e else clean_from e.newer
+    in
     let victim = clean_from c.lru.newer in
     if victim != c.lru then begin
       note_gone c victim;

@@ -27,7 +27,7 @@
 
     - when its block leaves the cache, evicted to make room or
       {!drop}ped because the filesystem freed it, unless a write
-      request holds it;
+      request holds it (only a drop takes a busy block);
     - when the write request that holds it completes, if its block has
       left the cache meanwhile or {!modify} copied it on write;
     - when a read into it fails, or lands after another reader has
@@ -64,10 +64,11 @@ val create :
   unit ->
   t
 (** [max_blocks] bounds the cache (default: unbounded); on overflow the
-    least-recently-used clean block is evicted, and its buffer backs a
-    later fill. Dirty blocks are pinned, exactly like real buffer-cache
-    buffers awaiting write. An unbounded cache still reuses what
-    {!drop} and copy-on-write let go.
+    least-recently-used block that is clean and not busy is evicted,
+    and its buffer backs a later fill. Dirty blocks are pinned, exactly
+    like real buffer-cache buffers awaiting write, and busy ones until
+    their write completes, so a failed write can re-dirty them. An
+    unbounded cache still reuses what {!drop} and copy-on-write let go.
     When [metrics] and [ns] are both given, the cache counts in that
     namespace (the per-export read plane, e.g. ["read_plane.vol2"]);
     otherwise in a private registry. The accessors below read it. *)

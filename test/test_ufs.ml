@@ -967,12 +967,12 @@ let prop_cow_writes_land_as_submitted =
 
 (* {1 Buffer reuse}
 
-   An evicted block's buffer backs the cache's next fill, unless the
-   block is busy in a write request: then the request keeps it until it
+   An evicted block's buffer backs the cache's next fill. A block busy
+   in a write request is no victim: it stays cached until the request
    completes. *)
 
-(* Wraps [dev]: holds every write until [release] hands them down, so
-   reads overtake them. *)
+(* Wraps [dev]: holds every write until [release] hands them down or
+   [fail] fails them, so reads overtake them. *)
 let holding (dev : Device.t) =
   let held = ref [] in
   let submit items =
@@ -982,41 +982,51 @@ let holding (dev : Device.t) =
     held := !held @ writes;
     if reads <> [] then dev.Device.submit reads
   in
-  let release () =
+  let take () =
     let writes = !held in
     held := [];
-    dev.Device.submit writes
+    writes
   in
-  ({ dev with Device.submit }, release)
+  let release () = dev.Device.submit (take ()) in
+  let fail exn = List.iter (fun item -> Io.fail_item item exn) (take ()) in
+  ({ dev with Device.submit }, release, fail)
 
-(* An 8-block cache writes its 8 blocks as one cluster and, while the
-   cluster is held back, misses twice: the first miss evicts the
-   cluster's first block, busy, and the second must fill some other
-   buffer. Once the write lands as submitted, a clean victim's buffer
-   backs the next miss. *)
-let test_busy_victim_keeps_its_buffer () =
+(* An 8-block cache whose 8 blocks, 100 to 107, are dirty with 'd'
+   bytes and written as one cluster, held back. *)
+let held_cluster () =
   let eng = Engine.create () in
   let disk = Disk.create eng geometry in
-  let held, release = holding disk in
+  let held, release, fail = holding disk in
   let rc, dev = recording held in
-  let bs = 8192 in
-  let cache = Buffer_cache.create dev ~bsize:bs ~max_blocks:8 () in
-  let buf_of b = Option.get (Buffer_cache.peek cache b) in
+  let cache = Buffer_cache.create dev ~bsize:8192 ~max_blocks:8 () in
   let blocks = List.init 8 (fun i -> 100 + i) in
   List.iter
     (fun b ->
       Buffer_cache.modify cache b Buffer_cache.Data Buffer_cache.Overwritten (fun buf ->
-          Bytes.fill buf 0 bs 'd'))
+          Bytes.fill buf 0 8192 'd'))
     blocks;
+  let submit () =
+    let p = Buffer_cache.prepare cache ~class_:`Gather_flush ~max_cluster:(64 * 1024) blocks in
+    dev.Device.submit (Buffer_cache.prepared_items p);
+    p
+  in
+  (eng, disk, rc, cache, blocks, submit, release, fail)
+
+(* While the cluster is held back every block is busy, so a miss evicts
+   none of them and fills a buffer of its own. Once the write lands as
+   submitted, a clean victim's buffer backs a later miss. *)
+let test_busy_block_is_no_victim () =
+  let eng, disk, rc, cache, blocks, submit, release, _ = held_cluster () in
+  let bs = 8192 in
+  let buf_of b = Option.get (Buffer_cache.peek cache b) in
   let bufs = List.map buf_of blocks in
   in_proc eng (fun () ->
-      let p = Buffer_cache.prepare cache ~class_:`Gather_flush ~max_cluster:(64 * 1024) blocks in
-      dev.Device.submit (Buffer_cache.prepared_items p);
+      let p = submit () in
       ignore (Buffer_cache.get cache 300 : Bytes.t);
-      Alcotest.(check bool) "the busy block was evicted" true (Buffer_cache.peek cache 100 = None);
-      ignore (Buffer_cache.get cache 301 : Bytes.t);
-      Alcotest.(check bool) "the next miss filled another buffer" false
-        (List.exists (fun buf -> buf == buf_of 301) bufs);
+      Alcotest.(check bool) "every busy block stays cached" true
+        (List.for_all (fun b -> Buffer_cache.peek cache b <> None) blocks);
+      Alcotest.(check bool) "the miss filled another buffer" false
+        (List.exists (fun buf -> buf == buf_of 300) bufs);
       release ();
       Buffer_cache.await_prepared [ p ];
       no_mismatch rc;
@@ -1025,11 +1035,28 @@ let test_busy_victim_keeps_its_buffer () =
           Alcotest.(check bytes) "the platter has the cluster" (Bytes.make bs 'd')
             (disk.Device.stable_read ~off:(b * bs) ~len:bs))
         blocks;
-      let victim = buf_of 102 in
+      let victim = buf_of 100 in
+      ignore (Buffer_cache.get cache 301 : Bytes.t);
+      Alcotest.(check bool) "the idle block is the victim" true (Buffer_cache.peek cache 100 = None);
       ignore (Buffer_cache.get cache 302 : Bytes.t);
-      ignore (Buffer_cache.get cache 303 : Bytes.t);
-      Alcotest.(check bool) "a clean victim's buffer backs a later miss" true (buf_of 303 == victim);
-      Alcotest.(check bytes) "filled with its own block" (Bytes.make bs '\000') (buf_of 303))
+      Alcotest.(check bool) "its buffer backs a later miss" true (buf_of 302 == victim);
+      Alcotest.(check bytes) "filled with its own block" (Bytes.make bs '\000') (buf_of 302))
+
+(* A miss while the cluster is held back, then the write fails: the
+   block the miss would have evicted is still cached, dirty again, with
+   its bytes, so a later sync can retry it. *)
+let test_failed_write_keeps_its_blocks () =
+  let eng, _, _, cache, _, submit, _, fail = held_cluster () in
+  in_proc eng (fun () ->
+      let p = submit () in
+      ignore (Buffer_cache.get cache 300 : Bytes.t);
+      fail (Device.Io_error "held write");
+      (match Buffer_cache.await_prepared [ p ] with
+      | () -> Alcotest.fail "the held write failed"
+      | exception Device.Io_error _ -> ());
+      Alcotest.(check bool) "block 100 is dirty" true (Buffer_cache.is_dirty cache 100);
+      Alcotest.(check (option bytes)) "with its bytes" (Some (Bytes.make 8192 'd'))
+        (Buffer_cache.peek cache 100))
 
 (* {1 Allocation} *)
 
@@ -1206,7 +1233,8 @@ let suite =
     Alcotest.test_case "read_ahead of a cached block copies nothing" `Quick
       test_read_ahead_of_cached_block_copies_nothing;
     Alcotest.test_case "fsck through the minimum cache" `Quick test_check_through_the_minimum_cache;
-    Alcotest.test_case "a busy victim keeps its buffer" `Quick test_busy_victim_keeps_its_buffer;
+    Alcotest.test_case "a busy block is no victim" `Quick test_busy_block_is_no_victim;
+    Alcotest.test_case "a failed write keeps its blocks" `Quick test_failed_write_keeps_its_blocks;
     Alcotest.test_case "a demand miss reuses its victim's buffer" `Quick
       test_demand_miss_reuses_its_victims_buffer;
     Alcotest.test_case "a removed file's blocks back the next file's" `Quick
