@@ -330,10 +330,10 @@ let dispatch t tr (call : Rpc.call) =
     | args -> dispatch_nfs t tr ~proc:call.Rpc.proc args
   end
 
-(* The assembly shared by the fresh-format and recovery paths.
-   [vols] carries, per export, its spec and the vgen to preserve, or
-   [None] for a new volume, which is formatted. *)
-let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation config vols =
+(* The assembly shared by the fresh-format and recovery paths: the
+   first incarnation formats its volumes, a later one remounts them as
+   they stand. *)
+let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation config specs =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let cpu = Resource.create eng "server-cpu" in
   let costs = config.costs in
@@ -357,10 +357,10 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation con
   let send_reply tr res = send tr (fun enc -> Proto.put_res enc res) in
   let volumes =
     List.mapi
-      (fun i (spec, vgen) ->
-        Volume.mount eng ~fsid:(i + 1) ?vgen ~legacy_ns ~sock ~cpu ~costs ~send_reply ?trace
-          ~metrics ~wl_config:config.write_layer spec)
-      vols
+      (fun i spec ->
+        Volume.mount eng ~fsid:(i + 1) ~format:(incarnation = 1) ~legacy_ns ~sock ~cpu ~costs
+          ~send_reply ?trace ~metrics ~wl_config:config.write_layer spec)
+      specs
   in
   let journeys =
     Journey.create eng ~metrics ?threshold:config.long_op_threshold ?event_trace:trace ()
@@ -404,15 +404,13 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation con
 
 let make_exports eng ~segment ~addr ?trace ?metrics config specs =
   if specs = [] then invalid_arg "Server.make_exports: need at least one volume";
-  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false ~incarnation:1 config
-    (List.map (fun spec -> (spec, None)) specs)
+  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false ~incarnation:1 config specs
 
 (* The historical single-volume constructor, kept as the 1-volume
    special case with its historical metrics namespaces. *)
 let make eng ~segment ~addr ~device ?trace ?metrics config =
   make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:true ~incarnation:1 config
-    [ (Volume.spec ?cache_blocks:config.cache_blocks ?readahead:config.readahead "/export" device,
-       None) ]
+    [ Volume.spec ?cache_blocks:config.cache_blocks ?readahead:config.readahead "/export" device ]
 
 let crash t =
   (* Power off: volatile state gone and the host leaves the wire. *)
@@ -421,12 +419,13 @@ let crash t =
 
 let restart t =
   (* Every device recovers (NVRAM replay where fitted), every volume
-     remounts fsck-style from stable storage; the volume generations
-     are preserved — a reboot does not invalidate client handles — and
-     the shared write verifier moves to the next incarnation number. *)
+     remounts fsck-style from stable storage with the generation its
+     superblock holds — a reboot does not invalidate client handles —
+     and the shared write verifier moves to the next incarnation
+     number. *)
   List.iter (fun v -> (Volume.device v).Nfsg_disk.Device.recover ()) t.volumes;
   (* Same registry across incarnations: find-or-create registration
      means the restarted server keeps counting where this one stopped. *)
   make_internal t.eng ~segment:t.segment ~addr:t.addr ?trace:t.trace ~metrics:t.metrics
     ~legacy_ns:t.legacy_ns ~incarnation:(t.verf + 1) t.config
-    (List.map (fun v -> (Volume.spec_of v, Some (Volume.vgen v))) t.volumes)
+    (List.map Volume.spec_of t.volumes)

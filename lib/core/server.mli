@@ -119,7 +119,7 @@ val restart : t -> t
     and fsck-style remount, fresh daemons, same network address (the
     crashed incarnation left the wire), and the next incarnation number
     as the shared write verifier.
-    Volume generations are preserved, so handles minted before the
-    crash stay valid; clients that keep retransmitting ride through
+    Each volume remounts with the generation on its platter, so
+    handles minted before the crash stay valid; clients that keep retransmitting ride through
     the outage: their RPCs go unanswered while the server is down and
     are answered by the new incarnation. *)

@@ -15,20 +15,11 @@ let spec ?cache_blocks ?(read_only = false) ?readahead export device =
 type t = {
   spec : spec;
   fsid : int;
-  vgen : int;
   fs : Fs.t;
   wl : Write_layer.t;
   server_ns : string;
   mutable read_only : bool;
 }
-
-(* Volume generations: a fresh one per format, preserved across
-   crash/recover of the same filesystem. A handle minted before a
-   volume was reformatted (or replaced) therefore carries a dead vgen
-   and earns NFSERR_STALE, while handles held across a mere reboot
-   keep working. Process-global so no two formats ever share one. *)
-(* nfslint: allow S001 vgen uniqueness is process-wide by design: resetting it would let a reformatted volume reuse a live generation and defeat NFSERR_STALE detection *)
-let generation_counter = ref 0
 
 let server_ns_of ~legacy_ns fsid =
   if legacy_ns then Nfsg_stats.Names.Ns.server else Nfsg_stats.Names.Ns.server_vol fsid
@@ -39,17 +30,9 @@ let write_layer_ns_of ~legacy_ns fsid =
 let read_plane_ns_of ~legacy_ns fsid =
   if legacy_ns then Nfsg_stats.Names.Ns.read_plane else Nfsg_stats.Names.Ns.read_plane_vol fsid
 
-let mount eng ~fsid ?vgen ~legacy_ns ~sock ~cpu ~costs ~send_reply
+let mount eng ~fsid ~format ~legacy_ns ~sock ~cpu ~costs ~send_reply
     ?trace ?metrics ~wl_config spec =
-  let vgen =
-    match vgen with
-    | Some g -> g
-    | None ->
-        (* A new volume: format it. *)
-        Fs.mkfs spec.device ();
-        incr generation_counter;
-        !generation_counter
-  in
+  if format then Fs.mkfs spec.device ();
   let fs =
     Fs.mount eng ?cache_blocks:spec.cache_blocks ?metrics
       ~ns:(read_plane_ns_of ~legacy_ns fsid)
@@ -63,7 +46,6 @@ let mount eng ~fsid ?vgen ~legacy_ns ~sock ~cpu ~costs ~send_reply
   {
     spec;
     fsid;
-    vgen;
     fs;
     wl;
     server_ns = server_ns_of ~legacy_ns fsid;
@@ -72,7 +54,11 @@ let mount eng ~fsid ?vgen ~legacy_ns ~sock ~cpu ~costs ~send_reply
 
 let export t = t.spec.export
 let fsid t = t.fsid
-let vgen t = t.vgen
+(* The volume generation lives on the platter: a reformat stamps the
+   next one, so a handle minted before it earns NFSERR_STALE, while a
+   reboot remounts the same one and handles held across it keep
+   working. *)
+let vgen t = Fs.format_generation t.fs
 let device t = t.spec.device
 let fs t = t.fs
 let write_layer t = t.wl
@@ -84,9 +70,9 @@ let set_read_only t ro = t.read_only <- ro
    identity a reboot must preserve. *)
 let spec_of t = { t.spec with read_only = t.read_only }
 
-let fh t ino = { Proto.fsid = t.fsid; vgen = t.vgen; inum = Fs.inum ino; gen = Fs.generation ino }
+let fh t ino = { Proto.fsid = t.fsid; vgen = vgen t; inum = Fs.inum ino; gen = Fs.generation ino }
 let root_fh t = fh t (Fs.root t.fs)
 
-let owns t (fh : Proto.fh) = fh.Proto.fsid = t.fsid && fh.Proto.vgen = t.vgen
+let owns t (fh : Proto.fh) = fh.Proto.fsid = t.fsid && fh.Proto.vgen = vgen t
 
 let crash t = Fs.crash t.fs

@@ -31,7 +31,7 @@ type t
 val mount :
   Nfsg_sim.Engine.t ->
   fsid:int ->
-  ?vgen:int ->
+  format:bool ->
   legacy_ns:bool ->
   sock:Nfsg_net.Socket.t ->
   cpu:Nfsg_sim.Resource.t ->
@@ -45,12 +45,11 @@ val mount :
 (** Mounts the device and builds the volume's write layer on the
     shared server socket/CPU.
 
-    [vgen] is the volume generation. Omitted, the volume is new: the
-    device is formatted first, and a fresh generation is drawn from a
-    process-global counter (a freshly formatted or replaced volume
-    invalidates all old handles). The recovery path passes the previous
-    incarnation's value: the device is mounted as it stands, so client
-    handles survive a reboot.
+    With [format], the volume is new: the device is formatted first,
+    which stamps the next volume generation ({!Nfsg_ufs.Fs.mkfs}) and
+    so invalidates every handle of the filesystem it overwrites.
+    Without it, the recovery path, the device is mounted as it stands,
+    generation included, so client handles survive a reboot.
 
     Metrics namespaces are [server.vol<fsid>] / [write_layer.vol<fsid>]
     / [read_plane.vol<fsid>] unless [legacy_ns], in which case
@@ -61,7 +60,8 @@ val export : t -> string
 val fsid : t -> int
 
 val vgen : t -> int
-(** Volume generation carried in every filehandle this volume mints. *)
+(** Volume generation carried in every filehandle this volume mints:
+    the filesystem's {!Nfsg_ufs.Fs.format_generation}. *)
 
 val device : t -> Nfsg_disk.Device.t
 val fs : t -> Nfsg_ufs.Fs.t
@@ -92,5 +92,5 @@ val owns : t -> Nfsg_nfs.Proto.fh -> bool
 
 val crash : t -> unit
 (** Drop volatile filesystem state and crash the device (power fail);
-    the platter and any NVRAM contents survive for {!mount} with the
-    volume's [vgen] to recover. *)
+    the platter and any NVRAM contents, generation included, survive
+    for {!mount} without [format] to recover. *)

@@ -359,7 +359,8 @@ let mutable_makers = function
 (* Process-global mutables outlive Server.crash/restart and are shared
    by every simulated world in the process. State belongs to a world
    and configuration is passed as a value; the rare global that must
-   persist (vgen identity) carries a suppression saying why. *)
+   persist (the engine's running process) carries a suppression saying
+   why. *)
 let s001 ctx structure =
   if not (in_lib ctx) then []
   else

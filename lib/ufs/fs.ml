@@ -54,6 +54,7 @@ let bsize t = t.sb.Layout.bsize
 let accelerated t = t.dev.Device.accelerated ()
 let inum (i : inode) = i.inum
 let generation (i : inode) = i.di.gen
+let format_generation t = t.sb.Layout.format_gen
 let lock_of (i : inode) = i.lock
 let lock (i : inode) = Mutex.lock i.lock
 let unlock (i : inode) = Mutex.unlock i.lock
@@ -63,7 +64,14 @@ let meta_dirty (i : inode) = i.meta_dirty
 (* {1 mkfs} *)
 
 let mkfs dev ?(bsize = 8192) ?(ninodes = 4096) () =
-  let sb = Layout.make_superblock ~bsize ~capacity:dev.Device.capacity ~ninodes in
+  let format_gen =
+    match Layout.decode_superblock (dev.Device.stable_read ~off:0 ~len:512) with
+    | old -> old.Layout.format_gen + 1
+    | exception Failure _ -> 1
+  in
+  let sb =
+    { (Layout.make_superblock ~bsize ~capacity:dev.Device.capacity ~ninodes) with Layout.format_gen }
+  in
   dev.Device.stable_write ~off:0 (Layout.encode_superblock sb);
   (* Bitmap: metadata blocks allocated, data area free. *)
   let zero = Bytes.make bsize '\000' in

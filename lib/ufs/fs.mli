@@ -64,7 +64,9 @@ exception File_too_big of int
 val mkfs : Nfsg_disk.Device.t -> ?bsize:int -> ?ninodes:int -> unit -> unit
 (** Write a fresh filesystem (instantaneously — formatting happens
     before the experiment starts). Defaults: 8 KiB blocks, 4096
-    inodes. The root directory is inode 1. *)
+    inodes. The root directory is inode 1. The superblock's format
+    generation is one more than that of the filesystem it overwrites,
+    or 1 on a device that holds none. *)
 
 val mount :
   Nfsg_sim.Engine.t ->
@@ -92,6 +94,10 @@ val mount :
 val device : t -> Nfsg_disk.Device.t
 val cache : t -> Buffer_cache.t
 val bsize : t -> int
+
+val format_generation : t -> int
+(** The superblock's format generation ({!mkfs}): a server's handles
+    carry it, so a reformat stales them and a remount does not. *)
 
 val accelerated : t -> bool
 (** Whether the device is NVRAM-accelerated right now (the server

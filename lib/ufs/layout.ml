@@ -15,6 +15,7 @@ type superblock = {
   itable_blocks : int;
   data_start : int;
   root_inum : int;
+  format_gen : int;
 }
 
 let ftype_to_int = function Free -> 0 | Regular -> 1 | Directory -> 2 | Symlink -> 3
@@ -47,6 +48,7 @@ let make_superblock ~bsize ~capacity ~ninodes =
     itable_blocks;
     data_start;
     root_inum = 1;
+    format_gen = 1;
   }
 
 let set32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
@@ -66,10 +68,11 @@ let encode_superblock sb =
   set32 b 32 sb.itable_blocks;
   set32 b 36 sb.data_start;
   set32 b 40 sb.root_inum;
+  set32 b 44 sb.format_gen;
   b
 
 let decode_superblock b =
-  if Bytes.length b < 44 then failwith "layout: superblock too short";
+  if Bytes.length b < 48 then failwith "layout: superblock too short";
   if Bytes.sub_string b 0 8 <> magic then failwith "layout: bad superblock magic";
   let sb =
     {
@@ -82,6 +85,7 @@ let decode_superblock b =
       itable_blocks = get32 b 32;
       data_start = get32 b 36;
       root_inum = get32 b 40;
+      format_gen = get32 b 44;
     }
   in
   if sb.bsize < 512 || sb.nblocks <= 0 || sb.ninodes <= 0 then

@@ -34,11 +34,13 @@ type superblock = {
   itable_blocks : int;
   data_start : int;
   root_inum : int;
+  format_gen : int;  (** 1 at a device's first format, one more at each reformat *)
 }
 
 val make_superblock : bsize:int -> capacity:int -> ninodes:int -> superblock
-(** Compute a layout for a device of [capacity] bytes. Raises
-    [Invalid_argument] if the device is too small. *)
+(** Compute a layout, of format generation 1, for a device of
+    [capacity] bytes. Raises [Invalid_argument] if the device is too
+    small. *)
 
 val encode_superblock : superblock -> Bytes.t
 (** One [bsize] block. *)

@@ -571,6 +571,16 @@ let test_crash_loses_delayed_keeps_synced () =
       | Ok () -> ()
       | Error es -> Alcotest.failf "fsck after crash: %s" (String.concat "; " es))
 
+(* The format generation lives on the platter: a blank device's first
+   format is generation 1 in every world, a remount reads it back, and
+   a reformat stamps the next. *)
+let test_format_generation () =
+  let eng, dev, fs = fresh_fs () in
+  Alcotest.(check int) "first format" 1 (Fs.format_generation fs);
+  Alcotest.(check int) "remount" 1 (Fs.format_generation (Fs.mount eng dev));
+  Fs.mkfs dev ~ninodes:512 ();
+  Alcotest.(check int) "reformat" 2 (Fs.format_generation (Fs.mount eng dev))
+
 let test_remount_rebuilds_bitmap () =
   let eng, dev, fs = fresh_fs () in
   in_proc eng (fun () ->
@@ -1241,4 +1251,5 @@ let suite =
       test_removed_files_blocks_back_the_next_file;
     Alcotest.test_case "a rewrite during a flush reuses the flushed buffer" `Quick
       test_rewrite_during_flush_reuses_the_flushed_buffer;
+    Alcotest.test_case "a reformat stamps the next generation" `Quick test_format_generation;
   ]
