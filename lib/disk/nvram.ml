@@ -70,6 +70,7 @@ type t = {
   p : params;
   backing : Device.t;
   dirty : Extent_map.t;
+  mutable copying : int;  (** bytes of accepted writes still being copied in *)
   mutable in_flight : (int * Bytes.t) option;
   mutable rotor : int;  (** elevator position for the drain sweep *)
   mutable crashed : bool;
@@ -83,7 +84,7 @@ type t = {
 }
 
 let used st =
-  Extent_map.total_bytes st.dirty
+  Extent_map.total_bytes st.dirty + st.copying
   + match st.in_flight with Some (_, d) -> Bytes.length d | None -> 0
 
 let note_dirty st =
@@ -216,6 +217,7 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
       p = params;
       backing;
       dirty = Extent_map.create ();
+      copying = 0;
       in_flight = None;
       rotor = 0;
       crashed = false;
@@ -263,9 +265,13 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
       (* The battery may have failed while we waited for space. *)
       if not st.battery_ok then pass_through st.inst.m_passthrough ~off bufs
       else begin
+        (* The bytes hold their room from the space check on, so a
+           writer that checks during this copy sees them. *)
+        st.copying <- st.copying + len;
         let d = copy_time len in
         cpu_charge d;
         Engine.delay d;
+        st.copying <- st.copying - len;
         Extent_map.insert st.dirty ~off (Io.sub r ~pos:0 ~len);
         Nfsg_stats.Metrics.incr st.inst.m_accepted;
         note_dirty st;

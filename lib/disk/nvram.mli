@@ -47,7 +47,8 @@ val create :
     registry when omitted). *)
 
 val dirty_bytes : t -> int
-(** Dirty bytes currently in the board's RAM. *)
+(** Bytes the board's RAM holds or has promised to writes still being
+    copied in; never more than its capacity. *)
 
 val drain : t -> unit
 (** Push every dirty byte down to the backing device and return once

@@ -78,6 +78,31 @@ let test_capacity_backpressure () =
       Alcotest.(check bytes) "all durable" (Bytes.make 8192 'z')
         (dev.Device.stable_read ~off:(63 * 8192) ~len:8192))
 
+(* Sixteen 8K writers arrive together at a 64K board: the bytes of a
+   write count against the board from its space check on, so those
+   that pass the check while others copy never overfill it. *)
+let test_concurrent_writers_fit () =
+  let capacity = 64 * 1024 in
+  let metrics = Nfsg_stats.Metrics.create () in
+  let eng = Engine.create () in
+  let disk = Disk.create eng geometry in
+  let board, dev =
+    Nvram.create eng ~params:{ Nvram.default_params with Nvram.capacity } ~metrics disk
+  in
+  for i = 0 to 15 do
+    Engine.spawn eng (fun () -> dev.Device.write ~off:(i * 8192) (Bytes.make 8192 'c'))
+  done;
+  Engine.run eng;
+  let peak =
+    Nfsg_stats.Metrics.find_gauge metrics ~ns:(Nfsg_stats.Names.Ns.nvram "presto")
+      Nfsg_stats.Names.dirty_bytes_peak
+  in
+  Alcotest.(check bool) "never above capacity" true
+    (Option.get peak <= float_of_int capacity);
+  Alcotest.(check int) "drained" 0 (Nvram.dirty_bytes board);
+  Alcotest.(check bytes) "every write durable" (Bytes.make (16 * 8192) 'c')
+    (dev.Device.stable_read ~off:0 ~len:(16 * 8192))
+
 let test_crash_preserves_nvram_contents () =
   let eng, disk, board, dev = make () in
   (* Write into NVRAM, crash before the flusher drains, recover, and
@@ -135,4 +160,6 @@ let suite =
     Alcotest.test_case "reads merge NVRAM overlay" `Quick test_read_merges_overlay;
     Alcotest.test_case "fully-cached read avoids disk" `Quick test_cached_read_is_fast;
     Alcotest.test_case "dirty bytes drain on flush" `Quick test_dirty_bytes_visibility;
+    Alcotest.test_case "concurrent writers never overfill the board" `Quick
+      test_concurrent_writers_fit;
   ]
