@@ -48,16 +48,6 @@ let ladder max_clients =
     go 1 []
   end
 
-(* {1 The configuration pair} *)
-
-type variant = { label : string; readahead : Buffer_cache.readahead option }
-
-let variants =
-  [
-    { label = "no-readahead"; readahead = None };
-    { label = "readahead"; readahead = Some Buffer_cache.default_readahead };
-  ]
-
 (* {1 One rung: a fleet of [clients] in a fresh world} *)
 
 type point = {
@@ -139,7 +129,7 @@ let run_rung ?env sweep ~readahead ~clients =
         readahead_wasted = Buffer_cache.readahead_wasted cache - rw0;
       })
 
-(* {1 The ladder per configuration} *)
+(* {1 The ladder per side} *)
 
 type curve = {
   label : string;
@@ -150,15 +140,14 @@ type curve = {
   capacity_clients : int;  (** biggest fleet the export kept up with *)
 }
 
-let run_variant ?env sweep (v : variant) =
+let curve ?env sweep ~readahead =
   (* The one-client rung calibrates the offered scale: a fleet of k
      that scaled perfectly would achieve k x that rate. Walk the whole
      ladder (fleets are finite tasks, not paced loops, so every rung
      terminates) and let knee detection read the curve afterwards. *)
+  let policy = if readahead then Some Buffer_cache.default_readahead else None in
   let points =
-    List.map
-      (fun k -> run_rung ?env sweep ~readahead:v.readahead ~clients:k)
-      (ladder sweep.clients_max)
+    List.map (fun k -> run_rung ?env sweep ~readahead:policy ~clients:k) (ladder sweep.clients_max)
   in
   let per_client = match points with p :: _ -> p.achieved | [] -> 0.0 in
   let points =
@@ -170,15 +159,16 @@ let run_variant ?env sweep (v : variant) =
     List.filter (fun p -> p.achieved >= sweep.knee_frac *. p.offered) points
   in
   {
-    label = v.label;
-    readahead_on = v.readahead <> None;
+    label = (if readahead then "readahead" else "no-readahead");
+    readahead_on = readahead;
     points;
     knee;
     capacity_ops = Laddis_curve.capacity_rating ~frac:sweep.knee_frac oa;
     capacity_clients = List.fold_left (fun a p -> Stdlib.max a p.clients) 0 kept_up;
   }
 
-let run ?env ?(sweep = default_sweep) () = List.map (run_variant ?env sweep) variants
+let run ?env ?(sweep = default_sweep) () =
+  List.map (fun readahead -> curve ?env sweep ~readahead) [ false; true ]
 
 (* {1 Rendering} *)
 

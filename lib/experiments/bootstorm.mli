@@ -20,12 +20,6 @@ val default_sweep : sweep
 val ladder : int -> int list
 (** Fleet sizes walked for a cap: 1, 2, 4, ... cap (pure, testable). *)
 
-type variant = { label : string; readahead : Nfsg_ufs.Buffer_cache.readahead option }
-
-val variants : variant list
-(** The pair the bench compares: ["no-readahead"], then ["readahead"]
-    (the default policy). *)
-
 (** {1 Running} *)
 
 type point = {
@@ -50,19 +44,16 @@ type curve = {
   capacity_clients : int;  (** biggest fleet the export kept up with *)
 }
 
-val run_variant : ?env:Rig.env -> sweep -> variant -> curve
-(** Walk [sweep]'s fleet ladder for one variant; every rung is a fresh
-    world built under [env]. *)
+val curve : ?env:Rig.env -> sweep -> readahead:bool -> curve
+(** One side: [sweep]'s fleet ladder with server read-ahead off, or on
+    at the default policy; every rung is a fresh world built under
+    [env]. *)
 
 val run : ?env:Rig.env -> ?sweep:sweep -> unit -> curve list
-(** {!run_variant} over {!variants}, under [sweep] (default
+(** Both sides, read-ahead off first, under [sweep] (default
     {!default_sweep}). *)
 
 val report : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Report.t
-
-val json_of_curves : sweep -> curve list -> Nfsg_stats.Json.t
-(** The artifact's document: [sweep]'s workload header and the
-    curves, in order. *)
 
 val bench_bootstorm : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
 (** The committed BENCH_bootstorm.json artifact: {!run} of

@@ -62,26 +62,18 @@ val curve :
   float list ->
   curve
 (** [curve ~knee_frac ~label spec ~load loads] walks the offered rates
-    [loads] in order, each in a fresh world [Rig.make spec] built
-    under [env], driven by the generator [load offered] from clients
-    of its [biods_per_proc] biods. The walk stops after the first rung
-    whose achieved rate is below [knee_frac] x offered, which it keeps
-    as the knee. With [knee_frac = 0.0] every load runs and [capacity]
-    is the best achieved rate. *)
-
-val run_variant : ?env:Rig.env -> sweep -> variant -> curve
-(** One variant's {!curve}: [sweep]'s arithmetic ladder, with
-    {!procs_for} stations per rung and [sweep.nfsds] server daemons. *)
+    [loads] in order, one fresh world [Rig.make spec] built under [env]
+    per rung, driven by [load offered] from clients of its
+    [biods_per_proc] biods. It stops after the first rung whose
+    achieved rate is below [knee_frac] x offered, the knee. With
+    [knee_frac = 0.0] every load runs and [capacity] is the best
+    achieved rate. *)
 
 val run : ?env:Rig.env -> ?sweep:sweep -> unit -> curve list
-(** {!run_variant} over the {!grid}, in grid order, under [sweep]
-    (default {!default_sweep}). *)
+(** Each {!grid} variant's {!curve} over [sweep]'s arithmetic ladder
+    (default {!default_sweep}), with {!procs_for} stations per rung. *)
 
 val report : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Report.t
-
-val json_of_curves : sweep -> curve list -> Nfsg_stats.Json.t
-(** The artifact's document: [sweep]'s workload header and the
-    curves, in order. *)
 
 val bench_laddis_curve : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
 (** The committed BENCH_laddis_curve.json artifact: {!run} of

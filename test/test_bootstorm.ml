@@ -1,10 +1,8 @@
 (* Boot-storm bench plumbing: the fleet ladder, and double-run
-   byte-determinism of the committed artifact's document on a tiny
-   ladder. *)
+   determinism on a tiny ladder. *)
 
 module Bs = Nfsg_experiments.Bootstorm
 module Rig = Nfsg_experiments.Rig
-module Json = Nfsg_stats.Json
 
 let test_ladder () =
   Alcotest.(check (list int)) "cap of one" [ 1 ] (Bs.ladder 1);
@@ -13,23 +11,11 @@ let test_ladder () =
 
 (* The real bench, shrunk to a two-rung ladder, one side each. *)
 let tiny = { Bs.default_sweep with Bs.clients_max = 2 }
-let side label = List.find (fun (v : Bs.variant) -> v.Bs.label = label) Bs.variants
-
-let run_once () = Bs.json_of_curves tiny [ Bs.run_variant tiny (side "readahead") ]
 
 let test_double_run () =
-  let first = run_once () and second = run_once () in
-  Alcotest.(check bool) "byte-identical across runs" true
-    (String.equal (Json.to_string ~pretty:true first) (Json.to_string ~pretty:true second));
-  let rungs =
-    match Option.bind (Json.member "configs" first) Json.to_list with
-    | Some (c :: _) ->
-        (match Option.bind (Json.member "points" c) Json.to_list with
-        | Some ps -> List.length ps
-        | None -> 0)
-    | _ -> 0
-  in
-  Alcotest.(check int) "ladder capped at two rungs" 2 rungs
+  let first = Bs.curve tiny ~readahead:true and second = Bs.curve tiny ~readahead:true in
+  Alcotest.(check bool) "the same curve across runs" true (first = second);
+  Alcotest.(check int) "ladder capped at two rungs" 2 (List.length first.Bs.points)
 
 (* The storm crashes and restarts the server after populating the
    export; the long-op dump must come from the incarnation that served
@@ -43,7 +29,7 @@ let test_long_ops_follow_restart () =
       emit = Some (Buffer.add_string out);
     }
   in
-  ignore (Bs.run_variant ~env tiny (side "no-readahead"));
+  ignore (Bs.curve ~env tiny ~readahead:false);
   let dump = Buffer.contents out in
   let has affix =
     let n = String.length dump and m = String.length affix in

@@ -1,6 +1,5 @@
 open Nfsg_sim
 module Lc = Nfsg_experiments.Laddis_curve
-module Json = Nfsg_stats.Json
 
 (* {1 Knee detection and capacity rating on synthetic curves} *)
 
@@ -73,32 +72,24 @@ let test_curve_walk () =
   Alcotest.(check (float 0.0)) "rated at the rung it kept up with" (List.hd (achieved all))
     kneed.Lc.capacity
 
-(* {1 Double-run byte-determinism}
+(* {1 Double-run determinism}
 
-   The real sweep, shrunk: two configurations, two rungs, short
-   windows. Same property as the other committed artifacts — two runs
-   inside one process must render byte for byte the same JSON. *)
-
-let tiny_sweep =
-  {
-    Lc.default_sweep with
-    Lc.max_points = 2;
-    procs_max = 8;
-    warmup = Time.ms 100;
-    measure = Time.ms 400;
-    nfsds = 8;
-  }
-
-let tiny_grid =
-  List.filter (fun (v : Lc.variant) -> List.mem v.Lc.label [ "baseline"; "gather" ]) Lc.grid
+   The grid's baseline and gather servers on a tiny ladder, twice in
+   one process: the same points both times, as the committed artifact
+   needs. *)
 
 let test_double_run () =
   let run_once () =
-    Json.to_string ~pretty:true
-      (Lc.json_of_curves tiny_sweep (List.map (Lc.run_variant tiny_sweep) tiny_grid))
+    List.filter_map
+      (fun (v : Lc.variant) ->
+        if List.mem v.Lc.label [ "baseline"; "gather" ] then
+          Some (Lc.curve ~knee_frac:0.9 ~label:v.label v.spec ~load:tiny_load [ 60.0; 120.0 ]).Lc.points
+        else None)
+      Lc.grid
   in
-  let first = run_once () and second = run_once () in
-  Alcotest.(check bool) "byte-identical across runs" true (String.equal first second)
+  let first = run_once () in
+  Alcotest.(check int) "two curves" 2 (List.length first);
+  Alcotest.(check bool) "the same points across runs" true (first = run_once ())
 
 let suite =
   [
