@@ -89,7 +89,7 @@ let grid =
    Pure functions over the (offered, achieved) ladder so the unit
    tests can exercise them on synthetic curves. *)
 
-let detect_knee ?(frac = default_sweep.knee_frac) points =
+let detect_knee ~frac points =
   let rec find i = function
     | [] -> None
     | (offered, achieved) :: rest ->
@@ -100,7 +100,7 @@ let detect_knee ?(frac = default_sweep.knee_frac) points =
 (* SPEC-style rating: the best achieved throughput among rungs the
    server still kept up with. A curve that sags from its very first
    rung is rated at whatever it actually delivered. *)
-let capacity_rating ?(frac = default_sweep.knee_frac) points =
+let capacity_rating ~frac points =
   let achieved_of = List.map snd points in
   let best l = List.fold_left max 0.0 l in
   match List.filter (fun (o, a) -> a >= frac *. o) points with

@@ -32,13 +32,13 @@ val grid : variant list
 (** The curated configuration grid: baseline, gather, gather+deadline,
     nvram, gather+stripe3. *)
 
-val detect_knee : ?frac:float -> (float * float) list -> int option
-(** [detect_knee points] is the index of the first (offered, achieved)
-    rung where achieved < frac * offered, in ladder order; [None] when
-    the ladder never saturates. Pure — unit-testable on synthetic
-    curves. [frac] defaults to [default_sweep.knee_frac]. *)
+val detect_knee : frac:float -> (float * float) list -> int option
+(** [detect_knee ~frac points] is the index of the first (offered,
+    achieved) rung where achieved < frac * offered, in ladder order;
+    [None] when the ladder never saturates. Pure — unit-testable on
+    synthetic curves. *)
 
-val capacity_rating : ?frac:float -> (float * float) list -> float
+val capacity_rating : frac:float -> (float * float) list -> float
 (** Best achieved rate among rungs the server kept up with
     (achieved >= frac * offered); falls back to the best achieved
     anywhere when every rung sagged, and 0 for an empty ladder. *)
