@@ -120,6 +120,6 @@ val restart : t -> t
     crashed incarnation left the wire), and the next incarnation number
     as the shared write verifier.
     Each volume remounts with the generation on its platter, so
-    handles minted before the crash stay valid; clients that keep retransmitting ride through
-    the outage: their RPCs go unanswered while the server is down and
-    are answered by the new incarnation. *)
+    handles minted before the crash stay valid; clients that keep
+    retransmitting ride through the outage: their RPCs go unanswered
+    while the server is down and are answered by the new incarnation. *)
