@@ -153,7 +153,7 @@ let curve ?env ~knee_frac ~label spec ~load loads =
    as the offered rate climbs: the same traffic shape per seed as the
    other rig experiments, just more of it. *)
 
-let run_variant ?env sweep (v : variant) =
+let run ?env ?(sweep = default_sweep) () =
   let load offered =
     {
       Laddis.default_config with
@@ -169,11 +169,12 @@ let run_variant ?env sweep (v : variant) =
     List.init sweep.max_points (fun i ->
         sweep.offered_start +. (sweep.offered_step *. float_of_int i))
   in
-  curve ?env ~knee_frac:sweep.knee_frac ~label:v.label
-    { v.spec with Rig.nfsds = sweep.nfsds }
-    ~load loads
-
-let run ?env ?(sweep = default_sweep) () = List.map (run_variant ?env sweep) grid
+  List.map
+    (fun (v : variant) ->
+      curve ?env ~knee_frac:sweep.knee_frac ~label:v.label
+        { v.spec with Rig.nfsds = sweep.nfsds }
+        ~load loads)
+    grid
 
 (* {1 Rendering} *)
 
