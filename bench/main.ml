@@ -12,6 +12,9 @@
      dune build @bench-check                   regenerate every committed
                                                artifact and diff it
 
+   Any other argument is a usage error. A single table or figure is an
+   nfsgather target: `dune exec nfsgather -- table1`.
+
    The full run also writes all six BENCH_*.json artifacts to the
    current directory.
 
@@ -275,6 +278,13 @@ let run_micro () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
+  let accepted = "quick" :: "micro" :: "simspeed" :: List.map (fun (name, _, _) -> name) (artifacts false) in
+  (match List.filter (fun a -> not (List.mem a accepted)) args with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "main.exe: unknown argument %s\nusage: main.exe [%s]...\n"
+        (String.concat ", " unknown) (String.concat "|" accepted);
+      exit 2);
   let quick = List.mem "quick" args in
   let named = List.filter (fun (name, _, _) -> List.mem name args) (artifacts quick) in
   if List.mem "micro" args then run_micro ()

@@ -60,7 +60,6 @@ type t = {
      stream. Client addresses map to small dense ids in arrival
      order — deterministic under the engine. *)
   stream_ids : (string, int) Hashtbl.t;
-  trace : Nfsg_stats.Trace.t option;
   metrics : Metrics.t;
   journeys : Journey.plane;
 }
@@ -333,7 +332,7 @@ let dispatch t tr (call : Rpc.call) =
 (* The assembly shared by the fresh-format and recovery paths: the
    first incarnation formats its volumes, a later one remounts them as
    they stand. *)
-let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation config specs =
+let make_internal eng ~segment ~addr ?metrics ~legacy_ns ~incarnation config specs =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let cpu = Resource.create eng "server-cpu" in
   let costs = config.costs in
@@ -359,12 +358,10 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation con
     List.mapi
       (fun i spec ->
         Volume.mount eng ~fsid:(i + 1) ~format:(incarnation = 1) ~legacy_ns ~sock ~cpu ~costs
-          ~send_reply ?trace ~metrics ~wl_config:config.write_layer spec)
+          ~send_reply ~metrics ~wl_config:config.write_layer spec)
       specs
   in
-  let journeys =
-    Journey.create eng ~metrics ?threshold:config.long_op_threshold ?event_trace:trace ()
-  in
+  let journeys = Journey.create eng ~metrics ?threshold:config.long_op_threshold () in
   let t =
     {
       eng;
@@ -380,7 +377,6 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation con
       ops = Array.make (Proto.proc_commit + 1) None (* COMMIT has the highest number *);
       vol_ops = Array.of_list (List.map (fun _ -> Array.make (Proto.proc_commit + 1) None) volumes);
       stream_ids = Hashtbl.create 16;
-      trace;
       metrics;
       journeys;
     }
@@ -402,14 +398,14 @@ let make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns ~incarnation con
   svc_ref := Some svc;
   t
 
-let make_exports eng ~segment ~addr ?trace ?metrics config specs =
+let make_exports eng ~segment ~addr ?metrics config specs =
   if specs = [] then invalid_arg "Server.make_exports: need at least one volume";
-  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:false ~incarnation:1 config specs
+  make_internal eng ~segment ~addr ?metrics ~legacy_ns:false ~incarnation:1 config specs
 
 (* The historical single-volume constructor, kept as the 1-volume
    special case with its historical metrics namespaces. *)
-let make eng ~segment ~addr ~device ?trace ?metrics config =
-  make_internal eng ~segment ~addr ?trace ?metrics ~legacy_ns:true ~incarnation:1 config
+let make eng ~segment ~addr ~device ?metrics config =
+  make_internal eng ~segment ~addr ?metrics ~legacy_ns:true ~incarnation:1 config
     [ Volume.spec ?cache_blocks:config.cache_blocks ?readahead:config.readahead "/export" device ]
 
 let crash t =
@@ -426,6 +422,6 @@ let restart t =
   List.iter (fun v -> (Volume.device v).Nfsg_disk.Device.recover ()) t.volumes;
   (* Same registry across incarnations: find-or-create registration
      means the restarted server keeps counting where this one stopped. *)
-  make_internal t.eng ~segment:t.segment ~addr:t.addr ?trace:t.trace ~metrics:t.metrics
+  make_internal t.eng ~segment:t.segment ~addr:t.addr ~metrics:t.metrics
     ~legacy_ns:t.legacy_ns ~incarnation:(t.verf + 1) t.config
     (List.map Volume.spec_of t.volumes)

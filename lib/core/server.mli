@@ -40,7 +40,6 @@ val make :
   segment:Nfsg_net.Segment.t ->
   addr:string ->
   device:Nfsg_disk.Device.t ->
-  ?trace:Nfsg_stats.Trace.t ->
   ?metrics:Nfsg_stats.Metrics.t ->
   config ->
   t
@@ -58,7 +57,6 @@ val make_exports :
   Nfsg_sim.Engine.t ->
   segment:Nfsg_net.Segment.t ->
   addr:string ->
-  ?trace:Nfsg_stats.Trace.t ->
   ?metrics:Nfsg_stats.Metrics.t ->
   config ->
   Volume.spec list ->

@@ -30,8 +30,7 @@ let write_layer_ns_of ~legacy_ns fsid =
 let read_plane_ns_of ~legacy_ns fsid =
   if legacy_ns then Nfsg_stats.Names.Ns.read_plane else Nfsg_stats.Names.Ns.read_plane_vol fsid
 
-let mount eng ~fsid ~format ~legacy_ns ~sock ~cpu ~costs ~send_reply
-    ?trace ?metrics ~wl_config spec =
+let mount eng ~fsid ~format ~legacy_ns ~sock ~cpu ~costs ~send_reply ?metrics ~wl_config spec =
   if format then Fs.mkfs spec.device ();
   let fs =
     Fs.mount eng ?cache_blocks:spec.cache_blocks ?metrics
@@ -39,7 +38,7 @@ let mount eng ~fsid ~format ~legacy_ns ~sock ~cpu ~costs ~send_reply
       ?readahead:spec.readahead spec.device
   in
   let wl =
-    Write_layer.create eng ~fs ~sock ~cpu ~costs ~send_reply ?trace ?metrics
+    Write_layer.create eng ~fs ~sock ~cpu ~costs ~send_reply ?metrics
       ~ns:(write_layer_ns_of ~legacy_ns fsid)
       ~fsid wl_config
   in

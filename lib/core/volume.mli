@@ -37,7 +37,6 @@ val mount :
   cpu:Nfsg_sim.Resource.t ->
   costs:Cpu_model.t ->
   send_reply:(Nfsg_rpc.Svc.transport -> Nfsg_nfs.Proto.res -> unit) ->
-  ?trace:Nfsg_stats.Trace.t ->
   ?metrics:Nfsg_stats.Metrics.t ->
   wl_config:Write_layer.config ->
   spec ->

@@ -60,6 +60,18 @@ type gstate = {
    are single-threaded and skip the procrastination penalty. *)
 type learned = { mutable score : float; mutable samples : int }
 
+type event =
+  | Received of { bytes : int; off : int }
+  | To_presto of { bytes : int }
+  | Procrastinating
+  | To_disk of { bytes : int; clustered : bool }
+  | Metadata_to_disk
+  | Replied
+  | Replied_batch of int
+  | Replied_volatile
+  | Write_failed
+  | Flush_failed of int
+
 type t = {
   eng : Engine.t;
   fs : Fs.t;
@@ -67,7 +79,7 @@ type t = {
   cpu : Resource.t;
   costs : Cpu_model.t;
   send_reply : Svc.transport -> Proto.res -> unit;
-  trace : Trace.t option;
+  events : event Trace.t;  (** this layer's flight recorder, always on *)
   cfg : config;
   fsid : int;  (** volume id stamped into reply attributes *)
   states : (int, gstate) Hashtbl.t;
@@ -89,7 +101,7 @@ type t = {
   reply_latency_us : Histogram.t;
 }
 
-let create eng ~fs ~sock ~cpu ~costs ~send_reply ?trace ?metrics ~ns ~fsid cfg =
+let create eng ~fs ~sock ~cpu ~costs ~send_reply ?metrics ~ns ~fsid cfg =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
   {
     eng;
@@ -98,7 +110,7 @@ let create eng ~fs ~sock ~cpu ~costs ~send_reply ?trace ?metrics ~ns ~fsid cfg =
     cpu;
     costs;
     send_reply;
-    trace;
+    events = Trace.create eng ~capacity:4096 ~dummy:Replied;
     cfg;
     fsid;
     states = Hashtbl.create 64;
@@ -156,14 +168,24 @@ let learned_solo_clients t =
   (* nfslint: allow D002 pure count; integer addition is commutative so the fold order cannot show *)
   Hashtbl.fold (fun _ l n -> if l.samples >= 8 && l.score < 0.25 then n + 1 else n) t.clients 0
 
-let emit t event = match t.trace with Some tr -> Trace.emit tr ~actor:(Engine.self_name ()) event | None -> ()
+(* {1 Flight recorder} *)
 
-(* A formatted event is built only when there is a trace to record it,
-   so an untraced WRITE formats no strings. *)
-let emitf t fmt =
-  match t.trace with
-  | Some tr -> Printf.ksprintf (Trace.emit tr ~actor:(Engine.self_name ())) fmt
-  | None -> Printf.ifprintf () fmt
+let record t event = Trace.record t.events ~actor:(Engine.self_name ()) event
+let events t = Trace.events t.events
+
+(* Figure 1's labels: the only text the write path makes. *)
+let describe = function
+  | Received { bytes; off } -> Printf.sprintf "%dK Write recv (off=%dK)" (bytes / 1024) (off / 1024)
+  | To_presto { bytes } -> Printf.sprintf "%dK data to Presto" (bytes / 1024)
+  | Procrastinating -> "Gather Writes (procrastinate)"
+  | To_disk { bytes; clustered } ->
+      Printf.sprintf "%dK data to disk%s" (bytes / 1024) (if clustered then " (clustered)" else "")
+  | Metadata_to_disk -> "Metadata to disk"
+  | Replied -> "Write Reply"
+  | Replied_batch n -> Printf.sprintf "%d Write Repl%s" n (if n = 1 then "y" else "ies")
+  | Replied_volatile -> "Write Reply (volatile!)"
+  | Write_failed -> "Write failed: NFSERR_IO"
+  | Flush_failed n -> Printf.sprintf "Flush failed: %d NFSERR_IO Repl%s" n (if n = 1 then "y" else "ies")
 
 let gstate_of t ino =
   let id = Fs.inum ino in
@@ -241,8 +263,8 @@ let flush_as_metadata_writer t g =
               empty and only the metadata goes down. *)
            let off, len = if (not accel) && lo < hi then (lo, hi - lo) else (0, 0) in
            charge_trip t;
-           if len > 0 then emitf t "%dK data to disk (clustered)" (len / 1024);
-           emit t "Metadata to disk";
+           if len > 0 then record t (To_disk { bytes = len; clustered = true });
+           record t Metadata_to_disk;
            (* nfsrace: allow Y001 the inode encode reads its blocks through the cache and must run under the vnode lock; only the post-submit wait is moved outside *)
            Fs.commit_range_begin t.fs g.ino ~off ~len
          with exn ->
@@ -261,7 +283,7 @@ let flush_as_metadata_writer t g =
     | () ->
         List.iter (fun (d : descriptor) -> jstamp t d.tr Journey.stamp_disk_complete) ordered;
         let attr = Fattr.of_inode t.fs ~fsid:t.fsid g.ino in
-        if n > 0 then emitf t "%d Write Repl%s" n (if n = 1 then "y" else "ies");
+        if n > 0 then record t (Replied_batch n);
         List.iter (fun d -> reply_ok t d attr) ordered;
         if t.cfg.learn_clients then
           List.iter (fun (d : descriptor) -> learn t d.client ~gathered:(n > 1)) ordered;
@@ -278,7 +300,7 @@ let flush_as_metadata_writer t g =
         g.lo <- Stdlib.min g.lo lo;
         g.hi <- Stdlib.max g.hi hi;
         Metrics.incr t.flush_failures;
-        emitf t "Flush failed: %d NFSERR_IO Repl%s" n (if n = 1 then "y" else "ies");
+        record t (Flush_failed n);
         List.iter (fun d -> t.send_reply d.tr (d.fail Proto.NFSERR_IO)) ordered);
     (* Writes that arrived while we were flushing: if no OTHER nfsd is
        active to pick them up (we ourselves still count in g.active
@@ -318,10 +340,10 @@ let handle_standard t tr ~respond ~fail ino ~off ~data =
          jstamp t tr Journey.stamp_queued;
          jstamp t tr Journey.stamp_disk_submit;
          charge_trip t;
-         emitf t "%dK data to disk" (Xdr.view_length data / 1024);
+         record t (To_disk { bytes = Xdr.view_length data; clustered = false });
          (* nfsrace: allow Y001 the paper's synchronous path: the reference port holds the vnode lock across its disk write by design *)
          Fs.write_view t.fs ino ~off data ~mode:Fs.Sync;
-         if Fs.meta_dirty ino = `Clean then emit t "Metadata to disk")
+         if Fs.meta_dirty ino = `Clean then record t Metadata_to_disk)
    with
   | () ->
       jstamp t tr Journey.stamp_disk_complete;
@@ -331,17 +353,17 @@ let handle_standard t tr ~respond ~fail ino ~off ~data =
       (* The reply's encode is charged as it is sent: stamp the event
          after it, at the instant the reply leaves. *)
       t.send_reply tr (respond (Fattr.of_inode t.fs ~fsid:t.fsid ino));
-      emit t "Write Reply"
+      record t Replied
   | exception Fs.No_space -> t.send_reply tr (fail Proto.NFSERR_NOSPC)
   | exception Fs.File_too_big _ -> t.send_reply tr (fail Proto.NFSERR_FBIG)
   | exception Nfsg_disk.Device.Io_error _ ->
-      emit t "Write failed: NFSERR_IO";
+      record t Write_failed;
       t.send_reply tr (fail Proto.NFSERR_IO));
   Svc.Reply_pending
 
 (* Gathering path, one nfsd D (paper section 6.8). *)
 let handle_gathering t tr ~respond ~fail ino ~off ~data =
-  emitf t "%dK Write recv (off=%dK)" (Xdr.view_length data / 1024) (off / 1024);
+  record t (Received { bytes = Xdr.view_length data; off });
   let g = gstate_of t ino in
   g.active <- g.active + 1;
   let accel = Fs.accelerated t.fs in
@@ -350,7 +372,7 @@ let handle_gathering t tr ~respond ~fail ino ~off ~data =
   (match
      Fs.with_lock ino (fun () ->
          charge_trip t;
-         if accel then emitf t "%dK data to Presto" (Xdr.view_length data / 1024);
+         if accel then record t (To_presto { bytes = Xdr.view_length data });
          (* nfsrace: allow Y001 the Presto front absorbs the write at memory speed and a delayed write's cache-miss fill may park; either way the fill must happen under the vnode lock *)
          Fs.write_view t.fs ino ~off data ~mode:(if accel then Fs.Sync_data_only else Fs.Delay_data))
    with
@@ -409,7 +431,7 @@ let handle_gathering t tr ~respond ~fail ino ~off ~data =
           && t.cfg.procrastinate > 0
         then begin
           Metrics.incr t.procrastinations;
-          emit t "Gather Writes (procrastinate)";
+          record t Procrastinating;
           let qlen = List.length g.queue in
           Engine.delay t.cfg.procrastinate;
           let grew = List.length g.queue > qlen in
@@ -430,7 +452,7 @@ let handle_gathering t tr ~respond ~fail ino ~off ~data =
   | exception Fs.No_space -> fail_alone t g tr ~fail Proto.NFSERR_NOSPC
   | exception Fs.File_too_big _ -> fail_alone t g tr ~fail Proto.NFSERR_FBIG
   | exception Nfsg_disk.Device.Io_error _ ->
-      emit t "Write failed: NFSERR_IO";
+      record t Write_failed;
       fail_alone t g tr ~fail Proto.NFSERR_IO);
   Svc.Reply_pending
 
@@ -455,7 +477,7 @@ let handle_unsafe_async t tr ~respond ~fail ino ~off ~data =
       Metrics.incr t.gathered;
       Histogram.add t.batch_size_h 1.0;
       t.send_reply tr (respond (Fattr.of_inode t.fs ~fsid:t.fsid ino));
-      emit t "Write Reply (volatile!)"
+      record t Replied_volatile
   | exception Fs.No_space -> t.send_reply tr (fail Proto.NFSERR_NOSPC)
   | exception Fs.File_too_big _ -> t.send_reply tr (fail Proto.NFSERR_FBIG)
   | exception Nfsg_disk.Device.Io_error _ -> t.send_reply tr (fail Proto.NFSERR_IO));

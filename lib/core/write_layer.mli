@@ -72,7 +72,6 @@ val create :
   cpu:Nfsg_sim.Resource.t ->
   costs:Cpu_model.t ->
   send_reply:(Nfsg_rpc.Svc.transport -> Nfsg_nfs.Proto.res -> unit) ->
-  ?trace:Nfsg_stats.Trace.t ->
   ?metrics:Nfsg_stats.Metrics.t ->
   ns:string ->
   fsid:int ->
@@ -158,3 +157,30 @@ val mean_batch_size : t -> float
 val learned_solo_clients : t -> int
 (** Clients the learned-client database currently classifies as
     single-threaded (0 unless [learn_clients] is on). *)
+
+(** {1 Flight recorder}
+
+    Every write layer keeps the newest 4096 events of its write path,
+    each stamped with the virtual instant and the nfsd that recorded
+    it: the paper's Figure 1, for any run. A restarted server's layer
+    starts an empty ring. *)
+
+type event =
+  | Received of { bytes : int; off : int }  (** a gathering nfsd took a WRITE *)
+  | To_presto of { bytes : int }  (** its data went into the NVRAM front *)
+  | Procrastinating  (** the nfsd sleeps, waiting for company *)
+  | To_disk of { bytes : int; clustered : bool }
+      (** data went down: one WRITE's, or a gathered range in clusters *)
+  | Metadata_to_disk
+  | Replied  (** the standard path answered its WRITE *)
+  | Replied_batch of int  (** a metadata writer answered its batch, FIFO *)
+  | Replied_volatile  (** dangerous mode answered from memory *)
+  | Write_failed  (** a WRITE answered [NFSERR_IO] alone *)
+  | Flush_failed of int  (** a gathered batch answered [NFSERR_IO] *)
+
+val events : t -> (Nfsg_sim.Time.t * string * event) list
+(** The retained events, oldest first, as (instant, nfsd, event). *)
+
+val describe : event -> string
+(** Figure 1's label for an event, e.g. ["40K data to disk (clustered)"]
+    or ["5 Write Replies"]. *)

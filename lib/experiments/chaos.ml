@@ -64,9 +64,9 @@ type result = {
   degraded_reads : int;
   degraded_writes : int;
   trace_dropped : int;
-      (** journey/trace ring records overwritten before anyone read
-          them — the drop-safety audit: losing observability must be
-          visible, not silent *)
+      (** long-op ring records overwritten before anyone read them —
+          the drop-safety audit: losing observability must be visible,
+          not silent *)
   fsck_errors : string list;
   timeline : string list;
   digest : string;

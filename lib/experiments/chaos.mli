@@ -67,8 +67,8 @@ type result = {
   degraded_reads : int;  (** reads served by reconstruction or failover *)
   degraded_writes : int;  (** writes committed with a member missing *)
   trace_dropped : int;
-      (** journey/trace ring records lost to wrap-around — the
-          drop-safety audit term of the digest ([td=]) *)
+      (** long-op records lost to wrap-around over every incarnation —
+          the drop-safety audit term of the digest ([td=]) *)
   fsck_errors : string list;
   timeline : string list;  (** timestamped fault/verification log *)
   digest : string;  (** hex digest of timeline + ledger + counters *)

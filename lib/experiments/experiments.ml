@@ -1,6 +1,5 @@
 open Nfsg_sim
 module Report = Nfsg_stats.Report
-module Trace = Nfsg_stats.Trace
 module Server = Nfsg_core.Server
 module Write_layer = Nfsg_core.Write_layer
 module File_writer = Nfsg_workload.File_writer
@@ -38,7 +37,7 @@ let table6 ?(quick = false) ?env () =
 (* {1 Figure 1: event timelines} *)
 
 let figure1_trace ?env ~gathering () =
-  let spec = { Rig.default_spec with Rig.net = Calib.Fddi; gathering; trace = true } in
+  let spec = { Rig.default_spec with Rig.net = Calib.Fddi; gathering } in
   let rig = Rig.make ?env spec in
   Rig.run rig (fun () ->
       let client = Rig.new_client rig ~biods:4 "client" in
@@ -46,19 +45,17 @@ let figure1_trace ?env ~gathering () =
          file, as in the paper's caption. *)
       ignore
         (File_writer.run rig.Rig.eng client ~dir:(Rig.root rig) ~name:"f" ~total:(200 * 1024) ()));
-  match rig.Rig.trace with
-  | None -> assert false
-  | Some tr ->
-      let events = Trace.events tr in
-      (* Keep a window of events from the middle of the transfer. *)
-      let n = List.length events in
-      let mid = List.filteri (fun i _ -> i >= n / 2 && i < (n / 2) + 24) events in
-      let t0 = match mid with (t, _, _) :: _ -> t | [] -> 0 in
-      String.concat ""
-        (List.map
-           (fun (t, actor, ev) ->
-             Printf.sprintf "  t=+%7.3fms  %-8s %s\n" (Time.to_ms_f (t - t0)) actor ev)
-           mid)
+  let events = Write_layer.events (Server.write_layer rig.Rig.server) in
+  (* Keep a window of events from the middle of the transfer. *)
+  let n = List.length events in
+  let mid = List.filteri (fun i _ -> i >= n / 2 && i < (n / 2) + 24) events in
+  let t0 = match mid with (t, _, _) :: _ -> t | [] -> 0 in
+  String.concat ""
+    (List.map
+       (fun (t, actor, ev) ->
+         Printf.sprintf "  t=+%7.3fms  %-8s %s\n" (Time.to_ms_f (t - t0)) actor
+           (Write_layer.describe ev))
+       mid)
 
 let figure1 ?env () =
   let std = figure1_trace ?env ~gathering:false () in

@@ -18,7 +18,6 @@ module Metrics = Nfsg_stats.Metrics
 module Histogram = Nfsg_stats.Histogram
 module Names = Nfsg_stats.Names
 module Journey = Nfsg_stats.Journey
-module Monitor = Nfsg_stats.Monitor
 
 type config = {
   interval : Time.t;  (** monitor reporting period *)
@@ -50,6 +49,12 @@ let stations =
   ]
 
 let run ?(cfg = default) () =
+  let buf = Buffer.create 4096 in
+  (* The threshold is a server override, not the env's, so Rig.run dumps
+     nothing: the summary and the dump below follow the interval reports. *)
+  let env =
+    { Rig.default_env with monitor_interval = Some cfg.interval; emit = Some (Buffer.add_string buf) }
+  in
   let spec =
     {
       Rig.default_spec with
@@ -57,39 +62,33 @@ let run ?(cfg = default) () =
       server_overrides = (fun c -> { c with Server.long_op_threshold = Some cfg.threshold });
     }
   in
-  let world = Rig.world spec in
+  let world = Rig.world ~env spec in
   let disk = Rig.spindle world "rz26" in
   let injector, device = Fault_disk.wrap world.Rig.eng ~seed:cfg.seed disk in
   Fault_disk.slowdown_window injector ~from_:cfg.slow_from ~until:cfg.slow_until
     ~factor:cfg.slow_factor;
   let rig = Rig.serve world ~disks:[| disk |] [ device ] in
   let eng = rig.Rig.eng and metrics = rig.Rig.metrics in
-  let monitor = Monitor.create eng ~metrics ~interval:cfg.interval () in
-  Monitor.start monitor;
-  let remaining = ref (List.length stations) in
-  let joiner = ref None in
-  let finished () =
-    decr remaining;
-    if !remaining = 0 then Option.iter (fun k -> k ()) !joiner
-  in
-  List.iter
-    (fun (addr, biods, start, total) ->
-      Engine.spawn eng ~name:addr (fun () ->
-          if start > 0 then Engine.delay start;
-          let client = Rig.new_client rig ~biods addr in
-          ignore
-            (File_writer.run eng client ~dir:(Rig.root rig)
-               ~name:(addr ^ ".dat") ~total ~seed:cfg.seed ()
-              : File_writer.result);
-          finished ()))
-    stations;
-  Engine.spawn eng ~name:"driver" (fun () ->
-      if !remaining > 0 then Engine.suspend (fun k -> joiner := Some k);
-      Monitor.stop monitor);
-  Engine.run eng;
+  Rig.run rig (fun () ->
+      let remaining = ref (List.length stations) in
+      let joiner = ref None in
+      let finished () =
+        decr remaining;
+        if !remaining = 0 then Option.iter (fun k -> k ()) !joiner
+      in
+      List.iter
+        (fun (addr, biods, start, total) ->
+          Engine.spawn eng ~name:addr (fun () ->
+              if start > 0 then Engine.delay start;
+              let client = Rig.new_client rig ~biods addr in
+              ignore
+                (File_writer.run eng client ~dir:(Rig.root rig)
+                   ~name:(addr ^ ".dat") ~total ~seed:cfg.seed ()
+                  : File_writer.result);
+              finished ()))
+        stations;
+      if !remaining > 0 then Engine.suspend (fun k -> joiner := Some k));
   (* The plane's own evidence, after the dust settles. *)
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Monitor.output monitor);
   let plane = Server.journeys rig.Rig.server in
   let jc = Metrics.count metrics ~ns:Names.Ns.journey in
   let dropped = Metrics.count metrics ~ns:Names.Ns.trace Names.dropped in

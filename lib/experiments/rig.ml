@@ -19,7 +19,6 @@ type spec = {
   spindles : int;
   nfsds : int;
   gathering : bool;
-  trace : bool;
   cache_blocks : int option;
   readahead : Nfsg_ufs.Buffer_cache.readahead option;
   disk_scheduler : Disk.scheduler;
@@ -34,7 +33,6 @@ let default_spec =
     spindles = 1;
     nfsds = 8;
     gathering = true;
-    trace = false;
     cache_blocks = None;
     readahead = None;
     disk_scheduler = Disk.Fifo;
@@ -90,7 +88,6 @@ type t = {
   segment : Segment.t;
   disks : Device.t array;
   mutable server : Server.t;
-  trace : Nfsg_stats.Trace.t option;
   metrics : Metrics.t;
   env : env;
   mutable ran : bool;
@@ -98,7 +95,6 @@ type t = {
 
 let serve w ~disks devices =
   let spec = w.spec in
-  let trace = if spec.trace then Some (Nfsg_stats.Trace.create w.eng) else None in
   let config =
     spec.server_overrides
       {
@@ -120,9 +116,9 @@ let serve w ~disks devices =
   let server =
     match devices with
     | [ device ] ->
-        Server.make w.eng ~segment:w.segment ~addr:"server" ~device ?trace ~metrics:w.metrics config
+        Server.make w.eng ~segment:w.segment ~addr:"server" ~device ~metrics:w.metrics config
     | devices ->
-        Server.make_exports w.eng ~segment:w.segment ~addr:"server" ?trace ~metrics:w.metrics config
+        Server.make_exports w.eng ~segment:w.segment ~addr:"server" ~metrics:w.metrics config
           (List.mapi
              (fun v device ->
                Volume.spec ?cache_blocks:config.Server.cache_blocks ?readahead:config.Server.readahead
@@ -135,7 +131,6 @@ let serve w ~disks devices =
     segment = w.segment;
     disks;
     server;
-    trace;
     metrics = w.metrics;
     env = w.env;
     ran = false;

@@ -13,7 +13,6 @@ type spec = {
   spindles : int;  (** 1, or n for an n-drive stripe set *)
   nfsds : int;
   gathering : bool;
-  trace : bool;
   cache_blocks : int option;
       (** server buffer-cache bound, to force read misses under LADDIS
           working sets; [None] = unbounded *)
@@ -27,8 +26,8 @@ type spec = {
 }
 
 val default_spec : spec
-(** FDDI, no accel, 1 spindle, 8 nfsds, gathering, no trace, and the
-    segment's own default seed (0x5e9). *)
+(** FDDI, no accel, 1 spindle, 8 nfsds, gathering, and the segment's
+    own default seed (0x5e9). *)
 
 (** How a caller configures every world it builds, beyond the
     experiment's own {!spec}: where the instruments go, and the
@@ -94,7 +93,6 @@ type t = private {
   segment : Nfsg_net.Segment.t;
   disks : Nfsg_disk.Device.t array;  (** the raw spindles *)
   mutable server : Nfsg_core.Server.t;  (** the live incarnation *)
-  trace : Nfsg_stats.Trace.t option;
   metrics : Nfsg_stats.Metrics.t;  (** the world's own registry *)
   env : env;  (** what {!world} was given *)
   mutable ran : bool;  (** set by {!run}: a world runs once *)

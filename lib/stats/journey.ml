@@ -15,16 +15,16 @@
    At [finish] the stamps become six per-phase duration histograms
    (namespace "journey") plus an end-to-end total, per-client station
    attribution (namespace "station.<client>"), and — if the total
-   crossed the configured threshold — a rendered long-op record in the
-   plane's dedicated ring.
+   crossed the configured threshold — the journey itself in the plane's
+   long-op ring, rendered only when the ring is dumped.
 
-   The long-op ring is deliberately NOT the server's event trace: under
-   a saturating write load the gather plane emits several chatty events
-   per WRITE and wraps a default ring in seconds, which would silently
+   The long-op ring is deliberately NOT a write layer's event ring:
+   under a saturating write load the gather plane records several
+   events per WRITE and wraps its ring in seconds, which would silently
    overwrite exactly the slow-op evidence this plane exists to keep.
-   A dedicated ring plus the "trace"/"dropped" counter (event ring and
-   long-op ring losses combined) makes any loss visible instead of
-   silent. *)
+   A dedicated ring plus the "trace"/"dropped" counter, which counts
+   each long-op record the ring overwrites, makes any loss visible
+   instead of silent. *)
 
 open Nfsg_sim
 
@@ -53,6 +53,22 @@ type t = {
   mutable reply : Time.t;
 }
 
+let start _p ~client ~xid ~arrival =
+  {
+    client;
+    xid;
+    proc = "";
+    bytes = 0;
+    cache = Cache_none;
+    arrival;
+    pickup = unset;
+    admitted = unset;
+    queued = unset;
+    disk_submit = unset;
+    disk_complete = unset;
+    reply = unset;
+  }
+
 (* A client station's attribution instruments, resolved on its first
    finished op. *)
 type station = { ops : Metrics.counter; bytes : Metrics.counter; lat_us : Histogram.t }
@@ -61,8 +77,7 @@ type plane = {
   eng : Engine.t;
   metrics : Metrics.t;
   threshold : Time.t option;
-  ring : Trace.t;  (** long-op records only; drop-safe by isolation *)
-  event_trace : Trace.t option;  (** the chatty event ring, for loss accounting *)
+  ring : t Trace.t;  (** long-op journeys only; drop-safe by isolation *)
   h_total : Histogram.t;
   h_sock : Histogram.t;
   h_dup : Histogram.t;
@@ -78,15 +93,14 @@ type plane = {
   stations : (string, station) Hashtbl.t;
 }
 
-let create eng ~metrics ?threshold ?event_trace () =
+let create eng ~metrics ?threshold () =
   let ns = Names.Ns.journey in
   let phase p = Metrics.histogram metrics ~ns (Names.phase_us p) in
   {
     eng;
     metrics;
     threshold;
-    ring = Trace.create ~capacity:512 eng;
-    event_trace;
+    ring = Trace.create eng ~capacity:512 ~dummy:(start () ~client:"" ~xid:0 ~arrival:0);
     h_total = Metrics.histogram metrics ~ns Names.total_us;
     h_sock = phase Names.phase_sock_wait;
     h_dup = phase Names.phase_dupcache;
@@ -100,22 +114,6 @@ let create eng ~metrics ?threshold ?event_trace () =
     c_long_ops = Metrics.counter metrics ~ns Names.long_ops;
     c_dropped = Metrics.counter metrics ~ns:Names.Ns.trace Names.dropped;
     stations = Hashtbl.create 16;
-  }
-
-let start _p ~client ~xid ~arrival =
-  {
-    client;
-    xid;
-    proc = "";
-    bytes = 0;
-    cache = Cache_none;
-    arrival;
-    pickup = unset;
-    admitted = unset;
-    queued = unset;
-    disk_submit = unset;
-    disk_complete = unset;
-    reply = unset;
   }
 
 let set_op j ~proc ~bytes =
@@ -189,17 +187,7 @@ let render j =
         (if j.cache = Cache_hit then "hit" else "miss")
         (us ph.disk) (us ph.reply_path)
 
-let refresh_dropped p =
-  let ev = match p.event_trace with Some tr -> Trace.dropped tr | None -> 0 in
-  let target = ev + Trace.dropped p.ring in
-  (* Mirror the rings' loss counts, monotonically: a restarted server's
-     fresh rings must not rewind the accumulated counter. *)
-  let current = Metrics.value p.c_dropped in
-  if target > current then Metrics.add p.c_dropped (target - current)
-
-let dropped p =
-  refresh_dropped p;
-  Metrics.value p.c_dropped
+let dropped p = Metrics.value p.c_dropped
 
 let station p client =
   match Hashtbl.find_opt p.stations client with
@@ -255,9 +243,12 @@ let finish p j =
   (match p.threshold with
   | Some thr when total > thr ->
       Metrics.incr p.c_long_ops;
-      Trace.emit p.ring ~actor:j.client (render j)
-  | Some _ | None -> ());
-  refresh_dropped p
+      let lost = Trace.dropped p.ring in
+      Trace.record p.ring ~actor:j.client j;
+      (* Count an overwritten record where it is lost: the counter is
+         shared with every earlier incarnation's plane. *)
+      if Trace.dropped p.ring > lost then Metrics.incr p.c_dropped
+  | Some _ | None -> ())
 
 let long_op_count p = Metrics.value p.c_long_ops
 
@@ -271,7 +262,7 @@ let render_long_ops p =
           (Printf.sprintf "(%d older long-op records dropped by the ring)\n"
              (Trace.dropped p.ring));
       List.iter
-        (fun (tm, _actor, ev) ->
-          Buffer.add_string buf (Printf.sprintf "t=+%.3fms %s\n" (Time.to_ms_f tm) ev))
+        (fun (tm, _actor, j) ->
+          Buffer.add_string buf (Printf.sprintf "t=+%.3fms %s\n" (Time.to_ms_f tm) (render j)))
         evs;
       Buffer.contents buf

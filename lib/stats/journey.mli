@@ -6,14 +6,13 @@
     reply goes out. Finishing aggregates per-phase latency histograms
     (namespace ["journey"]), attributes the op to its client station
     (namespace ["station.<client>"]) and, when the end-to-end latency
-    crosses the plane's threshold, emits a rendered long-op record into
-    a dedicated ring buffer.
+    crosses the plane's threshold, keeps the journey in a dedicated
+    long-op ring, rendered only when the ring is dumped.
 
-    The long-op ring is separate from the server's chatty event trace
-    on purpose: a saturating write load wraps the event ring in
-    seconds, and long-op evidence must not be overwritten by routine
-    chatter. Losses in either ring surface as the ["trace"]/["dropped"]
-    counter. *)
+    The long-op ring is separate from the write layers' event rings on
+    purpose: a saturating write load wraps an event ring in seconds,
+    and long-op evidence must not be overwritten by routine events.
+    Each long-op record lost counts in ["trace"]/["dropped"]. *)
 
 type t
 (** One operation's journey. *)
@@ -25,13 +24,11 @@ val create :
   Nfsg_sim.Engine.t ->
   metrics:Metrics.t ->
   ?threshold:Nfsg_sim.Time.t ->
-  ?event_trace:Trace.t ->
   unit ->
   plane
 (** [threshold] enables long-op records for ops slower end-to-end than
     the given span (disabled when omitted); the long-op ring keeps the
-    newest 512 of them. [event_trace], when given, is the server's
-    event ring — included in the dropped-record accounting. *)
+    newest 512 of them. *)
 
 val start : plane -> client:string -> xid:int -> arrival:Nfsg_sim.Time.t -> t
 (** A fresh journey whose arrival stamp is the datagram's enqueue time
@@ -79,13 +76,13 @@ val phases : t -> phases
 (** Valid after {!finish} (timestamps normalized). *)
 
 val dropped : plane -> int
-(** Total records lost to ring wrap-around across this plane's rings
-    (long-op ring plus the optional event trace), freshly mirrored
-    into the ["trace"/"dropped"] counter. Monotone across
-    crash/restart. *)
+(** Long-op records lost to ring wrap-around: the ["trace"/"dropped"]
+    counter, which every plane on the registry adds its own losses to
+    as they happen, so a restarted server's losses add to its earlier
+    incarnations'. *)
 
 val long_op_count : plane -> int
 
 val render_long_ops : plane -> string
 (** Every retained long-op record, oldest first, one line each, with a
-    leading loss notice when the ring overwrote older records. *)
+    leading notice of the records this plane's ring overwrote. *)

@@ -5,7 +5,7 @@
    "station.<client>") and renders the interval's deltas — ops, KB
    moved, mean end-to-end latency — one row per active station, busiest
    first. The header line carries the totals plus the operability
-   plane's own health (long-op count, dropped trace records).
+   plane's own health (long-op count, dropped long-op records).
 
    Everything is driven by the simulation clock and the deterministic
    registry iteration order, so a run's monitor output is byte-stable:

@@ -3,7 +3,7 @@
     Reads the ["station.<client>"] counters the journey plane
     maintains and renders each interval's deltas (ops, KB, mean
     latency), busiest station first, plus plane health (long-op count,
-    dropped trace records). Driven entirely by the simulation clock:
+    dropped long-op records). Driven entirely by the simulation clock:
     output is deterministic and byte-stable across identical runs.
 
     The monitor accumulates output in a buffer ({!output}) and can

@@ -40,7 +40,7 @@ module Ns : sig
   (** Per-op journey phase decomposition (the live operability plane). *)
 
   val trace : string
-  (** Trace-ring health: the dropped-record counters. *)
+  (** Flight-recorder health: the long-op rings' loss counter. *)
 
   val station_prefix : string
 
@@ -220,8 +220,8 @@ val phase_cache_miss_wait : string
 (** {1 trace} *)
 
 val dropped : string
-(** Counter: records overwritten in the trace rings (event ring plus
-    long-op ring) — nonzero means the operability plane lost history. *)
+(** Counter: long-op records the journey rings overwrote, summed over
+    incarnations — nonzero means the operability plane lost history. *)
 
 (** {1 station.<client>} *)
 

@@ -1,65 +1,43 @@
 open Nfsg_sim
 
-type event = Time.t * string * string
-
-(* Fixed-capacity ring: long chaos/bench runs keep the newest
-   [capacity] events in O(capacity) memory instead of growing a list
-   O(events). [head] is the slot the next event lands in; once [len]
-   reaches capacity the ring wraps and [dropped] counts the overwritten
-   oldest events. *)
-type t = {
+(* A ring in parallel arrays, so a record builds no tuple. [head] is
+   the next slot; once [len] reaches capacity the ring wraps and
+   [dropped] counts the overwritten oldest items. The first record
+   allocates the slots, filling the items with [dummy]: Array.make
+   from the item being recorded, which is young, would first force a
+   minor collection. *)
+type 'a t = {
   eng : Engine.t;
-  ring : event array;
+  capacity : int;
+  dummy : 'a;
+  mutable at : Time.t array;
+  mutable actors : string array;
+  mutable items : 'a array;
   mutable head : int;
   mutable len : int;
   mutable dropped : int;
 }
 
-let create ?(capacity = 4096) eng =
+let create eng ~capacity ~dummy =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
-  {
-    eng;
-    ring = Array.make capacity (Time.zero, "", "");
-    head = 0;
-    len = 0;
-    dropped = 0;
-  }
+  { eng; capacity; dummy; at = [||]; actors = [||]; items = [||]; head = 0; len = 0; dropped = 0 }
 
-let capacity t = Array.length t.ring
 let dropped t = t.dropped
 
-let emit t ~actor event =
-  let cap = Array.length t.ring in
-  t.ring.(t.head) <- (Engine.now t.eng, actor, event);
-  t.head <- (t.head + 1) mod cap;
-  if t.len < cap then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
+let record t ~actor item =
+  if Array.length t.items = 0 then begin
+    t.at <- Array.make t.capacity Time.zero;
+    t.actors <- Array.make t.capacity "";
+    t.items <- Array.make t.capacity t.dummy
+  end;
+  t.at.(t.head) <- Engine.now t.eng;
+  t.actors.(t.head) <- actor;
+  t.items.(t.head) <- item;
+  t.head <- (if t.head + 1 = t.capacity then 0 else t.head + 1);
+  if t.len < t.capacity then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
 
 let events t =
-  let cap = Array.length t.ring in
-  let start = (t.head - t.len + cap) mod cap in
-  List.init t.len (fun i -> t.ring.((start + i) mod cap))
-
-let render t =
-  match events t with
-  | [] -> "(empty trace)\n"
-  | (t0, _, _) :: _ as evs ->
-      let buf = Buffer.create 1024 in
-      let actor_width =
-        List.fold_left (fun w (_, a, _) -> Stdlib.max w (String.length a)) 0 evs
-      in
-      if t.dropped > 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "  (%d older events dropped by the ring buffer)\n" t.dropped);
-      List.iter
-        (fun (tm, actor, event) ->
-          Buffer.add_string buf
-            (Printf.sprintf "  t=+%8.3fms  %-*s  %s\n"
-               (Time.to_ms_f (tm - t0))
-               actor_width actor event))
-        evs;
-      Buffer.contents buf
-
-let clear t =
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0
+  let start = (t.head - t.len + t.capacity) mod t.capacity in
+  List.init t.len (fun i ->
+      let k = (start + i) mod t.capacity in
+      (t.at.(k), t.actors.(k), t.items.(k)))

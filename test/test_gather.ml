@@ -356,6 +356,80 @@ let test_truncated_write_in_socket_buffer () =
     (Nfsg_stats.Metrics.find_counter (Server.metrics rig.server) ~ns:Nfsg_stats.Names.Ns.rpc_svc
        Nfsg_stats.Names.dispatch_errors)
 
+(* {1 The flight recorder: Figure 1 for any run} *)
+
+let event = Alcotest.testable (Fmt.of_to_string Write_layer.describe) ( = )
+
+(* Every write layer keeps its events with no option set. Five 8K
+   WRITEs from a 4-biod client make the paper's gathered batch: the
+   first nfsd procrastinates while the rest arrive, and once the train
+   stops it writes one cluster and one inode and answers all five. *)
+let test_recorder_keeps_gathered_batch () =
+  let rig = make () in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "fig1" in
+      ignore (write_file rig fh ~total:(5 * 8192) ()));
+  let evs = Write_layer.events (Server.write_layer rig.server) in
+  let received off = Write_layer.Received { bytes = 8192; off } in
+  Alcotest.(check (list event))
+    "received per WRITE, procrastination, one cluster, one inode, one batch of replies"
+    Write_layer.
+      [
+        received 0;
+        Procrastinating;
+        received 8192;
+        received 16384;
+        received 24576;
+        received 32768;
+        Procrastinating;
+        To_disk { bytes = 5 * 8192; clustered = true };
+        Metadata_to_disk;
+        Replied_batch 5;
+      ]
+    (List.map (fun (_, _, e) -> e) evs);
+  match List.rev evs with
+  | (replied, writer, _) :: (meta, writer', _) :: (data, _, _) :: _ ->
+      Alcotest.(check string) "the metadata writer answers" writer' writer;
+      Alcotest.(check int) "data and inode in one submission" data meta;
+      Alcotest.(check bool) "replies after the flush" true (replied > meta)
+  | _ -> Alcotest.fail "too few events"
+
+(* The standard server's per-WRITE triplet, each recorded by the nfsd
+   that handled the WRITE. *)
+let test_recorder_keeps_standard_triplets () =
+  let rig = make ~config:standard_config () in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "std" in
+      ignore (write_file rig fh ~total:(3 * 8192) ()));
+  let evs = Write_layer.events (Server.write_layer rig.server) in
+  let triplet = Write_layer.[ To_disk { bytes = 8192; clustered = false }; Metadata_to_disk; Replied ] in
+  Alcotest.(check (list event)) "data, inode, reply per WRITE" (triplet @ triplet @ triplet)
+    (List.map (fun (_, _, e) -> e) evs);
+  let actors = List.map (fun (_, a, _) -> a) evs in
+  List.iteri
+    (fun i a -> Alcotest.(check string) "one nfsd per triplet" (List.nth actors (i / 3 * 3)) a)
+    actors
+
+let test_describe_labels_every_event () =
+  List.iter
+    (fun (ev, label) -> Alcotest.(check string) label label (Write_layer.describe ev))
+    Write_layer.
+      [
+        (Received { bytes = 8192; off = 106496 }, "8K Write recv (off=104K)");
+        (To_presto { bytes = 8192 }, "8K data to Presto");
+        (Procrastinating, "Gather Writes (procrastinate)");
+        (To_disk { bytes = 40960; clustered = true }, "40K data to disk (clustered)");
+        (To_disk { bytes = 8192; clustered = false }, "8K data to disk");
+        (Metadata_to_disk, "Metadata to disk");
+        (Replied, "Write Reply");
+        (Replied_batch 1, "1 Write Reply");
+        (Replied_batch 2, "2 Write Replies");
+        (Replied_volatile, "Write Reply (volatile!)");
+        (Write_failed, "Write failed: NFSERR_IO");
+        (Flush_failed 1, "Flush failed: 1 NFSERR_IO Reply");
+        (Flush_failed 3, "Flush failed: 3 NFSERR_IO Replies");
+      ]
+
 let suite =
   [
     Alcotest.test_case "byte fidelity" `Quick test_byte_fidelity_with_gathering;
@@ -378,4 +452,7 @@ let suite =
     Alcotest.test_case "learned clients lift the PC penalty" `Quick test_learned_clients_lift_pc_penalty;
     Alcotest.test_case "learned clients keep gathering" `Quick test_learned_clients_keep_gathering_for_biods;
     QCheck_alcotest.to_alcotest prop_random_traffic;
+    Alcotest.test_case "recorder keeps the gathered batch" `Quick test_recorder_keeps_gathered_batch;
+    Alcotest.test_case "recorder keeps standard triplets" `Quick test_recorder_keeps_standard_triplets;
+    Alcotest.test_case "describe labels every event" `Quick test_describe_labels_every_event;
   ]

@@ -154,6 +154,37 @@ let test_station_survives_restart () =
   let ops = Option.value ~default:0 (Metrics.find_counter metrics ~ns Names.station_ops) in
   Alcotest.(check int) "station ops accumulate across restart" 3 ops
 
+(* Long-op losses across a restart: two planes on one registry, as
+   Server.restart builds them, each overflow the 512-record ring by 88.
+   The shared counter must hold both incarnations' losses, and each
+   plane's dump must report its own. *)
+let test_long_op_losses_add_across_restart () =
+  let eng = Engine.create () in
+  let metrics = Metrics.create () in
+  let overflow plane =
+    for xid = 1 to 512 + 88 do
+      let j = Journey.start plane ~client:"alice" ~xid ~arrival:(Engine.now eng) in
+      Journey.set_op j ~proc:"WRITE" ~bytes:8192;
+      Engine.delay (ms 2.0);
+      Journey.finish plane j
+    done
+  in
+  let planes = ref [] in
+  Engine.spawn eng ~name:"ops" (fun () ->
+      let before = Journey.create eng ~metrics ~threshold:(ms 1.0) () in
+      overflow before;
+      let after = Journey.create eng ~metrics ~threshold:(ms 1.0) () in
+      overflow after;
+      planes := [ before; after ]);
+  Engine.run eng;
+  match !planes with
+  | [ before; after ] ->
+      Alcotest.(check int) "both incarnations' losses" 176 (Journey.dropped after);
+      Alcotest.(check int) "one counter for both planes" 176 (Journey.dropped before);
+      Alcotest.(check bool) "the dump reports its own ring's losses" true
+        (contains (Journey.render_long_ops after) "(88 older long-op records dropped by the ring)")
+  | _ -> Alcotest.fail "ops process did not finish"
+
 (* The transcript — interval tables, journey summary, long-op records —
    byte for byte across two runs with nothing in between. *)
 let test_demo_double_run () =
@@ -168,4 +199,6 @@ let suite =
     Alcotest.test_case "slowdown window triggers long-ops" `Quick test_slowdown_triggers_long_ops;
     Alcotest.test_case "station counters survive restart" `Quick test_station_survives_restart;
     Alcotest.test_case "nfsmon transcript double-run bytes" `Quick test_demo_double_run;
+    Alcotest.test_case "long-op losses add across restart" `Quick
+      test_long_op_losses_add_across_restart;
   ]

@@ -78,42 +78,33 @@ let test_report_mismatch () =
   Alcotest.check_raises "cell count" (Invalid_argument "Report.add_row \"x\": 1 cells for 2 columns")
     (fun () -> Report.add_row r "x" [ 1.0 ])
 
+type write_event = Write of int | Metadata
+
 let test_trace_records () =
   let eng = Nfsg_sim.Engine.create () in
-  let tr = Trace.create eng in
+  let tr = Trace.create eng ~capacity:16 ~dummy:Metadata in
   Nfsg_sim.Engine.spawn eng (fun () ->
-      Trace.emit tr ~actor:"client" "8K Write";
+      Trace.record tr ~actor:"client" (Write 8192);
       Nfsg_sim.Engine.delay (Nfsg_sim.Time.ms 2);
-      Trace.emit tr ~actor:"server" "Metadata to disk");
+      Trace.record tr ~actor:"server" Metadata);
   Nfsg_sim.Engine.run eng;
   match Trace.events tr with
-  | [ (t0, "client", "8K Write"); (t1, "server", "Metadata to disk") ] ->
+  | [ (t0, "client", Write 8192); (t1, "server", Metadata) ] ->
       Alcotest.(check int) "2ms apart" (Nfsg_sim.Time.ms 2) (t1 - t0)
   | evs -> Alcotest.failf "unexpected events (%d)" (List.length evs)
 
-let test_trace_render () =
-  let eng = Nfsg_sim.Engine.create () in
-  let tr = Trace.create eng in
-  Nfsg_sim.Engine.spawn eng (fun () -> Trace.emit tr ~actor:"nfsd0" "reply");
-  Nfsg_sim.Engine.run eng;
-  Alcotest.(check bool) "rendered" true (contains (Trace.render tr) "nfsd0")
-
 let test_trace_ring_wraps () =
   let eng = Nfsg_sim.Engine.create () in
-  let tr = Trace.create ~capacity:4 eng in
+  let tr = Trace.create eng ~capacity:4 ~dummy:(-1) in
+  Alcotest.(check int) "empty before the first record" 0 (List.length (Trace.events tr));
   Nfsg_sim.Engine.spawn eng (fun () ->
       for i = 0 to 9 do
-        Trace.emit tr ~actor:"a" (Printf.sprintf "e%d" i)
+        Trace.record tr ~actor:"a" i
       done);
   Nfsg_sim.Engine.run eng;
-  Alcotest.(check int) "capacity" 4 (Trace.capacity tr);
   Alcotest.(check int) "dropped count" 6 (Trace.dropped tr);
-  let names = List.map (fun (_, _, e) -> e) (Trace.events tr) in
-  Alcotest.(check (list string)) "newest 4, oldest first" [ "e6"; "e7"; "e8"; "e9" ] names;
-  Alcotest.(check bool) "render notes the drop" true (contains (Trace.render tr) "6 older events dropped");
-  Trace.clear tr;
-  Alcotest.(check int) "clear resets dropped" 0 (Trace.dropped tr);
-  Alcotest.(check int) "clear empties ring" 0 (List.length (Trace.events tr))
+  let items = List.map (fun (_, _, i) -> i) (Trace.events tr) in
+  Alcotest.(check (list int)) "newest 4, oldest first" [ 6; 7; 8; 9 ] items
 
 let test_metrics_find_or_create () =
   let m = Metrics.create () in
@@ -221,7 +212,6 @@ let suite =
     Alcotest.test_case "report renders aligned table" `Quick test_report_render;
     Alcotest.test_case "report rejects bad row" `Quick test_report_mismatch;
     Alcotest.test_case "trace records timeline" `Quick test_trace_records;
-    Alcotest.test_case "trace renders" `Quick test_trace_render;
     Alcotest.test_case "trace ring wraps and counts drops" `Quick test_trace_ring_wraps;
     Alcotest.test_case "metrics find-or-create" `Quick test_metrics_find_or_create;
     Alcotest.test_case "metrics JSON is deterministic" `Quick test_metrics_json_deterministic;

@@ -27,7 +27,7 @@ type rig = {
 let disk_geometry = { (Disk.rz26 ~capacity:(64 * 1024 * 1024) ()) with Disk.track_bytes = 400 * 1024 }
 
 let make ?(net = Segment.fddi) ?(accel = false) ?(spindles = 1) ?(biods = 4)
-    ?(config = Server.default_config) ?trace () =
+    ?(config = Server.default_config) () =
   let eng = Engine.create () in
   let segment = Segment.create eng net in
   let disks =
@@ -37,7 +37,7 @@ let make ?(net = Segment.fddi) ?(accel = false) ?(spindles = 1) ?(biods = 4)
     if spindles = 1 then disks.(0) else Stripe.device (Stripe.create eng ~chunk:8192 disks)
   in
   let device = if accel then snd (Nvram.create eng base) else base in
-  let server = Server.make eng ~segment ~addr:"server" ~device ?trace config in
+  let server = Server.make eng ~segment ~addr:"server" ~device config in
   let csock = Socket.create segment ~addr:"client" () in
   let rpc = Rpc_client.create eng ~sock:csock ~server:"server" () in
   let client = Client.create eng ~rpc ~biods () in
