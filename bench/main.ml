@@ -1,127 +1,19 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper (sections printed in paper order), runs the ablation benches
-   DESIGN.md calls out, and finishes with Bechamel microbenchmarks of
-   the substrate primitives the simulation's wall-clock speed rests on.
+(* The simulator's own speed: wall-clock events/sec and allocation of
+   one fixed world, and Bechamel microbenchmarks of the substrate
+   primitives that speed rests on.
 
-     dune exec bench/main.exe              full reproduction (minutes)
-     dune exec bench/main.exe -- quick     small-file smoke run
+     dune exec bench/main.exe              both
+     dune exec bench/main.exe -- simspeed  wall-clock events/sec of one world
      dune exec bench/main.exe -- micro     only the Bechamel microbenches
-     dune exec bench/main.exe -- raid iosched  only the named BENCH_*.json
-                                               artifacts (see [artifacts])
-     dune exec bench/main.exe -- simspeed      wall-clock events/sec of one world
-     dune build @bench-check                   regenerate every committed
-                                               artifact and diff it
 
-   Any other argument is a usage error. A single table or figure is an
-   nfsgather target: `dune exec nfsgather -- table1`.
-
-   The full run also writes all six BENCH_*.json artifacts to the
-   current directory.
-
-   Paper-vs-measured commentary lives in EXPERIMENTS.md. *)
-
-module E = Nfsg_experiments.Experiments
-module X = Nfsg_experiments
-module Report = Nfsg_stats.Report
+   Any other argument is a usage error. A table, figure or committed
+   BENCH_*.json artifact is an nfsgather target: `dune exec nfsgather --
+   table1`, `dune exec nfsgather -- raid`. *)
 
 let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
 let banner title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-(* {1 Paper tables and figures} *)
-
-let run_tables quick =
-  let tables =
-    [
-      ("Table 1 (Ethernet)", fun () -> E.table1 ~quick ());
-      ("Table 2 (Ethernet, Presto)", fun () -> E.table2 ~quick ());
-      ("Table 3 (FDDI)", fun () -> E.table3 ~quick ());
-      ("Table 4 (FDDI, Presto)", fun () -> E.table4 ~quick ());
-      ("Table 5 (FDDI, 3 striped drives)", fun () -> E.table5 ~quick ());
-      ("Table 6 (FDDI, Presto, 3 striped drives)", fun () -> E.table6 ~quick ());
-    ]
-  in
-  List.iter
-    (fun (name, f) ->
-      progress "bench: running %s ..." name;
-      let t0 = Unix.gettimeofday () in
-      let report = f () in
-      progress "bench: %s done in %.1fs wall" name (Unix.gettimeofday () -. t0);
-      print_newline ();
-      print_string (Report.to_string report))
-    tables
-
-let run_figures quick =
-  progress "bench: running Figure 1 (timelines) ...";
-  banner "Figure 1";
-  print_string (E.figure1 ());
-  progress "bench: running Figure 2 (LADDIS sweep) ...";
-  banner "Figure 2";
-  print_string
-    (E.render_laddis ~title:"SPEC SFS 1.0-style baseline (FDDI)" (E.figure2 ~quick ()));
-  progress "bench: running Figure 3 (LADDIS sweep, Presto) ...";
-  banner "Figure 3";
-  print_string
-    (E.render_laddis ~title:"SPEC SFS 1.0-style baseline (FDDI, Prestoserve)"
-       (E.figure3 ~quick ()))
-
-let run_ablations quick =
-  banner "Ablations";
-  let each (name, f) =
-    progress "bench: ablation %s ..." name;
-    print_newline ();
-    print_string (Report.to_string (f ()))
-  in
-  List.iter each
-    [
-      ("procrastination interval", fun () -> E.ablation_procrastination ~quick ());
-      ("reply order", fun () -> E.ablation_reply_order ~quick ());
-      ("latency device (SIVA93)", fun () -> E.ablation_latency_device ~quick ());
-      ("mbuf hunter", fun () -> E.ablation_mbuf_hunter ~quick ());
-      ("dumb PC penalty", fun () -> E.ablation_dumb_pc ~quick ());
-      ("disk scheduler", fun () -> E.ablation_disk_scheduler ~quick ());
-      ("io scheduler + merge + deadline", fun () -> Nfsg_experiments.Iosched.report ());
-    ]
-
-let run_extensions quick =
-  banner "Extensions (the paper's Future Work, built out)";
-  let each (name, f) =
-    progress "bench: extension %s ..." name;
-    print_newline ();
-    print_string (Report.to_string (f ()))
-  in
-  List.iter each
-    [
-      ("learned clients (Mogul)", fun () -> E.extension_learned_clients ~quick ());
-      ("NFSv3 async writes + COMMIT", fun () -> E.extension_v3 ~quick ());
-      ("write-layer modes incl. dangerous", fun () -> E.extension_write_modes ~quick ());
-    ]
-
-(* {1 The committed artifacts}
-
-   Each is a fixed workload (only writegather reads [quick]; the
-   committed copy is its quick run), committed at the repo root and
-   diffed byte for byte against a fresh run by [dune build @bench-check]. *)
-
-let artifacts quick =
-  [
-    ("writegather", "BENCH_writegather.json", fun () -> E.bench_writegather ~quick ());
-    ("multivolume", "BENCH_multivolume.json", fun () -> X.Multivolume.bench_multivolume ());
-    ("iosched", "BENCH_iosched.json", fun () -> X.Iosched.bench_iosched ());
-    ("raid", "BENCH_raid.json", fun () -> X.Raid.bench_raid ());
-    ("laddis-curve", "BENCH_laddis_curve.json", fun () -> X.Laddis_curve.bench_laddis_curve ());
-    ("bootstorm", "BENCH_bootstorm.json", fun () -> X.Bootstorm.bench_bootstorm ());
-  ]
-
-let write_artifact (name, file, bench) =
-  progress "bench: running %s JSON bench ..." name;
-  let t0 = Unix.gettimeofday () in
-  let json = bench () in
-  let oc = open_out file in
-  output_string oc (Nfsg_stats.Json.to_string ~pretty:true json);
-  close_out oc;
-  progress "bench: wrote %s in %.1fs wall" file (Unix.gettimeofday () -. t0)
 
 (* {1 Simulator speed}
 
@@ -278,26 +170,13 @@ let run_micro () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let accepted = "quick" :: "micro" :: "simspeed" :: List.map (fun (name, _, _) -> name) (artifacts false) in
+  let accepted = [ "simspeed"; "micro" ] in
   (match List.filter (fun a -> not (List.mem a accepted)) args with
   | [] -> ()
   | unknown ->
       Printf.eprintf "main.exe: unknown argument %s\nusage: main.exe [%s]...\n"
         (String.concat ", " unknown) (String.concat "|" accepted);
       exit 2);
-  let quick = List.mem "quick" args in
-  let named = List.filter (fun (name, _, _) -> List.mem name args) (artifacts quick) in
-  if List.mem "micro" args then run_micro ()
-  else if named <> [] then List.iter write_artifact named
-  else if List.mem "simspeed" args then run_simspeed ()
-  else begin
-    Printf.printf "NFS write gathering: full reproduction run (%s)\n"
-      (if quick then "quick mode" else "paper-size workloads");
-    run_tables quick;
-    run_figures quick;
-    run_ablations quick;
-    run_extensions quick;
-    List.iter write_artifact (artifacts quick);
-    run_simspeed ();
-    run_micro ()
-  end
+  let wanted name = args = [] || List.mem name args in
+  if wanted "simspeed" then run_simspeed ();
+  if wanted "micro" then run_micro ()

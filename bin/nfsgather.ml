@@ -1,14 +1,14 @@
 (* nfsgather: regenerate any table or figure of Juszczak (USENIX 1994)
-   from the simulated NFS stack. *)
+   from the simulated NFS stack, or print any committed bench artifact. *)
 
 open Cmdliner
 module E = Nfsg_experiments.Experiments
+module X = Nfsg_experiments
 module Rig = Nfsg_experiments.Rig
-module Lc = Nfsg_experiments.Laddis_curve
-module Bs = Nfsg_experiments.Bootstorm
 module Metrics = Nfsg_stats.Metrics
 
 let print_report r = print_string (Nfsg_stats.Report.to_string r)
+let print_json j = print_string (Nfsg_stats.Json.to_string ~pretty:true j)
 
 let quick_arg =
   let doc = "Run with a smaller file / shorter measurement (fast smoke mode)." in
@@ -71,15 +71,6 @@ let metrics_json_arg =
 (* What every experiment is run with, built once from the flags. *)
 type ctx = { quick : bool; env : Rig.env }
 
-(* Quick mode shortens the two ladders rather than shrinking their
-   workloads, so the rungs that do run stay comparable with the
-   committed artifacts. *)
-let curve_sweep quick =
-  if quick then { Lc.default_sweep with Lc.max_points = 3 } else Lc.default_sweep
-
-let storm_sweep quick =
-  if quick then { Bs.default_sweep with Bs.clients_max = 4 } else Bs.default_sweep
-
 let experiments =
   [
     ("table1", fun c -> print_report (E.table1 ~quick:c.quick ~env:c.env ()));
@@ -121,16 +112,6 @@ let experiments =
         print_report (E.extension_v3 ~quick ~env ());
         print_newline ();
         print_report (E.extension_write_modes ~quick ~env ()) );
-    ( "writegather",
-      fun c ->
-        print_string
-          (Nfsg_stats.Json.to_string ~pretty:true (E.bench_writegather ~quick:c.quick ~env:c.env ()))
-    );
-    ( "multivolume",
-      fun c -> print_report (Nfsg_experiments.Multivolume.report ~quick:c.quick ~env:c.env ()) );
-    ("laddis-curve", fun c -> print_report (Lc.report ~env:c.env ~sweep:(curve_sweep c.quick) ()));
-    ("bootstorm", fun c -> print_report (Bs.report ~env:c.env ~sweep:(storm_sweep c.quick) ()));
-    ("raid", fun c -> print_report (Nfsg_experiments.Raid.report ~env:c.env ()));
     ( "chaos",
       fun c ->
         let module Chaos = Nfsg_experiments.Chaos in
@@ -143,20 +124,33 @@ let experiments =
         List.iter print_endline r.Chaos.timeline );
   ]
 
-(* iosched-probe is runnable by name but not part of "all": it reruns
-   the saturating bench world twice and exists for investigations, not
-   for the paper-reproduction sweep. It is the tail investigation
-   behind the deadline-p99 fix: the bench world with journey tracing
-   armed, evidence dumped for the two ends of the comparison. *)
-let iosched_probe c =
-  print_string (Nfsg_experiments.Iosched.investigate ~env:c.env "deadline+merge");
-  print_newline ();
-  print_string (Nfsg_experiments.Iosched.investigate ~env:c.env "fifo")
+(* The six benches: each prints its committed BENCH_<name>.json (the
+   file name spells laddis-curve with an underscore). Only writegather
+   has a size, and its committed copy is the -q run. *)
+let benches =
+  [
+    ("writegather", fun c -> print_json (E.bench_writegather ~quick:c.quick ~env:c.env ()));
+    ("multivolume", fun c -> print_json (X.Multivolume.bench_multivolume ~env:c.env ()));
+    ("iosched", fun c -> print_json (X.Iosched.bench_iosched ~env:c.env ()));
+    ("raid", fun c -> print_json (X.Raid.bench_raid ~env:c.env ()));
+    ("laddis-curve", fun c -> print_json (X.Laddis_curve.bench_laddis_curve ~env:c.env ()));
+    ("bootstorm", fun c -> print_json (X.Bootstorm.bench_bootstorm ~env:c.env ()));
+  ]
 
-let run quick scheduler raid_level monitor_interval long_op_threshold metrics_json targets =
-  let targets =
-    if targets = [] || List.mem "all" targets then List.map fst experiments else targets
-  in
+(* The tail investigation behind the deadline-p99 fix: the iosched
+   bench world with journey tracing armed, evidence dumped for the two
+   ends of the comparison. *)
+let iosched_probe c =
+  print_string (X.Iosched.investigate ~env:c.env "deadline+merge");
+  print_newline ();
+  print_string (X.Iosched.investigate ~env:c.env "fifo")
+
+(* Every target by name; "all" is the paper and chaos, without the
+   benches and the probe. *)
+let targets = experiments @ benches @ [ ("iosched-probe", iosched_probe) ]
+
+let run quick scheduler raid_level monitor_interval long_op_threshold metrics_json names =
+  let names = if names = [] || List.mem "all" names then List.map fst experiments else names in
   let metrics = Option.map (fun _ -> Metrics.create ()) metrics_json in
   let env =
     {
@@ -171,12 +165,11 @@ let run quick scheduler raid_level monitor_interval long_op_threshold metrics_js
     }
   in
   let ctx = { quick; env } in
-  let runners = ("iosched-probe", iosched_probe) :: experiments in
   List.iteri
     (fun i name ->
       if i > 0 then print_newline ();
-      (List.assoc name runners) ctx)
-    targets;
+      (List.assoc name targets) ctx)
+    names;
   match (metrics_json, metrics) with
   | Some file, Some m ->
       let oc = open_out file in
@@ -187,11 +180,12 @@ let run quick scheduler raid_level monitor_interval long_op_threshold metrics_js
 
 let targets_arg =
   let doc =
-    "Experiments to run: table1..table6, figure1..figure3, ablations, extensions, writegather, \
-     multivolume, laddis-curve, bootstorm, raid, chaos, iosched-probe, or all (default; \
-     excludes iosched-probe)."
+    "Experiments to run: table1..table6, figure1..figure3, ablations, extensions, chaos, or all \
+     (default: every one of those); a bench, writegather, multivolume, iosched, raid, \
+     laddis-curve or bootstorm, which prints its committed BENCH_<name>.json (-q sizes only \
+     writegather); or iosched-probe."
   in
-  let names = "all" :: "iosched-probe" :: List.map fst experiments in
+  let names = "all" :: List.map fst targets in
   Arg.(value & pos_all (enum (List.map (fun n -> (n, n)) names)) [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let cmd =

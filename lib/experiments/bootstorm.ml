@@ -5,7 +5,6 @@ module Fs = Nfsg_ufs.Fs
 module Server = Nfsg_core.Server
 module Volume = Nfsg_core.Volume
 module Json = Nfsg_stats.Json
-module Report = Nfsg_stats.Report
 
 (* The boot-storm capacity bench: a fleet of diskless workstations all
    power on against one shared read-only export (a lab after a power
@@ -167,38 +166,14 @@ let curve ?env sweep ~readahead =
     capacity_clients = List.fold_left (fun a p -> Stdlib.max a p.clients) 0 kept_up;
   }
 
-let run ?env ?(sweep = default_sweep) () =
-  List.map (fun readahead -> curve ?env sweep ~readahead) [ false; true ]
-
-(* {1 Rendering} *)
-
-let report ?env ?(sweep = default_sweep) () =
-  let curves = run ?env ~sweep () in
-  let report =
-    Report.create ~title:"Boot storm: diskless fleet vs shared read-only export"
-      ~columns:(List.map (fun c -> c.label) curves)
-  in
-  let row name f = Report.add_row report name (List.map f curves) in
-  let top c = match List.rev c.points with p :: _ -> Some p | [] -> None in
-  row "capacity (clients)" (fun c -> float_of_int c.capacity_clients);
-  row "capacity (ops/s)" (fun c -> c.capacity_ops);
-  row "knee fleet size" (fun c ->
-      match c.knee with Some i -> float_of_int (List.nth c.points i).clients | None -> nan);
-  row "top-rung cache hit rate" (fun c ->
-      match top c with Some p -> p.cache_hit_rate | None -> nan);
-  row "top-rung mean boot (ms)" (fun c ->
-      match top c with Some p -> p.mean_boot_ms | None -> nan);
-  row "top-rung latency (ms)" (fun c ->
-      match top c with Some p -> p.avg_latency_ms | None -> nan);
-  report
-
 (* {1 BENCH_bootstorm.json}
 
    The committed artifact CI regenerates and byte-diffs, same contract
-   as the other five: one fixed modest sweep regardless of quick/full
-   mode. *)
+   as the other five. *)
 
-let json_of_curves sweep curves =
+let bench_bootstorm ?env () =
+  let sweep = default_sweep in
+  let curves = List.map (fun readahead -> curve ?env sweep ~readahead) [ false; true ] in
   let json_point p =
     Json.Obj
       [
@@ -254,5 +229,3 @@ let json_of_curves sweep curves =
           ] );
       ("configs", Json.List (List.map json_curve curves));
     ]
-
-let bench_bootstorm ?env () = json_of_curves default_sweep (run ?env ())

@@ -49,12 +49,7 @@ val curve : ?env:Rig.env -> sweep -> readahead:bool -> curve
     at the default policy; every rung is a fresh world built under
     [env]. *)
 
-val run : ?env:Rig.env -> ?sweep:sweep -> unit -> curve list
-(** Both sides, read-ahead off first, under [sweep] (default
-    {!default_sweep}). *)
-
-val report : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Report.t
-
 val bench_bootstorm : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
-(** The committed BENCH_bootstorm.json artifact: {!run} of
-    {!default_sweep} (same bytes regardless of quick/full). *)
+(** The committed BENCH_bootstorm.json artifact ([nfsgather
+    bootstorm]): both sides' {!curve} over {!default_sweep}, read-ahead
+    off first. *)

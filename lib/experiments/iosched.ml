@@ -6,7 +6,6 @@ module Metrics = Nfsg_stats.Metrics
 module Histogram = Nfsg_stats.Histogram
 module Names = Nfsg_stats.Names
 module Json = Nfsg_stats.Json
-module Report = Nfsg_stats.Report
 
 (* The scheduler comparison: the same mixed multi-client LADDIS-style
    load over one spindle, once per I/O scheduling policy. [`Fifo] with
@@ -16,19 +15,23 @@ module Report = Nfsg_stats.Report
 
 type config = { load : Laddis.config; offered : float; nfsds : int }
 
+(* The one workload, the committed artifact's. Saturating: the offered
+   load is well past the spindle's service rate, so a queue builds and
+   the policies actually diverge — with depth ~1 every scheduler is
+   FIFO. *)
 let default =
   {
     load =
       {
         Laddis.default_config with
-        Laddis.seed = 1994;
-        procs = 6;
-        files_per_proc = 4;
-        file_size = 64 * 1024;
-        warmup = Time.sec 1;
-        measure = Time.sec 5;
+        Laddis.seed = 7;
+        procs = 12;
+        files_per_proc = 2;
+        file_size = 1024 * 1024;
+        warmup = Time.ms 500;
+        measure = Time.sec 3;
       };
-    offered = 160.0;
+    offered = 170.0;
     nfsds = 12;
   }
 
@@ -108,49 +111,12 @@ let run_variant ?env cfg v =
 
 let run ?env ?(cfg = default) () = List.map (run_variant ?env cfg) variants
 
-let report ?env () =
-  let rows = run ?env () in
-  let report =
-    Report.create ~title:"I/O scheduling: one spindle under mixed LADDIS-style load"
-      ~columns:(List.map (fun r -> r.variant.label) rows)
-  in
-  let row name f = Report.add_row report name (List.map f rows) in
-  row "achieved ops/sec" (fun r -> r.point.Laddis.achieved);
-  row "WRITE latency mean (us)" (fun r -> r.write_mean_us);
-  row "WRITE latency p99 (us)" (fun r -> r.write_p99_us);
-  row "disk transactions" (fun r -> float_of_int r.transactions);
-  row "merged requests" (fun r -> float_of_int r.merged);
-  row "deadline promotions" (fun r -> float_of_int r.promotions);
-  row "queue wait p99 (us)" (fun r -> r.queue_wait_p99_us);
-  report
-
 (* {1 BENCH_iosched.json}
 
-   The committed artifact CI regenerates and diffs. One fixed modest
-   workload regardless of quick/full mode, so every environment
-   produces the same bytes. *)
-
-(* Saturating: the offered load is well past the spindle's service
-   rate, so a queue builds and the policies actually diverge — with
-   depth ~1 every scheduler is FIFO. *)
-let bench_cfg =
-  {
-    load =
-      {
-        Laddis.default_config with
-        Laddis.seed = 7;
-        procs = 12;
-        files_per_proc = 2;
-        file_size = 1024 * 1024;
-        warmup = Time.ms 500;
-        measure = Time.sec 3;
-      };
-    offered = 170.0;
-    nfsds = 12;
-  }
+   The committed artifact CI regenerates and diffs. *)
 
 let bench_iosched ?env () =
-  let rows = run ?env ~cfg:bench_cfg () in
+  let rows = run ?env () in
   let json_row r =
     Json.Obj
       [
@@ -184,13 +150,13 @@ let bench_iosched ?env () =
         Json.Obj
           [
             ("net", Json.String "fddi");
-            ("procs", Json.Int bench_cfg.load.Laddis.procs);
-            ("files_per_proc", Json.Int bench_cfg.load.Laddis.files_per_proc);
-            ("file_bytes", Json.Int bench_cfg.load.Laddis.file_size);
-            ("offered_ops_s", Json.Float bench_cfg.offered);
-            ("measure_ms", Json.Float (Time.to_ms_f bench_cfg.load.Laddis.measure));
-            ("nfsds", Json.Int bench_cfg.nfsds);
-            ("seed", Json.Int bench_cfg.load.Laddis.seed);
+            ("procs", Json.Int default.load.Laddis.procs);
+            ("files_per_proc", Json.Int default.load.Laddis.files_per_proc);
+            ("file_bytes", Json.Int default.load.Laddis.file_size);
+            ("offered_ops_s", Json.Float default.offered);
+            ("measure_ms", Json.Float (Time.to_ms_f default.load.Laddis.measure));
+            ("nfsds", Json.Int default.nfsds);
+            ("seed", Json.Int default.load.Laddis.seed);
           ] );
       ("rows", Json.List (List.map json_row rows));
     ]
@@ -204,7 +170,9 @@ let bench_iosched ?env () =
    walkthrough of EXPERIMENTS.md, as a reproducible command
    (nfsgather iosched-probe). *)
 
-let investigate ?env ?(cfg = bench_cfg) ?(threshold = Time.ms 300) label =
+let probe_threshold = Time.ms 300
+
+let investigate ?env label =
   let v =
     match List.find_opt (fun v -> v.label = label) variants with
     | Some v -> v
@@ -212,14 +180,14 @@ let investigate ?env ?(cfg = bench_cfg) ?(threshold = Time.ms 300) label =
   in
   let rig, point =
     run_world ?env
-      ~overrides:(fun c -> { c with Server.long_op_threshold = Some threshold })
-      cfg v
+      ~overrides:(fun c -> { c with Server.long_op_threshold = Some probe_threshold })
+      default v
   in
   let m = rig.Rig.metrics in
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "iosched probe: variant=%s threshold=%.0fms achieved=%.1f ops/s" v.label
-    (Time.to_ms_f threshold) point.Laddis.achieved;
+    (Time.to_ms_f probe_threshold) point.Laddis.achieved;
   let client_h = Metrics.stat m ~ns:Names.Ns.nfs_client (Names.lat_us "WRITE") in
   line "client WRITE latency (us): mean=%.0f p50=%.0f p99=%.0f" (client_h Histogram.mean)
     (client_h Histogram.median) (client_h Histogram.p99);

@@ -14,6 +14,8 @@ type config = {
 }
 
 val default : config
+(** The one workload, the committed artifact's: saturating, so a queue
+    builds and the policies diverge. *)
 
 type variant = { label : string; scheduler : Nfsg_disk.Disk.scheduler; merge : bool }
 (** One compared policy. {!run} walks three, in bench-row order: fifo
@@ -40,19 +42,15 @@ val run : ?env:Rig.env -> ?cfg:config -> unit -> row list
     variant's own. A row reads its world's own registry; [env.metrics]
     receives a copy of it once the world is done. *)
 
-val report : ?env:Rig.env -> unit -> Nfsg_stats.Report.t
-(** Text table over {!run} with the default config. *)
-
 val bench_iosched : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
-(** The committed BENCH_iosched.json artifact: fixed modest workload,
-    byte-deterministic. CI regenerates it and byte-diffs. *)
+(** The committed BENCH_iosched.json artifact ([nfsgather iosched]):
+    {!run} of {!default}, byte-deterministic. CI regenerates it and
+    byte-diffs. *)
 
-
-val investigate :
-  ?env:Rig.env -> ?cfg:config -> ?threshold:Nfsg_sim.Time.t -> string -> string
+val investigate : ?env:Rig.env -> string -> string
 (** [investigate label] reruns the bench world of the named variant
-    with journey tracing armed at [threshold] (default 300 ms) and
-    renders the evidence side by side: client-visible WRITE latency,
+    with journey tracing armed at 300 ms and renders the evidence side
+    by side: client-visible WRITE latency,
     the server's journey total and per-phase p99s, RPC retransmission
     counters, duplicate-cache activity, and every retained long-op
     record. The reproducible form of the EXPERIMENTS.md tail

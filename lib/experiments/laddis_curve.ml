@@ -2,7 +2,6 @@ open Nfsg_sim
 module Disk = Nfsg_disk.Disk
 module Laddis = Nfsg_workload.Laddis
 module Json = Nfsg_stats.Json
-module Report = Nfsg_stats.Report
 
 (* The capacity-curve sweep: walk an offered-load ladder per server
    configuration until the server visibly saturates, LADDIS style.
@@ -153,7 +152,8 @@ let curve ?env ~knee_frac ~label spec ~load loads =
    as the offered rate climbs: the same traffic shape per seed as the
    other rig experiments, just more of it. *)
 
-let run ?env ?(sweep = default_sweep) () =
+let run ?env () =
+  let sweep = default_sweep in
   let load offered =
     {
       Laddis.default_config with
@@ -176,39 +176,17 @@ let run ?env ?(sweep = default_sweep) () =
         ~load loads)
     grid
 
-(* {1 Rendering} *)
-
-let report ?env ?(sweep = default_sweep) () =
-  let curves = run ?env ~sweep () in
-  let report =
-    Report.create ~title:"Capacity curves: offered-load sweep per configuration"
-      ~columns:(List.map (fun c -> c.label) curves)
-  in
-  let row name f = Report.add_row report name (List.map f curves) in
-  row "capacity (ops/s)" (fun c -> c.capacity);
-  row "knee offered (ops/s)" (fun c ->
-      match c.knee with
-      | Some i -> (List.nth c.points i).Laddis.offered
-      | None -> nan);
-  row "rungs measured" (fun c -> float_of_int (List.length c.points));
-  row "top-rung achieved (ops/s)" (fun c ->
-      match List.rev c.points with p :: _ -> p.Laddis.achieved | [] -> nan);
-  row "top-rung latency (ms)" (fun c ->
-      match List.rev c.points with p :: _ -> p.Laddis.avg_latency_ms | [] -> nan);
-  report
-
 (* {1 BENCH_laddis_curve.json}
 
-   The committed artifact CI regenerates and byte-diffs. One fixed
-   modest sweep regardless of quick/full mode, so every environment
-   produces the same bytes. *)
+   The committed artifact CI regenerates and byte-diffs. *)
 
 let scheduler_name = function
   | Disk.Fifo -> "fifo"
   | Disk.Elevator -> "elevator"
   | Disk.Deadline -> "deadline"
 
-let json_of_curves sweep curves =
+let bench_laddis_curve ?env () =
+  let sweep = default_sweep and curves = run ?env () in
   let json_point p =
     Json.Obj
       [
@@ -262,5 +240,3 @@ let json_of_curves sweep curves =
           ] );
       ("configs", Json.List (List.map json_curve curves));
     ]
-
-let bench_laddis_curve ?env () = json_of_curves default_sweep (run ?env ())

@@ -6,22 +6,6 @@
     scheduler / stripe-width grid. {!curve} is the one ladder walker:
     the grid and {!Experiments.figure2}/[figure3] both climb it. *)
 
-type sweep = {
-  seed : int;
-  files_per_proc : int;
-  file_size : int;  (** bytes per pre-created file *)
-  warmup : Nfsg_sim.Time.t;
-  measure : Nfsg_sim.Time.t;
-  nfsds : int;
-  offered_start : float;  (** first rung, ops/s *)
-  offered_step : float;  (** rung spacing, ops/s *)
-  max_points : int;  (** ladder cap if the knee never appears *)
-  procs_max : int;  (** load-generator pool ceiling *)
-  knee_frac : float;  (** saturated when achieved < frac * offered *)
-}
-
-val default_sweep : sweep
-
 val procs_for : procs_max:int -> float -> int
 (** Load stations driving a given offered rate: one per ~10 ops/s,
     clamped to [4, procs_max]. *)
@@ -29,8 +13,8 @@ val procs_for : procs_max:int -> float -> int
 type variant = { label : string; spec : Rig.spec }
 
 val grid : variant list
-(** The curated configuration grid: baseline, gather, gather+deadline,
-    nvram, gather+stripe3. *)
+(** The curated configuration grid: baseline, deadline, gather, nvram,
+    gather+stripe3. *)
 
 val detect_knee : frac:float -> (float * float) list -> int option
 (** [detect_knee ~frac points] is the index of the first (offered,
@@ -69,12 +53,8 @@ val curve :
     [knee_frac = 0.0] every load runs and [capacity] is the best
     achieved rate. *)
 
-val run : ?env:Rig.env -> ?sweep:sweep -> unit -> curve list
-(** Each {!grid} variant's {!curve} over [sweep]'s arithmetic ladder
-    (default {!default_sweep}), with {!procs_for} stations per rung. *)
-
-val report : ?env:Rig.env -> ?sweep:sweep -> unit -> Nfsg_stats.Report.t
-
 val bench_laddis_curve : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
-(** The committed BENCH_laddis_curve.json artifact: {!run} of
-    {!default_sweep} (same bytes regardless of quick/full). *)
+(** The committed BENCH_laddis_curve.json artifact ([nfsgather
+    laddis-curve]): each {!grid} variant's {!curve} over one arithmetic
+    ladder of up to 12 rungs, 60 ops/s apart, with {!procs_for}
+    stations per rung and a knee fraction of 0.9. *)

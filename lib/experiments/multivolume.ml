@@ -8,7 +8,6 @@ module Metrics = Nfsg_stats.Metrics
 module Histogram = Nfsg_stats.Histogram
 module Names = Nfsg_stats.Names
 module Json = Nfsg_stats.Json
-module Report = Nfsg_stats.Report
 
 (* Three exports served by one machine, the paper-testbed shape:
    two single spindles and a 3-drive stripe set. Volume 0's spindle is
@@ -17,19 +16,21 @@ let nvols = 3
 
 type config = { load : Laddis.config; offered : float; nfsds : int; fault_prob : float }
 
+(* The one workload, the committed artifact's: modest enough that CI
+   reproduces its bytes anywhere. *)
 let default =
   {
     load =
       {
         Laddis.default_config with
-        Laddis.seed = 1994;
+        Laddis.seed = 7;
         procs = 6;
-        files_per_proc = 4;
-        file_size = 64 * 1024;
-        warmup = Time.sec 1;
-        measure = Time.sec 5;
+        files_per_proc = 2;
+        file_size = 32 * 1024;
+        warmup = Time.ms 500;
+        measure = Time.sec 3;
       };
-    offered = 160.0;
+    offered = 120.0;
     nfsds = 12;
     fault_prob = 0.4;
   }
@@ -134,67 +135,13 @@ let run ?env ?(cfg = default) () =
   let faulted, _, errors_injected = run_world ?env ~fault:(from_, until) cfg in
   { clean; faulted; errors_injected }
 
-let quick_cfg =
-  {
-    default with
-    load =
-      {
-        default.load with
-        Laddis.procs = 3;
-        files_per_proc = 2;
-        file_size = 32 * 1024;
-        warmup = Time.ms 500;
-        measure = Time.sec 2;
-      };
-    offered = 100.0;
-  }
-
-let devices = [ "1 spindle (faultable)"; "1 spindle"; "3-drive stripe" ]
-
-let report ?env ?(quick = false) () =
-  let r = run ?env ~cfg:(if quick then quick_cfg else default) () in
-  let report =
-    Report.create ~title:"Multi-volume exports: 3 volumes under simultaneous LADDIS-style load"
-      ~columns:(List.map2 (fun v d -> Printf.sprintf "%s (%s)" v.export d) r.clean.vols devices)
-  in
-  let row name f = Report.add_row report name (List.map f r.clean.vols) in
-  row "WRITE RPCs" (fun v -> float_of_int v.writes);
-  row "gather batches" (fun v -> float_of_int v.batches);
-  row "mean batch size" (fun v -> v.mean_batch);
-  row "metadata flushes saved" (fun v -> float_of_int v.flushes_saved);
-  row "WRITE latency mean (us)" (fun v -> v.write_mean_us);
-  row "WRITE latency p99 (us)" (fun v -> v.write_p99_us);
-  Report.add_row report
-    (Printf.sprintf "... with vol1 error window (%d faults)" r.errors_injected)
-    (List.map (fun v -> v.write_mean_us) r.faulted.vols);
-  report
-
 (* {1 BENCH_multivolume.json}
 
-   The committed artifact CI regenerates and diffs. One fixed modest
-   workload regardless of quick/full mode, so every environment
-   produces the same bytes. Volume generations (process-global counter)
+   The committed artifact CI regenerates and diffs. Volume generations
    never appear here. *)
 
-let bench_cfg =
-  {
-    load =
-      {
-        Laddis.default_config with
-        Laddis.seed = 7;
-        procs = 6;
-        files_per_proc = 2;
-        file_size = 32 * 1024;
-        warmup = Time.ms 500;
-        measure = Time.sec 3;
-      };
-    offered = 120.0;
-    nfsds = 12;
-    fault_prob = 0.4;
-  }
-
 let bench_multivolume ?env () =
-  let r = run ?env ~cfg:bench_cfg () in
+  let r = run ?env () in
   let vol_row device v =
     Json.Obj
       [
@@ -227,13 +174,13 @@ let bench_multivolume ?env () =
           [
             ("net", Json.String "fddi");
             ("volumes", Json.Int nvols);
-            ("procs", Json.Int bench_cfg.load.Laddis.procs);
-            ("files_per_proc", Json.Int bench_cfg.load.Laddis.files_per_proc);
-            ("file_bytes", Json.Int bench_cfg.load.Laddis.file_size);
-            ("offered_ops_s", Json.Float bench_cfg.offered);
-            ("measure_ms", Json.Float (Time.to_ms_f bench_cfg.load.Laddis.measure));
-            ("nfsds", Json.Int bench_cfg.nfsds);
-            ("seed", Json.Int bench_cfg.load.Laddis.seed);
+            ("procs", Json.Int default.load.Laddis.procs);
+            ("files_per_proc", Json.Int default.load.Laddis.files_per_proc);
+            ("file_bytes", Json.Int default.load.Laddis.file_size);
+            ("offered_ops_s", Json.Float default.offered);
+            ("measure_ms", Json.Float (Time.to_ms_f default.load.Laddis.measure));
+            ("nfsds", Json.Int default.nfsds);
+            ("seed", Json.Int default.load.Laddis.seed);
           ] );
       ( "aggregate",
         Json.Obj

@@ -22,7 +22,7 @@ type config = {
 }
 
 val default : config
-val quick_cfg : config
+(** The one workload, the committed artifact's. *)
 
 type vol_stats = {
   export : string;
@@ -52,12 +52,8 @@ val run : ?env:Rig.env -> ?cfg:config -> unit -> result
     world's own registries; [env.metrics] receives a copy of them once
     the world is done. *)
 
-val report : ?env:Rig.env -> ?quick:bool -> unit -> Nfsg_stats.Report.t
-(** Human-readable table over {!run} (the [multivolume] experiment of
-    the CLI and bench). *)
-
 val bench_multivolume : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
-(** The committed [BENCH_multivolume.json] artifact: per-volume gather
-    and latency rows plus the fault-isolation summary, from one fixed
-    modest workload (no quick/full split, so CI reproduces the bytes
-    anywhere). Volume generations never appear in the document. *)
+(** The committed [BENCH_multivolume.json] artifact ([nfsgather
+    multivolume]): per-volume gather and latency rows plus the
+    fault-isolation summary, from {!run} of {!default}. Volume
+    generations never appear in the document. *)

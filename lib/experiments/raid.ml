@@ -8,7 +8,6 @@ module Client = Nfsg_nfs.Client
 module Metrics = Nfsg_stats.Metrics
 module Names = Nfsg_stats.Names
 module Json = Nfsg_stats.Json
-module Report = Nfsg_stats.Report
 
 (* The redundancy comparison: the same multi-writer streaming load over
    a 3-drive array, once per RAID level, with write gathering on and
@@ -57,8 +56,6 @@ let variants =
     { level = Stripe.Raid5; gather = false };
     { level = Stripe.Raid5; gather = true };
   ]
-
-let label v = Stripe.level_name v.level ^ if v.gather then "+gather" else ""
 
 type redundancy = {
   degraded_read_blocks : int;
@@ -201,33 +198,13 @@ let run_variant ?(env = Rig.default_env) cfg v =
 
 let run ?env ?(cfg = default) () = List.map (run_variant ?env cfg) variants
 
-let report ?env () =
-  let rows = run ?env () in
-  let report =
-    Report.create ~title:"Redundant arrays: RAID level x write gathering, 3 spindles"
-      ~columns:(List.map (fun r -> label r.variant) rows)
-  in
-  let row name f = Report.add_row report name (List.map f rows) in
-  row "streamed kb/s" (fun r -> r.written_kb_s);
-  row "member transactions" (fun r -> float_of_int r.member_transactions);
-  row "full-stripe writes" (fun r -> float_of_int r.full_stripe_writes);
-  row "rmw writes" (fun r -> float_of_int r.rmw_writes);
-  row "full-stripe fraction" (fun r -> r.full_stripe_fraction);
-  row "degraded read mean (us)" (fun r ->
-      match r.redundancy with Some d -> d.degraded_read_mean_us | None -> 0.0);
-  row "rebuild (ms)" (fun r ->
-      match r.redundancy with Some d -> d.rebuild_ms | None -> 0.0);
-  report
-
 (* {1 BENCH_raid.json}
 
    The committed artifact CI regenerates and diffs, like the other
    bench JSON files: one fixed workload, byte-deterministic output. *)
 
-let bench_cfg = default
-
 let bench_raid ?env () =
-  let rows = run ?env ~cfg:bench_cfg () in
+  let rows = run ?env () in
   let json_row r =
     Json.Obj
       [
@@ -264,13 +241,13 @@ let bench_raid ?env () =
         Json.Obj
           [
             ("net", Json.String "fddi");
-            ("members", Json.Int bench_cfg.members);
-            ("member_capacity", Json.Int bench_cfg.member_capacity);
-            ("chunk", Json.Int bench_cfg.chunk);
-            ("writers", Json.Int bench_cfg.writers);
-            ("blocks_per_writer", Json.Int bench_cfg.blocks_per_writer);
-            ("nfsds", Json.Int bench_cfg.nfsds);
-            ("seed", Json.Int bench_cfg.seed);
+            ("members", Json.Int default.members);
+            ("member_capacity", Json.Int default.member_capacity);
+            ("chunk", Json.Int default.chunk);
+            ("writers", Json.Int default.writers);
+            ("blocks_per_writer", Json.Int default.blocks_per_writer);
+            ("nfsds", Json.Int default.nfsds);
+            ("seed", Json.Int default.seed);
           ] );
       ("rows", Json.List (List.map json_row rows));
     ]

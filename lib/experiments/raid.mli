@@ -62,8 +62,6 @@ val run : ?env:Rig.env -> ?cfg:config -> unit -> row list
     members. A row reads its world's own registry; [env.metrics]
     receives a copy of it once the world is done. *)
 
-val report : ?env:Rig.env -> unit -> Nfsg_stats.Report.t
-
 val bench_raid : ?env:Rig.env -> unit -> Nfsg_stats.Json.t
-(** The fixed-workload artifact written to [BENCH_raid.json] and
-    byte-diffed by CI. *)
+(** The committed [BENCH_raid.json] artifact ([nfsgather raid]): {!run}
+    of {!default}, byte-diffed by CI. *)

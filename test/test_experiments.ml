@@ -249,8 +249,9 @@ let raid env =
   Raid.run ~env ~cfg ()
 
 let multivolume env =
-  let quick = Multivolume.quick_cfg in
-  Multivolume.run ~env ~cfg:{ quick with Multivolume.load = tiny_load quick.Multivolume.load } ()
+  Multivolume.run ~env
+    ~cfg:{ Multivolume.default with Multivolume.load = tiny_load Multivolume.default.Multivolume.load }
+    ()
 
 let iosched env =
   Iosched.run ~env ~cfg:{ Iosched.default with Iosched.load = tiny_load Iosched.default.Iosched.load } ()

@@ -281,7 +281,7 @@ let test_export_assignment_distribution () =
 (* {1 The 3-volume experiment: independence and fault isolation} *)
 
 let test_multivolume_experiment () =
-  let r = Multivolume.run ~cfg:Multivolume.quick_cfg () in
+  let r = Multivolume.run () in
   (* Independence: every volume's gather plane formed its own batches
      and banked its own metadata-flush savings. *)
   List.iter
