@@ -49,9 +49,9 @@ type t = {
           lost that data, and rewrites. One number covers every volume:
           it identifies the server boot, not a disk. *)
   send : Svc.transport -> (Xdr.Enc.t -> unit) -> unit;  (** the reply funnel, see [make_internal] *)
-  ops : (Metrics.counter * int) option array;
+  ops : Metrics.counter option array;
       (** by procedure number: its [server/ops_<PROC>] counter, resolved on
-          first use, with the value it had then (it outlives incarnations) *)
+          first use *)
   vol_ops : Metrics.counter option array array;
       (** by export-table position, then procedure number: the volume's
           own [ops_<PROC>] counter, resolved on first use *)
@@ -77,9 +77,6 @@ let write_verifier t = t.verf
 let metrics t = t.metrics
 let journeys t = t.journeys
 
-let op_count t proc =
-  match t.ops.(proc) with Some (c, base) -> Metrics.value c - base | None -> 0
-
 (* Stamp this transport's journey (if the svc attached one) at the
    engine's current instant. *)
 let jstamp t tr stamp =
@@ -87,10 +84,10 @@ let jstamp t tr stamp =
 
 let count_op t proc =
   match t.ops.(proc) with
-  | Some (c, _) -> Metrics.incr c
+  | Some c -> Metrics.incr c
   | None ->
       let c = Metrics.counter t.metrics ~ns:Names.Ns.server (Names.ops (Proto.proc_name proc)) in
-      t.ops.(proc) <- Some (c, Metrics.value c);
+      t.ops.(proc) <- Some c;
       Metrics.incr c
 
 (* Per-volume op accounting, once dispatch has routed the request. The

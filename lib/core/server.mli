@@ -94,11 +94,6 @@ val write_verifier : t -> int
     is how v3 clients learn that uncommitted data may have been
     lost. *)
 
-val op_count : t -> int -> int
-(** Requests this incarnation dispatched for an NFS procedure number:
-    its share of the [server/ops_<PROC>] counter, which the registry
-    keeps across restarts. *)
-
 val metrics : t -> Nfsg_stats.Metrics.t
 (** The registry this server's layers report into (per-procedure
     counters live under namespace ["server"] as [ops_<PROC>]). *)

@@ -9,7 +9,6 @@ module Fault_disk = Nfsg_fault.Fault_disk
 module Metrics = Nfsg_stats.Metrics
 module Names = Nfsg_stats.Names
 module Server = Nfsg_core.Server
-module Write_layer = Nfsg_core.Write_layer
 module Fs = Nfsg_ufs.Fs
 module Proto = Nfsg_nfs.Proto
 module Rpc = Nfsg_rpc.Rpc
@@ -159,8 +158,6 @@ let run ?(env = Rig.default_env) cfg =
   and issued_removes = ref 0
   and completed_removes = ref 0
   and spurious = ref 0 in
-  let executed_creates = ref 0 and executed_removes = ref 0 in
-  let flush_failures = ref 0 in
   let crashes = ref 0 and restarts = ref 0 in
   let fsck_errors = ref [] in
   let stop = ref false in
@@ -174,15 +171,6 @@ let run ?(env = Rig.default_env) cfg =
   let tick = Time.of_ms_f 20.0 in
   let rec wait_for pred = if not (pred ()) then begin Engine.delay tick; wait_for pred end in
   let rebuild_pace = Time.of_us_f 500.0 in
-
-  (* Every per-incarnation statistic must be read before the
-     incarnation is crashed away. *)
-  let harvest () =
-    let srv = rig.Rig.server in
-    executed_creates := !executed_creates + Server.op_count srv Proto.proc_create;
-    executed_removes := !executed_removes + Server.op_count srv Proto.proc_remove;
-    flush_failures := !flush_failures + Write_layer.flush_failures (Server.write_layer srv)
-  in
 
   (* {2 The write ledger}
 
@@ -383,7 +371,6 @@ let run ?(env = Rig.default_env) cfg =
       note "loss storm p=%.2f" cfg.storm_loss_prob;
       Engine.delay (Time.of_ms_f 900.0);
       (* Crash. Fault windows have expired: the outage is the fault. *)
-      harvest ();
       incr crashes;
       note "server crash #%d" !crashes;
       let outage = Time.of_ms_f (Rng.uniform plan 250.0 550.0) in
@@ -407,7 +394,6 @@ let run ?(env = Rig.default_env) cfg =
             if k mod 2 = 1 then begin
               Engine.delay (Time.of_ms_f 120.0);
               if Stripe.rebuild_active arr then begin
-                harvest ();
                 incr crashes;
                 note "server crash #%d (mid-rebuild)" !crashes;
                 Rig.restart rig ~downtime:(Time.of_ms_f 300.0);
@@ -436,7 +422,6 @@ let run ?(env = Rig.default_env) cfg =
     stop := true;
     wait_for (fun () -> !writers_done = cfg.writers && !mutator_gone);
     Engine.delay (Time.of_ms_f 500.0);
-    harvest ();
     verify "final" ~all:true;
     (match Fs.check (Server.fs rig.Rig.server) with
     | Ok () -> note "fsck clean"
@@ -444,6 +429,13 @@ let run ?(env = Rig.default_env) cfg =
         fsck_errors := es;
         note "fsck: %d error(s)" (List.length es));
     let timeline = List.rev !timeline in
+    (* Every incarnation counts into the world's registry, and a restart
+       finds the counters where the last one left them: one read covers
+       the whole run. *)
+    let server_ops proc = Metrics.count metrics ~ns:Names.Ns.server (Names.ops (Proto.proc_name proc)) in
+    let executed_creates = server_ops Proto.proc_create in
+    let executed_removes = server_ops Proto.proc_remove in
+    let flush_failures = Metrics.count metrics ~ns:Names.Ns.write_layer Names.flush_failures in
     let sorted_acked = Hashtbl.fold (fun b () l -> b :: l) acked [] |> List.sort compare in
     let buf = Buffer.create 1024 in
     List.iter
@@ -454,8 +446,8 @@ let run ?(env = Rig.default_env) cfg =
     List.iter (fun b -> Buffer.add_string buf (string_of_int b)) sorted_acked;
     Buffer.add_string buf
       (Printf.sprintf "c=%d/%d/%d r=%d/%d/%d sp=%d ff=%d ei=%d io=%d seg=%d/%d/%d/%d" !issued_creates
-         !completed_creates !executed_creates !issued_removes !completed_removes !executed_removes
-         !spurious !flush_failures
+         !completed_creates executed_creates !issued_removes !completed_removes executed_removes
+         !spurious flush_failures
          (Fault_disk.errors_injected injector)
          !io_error_replies (Segment.datagrams_sent segment) (Segment.datagrams_lost segment)
          (Segment.datagrams_duplicated segment)
@@ -481,14 +473,14 @@ let run ?(env = Rig.default_env) cfg =
           lost = List.sort compare !lost;
           issued_creates = !issued_creates;
           completed_creates = !completed_creates;
-          executed_creates = !executed_creates;
+          executed_creates;
           issued_removes = !issued_removes;
           completed_removes = !completed_removes;
-          executed_removes = !executed_removes;
+          executed_removes;
           spurious_nonidem = !spurious;
           crashes = !crashes;
           restarts = !restarts;
-          flush_failures = !flush_failures;
+          flush_failures;
           errors_injected = Fault_disk.errors_injected injector;
           io_error_replies = !io_error_replies;
           member_failures = raid_counter Names.member_failures;

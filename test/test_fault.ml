@@ -407,7 +407,7 @@ let test_dupcache_replay_under_loss () =
         done;
         retrans := Rpc_client.retransmissions rpc);
     Engine.run eng;
-    (!spurious, !completed, Server.op_count server Proto.proc_create, !retrans)
+    (!spurious, !completed, op_count server Proto.proc_create, !retrans)
   in
   let spurious, completed, executed, retrans = run ~dupcache:true in
   Alcotest.(check bool) "retransmissions happened" true (retrans > 0);
@@ -489,6 +489,26 @@ let test_chaos_acceptance () =
   let r3 = Chaos.run { Chaos.default with Chaos.seed = 43 } in
   Alcotest.(check bool) "different seed diverges" true (r3.Chaos.digest <> r.Chaos.digest)
 
+(* Every incarnation's write layer counts into one registry counter,
+   which a restart finds where the crashed incarnation left it: the
+   run's flush failures are that counter, and each needs an injected
+   disk error. *)
+let test_chaos_counts_flush_failures_once () =
+  let module Metrics = Nfsg_stats.Metrics in
+  let module Names = Nfsg_stats.Names in
+  let sink = Metrics.create () in
+  let r =
+    Chaos.run
+      ~env:{ Rig.default_env with Rig.metrics = Some sink }
+      { Chaos.default with Chaos.cycles = 2; blocks_per_writer = 60 }
+  in
+  Alcotest.(check bool) "a flush failed" true (r.Chaos.flush_failures > 0);
+  Alcotest.(check int) "the registry's count"
+    (Metrics.count sink ~ns:Names.Ns.write_layer Names.flush_failures)
+    r.Chaos.flush_failures;
+  Alcotest.(check bool) "no more failures than injected errors" true
+    (r.Chaos.flush_failures <= r.Chaos.errors_injected)
+
 (* The crash promises are scheduler-independent: however the spindle
    reorders its queue, no acked write may be lost and no non-idempotent
    op re-executed. Run the quick chaos scenario under all three. *)
@@ -540,6 +560,8 @@ let suite =
     Alcotest.test_case "partition ride-through." `Quick test_partition_ride_through;
     Alcotest.test_case "crash/restart ride-through." `Quick test_crash_restart_ride_through;
     Alcotest.test_case "chaos acceptance." `Quick test_chaos_acceptance;
+    Alcotest.test_case "chaos counts each flush failure once." `Quick
+      test_chaos_counts_flush_failures_once;
     Alcotest.test_case "chaos under all three schedulers." `Quick test_chaos_all_schedulers;
     Alcotest.test_case "chaos with Presto + battery failure." `Quick test_chaos_accelerated;
     (* faults under w1: one member, both mirrors, two members, the spindle *)

@@ -196,9 +196,9 @@ let test_op_counters () =
       Client.write f ~off:0 (Bytes.make 8192 'o');
       Client.close f;
       ignore (Client.getattr rig.client fh));
-  Alcotest.(check int) "one create" 1 (Server.op_count rig.server Proto.proc_create);
-  Alcotest.(check int) "one write" 1 (Server.op_count rig.server Proto.proc_write);
-  Alcotest.(check bool) "getattr seen" true (Server.op_count rig.server Proto.proc_getattr >= 1)
+  Alcotest.(check int) "one create" 1 (op_count rig.server Proto.proc_create);
+  Alcotest.(check int) "one write" 1 (op_count rig.server Proto.proc_write);
+  Alcotest.(check bool) "getattr seen" true (op_count rig.server Proto.proc_getattr >= 1)
 
 let suite =
   [

@@ -88,7 +88,7 @@ let test_laddis_deterministic () =
 let test_laddis_server_saw_the_mix () =
   let rig = make ~biods:4 () in
   ignore (run_laddis rig ~offered:100.0 laddis_cfg);
-  let count p = Server.op_count rig.server p in
+  let count p = op_count rig.server p in
   (* Write RPC counts are inflated by bursts (avg 4 per op drawn), so
      compare lookups against a genuinely rare op instead. *)
   Alcotest.(check bool) "lookups dominate readdirs" true

@@ -69,6 +69,12 @@ let write_file rig file ~total ?(app_chunk = 8192) ?(seed = 7) () =
 
 let expect_pattern ~total ~seed = Bytes.init total (fun i -> Char.chr ((i + seed) mod 251))
 
+(* Requests a server dispatched for an NFS procedure number, over
+   every incarnation that counted into its registry. *)
+let op_count server proc =
+  Nfsg_stats.Metrics.count (Server.metrics server) ~ns:Nfsg_stats.Names.Ns.server
+    (Nfsg_stats.Names.ops (Proto.proc_name proc))
+
 (* [f ()] and the words the allocator handed out while it ran, across
    every process the simulation ran meanwhile: every minor-heap word,
    counted by [Gc.minor_words] (on OCaml 5.1 [Gc.counters] misses the
