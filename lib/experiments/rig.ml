@@ -125,16 +125,11 @@ let serve w ~disks devices =
                  (Printf.sprintf "/export%d" v) device)
              devices)
   in
-  (w.cpu := fun d -> Resource.charge (Server.cpu server) d);
-  {
-    eng = w.eng;
-    segment = w.segment;
-    disks;
-    server;
-    metrics = w.metrics;
-    env = w.env;
-    ran = false;
-  }
+  let t = { eng = w.eng; segment = w.segment; disks; server; metrics = w.metrics; env = w.env; ran = false } in
+  (* Driver and NVRAM copy costs go to the incarnation that is live
+     when they are incurred: a restart replaces [t.server]. *)
+  (w.cpu := fun d -> Resource.charge (Server.cpu t.server) d);
+  t
 
 let make ?env spec =
   let w = world ?env spec in

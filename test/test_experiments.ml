@@ -180,6 +180,34 @@ let test_world_runs_once () =
   Alcotest.check_raises "second run" (Invalid_argument "Rig.run: a world runs once") (fun () ->
       Rig.run rig ignore)
 
+(* The disks charge their driver cost to the CPU of the incarnation
+   serving when the transaction runs: after a restart, the live one,
+   and nothing to the crashed one. *)
+let test_restart_charges_live_cpu () =
+  let module Resource = Nfsg_sim.Resource in
+  let module Server = Nfsg_core.Server in
+  let module Client = Nfsg_nfs.Client in
+  let rig = Rig.make { Rig.default_spec with Rig.gathering = false } in
+  let dead = Server.cpu rig.Rig.server in
+  let transactions () = (Rig.spindle_stats rig).Nfsg_disk.Device.transactions in
+  let dead_busy, live_busy, trans =
+    Rig.run rig (fun () ->
+        Rig.restart rig ~downtime:(Nfsg_sim.Time.ms 10);
+        let live = Server.cpu rig.Rig.server in
+        let dead0 = Resource.busy_time dead and live0 = Resource.busy_time live in
+        let trans0 = transactions () in
+        let client = Rig.new_client rig "c" in
+        let fh, _ = Client.create_file client (Rig.root rig) "f" in
+        let f = Client.open_file client fh in
+        Client.write f ~off:0 (Bytes.make 8192 'c');
+        Client.close f;
+        (Resource.busy_time dead - dead0, Resource.busy_time live - live0, transactions () - trans0))
+  in
+  Alcotest.(check bool) "the write reached the disk" true (trans > 0);
+  Alcotest.(check int) "the crashed incarnation is charged nothing" 0 dead_busy;
+  Alcotest.(check bool) "the live one pays every transaction" true
+    (live_busy >= trans * (Calib.cpu_costs Calib.Fddi).Nfsg_core.Cpu_model.driver_transaction)
+
 (* {1 Rig.env: every field reaches the world}
 
    One small world per row: a short LADDIS mix from eight stations
@@ -328,4 +356,6 @@ let suite =
     Alcotest.test_case "rig env fields reach the world" `Quick test_env_fields_honoured;
     Alcotest.test_case "a metrics sink changes no printed row" `Quick test_sink_changes_no_output;
     Alcotest.test_case "a world runs once" `Quick test_world_runs_once;
+    Alcotest.test_case "a restarted world charges the live CPU" `Quick
+      test_restart_charges_live_cpu;
   ]
