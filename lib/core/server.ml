@@ -355,7 +355,8 @@ let make_internal eng ~segment ~addr ?metrics ~legacy_ns ~incarnation config spe
     List.mapi
       (fun i spec ->
         Volume.mount eng ~fsid:(i + 1) ~format:(incarnation = 1) ~legacy_ns ~sock ~cpu ~costs
-          ~send_reply ~metrics ~wl_config:config.write_layer spec)
+          ~send_reply ~metrics ~cache_blocks:config.cache_blocks ~readahead:config.readahead
+          ~wl_config:config.write_layer spec)
       specs
   in
   let journeys = Journey.create eng ~metrics ?threshold:config.long_op_threshold () in
@@ -403,7 +404,7 @@ let make_exports eng ~segment ~addr ?metrics config specs =
    special case with its historical metrics namespaces. *)
 let make eng ~segment ~addr ~device ?metrics config =
   make_internal eng ~segment ~addr ?metrics ~legacy_ns:true ~incarnation:1 config
-    [ Volume.spec ?cache_blocks:config.cache_blocks ?readahead:config.readahead "/export" device ]
+    [ Volume.spec "/export" device ]
 
 let crash t =
   (* Power off: volatile state gone and the host leaves the wire. *)
@@ -419,6 +420,12 @@ let restart t =
   List.iter (fun v -> (Volume.device v).Nfsg_disk.Device.recover ()) t.volumes;
   (* Same registry across incarnations: find-or-create registration
      means the restarted server keeps counting where this one stopped. *)
-  make_internal t.eng ~segment:t.segment ~addr:t.addr ~metrics:t.metrics
-    ~legacy_ns:t.legacy_ns ~incarnation:(t.verf + 1) t.config
-    (List.map Volume.spec_of t.volumes)
+  let next =
+    make_internal t.eng ~segment:t.segment ~addr:t.addr ~metrics:t.metrics
+      ~legacy_ns:t.legacy_ns ~incarnation:(t.verf + 1) t.config
+      (List.map (fun v -> Volume.spec (Volume.export v) (Volume.device v)) t.volumes)
+  in
+  (* The export table's write protection survives the reboot; no nfsd
+     has run yet. *)
+  List.iter2 (fun v v' -> Volume.set_read_only v' (Volume.read_only v)) t.volumes next.volumes;
+  next

@@ -19,11 +19,11 @@ type config = {
   costs : Cpu_model.t;
   dupcache : bool;
   rcvbuf : int;  (** server socket buffer (DEC OSF/1: 256 KiB max) *)
-  cache_blocks : int option;  (** buffer-cache bound; None = plenty of RAM *)
+  cache_blocks : int option;
+      (** every volume's buffer-cache bound; None = plenty of RAM *)
   readahead : Nfsg_ufs.Buffer_cache.readahead option;
-      (** sequential prefetch policy for the single-volume {!make}
-          constructor; [None] = read-ahead off. Multi-volume exports
-          carry the policy in their {!Volume.spec} instead *)
+      (** every volume's sequential prefetch policy; [None] = read-ahead
+          off *)
   long_op_threshold : Nfsg_sim.Time.t option;
       (** ops slower end-to-end than this emit a long-op record into the
           journey plane's ring; [None] disables long-op tracing (journey
@@ -112,7 +112,8 @@ val restart : t -> t
     and fsck-style remount, fresh daemons, same network address (the
     crashed incarnation left the wire), and the next incarnation number
     as the shared write verifier.
-    Each volume remounts with the generation on its platter, so
+    Each volume remounts with the generation on its platter and keeps
+    its read-only flag ({!Volume.set_read_only}), so
     handles minted before the crash stay valid; clients that keep
     retransmitting ride through the outage: their RPCs go unanswered
     while the server is down and are answered by the new incarnation. *)

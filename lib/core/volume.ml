@@ -1,16 +1,9 @@
 module Fs = Nfsg_ufs.Fs
 module Proto = Nfsg_nfs.Proto
 
-type spec = {
-  export : string;
-  device : Nfsg_disk.Device.t;
-  cache_blocks : int option;
-  read_only : bool;
-  readahead : Nfsg_ufs.Buffer_cache.readahead option;
-}
+type spec = { export : string; device : Nfsg_disk.Device.t }
 
-let spec ?cache_blocks ?(read_only = false) ?readahead export device =
-  { export; device; cache_blocks; read_only; readahead }
+let spec export device = { export; device }
 
 type t = {
   spec : spec;
@@ -30,12 +23,12 @@ let write_layer_ns_of ~legacy_ns fsid =
 let read_plane_ns_of ~legacy_ns fsid =
   if legacy_ns then Nfsg_stats.Names.Ns.read_plane else Nfsg_stats.Names.Ns.read_plane_vol fsid
 
-let mount eng ~fsid ~format ~legacy_ns ~sock ~cpu ~costs ~send_reply ?metrics ~wl_config spec =
+let mount eng ~fsid ~format ~legacy_ns ~sock ~cpu ~costs ~send_reply ?metrics ~cache_blocks
+    ~readahead ~wl_config spec =
   if format then Fs.mkfs spec.device ();
   let fs =
-    Fs.mount eng ?cache_blocks:spec.cache_blocks ?metrics
-      ~ns:(read_plane_ns_of ~legacy_ns fsid)
-      ?readahead:spec.readahead spec.device
+    Fs.mount eng ?cache_blocks ?metrics ~ns:(read_plane_ns_of ~legacy_ns fsid) ?readahead
+      spec.device
   in
   let wl =
     Write_layer.create eng ~fs ~sock ~cpu ~costs ~send_reply ?metrics
@@ -48,7 +41,7 @@ let mount eng ~fsid ~format ~legacy_ns ~sock ~cpu ~costs ~send_reply ?metrics ~w
     fs;
     wl;
     server_ns = server_ns_of ~legacy_ns fsid;
-    read_only = spec.read_only;
+    read_only = false;
   }
 
 let export t = t.spec.export
@@ -64,10 +57,6 @@ let write_layer t = t.wl
 let server_ns t = t.server_ns
 let read_only t = t.read_only
 let set_read_only t ro = t.read_only <- ro
-
-(* Spec as remounted at recovery: the runtime toggle is part of the
-   identity a reboot must preserve. *)
-let spec_of t = { t.spec with read_only = t.read_only }
 
 let fh t ino = { Proto.fsid = t.fsid; vgen = vgen t; inum = Fs.inum ino; gen = Fs.generation ino }
 let root_fh t = fh t (Fs.root t.fs)

@@ -12,19 +12,9 @@
 type spec = {
   export : string;  (** name a client mounts, e.g. ["/export0"] *)
   device : Nfsg_disk.Device.t;
-  cache_blocks : int option;  (** buffer-cache bound; [None] = plenty *)
-  read_only : bool;  (** exported ro: mutating procs earn NFSERR_ROFS *)
-  readahead : Nfsg_ufs.Buffer_cache.readahead option;
-      (** sequential prefetch policy; [None] = read-ahead off *)
 }
 
-val spec :
-  ?cache_blocks:int ->
-  ?read_only:bool ->
-  ?readahead:Nfsg_ufs.Buffer_cache.readahead ->
-  string ->
-  Nfsg_disk.Device.t ->
-  spec
+val spec : string -> Nfsg_disk.Device.t -> spec
 
 type t
 
@@ -38,11 +28,15 @@ val mount :
   costs:Cpu_model.t ->
   send_reply:(Nfsg_rpc.Svc.transport -> Nfsg_nfs.Proto.res -> unit) ->
   ?metrics:Nfsg_stats.Metrics.t ->
+  cache_blocks:int option ->
+  readahead:Nfsg_ufs.Buffer_cache.readahead option ->
   wl_config:Write_layer.config ->
   spec ->
   t
 (** Mounts the device and builds the volume's write layer on the
-    shared server socket/CPU.
+    shared server socket/CPU, with a buffer cache of [cache_blocks]
+    ([None] = plenty) and the [readahead] policy ([None] = off). The
+    volume is exported read-write.
 
     With [format], the volume is new: the device is formatted first,
     which stamps the next volume generation ({!Nfsg_ufs.Fs.mkfs}) and
@@ -75,11 +69,9 @@ val read_only : t -> bool
 val set_read_only : t -> bool -> unit
 (** Flip the export's write protection at runtime ("exportfs -o ro"):
     an experiment populates a volume read-write, then protects it
-    before unleashing the fleet. *)
+    before unleashing the fleet. Mutating procedures on a protected
+    export earn [NFSERR_ROFS]. *)
 
-(** [spec_of] is the spec as it must be remounted at recovery —
-    includes the current runtime read-only state. *)
-val spec_of : t -> spec
 val root_fh : t -> Nfsg_nfs.Proto.fh
 
 val fh : t -> Nfsg_ufs.Fs.inode -> Nfsg_nfs.Proto.fh

@@ -81,8 +81,8 @@ let run_rung ?env sweep ~readahead ~clients =
       List.iter (fun v -> Volume.set_read_only v true) (Server.volumes rig.Rig.server);
       (* The storm premise is a lab-wide power cut: the server reboots
          too, so the fleet arrives at a genuinely cold cache. Recovery
-         preserves the read-only flip and the read-ahead policy
-         (Volume.spec_of). *)
+         keeps the read-only flip (Server.restart) and the read-ahead
+         policy (the server config). *)
       Rig.restart rig ~downtime:(Time.ms 50);
       let cache = Fs.cache (Server.fs rig.Rig.server) in
       let h0 = Buffer_cache.hits cache and m0 = Buffer_cache.misses cache in

@@ -120,9 +120,7 @@ let serve w ~disks devices =
     | devices ->
         Server.make_exports w.eng ~segment:w.segment ~addr:"server" ~metrics:w.metrics config
           (List.mapi
-             (fun v device ->
-               Volume.spec ?cache_blocks:config.Server.cache_blocks ?readahead:config.Server.readahead
-                 (Printf.sprintf "/export%d" v) device)
+             (fun v device -> Volume.spec (Printf.sprintf "/export%d" v) device)
              devices)
   in
   let t = { eng = w.eng; segment = w.segment; disks; server; metrics = w.metrics; env = w.env; ran = false } in
