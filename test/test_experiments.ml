@@ -284,6 +284,21 @@ let multivolume env =
 let iosched env =
   Iosched.run ~env ~cfg:{ Iosched.default with Iosched.load = tiny_load Iosched.default.Iosched.load } ()
 
+(* The benches that leave nfsgather's "all": one rung of a ladder, a
+   one-client storm, and a small writegather document. *)
+let laddis_curve env =
+  let module Lc = Nfsg_experiments.Laddis_curve in
+  (Lc.curve ~env ~knee_frac:0.0 ~label:"tiny" Rig.default_spec
+     ~load:(Fun.const (tiny_load Laddis.default_config))
+     [ 40.0 ])
+    .Lc.points
+
+let bootstorm env =
+  let module Bs = Nfsg_experiments.Bootstorm in
+  Bs.curve ~env { Bs.default_sweep with Bs.clients_max = 1 } ~readahead:true
+
+let writegather env = Nfsg_stats.Json.to_string (E.bench_writegather ~env ~total:(64 * 1024) ())
+
 let chaos env =
   Chaos.run ~env
     { Chaos.default with Chaos.cycles = 1; writers = 1; blocks_per_writer = 20; burst_ops = 2 }
@@ -319,6 +334,9 @@ let env_rows =
     ("metrics: raid", fills_sink raid ~ns:"disk.m0");
     ("metrics: multivolume", fills_sink multivolume ~ns:"disk.vol1-rz26");
     ("metrics: iosched", fills_sink iosched ~ns:"disk.rz26");
+    ("metrics: laddis-curve", fills_sink laddis_curve ~ns:"disk.rz26-0");
+    ("metrics: bootstorm", fills_sink bootstorm ~ns:"read_plane");
+    ("metrics: writegather", fills_sink writegather ~ns:"write_layer");
     ( "metrics: chaos",
       fills_sink (fun env -> (chaos env).Chaos.digest) ~ns:"disk.rz26" );
     ( "scheduler: chaos",
