@@ -150,7 +150,9 @@ val mbuf_hits : t -> int
 
 val flush_failures : t -> int
 (** Gathered batches whose data/metadata flush hit a disk error; every
-    descriptor in such a batch was answered [NFSERR_IO]. *)
+    descriptor in such a batch was answered [NFSERR_IO]. The count
+    lives in the registry, so after a restart it includes every earlier
+    incarnation's failures. *)
 
 val mean_batch_size : t -> float
 

@@ -58,7 +58,7 @@ type result = {
   spurious_nonidem : int;  (** client-visible re-executions — 0 with dupcache *)
   crashes : int;
   restarts : int;
-  flush_failures : int;  (** gathered batches failed with NFSERR_IO *)
+  flush_failures : int;  (** gathered batches failed with NFSERR_IO, all incarnations *)
   errors_injected : int;
   io_error_replies : int;  (** NFSERR_IO write replies clients retried through *)
   member_failures : int;
