@@ -304,26 +304,25 @@ let dispatch_nfs t tr ~proc args =
 (* The mini MOUNT service: export name in, root filehandle out. *)
 let dispatch_mount t tr (call : Rpc.call) =
   if call.Rpc.proc <> Proto.proc_mnt then Svc.Reply (Rpc.Proc_unavail, Bytes.create 0)
-  else
-    match Proto.decode_mnt_args call.Rpc.body with
-    | exception Xdr.Decode_error _ -> Svc.Reply (Rpc.Garbage_args, Bytes.create 0)
-    | name ->
-        let res =
-          match List.find_opt (fun v -> Volume.export v = name) t.volumes with
-          | Some vol -> Ok (Volume.root_fh vol, Volume.read_only vol)
-          | None -> Error Proto.NFSERR_NOENT
-        in
-        t.send tr (fun enc -> Proto.put_mnt_res enc res);
-        Svc.Reply_pending
+  else begin
+    let name = Proto.decode_mnt_args call.Rpc.body in
+    let res =
+      match List.find_opt (fun v -> Volume.export v = name) t.volumes with
+      | Some vol -> Ok (Volume.root_fh vol, Volume.read_only vol)
+      | None -> Error Proto.NFSERR_NOENT
+    in
+    t.send tr (fun enc -> Proto.put_mnt_res enc res);
+    Svc.Reply_pending
+  end
 
+(* Arguments that do not decode raise [Xdr.Decode_error] out of the
+   dispatch, and Svc answers GARBAGE_ARGS: counted, and not cached. *)
 let dispatch t tr (call : Rpc.call) =
   if call.Rpc.prog = Rpc.mount_program then dispatch_mount t tr call
   else if call.Rpc.prog <> Rpc.nfs_program then Svc.Reply (Rpc.Prog_unavail, Bytes.create 0)
   else begin
     Resource.use t.cpu (t.config.costs.Cpu_model.rpc_decode + t.config.costs.Cpu_model.op_base);
-    match Proto.decode_args ~proc:call.Rpc.proc call.Rpc.body with
-    | exception Xdr.Decode_error _ -> Svc.Reply (Rpc.Garbage_args, Bytes.create 0)
-    | args -> dispatch_nfs t tr ~proc:call.Rpc.proc args
+    dispatch_nfs t tr ~proc:call.Rpc.proc (Proto.decode_args ~proc:call.Rpc.proc call.Rpc.body)
   end
 
 (* The assembly shared by the fresh-format and recovery paths: the

@@ -129,11 +129,14 @@ let daemon t () =
       let nfrags = fragments_of t.p size in
       deliver_to t ~src ~dst ~nfrags ~size payload;
       (* Datagram duplication (a misbehaving bridge): the copy arrives
-         one extra latency later, exercising the duplicate cache. *)
+         one extra latency later, exercising the duplicate cache. It is
+         a copy of its own, taken now: the sender may reuse the
+         original once the original's call is answered. *)
       if t.dup > 0.0 && Rng.bool t.rng t.dup then begin
         Metrics.incr t.duplicated;
+        let copy = Bytes.copy payload in
         Engine.schedule t.eng ~after:t.p.latency (fun () ->
-            deliver_to t ~src ~dst ~nfrags ~size payload)
+            deliver_to t ~src ~dst ~nfrags ~size copy)
       end
     end;
     loop ()

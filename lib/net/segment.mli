@@ -63,7 +63,11 @@ val set_loss_prob : t -> float -> unit
 val dup_prob : t -> float
 val set_dup_prob : t -> float -> unit
 (** Probability a delivered datagram is delivered a second time (one
-    extra propagation latency later). Needs [0 <= p < 1]. *)
+    extra propagation latency later). Needs [0 <= p < 1]. The second
+    delivery is a copy of its own, taken when the original leaves the
+    wire, so a call sent once reaches the server as one buffer at most
+    once: the sender may reuse that buffer once the call is answered
+    ([Nfsg_rpc.Rpc_client]). *)
 
 val partition : t -> a:string -> b:string -> until:Nfsg_sim.Time.t -> unit
 (** Black out all traffic between addresses [a] and [b] (both

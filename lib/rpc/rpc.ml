@@ -35,8 +35,8 @@ let get_auth dec =
   let _flavor = Xdr.Dec.uint32 dec in
   ignore (Xdr.Dec.opaque_view dec : Xdr.view)
 
-let encode_call_with ~xid ~prog ~vers ~proc put_body =
-  Xdr.Enc.encode (fun enc ->
+let encode_call_with ?buffer ~xid ~prog ~vers ~proc put_body =
+  Xdr.Enc.encode ?buffer (fun enc ->
       Xdr.Enc.uint32 enc xid;
       Xdr.Enc.enum enc msg_call;
       Xdr.Enc.uint32 enc rpc_version;

@@ -17,9 +17,17 @@ type accept_stat = Success | Prog_unavail | Proc_unavail | Garbage_args | System
 type reply = { rxid : int; stat : accept_stat; rbody : Xdr.view }
 
 val encode_call_with :
-  xid:int -> prog:int -> vers:int -> proc:int -> (Xdr.Enc.t -> unit) -> Bytes.t
+  ?buffer:(int -> Bytes.t) ->
+  xid:int ->
+  prog:int ->
+  vers:int ->
+  proc:int ->
+  (Xdr.Enc.t -> unit) ->
+  Bytes.t
 (** The call header and then whatever [put_body] writes, in one exactly
-    sized buffer: the datagram. *)
+    sized buffer: the datagram. [buffer] supplies that buffer, as in
+    {!Xdr.Enc.encode}: how {!Rpc_client} encodes a call into a datagram
+    an earlier call gave back. *)
 
 val encode_call : call -> Bytes.t
 (** {!encode_call_with} over an already-encoded body. *)

@@ -28,6 +28,10 @@ type t = {
   sock : Nfsg_net.Socket.t;
   server : string;
   params : params;
+  spares : Bytes.t Stack.t;  (** call datagrams given back, all of one length *)
+  take_spare : (int -> Bytes.t) option;
+      (** the encoder's buffer hook over [spares], built once so that a
+          call allocates no hook *)
   pending : (int, transmission) Hashtbl.t;
   rtt : (op_class, rtt_state) Hashtbl.t;
   mutable next_xid : int;
@@ -39,6 +43,27 @@ type t = {
 }
 
 let retransmissions t = Metrics.value t.retrans
+let spares t = Stack.length t.spares
+
+(* A datagram over 256 words (2 KB on 64-bit) is allocated outside the
+   minor heap, so reusing it saves a major allocation. A smaller one
+   costs a bump of the minor heap, and keeping it would promote it. *)
+let spare_above = 256 * (Sys.word_size / 8)
+
+let take spares n =
+  if (not (Stack.is_empty spares)) && Bytes.length (Stack.top spares) = n then Stack.pop spares
+  else Bytes.create n
+
+(* Spares hold one length at a time, and a datagram of another length
+   replaces them. A datagram is then allocated only when every spare of
+   its length is in flight, so the spares never outnumber the calls
+   that were in flight at once. *)
+let give_back spares datagram =
+  let n = Bytes.length datagram in
+  if n > spare_above then begin
+    if (not (Stack.is_empty spares)) && Bytes.length (Stack.top spares) <> n then Stack.clear spares;
+    Stack.push datagram spares
+  end
 
 let demux t () =
   let rec loop () =
@@ -60,12 +85,15 @@ let demux t () =
 let create eng ~sock ~server ?(params = default_params) ?metrics () =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
   let ns = Names.Ns.rpc_client in
+  let spares = Stack.create () in
   let t =
     {
       eng;
       sock;
       server;
       params;
+      spares;
+      take_spare = Some (take spares);
       pending = Hashtbl.create 64;
       rtt = Hashtbl.create 4;
       next_xid = 1;
@@ -119,7 +147,9 @@ let rto_for t klass =
 let call_with t ?(klass = Middle) ?(prog = Rpc.nfs_program) ~proc put_body =
   t.next_xid <- t.next_xid + 1;
   let xid = t.next_xid in
-  let payload = Rpc.encode_call_with ~xid ~prog ~vers:Rpc.nfs_version ~proc put_body in
+  let payload =
+    Rpc.encode_call_with ?buffer:t.take_spare ~xid ~prog ~vers:Rpc.nfs_version ~proc put_body
+  in
   let rec attempt n rto =
     if n > t.params.max_attempts then begin
       Metrics.incr t.timeouts;
@@ -144,6 +174,9 @@ let call_with t ?(klass = Middle) ?(prog = Rpc.nfs_program) ~proc put_body =
         let rtt = Engine.now t.eng - sent_at in
         note_rtt t klass rtt;
         Nfsg_stats.Histogram.add t.rtt_us (Time.to_us_f rtt);
+        (* Answered on its only transmission: no copy is left on the
+           wire or in a socket buffer, and the server kept none. *)
+        if n = 1 then give_back t.spares payload;
         (reply.Rpc.stat, reply.Rpc.rbody)
     | None -> attempt (n + 1) (Stdlib.min t.params.max_rto (2 * rto))
   in

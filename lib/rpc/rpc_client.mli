@@ -6,7 +6,22 @@
     seeded per {e operation class} — the paper's point that servers are
     judged by write (heavyweight), read (middleweight) and lookup
     (lightweight) performance, with write latency steering the client's
-    view of the server. *)
+    view of the server.
+
+    {b The client owns its call datagrams.} As a BSD client frees a
+    request's mbuf chain once the reply arrives, a call answered on its
+    first transmission gives its datagram back, and the client's next
+    call of the same length is encoded into it. The rule that makes
+    this safe: {e nobody keeps a call datagram, or a view into it,
+    after its reply has been sent.} A server copies what it keeps (file
+    data into the buffer cache, names into strings) before it replies;
+    the mbuf hunter scans only datagrams still queued; a duplicating
+    segment delivers its own copy ({!Nfsg_net.Segment.set_dup_prob}).
+    A call that was retransmitted or timed out never gives its datagram
+    back, since a copy may still be on the wire or in a socket buffer.
+    Only datagrams over 256 words (2 KB on 64-bit), which the runtime
+    allocates outside the minor heap, are kept, and the spares hold one
+    length at a time: a datagram of another length replaces them. *)
 
 type t
 
@@ -63,3 +78,7 @@ val rtt_estimate : t -> op_class -> Nfsg_sim.Time.t option
 (** Smoothed RTT for the class, once at least one sample exists. *)
 
 val retransmissions : t -> int
+
+val spares : t -> int
+(** Call datagrams given back and not yet reused. Never more than the
+    calls that were in flight at once. *)

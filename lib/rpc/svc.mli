@@ -31,7 +31,19 @@ val create :
   dispatch:(transport -> Rpc.call -> disposition) ->
   unit ->
   t
-(** Spawns [nfsds] server daemons named nfsd0..n. [on_duplicate_drop]
+(** Spawns [nfsds] server daemons named nfsd0..n.
+
+    [dispatch tr call] runs one admitted call. [call.body] is a view
+    into the call datagram, which the client owns again once the reply
+    is sent: the dispatch, and everything it hands the call to, must
+    copy what it keeps before the reply goes out, and read nothing of
+    the datagram after. Arguments that fail to decode are answered by
+    letting {!Xdr.Decode_error} escape: the request is counted as
+    garbage, its duplicate-cache entry is forgotten, and it gets
+    [Garbage_args] with an empty body. Any other exception is a
+    dispatch error, answered [System_err] the same way.
+
+    [on_duplicate_drop]
     fires when an in-progress duplicate is discarded — the hook the
     write-gathering layer uses to avoid orphaned gathered writes
     (section 6.9). [journeys], when given, attaches a journey record to
@@ -69,6 +81,9 @@ val handles_outstanding : t -> int
 
 val handle_cache_size : t -> int
 val garbage_dropped : t -> int
+(** Datagrams that were no call, dropped unanswered, plus calls whose
+    arguments did not decode, answered [Garbage_args]: the
+    ["rpc.svc"] [garbage] counter. *)
 
 val dispatch_errors : t -> int
 (** Dispatches that raised. Each was answered with [System_err] and had

@@ -106,10 +106,15 @@ module Enc = struct
     raw_view t v;
     zeros t (pad4 v.view_len)
 
-  let encode put =
+  let encode ?(buffer = Bytes.create) put =
     let sizing = { buf = Bytes.empty; pos = 0; counting = true } in
     put sizing;
-    let t = { buf = Bytes.create sizing.pos; pos = 0; counting = false } in
+    let buf = buffer sizing.pos in
+    if Bytes.length buf <> sizing.pos then
+      invalid_arg
+        (Printf.sprintf "Xdr.Enc.encode: a %d-byte buffer for a %d-byte message" (Bytes.length buf)
+           sizing.pos);
+    let t = { buf; pos = 0; counting = false } in
     put t;
     if t.pos <> sizing.pos then invalid_arg "Xdr.Enc.encode: the two passes wrote different sizes";
     t.buf

@@ -50,10 +50,17 @@ module Enc : sig
   type t
   (** Writes each field in place into one buffer. *)
 
-  val encode : (t -> unit) -> Bytes.t
+  val encode : ?buffer:(int -> Bytes.t) -> (t -> unit) -> Bytes.t
   (** [encode put] runs [put] once to size the message and once to fill
       it: one exactly sized buffer, returned without a copy. [put] must
-      write the same fields both times ([Invalid_argument] otherwise). *)
+      write the same fields both times ([Invalid_argument] otherwise).
+
+      [buffer n] supplies the buffer for an [n]-byte message (a fresh
+      [Bytes.create n] by default), so a caller can encode into a
+      buffer it already owns. Every byte of it is written, padding
+      included, so what it held before never shows. It must be exactly
+      [n] bytes long, since a datagram's length sets its wire time
+      ([Invalid_argument] otherwise). *)
 
   val uint32 : t -> int -> unit
   (** Raises [Invalid_argument] outside [0, 2^32). *)

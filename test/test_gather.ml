@@ -319,7 +319,8 @@ let prop_random_traffic =
    decides whether to gather: the mbuf hunter must skip the datagram it
    cannot decode, not let the decode failure escape and answer the
    valid WRITE ahead of it with GARBAGE_ARGS (orphaning its gather
-   queue). The truncated WRITE itself earns GARBAGE_ARGS. *)
+   queue). The truncated WRITE itself earns GARBAGE_ARGS, counted as
+   garbage by Svc like any undecodable request. *)
 let test_truncated_write_in_socket_buffer () =
   let rig = make ~config:{ gathering_config with Server.nfsds = 1 } () in
   let sender addr =
@@ -352,9 +353,11 @@ let test_truncated_write_in_socket_buffer () =
   | _ -> Alcotest.fail "valid WRITE was not acknowledged");
   Alcotest.(check bool) "truncated WRITE earns GARBAGE_ARGS" true
     (!truncated_stat = Some Nfsg_rpc.Rpc.Garbage_args);
-  Alcotest.(check (option int)) "no dispatch errors" (Some 0)
-    (Nfsg_stats.Metrics.find_counter (Server.metrics rig.server) ~ns:Nfsg_stats.Names.Ns.rpc_svc
-       Nfsg_stats.Names.dispatch_errors)
+  let svc_count name =
+    Nfsg_stats.Metrics.find_counter (Server.metrics rig.server) ~ns:Nfsg_stats.Names.Ns.rpc_svc name
+  in
+  Alcotest.(check (option int)) "no dispatch errors" (Some 0) (svc_count Nfsg_stats.Names.dispatch_errors);
+  Alcotest.(check (option int)) "counted as garbage" (Some 1) (svc_count Nfsg_stats.Names.garbage)
 
 (* {1 The flight recorder: Figure 1 for any run} *)
 

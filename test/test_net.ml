@@ -140,6 +140,32 @@ let test_unknown_destination_vanishes () =
   (* Nothing to assert beyond "no crash". *)
   ()
 
+(* A duplicating segment delivers the duplicate as a buffer of its own,
+   so the sender may reuse the original once its call is answered. *)
+let test_duplicate_is_its_own_copy () =
+  let sent = Bytes.of_string "one call" in
+  let got = ref [] in
+  let dups =
+    run_sim (fun eng ->
+        let seg = Segment.create eng Segment.fddi in
+        Segment.set_dup_prob seg 0.999;
+        let a = Socket.create seg ~addr:"a" () in
+        let b = Socket.create seg ~addr:"b" () in
+        Engine.spawn eng (fun () ->
+            for _ = 1 to 2 do
+              got := snd (Socket.recv b) :: !got
+            done);
+        Socket.send a ~dst:"b" sent;
+        seg)
+  in
+  Alcotest.(check int) "duplicated once" 1 (Segment.datagrams_duplicated dups);
+  match !got with
+  | [ dup; original ] ->
+      Alcotest.(check bool) "the original is the buffer sent" true (original == sent);
+      Alcotest.(check bool) "the duplicate is another buffer" true (dup != sent);
+      Alcotest.(check string) "with the same bytes" (Bytes.to_string sent) (Bytes.to_string dup)
+  | l -> Alcotest.failf "%d deliveries" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "datagram delivery" `Quick test_delivery;
@@ -152,4 +178,5 @@ let suite =
     Alcotest.test_case "random loss injection" `Quick test_loss_injection;
     Alcotest.test_case "per-fragment receive hook" `Quick test_rx_fragment_hook;
     Alcotest.test_case "unknown destination dropped" `Quick test_unknown_destination_vanishes;
+    Alcotest.test_case "a duplicate is its own copy" `Quick test_duplicate_is_its_own_copy;
   ]

@@ -459,6 +459,104 @@ let test_truncated_write_garbage_args () =
   Alcotest.(check int) "counted as garbage" 1 (Svc.garbage_dropped svc);
   Alcotest.(check int) "not a dispatch error" 0 (Svc.dispatch_errors svc)
 
+(* {1 Call datagrams the client gets back} *)
+
+(* A client and a stand-in server on a bare socket, which answers every
+   call at once with an empty success and shows [seen] each datagram it
+   receives. *)
+let reuse_rig ?(seen = fun _ -> ()) () =
+  let eng = Engine.create () in
+  let segment = Segment.create eng Segment.fddi in
+  let server = Socket.create segment ~addr:"server" () in
+  Engine.spawn eng ~name:"stand-in" (fun () ->
+      while true do
+        let src, dgram = Socket.recv server in
+        seen dgram;
+        let xid = (Rpc.decode_call dgram).Rpc.xid in
+        Socket.send server ~dst:src
+          (Rpc.encode_reply { Rpc.rxid = xid; stat = Rpc.Success; rbody = Xdr.empty_view })
+      done);
+  let rpc = Rpc_client.create eng ~sock:(Socket.create segment ~addr:"client" ()) ~server:"server" () in
+  (eng, segment, rpc)
+
+(* A call whose datagram is [len] bytes: the call header is 40. *)
+let call_of_length rpc len = ignore (Rpc_client.call rpc ~proc:1 (Bytes.make (len - 40) 'a'))
+
+let test_answered_call_lends_its_datagram () =
+  let seen = ref [] in
+  let eng, _, rpc = reuse_rig ~seen:(fun d -> seen := (d, (Rpc.decode_call d).Rpc.xid) :: !seen) () in
+  run_driver eng (fun () ->
+      call_of_length rpc 8232;
+      Alcotest.(check int) "given back" 1 (Rpc_client.spares rpc);
+      call_of_length rpc 8232;
+      Alcotest.(check int) "given back again" 1 (Rpc_client.spares rpc));
+  match !seen with
+  | [ (second, xid); (first, _) ] ->
+      Alcotest.(check bool) "the second call is encoded into the first's datagram" true (second == first);
+      Alcotest.(check int) "which carried the second xid" 3 xid
+  | l -> Alcotest.failf "the server saw %d datagrams" (List.length l)
+
+let test_retransmitted_call_keeps_its_datagram () =
+  let seen = ref [] in
+  let eng, segment, rpc = reuse_rig ~seen:(fun d -> seen := (d, Bytes.copy d) :: !seen) () in
+  (* The first transmission is lost; its retransmission, 1.1 s later, is
+     answered. *)
+  Segment.set_loss_prob segment 0.999;
+  Engine.schedule eng ~after:(Time.ms 100) (fun () -> Segment.set_loss_prob segment 0.0);
+  run_driver eng (fun () ->
+      call_of_length rpc 8232;
+      Alcotest.(check int) "one retransmission" 1 (Rpc_client.retransmissions rpc);
+      Alcotest.(check int) "nothing given back" 0 (Rpc_client.spares rpc);
+      call_of_length rpc 8232;
+      call_of_length rpc 8232);
+  match List.rev !seen with
+  | (first, as_sent) :: later ->
+      Alcotest.(check int) "the server saw every call" 2 (List.length later);
+      List.iter
+        (fun (d, _) -> Alcotest.(check bool) "a later call has a datagram of its own" true (d != first))
+        later;
+      Alcotest.(check bool) "the retransmitted datagram keeps the bytes sent" true
+        (Bytes.equal first as_sent)
+  | [] -> Alcotest.fail "the server saw nothing"
+
+(* Only a datagram the runtime allocates outside the minor heap, over
+   256 words, is worth keeping. *)
+let test_small_datagram_never_kept () =
+  let limit = 256 * (Sys.word_size / 8) in
+  let seen = ref [] in
+  let eng, _, rpc = reuse_rig ~seen:(fun d -> seen := d :: !seen) () in
+  run_driver eng (fun () ->
+      call_of_length rpc limit;
+      call_of_length rpc limit;
+      Alcotest.(check int) "a datagram of 256 words is not kept" 0 (Rpc_client.spares rpc);
+      call_of_length rpc (limit + 4);
+      Alcotest.(check int) "one word over is" 1 (Rpc_client.spares rpc));
+  match List.rev !seen with
+  | first :: second :: _ -> Alcotest.(check bool) "each small call has its own" true (first != second)
+  | _ -> Alcotest.fail "the server saw too few datagrams"
+
+(* Four callers at once, each cycling through three large lengths, in
+   step so that different lengths are in flight together. *)
+let test_spares_bounded_by_calls_in_flight () =
+  let eng, _, rpc = reuse_rig () in
+  let lengths = [| 3000; 5000; 8232 |] in
+  let in_flight = ref 0 and peak = ref 0 and most_spares = ref 0 in
+  for c = 0 to 3 do
+    Engine.spawn eng ~name:(Printf.sprintf "caller%d" c) (fun () ->
+        for i = 0 to 11 do
+          incr in_flight;
+          peak := Stdlib.max !peak !in_flight;
+          call_of_length rpc lengths.((i + c) mod Array.length lengths);
+          decr in_flight;
+          most_spares := Stdlib.max !most_spares (Rpc_client.spares rpc);
+          if Rpc_client.spares rpc > !peak then
+            Alcotest.failf "%d spares after at most %d calls in flight" (Rpc_client.spares rpc) !peak
+        done)
+  done;
+  Engine.run eng;
+  Alcotest.(check int) "four calls were in flight at once" 4 !peak;
+  Alcotest.(check bool) "spares were kept" true (!most_spares >= 1)
+
 let suite =
   [
     Alcotest.test_case "call encode/decode" `Quick test_call_roundtrip;
@@ -483,4 +581,11 @@ let suite =
       test_truncated_write_garbage_args;
     Alcotest.test_case "dupcache turnover allocates a constant" `Quick
       test_dupcache_turnover_allocates_a_constant;
+    Alcotest.test_case "an answered call lends its datagram" `Quick
+      test_answered_call_lends_its_datagram;
+    Alcotest.test_case "a retransmitted call keeps its datagram" `Quick
+      test_retransmitted_call_keeps_its_datagram;
+    Alcotest.test_case "a datagram of 2 KB or less is never kept" `Quick test_small_datagram_never_kept;
+    Alcotest.test_case "spares never outnumber calls in flight" `Quick
+      test_spares_bounded_by_calls_in_flight;
   ]

@@ -4,7 +4,9 @@
    call datagram, Svc.encode_reply (the server's reply funnel) writing
    the result straight into the reply datagram -- and must match, byte
    for byte, what the two-step encoders produced before the one-buffer
-   path existed (digests recorded from them). *)
+   path existed (digests recorded from them). So must every call encoded
+   into a reused buffer, as a client encodes into a datagram an earlier
+   call gave back. *)
 
 open Nfsg_sim
 module Proto = Nfsg_nfs.Proto
@@ -156,11 +158,13 @@ let call_datagrams () =
   in_world (fun eng segment ->
       let server = Socket.create segment ~addr:"server" () in
       let seen = ref [] in
-      (* A bare server that records each call and acknowledges it. *)
+      (* A bare server that fingerprints each call as it arrives, since
+         the client may reuse the datagram once it is answered, and
+         acknowledges it. *)
       Engine.spawn eng ~name:"recorder" (fun () ->
           while true do
             let src, dgram = Socket.recv server in
-            seen := dgram :: !seen;
+            seen := fingerprint dgram :: !seen;
             let xid = (Rpc.decode_call dgram).Rpc.xid in
             Socket.send server ~dst:src
               (Rpc.encode_reply { Rpc.rxid = xid; stat = Rpc.Success; rbody = Xdr.empty_view })
@@ -201,9 +205,28 @@ let reply_datagrams () =
                { Rpc.xid = 100 + k; prog = Rpc.nfs_program; vers = Rpc.nfs_version; proc = 0; body = Xdr.empty_view });
           snd (Socket.recv client)))
 
+(* Each call as the client encodes it, xids 2, 3, ... and MNT last,
+   into buffers from [buffer]. *)
+let encode_calls ~buffer =
+  let call ~xid ~prog ~proc put =
+    Rpc.encode_call_with ~buffer ~xid ~prog ~vers:Rpc.nfs_version ~proc put
+  in
+  List.mapi
+    (fun i args ->
+      call ~xid:(2 + i) ~prog:Rpc.nfs_program ~proc:(Proto.proc_of_args args) (fun enc ->
+          Proto.put_args enc args))
+    calls
+  @ [
+      call ~xid:(2 + List.length calls) ~prog:Rpc.mount_program ~proc:Proto.proc_mnt (fun enc ->
+          Proto.put_mnt_args enc "/export1");
+    ]
+
 let test_calls_match_recorded () =
-  Alcotest.check fingerprints "client call datagrams" recorded_calls
-    (List.map fingerprint (call_datagrams ()));
+  Alcotest.check fingerprints "client call datagrams" recorded_calls (call_datagrams ());
+  (* A reused buffer still holds an earlier datagram's bytes; 0xFF
+     stands for them. Every byte is written, padding included. *)
+  Alcotest.check fingerprints "calls encoded into 0xFF-filled buffers" recorded_calls
+    (List.map fingerprint (encode_calls ~buffer:(fun n -> Bytes.make n '\xff')));
   (* The two-step encoders (what a codec benchmark calls) agree. *)
   let two_step =
     List.mapi
@@ -216,6 +239,16 @@ let test_calls_match_recorded () =
   Alcotest.check fingerprints "Rpc.encode_call over Proto.encode_args"
     (List.filteri (fun i _ -> i < List.length calls) recorded_calls)
     (List.map fingerprint two_step)
+
+(* A datagram's length sets its wire time, so the encoder takes no
+   buffer of another length. *)
+let test_wrong_length_buffer_rejected () =
+  List.iter
+    (fun (what, slack) ->
+      match encode_calls ~buffer:(fun n -> Bytes.create (n + slack)) with
+      | _ -> Alcotest.failf "a buffer %s was taken" what
+      | exception Invalid_argument _ -> ())
+    [ ("4 bytes short", -4); ("4 bytes long", 4) ]
 
 let test_replies_match_recorded () =
   Alcotest.check fingerprints "server reply datagrams" recorded_replies
@@ -256,4 +289,5 @@ let suite =
     Alcotest.test_case "call datagrams match the recorded bytes" `Quick test_calls_match_recorded;
     Alcotest.test_case "reply datagrams match the recorded bytes" `Quick test_replies_match_recorded;
     Alcotest.test_case "8 KB WRITE call and READ reply are one buffer" `Quick test_8k_messages_one_buffer;
+    Alcotest.test_case "a buffer of the wrong length is refused" `Quick test_wrong_length_buffer_rejected;
   ]
