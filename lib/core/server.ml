@@ -39,7 +39,6 @@ type t = {
   config : config;
   addr : string;
   volumes : Volume.t list;  (** export table, fsid order *)
-  legacy_ns : bool;
   sock : Nfsg_net.Socket.t;
   cpu : Resource.t;
   verf : int;
@@ -82,28 +81,26 @@ let journeys t = t.journeys
 let jstamp t tr stamp =
   match Svc.journey_of tr with Some j -> stamp j ~now:(Engine.now t.eng) | None -> ()
 
-let count_op t proc =
-  match t.ops.(proc) with
+(* Count a call of [proc] in [slots], whose [ops_<PROC>] counter under
+   [ns] is resolved on first use. *)
+let count_in t slots ~ns proc =
+  match slots.(proc) with
   | Some c -> Metrics.incr c
   | None ->
-      let c = Metrics.counter t.metrics ~ns:Names.Ns.server (Names.ops (Proto.proc_name proc)) in
-      t.ops.(proc) <- Some c;
+      let c = Metrics.counter t.metrics ~ns (Names.ops (Proto.proc_name proc)) in
+      slots.(proc) <- Some c;
       Metrics.incr c
 
+let count_op t proc = count_in t t.ops ~ns:Names.Ns.server proc
+
 (* Per-volume op accounting, once dispatch has routed the request. The
-   legacy single-volume server's namespace IS "server", so only the
-   vol<k> namespaces add a second counter. Fsids number the export
+   only export of a server counts in "server" itself, so only several
+   exports add a second counter, under vol<k>. Fsids number the export
    table from 1. *)
 let count_vol_op t vol proc =
-  if not t.legacy_ns then begin
-    let slots = t.vol_ops.(Volume.fsid vol - 1) in
-    match slots.(proc) with
-    | Some c -> Metrics.incr c
-    | None ->
-        let c = Metrics.counter t.metrics ~ns:(Volume.server_ns vol) (Names.ops (Proto.proc_name proc)) in
-        slots.(proc) <- Some c;
-        Metrics.incr c
-  end
+  match t.volumes with
+  | [ _ ] -> ()
+  | _ -> count_in t t.vol_ops.(Volume.fsid vol - 1) ~ns:(Volume.server_ns vol) proc
 
 (* Stream id for the read-ahead engine: client identity in the high
    bits, inode number in the low bits. *)
@@ -173,19 +170,15 @@ let answer t tr res =
 let mutate_dir vol d ~dst_dir (args : Proto.args) =
   let fs = Volume.fs vol in
   let made ino = Proto.RDirop (Ok (Volume.fh vol ino, fattr_of vol ino)) in
+  let ok () = Proto.RStatus Proto.NFS_OK in
   match args with
   | Proto.Create { name; _ } -> made (Fs.create fs d name Layout.Regular)
   | Proto.Mkdir { name; _ } -> made (Fs.create fs d name Layout.Directory)
   | Proto.Symlink { name; target; _ } -> made (Fs.symlink fs d name ~target)
-  | Proto.Remove { name; _ } ->
-      Fs.remove fs d name;
-      Proto.RStatus Proto.NFS_OK
-  | Proto.Rmdir { name; _ } ->
-      Fs.rmdir fs d name;
-      Proto.RStatus Proto.NFS_OK
+  | Proto.Remove { name; _ } -> ok (Fs.remove fs d name)
+  | Proto.Rmdir { name; _ } -> ok (Fs.rmdir fs d name)
   | Proto.Rename { from_name; to_name; _ } ->
-      Fs.rename fs ~src_dir:d ~src:from_name ~dst_dir ~dst:to_name;
-      Proto.RStatus Proto.NFS_OK
+      ok (Fs.rename fs ~src_dir:d ~src:from_name ~dst_dir ~dst:to_name)
   | _ -> invalid_arg "Server.mutate_dir: not a directory mutation"
 
 (* The per-procedure handler, on the volume and inode routing resolved.
@@ -196,6 +189,10 @@ let mutate_dir vol d ~dst_dir (args : Proto.args) =
 let execute t tr vol ino (args : Proto.args) =
   let fs = Volume.fs vol in
   match args with
+  | (Proto.Write { offset; data; _ } | Proto.Write3 { offset; data; _ })
+    when offset + Xdr.view_length data > Proto.max_size ->
+      (* Past the size the reply's attributes can carry. *)
+      answer t tr (Proto.error_res ~proc:(Proto.proc_of_args args) Proto.NFSERR_FBIG)
   | Proto.Write { offset; data; _ } ->
       Write_layer.handle_write (Volume.write_layer vol) tr
         ~respond:(fun a -> Proto.RAttr (Ok a))
@@ -222,7 +219,8 @@ let execute t tr vol ino (args : Proto.args) =
           stream_of t ~client:(Svc.client_of tr) ~inum:fh.Proto.inum
         else 0
       in
-      let data = Fs.read_ahead fs ino ~stream ~off:offset ~len:count in
+      let len = min count Proto.max_data in
+      let data = Fs.read_ahead fs ino ~stream ~off:offset ~len in
       jstamp t tr Journey.stamp_disk_complete;
       (* Hit iff no demand read waited: the cache's miss counter did
          not move while we were in UFS. *)
@@ -265,8 +263,8 @@ let execute t tr vol ino (args : Proto.args) =
       answer t tr
         (Proto.RStatfs
            (Ok
-              { Proto.tsize = 8192; bsize = s.Fs.bsize; blocks = s.Fs.total_blocks; bfree = free;
-                bavail = free }))
+              { Proto.tsize = Proto.max_data; bsize = s.Fs.bsize; blocks = s.Fs.total_blocks;
+                bfree = free; bavail = free }))
 
 (* The one path every decoded NFS call takes: count it, route its
    handle to a volume and inode, count it there, bounce a mutation off
@@ -315,20 +313,24 @@ let dispatch_mount t tr (call : Rpc.call) =
     Svc.Reply_pending
   end
 
-(* Arguments that do not decode raise [Xdr.Decode_error] out of the
-   dispatch, and Svc answers GARBAGE_ARGS: counted, and not cached. *)
+(* A procedure number without a row in the table is PROC_UNAVAIL,
+   answered before any CPU is charged. Arguments that do not decode
+   raise [Xdr.Decode_error] out of the dispatch, and Svc answers
+   GARBAGE_ARGS: counted, and not cached. *)
 let dispatch t tr (call : Rpc.call) =
+  let proc = call.Rpc.proc in
   if call.Rpc.prog = Rpc.mount_program then dispatch_mount t tr call
   else if call.Rpc.prog <> Rpc.nfs_program then Svc.Reply (Rpc.Prog_unavail, Bytes.create 0)
+  else if Option.is_none (Proto.find_proc proc) then Svc.Reply (Rpc.Proc_unavail, Bytes.create 0)
   else begin
     Resource.use t.cpu (t.config.costs.Cpu_model.rpc_decode + t.config.costs.Cpu_model.op_base);
-    dispatch_nfs t tr ~proc:call.Rpc.proc (Proto.decode_args ~proc:call.Rpc.proc call.Rpc.body)
+    dispatch_nfs t tr ~proc (Proto.decode_args ~proc call.Rpc.body)
   end
 
 (* The assembly shared by the fresh-format and recovery paths: the
    first incarnation formats its volumes, a later one remounts them as
    they stand. *)
-let make_internal eng ~segment ~addr ?metrics ~legacy_ns ~incarnation config specs =
+let make_internal eng ~segment ~addr ?metrics ~incarnation config specs =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let cpu = Resource.create eng "server-cpu" in
   let costs = config.costs in
@@ -353,9 +355,9 @@ let make_internal eng ~segment ~addr ?metrics ~legacy_ns ~incarnation config spe
   let volumes =
     List.mapi
       (fun i spec ->
-        Volume.mount eng ~fsid:(i + 1) ~format:(incarnation = 1) ~legacy_ns ~sock ~cpu ~costs
-          ~send_reply ~metrics ~cache_blocks:config.cache_blocks ~readahead:config.readahead
-          ~wl_config:config.write_layer spec)
+        Volume.mount eng ~fsid:(i + 1) ~exports:(List.length specs) ~format:(incarnation = 1) ~sock
+          ~cpu ~costs ~send_reply ~metrics ~cache_blocks:config.cache_blocks
+          ~readahead:config.readahead ~wl_config:config.write_layer spec)
       specs
   in
   let journeys = Journey.create eng ~metrics ?threshold:config.long_op_threshold () in
@@ -366,13 +368,12 @@ let make_internal eng ~segment ~addr ?metrics ~legacy_ns ~incarnation config spe
       config;
       addr;
       volumes;
-      legacy_ns;
       sock;
       cpu;
       verf = incarnation;
       send;
-      ops = Array.make (Proto.proc_commit + 1) None (* COMMIT has the highest number *);
-      vol_ops = Array.of_list (List.map (fun _ -> Array.make (Proto.proc_commit + 1) None) volumes);
+      ops = Array.make Proto.proc_limit None;
+      vol_ops = Array.of_list (List.map (fun _ -> Array.make Proto.proc_limit None) volumes);
       stream_ids = Hashtbl.create 16;
       metrics;
       journeys;
@@ -397,13 +398,10 @@ let make_internal eng ~segment ~addr ?metrics ~legacy_ns ~incarnation config spe
 
 let make_exports eng ~segment ~addr ?metrics config specs =
   if specs = [] then invalid_arg "Server.make_exports: need at least one volume";
-  make_internal eng ~segment ~addr ?metrics ~legacy_ns:false ~incarnation:1 config specs
+  make_internal eng ~segment ~addr ?metrics ~incarnation:1 config specs
 
-(* The historical single-volume constructor, kept as the 1-volume
-   special case with its historical metrics namespaces. *)
 let make eng ~segment ~addr ~device ?metrics config =
-  make_internal eng ~segment ~addr ?metrics ~legacy_ns:true ~incarnation:1 config
-    [ Volume.spec "/export" device ]
+  make_exports eng ~segment ~addr ?metrics config [ Volume.spec "/export" device ]
 
 let crash t =
   (* Power off: volatile state gone and the host leaves the wire. *)
@@ -420,8 +418,8 @@ let restart t =
   (* Same registry across incarnations: find-or-create registration
      means the restarted server keeps counting where this one stopped. *)
   let next =
-    make_internal t.eng ~segment:t.segment ~addr:t.addr ~metrics:t.metrics
-      ~legacy_ns:t.legacy_ns ~incarnation:(t.verf + 1) t.config
+    make_internal t.eng ~segment:t.segment ~addr:t.addr ~metrics:t.metrics ~incarnation:(t.verf + 1)
+      t.config
       (List.map (fun v -> Volume.spec (Volume.export v) (Volume.device v)) t.volumes)
   in
   (* The export table's write protection survives the reboot; no nfsd

@@ -43,15 +43,9 @@ val make :
   ?metrics:Nfsg_stats.Metrics.t ->
   config ->
   t
-(** Formats the device, mounts, attaches the socket, spawns the
-    nfsds. [metrics] is the registry every layer of this server
-    registers its instruments in (namespaces ["server"],
-    ["write_layer"], ["rpc.svc"], ["rpc.dupcache"]); {!restart} passes
-    the same registry to the next incarnation so counts accumulate
-    across restarts (private registry when omitted).
-
-    Equivalent to a 1-volume {!make_exports}, except the metrics keep
-    the historical single-volume namespaces. *)
+(** {!make_exports} over one export, ["/export"] on [device]. With one
+    export, the volume counts under the plain namespaces ["server"],
+    ["write_layer"] and ["read_plane"]. *)
 
 val make_exports :
   Nfsg_sim.Engine.t ->
@@ -61,12 +55,16 @@ val make_exports :
   config ->
   Volume.spec list ->
   t
-(** Multi-volume server over an export table (nonempty, else
-    [Invalid_argument]). Volume [i] gets fsid [i+1] and registers its
-    instruments under namespaces [server.vol<fsid>] and
-    [write_layer.vol<fsid>], so per-volume gather batches and op mixes
-    never share a counter. All volumes share the socket, nfsd pool,
-    duplicate cache, CPU, and write verifier. *)
+(** Formats each export's device, mounts it, attaches the socket and
+    spawns the nfsds. The export table must be nonempty, else
+    [Invalid_argument]. Volume [i] gets fsid [i+1]. All volumes share
+    the socket, nfsd pool, duplicate cache, CPU, and write verifier.
+
+    [metrics] is the registry every layer registers in (private when
+    omitted); {!restart} passes it on, so counts accumulate across
+    restarts. The server counts under ["server"], ["rpc.svc"] and
+    ["rpc.dupcache"]; each volume's namespaces are the plain ones on a
+    one-export server and [*.vol<fsid>] otherwise ({!Volume.mount}). *)
 
 val volumes : t -> Volume.t list
 (** The export table, fsid order. *)

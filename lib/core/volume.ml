@@ -14,35 +14,21 @@ type t = {
   mutable read_only : bool;
 }
 
-let server_ns_of ~legacy_ns fsid =
-  if legacy_ns then Nfsg_stats.Names.Ns.server else Nfsg_stats.Names.Ns.server_vol fsid
-
-let write_layer_ns_of ~legacy_ns fsid =
-  if legacy_ns then Nfsg_stats.Names.Ns.write_layer else Nfsg_stats.Names.Ns.write_layer_vol fsid
-
-let read_plane_ns_of ~legacy_ns fsid =
-  if legacy_ns then Nfsg_stats.Names.Ns.read_plane else Nfsg_stats.Names.Ns.read_plane_vol fsid
-
-let mount eng ~fsid ~format ~legacy_ns ~sock ~cpu ~costs ~send_reply ?metrics ~cache_blocks
-    ~readahead ~wl_config spec =
+let mount eng ~fsid ~exports ~format ~sock ~cpu ~costs ~send_reply ?metrics ~cache_blocks ~readahead
+    ~wl_config spec =
+  (* The only export counts under the plain namespaces. *)
+  let ns plain of_fsid = if exports = 1 then plain else of_fsid fsid in
+  let module Ns = Nfsg_stats.Names.Ns in
   if format then Fs.mkfs spec.device ();
   let fs =
-    Fs.mount eng ?cache_blocks ?metrics ~ns:(read_plane_ns_of ~legacy_ns fsid) ?readahead
+    Fs.mount eng ?cache_blocks ?metrics ~ns:(ns Ns.read_plane Ns.read_plane_vol) ?readahead
       spec.device
   in
   let wl =
     Write_layer.create eng ~fs ~sock ~cpu ~costs ~send_reply ?metrics
-      ~ns:(write_layer_ns_of ~legacy_ns fsid)
-      ~fsid wl_config
+      ~ns:(ns Ns.write_layer Ns.write_layer_vol) ~fsid wl_config
   in
-  {
-    spec;
-    fsid;
-    fs;
-    wl;
-    server_ns = server_ns_of ~legacy_ns fsid;
-    read_only = false;
-  }
+  { spec; fsid; fs; wl; server_ns = ns Ns.server Ns.server_vol; read_only = false }
 
 let export t = t.spec.export
 let fsid t = t.fsid

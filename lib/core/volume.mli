@@ -21,8 +21,8 @@ type t
 val mount :
   Nfsg_sim.Engine.t ->
   fsid:int ->
+  exports:int ->
   format:bool ->
-  legacy_ns:bool ->
   sock:Nfsg_net.Socket.t ->
   cpu:Nfsg_sim.Resource.t ->
   costs:Cpu_model.t ->
@@ -44,10 +44,11 @@ val mount :
     Without it, the recovery path, the device is mounted as it stands,
     generation included, so client handles survive a reboot.
 
-    Metrics namespaces are [server.vol<fsid>] / [write_layer.vol<fsid>]
-    / [read_plane.vol<fsid>] unless [legacy_ns], in which case
-    the single-volume server's historical ["server"] /
-    ["write_layer"] / ["read_plane"] names are kept. *)
+    [exports] is the size of the server's export table, and it picks
+    the metrics namespaces: the only export of a server counts under
+    ["server"] / ["write_layer"] / ["read_plane"], and each of several
+    under [server.vol<fsid>] / [write_layer.vol<fsid>] /
+    [read_plane.vol<fsid>]. *)
 
 val export : t -> string
 val fsid : t -> int

@@ -164,10 +164,6 @@ let known_solo t client =
   let l = learned_of t client in
   l.samples >= 8 && l.score < 0.25
 
-let learned_solo_clients t =
-  (* nfslint: allow D002 pure count; integer addition is commutative so the fold order cannot show *)
-  Hashtbl.fold (fun _ l n -> if l.samples >= 8 && l.score < 0.25 then n + 1 else n) t.clients 0
-
 (* {1 Flight recorder} *)
 
 let record t event = Trace.record t.events ~actor:(Engine.self_name ()) event

@@ -156,10 +156,6 @@ val flush_failures : t -> int
 
 val mean_batch_size : t -> float
 
-val learned_solo_clients : t -> int
-(** Clients the learned-client database currently classifies as
-    single-threaded (0 unless [learn_clients] is on). *)
-
 (** {1 Flight recorder}
 
     Every write layer keeps the newest 4096 events of its write path,

@@ -160,12 +160,12 @@ let run t f =
   if t.ran then invalid_arg "Rig.run: a world runs once";
   t.ran <- true;
   let monitor =
-    match t.env.monitor_interval with
-    | Some interval ->
-        let m = Nfsg_stats.Monitor.create t.eng ~metrics:t.metrics ~interval ?emit:t.env.emit () in
+    match (t.env.monitor_interval, t.env.emit) with
+    | Some interval, Some emit ->
+        let m = Nfsg_stats.Monitor.create t.eng ~metrics:t.metrics ~interval ~emit in
         Nfsg_stats.Monitor.start m;
         Some m
-    | None -> None
+    | _ -> None
   in
   let result = ref None in
   Engine.spawn t.eng ~name:"driver" (fun () ->

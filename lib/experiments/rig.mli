@@ -50,7 +50,8 @@ type env = {
           [None] is the plain RAID-0 stripe set *)
   monitor_interval : Nfsg_sim.Time.t option;
       (** drive a {!Nfsg_stats.Monitor} over the rig's registry for the
-          duration of every {!run} ([--monitor-interval]) *)
+          duration of every {!run} ([--monitor-interval]), reporting
+          through [emit]; without [emit] no monitor runs *)
   emit : (string -> unit) option;
       (** where monitor chunks and long-op dumps go (the owning
           binary's stdout, typically); the rig itself never prints *)

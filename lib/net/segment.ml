@@ -65,12 +65,10 @@ let datagrams_duplicated t = Metrics.value t.duplicated
 let datagrams_blackholed t = Metrics.value t.blackholed
 let busy_time t = t.busy
 
-let loss_prob t = t.loss
 let set_loss_prob t p =
   if p < 0.0 || p >= 1.0 then invalid_arg "Segment.set_loss_prob: need 0 <= p < 1";
   t.loss <- p
 
-let dup_prob t = t.dup
 let set_dup_prob t p =
   if p < 0.0 || p >= 1.0 then invalid_arg "Segment.set_dup_prob: need 0 <= p < 1";
   t.dup <- p

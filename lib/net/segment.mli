@@ -55,12 +55,10 @@ val wire_time : params -> int -> Nfsg_sim.Time.t
 
 (** {1 Fault controls} *)
 
-val loss_prob : t -> float
 val set_loss_prob : t -> float -> unit
 (** Change the independent per-datagram drop probability mid-run.
     Needs [0 <= p < 1]. *)
 
-val dup_prob : t -> float
 val set_dup_prob : t -> float -> unit
 (** Probability a delivered datagram is delivered a second time (one
     extra propagation latency later). Needs [0 <= p < 1]. The second

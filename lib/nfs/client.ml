@@ -43,7 +43,7 @@ let create eng ~rpc ?(biods = 4) ?(protocol = V2) ?metrics () =
     nbiods = biods;
     protocol;
     metrics;
-    lat = Array.make (Proto.proc_commit + 1) None (* COMMIT has the highest number *);
+    lat = Array.make Proto.proc_limit None;
     wire_writes = 0;
     commits = 0;
     last_mtimes = [];
@@ -63,9 +63,10 @@ let latency t proc =
       t.lat.(proc) <- Some h;
       h
 
-let do_call t ~klass args =
+let do_call t args =
   let proc = Proto.proc_of_args args in
   Metrics.span t.eng (latency t proc) (fun () ->
+      let klass = Proto.op_class proc in
       let stat, body = Rpc_client.call_with t.rpc ~klass ~proc (fun enc -> Proto.put_args enc args) in
       if stat <> Rpc.Success then raise (Error Proto.NFSERR_IO);
       Proto.decode_res ~proc body)
@@ -85,51 +86,46 @@ let status_result = function
   | Proto.RStatus st -> raise (Error st)
   | _ -> raise (Error Proto.NFSERR_IO)
 
-let getattr t fh = attr_result (do_call t ~klass:Rpc_client.Light (Proto.Getattr fh))
-let setattr t fh sattr = attr_result (do_call t ~klass:Rpc_client.Light (Proto.Setattr (fh, sattr)))
-let lookup t fh name = dirop_result (do_call t ~klass:Rpc_client.Light (Proto.Lookup (fh, name)))
+let getattr t fh = attr_result (do_call t (Proto.Getattr fh))
+let setattr t fh sattr = attr_result (do_call t (Proto.Setattr (fh, sattr)))
+let lookup t fh name = dirop_result (do_call t (Proto.Lookup (fh, name)))
 
 let create_file t dir name =
-  dirop_result
-    (do_call t ~klass:Rpc_client.Middle (Proto.Create { dir; name; sattr = Proto.sattr_none }))
+  dirop_result (do_call t (Proto.Create { dir; name; sattr = Proto.sattr_none }))
 
-let remove t dir name = status_result (do_call t ~klass:Rpc_client.Middle (Proto.Remove { dir; name }))
+let remove t dir name = status_result (do_call t (Proto.Remove { dir; name }))
 
 let rename t ~from_dir ~from_name ~to_dir ~to_name =
-  status_result
-    (do_call t ~klass:Rpc_client.Middle (Proto.Rename { from_dir; from_name; to_dir; to_name }))
+  status_result (do_call t (Proto.Rename { from_dir; from_name; to_dir; to_name }))
 
 let mkdir t dir name =
-  dirop_result
-    (do_call t ~klass:Rpc_client.Middle (Proto.Mkdir { dir; name; sattr = Proto.sattr_none }))
+  dirop_result (do_call t (Proto.Mkdir { dir; name; sattr = Proto.sattr_none }))
 
-let rmdir t dir name = status_result (do_call t ~klass:Rpc_client.Middle (Proto.Rmdir { dir; name }))
+let rmdir t dir name = status_result (do_call t (Proto.Rmdir { dir; name }))
 
 let readdir t fh =
-  match do_call t ~klass:Rpc_client.Light (Proto.Readdir { fh; cookie = 0; count = 8192 }) with
+  match do_call t (Proto.Readdir { fh; cookie = 0; count = 8192 }) with
   | Proto.RReaddir (Ok (entries, _eof)) -> entries
   | Proto.RReaddir (Error st) -> raise (Error st)
   | _ -> raise (Error Proto.NFSERR_IO)
 
 let symlink t dir name ~target =
-  dirop_result
-    (do_call t ~klass:Rpc_client.Middle
-       (Proto.Symlink { dir; name; target; sattr = Proto.sattr_none }))
+  dirop_result (do_call t (Proto.Symlink { dir; name; target; sattr = Proto.sattr_none }))
 
 let readlink t fh =
-  match do_call t ~klass:Rpc_client.Light (Proto.Readlink fh) with
+  match do_call t (Proto.Readlink fh) with
   | Proto.RReadlink (Ok target) -> target
   | Proto.RReadlink (Error st) -> raise (Error st)
   | _ -> raise (Error Proto.NFSERR_IO)
 
 let statfs t fh =
-  match do_call t ~klass:Rpc_client.Light (Proto.Statfs fh) with
+  match do_call t (Proto.Statfs fh) with
   | Proto.RStatfs (Ok s) -> s
   | Proto.RStatfs (Error st) -> raise (Error st)
   | _ -> raise (Error Proto.NFSERR_IO)
 
 let null_ping t =
-  match do_call t ~klass:Rpc_client.Light Proto.Null with
+  match do_call t Proto.Null with
   | Proto.RNull -> ()
   | _ -> raise (Error Proto.NFSERR_IO)
 
@@ -199,28 +195,19 @@ let do_write_rpc f ~off data =
   t.wire_writes <- t.wire_writes + 1;
   (match t.protocol with
   | V2 -> (
-      match do_call t ~klass:Rpc_client.Heavy (Proto.Write { fh = f.fh; offset = off; data }) with
-      | res -> (
-          match res with
-          | Proto.RAttr (Ok a) -> f.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: f.mtimes
-          | Proto.RAttr (Error st) -> f.async_error <- Some st
-          | _ -> f.async_error <- Some Proto.NFSERR_IO)
-      | exception Error st -> f.async_error <- Some st)
+      match do_call t (Proto.Write { fh = f.fh; offset = off; data }) with
+      | Proto.RAttr (Ok a) -> f.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: f.mtimes
+      | Proto.RAttr (Error st) | (exception Error st) -> f.async_error <- Some st
+      | _ -> f.async_error <- Some Proto.NFSERR_IO)
   | V3 -> (
       f.dirty_lo <- Stdlib.min f.dirty_lo off;
       f.dirty_hi <- Stdlib.max f.dirty_hi (off + Xdr.view_length data);
-      match
-        do_call t ~klass:Rpc_client.Heavy
-          (Proto.Write3 { fh = f.fh; offset = off; stable = Proto.Unstable; data })
-      with
-      | res -> (
-          match res with
-          | Proto.RWrite3 (Ok (a, _how, verf)) ->
-              note_verf f verf;
-              f.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: f.mtimes
-          | Proto.RWrite3 (Error st) -> f.async_error <- Some st
-          | _ -> f.async_error <- Some Proto.NFSERR_IO)
-      | exception Error st -> f.async_error <- Some st));
+      match do_call t (Proto.Write3 { fh = f.fh; offset = off; stable = Proto.Unstable; data }) with
+      | Proto.RWrite3 (Ok (a, _how, verf)) ->
+          note_verf f verf;
+          f.mtimes <- Proto.ns_of_timeval a.Proto.mtime :: f.mtimes
+      | Proto.RWrite3 (Error st) | (exception Error st) -> f.async_error <- Some st
+      | _ -> f.async_error <- Some Proto.NFSERR_IO));
   f.spare <- data.Xdr.view_buf :: f.spare
 
 let commit f =
@@ -228,7 +215,7 @@ let commit f =
   if t.protocol = V3 && f.dirty_lo < f.dirty_hi then begin
     t.commits <- t.commits + 1;
     let offset = f.dirty_lo and count = f.dirty_hi - f.dirty_lo in
-    (match do_call t ~klass:Rpc_client.Heavy (Proto.Commit { fh = f.fh; offset; count }) with
+    (match do_call t (Proto.Commit { fh = f.fh; offset; count }) with
     | Proto.RCommit (Ok (_a, verf)) -> note_verf f verf
     | Proto.RCommit (Error st) -> raise (Error st)
     | _ -> raise (Error Proto.NFSERR_IO));
@@ -337,7 +324,7 @@ let close f =
 let read t fh ~off ~len =
   let rec go pos acc =
     let chunk = Stdlib.min block_size (off + len - pos) in
-    match do_call t ~klass:Rpc_client.Middle (Proto.Read { fh; offset = pos; count = chunk }) with
+    match do_call t (Proto.Read { fh; offset = pos; count = chunk }) with
     | Proto.RRead (Ok (_a, data)) ->
         let n = Xdr.view_length data in
         if n < chunk || pos + n >= off + len then List.rev (data :: acc) else go (pos + n) (data :: acc)

@@ -28,6 +28,9 @@ type fattr = {
   ctime : timeval;
 }
 
+let max_size = 0xFFFF_FFFF
+let max_data = 8192
+
 type sattr = {
   s_mode : int;
   s_uid : int;
@@ -125,26 +128,6 @@ let proc_statfs = 17
 let proc_write3 = 7
 let proc_commit = 21
 
-let proc_name = function
-  | 0 -> "NULL"
-  | 1 -> "GETATTR"
-  | 2 -> "SETATTR"
-  | 4 -> "LOOKUP"
-  | 6 -> "READ"
-  | 8 -> "WRITE"
-  | 9 -> "CREATE"
-  | 10 -> "REMOVE"
-  | 11 -> "RENAME"
-  | 14 -> "MKDIR"
-  | 15 -> "RMDIR"
-  | 5 -> "READLINK"
-  | 13 -> "SYMLINK"
-  | 16 -> "READDIR"
-  | 17 -> "STATFS"
-  | 7 -> "WRITE3"
-  | 21 -> "COMMIT"
-  | n -> Printf.sprintf "PROC%d" n
-
 (* {1 Primitive XDR pieces} *)
 
 (* The 32-byte opaque handle is server-private; our layout spends the
@@ -240,11 +223,20 @@ let get_sattr dec =
   let s_size = neg_or (Xdr.Dec.uint32 dec) in
   let tv_opt () =
     let tv = get_timeval dec in
-    if tv.sec = 0xFFFFFFFF then None else Some tv
+    if tv.sec = 0xFFFFFFFF then None
+    else if tv.usec >= 1_000_000 then Xdr.malformed "bad timeval"
+    else Some tv
   in
   let s_atime = tv_opt () in
   let s_mtime = tv_opt () in
   { s_mode; s_uid; s_gid; s_size; s_atime; s_mtime }
+
+(* RFC 1094's [filename<MAXNAMLEN>]: a longer name breaks the XDR
+   bound, and an empty one is garbage too, as BSD's server answers it. *)
+let get_name dec =
+  let name = Xdr.Dec.string dec in
+  if name = "" || String.length name > 255 then Xdr.malformed "bad file name";
+  name
 
 (* {1 Arguments} *)
 
@@ -353,79 +345,6 @@ let put_args enc = function
 
 let encode_args args = Xdr.Enc.encode (fun enc -> put_args enc args)
 
-let decode_args ~proc body =
-  let dec = Xdr.Dec.of_view body in
-  if proc = proc_null then Null
-  else if proc = proc_getattr then Getattr (get_fh dec)
-  else if proc = proc_setattr then begin
-    let fh = get_fh dec in
-    Setattr (fh, get_sattr dec)
-  end
-  else if proc = proc_lookup then begin
-    let fh = get_fh dec in
-    Lookup (fh, Xdr.Dec.string dec)
-  end
-  else if proc = proc_read then begin
-    let fh = get_fh dec in
-    let offset = Xdr.Dec.uint32 dec in
-    let count = Xdr.Dec.uint32 dec in
-    let _total = Xdr.Dec.uint32 dec in
-    Read { fh; offset; count }
-  end
-  else if proc = proc_write then begin
-    let fh = get_fh dec in
-    let _begin = Xdr.Dec.uint32 dec in
-    let offset = Xdr.Dec.uint32 dec in
-    let _total = Xdr.Dec.uint32 dec in
-    Write { fh; offset; data = Xdr.Dec.opaque_view dec }
-  end
-  else if proc = proc_create || proc = proc_mkdir then begin
-    let dir = get_fh dec in
-    let name = Xdr.Dec.string dec in
-    let sattr = get_sattr dec in
-    if proc = proc_create then Create { dir; name; sattr } else Mkdir { dir; name; sattr }
-  end
-  else if proc = proc_remove || proc = proc_rmdir then begin
-    let dir = get_fh dec in
-    let name = Xdr.Dec.string dec in
-    if proc = proc_remove then Remove { dir; name } else Rmdir { dir; name }
-  end
-  else if proc = proc_rename then begin
-    let from_dir = get_fh dec in
-    let from_name = Xdr.Dec.string dec in
-    let to_dir = get_fh dec in
-    let to_name = Xdr.Dec.string dec in
-    Rename { from_dir; from_name; to_dir; to_name }
-  end
-  else if proc = proc_readdir then begin
-    let fh = get_fh dec in
-    let cookie = Xdr.Dec.uint32 dec in
-    let count = Xdr.Dec.uint32 dec in
-    Readdir { fh; cookie; count }
-  end
-  else if proc = proc_statfs then Statfs (get_fh dec)
-  else if proc = proc_readlink then Readlink (get_fh dec)
-  else if proc = proc_symlink then begin
-    let dir = get_fh dec in
-    let name = Xdr.Dec.string dec in
-    let target = Xdr.Dec.string dec in
-    Symlink { dir; name; target; sattr = get_sattr dec }
-  end
-  else if proc = proc_write3 then begin
-    let fh = get_fh dec in
-    let offset = Xdr.Dec.uint64 dec in
-    let _count = Xdr.Dec.uint32 dec in
-    let stable = stable_of_int (Xdr.Dec.enum dec) in
-    Write3 { fh; offset; stable; data = Xdr.Dec.opaque_view dec }
-  end
-  else if proc = proc_commit then begin
-    let fh = get_fh dec in
-    let offset = Xdr.Dec.uint64 dec in
-    let count = Xdr.Dec.uint32 dec in
-    Commit { fh; offset; count }
-  end
-  else Xdr.malformed (Printf.sprintf "unknown procedure %d" proc)
-
 (* {1 Results} *)
 
 type statfs_ok = { tsize : int; bsize : int; blocks : int; bfree : int; bavail : int }
@@ -501,97 +420,204 @@ let put_res enc = function
 
 let encode_res res = Xdr.Enc.encode (fun enc -> put_res enc res)
 
-let decode_res ~proc body =
-  let dec = Xdr.Dec.of_view body in
-  if proc = proc_null then RNull
-  else if proc = proc_getattr || proc = proc_setattr || proc = proc_write then begin
-    match get_status dec with
-    | NFS_OK -> RAttr (Ok (get_fattr dec))
-    | st -> RAttr (Error st)
-  end
-  else if proc = proc_lookup || proc = proc_create || proc = proc_mkdir || proc = proc_symlink
-  then begin
-    match get_status dec with
-    | NFS_OK ->
-        let fh = get_fh dec in
-        RDirop (Ok (fh, get_fattr dec))
-    | st -> RDirop (Error st)
-  end
-  else if proc = proc_read then begin
-    match get_status dec with
-    | NFS_OK ->
-        let a = get_fattr dec in
-        RRead (Ok (a, Xdr.Dec.opaque_view dec))
-    | st -> RRead (Error st)
-  end
-  else if proc = proc_remove || proc = proc_rename || proc = proc_rmdir then
-    RStatus (get_status dec)
-  else if proc = proc_readdir then begin
-    match get_status dec with
-    | NFS_OK ->
-        let rec entries acc =
-          if Xdr.Dec.bool dec then begin
-            let fileid = Xdr.Dec.uint32 dec in
-            let name = Xdr.Dec.string dec in
-            let _cookie = Xdr.Dec.uint32 dec in
-            entries ((name, fileid) :: acc)
-          end
-          else List.rev acc
-        in
-        let es = entries [] in
-        RReaddir (Ok (es, Xdr.Dec.bool dec))
-    | st -> RReaddir (Error st)
-  end
-  else if proc = proc_statfs then begin
-    match get_status dec with
-    | NFS_OK ->
-        let tsize = Xdr.Dec.uint32 dec in
-        let bsize = Xdr.Dec.uint32 dec in
-        let blocks = Xdr.Dec.uint32 dec in
-        let bfree = Xdr.Dec.uint32 dec in
-        let bavail = Xdr.Dec.uint32 dec in
-        RStatfs (Ok { tsize; bsize; blocks; bfree; bavail })
-    | st -> RStatfs (Error st)
-  end
-  else if proc = proc_readlink then begin
-    match get_status dec with
-    | NFS_OK -> RReadlink (Ok (Xdr.Dec.string dec))
-    | st -> RReadlink (Error st)
-  end
-  else if proc = proc_write3 then begin
-    match get_status dec with
-    | NFS_OK ->
-        let a = get_fattr dec in
-        let stable = stable_of_int (Xdr.Dec.enum dec) in
-        let verf = Xdr.Dec.uint64 dec in
-        RWrite3 (Ok (a, stable, verf))
-    | st -> RWrite3 (Error st)
-  end
-  else if proc = proc_commit then begin
-    match get_status dec with
-    | NFS_OK ->
-        let a = get_fattr dec in
-        RCommit (Ok (a, Xdr.Dec.uint64 dec))
-    | st -> RCommit (Error st)
-  end
-  else Xdr.malformed (Printf.sprintf "unknown procedure %d" proc)
+(* {1 The procedure table}
+
+   One row per procedure number, as the reference port keeps one
+   dispatch entry per procedure, built once at initialisation. Each
+   decoder reads its fields in [let]s, in wire order: OCaml does not
+   fix the evaluation order of a constructor's arguments. *)
+
+type shape =
+  | SNull | SAttr | SDirop | SRead | SStatus | SReaddir | SStatfs | SReadlink | SWrite3 | SCommit
+
+type proc = {
+  num : int;
+  name : string;
+  mutates : bool;
+  klass : Rpc_client.op_class;
+  decode : Xdr.Dec.t -> args;
+  shape : shape;
+}
+
+let procs =
+  let open Rpc_client in
+  [
+    { num = proc_null; name = "NULL"; mutates = false; klass = Light; shape = SNull;
+      decode = (fun _ -> Null) };
+    { num = proc_getattr; name = "GETATTR"; mutates = false; klass = Light; shape = SAttr;
+      decode = (fun dec -> Getattr (get_fh dec)) };
+    { num = proc_setattr; name = "SETATTR"; mutates = true; klass = Light; shape = SAttr;
+      decode =
+        (fun dec ->
+          let fh = get_fh dec in
+          Setattr (fh, get_sattr dec)) };
+    { num = proc_lookup; name = "LOOKUP"; mutates = false; klass = Light; shape = SDirop;
+      decode =
+        (fun dec ->
+          let fh = get_fh dec in
+          Lookup (fh, get_name dec)) };
+    { num = proc_readlink; name = "READLINK"; mutates = false; klass = Light; shape = SReadlink;
+      decode = (fun dec -> Readlink (get_fh dec)) };
+    { num = proc_read; name = "READ"; mutates = false; klass = Middle; shape = SRead;
+      decode =
+        (fun dec ->
+          let fh = get_fh dec in
+          let offset = Xdr.Dec.uint32 dec in
+          let count = Xdr.Dec.uint32 dec in
+          let _total = Xdr.Dec.uint32 dec in
+          Read { fh; offset; count }) };
+    { num = proc_write3; name = "WRITE3"; mutates = true; klass = Heavy; shape = SWrite3;
+      decode =
+        (fun dec ->
+          let fh = get_fh dec in
+          let offset = Xdr.Dec.uint64 dec in
+          let _count = Xdr.Dec.uint32 dec in
+          let stable = stable_of_int (Xdr.Dec.enum dec) in
+          Write3 { fh; offset; stable; data = Xdr.Dec.opaque_view dec }) };
+    { num = proc_write; name = "WRITE"; mutates = true; klass = Heavy; shape = SAttr;
+      decode =
+        (fun dec ->
+          let fh = get_fh dec in
+          let _begin = Xdr.Dec.uint32 dec in
+          let offset = Xdr.Dec.uint32 dec in
+          let _total = Xdr.Dec.uint32 dec in
+          Write { fh; offset; data = Xdr.Dec.opaque_view dec }) };
+    { num = proc_create; name = "CREATE"; mutates = true; klass = Middle; shape = SDirop;
+      decode =
+        (fun dec ->
+          let dir = get_fh dec in
+          let name = get_name dec in
+          let sattr = get_sattr dec in
+          Create { dir; name; sattr }) };
+    { num = proc_remove; name = "REMOVE"; mutates = true; klass = Middle; shape = SStatus;
+      decode =
+        (fun dec ->
+          let dir = get_fh dec in
+          Remove { dir; name = get_name dec }) };
+    { num = proc_rename; name = "RENAME"; mutates = true; klass = Middle; shape = SStatus;
+      decode =
+        (fun dec ->
+          let from_dir = get_fh dec in
+          let from_name = get_name dec in
+          let to_dir = get_fh dec in
+          let to_name = get_name dec in
+          Rename { from_dir; from_name; to_dir; to_name }) };
+    { num = proc_symlink; name = "SYMLINK"; mutates = true; klass = Middle; shape = SDirop;
+      decode =
+        (fun dec ->
+          let dir = get_fh dec in
+          let name = get_name dec in
+          let target = Xdr.Dec.string dec in
+          Symlink { dir; name; target; sattr = get_sattr dec }) };
+    { num = proc_mkdir; name = "MKDIR"; mutates = true; klass = Middle; shape = SDirop;
+      decode =
+        (fun dec ->
+          let dir = get_fh dec in
+          let name = get_name dec in
+          let sattr = get_sattr dec in
+          Mkdir { dir; name; sattr }) };
+    { num = proc_rmdir; name = "RMDIR"; mutates = true; klass = Middle; shape = SStatus;
+      decode =
+        (fun dec ->
+          let dir = get_fh dec in
+          Rmdir { dir; name = get_name dec }) };
+    { num = proc_readdir; name = "READDIR"; mutates = false; klass = Light; shape = SReaddir;
+      decode =
+        (fun dec ->
+          let fh = get_fh dec in
+          let cookie = Xdr.Dec.uint32 dec in
+          let count = Xdr.Dec.uint32 dec in
+          Readdir { fh; cookie; count }) };
+    { num = proc_statfs; name = "STATFS"; mutates = false; klass = Light; shape = SStatfs;
+      decode = (fun dec -> Statfs (get_fh dec)) };
+    { num = proc_commit; name = "COMMIT"; mutates = true; klass = Heavy; shape = SCommit;
+      decode =
+        (fun dec ->
+          let fh = get_fh dec in
+          let offset = Xdr.Dec.uint64 dec in
+          let count = Xdr.Dec.uint32 dec in
+          Commit { fh; offset; count }) };
+  ]
+
+let proc_limit = List.fold_left (fun n p -> max n (p.num + 1)) 0 procs
+
+(* Indexed by procedure number; written only here. *)
+let table =
+  Array.of_list (List.init proc_limit (fun n -> List.find_opt (fun p -> p.num = n) procs))
+
+let find_proc n = if n >= 0 && n < proc_limit then table.(n) else None
+
+let known n =
+  match find_proc n with
+  | Some p -> p
+  | None -> Xdr.malformed (Printf.sprintf "unknown procedure %d" n)
+
+let proc_name n = match find_proc n with Some p -> p.name | None -> Printf.sprintf "PROC%d" n
+let mutates n = match find_proc n with Some p -> p.mutates | None -> false
+let op_class n = match find_proc n with Some p -> p.klass | None -> Rpc_client.Middle
+let decode_args ~proc body = (known proc).decode (Xdr.Dec.of_view body)
+
+let error_of_shape shape st =
+  match shape with
+  | SNull | SStatus -> RStatus st
+  | SAttr -> RAttr (Error st)
+  | SDirop -> RDirop (Error st)
+  | SRead -> RRead (Error st)
+  | SReaddir -> RReaddir (Error st)
+  | SStatfs -> RStatfs (Error st)
+  | SReadlink -> RReadlink (Error st)
+  | SWrite3 -> RWrite3 (Error st)
+  | SCommit -> RCommit (Error st)
 
 let error_res ~proc st =
-  if proc = proc_getattr || proc = proc_setattr || proc = proc_write then RAttr (Error st)
-  else if proc = proc_lookup || proc = proc_create || proc = proc_mkdir || proc = proc_symlink
-  then RDirop (Error st)
-  else if proc = proc_read then RRead (Error st)
-  else if proc = proc_readlink then RReadlink (Error st)
-  else if proc = proc_write3 then RWrite3 (Error st)
-  else if proc = proc_commit then RCommit (Error st)
-  else if proc = proc_readdir then RReaddir (Error st)
-  else if proc = proc_statfs then RStatfs (Error st)
-  else RStatus st
+  error_of_shape (match find_proc proc with Some p -> p.shape | None -> SStatus) st
 
-let mutates proc =
-  proc = proc_setattr || proc = proc_write || proc = proc_write3 || proc = proc_commit
-  || proc = proc_create || proc = proc_remove || proc = proc_rename || proc = proc_mkdir
-  || proc = proc_rmdir || proc = proc_symlink
+(* The body of a result whose status was NFS_OK. *)
+let get_ok dec = function
+  | SNull -> RNull
+  | SStatus -> RStatus NFS_OK
+  | SAttr -> RAttr (Ok (get_fattr dec))
+  | SDirop ->
+      let fh = get_fh dec in
+      RDirop (Ok (fh, get_fattr dec))
+  | SRead ->
+      let a = get_fattr dec in
+      RRead (Ok (a, Xdr.Dec.opaque_view dec))
+  | SReaddir ->
+      let rec entries acc =
+        if Xdr.Dec.bool dec then begin
+          let fileid = Xdr.Dec.uint32 dec in
+          let name = Xdr.Dec.string dec in
+          let _cookie = Xdr.Dec.uint32 dec in
+          entries ((name, fileid) :: acc)
+        end
+        else List.rev acc
+      in
+      let es = entries [] in
+      RReaddir (Ok (es, Xdr.Dec.bool dec))
+  | SStatfs ->
+      let tsize = Xdr.Dec.uint32 dec in
+      let bsize = Xdr.Dec.uint32 dec in
+      let blocks = Xdr.Dec.uint32 dec in
+      let bfree = Xdr.Dec.uint32 dec in
+      let bavail = Xdr.Dec.uint32 dec in
+      RStatfs (Ok { tsize; bsize; blocks; bfree; bavail })
+  | SReadlink -> RReadlink (Ok (Xdr.Dec.string dec))
+  | SWrite3 ->
+      let a = get_fattr dec in
+      let stable = stable_of_int (Xdr.Dec.enum dec) in
+      let verf = Xdr.Dec.uint64 dec in
+      RWrite3 (Ok (a, stable, verf))
+  | SCommit ->
+      let a = get_fattr dec in
+      RCommit (Ok (a, Xdr.Dec.uint64 dec))
+
+let decode_res ~proc body =
+  let shape = (known proc).shape in
+  let dec = Xdr.Dec.of_view body in
+  match shape with
+  | SNull -> RNull
+  | _ -> ( match get_status dec with NFS_OK -> get_ok dec shape | st -> error_of_shape shape st)
 
 (* {1 Mount protocol (mini)} *)
 

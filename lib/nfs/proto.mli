@@ -34,6 +34,12 @@ type fattr = {
   ctime : timeval;
 }
 
+val max_size : int
+(** The largest file size an {!fattr} carries: its [size] is 32 bits. *)
+
+val max_data : int
+(** RFC 1094's NFS_MAXDATA, 8192: the most data one READ returns. *)
+
 type sattr = {
   s_mode : int;  (** -1 = don't set *)
   s_uid : int;
@@ -67,7 +73,7 @@ val status_to_int : status -> int
 val status_of_int : int -> status
 val string_of_status : status -> string
 
-(** {1 Procedures} *)
+(** {1 Procedure numbers} *)
 
 val proc_null : int
 val proc_getattr : int
@@ -88,8 +94,6 @@ val proc_write3 : int
 
 val proc_commit : int
 (** NFS version 3 COMMIT (procedure 21). *)
-
-val proc_name : int -> string
 
 type stable_how = Unstable | Data_sync | File_sync
 
@@ -121,22 +125,18 @@ val put_args : Nfsg_rpc.Xdr.Enc.t -> args -> unit
 val encode_args : args -> Bytes.t
 (** {!put_args} into a buffer of its own. *)
 
-val decode_args : proc:int -> Nfsg_rpc.Xdr.view -> args
-(** Raises [Nfsg_rpc.Xdr.Decode_error] on garbage, truncation or an
-    unknown procedure. *)
-
 type statfs_ok = { tsize : int; bsize : int; blocks : int; bfree : int; bavail : int }
 
 type res =
   | RNull
-  | RAttr of (fattr, status) result  (** GETATTR, SETATTR, WRITE *)
-  | RDirop of (fh * fattr, status) result  (** LOOKUP, CREATE, MKDIR *)
+  | RAttr of (fattr, status) result
+  | RDirop of (fh * fattr, status) result
   | RRead of (fattr * Nfsg_rpc.Xdr.view, status) result
       (** The data is a view, like a WRITE's. On the server it may be a
           window into a buffer-cache block, valid only until the server
           next yields: the reply funnel encodes it into the datagram at
           once. Decoded, it is a window into the reply datagram. *)
-  | RStatus of status  (** REMOVE, RENAME, RMDIR *)
+  | RStatus of status
   | RReaddir of ((string * int) list * bool, status) result
       (** entries as (name, fileid), plus EOF flag *)
   | RStatfs of (statfs_ok, status) result
@@ -152,16 +152,51 @@ val put_res : Nfsg_rpc.Xdr.Enc.t -> res -> unit
 val encode_res : res -> Bytes.t
 (** {!put_res} into a buffer of its own. *)
 
+(** {1 The procedures}
+
+    {!procs} is this module's list of procedures: one row per procedure
+    number, stating every fact the server and the client need about it.
+    A number without a row is not offered (RPC [PROC_UNAVAIL]). Looking
+    a row up allocates nothing; each function below reads one. *)
+
+type shape =
+  | SNull | SAttr | SDirop | SRead | SStatus | SReaddir | SStatfs | SReadlink | SWrite3 | SCommit
+(** Which {!res} constructor carries the procedure's result. *)
+
+type proc = private {
+  num : int;
+  name : string;  (** as in the metrics, e.g. [ops_WRITE] *)
+  mutates : bool;  (** changes the file system: a read-only export refuses it *)
+  klass : Nfsg_rpc.Rpc_client.op_class;  (** the client's retransmission timer *)
+  decode : Nfsg_rpc.Xdr.Dec.t -> args;
+  shape : shape;
+}
+
+val procs : proc list
+(** Every row, in procedure-number order. *)
+
+val proc_limit : int
+(** The length of an array indexed by procedure number. *)
+
+val find_proc : int -> proc option
+
+val proc_name : int -> string
+(** ["PROC<n>"] for a number without a row. *)
+
+val mutates : int -> bool
+val op_class : int -> Nfsg_rpc.Rpc_client.op_class
+
+val decode_args : proc:int -> Nfsg_rpc.Xdr.view -> args
+(** Raises [Nfsg_rpc.Xdr.Decode_error] on garbage, truncation or an
+    unknown procedure, for a file name that is empty or longer than
+    RFC 1094's 255 bytes, and for a time to set whose microseconds
+    make a second. *)
+
 val decode_res : proc:int -> Nfsg_rpc.Xdr.view -> res
 
 val error_res : proc:int -> status -> res
 (** The error result of procedure [proc] carrying [st], in the shape
     {!decode_res} expects for it. *)
-
-val mutates : int -> bool
-(** Does the procedure change the file system? These are the ones a
-    read-only export refuses: every v2 mutation plus v3 WRITE and
-    COMMIT. *)
 
 (** {1 Mount protocol (mini)}
 

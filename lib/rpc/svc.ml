@@ -4,7 +4,6 @@ module Names = Nfsg_stats.Names
 module Journey = Nfsg_stats.Journey
 
 type transport = {
-  id : int;
   mutable client : string;
   mutable xid : int;
   mutable live : bool;  (** checked out and not yet replied *)
@@ -22,7 +21,6 @@ type t = {
   on_duplicate_drop : client:string -> Rpc.call -> unit;
   journeys : Journey.plane option;
   free_handles : transport Queue.t;
-  mutable next_id : int;
   mutable outstanding : int;
   received : Metrics.counter;
   garbage : Metrics.counter;
@@ -42,9 +40,7 @@ let take_handle t ~client ~xid =
   let tr =
     match Queue.take_opt t.free_handles with
     | Some tr -> tr
-    | None ->
-        t.next_id <- t.next_id + 1;
-        { id = t.next_id; client = ""; xid = 0; live = false; journey = None }
+    | None -> { client = ""; xid = 0; live = false; journey = None }
   in
   tr.client <- client;
   tr.xid <- xid;
@@ -158,7 +154,6 @@ let create eng ~sock ?dupcache ?(on_duplicate_drop = fun ~client:_ _ -> ()) ?jou
       on_duplicate_drop;
       journeys;
       free_handles = Queue.create ();
-      next_id = 0;
       outstanding = 0;
       received = Metrics.counter m ~ns Names.received;
       garbage = Metrics.counter m ~ns Names.garbage;

@@ -10,9 +10,9 @@
    Everything is driven by the simulation clock and the deterministic
    registry iteration order, so a run's monitor output is byte-stable:
    the double-run equality test and CI's golden diff both rest on
-   that. The monitor never prints (O001); it accumulates into a buffer
-   and optionally streams each chunk to an [emit] callback supplied by
-   the binary that owns stdout. *)
+   that. The monitor never prints (O001); it hands each interval's
+   report to an [emit] callback supplied by the binary that owns
+   stdout. *)
 
 open Nfsg_sim
 
@@ -24,20 +24,18 @@ type t = {
   eng : Engine.t;
   metrics : Metrics.t;
   interval : Time.t;
-  buf : Buffer.t;
-  emit : (string -> unit) option;
+  emit : string -> unit;
   prev : (string, snap) Hashtbl.t;
   mutable timer : Engine.timer option;
   mutable stopped : bool;
 }
 
-let create eng ~metrics ~interval ?emit () =
+let create eng ~metrics ~interval ~emit =
   if interval <= 0 then invalid_arg "Monitor.create: interval must be positive";
   {
     eng;
     metrics;
     interval;
-    buf = Buffer.create 4096;
     emit;
     prev = Hashtbl.create 16;
     timer = None;
@@ -109,17 +107,12 @@ let render_tick t =
   end;
   Buffer.contents buf
 
-let tick t =
-  let s = render_tick t in
-  Buffer.add_string t.buf s;
-  match t.emit with Some f -> f s | None -> ()
-
 let rec arm t =
   t.timer <-
     Some
       (Engine.timer t.eng ~after:t.interval (fun () ->
            if not t.stopped then begin
-             tick t;
+             t.emit (render_tick t);
              arm t
            end))
 
@@ -130,5 +123,3 @@ let stop t =
   t.stopped <- true;
   (match t.timer with Some tm -> ignore (Engine.cancel tm : bool) | None -> ());
   t.timer <- None
-
-let output t = Buffer.contents t.buf

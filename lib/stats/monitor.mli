@@ -6,9 +6,8 @@
     dropped long-op records). Driven entirely by the simulation clock:
     output is deterministic and byte-stable across identical runs.
 
-    The monitor accumulates output in a buffer ({!output}) and can
-    stream each interval chunk to an [emit] callback — it never writes
-    to stdout itself. *)
+    The monitor hands each interval's report to an [emit] callback — it
+    never writes to stdout itself. *)
 
 type t
 
@@ -16,8 +15,7 @@ val create :
   Nfsg_sim.Engine.t ->
   metrics:Metrics.t ->
   interval:Nfsg_sim.Time.t ->
-  ?emit:(string -> unit) ->
-  unit ->
+  emit:(string -> unit) ->
   t
 
 val start : t -> unit
@@ -28,6 +26,3 @@ val start : t -> unit
 
 val stop : t -> unit
 (** Cancel the timer. Idempotent. *)
-
-val output : t -> string
-(** Everything rendered so far, in order. *)

@@ -24,7 +24,7 @@ module Ns = struct
   let nvram name = "nvram." ^ name
   let raid name = "raid." ^ name
 
-  (* Multi-volume planes; the 1-volume legacy server keeps the plain
+  (* Multi-volume planes; a one-export server keeps the plain
      [server]/[write_layer] namespaces (see Volume.mount). *)
   let server_vol fsid = Printf.sprintf "server.vol%d" fsid
   let write_layer_vol fsid = Printf.sprintf "write_layer.vol%d" fsid

@@ -31,7 +31,7 @@ module Ns : sig
   (** [write_layer_vol k] is ["write_layer.vol<k>"]. *)
 
   val read_plane : string
-  (** Buffer-cache and read-ahead accounting (legacy 1-volume server). *)
+  (** Buffer-cache and read-ahead accounting (one-export server). *)
 
   val read_plane_vol : int -> string
   (** [read_plane_vol k] is ["read_plane.vol<k>"]. *)
@@ -41,8 +41,6 @@ module Ns : sig
 
   val trace : string
   (** Flight-recorder health: the long-op rings' loss counter. *)
-
-  val station_prefix : string
 
   val station : string -> string
   (** [station c] is ["station." ^ c] — per-client attribution. *)

@@ -238,7 +238,7 @@ let test_per_volume_metrics_never_mix () =
   Alcotest.(check int) "idle vol3 has no batches" 0 (batches 3);
   Alcotest.(check int) "idle vol3 saved nothing" 0 (saved 3);
   Alcotest.(check int) "idle vol3 served no WRITEs" 0 (writes 3);
-  (* No legacy shared namespace on a multi-volume server. *)
+  (* No plain shared namespace on a multi-volume server. *)
   Alcotest.(check bool) "no shared write_layer namespace" true
     (Metrics.find_histogram m ~ns:"write_layer" "batch_size" = None)
 

@@ -79,6 +79,48 @@ let test_res_roundtrip () =
     (fun (proc, res) -> Alcotest.(check bool) (Proto.proc_name proc) true (same (roundtrip_res ~proc res) res))
     checks
 
+(* Each row's facts: its number and name (RFC 1094, plus v3 WRITE and
+   COMMIT), whether a read-only export refuses it, and the client's
+   timer class (writes heavy, reads and directory changes middle, the
+   rest light). *)
+let test_table_facts () =
+  let names keep = List.filter_map (fun p -> if keep p then Some p.Proto.name else None) Proto.procs in
+  let sorted = List.sort compare in
+  Alcotest.(check (list (pair int string))) "numbers and names"
+    [
+      (0, "NULL"); (1, "GETATTR"); (2, "SETATTR"); (4, "LOOKUP"); (5, "READLINK"); (6, "READ");
+      (7, "WRITE3"); (8, "WRITE"); (9, "CREATE"); (10, "REMOVE"); (11, "RENAME"); (13, "SYMLINK");
+      (14, "MKDIR"); (15, "RMDIR"); (16, "READDIR"); (17, "STATFS"); (21, "COMMIT");
+    ]
+    (List.filter_map
+       (fun n -> Option.map (fun p -> (n, Proto.proc_name p.Proto.num)) (Proto.find_proc n))
+       (List.init Proto.proc_limit Fun.id));
+  Alcotest.(check string) "a number without a row" "PROC3" (Proto.proc_name 3);
+  Alcotest.(check (list string)) "refused read-only"
+    (sorted [ "SETATTR"; "WRITE"; "CREATE"; "REMOVE"; "RENAME"; "SYMLINK"; "MKDIR"; "RMDIR"; "WRITE3"; "COMMIT" ])
+    (sorted (names (fun p -> Proto.mutates p.Proto.num)));
+  let klass k = sorted (names (fun p -> Proto.op_class p.Proto.num = k)) in
+  Alcotest.(check (list string)) "heavy" (sorted [ "WRITE"; "WRITE3"; "COMMIT" ]) (klass Nfsg_rpc.Rpc_client.Heavy);
+  Alcotest.(check (list string)) "middle"
+    (sorted [ "READ"; "CREATE"; "REMOVE"; "RENAME"; "SYMLINK"; "MKDIR"; "RMDIR" ])
+    (klass Nfsg_rpc.Rpc_client.Middle)
+
+(* Arguments no server can act on do not decode: a file name that is
+   empty or past RFC 1094's 255 bytes, and a time whose microseconds
+   make a second or more. *)
+let test_bad_names_and_times_do_not_decode () =
+  let decodes args = match roundtrip_args args with _ -> true | exception Xdr.Decode_error _ -> false in
+  let dir = fh 1 1 and sattr = Proto.sattr_none in
+  Alcotest.(check bool) "empty name" false (decodes (Proto.Lookup (dir, "")));
+  Alcotest.(check bool) "256 bytes" false (decodes (Proto.Create { dir; name = String.make 256 'n'; sattr }));
+  Alcotest.(check bool) "255 bytes" true (decodes (Proto.Mkdir { dir; name = String.make 255 'n'; sattr }));
+  Alcotest.(check bool) "empty target name" false
+    (decodes (Proto.Rename { from_dir = dir; from_name = "a"; to_dir = dir; to_name = "" }));
+  let mtime usec = Proto.Setattr (dir, { sattr with Proto.s_mtime = Some { Proto.sec = 1; usec } }) in
+  Alcotest.(check bool) "a second of microseconds" false (decodes (mtime 1_000_000));
+  Alcotest.(check bool) "under a second" true (decodes (mtime 999_999));
+  Alcotest.(check bool) "times not set" true (decodes (Proto.Setattr (dir, sattr)))
+
 let test_status_codes_stable () =
   (* Wire numbers straight from RFC 1094. *)
   Alcotest.(check int) "NFS_OK" 0 (Proto.status_to_int Proto.NFS_OK);
@@ -160,26 +202,43 @@ let prop_write_args_roundtrip =
    [Xdr.Decode_error] may escape, and a decoded WRITE or READ payload,
    a view, must lie inside the datagram it came in. *)
 
-let hostile_seeds =
-  let data = Xdr.view_of_bytes (Bytes.init 601 (fun i -> Char.chr (i land 0xff))) in
+let hostile_data = Xdr.view_of_bytes (Bytes.init 601 (fun i -> Char.chr (i land 0xff)))
+
+(* One call of every procedure in the table. *)
+let hostile_calls =
+  let data = hostile_data in
   let sattr = Proto.sattr_truncate 7 in
-  let calls =
-    [
-      Proto.Null;
-      Proto.Getattr (fh 3 1);
-      Proto.Setattr (fh 4 2, sattr);
-      Proto.Lookup (fh 1 1, "etc");
-      Proto.Readlink (fh 5 1);
-      Proto.Read { fh = fh 9 1; offset = 16384; count = 8192 };
-      Proto.Write { fh = fh 9 1; offset = 8192; data };
-      Proto.Create { dir = fh 1 1; name = "new.txt"; sattr };
-      Proto.Rename { from_dir = fh 1 1; from_name = "a"; to_dir = fh 2 1; to_name = "b" };
-      Proto.Readdir { fh = fh 1 1; cookie = 0; count = 4096 };
-      Proto.Symlink { dir = fh 1 1; name = "l"; target = "t"; sattr };
-      Proto.Write3 { fh = fh 9 1; offset = 1 lsl 33; stable = Proto.File_sync; data };
-      Proto.Commit { fh = fh 9 1; offset = 0; count = 0 };
-    ]
-  in
+  [
+    Proto.Null;
+    Proto.Getattr (fh 3 1);
+    Proto.Setattr (fh 4 2, sattr);
+    Proto.Lookup (fh 1 1, "etc");
+    Proto.Readlink (fh 5 1);
+    Proto.Read { fh = fh 9 1; offset = 16384; count = 8192 };
+    Proto.Write { fh = fh 9 1; offset = 8192; data };
+    Proto.Create { dir = fh 1 1; name = "new.txt"; sattr };
+    Proto.Remove { dir = fh 1 1; name = "old" };
+    Proto.Rename { from_dir = fh 1 1; from_name = "a"; to_dir = fh 2 1; to_name = "b" };
+    Proto.Mkdir { dir = fh 1 1; name = "sub"; sattr };
+    Proto.Rmdir { dir = fh 1 1; name = "sub" };
+    Proto.Readdir { fh = fh 1 1; cookie = 0; count = 4096 };
+    Proto.Statfs (fh 1 1);
+    Proto.Symlink { dir = fh 1 1; name = "l"; target = "t"; sattr };
+    Proto.Write3 { fh = fh 9 1; offset = 1 lsl 33; stable = Proto.File_sync; data };
+    Proto.Commit { fh = fh 9 1; offset = 0; count = 0 };
+  ]
+
+(* The procedures [calls] use, each once and by number, against the
+   table's: a row without a call fails. *)
+let covers_table calls =
+  List.sort_uniq compare (List.map Proto.proc_of_args calls)
+  = List.sort compare (List.map (fun p -> p.Proto.num) Proto.procs)
+
+let test_hostile_seeds_cover_table () =
+  Alcotest.(check bool) "a seed per procedure" true (covers_table hostile_calls)
+
+let hostile_seeds =
+  let data = hostile_data in
   let results =
     [
       Proto.RAttr (Ok sample_fattr);
@@ -196,7 +255,7 @@ let hostile_seeds =
     (fun args ->
       Nfsg_rpc.Rpc.encode_call_with ~xid:7 ~prog:Nfsg_rpc.Rpc.nfs_program ~vers:2
         ~proc:(Proto.proc_of_args args) (fun enc -> Proto.put_args enc args))
-    calls
+    hostile_calls
   @ List.map
       (fun res ->
         Nfsg_rpc.Rpc.encode_reply_with ~xid:7 ~stat:Nfsg_rpc.Rpc.Success (fun enc -> Proto.put_res enc res))
@@ -227,17 +286,18 @@ let show_mutation = function
   | Byte (at, v) -> Printf.sprintf "byte %d/1000 := %d" at v
   | Truncate keep -> Printf.sprintf "keep %d/1000" keep
 
-let prop_hostile_datagrams =
+let mutation =
   let open QCheck.Gen in
   let length_word = oneofl [ 0x7fffffff; 0xfffffff0; 0; 0xffffffff ] in
-  let mutation =
-    frequency
-      [
-        (4, map2 (fun at v -> Word (at, v)) (int_bound 1000) (oneof [ length_word; int_bound 0xffffffff ]));
-        (2, map2 (fun at v -> Byte (at, v)) (int_bound 1000) (int_bound 255));
-        (2, map (fun keep -> Truncate keep) (int_bound 1000));
-      ]
-  in
+  frequency
+    [
+      (4, map2 (fun at v -> Word (at, v)) (int_bound 1000) (oneof [ length_word; int_bound 0xffffffff ]));
+      (2, map2 (fun at v -> Byte (at, v)) (int_bound 1000) (int_bound 255));
+      (2, map (fun keep -> Truncate keep) (int_bound 1000));
+    ]
+
+let prop_hostile_datagrams =
+  let open QCheck.Gen in
   (* A datagram of random bytes, or a seed datagram (by index) with
      mutations applied in order. *)
   let case =
@@ -309,4 +369,7 @@ let suite =
     Alcotest.test_case "peek_write classifies datagrams" `Quick test_peek_write;
     QCheck_alcotest.to_alcotest prop_write_args_roundtrip;
     QCheck_alcotest.to_alcotest prop_hostile_datagrams;
+    Alcotest.test_case "the table's facts" `Quick test_table_facts;
+    Alcotest.test_case "bad names and times do not decode" `Quick test_bad_names_and_times_do_not_decode;
+    Alcotest.test_case "hostile seeds cover the table" `Quick test_hostile_seeds_cover_table;
   ]

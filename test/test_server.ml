@@ -6,6 +6,10 @@ open Testbed
 module Write_layer = Nfsg_core.Write_layer
 module Server = Nfsg_core.Server
 module Fs = Nfsg_ufs.Fs
+module Rpc = Nfsg_rpc.Rpc
+module Xdr = Nfsg_rpc.Xdr
+module Metrics = Nfsg_stats.Metrics
+module Names = Nfsg_stats.Names
 
 let standard_config =
   { Server.default_config with Server.write_layer = Write_layer.standard }
@@ -200,6 +204,214 @@ let test_op_counters () =
   Alcotest.(check int) "one write" 1 (op_count rig.server Proto.proc_write);
   Alcotest.(check bool) "getattr seen" true (op_count rig.server Proto.proc_getattr >= 1)
 
+(* Procedure numbers without a row in the table: ROOT (3) and LINK
+   (12) of RFC 1094, which this server does not offer, one past STATFS
+   and one far off. Each is PROC_UNAVAIL (RFC 1057), answered before
+   any dispatch CPU is charged: not garbage arguments, and not an op. *)
+let test_unknown_procedures_unavailable () =
+  let rig = make ~config:standard_config () in
+  let body = Proto.encode_args (Proto.Getattr (root rig)) in
+  let procs = [ 3; 12; 18; 99 ] in
+  let stats = run rig (fun () -> List.map (fun proc -> fst (Rpc_client.call rig.rpc ~proc body)) procs) in
+  List.iter2
+    (fun proc st -> Alcotest.(check bool) (Proto.proc_name proc) true (st = Rpc.Proc_unavail))
+    procs stats;
+  let m = Server.metrics rig.server in
+  Alcotest.(check (option int)) "no garbage" (Some 0) (Metrics.find_counter m ~ns:Names.Ns.rpc_svc Names.garbage);
+  List.iter
+    (fun proc ->
+      Alcotest.(check (option int)) "no op counter" None
+        (Metrics.find_counter m ~ns:Names.Ns.server (Names.ops (Proto.proc_name proc))))
+    (List.init 100 Fun.id);
+  let costs = standard_config.Server.costs in
+  Alcotest.(check int) "only the receive cost" (List.length procs * costs.Nfsg_core.Cpu_model.rx_fragment)
+    (Nfsg_sim.Resource.busy_time (Server.cpu rig.server))
+
+(* A READ returns at most NFS_MAXDATA bytes, whatever count it asks
+   for: one call cannot make the server copy out a whole file. *)
+let test_read_returns_at_most_maxdata () =
+  let rig = make ~config:standard_config () in
+  let n =
+    run rig (fun () ->
+        let fh, _ = Client.create_file rig.client (root rig) "sparse" in
+        ignore (Client.setattr rig.client fh (Proto.sattr_truncate (1 lsl 20)));
+        let body = Proto.encode_args (Proto.Read { fh; offset = 0; count = 1 lsl 20 }) in
+        match Rpc_client.call rig.rpc ~proc:Proto.proc_read body with
+        | Rpc.Success, res -> (
+            match Proto.decode_res ~proc:Proto.proc_read res with
+            | Proto.RRead (Ok (_, data)) -> Xdr.view_length data
+            | _ -> -1)
+        | _ -> -1)
+  in
+  Alcotest.(check int) "one transfer" Proto.max_data n
+
+(* A WRITE whose end passes the 32-bit size an fattr carries is FBIG,
+   and changes nothing. *)
+let test_write_past_32bit_size () =
+  let rig = make ~config:standard_config () in
+  let data = Xdr.view_of_bytes (Bytes.make 8192 'x') in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "huge" in
+      List.iter
+        (fun args ->
+          let proc = Proto.proc_of_args args in
+          match Rpc_client.call rig.rpc ~proc (Proto.encode_args args) with
+          | Rpc.Success, res ->
+              Alcotest.(check bool) (Proto.proc_name proc) true
+                (Proto.decode_res ~proc res = Proto.error_res ~proc Proto.NFSERR_FBIG)
+          | _ -> Alcotest.fail "no NFS reply")
+        [
+          Proto.Write { fh; offset = Proto.max_size - 4096; data };
+          Proto.Write3 { fh; offset = Proto.max_size; stable = Proto.Unstable; data };
+        ];
+      Alcotest.(check int) "still empty" 0 (Client.getattr rig.client fh).Proto.size)
+
+(* {1 Hostile datagrams at the server}
+
+   A call of every procedure in the table, built from live handles, is
+   damaged the ways test_nfs_proto damages its seeds (a word or a byte
+   overwritten, the tail cut off), in its arguments or anywhere in the
+   datagram, and sent from a raw socket to a one-nfsd server with a
+   valid 8 KB WRITE right behind it. *)
+
+type hostile_world = {
+  rig : rig;
+  raw : Socket.t;
+  calls : Proto.args list;  (** one per procedure *)
+  target : Proto.fh;  (** the valid WRITE's file, in a directory no call names *)
+}
+
+let hostile_world () =
+  let rig = make ~config:{ Server.default_config with Server.nfsds = 1 } () in
+  let c = rig.client in
+  run rig (fun () ->
+      let r = root rig in
+      let file, _ = Client.create_file c r "victim" in
+      let f = Client.open_file c file in
+      Client.write f ~off:0 (Bytes.make 8192 'v');
+      Client.close f;
+      ignore (Client.create_file c r "doomed");
+      ignore (Client.mkdir c r "empty");
+      let link, _ = Client.symlink c r "link" ~target:"victim" in
+      let keep, _ = Client.mkdir c r "keep" in
+      let target, _ = Client.create_file c keep "target" in
+      let sattr = Proto.sattr_none and data = Xdr.view_of_bytes (Bytes.make 1000 'h') in
+      let calls =
+        [
+          Proto.Null;
+          Proto.Getattr file;
+          Proto.Setattr (file, { sattr with Proto.s_mtime = Some { Proto.sec = 1; usec = 0 } });
+          Proto.Lookup (r, "victim");
+          Proto.Readlink link;
+          Proto.Read { fh = file; offset = 0; count = 8192 };
+          Proto.Write { fh = file; offset = 8192; data };
+          Proto.Create { dir = r; name = "new"; sattr };
+          Proto.Remove { dir = r; name = "doomed" };
+          Proto.Rename { from_dir = r; from_name = "victim"; to_dir = r; to_name = "moved" };
+          Proto.Mkdir { dir = r; name = "sub"; sattr };
+          Proto.Rmdir { dir = r; name = "empty" };
+          Proto.Readdir { fh = r; cookie = 0; count = 4096 };
+          Proto.Statfs r;
+          Proto.Symlink { dir = r; name = "l2"; target = "victim"; sattr };
+          Proto.Write3 { fh = file; offset = 16384; stable = Proto.Unstable; data };
+          Proto.Commit { fh = file; offset = 0; count = 0 };
+        ]
+      in
+      { rig; raw = Socket.create rig.segment ~addr:"hostile" (); calls; target })
+
+let test_hostile_calls_cover_table () =
+  Alcotest.(check bool) "a call per procedure" true
+    (Test_nfs_proto.covers_table (hostile_world ()).calls)
+
+(* The accept status of every reply waiting on the raw socket. *)
+let replies raw =
+  let rec go acc =
+    if Socket.pending raw = 0 then List.rev acc
+    else go ((Rpc.decode_reply (snd (Socket.recv raw))).Rpc.stat :: acc)
+  in
+  go []
+
+(* What garbage must leave alone: the write layer's WRITE count, the
+   root listing and the free blocks. *)
+let snapshot rig =
+  let fs = Server.fs rig.server in
+  ( Metrics.count (Server.metrics rig.server) ~ns:Names.Ns.write_layer Names.writes,
+    Fs.readdir fs (Fs.root fs),
+    (Fs.statfs fs).Fs.free_blocks )
+
+let prop_hostile_datagrams_at_server =
+  let open QCheck.Gen in
+  let gen =
+    triple
+      (int_bound (List.length Proto.procs - 1))
+      (oneofl [ `Args; `Datagram ])
+      (list_size (1 -- 3) Test_nfs_proto.mutation)
+  in
+  let print (i, scope, ms) =
+    Printf.sprintf "%s, %s: %s" (List.nth Proto.procs i).Proto.name
+      (match scope with `Args -> "arguments" | `Datagram -> "datagram")
+      (String.concat ", " (List.map Test_nfs_proto.show_mutation ms))
+  in
+  QCheck.Test.make ~name:"hostile datagrams at the server" ~count:120 (QCheck.make ~print gen)
+    (fun (i, scope, ms) ->
+      let proc = (List.nth Proto.procs i).Proto.num in
+      let w = hostile_world () in
+      let args = List.find (fun a -> Proto.proc_of_args a = proc) w.calls in
+      let clean =
+        Rpc.encode_call_with ~xid:0x5eed ~prog:Rpc.nfs_program ~vers:Rpc.nfs_version ~proc (fun enc ->
+            Proto.put_args enc args)
+      in
+      let damage b = List.fold_left Test_nfs_proto.apply_mutation b ms in
+      let dgram =
+        match scope with
+        | `Datagram -> damage clean
+        | `Args ->
+            let header = Bytes.length clean - Bytes.length (Proto.encode_args args) in
+            Bytes.cat (Bytes.sub clean 0 header) (damage (Bytes.sub clean header (Bytes.length clean - header)))
+      in
+      (* A datagram that is not a call is garbage with no reply. *)
+      let is_call = Option.is_some (Rpc.peek_call dgram) in
+      let rig = w.rig in
+      let svc name = Metrics.count (Server.metrics rig.server) ~ns:Names.Ns.rpc_svc name in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let block = Bytes.init 8192 (fun i -> Char.chr (i mod 251)) in
+      run rig (fun () ->
+          let garbage0 = svc Names.garbage and writes0, listing0, _ = snapshot rig in
+          Socket.send w.raw ~dst:"server" dgram;
+          let stat, body =
+            Rpc_client.call_with rig.rpc ~klass:Rpc_client.Heavy ~proc:Proto.proc_write (fun enc ->
+                Proto.put_args enc (Proto.Write { fh = w.target; offset = 0; data = Xdr.view_of_bytes block }))
+          in
+          (match (stat, Proto.decode_res ~proc:Proto.proc_write body) with
+          | Rpc.Success, Proto.RAttr (Ok _) -> ()
+          | _ -> fail "the WRITE behind it was not acknowledged");
+          Nfsg_sim.Engine.delay (Nfsg_sim.Time.sec 1);
+          let stats = replies w.raw in
+          if List.length stats <> (if is_call then 1 else 0) then fail "%d replies" (List.length stats);
+          if List.mem Rpc.System_err stats then fail "SYSTEM_ERR";
+          let garbage = (not is_call) || stats = [ Rpc.Garbage_args ] in
+          let counted = svc Names.garbage - garbage0 in
+          if counted <> (if garbage then 1 else 0) then fail "garbage counted %d times" counted;
+          if garbage then begin
+            let writes, listing, _ = snapshot rig in
+            if writes <> writes0 + 1 || listing <> listing0 then fail "garbage changed the server";
+            (* Sent again, it is garbage again, and still changes nothing. *)
+            let before = snapshot rig and garbage1 = svc Names.garbage in
+            let replays = svc Names.duplicate_replays in
+            Socket.send w.raw ~dst:"server" dgram;
+            Nfsg_sim.Engine.delay (Nfsg_sim.Time.sec 1);
+            if replies w.raw <> (if is_call then [ Rpc.Garbage_args ] else []) then fail "resent: not garbage";
+            if svc Names.garbage <> garbage1 + 1 then fail "resent: not counted once";
+            if svc Names.duplicate_replays <> replays then fail "resent: replayed";
+            if snapshot rig <> before then fail "resent: changed the server";
+            match Fs.check (Server.fs rig.server) with
+            | Ok () -> ()
+            | Error es -> fail "fsck: %s" (String.concat "; " es)
+          end;
+          if svc Names.dispatch_errors <> 0 then fail "dispatch errors";
+          if Client.read rig.client w.target ~off:0 ~len:8192 <> block then fail "the WRITE does not read back";
+          true))
+
 let suite =
   [
     Alcotest.test_case "create/write/read roundtrip" `Quick test_create_write_read_roundtrip;
@@ -215,4 +427,9 @@ let suite =
     Alcotest.test_case "two clients, isolated files" `Quick test_concurrent_clients_isolated;
     Alcotest.test_case "per-op counters" `Quick test_op_counters;
     Alcotest.test_case "symlink / readlink over the wire" `Quick test_symlink_readlink_over_wire;
+    Alcotest.test_case "unknown procedures are PROC_UNAVAIL" `Quick test_unknown_procedures_unavailable;
+    Alcotest.test_case "a READ returns at most NFS_MAXDATA" `Quick test_read_returns_at_most_maxdata;
+    Alcotest.test_case "a WRITE past a 32-bit size is FBIG" `Quick test_write_past_32bit_size;
+    Alcotest.test_case "hostile calls cover the table" `Quick test_hostile_calls_cover_table;
+    QCheck_alcotest.to_alcotest prop_hostile_datagrams_at_server;
   ]
