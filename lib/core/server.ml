@@ -48,6 +48,10 @@ type t = {
           lost that data, and rewrites. One number covers every volume:
           it identifies the server boot, not a disk. *)
   send : Svc.transport -> (Xdr.Enc.t -> unit) -> unit;  (** the reply funnel, see [make_internal] *)
+  dupcache : Dupcache.t option;
+  spares : Nfsg_rpc.Spares.t;
+      (** the reply datagrams the service encodes into; a restart hands
+          them to the next incarnation *)
   ops : Metrics.counter option array;
       (** by procedure number: its [server/ops_<PROC>] counter, resolved on
           first use *)
@@ -330,7 +334,8 @@ let dispatch t tr (call : Rpc.call) =
 (* The assembly shared by the fresh-format and recovery paths: the
    first incarnation formats its volumes, a later one remounts them as
    they stand. *)
-let make_internal eng ~segment ~addr ?metrics ~incarnation config specs =
+let make_internal eng ~segment ~addr ?metrics ?(spares = Nfsg_rpc.Spares.create ()) ~incarnation config
+    specs =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let cpu = Resource.create eng "server-cpu" in
   let costs = config.costs in
@@ -347,9 +352,10 @@ let make_internal eng ~segment ~addr ?metrics ~incarnation config specs =
      block is copied while the block still holds the bytes read. Bare
      RPC error statuses carry no result and go out free. *)
   let send tr put_result =
-    let reply = Svc.encode_reply tr Rpc.Success put_result in
+    let svc = Option.get !svc_ref in
+    let reply = Svc.encode_reply svc tr Rpc.Success put_result in
     Resource.use cpu costs.Cpu_model.rpc_encode;
-    Svc.send_encoded (Option.get !svc_ref) tr reply
+    Svc.send_encoded svc tr reply
   in
   let send_reply tr res = send tr (fun enc -> Proto.put_res enc res) in
   let volumes =
@@ -361,6 +367,7 @@ let make_internal eng ~segment ~addr ?metrics ~incarnation config specs =
       specs
   in
   let journeys = Journey.create eng ~metrics ?threshold:config.long_op_threshold () in
+  let dupcache = if config.dupcache then Some (Dupcache.create eng ~metrics ()) else None in
   let t =
     {
       eng;
@@ -372,6 +379,8 @@ let make_internal eng ~segment ~addr ?metrics ~incarnation config specs =
       cpu;
       verf = incarnation;
       send;
+      dupcache;
+      spares;
       ops = Array.make Proto.proc_limit None;
       vol_ops = Array.of_list (List.map (fun _ -> Array.make Proto.proc_limit None) volumes);
       stream_ids = Hashtbl.create 16;
@@ -379,9 +388,8 @@ let make_internal eng ~segment ~addr ?metrics ~incarnation config specs =
       journeys;
     }
   in
-  let dupcache = if config.dupcache then Some (Dupcache.create eng ~metrics ()) else None in
   let svc =
-    Svc.create eng ~sock ?dupcache ~journeys ~metrics
+    Svc.create eng ~sock ?dupcache ~journeys ~metrics ~spares
       ~on_duplicate_drop:(fun ~client:_ call ->
         if call.Rpc.prog = Rpc.nfs_program && call.Rpc.proc = Proto.proc_write then
           match Proto.decode_args ~proc:call.Rpc.proc call.Rpc.body with
@@ -404,8 +412,11 @@ let make eng ~segment ~addr ~device ?metrics config =
   make_exports eng ~segment ~addr ?metrics config [ Volume.spec "/export" device ]
 
 let crash t =
-  (* Power off: volatile state gone and the host leaves the wire. *)
+  (* Power off: volatile state gone and the host leaves the wire. The
+     duplicate cache never replays again, so every reply it held that
+     its client gave back joins the spares. *)
   Nfsg_net.Socket.detach t.sock;
+  Option.iter Dupcache.clear t.dupcache;
   List.iter Volume.crash t.volumes
 
 let restart t =
@@ -418,8 +429,8 @@ let restart t =
   (* Same registry across incarnations: find-or-create registration
      means the restarted server keeps counting where this one stopped. *)
   let next =
-    make_internal t.eng ~segment:t.segment ~addr:t.addr ~metrics:t.metrics ~incarnation:(t.verf + 1)
-      t.config
+    make_internal t.eng ~segment:t.segment ~addr:t.addr ~metrics:t.metrics ~spares:t.spares
+      ~incarnation:(t.verf + 1) t.config
       (List.map (fun v -> Volume.spec (Volume.export v) (Volume.device v)) t.volumes)
   in
   (* The export table's write protection survives the reboot; no nfsd

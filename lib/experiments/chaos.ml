@@ -75,6 +75,14 @@ let bs = 8192
 let block_fill blk = (blk * 131) + 7
 let block_data blk = Bytes.init bs (fun j -> Char.chr ((j + block_fill blk) mod 251))
 
+(* One NFS call on its procedure's timer class, its result decoded
+   inside the call; [None] when the server did not accept the call. *)
+let nfs_call rpc args =
+  let proc = Proto.proc_of_args args in
+  Rpc_client.call_with rpc ~klass:(Proto.op_class proc) ~proc
+    (fun enc -> Proto.put_args enc args)
+    (fun stat body -> if stat = Rpc.Success then Some (Proto.decode_res ~proc body) else None)
+
 (* The whole scenario is a function of [cfg] and [env] alone: the
    engine, every RNG (segment, injector, fault plan, writer think times)
    and every fault instant derive from [cfg.seed], so two runs with
@@ -188,17 +196,14 @@ let run ?(env = Rig.default_env) cfg =
       let rec attempt tries timeouts =
         if tries < 8 then
           match
-            Rpc_client.call rpc ~klass:Rpc_client.Heavy ~proc:Proto.proc_write
-              (Proto.encode_args (Proto.Write { fh = !victim_fh; offset = blk * bs; data = Nfsg_rpc.Xdr.view_of_bytes data }))
+            nfs_call rpc
+              (Proto.Write { fh = !victim_fh; offset = blk * bs; data = Nfsg_rpc.Xdr.view_of_bytes data })
           with
-          | Rpc.Success, body -> (
-              match Proto.decode_res ~proc:Proto.proc_write body with
-              | Proto.RAttr (Ok _) -> Hashtbl.replace acked blk ()
-              | Proto.RAttr (Error Proto.NFSERR_IO) ->
-                  incr io_error_replies;
-                  Engine.delay (Time.of_ms_f 60.0);
-                  attempt (tries + 1) timeouts
-              | _ -> ())
+          | Some (Proto.RAttr (Ok _)) -> Hashtbl.replace acked blk ()
+          | Some (Proto.RAttr (Error Proto.NFSERR_IO)) ->
+              incr io_error_replies;
+              Engine.delay (Time.of_ms_f 60.0);
+              attempt (tries + 1) timeouts
           | _ -> ()
           | exception Rpc_client.Timeout _ ->
               if timeouts < 2 then begin
@@ -230,29 +235,16 @@ let run ?(env = Rig.default_env) cfg =
         for j = 1 to cfg.burst_ops do
           let name = Printf.sprintf "m-%d-%d" k j in
           incr issued_creates;
-          (match
-             Rpc_client.call rpc ~klass:Rpc_client.Middle ~proc:Proto.proc_create
-               (Proto.encode_args
-                  (Proto.Create { dir = !root_fh; name; sattr = Proto.sattr_none }))
-           with
-          | Rpc.Success, body -> (
-              match Proto.decode_res ~proc:Proto.proc_create body with
-              | Proto.RDirop (Ok _) -> (
-                  incr completed_creates;
-                  incr issued_removes;
-                  match
-                    Rpc_client.call rpc ~klass:Rpc_client.Middle ~proc:Proto.proc_remove
-                      (Proto.encode_args (Proto.Remove { dir = !root_fh; name }))
-                  with
-                  | Rpc.Success, body -> (
-                      match Proto.decode_res ~proc:Proto.proc_remove body with
-                      | Proto.RStatus Proto.NFS_OK -> incr completed_removes
-                      | Proto.RStatus Proto.NFSERR_NOENT -> incr spurious
-                      | _ -> ())
-                  | _ -> ()
-                  | exception Rpc_client.Timeout _ -> ())
-              | Proto.RDirop (Error Proto.NFSERR_EXIST) -> incr spurious
-              | _ -> ())
+          (match nfs_call rpc (Proto.Create { dir = !root_fh; name; sattr = Proto.sattr_none }) with
+          | Some (Proto.RDirop (Ok _)) -> (
+              incr completed_creates;
+              incr issued_removes;
+              match nfs_call rpc (Proto.Remove { dir = !root_fh; name }) with
+              | Some (Proto.RStatus Proto.NFS_OK) -> incr completed_removes
+              | Some (Proto.RStatus Proto.NFSERR_NOENT) -> incr spurious
+              | _ -> ()
+              | exception Rpc_client.Timeout _ -> ())
+          | Some (Proto.RDirop (Error Proto.NFSERR_EXIST)) -> incr spurious
           | _ -> ()
           | exception Rpc_client.Timeout _ -> ())
         done;
@@ -297,15 +289,8 @@ let run ?(env = Rig.default_env) cfg =
     let boot_sock = Socket.create segment ~addr:"mut" () in
     let boot_rpc = Rpc_client.create eng ~sock:boot_sock ~server:"server" ~metrics () in
     root_fh := Rig.root rig;
-    (match
-       Rpc_client.call boot_rpc ~klass:Rpc_client.Middle ~proc:Proto.proc_create
-         (Proto.encode_args
-            (Proto.Create { dir = !root_fh; name = "victim"; sattr = Proto.sattr_none }))
-     with
-    | Rpc.Success, body -> (
-        match Proto.decode_res ~proc:Proto.proc_create body with
-        | Proto.RDirop (Ok (fh, _)) -> victim_fh := fh
-        | _ -> failwith "chaos: victim create failed")
+    (match nfs_call boot_rpc (Proto.Create { dir = !root_fh; name = "victim"; sattr = Proto.sattr_none }) with
+    | Some (Proto.RDirop (Ok (fh, _))) -> victim_fh := fh
     | _ -> failwith "chaos: victim create failed");
     for w = 0 to cfg.writers - 1 do
       let sock = Socket.create segment ~addr:(Printf.sprintf "w%d" w) () in

@@ -36,6 +36,7 @@ type station = {
   deliver : src:string -> Bytes.t -> unit;
   rx_fragment : bytes:int -> unit;
   buffer_drops : unit -> int;
+  given_back : src:string -> Bytes.t -> unit;
 }
 
 type job = { src : string; dst : string; payload : Bytes.t }
@@ -172,3 +173,10 @@ let attach t station =
 
 let detach t addr = Hashtbl.remove t.stations addr
 let transmit t ~src ~dst payload = Squeue.put t.queue { src; dst; payload }
+
+(* Host memory bookkeeping, not traffic: no wire time, no event, no
+   counter. A sender that has left the segment gets nothing back. *)
+let give_back t ~src ~dst datagram =
+  match Hashtbl.find t.stations dst with
+  | station -> station.given_back ~src datagram
+  | exception Not_found -> ()

@@ -63,9 +63,10 @@ val set_dup_prob : t -> float -> unit
 (** Probability a delivered datagram is delivered a second time (one
     extra propagation latency later). Needs [0 <= p < 1]. The second
     delivery is a copy of its own, taken when the original leaves the
-    wire, so a call sent once reaches the server as one buffer at most
-    once: the sender may reuse that buffer once the call is answered
-    ([Nfsg_rpc.Rpc_client]). *)
+    wire, so every buffer sent is delivered at most once: a client may
+    reuse a call's buffer once the call is answered
+    ([Nfsg_rpc.Rpc_client]), and a server a reply's once its client
+    gives it back ([Nfsg_rpc.Svc]). *)
 
 val partition : t -> a:string -> b:string -> until:Nfsg_sim.Time.t -> unit
 (** Black out all traffic between addresses [a] and [b] (both
@@ -101,8 +102,17 @@ type station = {
   deliver : src:string -> Bytes.t -> unit;
   rx_fragment : bytes:int -> unit;
   buffer_drops : unit -> int;
+  given_back : src:string -> Bytes.t -> unit;
+      (** a datagram this station sent, back from its receiver [src] *)
 }
 
 val attach : t -> station -> unit
 val detach : t -> string -> unit
 val transmit : t -> src:string -> dst:string -> Bytes.t -> unit
+
+val give_back : t -> src:string -> dst:string -> Bytes.t -> unit
+(** Hand a datagram that [src] received from [dst] back to [dst]'s
+    station, or drop it if [dst] has left the segment. It costs no
+    simulated time, schedules no event and counts nothing: it is
+    bookkeeping of the simulator's own memory, like the spares it
+    feeds. *)

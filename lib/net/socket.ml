@@ -5,6 +5,7 @@ type t = {
   queue : (string * Bytes.t * Nfsg_sim.Time.t) Nfsg_sim.Squeue.t;
   mutable buffered_bytes : int;
   mutable dropped : int;
+  mutable given_back : src:string -> Bytes.t -> unit;
 }
 
 let addr s = s.addr
@@ -20,6 +21,7 @@ let create segment ~addr ?(rcvbuf = 256 * 1024) ?(on_rx_fragment = fun ~bytes:_ 
       queue = Nfsg_sim.Squeue.create ();
       buffered_bytes = 0;
       dropped = 0;
+      given_back = (fun ~src:_ _ -> ());
     }
   in
   let deliver ~src payload =
@@ -32,10 +34,18 @@ let create segment ~addr ?(rcvbuf = 256 * 1024) ?(on_rx_fragment = fun ~bytes:_ 
     end
   in
   Segment.attach segment
-    { Segment.addr; deliver; rx_fragment = on_rx_fragment; buffer_drops = (fun () -> s.dropped) };
+    {
+      Segment.addr;
+      deliver;
+      rx_fragment = on_rx_fragment;
+      buffer_drops = (fun () -> s.dropped);
+      given_back = (fun ~src datagram -> s.given_back ~src datagram);
+    };
   s
 
 let send s ~dst payload = Segment.transmit s.segment ~src:s.addr ~dst payload
+let give_back s ~dst datagram = Segment.give_back s.segment ~src:s.addr ~dst datagram
+let on_given_back s f = s.given_back <- f
 let detach s = Segment.detach s.segment s.addr
 
 let recv_stamped s =

@@ -24,6 +24,9 @@ type t = {
   lat : Nfsg_stats.Histogram.t option array;
       (** by procedure number: its [nfs.client/lat_us_<PROC>] histogram,
           resolved on first use *)
+  decode : (Rpc.accept_stat -> Xdr.view -> Proto.res) array;
+      (** by procedure number: its reply's decode, built once so that a
+          call allocates none *)
   mutable wire_writes : int;
   mutable commits : int;
   mutable last_mtimes : int list;  (** the most recent [close]'s, oldest first *)
@@ -32,6 +35,13 @@ type t = {
 let wire_writes t = t.wire_writes
 let commits_sent t = t.commits
 let last_write_mtimes t = t.last_mtimes
+
+(* A reply's result, decoded inside its call ([Rpc_client.call_with]).
+   No result but READ's holds a view of the reply datagram, and [read]
+   decodes its own. *)
+let decode_res proc stat body =
+  if stat <> Rpc.Success then raise (Error Proto.NFSERR_IO);
+  Proto.decode_res ~proc body
 
 let create eng ~rpc ?(biods = 4) ?(protocol = V2) ?metrics () =
   if biods < 0 then invalid_arg "Client.create: negative biod count";
@@ -44,6 +54,7 @@ let create eng ~rpc ?(biods = 4) ?(protocol = V2) ?metrics () =
     protocol;
     metrics;
     lat = Array.make Proto.proc_limit None;
+    decode = Array.init Proto.proc_limit decode_res;
     wire_writes = 0;
     commits = 0;
     last_mtimes = [];
@@ -63,13 +74,15 @@ let latency t proc =
       t.lat.(proc) <- Some h;
       h
 
+let call t ~proc args decode =
+  Metrics.span t.eng (latency t proc) (fun () ->
+      Rpc_client.call_with t.rpc ~klass:(Proto.op_class proc) ~proc
+        (fun enc -> Proto.put_args enc args)
+        decode)
+
 let do_call t args =
   let proc = Proto.proc_of_args args in
-  Metrics.span t.eng (latency t proc) (fun () ->
-      let klass = Proto.op_class proc in
-      let stat, body = Rpc_client.call_with t.rpc ~klass ~proc (fun enc -> Proto.put_args enc args) in
-      if stat <> Rpc.Success then raise (Error Proto.NFSERR_IO);
-      Proto.decode_res ~proc body)
+  call t ~proc args t.decode.(proc)
 
 let attr_result = function
   | Proto.RAttr (Ok a) -> a
@@ -131,15 +144,16 @@ let null_ping t =
 
 (* {1 Mounting} *)
 
-let mount_flags t name =
-  let stat, body =
-    Rpc_client.call_with t.rpc ~klass:Rpc_client.Light ~prog:Rpc.mount_program
-      ~proc:Proto.proc_mnt (fun enc -> Proto.put_mnt_args enc name)
-  in
+let decode_mnt stat body =
   if stat <> Rpc.Success then raise (Error Proto.NFSERR_IO);
   match Proto.decode_mnt_res body with
   | Ok (fh, read_only) -> (fh, read_only)
   | Error st -> raise (Error st)
+
+let mount_flags t name =
+  Rpc_client.call_with t.rpc ~klass:Rpc_client.Light ~prog:Rpc.mount_program ~proc:Proto.proc_mnt
+    (fun enc -> Proto.put_mnt_args enc name)
+    decode_mnt
 
 let mount t name = fst (mount_flags t name)
 
@@ -319,29 +333,30 @@ let close f =
     raise Verifier_changed
   end
 
-(* One READ per block. Each reply's data is a window into its datagram,
-   copied once, into the result. *)
+(* One READ of at most [count] bytes at [pos], whose data the decode
+   copies into [out] at [at] while the reply datagram still holds it.
+   Returns the bytes read. *)
+let read_into t fh ~pos ~count out ~at =
+  call t ~proc:Proto.proc_read (Proto.Read { fh; offset = pos; count }) (fun stat body ->
+      match decode_res Proto.proc_read stat body with
+      | Proto.RRead (Ok (_a, data)) when Xdr.view_length data <= count ->
+          let n = Xdr.view_length data in
+          Xdr.blit_view data ~src_off:0 ~dst:out ~dst_off:at ~len:n;
+          n
+      | Proto.RRead (Error st) -> raise (Error st)
+      | _ -> raise (Error Proto.NFSERR_IO))
+
+(* One READ per block, each copied into the result as it arrives; only
+   a read cut short at end of file copies the result once more. *)
 let read t fh ~off ~len =
-  let rec go pos acc =
-    let chunk = Stdlib.min block_size (off + len - pos) in
-    match do_call t (Proto.Read { fh; offset = pos; count = chunk }) with
-    | Proto.RRead (Ok (_a, data)) ->
-        let n = Xdr.view_length data in
-        if n < chunk || pos + n >= off + len then List.rev (data :: acc) else go (pos + n) (data :: acc)
-    | Proto.RRead (Error st) -> raise (Error st)
-    | _ -> raise (Error Proto.NFSERR_IO)
-  in
   if len <= 0 then Bytes.empty
   else begin
-    let parts = go off [] in
-    let out = Bytes.create (List.fold_left (fun n v -> n + Xdr.view_length v) 0 parts) in
-    ignore
-      (List.fold_left
-         (fun at v ->
-           let n = Xdr.view_length v in
-           Xdr.blit_view v ~src_off:0 ~dst:out ~dst_off:at ~len:n;
-           at + n)
-         0 parts
-        : int);
-    out
+    let out = Bytes.create len in
+    let rec go pos =
+      let chunk = Stdlib.min block_size (off + len - pos) in
+      let n = read_into t fh ~pos ~count:chunk out ~at:(pos - off) in
+      if n < chunk || pos + n >= off + len then pos + n - off else go (pos + n)
+    in
+    let got = go off in
+    if got = len then out else Bytes.sub out 0 got
   end

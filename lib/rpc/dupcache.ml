@@ -10,6 +10,7 @@ module Names = Nfsg_stats.Names
 type entry = {
   key : string * int;
   mutable reply : Bytes.t;  (* meaningful once completed *)
+  mutable returned : bool;  (* its client gave [reply] back *)
   mutable done_at : Time.t;
   mutable touched : Time.t;  (* its place on the LRU ring *)
   mutable older : entry;
@@ -28,6 +29,7 @@ type t = {
   ends : entry;
       (* sentinel of both rings: [ends.newer] is the next to evict,
          [ends.done_after] the next to expire *)
+  mutable release : Bytes.t -> unit;
   m_drops : Metrics.counter;
   m_replays : Metrics.counter;
   m_evictions : Metrics.counter;
@@ -40,7 +42,17 @@ let ns = Names.Ns.rpc_dupcache
 (* A new entry, in flight: linked only to itself. *)
 let entry key =
   let rec e =
-    { key; reply = Bytes.empty; done_at = 0; touched = 0; older = e; newer = e; done_before = e; done_after = e }
+    {
+      key;
+      reply = Bytes.empty;
+      returned = false;
+      done_at = 0;
+      touched = 0;
+      older = e;
+      newer = e;
+      done_before = e;
+      done_after = e;
+    }
   in
   e
 
@@ -52,6 +64,7 @@ let create eng ?(capacity = 512) ?(ttl = Time.sec 6) ?metrics () =
     ttl;
     table = Hashtbl.create 256;
     ends = entry ("", 0);
+    release = ignore;
     m_drops = Metrics.counter m ~ns Names.drops;
     m_replays = Metrics.counter m ~ns Names.replays;
     m_evictions = Metrics.counter m ~ns Names.evictions;
@@ -59,6 +72,7 @@ let create eng ?(capacity = 512) ?(ttl = Time.sec 6) ?metrics () =
     m_overflows = Metrics.counter m ~ns Names.overflows;
   }
 
+let on_release t f = t.release <- f
 let entries t = Hashtbl.length t.table
 let drops t = Metrics.value t.m_drops
 let replays t = Metrics.value t.m_replays
@@ -102,8 +116,18 @@ let touch t e now =
   p.newer.older <- e;
   p.newer <- e
 
+(* The entry stops holding its reply. One its client gave back is free
+   now: nobody else holds it. *)
+let let_go t e =
+  if e.returned then begin
+    e.returned <- false;
+    t.release e.reply
+  end;
+  e.reply <- Bytes.empty
+
 let remove t e =
   unlink e;
+  let_go t e;
   Hashtbl.remove t.table e.key
 
 let rec expire t now =
@@ -151,7 +175,7 @@ let admit t ~client ~xid =
       Replay e.reply
   | Some e ->
       unlink e;
-      e.reply <- Bytes.empty;
+      let_go t e;
       New
   | None ->
       if make_room t then Hashtbl.replace t.table key (entry key)
@@ -178,3 +202,20 @@ let complete t ~client ~xid reply =
 
 let forget t ~client ~xid =
   match Hashtbl.find_opt t.table (client, xid) with Some e -> remove t e | None -> ()
+
+let returned t ~client ~xid datagram =
+  match Hashtbl.find_opt t.table (client, xid) with
+  | Some e when completed e && e.reply == datagram ->
+      e.returned <- true;
+      true
+  | Some _ | None -> false
+
+(* Every completed entry is on the LRU ring; an in-flight one holds no
+   reply. *)
+let rec clear t =
+  let e = t.ends.newer in
+  if e != t.ends then begin
+    remove t e;
+    clear t
+  end
+  else Hashtbl.reset t.table

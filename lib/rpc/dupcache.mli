@@ -5,14 +5,26 @@
     request is {e in progress} is dropped; a request whose reply was
     sent recently gets the cached reply retransmitted instead of being
     re-executed — essential for non-idempotent operations under client
-    retransmission. *)
+    retransmission.
+
+    {b The cache holds the reply datagrams it may replay.} Once a reply
+    is sent, its server keeps it only as its entry's reply. A replay
+    sends a copy ({!Svc}), so each reply datagram is delivered at most
+    once, and its client gives it back once the call's decode has
+    returned ({!Rpc_client.call_with}). If the cache still holds it
+    then, the entry is marked ({!returned}), and the datagram goes to
+    {!on_release} when the cache lets the entry go: on eviction,
+    expiry, re-admission after the TTL, {!forget} or {!clear}. Until
+    then nobody may reuse it. *)
 
 type t
 
 type verdict =
   | New  (** execute it (now marked in-progress) *)
   | In_progress  (** drop: an nfsd is already on it *)
-  | Replay of Bytes.t  (** retransmit this cached reply *)
+  | Replay of Bytes.t
+      (** retransmit this cached reply: a copy, since the cache keeps
+          the datagram *)
 
 val create :
   Nfsg_sim.Engine.t ->
@@ -44,6 +56,22 @@ val complete : t -> client:string -> xid:int -> Bytes.t -> unit
 val forget : t -> client:string -> xid:int -> unit
 (** Drop an in-progress entry without a reply (e.g. dispatch failed
     before a reply existed). *)
+
+val returned : t -> client:string -> xid:int -> Bytes.t -> bool
+(** [returned t ~client ~xid datagram]: [client] gave back a reply
+    datagram for [xid]. [true] when the cache holds that very buffer
+    ([==]) as the entry's reply: the entry is marked, and the buffer
+    goes to {!on_release} when the entry goes. [false] when it holds
+    something else or nothing, and the caller may reuse the buffer at
+    once. *)
+
+val on_release : t -> (Bytes.t -> unit) -> unit
+(** Where a marked entry's reply goes when the cache lets the entry go
+    (nowhere until set). {!Svc.create} points it at its spares. *)
+
+val clear : t -> unit
+(** Let every entry go, as a crash loses them: the cache replays
+    nothing it held before, and every marked reply is released. *)
 
 val entries : t -> int
 val drops : t -> int

@@ -67,8 +67,8 @@ let decode_call bytes =
   get_auth dec;
   { xid; prog; vers; proc; body = Xdr.Dec.rest_view dec }
 
-let encode_reply_with ~xid ~stat put_body =
-  Xdr.Enc.encode (fun enc ->
+let encode_reply_with ?buffer ~xid ~stat put_body =
+  Xdr.Enc.encode ?buffer (fun enc ->
       Xdr.Enc.uint32 enc xid;
       Xdr.Enc.enum enc msg_reply;
       (* reply_stat MSG_ACCEPTED *)
@@ -90,6 +90,8 @@ let decode_reply bytes =
   get_auth dec;
   let stat = accept_stat_of_int (Xdr.Dec.enum dec) in
   { rxid; stat; rbody = Xdr.Dec.rest_view dec }
+
+let xid_of bytes = Int32.to_int (Bytes.get_int32_be bytes 0) land 0xFFFFFFFF
 
 let is_call bytes =
   Bytes.length bytes >= 8

@@ -35,12 +35,18 @@ val encode_call : call -> Bytes.t
 val decode_call : Bytes.t -> call
 (** Raises {!Xdr.Decode_error} on garbage. *)
 
-val encode_reply_with : xid:int -> stat:accept_stat -> (Xdr.Enc.t -> unit) -> Bytes.t
+val encode_reply_with :
+  ?buffer:(int -> Bytes.t) -> xid:int -> stat:accept_stat -> (Xdr.Enc.t -> unit) -> Bytes.t
 (** The accepted-reply header and then the result [put_body] writes, in
-    one exactly sized buffer. *)
+    one exactly sized buffer, which [buffer] supplies as in
+    {!encode_call_with}: how {!Svc} encodes a reply into a datagram a
+    client gave back. *)
 
 val encode_reply : reply -> Bytes.t
 val decode_reply : Bytes.t -> reply
+
+val xid_of : Bytes.t -> int
+(** The xid a message of at least 4 bytes opens with, call or reply. *)
 
 val is_call : Bytes.t -> bool
 (** Cheap test: does this datagram look like an RPC call? (For the

@@ -18,17 +18,23 @@ exception Timeout of int
 
 type rtt_state = { mutable srtt : Time.t; mutable rttvar : Time.t; mutable samples : int }
 
-(* One transmission awaiting its reply. The demux fills [reply], cancels
-   [rto] and unparks [caller]; if [rto] fires first, the transmission
-   leaves [pending] with no reply and the caller retransmits. *)
-type transmission = { caller : Engine.proc; rto : Engine.timer; mutable reply : Rpc.reply option }
+(* One transmission awaiting its reply. The demux fills [reply] and
+   [from], its sender, cancels [rto] and unparks [caller]; if [rto]
+   fires first, the transmission leaves [pending] with no reply and the
+   caller retransmits. *)
+type transmission = {
+  caller : Engine.proc;
+  rto : Engine.timer;
+  mutable reply : Rpc.reply option;
+  mutable from : string;
+}
 
 type t = {
   eng : Engine.t;
   sock : Nfsg_net.Socket.t;
   server : string;
   params : params;
-  spares : Bytes.t Stack.t;  (** call datagrams given back, all of one length *)
+  spares : Spares.t;  (** call datagrams given back, all of one length *)
   take_spare : (int -> Bytes.t) option;
       (** the encoder's buffer hook over [spares], built once so that a
           call allocates no hook *)
@@ -43,31 +49,11 @@ type t = {
 }
 
 let retransmissions t = Metrics.value t.retrans
-let spares t = Stack.length t.spares
-
-(* A datagram over 256 words (2 KB on 64-bit) is allocated outside the
-   minor heap, so reusing it saves a major allocation. A smaller one
-   costs a bump of the minor heap, and keeping it would promote it. *)
-let spare_above = 256 * (Sys.word_size / 8)
-
-let take spares n =
-  if (not (Stack.is_empty spares)) && Bytes.length (Stack.top spares) = n then Stack.pop spares
-  else Bytes.create n
-
-(* Spares hold one length at a time, and a datagram of another length
-   replaces them. A datagram is then allocated only when every spare of
-   its length is in flight, so the spares never outnumber the calls
-   that were in flight at once. *)
-let give_back spares datagram =
-  let n = Bytes.length datagram in
-  if n > spare_above then begin
-    if (not (Stack.is_empty spares)) && Bytes.length (Stack.top spares) <> n then Stack.clear spares;
-    Stack.push datagram spares
-  end
+let spares t = Spares.length t.spares
 
 let demux t () =
   let rec loop () =
-    let _src, datagram = Nfsg_net.Socket.recv t.sock in
+    let src, datagram = Nfsg_net.Socket.recv t.sock in
     (match Rpc.decode_reply datagram with
     | exception Xdr.Decode_error _ -> ()
     | reply -> (
@@ -76,8 +62,11 @@ let demux t () =
             Hashtbl.remove t.pending reply.Rpc.rxid;
             ignore (Engine.cancel tx.rto : bool);
             tx.reply <- Some reply;
+            tx.from <- src;
             Engine.unpark tx.caller
-        | None -> Metrics.incr t.stale));
+        | None ->
+            Metrics.incr t.stale;
+            Nfsg_net.Socket.give_back t.sock ~dst:src datagram));
     loop ()
   in
   loop ()
@@ -85,7 +74,7 @@ let demux t () =
 let create eng ~sock ~server ?(params = default_params) ?metrics () =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
   let ns = Names.Ns.rpc_client in
-  let spares = Stack.create () in
+  let spares = Spares.create () in
   let t =
     {
       eng;
@@ -93,7 +82,7 @@ let create eng ~sock ~server ?(params = default_params) ?metrics () =
       server;
       params;
       spares;
-      take_spare = Some (take spares);
+      take_spare = Some (Spares.take spares);
       pending = Hashtbl.create 64;
       rtt = Hashtbl.create 4;
       next_xid = 1;
@@ -144,42 +133,60 @@ let rto_for t klass =
     Stdlib.min t.params.max_rto (Stdlib.max candidate t.params.min_rto)
   end
 
-let call_with t ?(klass = Middle) ?(prog = Rpc.nfs_program) ~proc put_body =
+(* The caller's decode has returned, or raised: nothing here reads the
+   reply datagram again, so it goes back to its sender. *)
+let decoded t tx datagram = Nfsg_net.Socket.give_back t.sock ~dst:tx.from datagram
+
+(* Transmission [n] of call [xid], waiting up to [rto] for its reply: a
+   function of its own, not a closure over the call, so that a call
+   allocates none for it. *)
+let rec attempt t ~klass ~proc ~xid payload decode n rto =
+  if n > t.params.max_attempts then begin
+    Metrics.incr t.timeouts;
+    raise (Timeout proc)
+  end;
+  let sent_at = Engine.now t.eng in
+  Nfsg_net.Socket.send t.sock ~dst:t.server payload;
+  Metrics.incr t.sent;
+  if n > 1 then Metrics.incr t.retrans;
+  let caller = Engine.self () in
+  let expire () =
+    if Hashtbl.mem t.pending xid then begin
+      Hashtbl.remove t.pending xid;
+      Engine.unpark caller
+    end
+  in
+  let tx = { caller; rto = Engine.timer t.eng ~after:rto expire; reply = None; from = "" } in
+  Hashtbl.replace t.pending xid tx;
+  Engine.park ();
+  match tx.reply with
+  | Some reply ->
+      let rtt = Engine.now t.eng - sent_at in
+      note_rtt t klass rtt;
+      Nfsg_stats.Histogram.add t.rtt_us (Time.to_us_f rtt);
+      (* Answered on its only transmission: no copy is left on the
+         wire or in a socket buffer, and the server kept none. *)
+      if n = 1 then Spares.give_back t.spares payload;
+      let datagram = reply.Rpc.rbody.Xdr.view_buf in
+      (match decode reply.Rpc.stat reply.Rpc.rbody with
+      | v ->
+          decoded t tx datagram;
+          v
+      | exception e ->
+          decoded t tx datagram;
+          raise e)
+  | None ->
+      attempt t ~klass ~proc ~xid payload decode (n + 1) (Stdlib.min t.params.max_rto (2 * rto))
+
+let call_with t ?(klass = Middle) ?(prog = Rpc.nfs_program) ~proc put_body decode =
   t.next_xid <- t.next_xid + 1;
   let xid = t.next_xid in
   let payload =
     Rpc.encode_call_with ?buffer:t.take_spare ~xid ~prog ~vers:Rpc.nfs_version ~proc put_body
   in
-  let rec attempt n rto =
-    if n > t.params.max_attempts then begin
-      Metrics.incr t.timeouts;
-      raise (Timeout proc)
-    end;
-    let sent_at = Engine.now t.eng in
-    Nfsg_net.Socket.send t.sock ~dst:t.server payload;
-    Metrics.incr t.sent;
-    if n > 1 then Metrics.incr t.retrans;
-    let caller = Engine.self () in
-    let expire () =
-      if Hashtbl.mem t.pending xid then begin
-        Hashtbl.remove t.pending xid;
-        Engine.unpark caller
-      end
-    in
-    let tx = { caller; rto = Engine.timer t.eng ~after:rto expire; reply = None } in
-    Hashtbl.replace t.pending xid tx;
-    Engine.park ();
-    match tx.reply with
-    | Some reply ->
-        let rtt = Engine.now t.eng - sent_at in
-        note_rtt t klass rtt;
-        Nfsg_stats.Histogram.add t.rtt_us (Time.to_us_f rtt);
-        (* Answered on its only transmission: no copy is left on the
-           wire or in a socket buffer, and the server kept none. *)
-        if n = 1 then give_back t.spares payload;
-        (reply.Rpc.stat, reply.Rpc.rbody)
-    | None -> attempt (n + 1) (Stdlib.min t.params.max_rto (2 * rto))
-  in
-  attempt 1 (rto_for t klass)
+  attempt t ~klass ~proc ~xid payload decode 1 (rto_for t klass)
 
-let call t ?klass ?prog ~proc body = call_with t ?klass ?prog ~proc (fun enc -> Xdr.Enc.raw enc body)
+let copy_body stat body = (stat, Xdr.view_of_bytes (Xdr.view_copy body))
+
+let call t ?klass ?prog ~proc body =
+  call_with t ?klass ?prog ~proc (fun enc -> Xdr.Enc.raw enc body) copy_body

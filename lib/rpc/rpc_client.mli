@@ -21,7 +21,19 @@
     back, since a copy may still be on the wire or in a socket buffer.
     Only datagrams over 256 words (2 KB on 64-bit), which the runtime
     allocates outside the minor heap, are kept, and the spares hold one
-    length at a time: a datagram of another length replaces them. *)
+    length at a time: a datagram of another length replaces them
+    ({!Spares}).
+
+    {b The server owns its reply datagrams.} The rule runs the other way
+    too: {e nobody keeps a reply datagram, or a view into it, after the
+    call's decode has returned.} {!call_with} runs the caller's decode
+    on the reply and then gives the datagram back to its sender
+    ({!Nfsg_net.Socket.give_back}), which may encode a later reply into
+    it ({!Svc}); a stale reply, whose call is no longer waiting, goes
+    back at once. Each reply datagram reaches the client at most once:
+    a duplicating segment and a duplicate-cache replay each send a copy
+    of their own. The give-back costs no simulated time and counts
+    nothing. *)
 
 type t
 
@@ -60,19 +72,24 @@ val call_with :
   ?prog:int ->
   proc:int ->
   (Xdr.Enc.t -> unit) ->
-  Rpc.accept_stat * Xdr.view
-(** Blocking remote call whose arguments the writer puts straight into
-    the datagram after the call header; returns the decoded reply body
-    as a view into the reply datagram (copy it if it must outlive the
-    call). [prog] defaults to {!Rpc.nfs_program}; pass
-    {!Rpc.mount_program} to reach the mount service. Each transmission
-    parks the caller ({!Nfsg_sim.Engine.park}) on a record that the
-    demultiplexer fills with the reply, or that the retransmission
-    timer expires. *)
+  (Rpc.accept_stat -> Xdr.view -> 'a) ->
+  'a
+(** [call_with t ~proc put_args decode]: blocking remote call whose
+    arguments [put_args] writes straight into the datagram after the
+    call header. Returns [decode stat body], where [body] is the reply
+    body as a view into the reply datagram, valid only until [decode]
+    returns: copy out of it whatever must outlive the call. Then, or
+    when [decode] raises, the datagram goes back to its sender. [prog]
+    defaults to {!Rpc.nfs_program}; pass {!Rpc.mount_program} to reach
+    the mount service. Each transmission parks the caller
+    ({!Nfsg_sim.Engine.park}) on a record that the demultiplexer fills
+    with the reply, or that the retransmission timer expires. A decode
+    built once, not per call, keeps the call from allocating it. *)
 
 val call :
   t -> ?klass:op_class -> ?prog:int -> proc:int -> Bytes.t -> Rpc.accept_stat * Xdr.view
-(** {!call_with} over already-encoded arguments. *)
+(** {!call_with} over already-encoded arguments, returning the reply
+    body as a view over a copy of its own. *)
 
 val rtt_estimate : t -> op_class -> Nfsg_sim.Time.t option
 (** Smoothed RTT for the class, once at least one sample exists. *)

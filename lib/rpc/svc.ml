@@ -22,6 +22,10 @@ type t = {
   journeys : Journey.plane option;
   free_handles : transport Queue.t;
   mutable outstanding : int;
+  spares : Spares.t;  (** reply datagrams given back, all of one length *)
+  take_spare : (int -> Bytes.t) option;
+      (** the encoder's buffer hook over [spares], built once so that a
+          reply allocates no hook *)
   received : Metrics.counter;
   garbage : Metrics.counter;
   dispatch_errors : Metrics.counter;
@@ -33,6 +37,7 @@ let client_of tr = tr.client
 let journey_of tr = tr.journey
 let handles_outstanding t = t.outstanding
 let handle_cache_size t = Queue.length t.free_handles
+let spares t = Spares.length t.spares
 let garbage_dropped t = Metrics.value t.garbage
 let dispatch_errors t = Metrics.value t.dispatch_errors
 
@@ -49,7 +54,8 @@ let take_handle t ~client ~xid =
   t.outstanding <- t.outstanding + 1;
   tr
 
-let encode_reply tr stat put_body = Rpc.encode_reply_with ~xid:tr.xid ~stat put_body
+let encode_reply t tr stat put_body =
+  Rpc.encode_reply_with ?buffer:t.take_spare ~xid:tr.xid ~stat put_body
 
 let send_encoded t tr encoded =
   if not tr.live then invalid_arg "Svc.send_reply: handle already completed";
@@ -68,7 +74,16 @@ let send_encoded t tr encoded =
   Nfsg_net.Socket.send t.sock ~dst:tr.client encoded;
   Queue.add tr t.free_handles
 
-let send_reply t tr stat body = send_encoded t tr (encode_reply tr stat (fun enc -> Xdr.Enc.raw enc body))
+let send_reply t tr stat body =
+  send_encoded t tr (encode_reply t tr stat (fun enc -> Xdr.Enc.raw enc body))
+
+(* A reply datagram its client is done with. The dupcache keeps one it
+   still holds until it lets the entry go; any other is free at once. *)
+let given_back t ~src datagram =
+  if Spares.keeps datagram then
+    match t.dupcache with
+    | Some dc when Dupcache.returned dc ~client:src ~xid:(Rpc.xid_of datagram) datagram -> ()
+    | Some _ | None -> Spares.give_back t.spares datagram
 
 let svc_run t dispatch () =
   let rec loop () =
@@ -88,7 +103,12 @@ let svc_run t dispatch () =
             t.on_duplicate_drop ~client call
         | Dupcache.Replay reply ->
             Metrics.incr t.dup_replays;
-            Nfsg_net.Socket.send t.sock ~dst:client reply
+            (* The cache keeps its datagram for the next replay: the
+               client gets a copy of its own to give back. *)
+            let n = Bytes.length reply in
+            let copy = Spares.take t.spares n in
+            Bytes.blit reply 0 copy 0 n;
+            Nfsg_net.Socket.send t.sock ~dst:client copy
         | Dupcache.New -> (
             let tr = take_handle t ~client ~xid:call.Rpc.xid in
             (match t.journeys with
@@ -142,7 +162,7 @@ let svc_run t dispatch () =
   loop ()
 
 let create eng ~sock ?dupcache ?(on_duplicate_drop = fun ~client:_ _ -> ()) ?journeys ?metrics
-    ~nfsds ~dispatch () =
+    ?(spares = Spares.create ()) ~nfsds ~dispatch () =
   if nfsds <= 0 then invalid_arg "Svc.create: need at least one nfsd";
   let m = match metrics with Some m -> m | None -> Metrics.create () in
   let ns = Names.Ns.rpc_svc in
@@ -155,6 +175,8 @@ let create eng ~sock ?dupcache ?(on_duplicate_drop = fun ~client:_ _ -> ()) ?jou
       journeys;
       free_handles = Queue.create ();
       outstanding = 0;
+      spares;
+      take_spare = Some (Spares.take spares);
       received = Metrics.counter m ~ns Names.received;
       garbage = Metrics.counter m ~ns Names.garbage;
       dispatch_errors = Metrics.counter m ~ns Names.dispatch_errors;
@@ -162,6 +184,8 @@ let create eng ~sock ?dupcache ?(on_duplicate_drop = fun ~client:_ _ -> ()) ?jou
       dup_replays = Metrics.counter m ~ns Names.duplicate_replays;
     }
   in
+  Option.iter (fun dc -> Dupcache.on_release dc (Spares.give_back spares)) dupcache;
+  Nfsg_net.Socket.on_given_back sock (given_back t);
   for i = 0 to nfsds - 1 do
     Engine.spawn eng ~name:(Printf.sprintf "nfsd%d" i) (svc_run t dispatch)
   done;

@@ -10,7 +10,21 @@
     {e some other} nfsd to complete later; the original nfsd
     immediately takes a fresh handle from the cache and looks for more
     work. This is exactly the architectural change that
-    lets one nfsd answer for another. *)
+    lets one nfsd answer for another.
+
+    {b The service owns its reply datagrams.} As a BSD server frees a
+    reply's mbufs once they are sent, every reply is encoded into a
+    datagram a client gave back when one of its length is spare
+    ({!Spares}: over 256 words, one length at a time). The rule that
+    makes this safe: {e nobody keeps a reply datagram, or a view into
+    it, after the call's decode has returned} ({!Rpc_client.call_with}).
+    Once a reply is sent, the service keeps it only as its duplicate
+    cache entry's reply; a replay sends a copy, so each datagram is
+    delivered at most once. A datagram that comes back
+    ({!Nfsg_net.Socket.give_back}) while the cache still holds it waits
+    for the cache to let the entry go ({!Dupcache.returned}); any other
+    is spare at once. The give-back costs no simulated time and counts
+    nothing. *)
 
 type t
 
@@ -27,6 +41,7 @@ val create :
   ?on_duplicate_drop:(client:string -> Rpc.call -> unit) ->
   ?journeys:Nfsg_stats.Journey.plane ->
   ?metrics:Nfsg_stats.Metrics.t ->
+  ?spares:Spares.t ->
   nfsds:int ->
   dispatch:(transport -> Rpc.call -> disposition) ->
   unit ->
@@ -51,13 +66,18 @@ val create :
     dupcache admission) and finishes it when the reply departs.
     [metrics] registers received/garbage/dispatch-error
     and duplicate drop/replay counters under namespace ["rpc.svc"]
-    (private registry when omitted). *)
+    (private registry when omitted). [spares] are the reply datagrams
+    the service encodes into and keeps what comes back in (new ones
+    when omitted): a restarted server passes its crashed incarnation's
+    on. The service takes the socket's {!Nfsg_net.Socket.on_given_back}
+    hook and the cache's {!Dupcache.on_release}. *)
 
-val encode_reply : transport -> Rpc.accept_stat -> (Xdr.Enc.t -> unit) -> Bytes.t
+val encode_reply : t -> transport -> Rpc.accept_stat -> (Xdr.Enc.t -> unit) -> Bytes.t
 (** The reply datagram for the handle's call: the reply header and the
-    result the writer puts after it, in one buffer. Encoding is all it
-    does, so the result's bytes are fixed here even if the caller
-    charges time before {!send_encoded}. *)
+    result the writer puts after it, in one buffer, a spare when one of
+    its length is at hand. Encoding is all it does, so the result's
+    bytes are fixed here even if the caller charges time before
+    {!send_encoded}. *)
 
 val send_encoded : t -> transport -> Bytes.t -> unit
 (** Complete a delayed (or immediate) reply with a datagram from
@@ -80,6 +100,10 @@ val handles_outstanding : t -> int
 (** Handles checked out and not yet replied (pending writes). *)
 
 val handle_cache_size : t -> int
+
+val spares : t -> int
+(** Reply datagrams given back and not yet reused. *)
+
 val garbage_dropped : t -> int
 (** Datagrams that were no call, dropped unanswered, plus calls whose
     arguments did not decode, answered [Garbage_args]: the

@@ -186,6 +186,47 @@ let test_write_reuses_its_datagram () =
     Alcotest.failf "%.0f words per 8 KB write and close; half a block is %d" !per_round
       (block_words / 2)
 
+(* Steady state, an 8 KB READ of a cached block allocates one block,
+   client and server together: the result the client copies the data
+   into. The server encodes its reply into a datagram a client gave
+   back, which the duplicate cache, full, let go with the entry it
+   evicted for this READ. The gate counts what an 8 KB READ allocates
+   beyond a 1-byte READ of the same block, which takes the same path
+   and allocates the same small records, so that it counts block-sized
+   buffers. The least of three measured batches is taken (see
+   [Testbed.allocated]). *)
+let test_read_reuses_its_reply () =
+  let rig = make ~config:cfg () in
+  let reads = 64 in
+  let block_read = ref nan and byte_read = ref nan in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "cached" in
+      let _ = write_file rig fh ~total:8192 () in
+      let read len = ignore (Client.read rig.client fh ~off:0 ~len : Bytes.t) in
+      (* Warm-up: past the cache's 512 entries, so that every READ
+         evicts one. *)
+      for _ = 1 to 520 do
+        read 8192
+      done;
+      let words_per_read len =
+        let batch _ =
+          let (), words =
+            allocated (fun () ->
+                for _ = 1 to reads do
+                  read len
+                done)
+          in
+          words /. float_of_int reads
+        in
+        List.fold_left Float.min infinity (List.init 3 batch)
+      in
+      block_read := words_per_read 8192;
+      byte_read := words_per_read 1);
+  let blocks = (!block_read -. !byte_read) /. float_of_int block_words in
+  if blocks >= 1.5 then
+    Alcotest.failf "an 8 KB READ allocates %.2f blocks more than a 1-byte one (%.0f and %.0f words)"
+      blocks !block_read !byte_read
+
 let suite =
   [
     Alcotest.test_case "full blocks go to the wire" `Quick test_full_blocks_go_to_wire;
@@ -197,4 +238,5 @@ let suite =
     Alcotest.test_case "read spans blocks" `Quick test_read_spans_blocks;
     Alcotest.test_case "last_write_mtimes covers the last close" `Quick test_last_write_mtimes_per_close;
     Alcotest.test_case "a block write reuses its datagram" `Quick test_write_reuses_its_datagram;
+    Alcotest.test_case "a block read reuses its reply" `Quick test_read_reuses_its_reply;
   ]

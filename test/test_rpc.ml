@@ -557,6 +557,64 @@ let test_spares_bounded_by_calls_in_flight () =
   Alcotest.(check int) "four calls were in flight at once" 4 !peak;
   Alcotest.(check bool) "spares were kept" true (!most_spares >= 1)
 
+(* {1 Reply datagrams the server gets back} *)
+
+(* A service over a cache of [capacity] entries, whose every reply is
+   8 KB of its call's one-byte argument, and a client. *)
+let reply_rig ~capacity =
+  let eng = Engine.create () in
+  let segment = Segment.create eng Segment.fddi in
+  let dupcache = Dupcache.create eng ~capacity () in
+  let svc =
+    Svc.create eng ~sock:(Socket.create segment ~addr:"server" ()) ~dupcache ~nfsds:1
+      ~dispatch:(fun _tr call ->
+        Svc.Reply (Rpc.Success, Bytes.make 8192 (Xdr.view_to_string call.Rpc.body).[0]))
+      ()
+  in
+  let rpc = Rpc_client.create eng ~sock:(Socket.create segment ~addr:"client" ()) ~server:"server" () in
+  (eng, segment, dupcache, svc, rpc)
+
+(* The reply datagram that answered a call with argument [c], and its
+   body. The decode reads the datagram; the test only compares it
+   ([==]) afterwards. *)
+let reply_to rpc c =
+  Rpc_client.call_with rpc ~proc:1
+    (fun enc -> Xdr.Enc.raw enc (Bytes.make 1 c))
+    (fun _ body -> (body.Xdr.view_buf, Xdr.view_to_string body))
+
+let test_held_reply_waits_for_its_entry () =
+  let eng, _, dupcache, svc, rpc = reply_rig ~capacity:2 in
+  run_driver eng (fun () ->
+      let a, _ = reply_to rpc 'a' in
+      Alcotest.(check int) "given back, but the cache holds it" 0 (Svc.spares svc);
+      let b, _ = reply_to rpc 'b' in
+      Alcotest.(check bool) "not reused while its entry may replay it" true (b != a);
+      let c, body = reply_to rpc 'c' in
+      Alcotest.(check int) "a's entry made room for c's" 1 (Dupcache.evictions dupcache);
+      Alcotest.(check bool) "then it backs the next reply" true (c == a);
+      Alcotest.(check string) "with that reply's bytes" (String.make 8192 'c') body)
+
+(* A client on a bare socket sends one call twice and keeps both
+   replies. *)
+let test_replay_sends_a_copy () =
+  let eng, segment, dupcache, _, _ = reply_rig ~capacity:8 in
+  let raw = Socket.create segment ~addr:"raw" () in
+  let call =
+    Rpc.encode_call
+      { Rpc.xid = 7; prog = Rpc.nfs_program; vers = Rpc.nfs_version; proc = 1;
+        body = Xdr.view_of_bytes (Bytes.of_string "r") }
+  in
+  let first, second =
+    run_driver eng (fun () ->
+        Socket.send raw ~dst:"server" call;
+        let first = snd (Socket.recv raw) in
+        Socket.send raw ~dst:"server" call;
+        (first, snd (Socket.recv raw)))
+  in
+  Alcotest.(check int) "the second answer is a replay" 1 (Dupcache.replays dupcache);
+  Alcotest.(check bool) "of the same bytes" true (Bytes.equal first second);
+  Alcotest.(check bool) "in a buffer of its own" true (first != second)
+
 let suite =
   [
     Alcotest.test_case "call encode/decode" `Quick test_call_roundtrip;
@@ -588,4 +646,7 @@ let suite =
     Alcotest.test_case "a datagram of 2 KB or less is never kept" `Quick test_small_datagram_never_kept;
     Alcotest.test_case "spares never outnumber calls in flight" `Quick
       test_spares_bounded_by_calls_in_flight;
+    Alcotest.test_case "a held reply waits for its entry to go" `Quick
+      test_held_reply_waits_for_its_entry;
+    Alcotest.test_case "a replay sends a copy" `Quick test_replay_sends_a_copy;
   ]

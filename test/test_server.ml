@@ -378,11 +378,12 @@ let prop_hostile_datagrams_at_server =
       run rig (fun () ->
           let garbage0 = svc Names.garbage and writes0, listing0, _ = snapshot rig in
           Socket.send w.raw ~dst:"server" dgram;
-          let stat, body =
-            Rpc_client.call_with rig.rpc ~klass:Rpc_client.Heavy ~proc:Proto.proc_write (fun enc ->
-                Proto.put_args enc (Proto.Write { fh = w.target; offset = 0; data = Xdr.view_of_bytes block }))
-          in
-          (match (stat, Proto.decode_res ~proc:Proto.proc_write body) with
+          (match
+             Rpc_client.call_with rig.rpc ~klass:Rpc_client.Heavy ~proc:Proto.proc_write
+               (fun enc ->
+                 Proto.put_args enc (Proto.Write { fh = w.target; offset = 0; data = Xdr.view_of_bytes block }))
+               (fun stat body -> (stat, Proto.decode_res ~proc:Proto.proc_write body))
+           with
           | Rpc.Success, Proto.RAttr (Ok _) -> ()
           | _ -> fail "the WRITE behind it was not acknowledged");
           Nfsg_sim.Engine.delay (Nfsg_sim.Time.sec 1);
@@ -412,6 +413,60 @@ let prop_hostile_datagrams_at_server =
           if Client.read rig.client w.target ~off:0 ~len:8192 <> block then fail "the WRITE does not read back";
           true))
 
+(* {1 Reply datagrams that come back} *)
+
+(* One READ of the 8 KB block at [off]: the reply datagram it came in
+   and its data. The decode reads the datagram; the tests only compare
+   it ([==]) afterwards. *)
+let read_reply rig fh ~off =
+  Rpc_client.call_with rig.rpc ~proc:Proto.proc_read
+    (fun enc -> Proto.put_args enc (Proto.Read { fh; offset = off; count = 8192 }))
+    (fun _ body ->
+      match Proto.decode_res ~proc:Proto.proc_read body with
+      | Proto.RRead (Ok (_, data)) -> (body.Xdr.view_buf, Xdr.view_to_string data)
+      | _ -> Alcotest.fail "READ failed")
+
+let test_read_reply_backs_a_later_reply () =
+  let rig = make ~config:standard_config () in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "twice" in
+      let _ = write_file rig fh ~total:(2 * 8192) () in
+      let first, _ = read_reply rig fh ~off:0 in
+      (* Past the cache's 6 s TTL: the next admission lets the entry,
+         and the datagram its client gave back, go. *)
+      Nfsg_sim.Engine.delay (Nfsg_sim.Time.sec 7);
+      let second, data = read_reply rig fh ~off:8192 in
+      Alcotest.(check bool) "the second READ's reply is the first's datagram" true (second == first);
+      Alcotest.(check string) "holding the second block"
+        (Bytes.sub_string (expect_pattern ~total:(2 * 8192) ~seed:7) 8192 8192)
+        data)
+
+(* Without a duplicate cache, each reply datagram backs the next reply
+   as soon as it comes back, so a READ's data must be copied out before
+   the next one is answered. *)
+let test_multi_block_read_copies_each_reply () =
+  let rig = make ~config:{ standard_config with Server.dupcache = false } () in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "blocks" in
+      let total = 6 * 8192 in
+      let _ = write_file rig fh ~total () in
+      Alcotest.(check bytes) "every block as written" (expect_pattern ~total ~seed:7)
+        (Client.read rig.client fh ~off:0 ~len:total))
+
+let test_restart_reuses_crashed_replies () =
+  let rig = make ~config:standard_config () in
+  run rig (fun () ->
+      let fh, _ = Client.create_file rig.client (root rig) "boot" in
+      let _ = write_file rig fh ~total:(2 * 8192) () in
+      let before = List.map (fun off -> fst (read_reply rig fh ~off)) [ 0; 8192 ] in
+      Server.crash rig.server;
+      let _next = Server.restart rig.server in
+      let after, data = read_reply rig fh ~off:0 in
+      Alcotest.(check bool) "the first reply after the restart reuses a crashed one's datagram" true
+        (List.memq after before);
+      Alcotest.(check string) "holding the block" (Bytes.sub_string (expect_pattern ~total:8192 ~seed:7) 0 8192)
+        data)
+
 let suite =
   [
     Alcotest.test_case "create/write/read roundtrip" `Quick test_create_write_read_roundtrip;
@@ -432,4 +487,8 @@ let suite =
     Alcotest.test_case "a WRITE past a 32-bit size is FBIG" `Quick test_write_past_32bit_size;
     Alcotest.test_case "hostile calls cover the table" `Quick test_hostile_calls_cover_table;
     QCheck_alcotest.to_alcotest prop_hostile_datagrams_at_server;
+    Alcotest.test_case "a READ reply backs a later one" `Quick test_read_reply_backs_a_later_reply;
+    Alcotest.test_case "a multi-block read copies each reply" `Quick
+      test_multi_block_read_copies_each_reply;
+    Alcotest.test_case "a restart reuses crashed replies" `Quick test_restart_reuses_crashed_replies;
   ]

@@ -172,12 +172,13 @@ let call_datagrams () =
       let rpc = Rpc_client.create eng ~sock:(Socket.create segment ~addr:"client" ()) ~server:"server" () in
       List.iter
         (fun args ->
-          ignore
-            (Rpc_client.call_with rpc ~proc:(Proto.proc_of_args args) (fun enc -> Proto.put_args enc args)))
+          Rpc_client.call_with rpc ~proc:(Proto.proc_of_args args)
+            (fun enc -> Proto.put_args enc args)
+            (fun _ _ -> ()))
         calls;
-      ignore
-        (Rpc_client.call_with rpc ~prog:Rpc.mount_program ~proc:Proto.proc_mnt (fun enc ->
-             Proto.put_mnt_args enc "/export1"));
+      Rpc_client.call_with rpc ~prog:Rpc.mount_program ~proc:Proto.proc_mnt
+        (fun enc -> Proto.put_mnt_args enc "/export1")
+        (fun _ _ -> ());
       List.rev !seen)
 
 let reply_datagrams () =
@@ -192,8 +193,8 @@ let reply_datagrams () =
         Some
           (Svc.create eng ~sock:(Socket.create segment ~addr:"server" ()) ~nfsds:1
              ~dispatch:(fun tr call ->
-               Svc.send_encoded (Option.get !svc) tr
-                 (Svc.encode_reply tr Rpc.Success (put_result (call.Rpc.xid - 100)));
+               let svc = Option.get !svc in
+               Svc.send_encoded svc tr (Svc.encode_reply svc tr Rpc.Success (put_result (call.Rpc.xid - 100)));
                Svc.Reply_pending)
              ());
       let client = Socket.create segment ~addr:"client" () in
