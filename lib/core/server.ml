@@ -413,8 +413,8 @@ let make eng ~segment ~addr ~device ?metrics config =
 
 let crash t =
   (* Power off: volatile state gone and the host leaves the wire. The
-     duplicate cache never replays again, so every reply it held that
-     its client gave back joins the spares. *)
+     duplicate cache is lost with it, so every reply it held that its
+     client gave back joins the spares. *)
   Nfsg_net.Socket.detach t.sock;
   Option.iter Dupcache.clear t.dupcache;
   List.iter Volume.crash t.volumes
