@@ -11,7 +11,8 @@
     is sent, its server keeps it only as its entry's reply. A replay
     sends a copy ({!Svc}), so each reply datagram is delivered at most
     once, and its client gives it back once the call's decode has
-    returned ({!Rpc_client.call_with}). If the cache still holds it
+    returned ({!Rpc_client.call_with}), at no simulated cost: no time,
+    no event, no counter. If the cache still holds it
     then, the entry is marked ({!returned}), and the datagram goes to
     {!on_release} when the cache lets the entry go: on eviction,
     expiry, re-admission after the TTL, {!forget} or {!clear}. Until
