@@ -559,6 +559,34 @@ let test_spares_bounded_by_calls_in_flight () =
 
 (* {1 Reply datagrams the server gets back} *)
 
+(* A stand-in server that answers every call twice, so that the second
+   reply finds its call answered, and records the datagrams its client
+   gives back. *)
+let test_stale_reply_goes_back_at_once () =
+  let eng = Engine.create () in
+  let segment = Segment.create eng Segment.fddi in
+  let server = Socket.create segment ~addr:"server" () in
+  let sent = ref [] and back = ref [] in
+  Socket.on_given_back server (fun ~src d -> back := (src, d) :: !back);
+  Engine.spawn eng ~name:"stand-in" (fun () ->
+      while true do
+        let src, dgram = Socket.recv server in
+        let xid = (Rpc.decode_call dgram).Rpc.xid in
+        for _ = 1 to 2 do
+          let reply = Rpc.encode_reply { Rpc.rxid = xid; stat = Rpc.Success; rbody = Xdr.empty_view } in
+          sent := reply :: !sent;
+          Socket.send server ~dst:src reply
+        done
+      done);
+  let rpc = Rpc_client.create eng ~sock:(Socket.create segment ~addr:"client" ()) ~server:"server" () in
+  run_driver eng (fun () -> ignore (Rpc_client.call rpc ~proc:1 (Bytes.of_string "x")));
+  Alcotest.(check int) "the answer and the stale reply both came back" 2 (List.length !back);
+  List.iter
+    (fun (src, d) ->
+      Alcotest.(check string) "from the client" "client" src;
+      Alcotest.(check bool) "a datagram the server sent" true (List.memq d !sent))
+    !back
+
 (* A service over a cache of [capacity] entries, whose every reply is
    8 KB of its call's one-byte argument, and a client. *)
 let reply_rig ~capacity =
@@ -649,4 +677,5 @@ let suite =
     Alcotest.test_case "a held reply waits for its entry to go" `Quick
       test_held_reply_waits_for_its_entry;
     Alcotest.test_case "a replay sends a copy" `Quick test_replay_sends_a_copy;
+    Alcotest.test_case "a stale reply goes back at once" `Quick test_stale_reply_goes_back_at_once;
   ]
