@@ -14,7 +14,12 @@ type t = {
   spindle_stats : unit -> stats;
   stable_read : off:int -> len:int -> Bytes.t;
   stable_write : off:int -> Bytes.t -> unit;
+  stable_page : off:int -> Bytes.t;
 }
+
+let page_bytes = 8192
+
+let no_page ~off:_ = Bytes.empty
 
 let zero_stats = { transactions = 0; bytes_moved = 0; busy_time = Nfsg_sim.Time.zero }
 

@@ -60,7 +60,26 @@ type t = {
   stable_write : off:int -> Bytes.t -> unit;
       (** Instantaneous write to the platter; for recovery replay and
           test seeding only — consumes no simulated time. *)
+  stable_page : off:int -> Bytes.t;
+      (** [stable_page ~off] lends the device's own bytes for
+          [[off, off + page_bytes)], where {!page_bytes} is 8 KB, or
+          returns [Bytes.empty] when the device holds no such page of
+          its own. Allocates nothing and consumes no simulated time.
+
+          A lent page is stable storage. Its borrower reads it and
+          never writes into it. Its bytes change only when a write of
+          its range lands on the device, and a borrower issues such a
+          write only from a private copy. So a page lent to the buffer
+          cache as a clean block reads like the private clean copy it
+          replaces, for as long as the block stays clean. *)
 }
+
+val page_bytes : int
+(** The size of a lent page: 8 KB, one filesystem block. *)
+
+val no_page : off:int -> Bytes.t
+(** [stable_page] for a device whose newest bytes are not held in one
+    page of its own (NVRAM, a stripe set): always [Bytes.empty]. *)
 
 val zero_stats : stats
 val add_stats : stats -> stats -> stats

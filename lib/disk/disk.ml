@@ -88,10 +88,11 @@ type node = {
   mutable next : node;
 }
 
-(* The platter is stored in [chunk_bytes] pieces, each the shared
-   [Bytes.empty] until the first write that touches it: a world pays for
-   the bytes it writes, not for the capacity it models. *)
-let chunk_bytes = 64 * 1024
+(* The platter is stored in pages of [Device.page_bytes], each the
+   shared [Bytes.empty] until the first write that touches it: a world
+   pays for the bytes it writes, not for the capacity it models. A
+   whole written page is also what [stable_page] lends. *)
+let page_bytes = Device.page_bytes
 
 type state = {
   eng : Engine.t;
@@ -115,28 +116,36 @@ type state = {
 }
 
 (* Copy [len] platter bytes from device offset [off] into [dst] at
-   [pos]; a chunk never written reads as zeros. *)
+   [pos]; a page never written reads as zeros. *)
 let rec platter_read st ~off dst ~pos ~len =
   if len > 0 then begin
-    let within = off mod chunk_bytes in
-    let n = Stdlib.min len (chunk_bytes - within) in
-    let chunk = st.platter.(off / chunk_bytes) in
-    if chunk == Bytes.empty then Bytes.fill dst pos n '\000' else Bytes.blit chunk within dst pos n;
+    let within = off mod page_bytes in
+    let n = Stdlib.min len (page_bytes - within) in
+    let page = st.platter.(off / page_bytes) in
+    if page == Bytes.empty then Bytes.fill dst pos n '\000' else Bytes.blit page within dst pos n;
     platter_read st ~off:(off + n) dst ~pos:(pos + n) ~len:(len - n)
   end
 
 (* Copy [len] bytes of [src] from [pos] onto the platter at [off],
-   materialising each chunk on its first write. The last chunk is cut
-   to the capacity. *)
+   materialising each page on its first write. The last page is cut to
+   the capacity. A write changes a page in place, lent or not. *)
 let rec platter_write st ~off src ~pos ~len =
   if len > 0 then begin
-    let i = off / chunk_bytes and within = off mod chunk_bytes in
-    let n = Stdlib.min len (chunk_bytes - within) in
+    let i = off / page_bytes and within = off mod page_bytes in
+    let n = Stdlib.min len (page_bytes - within) in
     if st.platter.(i) == Bytes.empty then
-      st.platter.(i) <- Bytes.make (Stdlib.min chunk_bytes (st.g.capacity - (i * chunk_bytes))) '\000';
+      st.platter.(i) <- Bytes.make (Stdlib.min page_bytes (st.g.capacity - (i * page_bytes))) '\000';
     Bytes.blit src pos st.platter.(i) within n;
     platter_write st ~off:(off + n) src ~pos:(pos + n) ~len:(len - n)
   end
+
+(* The page at [off] if a write has created it whole: a page never
+   written, or the short last one, is not lent. *)
+let platter_page st ~off =
+  if off < 0 || off >= st.g.capacity || off mod page_bytes <> 0 then Bytes.empty
+  else
+    let page = st.platter.(off / page_bytes) in
+    if Bytes.length page = page_bytes then page else Bytes.empty
 
 let append st n =
   n.prev <- st.ring.prev;
@@ -395,7 +404,7 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
       deadline;
       merge;
       merge_limit;
-      platter = Array.make ((g.capacity + chunk_bytes - 1) / chunk_bytes) Bytes.empty;
+      platter = Array.make ((g.capacity + page_bytes - 1) / page_bytes) Bytes.empty;
       ring;
       depth = 0;
       next_batch = no_batch;
@@ -457,4 +466,5 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
       (fun ~off data ->
         check_bounds st ~off ~len:(Bytes.length data);
         platter_write st ~off data ~pos:0 ~len:(Bytes.length data));
+    stable_page = (fun ~off -> platter_page st ~off);
   }

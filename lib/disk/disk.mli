@@ -59,8 +59,12 @@ val create :
   geometry ->
   Device.t
 (** A fresh zero-filled disk served by a spawned daemon process. The
-    platter is held in {!chunk_bytes} pieces, each allocated by the
-    first write that touches it; never-written bytes read as zeros.
+    platter is held in pages of {!Device.page_bytes} (8 KB), each
+    allocated by the first write that touches it; never-written bytes
+    read as zeros. [stable_page] lends a page once a write has created
+    it, changes it in place whenever a write of its range lands, and
+    lends neither a page never written nor the short last page of a
+    capacity that is not a whole number of pages.
     [on_transaction] fires at each physical transaction completion
     (once per merged chain), letting the caller account
     driver/interrupt CPU cost. [deadline] (default 30 ms) is the
@@ -72,9 +76,6 @@ val create :
     queue-depth and queue-wait distributions, and
     merge/promotion/barrier counters (private registry when
     omitted). *)
-
-val chunk_bytes : int
-(** Exposed for tests: the platter's allocation unit, in bytes. *)
 
 val seek_time : geometry -> cylinders:int -> distance:int -> Nfsg_sim.Time.t
 (** Exposed for tests: seek duration for a head movement of [distance]

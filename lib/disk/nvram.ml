@@ -366,6 +366,7 @@ let create eng ?(name = "presto") ?(params = default_params) ?metrics
       spindle_stats = backing.Device.spindle_stats;
       stable_read;
       stable_write = backing.Device.stable_write;
+      stable_page = Device.no_page;
     }
   in
   (st, dev)

@@ -11,7 +11,10 @@
 
     When the cache is full, accepted writes block until the flusher
     frees space — the accelerated device degrades toward the drain
-    rate of the spindle underneath, which is what bounds Table 4. *)
+    rate of the spindle underneath, which is what bounds Table 4.
+
+    The board lends no page ([stable_page] is {!Device.no_page}): its
+    newest bytes may sit in NVRAM, not in a page of the platter. *)
 
 type params = {
   capacity : int;  (** NVRAM bytes (Prestoserve boards: ~1 MB) *)

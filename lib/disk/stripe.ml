@@ -968,6 +968,7 @@ let build t =
           Device.zero_stats t.members);
     stable_read;
     stable_write;
+    stable_page = Device.no_page;
   }
 
 let create eng ?(name = "stripe") ?metrics ?(level = Raid0) ~chunk members =

@@ -38,6 +38,10 @@
     divergent — the classic RAID write hole, closed the way array
     controllers close it.
 
+    An array lends no page ([stable_page] is {!Device.no_page}): a
+    block's newest bytes live on its members, not in one page of the
+    array's own.
+
     A failed member can be {!rebuild}t online: a background process
     resilvers it row by row with low-priority [`Bg_drain] requests
     while foreground service continues, the resilver cursor deciding

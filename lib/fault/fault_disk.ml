@@ -203,6 +203,7 @@ let wrap eng ?(seed = 0xd15c) (dev : Device.t) =
         (fun ~off data ->
           check_stop ();
           dev.Device.stable_write ~off data);
+      stable_page = (fun ~off -> if t.failed_stop then Bytes.empty else dev.Device.stable_page ~off);
     }
   in
   (t, wrapped)

@@ -9,11 +9,12 @@
     batch fails the barrier's dependents too (see {!Nfsg_disk.Io}).
     [flush], [crash]/[recover] and the instantaneous
     [stable_read]/[stable_write] test hooks pass through untouched, so
-    recovery and assertions always see the truth.
+    recovery and assertions always see the truth, and so do the pages
+    [stable_page] lends.
 
     The one exception is {!fail_stop}: it models the spindle being
-    {e gone} — every request errors immediately and even the stable
-    paths raise — where the transient arms model a disk that is still
+    {e gone} — every request errors immediately, the stable paths
+    raise and [stable_page] lends nothing — where the transient arms model a disk that is still
     a disk. Fail-stop is what a redundant array ({!Nfsg_disk.Stripe})
     is built to survive; {!revive} models plugging in a replacement
     (whose stale contents the array must then {!Nfsg_disk.Stripe.rebuild}).
@@ -61,8 +62,8 @@ val hang_window : t -> from_:Nfsg_sim.Time.t -> until:Nfsg_sim.Time.t -> unit
 
 val fail_stop : t -> unit
 (** Whole-spindle loss, effective immediately and until {!revive}:
-    every submitted request fails with [Io_error] and the stable paths
-    raise. Distinct from the transient windows, which never guard
+    every submitted request fails with [Io_error], the stable paths
+    raise and no page is lent. Distinct from the transient windows, which never guard
     stable ops. Idempotent while already stopped. *)
 
 val revive : t -> unit

@@ -8,6 +8,10 @@ type fill = From_disk | Zeroed | Overwritten
 type entry = {
   blk : int;
   mutable buf : Bytes.t;
+  mutable lent : bool;
+      (* [buf] is the device's own page ([Device.stable_page]), held
+         while the block is clean and in no request: read it, never
+         write into it, and never make it a spare *)
   mutable dirty : kind option;
   mutable busy : bool;
       (* [buf] is in a write request that has not completed: [modify]
@@ -75,9 +79,11 @@ type t = {
   max_blocks : int;
   meters : meters;
   mutable ra : ra option;
-  mutable spare : Bytes.t list;
-      (* buffers nothing holds any more, which back the next fills
-         before anything new is allocated *)
+  mutable spare : Bytes.t array;
+  mutable spares : int;
+      (* [spare.(0 .. spares - 1)], a stack of buffers nothing holds
+         any more, which back the next fills before anything new is
+         allocated *)
 }
 
 let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
@@ -99,7 +105,16 @@ let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
     }
   in
   let rec lru =
-    { blk = -1; buf = Bytes.empty; dirty = None; busy = false; prefetched = false; older = lru; newer = lru }
+    {
+      blk = -1;
+      buf = Bytes.empty;
+      lent = false;
+      dirty = None;
+      busy = false;
+      prefetched = false;
+      older = lru;
+      newer = lru;
+    }
   in
   {
     dev;
@@ -109,7 +124,8 @@ let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
     max_blocks;
     meters;
     ra = None;
-    spare = [];
+    spare = Array.make 16 Bytes.empty;
+    spares = 0;
   }
 
 let enable_readahead c eng ?(config = default_readahead) () =
@@ -147,23 +163,51 @@ let touch c e =
 (* A fresh entry, not yet cached: linked only to itself, so the first
    [touch] lists it. *)
 let entry b buf ~prefetched =
-  let rec e = { blk = b; buf; dirty = None; busy = false; prefetched; older = e; newer = e } in
+  let rec e =
+    { blk = b; buf; lent = false; dirty = None; busy = false; prefetched; older = e; newer = e }
+  in
   e
 
 let insert c e =
   Hashtbl.replace c.table e.blk e;
   touch c e
 
-(* A buffer nothing holds any more backs a later fill. *)
-let give_back c buf = c.spare <- buf :: c.spare
+(* A buffer nothing holds any more backs a later fill. The stack only
+   grows when it is full, so giving a buffer back allocates nothing. *)
+let give_back c buf =
+  if c.spares = Array.length c.spare then begin
+    let grown = Array.make (2 * c.spares) Bytes.empty in
+    Array.blit c.spare 0 grown 0 c.spares;
+    c.spare <- grown
+  end;
+  c.spare.(c.spares) <- buf;
+  c.spares <- c.spares + 1
+
+(* Block [b]'s page of stable storage, if the device lends one of the
+   block's size, else [Bytes.empty]. *)
+let stable_page c b =
+  let page = c.dev.Device.stable_page ~off:(b * c.bsize) in
+  if Bytes.length page = c.bsize then page else Bytes.empty
+
+(* [e] holds block [e.blk]'s stable bytes, clean and in no request:
+   hold the device's page instead, when it lends one, and let [e]'s
+   buffer back a later fill. *)
+let lend c e =
+  let page = stable_page c e.blk in
+  if page != Bytes.empty then begin
+    give_back c e.buf;
+    e.buf <- page;
+    e.lent <- true
+  end
 
 (* [e] leaves the cache. Its buffer backs a later fill: now, or once
    the write request that holds it completes (the request's completion
-   sees that the entry no longer holds the buffer). *)
+   sees that the entry no longer holds the buffer). A lent page stays
+   the device's. *)
 let remove c e =
   unlink e;
   Hashtbl.remove c.table e.blk;
-  if not e.busy then give_back c e.buf;
+  if not (e.busy || e.lent) then give_back c e.buf;
   e.buf <- Bytes.empty
 
 (* A prefetched block a demand read finally touched: the guess paid. *)
@@ -205,11 +249,11 @@ let make_room c =
 (* A buffer for a fill, stale bytes and all: a spare one if there is
    one, else a new one. *)
 let take_buf c =
-  match c.spare with
-  | buf :: rest ->
-      c.spare <- rest;
-      buf
-  | [] -> Bytes.create c.bsize
+  if c.spares = 0 then Bytes.create c.bsize
+  else begin
+    c.spares <- c.spares - 1;
+    c.spare.(c.spares)
+  end
 
 (* The pre-readahead demand miss: one read request, awaited. *)
 let demand_read c b =
@@ -232,6 +276,7 @@ let demand_read c b =
   | None ->
       make_room c;
       let e = entry b buf ~prefetched:false in
+      lend c e;
       insert c e;
       e
 
@@ -293,7 +338,9 @@ let prefetch c ra dbs =
               end
               else begin
                 make_room c;
-                insert c (entry db (Io.read_buf r) ~prefetched:true)
+                let e = entry db (Io.read_buf r) ~prefetched:true in
+                lend c e;
+                insert c e
               end)
         reqs)
 
@@ -380,13 +427,15 @@ let modify c b kind fill change =
       e
     end
   in
-  if e.busy then begin
+  if e.busy || e.lent then begin
     (* Copy-on-write: the request in flight keeps the buffer it was
-       submitted with, and the change goes to a private copy. *)
+       submitted with, a lent page stays the device's, and the change
+       goes to a private copy. *)
     let copy = take_buf c in
     if fill <> Overwritten then Bytes.blit e.buf 0 copy 0 c.bsize;
     e.buf <- copy;
-    e.busy <- false
+    e.busy <- false;
+    e.lent <- false
   end;
   change e.buf;
   match (e.dirty, kind) with
@@ -441,10 +490,17 @@ let prepare c ~class_ ~max_cluster blocks =
         let r = Io.write_req ~class_ ~off:(first * c.bsize) (List.map (fun (_, buf, _) -> buf) was) in
         (* A buffer its entry no longer holds (copied on write, or the
            block left the cache) was the request's alone: it backs a
-           later fill. *)
+           later fill. A block that still holds its buffer is clean
+           and matches stable storage once the write lands, so it
+           takes the device's page. *)
         Nfsg_sim.Ivar.upon r.Io.done_ (fun () ->
             List.iter
-              (fun (e, buf, _) -> if e.buf == buf then e.busy <- false else give_back c buf)
+              (fun (e, buf, _) ->
+                if e.buf == buf then begin
+                  e.busy <- false;
+                  if r.Io.error = None then lend c e
+                end
+                else give_back c buf)
               was);
         Some (r, was)
   in
@@ -478,13 +534,16 @@ let await_prepared ps =
     all;
   match !first_err with Some exn -> raise exn | None -> ()
 
-let install c b bytes =
+let install c b =
   if not (Hashtbl.mem c.table b) then begin
-    if Bytes.length bytes <> c.bsize then invalid_arg "buffer_cache: install of odd-sized buffer";
     make_room c;
-    let buf = take_buf c in
-    Bytes.blit bytes 0 buf 0 c.bsize;
-    insert c (entry b buf ~prefetched:false)
+    let page = stable_page c b in
+    let e =
+      if page != Bytes.empty then entry b page ~prefetched:false
+      else entry b (c.dev.Device.stable_read ~off:(b * c.bsize) ~len:c.bsize) ~prefetched:false
+    in
+    e.lent <- page != Bytes.empty;
+    insert c e
   end
 
 let drop c b =
@@ -498,7 +557,8 @@ let crash c =
   Hashtbl.reset c.table;
   c.lru.older <- c.lru;
   c.lru.newer <- c.lru;
-  c.spare <- [];
+  Array.fill c.spare 0 c.spares Bytes.empty;
+  c.spares <- 0;
   match c.ra with
   | Some ra ->
       Hashtbl.reset ra.streams;

@@ -18,13 +18,36 @@
     request writes exactly the bytes it was submitted with. The whole
     cache is volatile: {!crash} drops everything.
 
-    The cache recycles its buffers, as 4.4BSD's [getnewbuf] hands the
-    LRU victim's buffer to the next block. A buffer the cache lets go
-    joins a spare list, and a spare backs the next fill before anything
-    new is allocated: a demand read, a prefetch, {!install}, a block
-    {!modify} starts without reading, or {!modify}'s copy of a busy
-    block. A buffer joins the list:
+    {b Lent pages.} A clean block holds the device's own page of
+    stable storage ([Nfsg_disk.Device.stable_page]) instead of a
+    private copy, whenever the device lends a page of the block's size.
+    The cache learns that a block matches stable storage in three
+    places, and takes the page in each: a write of the block completes
+    without error while the block still holds the buffer written; a
+    demand read fills the block; read-ahead installs it. So does
+    {!install}. The rule that keeps this invisible:
 
+    - A lent page is stable storage. The cache reads it and never
+      writes into it.
+    - Its bytes change only when a write of its range lands on the
+      device, and the cache issues such a write only from a private
+      copy: {!modify} copies a lent page before it changes it, as it
+      copies a busy block.
+    - So a lent page read through {!get} behaves like the private clean
+      copy it replaces.
+
+    A device that lends nothing (NVRAM, a stripe set) leaves every
+    block in a private buffer.
+
+    {b Spares.} The cache recycles its buffers, as 4.4BSD's [getnewbuf]
+    hands the LRU victim's buffer to the next block. A buffer the cache
+    lets go joins a stack of spares, and a spare backs the next fill
+    before anything new is allocated: a demand read, a prefetch, a
+    block {!modify} starts without reading, or {!modify}'s copy of a
+    busy block or a lent page. Giving a buffer back allocates nothing.
+    A buffer joins the spares:
+
+    - when its block takes the device's page in its place;
     - when its block leaves the cache, evicted to make room or
       {!drop}ped because the filesystem freed it, unless a write
       request holds it (only a drop takes a busy block);
@@ -33,11 +56,12 @@
     - when a read into it fails, or lands after another reader has
       already cached the block.
 
-    A buffer joins the list at most once, and never while a request or
-    a cached block holds it; {!crash} forgets the list. So a buffer
-    from {!get} or {!peek} is valid only until the caller's next cache
-    fill or yield: a yield lets another process free the block and
-    fill the cache. Copy what must outlive either. *)
+    A buffer joins the spares at most once, and never while a request
+    or a cached block holds it; a lent page never does. {!crash}
+    forgets the spares. So a buffer from {!get} or {!peek} is valid
+    only until the caller's next cache fill or yield: a yield lets
+    another process free the block and fill the cache. Copy what must
+    outlive either. *)
 
 type kind = Data | Metadata
 
@@ -65,7 +89,7 @@ val create :
   t
 (** [max_blocks] bounds the cache (default: unbounded); on overflow the
     least-recently-used block that is clean and not busy is evicted,
-    and its buffer backs a later fill. Dirty blocks are pinned, exactly
+    and its buffer, unless it is a lent page, backs a later fill. Dirty blocks are pinned, exactly
     like real buffer-cache buffers awaiting write, and busy ones until
     their write completes, so a failed write can re-dirty them. An
     unbounded cache still reuses what {!drop} and copy-on-write let go.
@@ -115,11 +139,11 @@ val modify : t -> int -> kind -> fill -> (Bytes.t -> unit) -> unit
     buffer, then marks the block dirty as a delayed write of [kind]: it
     must reach the device eventually. The one way to change a cached
     block. A hit counts and ages like {!get}. If the block is busy in a
-    write request, [change] runs on a copy that replaces it in the
-    cache (a spare buffer, filled with the block's bytes unless
-    [Overwritten]), so the request keeps the bytes it was submitted
-    with, and its buffer backs a later fill once the request
-    completes. [change] must not block. A block
+    write request or holds a lent page, [change] runs on a copy that
+    replaces it in the cache (a spare buffer, filled with the block's
+    bytes unless [Overwritten]), so the request keeps the bytes it was
+    submitted with, and its buffer backs a later fill once the request
+    completes; a lent page stays the device's, unchanged. [change] must not block. A block
     already dirty as [Metadata] stays [Metadata] even if re-marked
     [Data]. *)
 
@@ -145,13 +169,15 @@ val prepared_items : prepared -> Nfsg_disk.Io.item list
 val await_prepared : prepared list -> unit
 (** Block until every request of every prepared set completes. Blocks
     of failed requests are re-dirtied (they never reached stable
-    storage, so a later sync must retry them); then the first failure
-    is re-raised. *)
+    storage, so a later sync must retry them), and keep their own
+    buffers: a failed write lends no page. Then the first failure is
+    re-raised. *)
 
-val install : t -> int -> Bytes.t -> unit
-(** Seed the cache with a clean buffer for block [b] without device
-    I/O (mount-time prewarm from stable storage). The bytes are copied.
-    No-op if the block is already cached. *)
+val install : t -> int -> unit
+(** Seed the cache with block [b]'s stable bytes, clean, without
+    simulated I/O (mount-time prewarm): the device's page when it
+    lends one, else a copy from its [stable_read]. No-op if the block
+    is already cached. *)
 
 val drop : t -> int -> unit
 (** Forget one block (e.g. after freeing it). Its buffer backs a later

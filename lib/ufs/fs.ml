@@ -171,10 +171,6 @@ let getattr ({ inum; di = { ftype; nlink; size; mtime; atime; ctime; gen; _ }; _
 
 (* {1 Inode I/O} *)
 
-let load_dinode_stable t inum =
-  let blk, off = Layout.inode_block t.sb inum in
-  Layout.decode_dinode (t.dev.Device.stable_read ~off:((blk * bsize t) + off) ~len:Layout.inode_size)
-
 (* Take [di] in core as inode [inum]. *)
 let add_incore t inum di ~meta_dirty =
   let lock = Mutex.create ~name:(Printf.sprintf "vnode-%d" inum) () in
@@ -225,7 +221,7 @@ let iget t ~inum ~gen =
       (* Decode from the (prewarmed) inode-table block. *)
       let blk, off = Layout.inode_block t.sb inum in
       let buf = Buffer_cache.get t.bcache blk in
-      add_incore t inum (Layout.decode_dinode (Bytes.sub buf off Layout.inode_size)) ~meta_dirty:`Clean
+      add_incore t inum (Layout.decode_dinode ~pos:off buf) ~meta_dirty:`Clean
 
 let root t = iget t ~inum:t.sb.Layout.root_inum ~gen:t.gens.(t.sb.Layout.root_inum)
 
@@ -247,7 +243,7 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
   let bs = sb.Layout.bsize in
   (* Prewarm bitmap and inode table from stable storage ("boot"). *)
   for b = sb.Layout.bitmap_start to sb.Layout.data_start - 1 do
-    Buffer_cache.install bcache b (dev.Device.stable_read ~off:(b * bs) ~len:bs)
+    Buffer_cache.install bcache b
   done;
   let balloc = Alloc.create bcache sb in
   let gens = Array.make sb.Layout.ninodes 0 in
@@ -266,7 +262,10 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
     }
   in
   (* fsck-style pass: learn inode usage and rebuild the block bitmap
-     from reachable blocks. Instantaneous (stable reads). *)
+     from reachable blocks. Instantaneous: each inode is decoded from
+     its prewarmed table block, which nothing has changed since it was
+     installed (the cache holds the whole metadata area), and the
+     indirect blocks are stable reads. *)
   Alloc.clear_all_data_area balloc;
   let reach = Hashtbl.create 1024 in
   let claim b =
@@ -275,7 +274,8 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
   in
   let read b = dev.Device.stable_read ~off:(b * bs) ~len:bs in
   for inum = 1 to sb.Layout.ninodes - 1 do
-    let d = load_dinode_stable t inum in
+    let blk, off = Layout.inode_block sb inum in
+    let d = Layout.decode_dinode ~pos:off (Option.get (Buffer_cache.peek bcache blk)) in
     gens.(inum) <- d.Layout.gen;
     if d.Layout.ftype <> Layout.Free then begin
       used.(inum) <- true;

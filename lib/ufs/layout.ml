@@ -133,19 +133,19 @@ let encode_dinode di =
   set32 b (48 + (4 * nd_direct)) di.gen;
   b
 
-let decode_dinode b =
-  if Bytes.length b < inode_size then failwith "layout: short inode";
+let decode_dinode ?(pos = 0) b =
+  if pos < 0 || Bytes.length b < pos + inode_size then failwith "layout: short inode";
   {
-    ftype = ftype_of_int (get32 b 0);
-    nlink = get32 b 4;
-    size = get64 b 8;
-    mtime = get64 b 16;
-    atime = get64 b 24;
-    ctime = get64 b 32;
-    direct = Array.init nd_direct (fun i -> get32 b (40 + (4 * i)));
-    single_ind = get32 b (40 + (4 * nd_direct));
-    double_ind = get32 b (44 + (4 * nd_direct));
-    gen = get32 b (48 + (4 * nd_direct));
+    ftype = ftype_of_int (get32 b pos);
+    nlink = get32 b (pos + 4);
+    size = get64 b (pos + 8);
+    mtime = get64 b (pos + 16);
+    atime = get64 b (pos + 24);
+    ctime = get64 b (pos + 32);
+    direct = Array.init nd_direct (fun i -> get32 b (pos + 40 + (4 * i)));
+    single_ind = get32 b (pos + 40 + (4 * nd_direct));
+    double_ind = get32 b (pos + 44 + (4 * nd_direct));
+    gen = get32 b (pos + 48 + (4 * nd_direct));
   }
 
 let inode_block sb inum =

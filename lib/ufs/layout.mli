@@ -73,7 +73,10 @@ val new_dinode : ftype -> gen:int -> now:int -> dinode
 val encode_dinode : dinode -> Bytes.t
 (** Exactly [inode_size] bytes. *)
 
-val decode_dinode : Bytes.t -> dinode
+val decode_dinode : ?pos:int -> Bytes.t -> dinode
+(** [decode_dinode ~pos b] decodes the inode at byte [pos] (default 0)
+    of [b] in place, e.g. a slot of a cached inode-table block. Raises
+    [Failure] if [b] holds fewer than [inode_size] bytes from [pos]. *)
 
 val inode_block : superblock -> int -> int * int
 (** [inode_block sb inum] is [(block number, byte offset within

@@ -363,4 +363,5 @@ let create eng ?(name = "disk") ?metrics ?(on_transaction = fun ~bytes:_ -> ())
       (fun ~off data ->
         check_bounds st ~off ~len:(Bytes.length data);
         Bytes.blit data 0 st.platter off (Bytes.length data));
+    stable_page = Device.no_page;
   }

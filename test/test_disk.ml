@@ -204,7 +204,11 @@ let test_platter_is_sparse () =
   if grown >= 1024 * 1024 then
     Alcotest.failf "a %d-byte disk grew the live heap by %d bytes" dev.Device.capacity grown
 
-(* {1 The sparse platter against a flat model} *)
+(* {1 The sparse platter against a flat model}
+
+   After every step, each page the disk lends holds the model's bytes,
+   a page is lent exactly when a write has created it whole, and it
+   stays the page first lent: a write changes it in place. *)
 
 type platter_op =
   | Stable_write of int * int * char
@@ -213,8 +217,8 @@ type platter_op =
   | Read of int * int
   | Crash_mid_write of int * int * char
 
-(* Three whole chunks and a partial fourth. *)
-let sparse_capacity = (3 * Disk.chunk_bytes) + 12345
+(* Four whole pages and a short fifth. *)
+let sparse_capacity = (3 * Device.page_bytes) + 12345
 
 let show_platter_op = function
   | Stable_write (off, len, c) -> Printf.sprintf "stable_write %d+%d %C" off len c
@@ -229,14 +233,14 @@ let prop_sparse_platter_matches_flat =
       let* off =
         oneof
           [
-            (* Near a chunk boundary, the capacity included. *)
+            (* Near a page boundary, the capacity included. *)
             map2
-              (fun k d -> Stdlib.max 0 (Stdlib.min sparse_capacity ((k * Disk.chunk_bytes) + d)))
+              (fun k d -> Stdlib.max 0 (Stdlib.min sparse_capacity ((k * Device.page_bytes) + d)))
               (int_bound 4) (int_range (-300) 300);
             int_bound sparse_capacity;
           ]
       in
-      let+ len = int_bound (Stdlib.min ((2 * Disk.chunk_bytes) + 100) (sparse_capacity - off)) in
+      let+ len = int_bound (Stdlib.min ((2 * Device.page_bytes) + 100) (sparse_capacity - off)) in
       (off, len))
   in
   let fill = QCheck.Gen.map Char.chr (QCheck.Gen.int_range 97 122) in
@@ -261,17 +265,46 @@ let prop_sparse_platter_matches_flat =
       let dev = Disk.create eng { small_geometry with Disk.capacity = sparse_capacity } in
       let model = Bytes.make sparse_capacity '\000' in
       let mismatch = ref None in
+      let fail why = if !mismatch = None then mismatch := Some why in
       let check step what got ~off ~len =
-        if !mismatch = None && not (Bytes.equal got (Bytes.sub model off len)) then
-          mismatch := Some (Printf.sprintf "step %d (%s): bytes differ from the model" step what)
+        if not (Bytes.equal got (Bytes.sub model off len)) then
+          fail (Printf.sprintf "step %d (%s): bytes differ from the model" step what)
+      in
+      (* Pages a write has created, and the page first lent for each:
+         a written page stays the one the disk lends, changed in place. *)
+      let page = Device.page_bytes in
+      let pages = (sparse_capacity + page - 1) / page in
+      let written = Array.make pages false and lent = Array.make pages Bytes.empty in
+      let wrote ~off ~len =
+        if len > 0 then
+          for i = off / page to (off + len - 1) / page do
+            written.(i) <- true
+          done
+      in
+      let check_pages step what =
+        for i = 0 to pages - 1 do
+          let off = i * page in
+          let p = dev.Device.stable_page ~off in
+          let whole = off + page <= sparse_capacity in
+          if (p != Bytes.empty) <> (written.(i) && whole) then
+            fail (Printf.sprintf "step %d (%s): page %d lent %b" step what i (p != Bytes.empty));
+          if p != Bytes.empty then begin
+            check step what p ~off ~len:page;
+            if lent.(i) == Bytes.empty then lent.(i) <- p
+            else if p != lent.(i) then fail (Printf.sprintf "step %d (%s): page %d replaced" step what i)
+          end;
+          if dev.Device.stable_page ~off:(off + 1) != Bytes.empty then
+            fail (Printf.sprintf "step %d (%s): a page lent at a misaligned offset" step what)
+        done
       in
       Engine.spawn eng (fun () ->
           List.iteri
             (fun step op ->
               let what = show_platter_op op in
-              match op with
+              (match op with
               | Stable_write (off, len, c) ->
                   dev.Device.stable_write ~off (Bytes.make len c);
+                  wrote ~off ~len;
                   Bytes.fill model off len c
               | Stable_read (off, len) -> check step what (dev.Device.stable_read ~off ~len) ~off ~len
               | Write (off, len, c) ->
@@ -283,6 +316,7 @@ let prop_sparse_platter_matches_flat =
                   in
                   dev.Device.submit [ Io.Req r ];
                   Io.await r;
+                  wrote ~off ~len;
                   Bytes.fill model off len c
               | Read (off, len) ->
                   let r = Io.read_req ~off (Bytes.create len) in
@@ -297,7 +331,8 @@ let prop_sparse_platter_matches_flat =
                   dev.Device.crash ();
                   Engine.delay (Time.ms 200);
                   dev.Device.recover ();
-                  check step what (dev.Device.stable_read ~off ~len) ~off ~len)
+                  check step what (dev.Device.stable_read ~off ~len) ~off ~len);
+              check_pages step what)
             ops;
           check (List.length ops) "whole platter" (dev.Device.stable_read ~off:0 ~len:sparse_capacity)
             ~off:0 ~len:sparse_capacity);

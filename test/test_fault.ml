@@ -82,8 +82,13 @@ let test_fail_stop_revive () =
   let data = Bytes.make 8192 'z' in
   Engine.spawn eng ~name:"driver" (fun () ->
       dev.Device.write ~off:0 data;
+      let page = disk.Device.stable_page ~off:0 in
+      Alcotest.(check bool) "a live wrapper lends its disk's page" true
+        (page != Bytes.empty && dev.Device.stable_page ~off:0 == page);
       Fault_disk.fail_stop inj;
       Alcotest.(check bool) "reports failed" true (Fault_disk.is_failed inj);
+      Alcotest.(check bool) "a fail-stopped one lends nothing" true
+        (dev.Device.stable_page ~off:0 == Bytes.empty);
       (try
          dev.Device.write ~off:8192 data;
          Alcotest.fail "fail-stopped write must raise"
@@ -106,6 +111,7 @@ let test_fail_stop_revive () =
       Alcotest.(check int) "one transition" 1 (Fault_disk.fail_stops inj);
       Fault_disk.revive inj;
       Alcotest.(check bool) "revived" false (Fault_disk.is_failed inj);
+      Alcotest.(check bool) "and lends again" true (dev.Device.stable_page ~off:0 == page);
       (* the platter kept its pre-failure contents *)
       Alcotest.(check bytes) "contents survive" data (dev.Device.read ~off:0 ~len:8192));
   Engine.run eng
