@@ -68,8 +68,11 @@ type t = {
 
           A lent page is stable storage. Its borrower reads it and
           never writes into it. Its bytes change only when a write of
-          its range lands on the device, and a borrower issues such a
-          write only from a private copy. So a page lent to the buffer
+          its range lands on the device. A borrower takes a page only
+          while it holds the page's bytes and no write of the range it
+          issued is outstanding (the device may land two writes of one
+          range in either order), and issues later writes only from a
+          private copy. So a page lent to the buffer
           cache as a clean block reads like the private clean copy it
           replaces, for as long as the block stays clean. *)
 }

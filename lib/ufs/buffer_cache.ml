@@ -16,6 +16,11 @@ type entry = {
   mutable busy : bool;
       (* [buf] is in a write request that has not completed: [modify]
          must copy it before changing it *)
+  mutable writes : int;
+      (* write requests of the block, from [buf] or an older buffer,
+         that have not completed: the device may land them in any
+         order, so while one is left the page may not hold [buf]'s
+         bytes *)
   mutable prefetched : bool;  (* installed by read-ahead, not yet consumed *)
   (* Neighbours on the LRU list, least recently used first; the cache's
      sentinel closes the ring. *)
@@ -84,6 +89,10 @@ type t = {
       (* [spare.(0 .. spares - 1)], a stack of buffers nothing holds
          any more, which back the next fills before anything new is
          allocated *)
+  departed : (int, int) Hashtbl.t;
+      (* write requests not yet completed, by block, of entries that
+         left the cache (evicted or dropped): the block's next entry
+         takes no page while any is left *)
 }
 
 let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
@@ -111,6 +120,7 @@ let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
       lent = false;
       dirty = None;
       busy = false;
+      writes = 0;
       prefetched = false;
       older = lru;
       newer = lru;
@@ -126,6 +136,7 @@ let create dev ~bsize ?(max_blocks = max_int) ?metrics ?ns () =
     ra = None;
     spare = Array.make 16 Bytes.empty;
     spares = 0;
+    departed = Hashtbl.create 8;
   }
 
 let enable_readahead c eng ?(config = default_readahead) () =
@@ -164,7 +175,17 @@ let touch c e =
    [touch] lists it. *)
 let entry b buf ~prefetched =
   let rec e =
-    { blk = b; buf; lent = false; dirty = None; busy = false; prefetched; older = e; newer = e }
+    {
+      blk = b;
+      buf;
+      lent = false;
+      dirty = None;
+      busy = false;
+      writes = 0;
+      prefetched;
+      older = e;
+      newer = e;
+    }
   in
   e
 
@@ -189,26 +210,40 @@ let stable_page c b =
   let page = c.dev.Device.stable_page ~off:(b * c.bsize) in
   if Bytes.length page = c.bsize then page else Bytes.empty
 
-(* [e] holds block [e.blk]'s stable bytes, clean and in no request:
-   hold the device's page instead, when it lends one, and let [e]'s
-   buffer back a later fill. *)
+(* Block [b]'s write requests, not yet completed, of entries that
+   left the cache. *)
+let departed_writes c b = if Hashtbl.mem c.departed b then Hashtbl.find c.departed b else 0
+
+(* [e] is clean and in no request: hold the device's page instead of
+   [e]'s buffer, which backs a later fill. Only when the device lends
+   one, no write of the block is left to land in it later, and it
+   holds [e]'s bytes: a read's bytes are the platter's when the read
+   was serviced, a write's when it landed, and a write of the block
+   from a buffer the cache has let go may have landed since. *)
 let lend c e =
-  let page = stable_page c e.blk in
-  if page != Bytes.empty then begin
-    give_back c e.buf;
-    e.buf <- page;
-    e.lent <- true
+  if e.writes = 0 && departed_writes c e.blk = 0 then begin
+    let page = stable_page c e.blk in
+    if page != Bytes.empty && Bytes.equal page e.buf then begin
+      give_back c e.buf;
+      e.buf <- page;
+      e.lent <- true
+    end
   end
 
 (* [e] leaves the cache. Its buffer backs a later fill: now, or once
    the write request that holds it completes (the request's completion
    sees that the entry no longer holds the buffer). A lent page stays
-   the device's. *)
+   the device's. Writes of [e] not yet completed count against the
+   block's next entry. [e] holds nothing from now on, and its [buf]
+   is [Bytes.empty]. *)
 let remove c e =
   unlink e;
   Hashtbl.remove c.table e.blk;
   if not (e.busy || e.lent) then give_back c e.buf;
-  e.buf <- Bytes.empty
+  if e.writes > 0 then Hashtbl.replace c.departed e.blk (departed_writes c e.blk + e.writes);
+  e.buf <- Bytes.empty;
+  e.busy <- false;
+  e.lent <- false
 
 (* A prefetched block a demand read finally touched: the guess paid. *)
 let consume_prefetch c e =
@@ -413,6 +448,20 @@ let note_read c ~stream ~fbn ~nblocks ~map ~limit =
 
 let peek c b = Option.map (fun e -> e.buf) (Hashtbl.find_opt c.table b)
 
+(* Before [e] changes or is dirtied: a request in flight keeps the
+   buffer it was submitted with, a lent page stays the device's, and
+   [e] goes on in a private copy (of its bytes, unless [fill] rewrites
+   them all). So a dirty block holds a buffer of its own, which no
+   request holds. *)
+let own c e fill =
+  if e.busy || e.lent then begin
+    let copy = take_buf c in
+    if fill <> Overwritten then Bytes.blit e.buf 0 copy 0 c.bsize;
+    e.buf <- copy;
+    e.busy <- false;
+    e.lent <- false
+  end
+
 let modify c b kind fill change =
   let e =
     if fill = From_disk || Hashtbl.mem c.table b then lookup c b
@@ -427,16 +476,7 @@ let modify c b kind fill change =
       e
     end
   in
-  if e.busy || e.lent then begin
-    (* Copy-on-write: the request in flight keeps the buffer it was
-       submitted with, a lent page stays the device's, and the change
-       goes to a private copy. *)
-    let copy = take_buf c in
-    if fill <> Overwritten then Bytes.blit e.buf 0 copy 0 c.bsize;
-    e.buf <- copy;
-    e.busy <- false;
-    e.lent <- false
-  end;
+  own c e fill;
   change e.buf;
   match (e.dirty, kind) with
   | Some Metadata, Data -> ()
@@ -483,6 +523,7 @@ let prepare c ~class_ ~max_cluster blocks =
                   let k = e.dirty in
                   e.dirty <- None;
                   e.busy <- true;
+                  e.writes <- e.writes + 1;
                   (e, e.buf, k)
               | None -> assert false)
             run
@@ -492,15 +533,24 @@ let prepare c ~class_ ~max_cluster blocks =
            block left the cache) was the request's alone: it backs a
            later fill. A block that still holds its buffer is clean
            and matches stable storage once the write lands, so it
-           takes the device's page. *)
+           takes the device's page, unless another write of the block
+           has yet to complete ([lend]). *)
         Nfsg_sim.Ivar.upon r.Io.done_ (fun () ->
             List.iter
               (fun (e, buf, _) ->
+                e.writes <- e.writes - 1;
                 if e.buf == buf then begin
                   e.busy <- false;
                   if r.Io.error = None then lend c e
                 end
-                else give_back c buf)
+                else begin
+                  give_back c buf;
+                  if e.buf == Bytes.empty && Hashtbl.mem c.departed e.blk then begin
+                    let left = Hashtbl.find c.departed e.blk - 1 in
+                    if left = 0 then Hashtbl.remove c.departed e.blk
+                    else Hashtbl.replace c.departed e.blk left
+                  end
+                end)
               was);
         Some (r, was)
   in
@@ -508,7 +558,7 @@ let prepare c ~class_ ~max_cluster blocks =
 
 let prepared_items p = List.map (fun (r, _) -> Io.Req r) p
 
-let await_prepared ps =
+let await_prepared c ps =
   let all = List.concat ps in
   (* Park on every request before looking at any outcome: a failure
      must not leave later clusters un-awaited. *)
@@ -523,11 +573,15 @@ let await_prepared ps =
           (* Failed transaction: nothing reached the platter, so every
              block of the run must stay dirty for the next sync. A kind
              recorded by a concurrent writer while the request was in
-             flight takes precedence. *)
+             flight takes precedence. A block clean again meanwhile
+             (a later write of it landed, or is in flight) is dirtied
+             in a private copy, like a change. *)
           List.iter
             (fun (e, _, k) ->
               match (e.dirty, k) with
-              | None, Some _ -> e.dirty <- k
+              | None, Some _ ->
+                  own c e From_disk;
+                  e.dirty <- k
               | Some Data, Some Metadata -> e.dirty <- Some Metadata
               | _ -> ())
             was)
@@ -537,7 +591,7 @@ let await_prepared ps =
 let install c b =
   if not (Hashtbl.mem c.table b) then begin
     make_room c;
-    let page = stable_page c b in
+    let page = if departed_writes c b = 0 then stable_page c b else Bytes.empty in
     let e =
       if page != Bytes.empty then entry b page ~prefetched:false
       else entry b (c.dev.Device.stable_read ~off:(b * c.bsize) ~len:c.bsize) ~prefetched:false
@@ -559,6 +613,7 @@ let crash c =
   c.lru.newer <- c.lru;
   Array.fill c.spare 0 c.spares Bytes.empty;
   c.spares <- 0;
+  Hashtbl.reset c.departed;
   match c.ra with
   | Some ra ->
       Hashtbl.reset ra.streams;

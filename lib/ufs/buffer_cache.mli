@@ -25,14 +25,21 @@
     places, and takes the page in each: a write of the block completes
     without error while the block still holds the buffer written; a
     demand read fills the block; read-ahead installs it. So does
-    {!install}. The rule that keeps this invisible:
+    {!install}. In each place it takes the page only if the page holds
+    the block's bytes and no write of the block is left to complete:
+    the device may land two writes of one block in either order (an
+    elevator, a barrier), and a block that left the cache, evicted or
+    dropped, may still have one in flight. The rule that keeps this
+    invisible:
 
     - A lent page is stable storage. The cache reads it and never
       writes into it.
     - Its bytes change only when a write of its range lands on the
-      device, and the cache issues such a write only from a private
-      copy: {!modify} copies a lent page before it changes it, as it
-      copies a busy block.
+      device. No write of the block is outstanding when the cache
+      takes the page, and the cache issues a later one only from a
+      private copy: {!modify} copies a lent page before it changes it,
+      as it copies a busy block, and so does {!await_prepared} before
+      it dirties a block again.
     - So a lent page read through {!get} behaves like the private clean
       copy it replaces.
 
@@ -166,12 +173,14 @@ val prepare : t -> class_:Nfsg_disk.Io.class_ -> max_cluster:int -> int list -> 
 
 val prepared_items : prepared -> Nfsg_disk.Io.item list
 
-val await_prepared : prepared list -> unit
+val await_prepared : t -> prepared list -> unit
 (** Block until every request of every prepared set completes. Blocks
     of failed requests are re-dirtied (they never reached stable
     storage, so a later sync must retry them), and keep their own
-    buffers: a failed write lends no page. Then the first failure is
-    re-raised. *)
+    buffers: a failed write lends no page. A block that a later write
+    made clean meanwhile is dirtied in a private copy, as {!modify}
+    changes one, if it holds a lent page or a buffer a request holds.
+    Then the first failure is re-raised. *)
 
 val install : t -> int -> unit
 (** Seed the cache with block [b]'s stable bytes, clean, without

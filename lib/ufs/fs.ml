@@ -399,7 +399,7 @@ let flush_blocks t blocks =
   | [] -> ()
   | items ->
       t.dev.Device.submit items;
-      Buffer_cache.await_prepared [ p ]
+      Buffer_cache.await_prepared t.bcache [ p ]
 
 (* One gathered commit for a byte range: the range's delayed data
    clusters, then — behind barriers — the inode's indirect blocks and
@@ -434,7 +434,7 @@ let commit_range_begin t (ino : inode) ~off ~len =
     | [] -> fun () -> ()
     | items ->
         t.dev.Device.submit items;
-        fun () -> Buffer_cache.await_prepared [ p_data ]
+        fun () -> Buffer_cache.await_prepared t.bcache [ p_data ]
   end
   else begin
     let was_dirty = ino.meta_dirty in
@@ -445,7 +445,7 @@ let commit_range_begin t (ino : inode) ~off ~len =
     ino.meta_dirty <- `Clean;
     t.dev.Device.submit items;
     fun () ->
-      try Buffer_cache.await_prepared (p_data :: preps)
+      try Buffer_cache.await_prepared t.bcache (p_data :: preps)
       with exn ->
         (* The encoded inode never became durable: put the
            dirtiness back unless a concurrent write already raised

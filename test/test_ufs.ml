@@ -1050,7 +1050,7 @@ let test_busy_block_is_no_victim () =
       Alcotest.(check bool) "the miss filled another buffer" false
         (List.exists (fun buf -> buf == buf_of 300) bufs);
       release ();
-      Buffer_cache.await_prepared [ p ];
+      Buffer_cache.await_prepared cache [ p ];
       no_mismatch rc;
       List.iter
         (fun b ->
@@ -1081,7 +1081,7 @@ let test_failed_write_keeps_its_blocks () =
       let p = submit () in
       ignore (Buffer_cache.get cache 300 : Bytes.t);
       fail (Device.Io_error "held write");
-      (match Buffer_cache.await_prepared [ p ] with
+      (match Buffer_cache.await_prepared cache [ p ] with
       | () -> Alcotest.fail "the held write failed"
       | exception Device.Io_error _ -> ());
       Alcotest.(check bool) "block 100 is dirty" true (Buffer_cache.is_dirty cache 100);
@@ -1111,7 +1111,7 @@ let read_buffers (dev : Device.t) =
 let flush cache (dev : Device.t) blocks =
   let p = Buffer_cache.prepare cache ~class_:`Gather_flush ~max_cluster:(64 * 1024) blocks in
   dev.Device.submit (Buffer_cache.prepared_items p);
-  Buffer_cache.await_prepared [ p ]
+  Buffer_cache.await_prepared cache [ p ]
 
 (* An 8-block cache whose 8 blocks, 100 to 107, were written with 'd'
    bytes as one cluster, which has landed. Returns the buffers the
@@ -1205,6 +1205,158 @@ let test_nvram_and_stripe_lend_nothing () =
   in
   let stripe = Stripe.device (Stripe.create eng ~chunk:8192 members) in
   Alcotest.(check bool) "over a stripe set" true (flushed_block_keeps_its_buffer eng stripe)
+
+(* Block [b] rewritten whole with [c] bytes and prepared as a write of
+   its own, not yet submitted. *)
+let prepare_rewrite cache b c =
+  Buffer_cache.modify cache b Buffer_cache.Data Buffer_cache.Overwritten (fun buf ->
+      Bytes.fill buf 0 8192 c);
+  Buffer_cache.prepare cache ~class_:`Gather_flush ~max_cluster:8192 [ b ]
+
+(* A write fails while the other request of its set is still in
+   flight, and before the set's await returns, its block is changed,
+   flushed and lent the page. The await dirties the block again (the
+   failed bytes must reach the platter) in a private copy: the next
+   flush writes the copy, never the page, so the page never joins the
+   spares and the next miss does not read into it. *)
+let test_failed_write_redirties_in_a_copy () =
+  let eng = Engine.create () in
+  let disk = Disk.create eng geometry in
+  let reads, dev = read_buffers disk in
+  let cache = Buffer_cache.create dev ~bsize:8192 ~max_blocks:8 () in
+  let bs = 8192 in
+  let page () = disk.Device.stable_page ~off:(100 * bs) in
+  List.iter
+    (fun b ->
+      Buffer_cache.modify cache b Buffer_cache.Data Buffer_cache.Overwritten (fun buf ->
+          Bytes.fill buf 0 bs 'a'))
+    [ 100; 200 ];
+  in_proc eng (fun () ->
+      let p = Buffer_cache.prepare cache ~class_:`Gather_flush ~max_cluster:(64 * 1024) [ 100; 200 ] in
+      match Buffer_cache.prepared_items p with
+      | [ Io.Req failed; Io.Req other ] ->
+          Io.fail failed (Device.Io_error "injected");
+          Buffer_cache.modify cache 100 Buffer_cache.Data Buffer_cache.From_disk (fun buf ->
+              Bytes.fill buf 0 bs 'b');
+          flush cache dev [ 100 ];
+          Alcotest.(check bool) "the rewrite landed and lent the page" true
+            (Option.get (Buffer_cache.peek cache 100) == page ());
+          dev.Device.submit [ Io.Req other ];
+          (match Buffer_cache.await_prepared cache [ p ] with
+          | () -> Alcotest.fail "the set had a failed write"
+          | exception Device.Io_error _ -> ());
+          Alcotest.(check bool) "the failed block is dirty again" true (Buffer_cache.is_dirty cache 100);
+          Alcotest.(check bool) "in a buffer of its own" false
+            (Option.get (Buffer_cache.peek cache 100) == page ());
+          flush cache dev [ 100 ];
+          ignore (Buffer_cache.get cache 300 : Bytes.t);
+          Alcotest.(check bool) "the next miss reads into another buffer than the page" false
+            (List.hd !reads == page ());
+          Alcotest.(check bytes) "the platter keeps the block's bytes" (Bytes.make bs 'b')
+            (disk.Device.stable_read ~off:(100 * bs) ~len:bs)
+      | _ -> Alcotest.fail "expected two cluster writes")
+
+(* Two writes of one block in flight, and the newer lands first: an
+   elevator serves it while a barrier holds the older back behind a far
+   request. A block takes no page while a write of it is left to land,
+   so the cache keeps the newer bytes, though the older write lands in
+   the page last. *)
+let test_reordered_writes_keep_the_newer_bytes () =
+  let eng = Engine.create () in
+  let disk = Disk.create eng ~scheduler:Disk.Elevator geometry in
+  let cache = Buffer_cache.create disk ~bsize:8192 () in
+  let bs = 8192 in
+  in_proc eng (fun () ->
+      let older = prepare_rewrite cache 100 'a' in
+      let newer = prepare_rewrite cache 100 'b' in
+      let far = Io.write_req ~class_:`Gather_flush ~off:(3000 * bs) [ Bytes.make bs 'f' ] in
+      disk.Device.submit (Io.Req far :: Io.barrier () :: Buffer_cache.prepared_items older);
+      disk.Device.submit (Buffer_cache.prepared_items newer);
+      Buffer_cache.await_prepared cache [ older; newer ];
+      Alcotest.(check bytes) "the older write landed last" (Bytes.make bs 'a')
+        (disk.Device.stable_read ~off:(100 * bs) ~len:bs);
+      Alcotest.(check (option bytes)) "the cache keeps the newer bytes" (Some (Bytes.make bs 'b'))
+        (Buffer_cache.peek cache 100))
+
+(* The newer of two writes lands, the block is evicted and read again
+   before the older write lands: a write of a block that left the cache
+   still counts, so the block read again keeps the bytes the read
+   returned in a buffer of its own. *)
+let test_reread_block_takes_no_page_while_a_write_is_left () =
+  let eng = Engine.create () in
+  let disk = Disk.create eng geometry in
+  let cache = Buffer_cache.create disk ~bsize:8192 ~max_blocks:8 () in
+  let bs = 8192 in
+  in_proc eng (fun () ->
+      let older = prepare_rewrite cache 100 'a' in
+      let newer = prepare_rewrite cache 100 'b' in
+      disk.Device.submit (Buffer_cache.prepared_items newer);
+      Buffer_cache.await_prepared cache [ newer ];
+      for b = 300 to 307 do
+        ignore (Buffer_cache.get cache b : Bytes.t)
+      done;
+      Alcotest.(check bool) "block 100 was evicted" true (Buffer_cache.peek cache 100 = None);
+      Alcotest.(check bytes) "and reads back the newer bytes" (Bytes.make bs 'b') (Buffer_cache.get cache 100);
+      disk.Device.submit (Buffer_cache.prepared_items older);
+      Buffer_cache.await_prepared cache [ older ];
+      Alcotest.(check bytes) "the older write landed last" (Bytes.make bs 'a')
+        (disk.Device.stable_read ~off:(100 * bs) ~len:bs);
+      Alcotest.(check (option bytes)) "the cache keeps what the read returned" (Some (Bytes.make bs 'b'))
+        (Buffer_cache.peek cache 100))
+
+(* Wraps [dev]: while [hold] is set, a read's data is read at once but
+   its completion waits for [release]. *)
+let late_reads (dev : Device.t) =
+  let hold = ref false and held = ref [] in
+  let submit items =
+    let items =
+      List.map
+        (function
+          | Io.Req r when !hold && not (Io.is_write r) ->
+              let twin = { r with Io.done_ = Ivar.create (); error = None } in
+              held := r :: !held;
+              Io.Req twin
+          | item -> item)
+        items
+    in
+    dev.Device.submit items
+  in
+  let release () =
+    List.iter Io.complete !held;
+    held := []
+  in
+  (hold, release, { dev with Device.submit })
+
+(* A block read again while an older write of it is left to land, and
+   the write lands and completes before the read's completion: the
+   read's bytes are then behind the page's, and the block keeps them
+   in a buffer of its own. *)
+let test_fill_behind_the_page_takes_no_page () =
+  let eng = Engine.create () in
+  let disk = Disk.create eng geometry in
+  let hold, release, dev = late_reads disk in
+  let cache = Buffer_cache.create dev ~bsize:8192 ~max_blocks:8 () in
+  let bs = 8192 in
+  in_proc eng (fun () ->
+      let older = prepare_rewrite cache 100 'a' in
+      let newer = prepare_rewrite cache 100 'b' in
+      dev.Device.submit (Buffer_cache.prepared_items newer);
+      Buffer_cache.await_prepared cache [ newer ];
+      for b = 300 to 307 do
+        ignore (Buffer_cache.get cache b : Bytes.t)
+      done;
+      hold := true;
+      let reread = Ivar.create () in
+      Engine.spawn eng ~name:"reader" (fun () -> Ivar.fill reread (Buffer_cache.get cache 100));
+      Engine.delay (Time.ms 50);
+      dev.Device.submit (Buffer_cache.prepared_items older);
+      Buffer_cache.await_prepared cache [ older ];
+      release ();
+      Alcotest.(check bytes) "the read returned the newer bytes" (Bytes.make bs 'b') (Ivar.read reread);
+      Alcotest.(check bytes) "the older write landed after it" (Bytes.make bs 'a')
+        (disk.Device.stable_read ~off:(100 * bs) ~len:bs);
+      Alcotest.(check (option bytes)) "the cache keeps what the read returned" (Some (Bytes.make bs 'b'))
+        (Buffer_cache.peek cache 100))
 
 (* {1 Allocation} *)
 
@@ -1416,6 +1568,12 @@ let suite =
     Alcotest.test_case "an evicted lent block stays on the platter" `Quick
       test_evicted_lent_block_stays_on_the_platter;
     Alcotest.test_case "NVRAM and a stripe set lend nothing" `Quick test_nvram_and_stripe_lend_nothing;
+    Alcotest.test_case "a failed write re-dirties in a copy" `Quick test_failed_write_redirties_in_a_copy;
+    Alcotest.test_case "reordered writes keep the newer bytes" `Quick
+      test_reordered_writes_keep_the_newer_bytes;
+    Alcotest.test_case "a block read again takes no page while a write is left" `Quick
+      test_reread_block_takes_no_page_while_a_write_is_left;
+    Alcotest.test_case "a fill behind the page takes no page" `Quick test_fill_behind_the_page_takes_no_page;
     Alcotest.test_case "a demand miss reuses its victim's buffer" `Quick
       test_demand_miss_reuses_its_victims_buffer;
     Alcotest.test_case "a removed file's blocks back the next file's" `Quick
