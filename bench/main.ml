@@ -147,8 +147,16 @@ let micro_tests () =
                Nfsg_nfs.Client.close f);
            Engine.run eng))
   in
+  let mkfs_mount =
+    Test.make ~name:"ufs: mkfs + mount 96 MB"
+      (Staged.stage (fun () ->
+           let eng = Engine.create () in
+           let disk = Nfsg_disk.Disk.create eng (Nfsg_disk.Disk.rz26 ()) in
+           Nfsg_ufs.Fs.mkfs disk ();
+           ignore (Nfsg_ufs.Fs.mount eng disk : Nfsg_ufs.Fs.t)))
+  in
   Test.make_grouped ~name:"substrate"
-    [ heap_churn; engine_events; xdr_write_roundtrip; extent_map_stream; end_to_end ]
+    [ heap_churn; engine_events; xdr_write_roundtrip; extent_map_stream; end_to_end; mkfs_mount ]
 
 let run_micro () =
   banner "Bechamel microbenchmarks";

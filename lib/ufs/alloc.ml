@@ -63,7 +63,31 @@ let free a b =
 
 let set_allocated a b = set_bit a b true
 
+(* The mask of bits [lo, hi) of a bitmap block that fall in its byte
+   [i]. *)
+let mask i ~lo ~hi =
+  let first = Stdlib.max lo (8 * i) - (8 * i) and last = Stdlib.min hi ((8 * i) + 8) - (8 * i) in
+  ((1 lsl (last - first)) - 1) lsl first
+
 let clear_all_data_area a =
-  for b = a.sb.Layout.data_start to a.sb.Layout.nblocks - 1 do
-    if get_bit a b then set_bit a b false
+  let sb = a.sb in
+  let bits_per_block = sb.Layout.bsize * 8 in
+  for i = sb.Layout.data_start / bits_per_block to (sb.Layout.nblocks - 1) / bits_per_block do
+    let blk = sb.Layout.bitmap_start + i in
+    (* This block's data-area bits, [lo, hi). *)
+    let lo = Stdlib.max 0 (sb.Layout.data_start - (i * bits_per_block))
+    and hi = Stdlib.min bits_per_block (sb.Layout.nblocks - (i * bits_per_block)) in
+    let buf =
+      match Buffer_cache.peek a.cache blk with Some buf -> buf | None -> Buffer_cache.get a.cache blk
+    in
+    let rec any_set byte =
+      byte <= (hi - 1) / 8
+      && (Char.code (Bytes.get buf byte) land mask byte ~lo ~hi <> 0 || any_set (byte + 1))
+    in
+    if any_set (lo / 8) then
+      Buffer_cache.modify a.cache blk Buffer_cache.Metadata Buffer_cache.From_disk (fun own ->
+          for byte = lo / 8 to (hi - 1) / 8 do
+            Bytes.set own byte (Char.chr (Char.code (Bytes.get own byte) land lnot (mask byte ~lo ~hi)))
+          done)
+    else ignore (Buffer_cache.get a.cache blk : Bytes.t)
   done

@@ -27,4 +27,9 @@ val set_allocated : t -> int -> unit
 (** Unconditionally mark a block allocated (mkfs and fsck only). *)
 
 val clear_all_data_area : t -> unit
-(** Reset the bitmap for the whole data area (fsck rebuild step 1). *)
+(** Reset the bitmap for the whole data area (fsck rebuild step 1): one
+    {!Buffer_cache.modify} per bitmap block that has a data-area bit
+    set, and one {!Buffer_cache.get} per other block that holds
+    data-area bits (a block not cached is read in first). The blocks
+    end as freeing each allocated bit one at a time leaves them: the
+    same bytes, dirty when a bit was set, and touched in block order. *)

@@ -262,10 +262,11 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
     }
   in
   (* fsck-style pass: learn inode usage and rebuild the block bitmap
-     from reachable blocks. Instantaneous: each inode is decoded from
-     its prewarmed table block, which nothing has changed since it was
-     installed (the cache holds the whole metadata area), and the
-     indirect blocks are stable reads. *)
+     from reachable blocks. Instantaneous: each inode-table block is
+     read once where it was installed (the cache holds the whole
+     metadata area, and nothing has changed it since), every slot's
+     type and generation are read in place, only the inodes in use are
+     decoded and walked, and the indirect blocks are stable reads. *)
   Alloc.clear_all_data_area balloc;
   let reach = Hashtbl.create 1024 in
   let claim b =
@@ -273,16 +274,19 @@ let mount eng ?cache_blocks ?metrics ?ns ?readahead dev =
     Alloc.set_allocated balloc b
   in
   let read b = dev.Device.stable_read ~off:(b * bs) ~len:bs in
-  for inum = 1 to sb.Layout.ninodes - 1 do
-    let blk, off = Layout.inode_block sb inum in
-    let d = Layout.decode_dinode ~pos:off (Option.get (Buffer_cache.peek bcache blk)) in
-    gens.(inum) <- d.Layout.gen;
-    if d.Layout.ftype <> Layout.Free then begin
-      used.(inum) <- true;
-      (* A pointer outside the data area is neither claimed nor read
-         through; [check] reports it. *)
-      Layout.walk sb d ~read ~stray:ignore claim
-    end
+  let per_block = bs / Layout.inode_size in
+  for i = 0 to sb.Layout.itable_blocks - 1 do
+    let buf = Option.get (Buffer_cache.peek bcache (sb.Layout.itable_start + i)) in
+    for inum = Stdlib.max 1 (i * per_block) to Stdlib.min sb.Layout.ninodes ((i + 1) * per_block) - 1 do
+      let pos = inum mod per_block * Layout.inode_size in
+      gens.(inum) <- Layout.dinode_gen buf ~pos;
+      if Layout.dinode_ftype buf ~pos <> Layout.Free then begin
+        used.(inum) <- true;
+        (* A pointer outside the data area is neither claimed nor read
+           through; [check] reports it. *)
+        Layout.walk sb (Layout.decode_dinode ~pos buf) ~read ~stray:ignore claim
+      end
+    done
   done;
   t.free_blocks <- sb.Layout.nblocks - sb.Layout.data_start - Hashtbl.length reach;
   t
@@ -628,8 +632,8 @@ let write_entries t (dir : inode) entries =
   fsync_metadata t dir
 
 let lookup t (dir : inode) name =
-  let entries = read_entries t dir in
-  match List.assoc_opt name entries with
+  assert_dir dir;
+  match Layout.find_dirent (read t dir ~off:0 ~len:dir.di.size) name with
   | None -> raise Not_found
   | Some inum -> iget t ~inum ~gen:t.gens.(inum)
 

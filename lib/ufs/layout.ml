@@ -133,10 +133,21 @@ let encode_dinode di =
   set32 b (48 + (4 * nd_direct)) di.gen;
   b
 
+let check_slot b pos =
+  if pos < 0 || Bytes.length b < pos + inode_size then failwith "layout: short inode"
+
+let dinode_ftype b ~pos =
+  check_slot b pos;
+  ftype_of_int (get32 b pos)
+
+let dinode_gen b ~pos =
+  check_slot b pos;
+  get32 b (pos + 48 + (4 * nd_direct))
+
 let decode_dinode ?(pos = 0) b =
-  if pos < 0 || Bytes.length b < pos + inode_size then failwith "layout: short inode";
+  check_slot b pos;
   {
-    ftype = ftype_of_int (get32 b pos);
+    ftype = dinode_ftype b ~pos;
     nlink = get32 b (pos + 4);
     size = get64 b (pos + 8);
     mtime = get64 b (pos + 16);
@@ -145,7 +156,7 @@ let decode_dinode ?(pos = 0) b =
     direct = Array.init nd_direct (fun i -> get32 b (pos + 40 + (4 * i)));
     single_ind = get32 b (pos + 40 + (4 * nd_direct));
     double_ind = get32 b (pos + 44 + (4 * nd_direct));
-    gen = get32 b (pos + 48 + (4 * nd_direct));
+    gen = dinode_gen b ~pos;
   }
 
 let inode_block sb inum =
@@ -209,19 +220,33 @@ let encode_dirents entries =
     entries;
   Buffer.to_bytes buf
 
+(* The name length of the entry at [off], or 0 where the entries end:
+   no room for a header, an empty name, or a name past the end. *)
+let name_len_at b off =
+  if off + 6 > Bytes.length b then 0
+  else
+    let n = Bytes.get_uint16_be b (off + 4) in
+    if off + 6 + n > Bytes.length b then 0 else n
+
+(* The offset of the entry after the one at [off], whose name is [n]
+   bytes long. *)
+let next_dirent off n = off + 6 + n + ((4 - ((6 + n) mod 4)) mod 4)
+
 let decode_dirents b =
-  let len = Bytes.length b in
   let rec go off acc =
-    if off + 6 > len then List.rev acc
-    else begin
-      let inum = get32 b off in
-      let n = Bytes.get_uint16_be b (off + 4) in
-      if n = 0 || off + 6 + n > len then List.rev acc
-      else begin
-        let name = Bytes.sub_string b (off + 6) n in
-        let pad = (4 - ((6 + n) mod 4)) mod 4 in
-        go (off + 6 + n + pad) ((name, inum) :: acc)
-      end
-    end
+    match name_len_at b off with
+    | 0 -> List.rev acc
+    | n -> go (next_dirent off n) ((Bytes.sub_string b (off + 6) n, get32 b off) :: acc)
   in
   go 0 []
+
+let find_dirent b name =
+  let want = String.length name in
+  let rec same pos i = i = want || (Bytes.get b (pos + i) = name.[i] && same pos (i + 1)) in
+  let rec go off =
+    match name_len_at b off with
+    | 0 -> None
+    | n when n = want && same (off + 6) 0 -> Some (get32 b off)
+    | n -> go (next_dirent off n)
+  in
+  go 0

@@ -78,6 +78,14 @@ val decode_dinode : ?pos:int -> Bytes.t -> dinode
     of [b] in place, e.g. a slot of a cached inode-table block. Raises
     [Failure] if [b] holds fewer than [inode_size] bytes from [pos]. *)
 
+val dinode_ftype : Bytes.t -> pos:int -> ftype
+(** The [ftype] of the inode at byte [pos] of [b], read in place without
+    decoding the rest. Raises [Failure] as {!decode_dinode} does. *)
+
+val dinode_gen : Bytes.t -> pos:int -> int
+(** The [gen] of the inode at byte [pos] of [b], read in place; a free
+    slot keeps the generation of its last use. *)
+
 val inode_block : superblock -> int -> int * int
 (** [inode_block sb inum] is [(block number, byte offset within
     block)] of that inode's slot. *)
@@ -134,3 +142,9 @@ val walk :
 
 val encode_dirents : (string * int) list -> Bytes.t
 val decode_dirents : Bytes.t -> (string * int) list
+
+val find_dirent : Bytes.t -> string -> int option
+(** [find_dirent b name] is the inode of the first entry of [b] named
+    [name], as [List.assoc_opt name (decode_dirents b)] finds it: the
+    scan stops where {!decode_dirents} stops. It copies no name and
+    builds no list. *)

@@ -56,6 +56,29 @@ let prop_dirents =
   QCheck.Test.make ~name:"dirent list roundtrips" ~count:200 arb (fun entries ->
       Layout.decode_dirents (Layout.encode_dirents entries) = entries)
 
+(* [find_dirent] finds what [List.assoc_opt] finds in the decoded list,
+   also in bytes cut short or followed by garbage, where the decode
+   stops early: names repeat, and each is a prefix of the longer ones. *)
+let prop_find_dirent =
+  let name_gen = QCheck.Gen.(map (fun n -> String.make n 'a') (1 -- 6)) in
+  let arb =
+    QCheck.make
+      ~print:QCheck.Print.(triple (list (pair string int)) int string)
+      QCheck.Gen.(
+        triple
+          (list_size (0 -- 12) (pair name_gen (int_range 1 1000)))
+          (int_range (-8) 8)
+          (oneof [ name_gen; return "nothere" ]))
+  in
+  QCheck.Test.make ~name:"find_dirent agrees with decode_dirents" ~count:500 arb
+    (fun (entries, cut, name) ->
+      let full = Layout.encode_dirents entries in
+      let b =
+        if cut <= 0 then Bytes.sub full 0 (Stdlib.max 0 (Bytes.length full + cut))
+        else Bytes.cat full (Bytes.make cut '\007')
+      in
+      Layout.find_dirent b name = List.assoc_opt name (Layout.decode_dirents b))
+
 (* {1 Files} *)
 
 let test_create_lookup_readdir () =
@@ -601,6 +624,164 @@ let test_remount_rebuilds_bitmap () =
       match Fs.check fs2 with
       | Ok () -> ()
       | Error es -> Alcotest.failf "fsck: %s" (String.concat "; " es))
+
+(* LOOKUP scans the directory's bytes in place: in a directory over one
+   block it finds the first entry and the last, which lies wholly in
+   the second block, and a missing name or a prefix of a present one
+   is [Not_found]. *)
+let test_lookup_in_a_directory_over_one_block () =
+  let eng, _, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      let d = Fs.create fs (Fs.root fs) "big" Layout.Directory in
+      (* 208 bytes an entry: the 40th crosses into the second block. *)
+      let name i = Printf.sprintf "%03d%s" i (String.make 197 'n') in
+      let files = List.init 45 (fun i -> Fs.inum (Fs.create fs d (name i) Layout.Regular)) in
+      Alcotest.(check bool) "over one block" true ((Fs.getattr d).Fs.size > 8192 + 208);
+      Alcotest.(check int) "the first entry" (List.hd files) (Fs.inum (Fs.lookup fs d (name 0)));
+      Alcotest.(check int) "the last entry" (List.nth files 44) (Fs.inum (Fs.lookup fs d (name 44)));
+      Alcotest.check_raises "a missing name" Not_found (fun () -> ignore (Fs.lookup fs d (name 45)));
+      Alcotest.check_raises "a prefix of a name" Not_found (fun () -> ignore (Fs.lookup fs d "044")))
+
+(* A free inode's generation is read from its slot at mount: after a
+   slot is used three times and freed, a remount keeps the last handle
+   stale and reuses the slot at the next generation. *)
+let test_remount_reads_free_generations () =
+  let eng, dev, fs = fresh_fs () in
+  in_proc eng (fun () ->
+      let root = Fs.root fs in
+      let uses =
+        List.init 3 (fun _ ->
+            let f = Fs.create fs root "tmp" Layout.Regular in
+            Fs.remove fs root "tmp";
+            (Fs.inum f, Fs.generation f))
+      in
+      let inum, gen = List.nth uses 2 in
+      Alcotest.(check int) "one slot, three uses" 3 gen;
+      Fs.crash fs;
+      dev.Device.recover ();
+      let fs2 = Fs.mount eng dev in
+      Alcotest.check_raises "the removed file's handle is stale" (Fs.Stale inum) (fun () ->
+          ignore (Fs.iget fs2 ~inum ~gen));
+      let g = Fs.create fs2 (Fs.root fs2) "again" Layout.Regular in
+      Alcotest.(check int) "the slot is reused" inum (Fs.inum g);
+      Alcotest.(check int) "at the next generation" (gen + 1) (Fs.generation g))
+
+(* The reset mount ran before [Alloc.clear_all_data_area]: every
+   data-area bit looked up, and freed when set, one at a time. *)
+let reference_clear_all_data_area a (sb : Layout.superblock) =
+  for b = sb.Layout.data_start to sb.Layout.nblocks - 1 do
+    if Alloc.is_allocated a b then Alloc.free a b
+  done
+
+(* [Alloc.clear_all_data_area] leaves the bitmap blocks as the per-bit
+   reset does, over random bitmaps and geometries (one to five bitmap
+   blocks, a data area that may start past the first): the same bytes,
+   the same blocks dirty, and, once those are flushed, the same order
+   of evictions from a full cache, which is the LRU order. Each bitmap
+   block's data-area bits are kept random, cleared, or sparse; the bits
+   outside the data area stay random. *)
+let prop_clear_all_data_area_matches_the_per_bit_reset =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun n seed -> (512, n, seed)) (int_range 64 20_000) int;
+          map2 (fun n seed -> (8192, n, seed)) (int_range 64 200_000) int;
+        ])
+  in
+  let arb = QCheck.make ~print:QCheck.Print.(triple int int int) gen in
+  QCheck.Test.make ~name:"the bitmap reset matches the per-bit one" ~count:40 arb
+    (fun (bsize, nblocks, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let bits = bsize * 8 in
+      let bitmap_blocks = (nblocks + bits - 1) / bits in
+      let per_block = bsize / Layout.inode_size in
+      (* As many table blocks as leave the data area its 8 blocks; for
+         a 512-byte block that lets the data area start past the first
+         bitmap block. *)
+      let room = nblocks - bitmap_blocks - 9 in
+      let most = if bsize = 512 then room else Stdlib.min 64 room in
+      let itable_blocks =
+        if Random.State.bool rng then 1 + Random.State.int rng 8 else 1 + Random.State.int rng most
+      in
+      let sb =
+        Layout.make_superblock ~bsize ~capacity:(nblocks * bsize) ~ninodes:(itable_blocks * per_block)
+      in
+      let data_start = sb.Layout.data_start in
+      let bitmap = Bytes.init (bitmap_blocks * bsize) (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let set_bit b v =
+        let byte = Char.code (Bytes.get bitmap (b / 8)) and m = 1 lsl (b mod 8) in
+        Bytes.set bitmap (b / 8) (Char.chr (if v then byte lor m else byte land lnot m))
+      in
+      for i = 0 to bitmap_blocks - 1 do
+        let lo = Stdlib.max data_start (i * bits) and hi = Stdlib.min nblocks ((i + 1) * bits) in
+        match Random.State.int rng 3 with
+        | 0 -> ()
+        | mode ->
+            for b = lo to hi - 1 do
+              set_bit b (mode = 2 && Random.State.int rng 64 = 0)
+            done
+      done;
+      let eng = Engine.create () in
+      let metadata = List.init (data_start - 1) (fun i -> i + 1) in
+      let bitmap_blks = List.init bitmap_blocks (fun i -> sb.Layout.bitmap_start + i) in
+      let max_blocks = Stdlib.max 8 (data_start - 1) in
+      let run reset =
+        let dev = Disk.create eng (Disk.rz26 ~capacity:(64 * 1024 * 1024) ()) in
+        dev.Device.stable_write ~off:(sb.Layout.bitmap_start * bsize) bitmap;
+        let cache = Buffer_cache.create dev ~bsize ~max_blocks () in
+        List.iter (Buffer_cache.install cache) metadata;
+        reset (Alloc.create cache sb) sb;
+        let bytes = List.map (fun b -> Bytes.copy (Option.get (Buffer_cache.peek cache b))) bitmap_blks in
+        let dirty = List.map (Buffer_cache.is_dirty cache) bitmap_blks in
+        in_proc eng (fun () ->
+            let p = Buffer_cache.prepare cache ~class_:`Sync_write ~max_cluster:bsize bitmap_blks in
+            dev.Device.submit (Buffer_cache.prepared_items p);
+            Buffer_cache.await_prepared cache [ p ]);
+        (* Fill past the metadata: once the cache is full, each fill
+           evicts the least recently used of what is left. The first
+           block of [left] that is gone is the victim. *)
+        let rec victim = function
+          | [] -> None
+          | b :: rest when Buffer_cache.peek cache b = None -> Some (b, rest)
+          | b :: rest -> Option.map (fun (v, rest) -> (v, b :: rest)) (victim rest)
+        in
+        let rec fill probe left order =
+          if left = [] then List.rev order
+          else begin
+            Buffer_cache.install cache probe;
+            match victim left with
+            | Some (v, left) -> fill (probe + 1) left (v :: order)
+            | None -> fill (probe + 1) left order
+          end
+        in
+        (bytes, dirty, fill data_start metadata [])
+      in
+      let bytes, dirty, evicted = run (fun a _ -> Alloc.clear_all_data_area a) in
+      let bytes', dirty', evicted' = run reference_clear_all_data_area in
+      List.for_all2 Bytes.equal bytes bytes' && dirty = dirty' && evicted = evicted')
+
+(* Mount's cost follows what the volume holds: a fresh default volume
+   (96 MB, one root directory) mounts in under 50K words, and its
+   bitmap reset looks each bitmap block up once. This mount allocates
+   12.7K words and counts one cache hit as measured here; the per-bit
+   reset that decoded every inode allocated 229K and counted 12,222.
+   The least of three mounts is taken (see [Testbed.allocated]). *)
+let test_mount_cost_follows_contents () =
+  let eng = Engine.create () in
+  let dev = Disk.create eng (Disk.rz26 ()) in
+  Fs.mkfs dev ();
+  let sb = Layout.decode_superblock (dev.Device.stable_read ~off:0 ~len:512) in
+  let mounts = List.init 3 (fun _ -> Testbed.allocated (fun () -> Fs.mount eng dev)) in
+  let words = List.fold_left (fun m (_, w) -> Float.min m w) infinity mounts in
+  if words >= 50_000. then Alcotest.failf "mounting a fresh volume allocated %.0f words" words;
+  List.iter
+    (fun (fs, _) ->
+      let hits = Buffer_cache.hits (Fs.cache fs) in
+      if hits > sb.Layout.bitmap_blocks then
+        Alcotest.failf "mount counted %d cache hits over %d bitmap blocks" hits
+          sb.Layout.bitmap_blocks)
+    mounts
 
 (* Regression for the write-path lock leak nfsrace's Y003 found: the
    old open-coded lock/unlock pairs only released on the exceptions
@@ -1583,4 +1764,12 @@ let suite =
     Alcotest.test_case "committed blocks back the next file's" `Quick
       test_committed_blocks_back_the_next_file;
     Alcotest.test_case "a reformat stamps the next generation" `Quick test_format_generation;
+    QCheck_alcotest.to_alcotest prop_find_dirent;
+    Alcotest.test_case "lookup in a directory over one block" `Quick
+      test_lookup_in_a_directory_over_one_block;
+    Alcotest.test_case "a remount reads free inodes' generations" `Quick
+      test_remount_reads_free_generations;
+    QCheck_alcotest.to_alcotest prop_clear_all_data_area_matches_the_per_bit_reset;
+    Alcotest.test_case "mount's cost follows the volume's contents" `Quick
+      test_mount_cost_follows_contents;
   ]
